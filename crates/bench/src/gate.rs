@@ -1,10 +1,9 @@
 //! Benchmark-regression gate: compares a fresh `BENCH_*.json` against
 //! the committed baseline and fails on runtime regressions.
 //!
-//! The harness emits a fixed, self-authored JSON shape (see
-//! [`harness::Harness::to_json`](crate::harness)), so the reader here is
-//! a minimal scanner for `"name"`/`"median_ns"` pairs rather than a
-//! general JSON parser — the workspace stays zero-dependency.
+//! Both files are in the harness's JSON shape (see
+//! [`harness::Harness::to_json`](crate::harness)), read back with
+//! [`cedar_obs::json::parse`].
 //!
 //! Two checks, driven by `scripts/bench_check.sh` in CI:
 //!
@@ -18,6 +17,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use cedar_obs::json::{self, JsonValue};
+
 /// Allowed suite-runtime growth over the baseline: +15%.
 pub const SUITE_TOLERANCE: f64 = 0.15;
 
@@ -30,38 +31,31 @@ pub const SCHED_MARGIN: f64 = 1.3;
 /// simulator honest.
 pub const FAULTS_TOLERANCE: f64 = 0.15;
 
-/// Extracts `benchmark name -> median_ns` from harness-format JSON.
-///
-/// Scans for `"name":"<s>"` followed by `"median_ns":<f>` within the
-/// same benchmark object. Returns an error if the text yields no pairs,
-/// so a truncated or hand-mangled file fails loudly instead of passing
-/// an empty gate.
-pub fn medians(json: &str) -> Result<BTreeMap<String, f64>, String> {
-    let mut out = BTreeMap::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"name\":\"") {
-        rest = &rest[i + 8..];
-        let end = rest
-            .find('"')
-            .ok_or_else(|| "unterminated name string".to_string())?;
-        let name = &rest[..end];
-        rest = &rest[end..];
-        let j = rest
-            .find("\"median_ns\":")
-            .ok_or_else(|| format!("benchmark `{name}` has no median_ns"))?;
-        rest = &rest[j + 12..];
-        let num_end = rest
-            .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        let value: f64 = rest[..num_end]
-            .parse()
-            .map_err(|e| format!("bad median_ns for `{name}`: {e}"))?;
-        out.insert(name.to_string(), value);
-    }
-    if out.is_empty() {
-        return Err("no benchmarks found in JSON".to_string());
-    }
-    Ok(out)
+/// Extracts `benchmark name -> median_ns` from harness-format JSON by
+/// walking its `benchmarks` array. Returns an error if the text does
+/// not parse, holds no benchmarks, or has a benchmark without a name or
+/// `median_ns`, so a truncated or hand-mangled file fails loudly
+/// instead of passing an empty gate.
+pub fn medians(text: &str) -> Result<BTreeMap<String, f64>, String> {
+    let doc = json::parse(text).map_err(|e| format!("unparseable JSON: {e}"))?;
+    let benchmarks = match doc.get("benchmarks") {
+        Some(JsonValue::Arr(items)) if !items.is_empty() => items,
+        _ => return Err("no benchmarks found in JSON".to_string()),
+    };
+    benchmarks
+        .iter()
+        .map(|b| {
+            let name = b
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or("benchmark without a name")?;
+            let median = b
+                .get("median_ns")
+                .and_then(JsonValue::as_f64)
+                .ok_or_else(|| format!("benchmark `{name}` has no median_ns"))?;
+            Ok((name.to_string(), median))
+        })
+        .collect()
 }
 
 fn get(map: &BTreeMap<String, f64>, key: &str, which: &str) -> Result<f64, String> {

@@ -104,12 +104,6 @@ pub fn manifest_json(suite: &SuiteResult, opts: &RunOptions) -> String {
             co.u64("misses", c.misses);
             co.u64("writes", c.writes);
             co.u64("bypasses", c.bypasses);
-            // Hot-tier fields follow the base traffic so existing
-            // prefix-anchored consumers (the CI soundness grep) keep
-            // matching byte-for-byte.
-            co.u64("hot_hits", c.hot_hits);
-            co.u64("hot_misses", c.hot_misses);
-            co.u64("hot_evictions", c.hot_evictions);
             co.f64("hit_rate", c.hit_rate());
             o.raw("cache", co.finish())
         }

@@ -6,8 +6,7 @@
 //! fingerprint equality). The measurement campaign, on the other hand,
 //! re-simulates the same 5 × 5 grid from scratch on every invocation of
 //! every bench binary. This crate memoizes completed runs on disk so
-//! repeated campaigns replay from the cache instead of recomputing —
-//! the serving-scale move of amortizing repeated queries.
+//! repeated campaigns replay from the cache instead of recomputing.
 //!
 //! Three pieces:
 //!
@@ -27,12 +26,6 @@
 //!   truncated, bit-flipped, stale-versioned or otherwise unreadable
 //!   entry is **silently a miss** — the run is recomputed and the entry
 //!   rewritten; corruption can cost time, never correctness.
-//! * [`HotTier`] — an optional in-memory tier layered over the disk
-//!   store ([`RunCache::with_hot_capacity`]): a bounded, sharded map of
-//!   already-decoded [`CachedRun`] values, so a process serving the
-//!   same specs repeatedly answers from a lock + clone instead of a
-//!   read + checksum + decode. Hot hits are byte-identical to disk
-//!   hits by construction and surface only in traffic counters.
 //!
 //! ## Versioning policy
 //!
@@ -45,15 +38,13 @@
 //!   a stale hit is a correctness bug, a spurious miss is one redundant
 //!   simulation.
 
-pub mod hot;
 pub mod key;
 pub mod record;
 pub mod store;
 
-pub use hot::{HotStats, HotTier};
 pub use key::RunKey;
 pub use record::{CachedRun, DecodeError};
-pub use store::{CacheStats, Lookup, RunCache};
+pub use store::{CacheStats, RunCache};
 
 /// On-disk entry format version. Bump when the serialization layout
 /// changes; entries with any other format version are misses.

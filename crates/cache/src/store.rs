@@ -27,29 +27,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cedar_obs::json::fnv1a;
 use cedar_obs::{CacheMode, CedarError};
 
-use crate::hot::HotTier;
 use crate::key::RunKey;
 use crate::record::CachedRun;
 use crate::{FORMAT_VERSION, MODEL_VERSION};
-
-/// Which tier answered one lookup (or neither).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lookup {
-    /// Served from the in-memory hot tier: a lock and a clone.
-    HotHit,
-    /// Served from disk: read + checksum + decode (and promoted into
-    /// the hot tier when one is attached).
-    DiskHit,
-    /// Absent (or corrupt/stale) in every tier; the caller simulates.
-    Miss,
-}
 
 /// Snapshot of one cache session's traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// The mode the session ran under.
     pub mode: CacheMode,
-    /// Lookups answered from the cache — either tier.
+    /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that fell through to simulation (including corrupt or
     /// stale entries, and every run under `Refresh`).
@@ -59,14 +46,6 @@ pub struct CacheStats {
     /// Experiments that skipped the cache entirely (trace-keeping
     /// runs).
     pub bypasses: u64,
-    /// The subset of `hits` served from the in-memory hot tier
-    /// (always 0 when no tier is attached).
-    pub hot_hits: u64,
-    /// Lookups the hot tier could not answer (disk hits and full
-    /// misses both probe it first; 0 when no tier is attached).
-    pub hot_misses: u64,
-    /// Hot-tier entries displaced by capacity pressure.
-    pub hot_evictions: u64,
 }
 
 impl CacheStats {
@@ -84,32 +63,6 @@ impl CacheStats {
             self.hits as f64 / self.lookups() as f64
         }
     }
-
-    /// Hot-tier hit fraction of the looked-up experiments (0.0 when
-    /// nothing was looked up).
-    pub fn hot_hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hot_hits as f64 / self.lookups() as f64
-        }
-    }
-
-    /// The traffic this snapshot accumulated since `earlier` (a prior
-    /// snapshot of the *same* session). Saturating, so a mismatched
-    /// pair degrades to zeros instead of wrapping.
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            mode: self.mode,
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            writes: self.writes.saturating_sub(earlier.writes),
-            bypasses: self.bypasses.saturating_sub(earlier.bypasses),
-            hot_hits: self.hot_hits.saturating_sub(earlier.hot_hits),
-            hot_misses: self.hot_misses.saturating_sub(earlier.hot_misses),
-            hot_evictions: self.hot_evictions.saturating_sub(earlier.hot_evictions),
-        }
-    }
 }
 
 /// The content-addressed run store. Cheap to open (no I/O until the
@@ -119,7 +72,6 @@ impl CacheStats {
 pub struct RunCache {
     root: PathBuf,
     mode: CacheMode,
-    hot: Option<HotTier>,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
@@ -147,34 +99,11 @@ impl RunCache {
         Ok(RunCache {
             root,
             mode,
-            hot: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
         })
-    }
-
-    /// Layers an in-memory hot tier of `capacity` decoded runs over the
-    /// disk store (builder style; 0 removes the tier). Hot hits are a
-    /// shard lock plus a clone instead of a read + checksum + decode,
-    /// and stay byte-identical to disk hits by construction — the tier
-    /// is populated only with values that came through [`RunCache::get`]
-    /// or [`RunCache::put`].
-    pub fn with_hot_capacity(mut self, capacity: usize) -> RunCache {
-        self.hot = (capacity > 0).then(|| HotTier::new(capacity));
-        self
-    }
-
-    /// Whether a hot tier is attached.
-    pub fn has_hot_tier(&self) -> bool {
-        self.hot.is_some()
-    }
-
-    /// The hot tier's occupancy and capacity, `(entries, capacity)`,
-    /// or `None` when no tier is attached.
-    pub fn hot_occupancy(&self) -> Option<(usize, usize)> {
-        self.hot.as_ref().map(|h| (h.len(), h.capacity()))
     }
 
     /// The store's root directory.
@@ -199,32 +128,14 @@ impl RunCache {
     /// mismatch, undecodable payload — is counted and returned as a
     /// miss; this method never panics and never propagates I/O errors.
     pub fn get(&self, key: &RunKey) -> Option<CachedRun> {
-        self.get_traced(key).0
-    }
-
-    /// [`RunCache::get`], also reporting which tier answered. The hot
-    /// tier (when attached) is probed first; a disk hit is promoted
-    /// into it so the next lookup of the same key stays in memory.
-    pub fn get_traced(&self, key: &RunKey) -> (Option<CachedRun>, Lookup) {
-        if let Some(hot) = &self.hot {
-            if let Some(run) = hot.get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return (Some(run), Lookup::HotHit);
-            }
-        }
-        match self.read_validated(key) {
-            Some(run) => {
-                if let Some(hot) = &self.hot {
-                    hot.insert(key, &run);
-                }
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                (Some(run), Lookup::DiskHit)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                (None, Lookup::Miss)
-            }
-        }
+        let run = self.read_validated(key);
+        let counter = if run.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        run
     }
 
     fn read_validated(&self, key: &RunKey) -> Option<CachedRun> {
@@ -255,13 +166,6 @@ impl RunCache {
     /// cold but the campaign unharmed, so errors are swallowed after
     /// counting nothing.
     pub fn put(&self, key: &RunKey, run: &CachedRun) {
-        // The freshly computed run goes hot immediately — the common
-        // serving pattern is a repeat of the same spec right after the
-        // cold request, and that repeat should never touch disk. The
-        // in-memory insert happens even if the disk write fails.
-        if let Some(hot) = &self.hot {
-            hot.insert(key, run);
-        }
         if self.write_entry(key, run).is_ok() {
             self.writes.fetch_add(1, Ordering::Relaxed);
         }
@@ -319,16 +223,12 @@ impl RunCache {
 
     /// Snapshot of the session counters.
     pub fn stats(&self) -> CacheStats {
-        let hot = self.hot.as_ref().map(|h| h.stats()).unwrap_or_default();
         CacheStats {
             mode: self.mode,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             bypasses: self.bypasses.load(Ordering::Relaxed),
-            hot_hits: hot.hits,
-            hot_misses: hot.misses,
-            hot_evictions: hot.evictions,
         }
     }
 }
@@ -460,75 +360,6 @@ mod tests {
         assert!(path
             .to_string_lossy()
             .ends_with(&format!("{}.run", key.hex())));
-    }
-
-    #[test]
-    fn hot_tier_serves_after_disk_promotion_and_after_put() {
-        let cache = RunCache::open(tmp_root("hot"), CacheMode::ReadWrite)
-            .unwrap()
-            .with_hot_capacity(32);
-        assert!(cache.has_hot_tier());
-        let key = RunKey::new("case=hot");
-
-        // put() populates both tiers.
-        cache.put(&key, &tiny_run());
-        let (hit, tier) = cache.get_traced(&key);
-        assert_eq!(tier, Lookup::HotHit, "a just-written entry is hot");
-        assert_eq!(hit.unwrap().encode(), tiny_run().encode());
-
-        // Even with the disk entry destroyed, the hot tier answers —
-        // and byte-identically.
-        std::fs::remove_file(cache.entry_path(&key)).unwrap();
-        let (hit, tier) = cache.get_traced(&key);
-        assert_eq!(tier, Lookup::HotHit);
-        assert_eq!(hit.unwrap().encode(), tiny_run().encode());
-
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (2, 0), "hot hits count as hits");
-        assert_eq!(s.hot_hits, 2);
-        assert!((s.hot_hit_rate() - 1.0).abs() < 1e-12);
-        let _ = std::fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn disk_hits_promote_into_the_hot_tier() {
-        let root = tmp_root("promote");
-        // Populate through a tier-less session (as a prior process
-        // would have), then reopen with a hot tier: the first lookup is
-        // a disk hit, the second is hot.
-        let writer = RunCache::open(&root, CacheMode::ReadWrite).unwrap();
-        let key = RunKey::new("case=promote");
-        writer.put(&key, &tiny_run());
-
-        let cache = RunCache::open(&root, CacheMode::ReadWrite)
-            .unwrap()
-            .with_hot_capacity(8);
-        let (first, t1) = cache.get_traced(&key);
-        let (second, t2) = cache.get_traced(&key);
-        assert_eq!((t1, t2), (Lookup::DiskHit, Lookup::HotHit));
-        assert_eq!(first.unwrap().encode(), second.unwrap().encode());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.hot_hits, s.hot_misses), (2, 1, 1));
-        assert_eq!(cache.hot_occupancy().unwrap().0, 1);
-        let _ = std::fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn stats_deltas_subtract_cleanly() {
-        let cache = RunCache::open(tmp_root("delta"), CacheMode::ReadWrite)
-            .unwrap()
-            .with_hot_capacity(8);
-        let key = RunKey::new("case=delta");
-        cache.put(&key, &tiny_run());
-        let before = cache.stats();
-        assert!(cache.get(&key).is_some());
-        let delta = cache.stats().delta_since(&before);
-        assert_eq!((delta.hits, delta.hot_hits, delta.writes), (1, 1, 0));
-        assert_eq!(delta.mode, CacheMode::ReadWrite);
-        // A mismatched pair saturates instead of wrapping.
-        let zero = before.delta_since(&cache.stats());
-        assert_eq!(zero.hits, 0);
-        let _ = std::fs::remove_dir_all(cache.root());
     }
 
     #[test]

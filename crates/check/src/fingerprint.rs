@@ -14,10 +14,7 @@
 //! paper-facing measurement surface (completion time, breakdowns,
 //!  utilization, OS clusters, gmem, fault and event totals, and every
 //! measurement counter), which the scheduler/worker/cache parity
-//! oracles require to be byte-identical. This is deliberately stricter
-//! than the serving layer's reply fingerprint
-//! ([`cedar_serve::reply::measurement_fingerprint`]), which keeps the
-//! queue counters because a service replays against one fixed backend.
+//! oracles require to be byte-identical.
 
 use cedar_core::cache::to_cached;
 use cedar_core::RunResult;

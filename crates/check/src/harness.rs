@@ -14,8 +14,6 @@ use cedar_core::suite::SuiteResult;
 use cedar_core::{CacheSession, Experiment, RunResult};
 use cedar_faults::FaultPlan;
 use cedar_obs::{Counters, RunOptions};
-use cedar_serve::reply;
-use cedar_serve::CampaignSpec;
 use cedar_sim::{SchedKind, TieBreak};
 use cedar_xylem::OsActivity;
 
@@ -170,7 +168,6 @@ impl Harness {
                 OracleKind::WorkerParity => self.worker_parity(case, &base),
                 OracleKind::CacheParity => self.cache_parity(case, &base),
                 OracleKind::FaultAttribution => self.fault_attribution(case, &base),
-                OracleKind::ServeParity => self.serve_parity(case, &base),
             };
             if found.is_empty() {
                 self.counters.add(oracle.pass_counter(), 1);
@@ -215,7 +212,6 @@ impl Harness {
             OracleKind::WorkerParity => self.worker_parity(case, &base),
             OracleKind::CacheParity => self.cache_parity(case, &base),
             OracleKind::FaultAttribution => self.fault_attribution(case, &base),
-            OracleKind::ServeParity => self.serve_parity(case, &base),
         }
     }
 
@@ -690,77 +686,6 @@ impl Harness {
         }
         v
     }
-
-    fn serve_parity(&self, case: &CheckCase, base: &RunResult) -> Vec<Violation> {
-        let body = format!(
-            r#"{{"app":"{}","processors":{},"faults":{},"shrink":{}}}"#,
-            case.app,
-            case.configuration.total_ces(),
-            case.fault_level,
-            case.shrink
-        );
-        let spec = match CampaignSpec::from_json(&body) {
-            Ok(s) => s,
-            Err(e) => {
-                return vec![Violation {
-                    oracle: OracleKind::ServeParity,
-                    case: *case,
-                    detail: format!("service rejected the case's own spec {body}: {e}"),
-                }]
-            }
-        };
-        let mut v = Vec::new();
-        if spec.workload() != case.workload() {
-            v.push(Violation {
-                oracle: OracleKind::ServeParity,
-                case: *case,
-                detail: "service lowering produced a different workload".to_string(),
-            });
-        }
-        let lib_cfg = case.config(SchedKind::Calendar, TieBreak::Fifo);
-        if format!("{:?}", spec.sim_config()) != format!("{lib_cfg:?}") {
-            v.push(Violation {
-                oracle: OracleKind::ServeParity,
-                case: *case,
-                detail: "service lowering produced a different machine configuration".to_string(),
-            });
-        }
-        let reply = reply::render(&spec, base);
-        let expected = format!("{:016x}", reply::measurement_fingerprint(base));
-        match cedar_obs::json::parse(&reply) {
-            Ok(parsed) => {
-                let embedded = parsed
-                    .get("fingerprint")
-                    .and_then(|f| f.as_str())
-                    .unwrap_or("")
-                    .to_string();
-                if embedded != expected {
-                    v.push(Violation {
-                        oracle: OracleKind::ServeParity,
-                        case: *case,
-                        detail: format!(
-                            "reply embeds fingerprint {embedded}, measurement is {expected}"
-                        ),
-                    });
-                }
-                if parsed.get("completion_time").and_then(|c| c.as_u64())
-                    != Some(base.completion_time.0)
-                {
-                    v.push(Violation {
-                        oracle: OracleKind::ServeParity,
-                        case: *case,
-                        detail: "reply completion_time differs from the library run".to_string(),
-                    });
-                }
-            }
-            Err(e) => v.push(Violation {
-                oracle: OracleKind::ServeParity,
-                case: *case,
-                detail: format!("reply body is not parseable JSON: {e}"),
-            }),
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -790,7 +715,7 @@ mod tests {
         assert_eq!(h.counters.get("check.runs"), 9);
         // All oracles but fault attribution checked something real;
         // attribution counts as a (vacuous) pass.
-        assert_eq!(h.counters.get("check.oracles.pass"), 8);
+        assert_eq!(h.counters.get("check.oracles.pass"), 7);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! re-executing each campaign case under systematically permuted
 //! simultaneous-event orders ([`cedar_sim::TieBreak`]: FIFO, LIFO, and
 //! a seeded shuffle) and across every execution path (heap vs calendar
-//! scheduler, sequential vs pooled runner, cold vs warm cache, library
-//! vs service lowering), then asserting a registry of typed invariant
-//! oracles ([`OracleKind`]) over the results.
+//! scheduler, sequential vs pooled runner, cold vs warm cache), then
+//! asserting a registry of typed invariant oracles ([`OracleKind`]) over
+//! the results.
 //!
 //! What the tie-break exploration established empirically (and the
 //! oracles therefore encode): for a *fixed* policy every execution path

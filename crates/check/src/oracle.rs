@@ -42,14 +42,11 @@ pub enum OracleKind {
     /// Table-2 bucket by at least the injected cost, and untargeted
     /// buckets move only with organic growth.
     FaultAttribution,
-    /// The service lowering (`CampaignSpec`) reaches the same machine
-    /// and embeds the same measurement fingerprint as the library path.
-    ServeParity,
 }
 
 impl OracleKind {
     /// Every oracle, in evaluation order.
-    pub const ALL: [OracleKind; 8] = [
+    pub const ALL: [OracleKind; 7] = [
         OracleKind::Conservation,
         OracleKind::Determinism,
         OracleKind::TieStability,
@@ -57,7 +54,6 @@ impl OracleKind {
         OracleKind::WorkerParity,
         OracleKind::CacheParity,
         OracleKind::FaultAttribution,
-        OracleKind::ServeParity,
     ];
 
     /// Stable registry name (used in reports, counters, and
@@ -71,7 +67,6 @@ impl OracleKind {
             OracleKind::WorkerParity => "worker_parity",
             OracleKind::CacheParity => "cache_parity",
             OracleKind::FaultAttribution => "fault_attribution",
-            OracleKind::ServeParity => "serve_parity",
         }
     }
 
@@ -85,7 +80,6 @@ impl OracleKind {
             OracleKind::WorkerParity => "check.oracle.worker_parity.pass",
             OracleKind::CacheParity => "check.oracle.cache_parity.pass",
             OracleKind::FaultAttribution => "check.oracle.fault_attribution.pass",
-            OracleKind::ServeParity => "check.oracle.serve_parity.pass",
         }
     }
 
@@ -99,7 +93,6 @@ impl OracleKind {
             OracleKind::WorkerParity => "check.oracle.worker_parity.violation",
             OracleKind::CacheParity => "check.oracle.cache_parity.violation",
             OracleKind::FaultAttribution => "check.oracle.fault_attribution.violation",
-            OracleKind::ServeParity => "check.oracle.serve_parity.violation",
         }
     }
 }
@@ -207,8 +200,10 @@ mod tests {
     #[test]
     fn violation_lowers_to_the_typed_error() {
         let err = violation().to_error();
-        assert_eq!(err.kind(), "check_violation");
-        assert_eq!(err.http_status(), 500);
+        assert!(
+            matches!(&err, CedarError::CheckViolation { oracle, .. } if oracle == "fault_attribution"),
+            "{err:?}"
+        );
         assert!(err.to_string().contains("fault_attribution"));
         assert!(err.to_string().contains("app=MDG"));
     }

@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 
 use cedar_apps::AppSpec;
-use cedar_cache::{CacheStats, CachedRun, Lookup, RunCache, RunKey};
+use cedar_cache::{CacheStats, CachedRun, RunCache, RunKey};
 use cedar_obs::{CacheMode, CedarError, RunOptions};
 
 use crate::config::SimConfig;
@@ -77,17 +77,15 @@ fn default_cache_root() -> PathBuf {
 }
 
 /// How one experiment moved through cache policy — the per-call
-/// counterpart of the session-cumulative [`CacheStats`]. A campaign
-/// sharing a long-lived session (the serving path) folds these into
-/// its own local traffic tally, so concurrent campaigns on the same
-/// session never double-count each other's lookups.
+/// counterpart of the session-cumulative [`CacheStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecOutcome {
     /// No cache configured: plain execution.
     Off,
     /// Trace-keeping run: cache policy skipped.
     Bypass,
-    /// Served from the in-memory hot tier.
+    /// Never constructed (the store has one tier); kept because the
+    /// benchmark matches on it.
     HotHit,
     /// Served from the disk store.
     DiskHit,
@@ -98,9 +96,7 @@ pub enum ExecOutcome {
 /// One campaign's cache handle: policy (from
 /// [`RunOptions::cache`]) plus the open store. Shareable by reference
 /// across the worker pool — all methods take `&self` and the store's
-/// counters are atomic. A serving process keeps exactly one session
-/// for its whole lifetime ([`crate::SuiteResult::run_sequential_shared`])
-/// so the store — and its hot tier — is opened once, not per request.
+/// counters are atomic.
 #[derive(Debug)]
 pub struct CacheSession {
     cache: Option<RunCache>,
@@ -111,9 +107,7 @@ impl CacheSession {
     /// and makes [`execute`](Self::execute) a plain passthrough; other
     /// modes open the store under `opts.output_dir`'s `cache/`
     /// subdirectory (or the workspace `results/cache/`), surfacing an
-    /// unusable cache root as [`CedarError::CacheIo`]. A nonzero
-    /// `opts.cache_hot` layers an in-memory hot tier of that many
-    /// decoded runs over the store.
+    /// unusable cache root as [`CedarError::CacheIo`].
     pub fn new(opts: &RunOptions) -> Result<CacheSession, CedarError> {
         let cache = match opts.cache {
             CacheMode::Off => None,
@@ -123,7 +117,7 @@ impl CacheSession {
                     .as_ref()
                     .map(|d| d.join("cache"))
                     .unwrap_or_else(default_cache_root);
-                Some(RunCache::open(root, mode)?.with_hot_capacity(opts.cache_hot))
+                Some(RunCache::open(root, mode)?)
             }
         };
         Ok(CacheSession { cache })
@@ -150,10 +144,8 @@ impl CacheSession {
         }
         let key = run_key(app, &cfg);
         if cache.mode().reads() {
-            match cache.get_traced(&key) {
-                (Some(hit), Lookup::HotHit) => return (from_cached(hit), ExecOutcome::HotHit),
-                (Some(hit), _) => return (from_cached(hit), ExecOutcome::DiskHit),
-                (None, _) => {}
+            if let Some(hit) = cache.get(&key) {
+                return (from_cached(hit), ExecOutcome::DiskHit);
             }
         } else {
             cache.note_refresh_miss();
@@ -170,64 +162,6 @@ impl CacheSession {
     /// cache is off.
     pub fn stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Whether the session has an in-memory hot tier attached.
-    pub fn has_hot_tier(&self) -> bool {
-        self.cache.as_ref().is_some_and(|c| c.has_hot_tier())
-    }
-
-    /// The hot tier's `(entries, capacity)`, when one is attached.
-    pub fn hot_occupancy(&self) -> Option<(usize, usize)> {
-        self.cache.as_ref().and_then(|c| c.hot_occupancy())
-    }
-
-    /// The session's cache mode ([`CacheMode::Off`] when no cache is
-    /// configured).
-    pub fn mode(&self) -> CacheMode {
-        self.cache
-            .as_ref()
-            .map(|c| c.mode())
-            .unwrap_or(CacheMode::Off)
-    }
-
-    /// Folds per-experiment [`ExecOutcome`]s into one campaign-local
-    /// [`CacheStats`] — the sharing-safe alternative to diffing the
-    /// session's cumulative counters, which would tangle concurrent
-    /// campaigns on a shared session together. Hot-tier probes are only
-    /// counted when a tier is actually attached, and evictions are a
-    /// store-wide phenomenon with no per-campaign attribution, so they
-    /// stay 0 here.
-    pub fn fold_outcomes(&self, outcomes: &[ExecOutcome]) -> CacheStats {
-        // The hot tier is only probed by reading modes (`Refresh` goes
-        // straight to simulation), so only those count hot misses.
-        let has_hot = self.has_hot_tier() && self.mode().reads();
-        let mut s = CacheStats {
-            mode: self.mode(),
-            ..CacheStats::default()
-        };
-        for o in outcomes {
-            match o {
-                ExecOutcome::Off => {}
-                ExecOutcome::Bypass => s.bypasses += 1,
-                ExecOutcome::HotHit => {
-                    s.hits += 1;
-                    s.hot_hits += 1;
-                }
-                ExecOutcome::DiskHit => {
-                    s.hits += 1;
-                    s.hot_misses += u64::from(has_hot);
-                }
-                ExecOutcome::Simulated { wrote } => {
-                    s.misses += 1;
-                    s.hot_misses += u64::from(has_hot);
-                    if *wrote {
-                        s.writes += 1;
-                    }
-                }
-            }
-        }
-        s
     }
 }
 
@@ -280,8 +214,7 @@ mod tests {
         let file = std::env::temp_dir().join(format!("cedar-cache-root-{}", std::process::id()));
         std::fs::write(&file, "not a directory").unwrap();
         let err = RunCache::open(&file, CacheMode::ReadWrite).unwrap_err();
-        assert_eq!(err.kind(), "cache_io");
-        assert_eq!(err.http_status(), 500);
+        assert!(matches!(err, CedarError::CacheIo(_)), "{err:?}");
         let _ = std::fs::remove_file(&file);
     }
 
@@ -292,5 +225,36 @@ mod tests {
         let app = synthetic::uniform_xdoall(1, 1, 4, 100, 8);
         let r = session.execute(&app, SimConfig::cedar(Configuration::P1));
         assert!(r.completion_time.0 > 0);
+    }
+
+    #[test]
+    fn execute_traced_reports_the_path_each_run_took() {
+        let dir = std::env::temp_dir().join(format!("cedar-exec-outcome-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = |mode| {
+            let opts = RunOptions::default()
+                .with_output_dir(dir.clone())
+                .with_cache(mode);
+            CacheSession::new(&opts).unwrap()
+        };
+        let app = synthetic::uniform_xdoall(1, 1, 4, 100, 8);
+        let cfg = SimConfig::cedar(Configuration::P1);
+        let outcome = |s: &CacheSession, cfg: &SimConfig| s.execute_traced(&app, cfg.clone()).1;
+
+        assert_eq!(outcome(&session(CacheMode::Off), &cfg), ExecOutcome::Off);
+        assert_eq!(
+            outcome(&session(CacheMode::ReadOnly), &cfg),
+            ExecOutcome::Simulated { wrote: false },
+            "a read-only miss simulates without storing"
+        );
+        let rw = session(CacheMode::ReadWrite);
+        assert_eq!(outcome(&rw, &cfg), ExecOutcome::Simulated { wrote: true });
+        assert_eq!(outcome(&rw, &cfg), ExecOutcome::DiskHit);
+        assert_eq!(
+            outcome(&rw, &cfg.clone().with_trace()),
+            ExecOutcome::Bypass,
+            "trace-keeping runs skip the cache"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

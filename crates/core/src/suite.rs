@@ -154,48 +154,22 @@ impl SuiteResult {
         configurations: &[Configuration],
         opts: &RunOptions,
     ) -> Result<SuiteResult, CedarError> {
-        let session = CacheSession::new(opts)?;
-        Ok(Self::run_sequential_shared(
-            apps,
-            configurations,
-            opts,
-            &session,
-        ))
-    }
-
-    /// [`run_sequential`](Self::run_sequential) against a campaign
-    /// cache session the *caller* owns — the serving path, where one
-    /// process-wide session (store handle + in-memory hot tier) is
-    /// shared by every worker thread instead of being reopened per
-    /// request. `opts.cache`/`opts.cache_hot` are ignored here; policy
-    /// lives in `session`. The telemetry's cache traffic is this
-    /// campaign's own (folded from per-experiment outcomes), not the
-    /// shared session's cumulative counters, so concurrent campaigns
-    /// never see each other's lookups.
-    pub fn run_sequential_shared(
-        apps: &[AppSpec],
-        configurations: &[Configuration],
-        opts: &RunOptions,
-        session: &CacheSession,
-    ) -> SuiteResult {
         let wall = std::time::Instant::now();
-        let mut outcomes = Vec::new();
+        let session = CacheSession::new(opts)?;
         let runs: Vec<_> = grid(apps, configurations)
             .into_iter()
-            .map(|(app, c)| {
-                let (run, outcome) = session.execute_traced(&app, cell_config(c, opts));
-                outcomes.push(outcome);
-                run
-            })
+            .map(|(app, c)| session.execute(&app, cell_config(c, opts)))
             .collect();
-        let cache = (session.mode() != cedar_obs::CacheMode::Off)
-            .then(|| session.fold_outcomes(&outcomes));
-        let telemetry =
-            SuiteTelemetry::from_runs(&runs, wall.elapsed().as_nanos() as u64, None, cache);
-        SuiteResult {
+        let telemetry = SuiteTelemetry::from_runs(
+            &runs,
+            wall.elapsed().as_nanos() as u64,
+            None,
+            session.stats(),
+        );
+        Ok(SuiteResult {
             apps: regroup(apps, configurations.len(), runs),
             telemetry,
-        }
+        })
     }
 
     /// Runs the same grid fanned out over the worker pool

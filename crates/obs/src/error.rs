@@ -1,15 +1,12 @@
 //! The workspace's typed error API.
 //!
 //! Every public fallible entry point — configuration validation, cache
-//! store opening, campaign-spec parsing, golden/report rendering, the
-//! campaign runners, and the serving layer — returns
-//! `Result<_, CedarError>` instead of panicking or stringly-typed
-//! errors. The variants are deliberately coarse: they partition failures
-//! by *who must act* (the caller sent a bad spec, the caller sent a
-//! structurally invalid configuration, the host's storage misbehaved,
-//! the service is saturated, or the reproduction itself broke an
-//! invariant), which is exactly the granularity an HTTP status mapping
-//! or a retry policy needs.
+//! store opening, golden/report rendering and the campaign runners —
+//! returns `Result<_, CedarError>` instead of panicking or
+//! stringly-typed errors. The variants are deliberately coarse: they
+//! partition failures by *who must act* (the caller sent a structurally
+//! invalid configuration, the host's storage misbehaved, or the
+//! reproduction itself broke an invariant).
 //!
 //! The enum lives in `cedar-obs` — the leaf crate every layer already
 //! depends on — and is re-exported as `cedar_core::CedarError` (and from
@@ -20,30 +17,19 @@
 pub enum CedarError {
     /// A configuration or workload model violates a structural
     /// invariant (missing array reference, zero-iteration loop,
-    /// zero event bound). Maps to HTTP 400.
+    /// zero event bound).
     ConfigInvalid(String),
     /// The content-addressed run cache could not be opened or written
-    /// (root is a file, permissions, disk full at open time). Maps to
-    /// HTTP 500.
+    /// (root is a file, permissions, disk full at open time).
     CacheIo(String),
-    /// A campaign spec (the serving layer's JSON request body) failed to
-    /// parse or named an unknown application/configuration. Maps to
-    /// HTTP 400.
-    SpecParse(String),
-    /// The service's bounded request queue is full; retry after the
-    /// given number of seconds. Maps to HTTP 503 + `Retry-After`.
-    Overloaded {
-        /// Suggested client back-off, seconds.
-        retry_after_s: u32,
-    },
     /// The reproduction itself failed an invariant (a panicking
-    /// experiment, an I/O failure rendering a report). Maps to HTTP 500.
+    /// experiment, an I/O failure rendering a report).
     Internal(String),
     /// A `cedar-check` invariant oracle found a measurement that breaks
     /// one of the reproduction's claimed laws (conservation, scheduler
     /// parity, fault-attribution monotonicity, …). Carries the oracle
     /// name so tooling can route the violation without parsing the
-    /// message. Maps to HTTP 500.
+    /// message.
     CheckViolation {
         /// The violated oracle's registry name (e.g. `"conservation"`).
         oracle: String,
@@ -52,42 +38,11 @@ pub enum CedarError {
     },
 }
 
-impl CedarError {
-    /// A short machine-readable kind tag, stable across releases — what
-    /// the serving layer writes into error bodies and what clients
-    /// should switch on instead of the human-readable message.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CedarError::ConfigInvalid(_) => "config_invalid",
-            CedarError::CacheIo(_) => "cache_io",
-            CedarError::SpecParse(_) => "spec_parse",
-            CedarError::Overloaded { .. } => "overloaded",
-            CedarError::Internal(_) => "internal",
-            CedarError::CheckViolation { .. } => "check_violation",
-        }
-    }
-
-    /// The HTTP status the serving layer answers this error with.
-    pub fn http_status(&self) -> u16 {
-        match self {
-            CedarError::ConfigInvalid(_) | CedarError::SpecParse(_) => 400,
-            CedarError::Overloaded { .. } => 503,
-            CedarError::CacheIo(_)
-            | CedarError::Internal(_)
-            | CedarError::CheckViolation { .. } => 500,
-        }
-    }
-}
-
 impl std::fmt::Display for CedarError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CedarError::ConfigInvalid(m) => write!(f, "invalid configuration: {m}"),
             CedarError::CacheIo(m) => write!(f, "run-cache I/O failure: {m}"),
-            CedarError::SpecParse(m) => write!(f, "campaign spec parse failure: {m}"),
-            CedarError::Overloaded { retry_after_s } => {
-                write!(f, "service overloaded; retry after {retry_after_s}s")
-            }
             CedarError::Internal(m) => write!(f, "internal error: {m}"),
             CedarError::CheckViolation { oracle, detail } => {
                 write!(f, "check oracle `{oracle}` violated: {detail}")
@@ -103,41 +58,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_and_statuses_partition_the_variants() {
-        let all = [
-            CedarError::ConfigInvalid("x".into()),
-            CedarError::CacheIo("x".into()),
-            CedarError::SpecParse("x".into()),
-            CedarError::Overloaded { retry_after_s: 1 },
-            CedarError::Internal("x".into()),
-            CedarError::CheckViolation {
-                oracle: "conservation".into(),
-                detail: "x".into(),
-            },
-        ];
-        let kinds: Vec<_> = all.iter().map(|e| e.kind()).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "config_invalid",
-                "cache_io",
-                "spec_parse",
-                "overloaded",
-                "internal",
-                "check_violation"
-            ]
-        );
-        let statuses: Vec<_> = all.iter().map(|e| e.http_status()).collect();
-        assert_eq!(statuses, vec![400, 500, 400, 503, 500, 500]);
-    }
-
-    #[test]
     fn display_carries_the_message() {
-        let e = CedarError::SpecParse("unknown app `NOPE`".into());
-        assert!(e.to_string().contains("unknown app `NOPE`"));
+        let e = CedarError::ConfigInvalid("loop `L1` has zero iterations".into());
         assert_eq!(
-            CedarError::Overloaded { retry_after_s: 2 }.to_string(),
-            "service overloaded; retry after 2s"
+            e.to_string(),
+            "invalid configuration: loop `L1` has zero iterations"
+        );
+        let e = CedarError::CheckViolation {
+            oracle: "conservation".into(),
+            detail: "bodies 3 != 4".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "check oracle `conservation` violated: bodies 3 != 4"
         );
     }
 

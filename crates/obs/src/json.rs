@@ -7,8 +7,8 @@
 //! manifest uses to keep its layout stable across runs (and therefore
 //! diffable). The matching reader ([`parse`]) is a strict
 //! recursive-descent parser over the same subset of JSON the writer
-//! emits — the serving layer uses it to decode campaign specs off the
-//! wire, and the load generator to decode replies.
+//! emits — the bench regression gate uses it to read bench JSON, and
+//! tests use it to check what the writer rendered.
 
 use std::fmt::Write as _;
 
@@ -225,7 +225,7 @@ impl JsonValue {
 /// Parses a complete JSON document. Strict: the whole input must be one
 /// value (plus surrounding whitespace); trailing bytes, trailing commas,
 /// unterminated literals and bad escapes are errors. Error messages
-/// carry the byte offset so a malformed campaign spec diagnoses itself.
+/// carry the byte offset so a malformed document diagnoses itself.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
@@ -240,8 +240,8 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
-/// Nesting bound for the recursive-descent parser — far above any spec
-/// or reply the workspace emits, low enough that hostile input cannot
+/// Nesting bound for the recursive-descent parser — far above any
+/// document the workspace emits, low enough that hostile input cannot
 /// overflow the stack.
 const MAX_DEPTH: usize = 64;
 

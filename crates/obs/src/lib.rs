@@ -27,11 +27,11 @@
 //! * [`json`] — a tiny ordered-JSON writer and reader plus the stable
 //!   [`fingerprint`](json::fnv1a) hash and [`git_describe`](json::git_describe)
 //!   helper used by the run manifest (`results/RUN_manifest.json`) and
-//!   the serving layer's campaign specs.
+//!   the bench regression gate.
 //! * [`CedarError`] — the workspace's typed error enum, defined here so
-//!   every layer (cache, core, report, serve) shares one fallible
-//!   surface; `cedar_core::CedarError` re-exports it as the canonical
-//!   import path.
+//!   every layer (cache, core, report) shares one fallible surface;
+//!   `cedar_core::CedarError` re-exports it as the canonical import
+//!   path.
 
 pub mod error;
 pub mod json;

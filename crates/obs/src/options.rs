@@ -176,12 +176,6 @@ pub struct RunOptions {
     /// Wall-clock-only (results are deterministic), so it is excluded
     /// from [`fingerprint_seed`](Self::fingerprint_seed).
     pub cache: CacheMode,
-    /// Capacity of the in-memory hot tier layered over the disk cache,
-    /// in decoded runs (0 = no tier, the default). Only meaningful when
-    /// `cache` is not `Off`. Like the cache mode it is wall-clock-only
-    /// and typed-only — no environment variable sets it, and it is
-    /// excluded from [`fingerprint_seed`](Self::fingerprint_seed).
-    pub cache_hot: usize,
 }
 
 impl Default for RunOptions {
@@ -198,7 +192,6 @@ impl Default for RunOptions {
             output_dir: None,
             faults: FaultPlan::default(),
             cache: CacheMode::default(),
-            cache_hot: 0,
         }
     }
 }
@@ -250,7 +243,6 @@ impl RunOptions {
             cache: var("CEDAR_CACHE")
                 .map(|v| v.parse().unwrap_or_else(|e| panic!("CEDAR_CACHE: {e}")))
                 .unwrap_or_default(),
-            cache_hot: 0,
         }
     }
 
@@ -319,13 +311,6 @@ impl RunOptions {
     /// Sets the run-cache mode (builder style).
     pub fn with_cache(mut self, mode: CacheMode) -> Self {
         self.cache = mode;
-        self
-    }
-
-    /// Sets the in-memory hot-tier capacity layered over the disk
-    /// cache, in decoded runs (builder style; 0 disables the tier).
-    pub fn with_cache_hot(mut self, capacity: usize) -> Self {
-        self.cache_hot = capacity;
         self
     }
 
@@ -411,8 +396,7 @@ mod tests {
             .with_workers(64)
             .with_telemetry(TelemetryLevel::Full)
             .with_output_dir("/elsewhere")
-            .with_cache(CacheMode::ReadWrite)
-            .with_cache_hot(256);
+            .with_cache(CacheMode::ReadWrite);
         assert_eq!(a.fingerprint_seed(), b.fingerprint_seed());
         let c = RunOptions::default().with_scheduler(SchedKind::Heap);
         assert_ne!(a.fingerprint_seed(), c.fingerprint_seed());

@@ -16,10 +16,9 @@
 //! telemetry: `RunOptions`, recorders, the run-manifest JSON writer) and
 //! [`cache`] (the content-addressed store of completed runs behind
 //! `CEDAR_CACHE`), all built on the [`sim`] discrete-event kernel.
-//! [`serve`] exposes campaigns as an HTTP service with backpressure and
-//! cache-backed replies, and [`check`] is the model-checker-style
-//! harness that re-executes campaigns under permuted event orders and
-//! asserts the reproduction's invariant-oracle registry.
+//! [`check`] is the model-checker-style harness that re-executes
+//! campaigns under permuted event orders and asserts the reproduction's
+//! invariant-oracle registry.
 
 pub use cedar_apps as apps;
 pub use cedar_cache as cache;
@@ -30,7 +29,6 @@ pub use cedar_hw as hw;
 pub use cedar_obs as obs;
 pub use cedar_report as report;
 pub use cedar_rtl as rtl;
-pub use cedar_serve as serve;
 pub use cedar_sim as sim;
 pub use cedar_trace as trace;
 pub use cedar_xylem as xylem;
@@ -49,5 +47,4 @@ pub use cedar_xylem as xylem;
 pub mod prelude {
     pub use cedar_core::prelude::*;
     pub use cedar_report::{csv, figures, golden, tables};
-    pub use cedar_serve::{CampaignSpec, ServeOptions, Server};
 }

@@ -1,8 +1,9 @@
 //! Full-scale reproduction bands: the quantitative claims EXPERIMENTS.md
 //! makes, as executable checks against the publication-scale campaign.
 //!
-//! These run the complete 5-apps × 5-configurations campaign (~10 s in
-//! release, minutes in debug), so they are `#[ignore]`d by default:
+//! These run the complete 5-apps × 5-configurations campaign (about
+//! 3 s in release on a 2-core host, minutes in debug), so they are
+//! `#[ignore]`d by default; `scripts/ci.sh` runs them in release:
 //!
 //! ```sh
 //! cargo test --release --test paper_bands -- --ignored

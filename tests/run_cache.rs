@@ -133,29 +133,42 @@ fn suite_fingerprint(s: &SuiteResult) -> String {
 
 #[test]
 fn warm_suite_is_all_hits_and_byte_identical() {
-    let root = Root::new("warm");
+    type Runner = fn(&[AppSpec], &[Configuration], &RunOptions) -> SuiteResult;
+    let runners: [(&str, Runner); 2] = [
+        ("run_parallel", SuiteResult::measure),
+        ("run_sequential", |apps, configs, opts| {
+            SuiteResult::run_sequential(apps, configs, opts).expect("campaign failed")
+        }),
+    ];
     let apps = [app(1), app(2)];
     let configs = [Configuration::P1, Configuration::P8];
-    let opts = root.opts(CacheMode::ReadWrite);
+    for (runner, run) in runners {
+        let root = Root::new(&format!("warm-{runner}"));
+        let opts = root.opts(CacheMode::ReadWrite);
 
-    let cold = SuiteResult::measure(&apps, &configs, &opts);
-    let c = cold.telemetry.cache.expect("cache stats present");
-    assert_eq!(c.hits, 0, "cold cache cannot hit");
-    assert_eq!(c.misses, 4);
-    assert_eq!(c.writes, 4);
+        let cold = run(&apps, &configs, &opts);
+        let c = cold.telemetry.cache.expect("cache stats present");
+        assert_eq!(
+            (c.hits, c.misses, c.writes),
+            (0, 4, 4),
+            "{runner}: a cold cache cannot hit"
+        );
 
-    let warm = SuiteResult::measure(&apps, &configs, &opts);
-    let w = warm.telemetry.cache.expect("cache stats present");
-    assert_eq!(w.hits, 4, "warm identical campaign is all hits");
-    assert_eq!(w.misses, 0);
-    assert_eq!(w.writes, 0);
-    assert!((w.hit_rate() - 1.0).abs() < 1e-12);
+        let warm = run(&apps, &configs, &opts);
+        let w = warm.telemetry.cache.expect("cache stats present");
+        assert_eq!(
+            (w.hits, w.misses, w.writes),
+            (4, 0, 0),
+            "{runner}: a warm identical campaign is all hits"
+        );
+        assert!((w.hit_rate() - 1.0).abs() < 1e-12);
 
-    assert_eq!(
-        suite_fingerprint(&cold),
-        suite_fingerprint(&warm),
-        "replayed measurements must be byte-identical"
-    );
+        assert_eq!(
+            suite_fingerprint(&cold),
+            suite_fingerprint(&warm),
+            "{runner}: replayed measurements must be byte-identical"
+        );
+    }
 }
 
 #[test]
