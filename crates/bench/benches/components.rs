@@ -6,18 +6,17 @@
 //! smoke pass.
 
 use cedar_bench::harness::{black_box, Harness};
-use cedar_hw::cache::{Cache, CacheConfig};
 use cedar_hw::cbus::CbusBarrier;
 use cedar_hw::module::MemoryModule;
 use cedar_hw::net::DeltaNet;
-use cedar_hw::{GlobalAddr, MemOp, NetConfig};
+use cedar_hw::{MemOp, NetConfig};
 use cedar_rtl::{ClaimStep, IterClaimer, RtlWords};
 use cedar_sim::{Cycles, EventQueue, SplitMix64};
 
 fn bench_event_queue(h: &mut Harness) {
     let mut rng = SplitMix64::new(1);
     h.bench("event_queue_schedule_pop_1k", || {
-        let mut q = EventQueue::with_capacity(1024);
+        let mut q = EventQueue::new();
         for i in 0..1000u64 {
             q.schedule(Cycles(rng.next_below(1 << 20)), i);
         }
@@ -109,14 +108,6 @@ fn bench_cbus_barrier(h: &mut Harness) {
     });
 }
 
-fn bench_cache(h: &mut Harness) {
-    let mut cache = Cache::new(CacheConfig::cedar_cluster());
-    let mut rng = SplitMix64::new(7);
-    h.bench("cluster_cache_access", || {
-        black_box(cache.access(GlobalAddr(rng.next_below(1 << 20))))
-    });
-}
-
 fn main() {
     let mut h = Harness::new("components");
     bench_event_queue(&mut h);
@@ -124,6 +115,5 @@ fn main() {
     bench_memory_module(&mut h);
     bench_claim_protocol(&mut h);
     bench_cbus_barrier(&mut h);
-    bench_cache(&mut h);
     h.finish().expect("write bench JSON");
 }

@@ -1,8 +1,9 @@
 //! CI benchmark gate: `bench_gate <fresh.json> <baseline.json>`.
 //!
 //! Compares a fresh `results/BENCH_scheduler.json` against the committed
-//! `results/bench_baseline.json` (see [`cedar_bench::gate`]) and exits
-//! non-zero on a suite-runtime regression or a lost scheduler margin.
+//! `results/bench_baseline.json` (see [`cedar_bench::gate`]), prints the
+//! worker-pool width each was measured with, and exits non-zero on a
+//! suite or fault-path runtime regression or a lost scheduler margin.
 //! Driven by `scripts/bench_check.sh`.
 
 use std::process::ExitCode;

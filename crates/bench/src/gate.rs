@@ -5,12 +5,18 @@
 //! [`harness::Harness::to_json`](crate::harness)), read back with
 //! [`cedar_obs::json::parse`].
 //!
-//! Two checks, driven by `scripts/bench_check.sh` in CI:
+//! The report opens with the worker-pool width each file was measured
+//! with: `suite/mini_campaign` spreads over the pool, so its baseline
+//! only transfers to a host running the same width.
+//!
+//! The checks, driven by `scripts/bench_check.sh` in CI:
 //!
 //! 1. **Suite regression** — the fresh `suite/mini_campaign` median must
 //!    not exceed the baseline median by more than the tolerance
 //!    (default 15%). Catches simulator-wide slowdowns.
-//! 2. **Scheduler margin** — within the *same fresh run* (so the check
+//! 2. **Fault-path regression** — the same for
+//!    `faults/flo52_p8/calendar`, against its own 15% tolerance.
+//! 3. **Scheduler margin** — within the *same fresh run* (so the check
 //!    is machine-speed independent), the calendar queue must beat the
 //!    heap by at least 1.3x on the event-dense network workload.
 
@@ -58,19 +64,30 @@ pub fn medians(text: &str) -> Result<BTreeMap<String, f64>, String> {
         .collect()
 }
 
+/// The worker-pool width recorded in harness-format JSON, or `None` for
+/// files written before the harness recorded it.
+fn workers(text: &str) -> Option<u64> {
+    json::parse(text).ok()?.get("workers")?.as_u64()
+}
+
 fn get(map: &BTreeMap<String, f64>, key: &str, which: &str) -> Result<f64, String> {
     map.get(key)
         .copied()
         .ok_or_else(|| format!("{which} JSON is missing `{key}`"))
 }
 
-/// Runs both gate checks. Returns a human-readable report on success and
+/// Runs the gate checks. Returns a human-readable report on success and
 /// the list of violations on failure.
 pub fn check(fresh: &str, baseline: &str) -> Result<String, String> {
+    let width = |text| workers(text).map_or("unrecorded".to_string(), |w| format!("{w} workers"));
+    let mut report = format!(
+        "pool width: fresh {}, baseline {}\n",
+        width(fresh),
+        width(baseline)
+    );
     let fresh = medians(fresh).map_err(|e| format!("fresh results: {e}"))?;
     let baseline = medians(baseline).map_err(|e| format!("baseline: {e}"))?;
 
-    let mut report = String::new();
     let mut failures = String::new();
 
     let suite_now = get(&fresh, "suite/mini_campaign", "fresh")?;
@@ -189,10 +206,15 @@ mod tests {
             ("faults/flo52_p8/calendar", 110.0e6),
             ("sched/net_dense/heap", 50.0e6),
             ("sched/net_dense/calendar", 20.0e6),
-        ]);
+        ])
+        .replacen("{", "{\"workers\":2,", 1);
         let report = check(&fresh, &base_json()).unwrap();
         assert!(report.contains("suite/mini_campaign"));
         assert!(report.contains("faults/flo52_p8"));
+        assert!(
+            report.starts_with("pool width: fresh 2 workers, baseline unrecorded\n"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! iterations and reports min/median/mean/stddev wall times. Results
 //! print as an aligned table and are written as machine-readable JSON to
 //! `results/BENCH_<suite>.json` for trajectory tracking across commits.
+//! The JSON also records the worker-pool width campaign benchmarks ran
+//! with (`"workers"`), since a campaign's wall time scales with it.
 //!
 //! Iteration counts and the output directory come from a typed
 //! [`RunOptions`] value ([`Harness::with_options`]); the plain
@@ -109,6 +111,8 @@ pub struct Harness {
     suite: String,
     warmup: u32,
     iters: u32,
+    /// Pool width a campaign benchmark (`SuiteResult::measure`) runs with.
+    workers: usize,
     out_dir: Option<std::path::PathBuf>,
     results: Vec<BenchStats>,
 }
@@ -141,6 +145,9 @@ impl Harness {
             suite: suite.to_string(),
             warmup,
             iters,
+            workers: opts
+                .workers
+                .unwrap_or_else(cedar_core::pool::default_workers),
             out_dir: opts.output_dir.clone(),
             results: Vec::new(),
         }
@@ -175,10 +182,11 @@ impl Harness {
     pub fn to_json(&self) -> String {
         let body: Vec<String> = self.results.iter().map(BenchStats::to_json).collect();
         format!(
-            "{{\"suite\":{},\"warmup\":{},\"iters\":{},\"benchmarks\":[{}]}}\n",
+            "{{\"suite\":{},\"warmup\":{},\"iters\":{},\"workers\":{},\"benchmarks\":[{}]}}\n",
             json_string(&self.suite),
             self.warmup,
             self.iters,
+            self.workers,
             body.join(",")
         )
     }
@@ -244,6 +252,7 @@ mod tests {
             suite: "unit".into(),
             warmup: 0,
             iters: 3,
+            workers: 2,
             out_dir: None,
             results: Vec::new(),
         };
@@ -255,6 +264,7 @@ mod tests {
         assert_eq!(calls, 3, "no warmup, three timed calls");
         let json = h.to_json();
         assert!(json.starts_with("{\"suite\":\"unit\""));
+        assert!(json.contains("\"workers\":2,"));
         assert!(json.contains("\"name\":\"counting\""));
         assert!(json.contains("\"median_ns\""));
         assert!(json.contains("\"stddev_ns\""));
@@ -266,6 +276,7 @@ mod tests {
             suite: "unit".into(),
             warmup: 0,
             iters: 8,
+            workers: 1,
             out_dir: None,
             results: Vec::new(),
         };

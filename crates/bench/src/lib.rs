@@ -1,16 +1,11 @@
 //! # cedar-bench — the benchmark harness
 //!
-//! One binary per table and data figure of the paper:
+//! The campaign binaries:
 //!
 //! | binary   | regenerates                                             |
 //! |----------|---------------------------------------------------------|
-//! | `table1` | Table 1 — CTs, speedups, average concurrency            |
-//! | `table2` | Table 2 — detailed OS overheads at 32 processors        |
-//! | `table3` | Table 3 — average parallel-loop concurrency             |
-//! | `table4` | Table 4 — GM and network contention overhead            |
-//! | `fig3`   | Figure 3 — completion-time breakdown                    |
-//! | `fig5` … `fig9` | Figures 5–9 — per-app user-time breakdowns       |
-//! | `all`    | the full campaign: every table, every figure, CSVs      |
+//! | `all`    | the full campaign: Tables 1–4, Figures 3 and 5–9, CSVs  |
+//! | `compare`| the published Table 1/3/4 numbers next to the measured  |
 //! | `probe`  | calibration view of one application                     |
 //! | `hotspot`| the Pfister & Norton hot-spot ablation (§6 discussion)  |
 //! | `ablation` | xdoall-vs-sdoall rewrite ablation (§6 suggestion)     |
@@ -58,11 +53,6 @@ pub fn bench_options() -> &'static RunOptions {
     OPTS.get_or_init(|| run_options().clone().with_cache(cedar_obs::CacheMode::Off))
 }
 
-/// The shrink factor of `opts` (1 = full scale).
-pub fn shrink_factor(opts: &RunOptions) -> u32 {
-    opts.shrink
-}
-
 /// The Perfect suite at the scale `opts` asks for.
 pub fn suite_apps(opts: &RunOptions) -> Vec<AppSpec> {
     let f = opts.shrink;
@@ -73,8 +63,8 @@ pub fn suite_apps(opts: &RunOptions) -> Vec<AppSpec> {
 }
 
 /// Runs the full measurement campaign once per process under
-/// [`run_options`] and caches it — every table/figure binary shares the
-/// same run.
+/// [`run_options`] and caches it, so every table and figure a binary
+/// prints comes from the same run.
 pub fn campaign() -> &'static SuiteResult {
     static CAMPAIGN: OnceLock<SuiteResult> = OnceLock::new();
     CAMPAIGN.get_or_init(|| {
@@ -103,12 +93,6 @@ pub fn campaign() -> &'static SuiteResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shrink_factor_mirrors_options() {
-        assert_eq!(shrink_factor(&RunOptions::default()), 1);
-        assert_eq!(shrink_factor(&RunOptions::default().with_shrink(8)), 8);
-    }
 
     #[test]
     fn suite_apps_are_the_perfect_five() {

@@ -194,7 +194,7 @@ impl Machine {
             app_name: app.name,
             layout,
             program,
-            queue: EventQueue::with_kind_capacity(cfg.sched, 1 << 16).with_tiebreak(cfg.tiebreak),
+            queue: EventQueue::with_kind(cfg.sched).with_tiebreak(cfg.tiebreak),
             gmem: GlobalMemorySystem::new(net),
             gmem_out: Outbox::new(),
             ces,

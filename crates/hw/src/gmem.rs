@@ -300,13 +300,13 @@ impl GlobalMemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cedar_sim::{EventQueue, EventSchedule, SchedKind};
+    use cedar_sim::{EventQueue, SchedKind};
 
     /// Drives the memory system to quiescence through `q`, returning
-    /// delivered responses with their delivery times. Generic over the
-    /// scheduler so the same producers run against every implementation.
-    fn drive<Q: EventSchedule<GmemEvent>>(
-        q: &mut Q,
+    /// delivered responses with their delivery times. The caller picks
+    /// the scheduler, so the same producers run against every kind.
+    fn drive(
+        q: &mut EventQueue<GmemEvent>,
         sys: &mut GlobalMemorySystem,
         injections: &[(CeId, GlobalAddr, MemOp, SimTime)],
     ) -> Vec<(SimTime, MemResponse)> {

@@ -4,9 +4,9 @@
 //! paper):
 //!
 //! * 1–4 **clusters** (modified Alliant FX/8s) of 8 pipelined
-//!   computational elements (CEs) each, with a shared data cache and a
+//!   computational elements (CEs) each, with a
 //!   **concurrency control bus** for fast intra-cluster loop dispatch and
-//!   synchronization ([`cbus`], [`cache`], [`ce`]);
+//!   synchronization ([`cbus`], [`ce`]);
 //! * a 64 MB **global memory** of 32 independent, double-word interleaved
 //!   modules ([`module`], [`gmem`]);
 //! * a **two-stage shuffle-exchange network** of 8×8 crossbar switches,
@@ -48,7 +48,6 @@
 
 pub mod addr;
 pub mod analytic;
-pub mod cache;
 pub mod cbus;
 pub mod ce;
 pub mod config;

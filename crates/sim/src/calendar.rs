@@ -6,7 +6,7 @@
 //! `days` days. Scheduling an event within that horizon is an append to
 //! its day's bucket; scheduling beyond it pushes into an overflow
 //! min-heap that is drained into the wheel as the cursor advances.
-//! Popping reads the next entry at the cursor bucket's drain cursor.
+//! Popping takes the front of the cursor's bucket.
 //! Because the Cedar machine schedules almost every event a handful of
 //! cycles ahead (switch hops, module service, spin periods are all 1–8
 //! cycles), nearly all traffic stays on the O(1) wheel path and the
@@ -14,45 +14,38 @@
 //! during a 32-processor campaign — drops out of the simulator's hot
 //! loop.
 //!
-//! Ordering is identical to [`HeapSchedule`](crate::queue::HeapSchedule):
-//! ascending fire time, ties broken by the
-//! [`TieBreak`](crate::queue::TieBreak) rank of the scheduling sequence
-//! (the sequence itself under the default FIFO policy). Buckets keep
-//! their undrained tail in ascending `(time, rank)` order and advance a
-//! drain cursor per pop; under FIFO appends almost always arrive in
-//! ascending order already (one-day buckets hold simultaneous events,
-//! whose tie-break sequences are issued ascending), so the common case
-//! is a plain `Vec::push` with no sorting or shifting at all. An
-//! order-breaking insert (an earlier-day stray clamped into the
-//! cursor's bucket, an overflow migration landing behind a direct
-//! insert, or a non-monotone LIFO/shuffle rank) flips a dirty bit and
-//! the tail is re-sorted once on the next pop.
+//! Ordering is identical to the heap scheduler's: ascending fire time,
+//! ties broken by the [`TieBreak`] rank of the scheduling sequence (the
+//! sequence itself under the default FIFO policy). Buckets keep their
+//! entries in ascending `(time, rank)` order and pop from the front;
+//! under FIFO appends almost always arrive in ascending order already
+//! (one-day buckets hold simultaneous events, whose tie-break sequences
+//! are issued ascending), so the common case is a plain push with no
+//! sorting or shifting at all. An order-breaking insert (an earlier-day
+//! stray clamped into the cursor's bucket, an overflow migration landing
+//! behind a direct insert, or a non-monotone LIFO/shuffle rank) flips a
+//! dirty bit and the bucket is re-sorted once on the next pop.
 //! Cross-bucket order holds because a bucket only ever drains events of
 //! a single pending day.
 //!
-//! Plain-scheduled payloads are stored inline in the bucket and overflow
-//! entries (see [`Entry`](crate::queue::Entry)) — the hot path touches
-//! no side storage at all. Cancellable payloads live in the shared
-//! [`EventArena`] and their entries carry a generation-tagged handle.
-//! Drained buckets reset to empty while retaining capacity, so
-//! steady-state operation performs no allocation at all. Cancellation is
-//! O(1): the arena slot is freed immediately (releasing its occupancy
-//! and hold-histogram contribution) and the wheel/overflow entry stays
-//! behind as a generation-stale tombstone, swept when it surfaces.
+//! Buckets and the overflow heap hold the payloads themselves. A bucket
+//! is a ring buffer that keeps its capacity when it empties, so
+//! steady-state operation performs no allocation at all.
 
-use crate::arena::{EventArena, EventHandle};
-use crate::queue::{key_time, order_key, Entry, EventSchedule, MinHeap, QueueStats, TieBreak};
+use std::collections::VecDeque;
+
+use crate::queue::{key_time, order_key, MinHeap, QueueStats, TieBreak};
 use crate::time::SimTime;
 
 /// Default log2 of the day width: one-cycle days. A bucket then only
 /// ever holds simultaneous events, whose tie-break sequences arrive in
-/// ascending order — so appends never disturb the ascending tail and
+/// ascending order — so appends never disturb the ascending order and
 /// the per-event cost stays flat instead of re-paying the heap's
 /// O(log n) inside large buckets.
 const DEFAULT_DAY_SHIFT: u32 = 0;
 
 /// Default number of days on the wheel (must be a power of two).
-/// 256 one-cycle days keep the whole bucket array within ~8 KiB, so the
+/// 256 one-cycle days keep the whole bucket array within ~10 KiB, so the
 /// cursor scan stays in L1 — measurements show the wheel's cache
 /// footprint, not the bucket maintenance, dominates throughput (256
 /// days run ~2.5× faster than 4096 on the packet-dense network
@@ -62,115 +55,76 @@ const DEFAULT_DAY_SHIFT: u32 = 0;
 /// which the wheel drains as the cursor advances.
 const DEFAULT_DAYS: u64 = 256;
 
-/// One day's worth of pending-event entries.
+/// One day's worth of pending events, as `(fire time, tie rank,
+/// payload)`.
 ///
-/// `items[cursor..]` — the undrained tail — is in ascending `(time,
-/// seq)` order whenever `sorted` is true; the next entry to fire sits at
-/// `cursor`. Entries before the cursor are dead (already drained, left
-/// as [`Entry::Taken`]) and are reclaimed wholesale when the tail
-/// empties: the vector resets to empty, *retaining its capacity* for the
-/// wheel's next rotation.
+/// The entries are in ascending `(time, rank)` order whenever `sorted`
+/// is true, so the next to fire sits at the front.
 struct Bucket<E> {
-    items: Vec<(SimTime, u64, Entry<E>)>,
-    cursor: usize,
+    items: VecDeque<(SimTime, u64, E)>,
     sorted: bool,
 }
 
 impl<E> Bucket<E> {
     fn new() -> Self {
         Bucket {
-            items: Vec::new(),
-            cursor: 0,
+            items: VecDeque::new(),
             sorted: true,
         }
     }
 
-    /// Appends an entry, flagging the tail dirty if it breaks ascending
-    /// order (rare: earlier-day strays and late overflow migrations).
-    fn push(&mut self, at: SimTime, seq: u64, entry: Entry<E>) {
+    /// Appends an entry, flagging the bucket dirty if it breaks
+    /// ascending order (rare: earlier-day strays, late overflow
+    /// migrations and non-FIFO tie ranks).
+    fn push(&mut self, at: SimTime, rank: u64, payload: E) {
         if self.sorted {
-            if let Some(&(last_at, last_seq, _)) = self.items.last() {
-                if (at, seq) < (last_at, last_seq) {
+            if let Some(&(last_at, last_rank, _)) = self.items.back() {
+                if (at, rank) < (last_at, last_rank) {
                     self.sorted = false;
                 }
             }
         }
-        self.items.push((at, seq, entry));
+        self.items.push_back((at, rank, payload));
     }
 
-    /// Restores the ascending tail order after order-breaking appends.
-    fn ensure_sorted(&mut self) {
+    /// Removes the earliest entry, first restoring ascending order if an
+    /// append broke it.
+    fn pop_front(&mut self) -> Option<(SimTime, E)> {
         if !self.sorted {
-            self.items[self.cursor..].sort_unstable_by_key(|e| (e.0, e.1));
+            self.items
+                .make_contiguous()
+                .sort_unstable_by_key(|e| (e.0, e.1));
             self.sorted = true;
         }
-    }
-
-    fn is_drained(&self) -> bool {
-        self.cursor >= self.items.len()
-    }
-
-    /// Removes and returns the tail's head entry (leaving a
-    /// [`Entry::Taken`] husk in the drained prefix). Caller must have
-    /// called [`ensure_sorted`](Self::ensure_sorted) and checked
-    /// [`is_drained`](Self::is_drained).
-    fn take_next(&mut self) -> (SimTime, u64, Entry<E>) {
-        let slot = &mut self.items[self.cursor];
-        let out = (slot.0, slot.1, std::mem::replace(&mut slot.2, Entry::Taken));
-        self.cursor += 1;
-        if self.cursor == self.items.len() {
+        let (at, _, payload) = self.items.pop_front()?;
+        if self.items.is_empty() {
+            // Rewinds the ring to the buffer's start, so the next
+            // rotation reuses the same (cache-hot) slots.
             self.items.clear();
-            self.cursor = 0;
-            self.sorted = true;
         }
-        out
+        Some((at, payload))
     }
 }
 
 /// A calendar queue: O(1) amortized schedule and pop for the near-future
-/// event traffic that dominates discrete-event simulation.
-///
-/// Selected by default in [`EventQueue`](crate::EventQueue); construct
-/// directly (or via `CEDAR_SCHED=calendar`) when the choice must be
-/// explicit. Ordering semantics are exactly those of
-/// [`EventSchedule`]: `(fire time, scheduling sequence)` ascending.
-///
-/// # Example
-///
-/// ```
-/// use cedar_sim::calendar::CalendarSchedule;
-/// use cedar_sim::{Cycles, EventSchedule};
-///
-/// let mut q = CalendarSchedule::new();
-/// q.schedule(Cycles(5), "later");
-/// q.schedule(Cycles(5), "tie-broken-second");
-/// q.schedule(Cycles(1), "first");
-/// assert_eq!(q.pop(), Some((Cycles(1), "first")));
-/// assert_eq!(q.pop(), Some((Cycles(5), "later")));
-/// assert_eq!(q.pop(), Some((Cycles(5), "tie-broken-second")));
-/// ```
-pub struct CalendarSchedule<E> {
+/// event traffic that dominates discrete-event simulation. The default
+/// backend of [`EventQueue`](crate::EventQueue).
+pub(crate) struct CalendarSchedule<E> {
     buckets: Vec<Bucket<E>>,
     /// `buckets.len() - 1`; bucket count is a power of two so the day →
     /// bucket map is a mask, not a modulo.
     day_mask: u64,
     /// log2 of cycles per day; the time → day map is a shift, not a div.
     day_shift: u32,
-    /// The day the pop cursor is on. Every live wheel event's day is in
+    /// The day the pop cursor is on. Every wheel event's day is in
     /// `[cur_day, cur_day + days)` (earlier-day strays are clamped into
     /// `cur_day`'s bucket at insert).
     cur_day: u64,
-    /// Live events currently on the wheel, inline and pooled alike
-    /// (excludes overflow and cancelled tombstones).
-    wheel_live: usize,
-    /// Entries at or beyond the wheel horizon, drained in as the cursor
-    /// advances. The root is always live (stale roots are purged on
-    /// cancel), so its key is an exact peek.
+    /// Events currently on the wheel (the overflow tier excluded).
+    wheel_len: usize,
+    /// Events beyond the wheel horizon, drained in as the cursor
+    /// advances.
     overflow: MinHeap<E>,
-    /// Live events in the overflow tier.
-    overflow_live: usize,
-    /// Pool for cancellable events only; plain traffic never touches it.
-    arena: EventArena<E>,
     next_seq: u64,
     tiebreak: TieBreak,
     stats: QueueStats,
@@ -180,17 +134,17 @@ pub struct CalendarSchedule<E> {
 impl<E> CalendarSchedule<E> {
     /// Creates an empty queue with the default geometry (one-cycle
     /// days, 256-day wheel).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_geometry(1 << DEFAULT_DAY_SHIFT, DEFAULT_DAYS)
     }
 
     /// Creates an empty queue with `day_width` cycles per bucket and a
-    /// `days`-bucket wheel. Both must be powers of two.
+    /// `days`-bucket wheel.
     ///
     /// # Panics
     ///
     /// Panics if either argument is zero or not a power of two.
-    pub fn with_geometry(day_width: u64, days: u64) -> Self {
+    pub(crate) fn with_geometry(day_width: u64, days: u64) -> Self {
         assert!(
             day_width.is_power_of_two(),
             "day width must be a power of two, got {day_width}"
@@ -204,10 +158,8 @@ impl<E> CalendarSchedule<E> {
             day_mask: days - 1,
             day_shift: day_width.trailing_zeros(),
             cur_day: 0,
-            wheel_live: 0,
+            wheel_len: 0,
             overflow: MinHeap::new(),
-            overflow_live: 0,
-            arena: EventArena::new(),
             next_seq: 0,
             tiebreak: TieBreak::default(),
             stats: QueueStats::new(),
@@ -218,15 +170,10 @@ impl<E> CalendarSchedule<E> {
     /// Selects the simultaneous-event ordering policy. Ranks are
     /// assigned at schedule time, so this must be set before any event
     /// is scheduled.
-    pub fn with_tiebreak(mut self, tiebreak: TieBreak) -> Self {
+    pub(crate) fn with_tiebreak(mut self, tiebreak: TieBreak) -> Self {
         debug_assert_eq!(self.next_seq, 0, "tie-break set after scheduling");
         self.tiebreak = tiebreak;
         self
-    }
-
-    /// Number of days on the wheel.
-    fn days(&self) -> u64 {
-        self.day_mask + 1
     }
 
     /// The day `t` falls on.
@@ -239,211 +186,81 @@ impl<E> CalendarSchedule<E> {
     /// `u64`, the window `[cur_day, u64::MAX]` is no larger than the
     /// wheel, so every remaining day fits.
     fn fits_wheel(&self, day: u64) -> bool {
-        match self.cur_day.checked_add(self.days()) {
+        match self.cur_day.checked_add(self.day_mask + 1) {
             Some(horizon) => day < horizon,
             None => true,
         }
     }
 
-    /// Moves every live overflow event whose day now falls inside the
-    /// horizon onto the wheel (sweeping any stale tombstones met on the
-    /// way). Called whenever `cur_day` changes, preserving the invariant
-    /// that live overflow events are strictly beyond the wheel.
+    /// Appends an event to its day's bucket (an earlier-day stray goes
+    /// to the cursor's bucket).
+    fn push_wheel(&mut self, at: SimTime, rank: u64, payload: E) {
+        let day = self.day_of(at).max(self.cur_day);
+        self.buckets[(day & self.day_mask) as usize].push(at, rank, payload);
+        self.wheel_len += 1;
+        self.stats.wheel_peak = self.stats.wheel_peak.max(self.wheel_len as u64);
+    }
+
+    /// Moves every overflow event whose day now falls inside the horizon
+    /// onto the wheel. Called whenever `cur_day` changes, preserving the
+    /// invariant that overflow events are strictly beyond the wheel.
     fn refill_from_overflow(&mut self) {
-        while let Some((key, entry)) = self.overflow.peek() {
-            if !entry.is_live(&self.arena) {
-                self.overflow.pop();
-                continue;
-            }
+        while let Some(key) = self.overflow.peek_key() {
             let at = key_time(key);
             if !self.fits_wheel(self.day_of(at)) {
                 break;
             }
-            let (_, entry) = self.overflow.pop().expect("peeked root exists");
-            if let Entry::Pooled(handle) = entry {
-                self.arena.set_on_wheel(handle);
-            }
-            let day = self.day_of(at).max(self.cur_day);
-            let idx = (day & self.day_mask) as usize;
-            let seq = key as u64;
-            self.buckets[idx].push(at, seq, entry);
-            self.wheel_live += 1;
-            self.overflow_live -= 1;
-            self.stats.wheel_peak = self.stats.wheel_peak.max(self.wheel_live as u64);
+            let (_, payload) = self.overflow.pop().expect("peeked root exists");
+            self.push_wheel(at, key as u64, payload);
         }
     }
 
-    /// Live events pending in the overflow tier (diagnostics and tests).
-    pub fn overflow_len(&self) -> usize {
-        self.overflow_live
-    }
-}
-
-impl<E> EventSchedule<E> for CalendarSchedule<E> {
-    fn schedule(&mut self, at: SimTime, payload: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, payload: E) {
         let rank = self.tiebreak.rank(self.next_seq);
         self.next_seq += 1;
-        let bucket = QueueStats::bucket_of(at.0.saturating_sub(self.last_popped.0));
-        let day = self.day_of(at);
-        if !self.fits_wheel(day) {
-            self.overflow
-                .push(order_key(at, rank), Entry::Inline(payload));
-            self.overflow_live += 1;
-            self.stats.overflow_spills += 1;
+        if self.fits_wheel(self.day_of(at)) {
+            self.push_wheel(at, rank, payload);
         } else {
-            let day = day.max(self.cur_day);
-            let idx = (day & self.day_mask) as usize;
-            self.buckets[idx].push(at, rank, Entry::Inline(payload));
-            self.wheel_live += 1;
-            self.stats.wheel_peak = self.stats.wheel_peak.max(self.wheel_live as u64);
+            self.overflow.push(order_key(at, rank), payload);
+            self.stats.overflow_spills += 1;
         }
         self.stats
-            .on_schedule(bucket, self.wheel_live + self.overflow_live);
+            .on_schedule(at.0.saturating_sub(self.last_popped.0), self.len());
     }
 
-    fn schedule_cancellable(&mut self, at: SimTime, payload: E) -> EventHandle {
-        let rank = self.tiebreak.rank(self.next_seq);
-        self.next_seq += 1;
-        let bucket = QueueStats::bucket_of(at.0.saturating_sub(self.last_popped.0));
-        let day = self.day_of(at);
-        let handle;
-        if !self.fits_wheel(day) {
-            handle = self.arena.alloc(payload, bucket, false);
-            self.overflow
-                .push(order_key(at, rank), Entry::Pooled(handle));
-            self.overflow_live += 1;
-            self.stats.overflow_spills += 1;
-        } else {
-            let day = day.max(self.cur_day);
-            let idx = (day & self.day_mask) as usize;
-            handle = self.arena.alloc(payload, bucket, true);
-            self.buckets[idx].push(at, rank, Entry::Pooled(handle));
-            self.wheel_live += 1;
-            self.stats.wheel_peak = self.stats.wheel_peak.max(self.wheel_live as u64);
-        }
-        self.stats
-            .on_schedule(bucket, self.wheel_live + self.overflow_live);
-        handle
-    }
-
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        match self.arena.cancel(handle) {
-            Some((bucket, on_wheel)) => {
-                debug_assert!(
-                    self.arena.live() < self.wheel_live + self.overflow_live,
-                    "pooled live population must stay a subset of the total"
-                );
-                self.stats.on_cancel(bucket);
-                if on_wheel {
-                    self.wheel_live -= 1;
-                } else {
-                    self.overflow_live -= 1;
-                    // Keep the overflow root live so peeks stay exact.
-                    self.overflow.purge_stale(&self.arena);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            if self.wheel_live == 0 {
-                if self.overflow_live == 0 {
-                    return None;
-                }
+            if self.wheel_len == 0 {
                 // Wheel empty: jump the cursor to the overflow head's day
                 // and pull its cohort in.
-                let (key, _) = self.overflow.peek().expect("live overflow has a root");
+                let key = self.overflow.peek_key()?;
                 self.cur_day = self.day_of(key_time(key));
                 self.refill_from_overflow();
-                debug_assert!(self.wheel_live > 0, "refill pulled nothing despite head");
+                debug_assert!(self.wheel_len > 0, "refill pulled nothing despite head");
                 continue;
             }
             let idx = (self.cur_day & self.day_mask) as usize;
-            let bucket = &mut self.buckets[idx];
-            if bucket.is_drained() {
-                self.cur_day += 1;
-                self.refill_from_overflow();
-                continue;
-            }
-            bucket.ensure_sorted();
-            let (at, _seq, entry) = bucket.take_next();
-            let payload = match entry {
-                Entry::Inline(payload) => payload,
-                Entry::Pooled(handle) => match self.arena.take(handle) {
-                    Some(payload) => payload,
-                    // Cancelled tombstone: swept, not counted as a pop.
-                    None => continue,
-                },
-                Entry::Taken => unreachable!("Taken husks never sit at the drain cursor"),
-            };
-            self.wheel_live -= 1;
-            self.stats.popped += 1;
-            self.last_popped = at;
-            return Some((at, payload));
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if self.wheel_live > 0 {
-            // The first bucket from the cursor holding a live entry holds
-            // the global minimum (single-day buckets; live overflow is
-            // beyond the wheel; stale tombstones are skipped).
-            for d in 0..self.days() {
-                let idx = (self.cur_day.wrapping_add(d) & self.day_mask) as usize;
-                let bucket = &self.buckets[idx];
-                let mut live = bucket.items[bucket.cursor..]
-                    .iter()
-                    .filter(|(_, _, e)| e.is_live(&self.arena))
-                    .map(|&(at, seq, _)| (at, seq));
-                let found = if bucket.sorted {
-                    live.next()
-                } else {
-                    live.min()
-                };
-                if let Some((at, _)) = found {
-                    return Some(at);
+            match self.buckets[idx].pop_front() {
+                Some((at, payload)) => {
+                    self.wheel_len -= 1;
+                    self.stats.popped += 1;
+                    self.last_popped = at;
+                    return Some((at, payload));
+                }
+                None => {
+                    self.cur_day += 1;
+                    self.refill_from_overflow();
                 }
             }
-            unreachable!("wheel_live > 0 but no live wheel entry");
         }
-        if self.overflow_live > 0 {
-            // The root is always live (stale roots purged on cancel).
-            return self.overflow.peek().map(|(key, _)| key_time(key));
-        }
-        None
     }
 
-    fn len(&self) -> usize {
-        self.wheel_live + self.overflow_live
+    pub(crate) fn len(&self) -> usize {
+        self.wheel_len + self.overflow.len()
     }
 
-    fn scheduled_total(&self) -> u64 {
-        self.stats.scheduled
-    }
-
-    fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         self.stats
-    }
-}
-
-impl<E> Default for CalendarSchedule<E> {
-    fn default() -> Self {
-        CalendarSchedule::new()
-    }
-}
-
-impl<E> std::fmt::Debug for CalendarSchedule<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CalendarSchedule")
-            .field("days", &self.days())
-            .field("day_width", &(1u64 << self.day_shift))
-            .field("cur_day", &self.cur_day)
-            .field("wheel", &self.wheel_live)
-            .field("overflow", &self.overflow_live)
-            .finish()
     }
 }
 
@@ -454,13 +271,15 @@ mod tests {
     use crate::rng::SplitMix64;
     use crate::time::Cycles;
 
-    /// Pops everything from both schedulers, asserting identical streams.
+    /// Pops everything from both schedulers, asserting identical streams
+    /// and pending populations, then identical counters.
     fn assert_equivalent_drain(
         heap: &mut HeapSchedule<u64>,
         cal: &mut CalendarSchedule<u64>,
         context: &str,
     ) {
         loop {
+            assert_eq!(heap.len(), cal.len(), "len diverged ({context})");
             let h = heap.pop();
             let c = cal.pop();
             assert_eq!(h, c, "pop streams diverged ({context})");
@@ -468,6 +287,16 @@ mod tests {
                 break;
             }
         }
+        assert_same_counters(heap, cal, context);
+    }
+
+    /// Asserts that the backend-independent [`QueueStats`] fields agree.
+    fn assert_same_counters(heap: &HeapSchedule<u64>, cal: &CalendarSchedule<u64>, context: &str) {
+        let (h, c) = (heap.stats(), cal.stats());
+        assert_eq!(h.scheduled, c.scheduled, "scheduled ({context})");
+        assert_eq!(h.popped, c.popped, "popped ({context})");
+        assert_eq!(h.pending_peak, c.pending_peak, "pending_peak ({context})");
+        assert_eq!(h.hold_hist, c.hold_hist, "hold_hist ({context})");
     }
 
     #[test]
@@ -477,7 +306,10 @@ mod tests {
         for (i, t) in [100u64, 3, 50, 17, 2_000, 16, 0].iter().enumerate() {
             q.schedule(Cycles(*t), i as u32);
         }
-        assert!(q.overflow_len() > 0, "test must exercise the overflow tier");
+        assert!(
+            q.stats().overflow_spills > 0,
+            "test must exercise the overflow tier"
+        );
         let times: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t.0).collect();
         assert_eq!(times, vec![0, 3, 16, 17, 50, 100, 2_000]);
     }
@@ -517,7 +349,6 @@ mod tests {
         q.schedule(Cycles::ZERO, 1);
         q.schedule(Cycles(u64::MAX - 1), 2);
         q.schedule(Cycles::MAX, 3);
-        assert_eq!(q.peek_time(), Some(Cycles::ZERO));
         assert_eq!(q.pop(), Some((Cycles::ZERO, 1)));
         assert_eq!(q.pop(), Some((Cycles(u64::MAX - 1), 2)));
         assert_eq!(q.pop(), Some((Cycles::MAX, 0)));
@@ -552,7 +383,10 @@ mod tests {
                 heap.schedule(Cycles(t), p);
                 cal.schedule(Cycles(t), p);
             }
-            assert!(cal.overflow_len() > 0, "cohort must straddle the boundary");
+            assert!(
+                cal.stats().overflow_spills > 0,
+                "cohort must straddle the boundary"
+            );
             assert_eq!(heap.pop(), cal.pop(), "{tiebreak}: first pop");
             // Cursor has advanced; the rest of the t=16 cohort now fits
             // the wheel and lands next to its migrated siblings.
@@ -588,7 +422,6 @@ mod tests {
                 heap.schedule(Cycles(t), p);
                 cal.schedule(Cycles(t), p);
             }
-            assert_eq!(heap.peek_time(), cal.peek_time(), "{tiebreak}");
             assert_equivalent_drain(&mut heap, &mut cal, &format!("{tiebreak} at MAX"));
             // And a pure all-MAX cohort, scheduled after the cursor has
             // already jumped to the end of time.
@@ -643,6 +476,7 @@ mod tests {
                 };
                 heap.schedule(Cycles(t), i);
                 cal.schedule(Cycles(t), i);
+                assert_eq!(heap.len(), cal.len(), "seed {seed} schedule {i}");
             }
             assert_equivalent_drain(&mut heap, &mut cal, &format!("seed {seed}"));
         }
@@ -668,6 +502,7 @@ mod tests {
                 let h = heap.pop();
                 let c = cal.pop();
                 assert_eq!(h, c, "seed {seed} step {step}");
+                assert_eq!(heap.len(), cal.len(), "seed {seed} step {step}");
                 let Some((now, _)) = h else { break };
                 let successors = rng.next_below(3);
                 for _ in 0..successors {
@@ -680,110 +515,14 @@ mod tests {
                     cal.schedule(now + Cycles(delay), payload);
                     payload += 1;
                 }
+                assert_eq!(heap.len(), cal.len(), "seed {seed} step {step}");
             }
+            assert_same_counters(&heap, &cal, &format!("seed {seed}"));
         }
     }
 
     #[test]
-    fn property_interleaved_cancels_match_heap() {
-        // As above, but a third of scheduled events are revoked before
-        // they fire — on both schedulers — so tombstone sweeping on the
-        // wheel, in the overflow tier, and across refills is exercised
-        // against the reference implementation.
-        for seed in 0..32u64 {
-            let mut rng = SplitMix64::new(0xDEAD_0000 + seed);
-            let mut heap = HeapSchedule::new();
-            let mut cal = CalendarSchedule::with_geometry(4, 64);
-            let mut payload = 0u64;
-            let mut pending: Vec<(EventHandle, EventHandle)> = Vec::new();
-            for _ in 0..50 {
-                let t = rng.next_below(4_000);
-                pending.push((
-                    heap.schedule_cancellable(Cycles(t), payload),
-                    cal.schedule_cancellable(Cycles(t), payload),
-                ));
-                payload += 1;
-            }
-            for step in 0..2_000u64 {
-                if !pending.is_empty() && rng.next_below(3) == 0 {
-                    let victim = rng.next_below(pending.len() as u64) as usize;
-                    let (hh, ch) = pending.swap_remove(victim);
-                    assert_eq!(heap.cancel(hh), cal.cancel(ch), "seed {seed} step {step}");
-                } else {
-                    let h = heap.pop();
-                    let c = cal.pop();
-                    assert_eq!(h, c, "seed {seed} step {step}");
-                    assert_eq!(heap.len(), cal.len(), "seed {seed} step {step}");
-                    let Some((now, _)) = h else { break };
-                    for _ in 0..rng.next_below(3) {
-                        let delay = 1 + rng.next_below(600);
-                        pending.push((
-                            heap.schedule_cancellable(now + Cycles(delay), payload),
-                            cal.schedule_cancellable(now + Cycles(delay), payload),
-                        ));
-                        payload += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn property_mixed_inline_and_cancellable_match_heap() {
-        // Both storage tiers at once: plain (inline) and cancellable
-        // (pooled) events interleave on the same wheel and overflow heap,
-        // with a third of the cancellable ones revoked before firing.
-        for seed in 0..32u64 {
-            let mut rng = SplitMix64::new(0x4D12_0000 + seed);
-            let mut heap = HeapSchedule::new();
-            let mut cal = CalendarSchedule::with_geometry(4, 64);
-            let mut payload = 0u64;
-            let mut pending: Vec<(EventHandle, EventHandle)> = Vec::new();
-            for _ in 0..60 {
-                let t = rng.next_below(4_000);
-                if rng.next_below(2) == 0 {
-                    heap.schedule(Cycles(t), payload);
-                    cal.schedule(Cycles(t), payload);
-                } else {
-                    pending.push((
-                        heap.schedule_cancellable(Cycles(t), payload),
-                        cal.schedule_cancellable(Cycles(t), payload),
-                    ));
-                }
-                payload += 1;
-            }
-            for step in 0..2_000u64 {
-                if !pending.is_empty() && rng.next_below(4) == 0 {
-                    let victim = rng.next_below(pending.len() as u64) as usize;
-                    let (hh, ch) = pending.swap_remove(victim);
-                    assert_eq!(heap.cancel(hh), cal.cancel(ch), "seed {seed} step {step}");
-                } else {
-                    let h = heap.pop();
-                    let c = cal.pop();
-                    assert_eq!(h, c, "seed {seed} step {step}");
-                    assert_eq!(heap.len(), cal.len(), "seed {seed} step {step}");
-                    assert_eq!(heap.peek_time(), cal.peek_time(), "seed {seed} step {step}");
-                    let Some((now, _)) = h else { break };
-                    for _ in 0..rng.next_below(3) {
-                        let delay = 1 + rng.next_below(600);
-                        if rng.next_below(2) == 0 {
-                            heap.schedule(now + Cycles(delay), payload);
-                            cal.schedule(now + Cycles(delay), payload);
-                        } else {
-                            pending.push((
-                                heap.schedule_cancellable(now + Cycles(delay), payload),
-                                cal.schedule_cancellable(now + Cycles(delay), payload),
-                            ));
-                        }
-                        payload += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn property_len_and_peek_agree_with_heap() {
+    fn property_len_agrees_with_heap() {
         let mut rng = SplitMix64::new(0x1DE5);
         let mut heap = HeapSchedule::new();
         let mut cal = CalendarSchedule::with_geometry(8, 32);
@@ -792,12 +531,11 @@ mod tests {
             heap.schedule(Cycles(t), i);
             cal.schedule(Cycles(t), i);
             assert_eq!(heap.len(), cal.len());
-            assert_eq!(heap.peek_time(), cal.peek_time());
             if rng.next_below(3) == 0 {
                 assert_eq!(heap.pop(), cal.pop());
             }
         }
-        assert_equivalent_drain(&mut heap, &mut cal, "len/peek property");
+        assert_equivalent_drain(&mut heap, &mut cal, "len property");
     }
 
     #[test]
@@ -806,13 +544,13 @@ mod tests {
         q.schedule(Cycles(1), 0); // wheel
         q.schedule(Cycles(2), 1); // wheel
         q.schedule(Cycles(10_000), 2); // beyond the 16-cycle horizon
-        let s = EventSchedule::stats(&q);
+        let s = q.stats();
         assert_eq!(s.scheduled, 3);
         assert_eq!(s.overflow_spills, 1);
         assert_eq!(s.wheel_peak, 2);
         assert_eq!(s.pending_peak, 3);
         while q.pop().is_some() {}
-        let s = EventSchedule::stats(&q);
+        let s = q.stats();
         assert_eq!(s.popped, 3);
         assert_eq!(
             s.wheel_peak, 2,
@@ -821,40 +559,9 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_overflow_events_never_migrate() {
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_geometry(4, 4);
-        q.schedule(Cycles(1), 0);
-        let doomed = q.schedule_cancellable(Cycles(1_000), 1);
-        q.schedule(Cycles(1_000), 2);
-        assert_eq!(q.overflow_len(), 2);
-        assert!(q.cancel(doomed));
-        assert_eq!(q.overflow_len(), 1, "cancel releases overflow occupancy");
-        assert_eq!(q.pop(), Some((Cycles(1), 0)));
-        assert_eq!(q.pop(), Some((Cycles(1_000), 2)));
-        assert_eq!(q.pop(), None);
-        let s = EventSchedule::stats(&q);
-        assert_eq!((s.popped, s.cancelled), (2, 1));
-    }
-
-    #[test]
-    fn cancelled_wheel_events_release_occupancy_immediately() {
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::new();
-        let a = q.schedule_cancellable(Cycles(3), 0);
-        assert!(q.cancel(a));
-        // The freed slot is recycled: occupancy peaks at 1, not 2, even
-        // though the tombstone still sits in day 3's bucket.
-        q.schedule(Cycles(3), 1);
-        let s = EventSchedule::stats(&q);
-        assert_eq!(s.pending_peak, 1);
-        assert_eq!(s.wheel_peak, 1);
-        assert_eq!(q.pop(), Some((Cycles(3), 1)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn buckets_recycle_without_allocation_growth() {
         // Steady-state hold pattern: capacity stabilizes, lengths return
-        // to zero, and scheduled_total keeps counting.
+        // to zero, and the scheduled count keeps counting.
         let mut q: CalendarSchedule<u64> = CalendarSchedule::with_geometry(4, 16);
         let mut now = Cycles::ZERO;
         for i in 0..10_000u64 {
@@ -862,7 +569,7 @@ mod tests {
             let (t, _) = q.pop().expect("held one event");
             now = t;
         }
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 10_000);
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.stats().scheduled, 10_000);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! This crate is the substrate underneath the Cedar machine reproduction.
 //! It deliberately contains nothing Cedar-specific: simulated time
-//! ([`Cycles`], [`SimTime`]), deterministic pending-event sets (the
-//! [`EventSchedule`] trait with its [`HeapSchedule`] and
-//! [`CalendarSchedule`] implementations behind the [`EventQueue`]
-//! facade), the outbox pattern used by component state machines
+//! ([`Cycles`], [`SimTime`]), a deterministic pending-event set
+//! ([`EventQueue`], backed by a calendar queue or, as the reference, a
+//! binary heap), the outbox pattern used by component state machines
 //! ([`Outbox`]), a small deterministic RNG ([`SplitMix64`]), and
 //! time-weighted statistics helpers ([`stats`]).
 //!
@@ -51,19 +50,14 @@
 //! assert_eq!(h.stats().popped, 1);
 //! ```
 
-pub mod arena;
-pub mod calendar;
+mod calendar;
 pub mod outbox;
-pub mod queue;
+mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arena::EventHandle;
-pub use calendar::CalendarSchedule;
 pub use outbox::{Outbox, OutboxStats};
-pub use queue::{
-    EventQueue, EventSchedule, HeapSchedule, QueueStats, SchedKind, TieBreak, HOLD_BUCKETS,
-};
+pub use queue::{EventQueue, QueueStats, SchedKind, TieBreak, HOLD_BUCKETS};
 pub use rng::SplitMix64;
 pub use time::{Cycles, HpmTicks, SimTime, CYCLE_NS, HPM_TICKS_PER_CYCLE, HPM_TICK_NS};

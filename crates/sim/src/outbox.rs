@@ -6,10 +6,11 @@
 //! queue (which would require every component to hold a queue reference,
 //! entangling ownership), they *emit* `(delay, event)` pairs into the
 //! outbox; the machine loop in `cedar-core` drains the outbox into the
-//! master [`EventQueue`](crate::EventQueue). This keeps each component
+//! master [`EventQueue`]. This keeps each component
 //! independently unit-testable: tests call `handle` with a scratch outbox
 //! and assert on what was emitted.
 
+use crate::queue::EventQueue;
 use crate::time::{Cycles, SimTime};
 
 /// A buffer of events emitted by a component during one `handle` call.
@@ -91,27 +92,27 @@ impl<E> Outbox<E> {
         self.items.drain(..)
     }
 
-    /// Drains into an absolute-time event schedule, anchoring delays at
-    /// `now`.
-    pub fn flush_into<Q: crate::EventSchedule<E>>(&mut self, now: SimTime, queue: &mut Q) {
+    /// Drains into an event queue, anchoring delays at `now`.
+    pub fn flush_into(&mut self, now: SimTime, queue: &mut EventQueue<E>) {
         self.stats.flushes += 1;
         for (delay, ev) in self.items.drain(..) {
             queue.schedule(now + delay, ev);
         }
     }
 
-    /// Drains into a schedule of a *wrapping* event type, anchoring
+    /// Drains into a queue of a *wrapping* event type, anchoring
     /// delays at `now` and applying `wrap` to each event.
     ///
     /// This is the machine-loop fast path: `cedar-core` keeps one
     /// long-lived outbox and flushes component events into its master
     /// queue (wrapping them in the master event enum) without allocating
     /// a fresh buffer per dispatch.
-    pub fn flush_map_into<E2, Q, F>(&mut self, now: SimTime, queue: &mut Q, mut wrap: F)
-    where
-        Q: crate::EventSchedule<E2>,
-        F: FnMut(E) -> E2,
-    {
+    pub fn flush_map_into<E2>(
+        &mut self,
+        now: SimTime,
+        queue: &mut EventQueue<E2>,
+        mut wrap: impl FnMut(E) -> E2,
+    ) {
         self.stats.flushes += 1;
         for (delay, ev) in self.items.drain(..) {
             queue.schedule(now + delay, wrap(ev));
@@ -143,7 +144,6 @@ impl<E> Default for Outbox<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventQueue;
 
     #[test]
     fn emits_in_order() {

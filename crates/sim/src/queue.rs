@@ -1,41 +1,28 @@
 //! Deterministic pending-event sets.
 //!
-//! Two interchangeable schedulers implement the [`EventSchedule`] trait:
+//! Two schedulers sit behind [`EventQueue`], selected by an explicit
+//! [`SchedKind`] (`calendar` is the default):
 //!
-//! * [`HeapSchedule`] — an implicit 4-ary min-heap future-event set,
-//!   O(log n) per operation;
-//! * [`CalendarSchedule`](crate::calendar::CalendarSchedule) — a
-//!   calendar queue (bucketed wheel over [`SimTime`] with an overflow
-//!   tier), O(1) amortized per operation on the event-dense schedules
-//!   the Cedar machine produces.
+//! * `HeapSchedule` — a binary min-heap future-event set, O(log n) per
+//!   operation, kept as the reference the calendar is checked against;
+//! * `CalendarSchedule` — a calendar queue (bucketed wheel over
+//!   [`SimTime`] with an overflow tier), O(1) amortized per operation on
+//!   the event-dense schedules the Cedar machine produces.
 //!
 //! Both pop events in exactly the same order — ascending fire time, ties
-//! broken by scheduling sequence — so whole-run results are bit-identical
-//! whichever is selected. [`EventQueue`] wraps the two behind a single
-//! type; the implementation is an explicit [`SchedKind`] parameter
-//! (`calendar` is the default). Selection by environment variable is the
-//! business of `cedar_obs::RunOptions::from_env`, not this crate.
+//! broken by the [`TieBreak`] rank of the scheduling sequence — so
+//! whole-run results are bit-identical whichever is selected. Selection
+//! by environment variable is the business of
+//! `cedar_obs::RunOptions::from_env`, not this crate.
 //!
-//! ## Zero-allocation steady state
-//!
-//! The ordering structures store plain [`schedule`](EventSchedule::schedule)d
-//! payloads inline in their entries — no indirection, no per-event
-//! allocation once the structures have grown to the peak pending
-//! population. Only [`schedule_cancellable`](EventSchedule::schedule_cancellable)
-//! routes the payload through the slab-recycled [`EventArena`] shared by
-//! the calendar wheel and the overflow heap: the entry then carries a
-//! generation-tagged handle, giving O(1) [`cancel`](EventQueue::cancel)
-//! — a cancelled event's entry stays behind as a tombstone and is swept
-//! out when it surfaces. Arena slots are recycled through a free list,
-//! so the cancellable tier is allocation-free in steady state too.
-//!
-//! Every implementation keeps cheap always-on self-telemetry counters
-//! (events scheduled, popped and cancelled, peak pending population, and
-//! a power-of-two histogram of scheduling distances) surfaced through
+//! Both store the payloads themselves in their ordering structures, so
+//! once those have grown to the peak pending population, scheduling and
+//! popping allocate nothing. Both keep cheap always-on self-telemetry
+//! counters (events scheduled and popped, peak pending population, and a
+//! power-of-two histogram of scheduling distances) surfaced through
 //! [`QueueStats`] — the paper's measurement discipline applied to the
 //! simulator's own hot loop.
 
-use crate::arena::{EventArena, EventHandle};
 use crate::calendar::CalendarSchedule;
 use crate::time::SimTime;
 
@@ -136,35 +123,12 @@ impl std::str::FromStr for TieBreak {
     }
 }
 
-/// One pending-event entry: the payload itself for the plain-schedule
-/// fast path, or an arena handle for cancellable events. `Taken` marks
-/// a calendar-bucket slot whose payload has already been drained (the
-/// slot is dead until its bucket resets; it never reaches a consumer).
-pub(crate) enum Entry<E> {
-    Inline(E),
-    Pooled(EventHandle),
-    Taken,
-}
-
-impl<E> Entry<E> {
-    /// `true` for entries whose event is still pending (inline entries
-    /// always are; pooled ones unless cancelled; `Taken` never).
-    #[inline]
-    pub(crate) fn is_live(&self, arena: &EventArena<E>) -> bool {
-        match self {
-            Entry::Inline(_) => true,
-            Entry::Pooled(h) => arena.is_live(*h),
-            Entry::Taken => false,
-        }
-    }
-}
-
-/// One min-heap node: a packed order key plus its entry. The `Ord` impl
-/// is *inverted* (greater key ⇒ lesser node) so the max-heap semantics
-/// of [`std::collections::BinaryHeap`] pop the minimum key.
+/// One min-heap node: a packed order key plus its payload. The `Ord`
+/// impl is *inverted* (greater key ⇒ lesser node) so the max-heap
+/// semantics of [`std::collections::BinaryHeap`] pop the minimum key.
 struct Node<E> {
     key: u128,
-    entry: Entry<E>,
+    payload: E,
 }
 
 impl<E> PartialEq for Node<E> {
@@ -184,9 +148,9 @@ impl<E> Ord for Node<E> {
     }
 }
 
-/// A min-heap over `(order key, entry)` pairs — a thin wrapper around
+/// A min-heap over `(order key, payload)` pairs — a thin wrapper around
 /// the standard binary heap with the ordering inverted to pop minima.
-/// Shared by [`HeapSchedule`] and the calendar queue's overflow tier.
+/// Shared by `HeapSchedule` and the calendar queue's overflow tier.
 ///
 /// Measured alternatives lost to this: a hand-rolled 4-ary heap with
 /// swap-based sifts ran ~2× slower on the hold benchmark despite
@@ -204,89 +168,26 @@ impl<E> MinHeap<E> {
         }
     }
 
-    pub(crate) fn with_capacity(cap: usize) -> Self {
-        MinHeap {
-            heap: std::collections::BinaryHeap::with_capacity(cap),
-        }
+    #[inline]
+    pub(crate) fn push(&mut self, key: u128, payload: E) {
+        self.heap.push(Node { key, payload });
+    }
+
+    /// Order key of the minimum, without removing it.
+    #[inline]
+    pub(crate) fn peek_key(&self) -> Option<u128> {
+        self.heap.peek().map(|n| n.key)
     }
 
     #[inline]
-    pub(crate) fn push(&mut self, key: u128, entry: Entry<E>) {
-        self.heap.push(Node { key, entry });
+    pub(crate) fn pop(&mut self) -> Option<(u128, E)> {
+        self.heap.pop().map(|n| (n.key, n.payload))
     }
 
     #[inline]
-    pub(crate) fn peek(&self) -> Option<(u128, &Entry<E>)> {
-        self.heap.peek().map(|n| (n.key, &n.entry))
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
     }
-
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(u128, Entry<E>)> {
-        self.heap.pop().map(|n| (n.key, n.entry))
-    }
-
-    /// Removes cancelled-event tombstones from the root so that
-    /// [`peek`](Self::peek) always reports a live event. Called after
-    /// any operation that can surface a stale entry at the root; a
-    /// no-op (one root inspection) when the root is inline or live.
-    pub(crate) fn purge_stale(&mut self, arena: &EventArena<E>) {
-        while let Some((_, entry)) = self.peek() {
-            if entry.is_live(arena) {
-                break;
-            }
-            self.pop();
-        }
-    }
-}
-
-/// Common interface of the pending-event set implementations.
-///
-/// The contract every implementor must uphold: [`pop`](Self::pop)
-/// returns events in ascending `(fire time, scheduling sequence)` order,
-/// where the sequence is the number of `schedule` calls made before the
-/// event's own. Simulation determinism rests on this ordering, so it is
-/// exact — not "time order with arbitrary tie-breaks".
-pub trait EventSchedule<E> {
-    /// Schedules `payload` to fire at absolute time `at`. The payload is
-    /// stored inline in the ordering structure — the cheapest path, used
-    /// by all non-revocable traffic.
-    fn schedule(&mut self, at: SimTime, payload: E) {
-        let _ = self.schedule_cancellable(at, payload);
-    }
-
-    /// Schedules `payload` to fire at `at` and returns a handle that can
-    /// revoke it via [`cancel`](Self::cancel). The payload is pooled in
-    /// the event arena rather than stored inline.
-    fn schedule_cancellable(&mut self, at: SimTime, payload: E) -> EventHandle;
-
-    /// Revokes a pending event in O(1). Returns `false` when the handle
-    /// is stale (the event already fired or was already cancelled).
-    ///
-    /// A cancelled event never pops; its occupancy and hold-histogram
-    /// contributions are reversed immediately, so an event cancelled and
-    /// re-scheduled counts exactly once in [`QueueStats`].
-    fn cancel(&mut self, handle: EventHandle) -> bool;
-
-    /// Removes and returns the earliest pending event, or `None` if empty.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-
-    /// Fire time of the earliest pending event without removing it.
-    fn peek_time(&self) -> Option<SimTime>;
-
-    /// Number of events currently pending.
-    fn len(&self) -> usize;
-
-    /// `true` when no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (a cheap proxy for
-    /// simulation work, reported by the bench harness).
-    fn scheduled_total(&self) -> u64;
-
-    /// Snapshot of the implementation's self-telemetry counters.
-    fn stats(&self) -> QueueStats;
 }
 
 /// Number of power-of-two buckets in the hold-distance histogram.
@@ -297,29 +198,22 @@ pub const HOLD_BUCKETS: usize = 16;
 /// stay on unconditionally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Events ever scheduled (monotonic; includes later-cancelled ones).
+    /// Events ever scheduled.
     pub scheduled: u64,
     /// Events ever popped.
     pub popped: u64,
-    /// Events cancelled before firing.
-    pub cancelled: u64,
-    /// Peak pending population (live events only — a cancel immediately
-    /// releases its occupancy, so a cancel-and-reschedule within one
-    /// cycle-day raises the population once, not twice).
+    /// Peak pending population.
     pub pending_peak: u64,
     /// Events that missed the calendar wheel's horizon and spilled to
     /// the overflow heap (always 0 for the heap scheduler).
     pub overflow_spills: u64,
-    /// Peak live population on the calendar wheel proper (always 0 for
-    /// the heap scheduler).
+    /// Peak population on the calendar wheel proper (always 0 for the
+    /// heap scheduler).
     pub wheel_peak: u64,
     /// Histogram of hold distances — how far ahead of the most recent
     /// pop each event was scheduled. Bucket 0 counts zero-cycle
     /// distances; bucket `k ≥ 1` counts distances in
     /// `[2^(k-1), 2^k)`; the last bucket absorbs everything beyond.
-    /// Counts *pending or fired* schedulings: a cancel removes the
-    /// event's bucket entry, so a cancelled-and-rescheduled event is
-    /// histogrammed exactly once.
     pub hold_hist: [u64; HOLD_BUCKETS],
 }
 
@@ -328,7 +222,6 @@ impl QueueStats {
         QueueStats {
             scheduled: 0,
             popped: 0,
-            cancelled: 0,
             pending_peak: 0,
             overflow_spills: 0,
             wheel_peak: 0,
@@ -336,44 +229,26 @@ impl QueueStats {
         }
     }
 
-    /// Hold-histogram bucket for a scheduling `distance` cycles ahead of
-    /// the most recent pop.
-    pub(crate) fn bucket_of(distance: u64) -> u8 {
-        if distance == 0 {
+    /// Records one scheduling `distance` cycles ahead of the most recent
+    /// pop, with `pending` events now in the set.
+    #[inline]
+    pub(crate) fn on_schedule(&mut self, distance: u64, pending: usize) {
+        let bucket = if distance == 0 {
             0
         } else {
-            (HOLD_BUCKETS - 1).min(64 - distance.leading_zeros() as usize) as u8
-        }
-    }
-
-    /// Records one scheduling into hold bucket `bucket`, with `pending`
-    /// live events now in the set.
-    #[inline]
-    pub(crate) fn on_schedule(&mut self, bucket: u8, pending: usize) {
+            (HOLD_BUCKETS - 1).min(64 - distance.leading_zeros() as usize)
+        };
         self.scheduled += 1;
         self.pending_peak = self.pending_peak.max(pending as u64);
-        self.hold_hist[bucket as usize] += 1;
-    }
-
-    /// Reverses the per-event contribution of one scheduling (the event
-    /// was cancelled before firing).
-    pub(crate) fn on_cancel(&mut self, bucket: u8) {
-        self.cancelled += 1;
-        self.hold_hist[bucket as usize] -= 1;
+        self.hold_hist[bucket] += 1;
     }
 }
 
-/// The 4-ary-min-heap-backed future-event set: O(log n) schedule and
-/// pop.
-///
-/// Kept as the reference implementation for A/B verification of the
-/// calendar queue (`CEDAR_SCHED=heap`). Plain payloads live inline in
-/// the heap entries; cancellable ones in the shared [`EventArena`].
-pub struct HeapSchedule<E> {
+/// The binary-min-heap-backed future-event set: O(log n) schedule and
+/// pop. Kept as the reference implementation for A/B verification of
+/// the calendar queue (`CEDAR_SCHED=heap`).
+pub(crate) struct HeapSchedule<E> {
     heap: MinHeap<E>,
-    arena: EventArena<E>,
-    /// Live pending events (inline plus uncancelled pooled).
-    live: usize,
     next_seq: u64,
     tiebreak: TieBreak,
     stats: QueueStats,
@@ -381,17 +256,9 @@ pub struct HeapSchedule<E> {
 }
 
 impl<E> HeapSchedule<E> {
-    /// Creates an empty schedule.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty schedule with room for `cap` pending events.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn new() -> Self {
         HeapSchedule {
-            heap: MinHeap::with_capacity(cap),
-            arena: EventArena::new(),
-            live: 0,
+            heap: MinHeap::new(),
             next_seq: 0,
             tiebreak: TieBreak::default(),
             stats: QueueStats::new(),
@@ -402,102 +269,43 @@ impl<E> HeapSchedule<E> {
     /// Selects the simultaneous-event ordering policy. Ranks are
     /// assigned at schedule time, so this must be set before any event
     /// is scheduled.
-    pub fn with_tiebreak(mut self, tiebreak: TieBreak) -> Self {
+    pub(crate) fn with_tiebreak(mut self, tiebreak: TieBreak) -> Self {
         debug_assert_eq!(self.next_seq, 0, "tie-break set after scheduling");
         self.tiebreak = tiebreak;
         self
     }
-}
 
-impl<E> EventSchedule<E> for HeapSchedule<E> {
-    fn schedule(&mut self, at: SimTime, payload: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, payload: E) {
         let rank = self.tiebreak.rank(self.next_seq);
         self.next_seq += 1;
-        let bucket = QueueStats::bucket_of(at.0.saturating_sub(self.last_popped.0));
-        self.live += 1;
-        self.heap.push(order_key(at, rank), Entry::Inline(payload));
-        self.stats.on_schedule(bucket, self.live);
-    }
-
-    fn schedule_cancellable(&mut self, at: SimTime, payload: E) -> EventHandle {
-        let rank = self.tiebreak.rank(self.next_seq);
-        self.next_seq += 1;
-        let bucket = QueueStats::bucket_of(at.0.saturating_sub(self.last_popped.0));
-        let handle = self.arena.alloc(payload, bucket, false);
-        self.live += 1;
-        self.heap.push(order_key(at, rank), Entry::Pooled(handle));
-        self.stats.on_schedule(bucket, self.live);
-        handle
-    }
-
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        match self.arena.cancel(handle) {
-            Some((bucket, _)) => {
-                debug_assert!(
-                    self.arena.live() < self.live,
-                    "pooled live population must stay a subset of the total"
-                );
-                self.live -= 1;
-                self.stats.on_cancel(bucket);
-                // Keep the root live so `peek_time` stays exact.
-                self.heap.purge_stale(&self.arena);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let (key, entry) = self.heap.pop()?;
-            let payload = match entry {
-                Entry::Inline(payload) => payload,
-                Entry::Pooled(handle) => match self.arena.take(handle) {
-                    Some(payload) => payload,
-                    // Cancelled tombstone: swept, not counted as a pop.
-                    None => continue,
-                },
-                Entry::Taken => unreachable!("Taken entries never enter the heap"),
-            };
-            self.heap.purge_stale(&self.arena);
-            let at = key_time(key);
-            self.live -= 1;
-            self.stats.popped += 1;
-            self.last_popped = at;
-            return Some((at, payload));
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        // The root is always live (stale roots are purged on cancel/pop).
-        self.heap.peek().map(|(key, _)| key_time(key))
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    fn scheduled_total(&self) -> u64 {
-        self.stats.scheduled
-    }
-
-    fn stats(&self) -> QueueStats {
+        self.heap.push(order_key(at, rank), payload);
         self.stats
+            .on_schedule(at.0.saturating_sub(self.last_popped.0), self.heap.len());
     }
-}
 
-impl<E> Default for HeapSchedule<E> {
-    fn default() -> Self {
-        HeapSchedule::new()
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (key, payload) = self.heap.pop()?;
+        let at = key_time(key);
+        self.stats.popped += 1;
+        self.last_popped = at;
+        Some((at, payload))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    pub(crate) fn stats(&self) -> QueueStats {
+        self.stats
     }
 }
 
 /// Which pending-event set implementation an [`EventQueue`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedKind {
-    /// 4-ary min-heap future-event set ([`HeapSchedule`]).
+    /// Binary min-heap future-event set, the reference implementation.
     Heap,
-    /// Calendar queue ([`CalendarSchedule`](crate::calendar::CalendarSchedule)).
+    /// Calendar queue: a bucketed wheel with an overflow heap.
     Calendar,
 }
 
@@ -539,18 +347,20 @@ impl std::str::FromStr for SchedKind {
 
 /// A deterministic future-event set keyed by simulated time.
 ///
-/// Ties in fire time are broken by scheduling order, which makes whole-run
-/// behaviour reproducible: replaying the same schedule yields the same pop
-/// order, bit for bit.
+/// [`pop`](Self::pop) returns events in ascending `(fire time, tie
+/// rank)` order, where the rank is the [`TieBreak`] transform of the
+/// number of `schedule` calls made before the event's own (the sequence
+/// itself under the default FIFO policy). Simulation determinism rests
+/// on this ordering, so it is exact — not "time order with arbitrary
+/// tie-breaks": replaying the same schedule yields the same pop order,
+/// bit for bit.
 ///
-/// The backing implementation is chosen at construction: `new` and
-/// `with_capacity` use the default [`SchedKind`] (calendar);
-/// [`heap`](Self::heap), [`calendar`](Self::calendar),
-/// [`with_kind`](Self::with_kind) and
-/// [`with_kind_capacity`](Self::with_kind_capacity) select explicitly —
-/// callers that honour a run configuration pass
-/// `RunOptions::scheduler` down here. Every implementation pops in the
-/// same order, so the choice affects wall-clock speed only.
+/// The backing implementation is chosen at construction: [`new`](Self::new)
+/// uses the default [`SchedKind`] (calendar) and
+/// [`with_kind`](Self::with_kind) selects explicitly — callers that
+/// honour a run configuration pass `RunOptions::scheduler` down here.
+/// Every implementation pops in the same order, so the choice affects
+/// wall-clock speed only.
 ///
 /// # Example
 ///
@@ -560,8 +370,7 @@ impl std::str::FromStr for SchedKind {
 /// let mut q = EventQueue::new();
 /// q.schedule(Cycles(10), 'b');
 /// q.schedule(Cycles(2), 'a');
-/// let pending = q.schedule_cancellable(Cycles(5), 'x');
-/// assert!(q.cancel(pending));
+/// assert_eq!(q.len(), 2);
 /// assert_eq!(q.pop(), Some((Cycles(2), 'a')));
 /// assert_eq!(q.pop(), Some((Cycles(10), 'b')));
 /// assert_eq!(q.pop(), None);
@@ -579,38 +388,12 @@ impl<E> EventQueue<E> {
         Self::with_kind(SchedKind::default())
     }
 
-    /// Creates an empty queue of the default kind with room for `cap`
-    /// pending events (a pre-allocation hint; the calendar queue sizes
-    /// its buckets lazily and ignores it).
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_kind_capacity(SchedKind::default(), cap)
-    }
-
     /// Creates an empty queue of an explicit kind.
     pub fn with_kind(kind: SchedKind) -> Self {
-        match kind {
-            SchedKind::Heap => Self::heap(),
-            SchedKind::Calendar => Self::calendar(),
-        }
-    }
-
-    /// Creates an empty queue of an explicit kind with room for `cap`
-    /// pending events.
-    pub fn with_kind_capacity(kind: SchedKind, cap: usize) -> Self {
-        match kind {
-            SchedKind::Heap => EventQueue(QueueImpl::Heap(HeapSchedule::with_capacity(cap))),
-            SchedKind::Calendar => Self::calendar(),
-        }
-    }
-
-    /// Creates an empty heap-backed queue.
-    pub fn heap() -> Self {
-        EventQueue(QueueImpl::Heap(HeapSchedule::new()))
-    }
-
-    /// Creates an empty calendar-queue-backed queue.
-    pub fn calendar() -> Self {
-        EventQueue(QueueImpl::Calendar(CalendarSchedule::new()))
+        EventQueue(match kind {
+            SchedKind::Heap => QueueImpl::Heap(HeapSchedule::new()),
+            SchedKind::Calendar => QueueImpl::Calendar(CalendarSchedule::new()),
+        })
     }
 
     /// The backing implementation in use.
@@ -639,22 +422,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `payload` at `at`, returning a cancellation handle.
-    pub fn schedule_cancellable(&mut self, at: SimTime, payload: E) -> EventHandle {
-        match &mut self.0 {
-            QueueImpl::Heap(q) => q.schedule_cancellable(at, payload),
-            QueueImpl::Calendar(q) => q.schedule_cancellable(at, payload),
-        }
-    }
-
-    /// Revokes a pending event in O(1); `false` when the handle is stale.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        match &mut self.0 {
-            QueueImpl::Heap(q) => EventSchedule::cancel(q, handle),
-            QueueImpl::Calendar(q) => EventSchedule::cancel(q, handle),
-        }
-    }
-
     /// Removes and returns the earliest pending event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         match &mut self.0 {
@@ -663,19 +430,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Fire time of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.0 {
-            QueueImpl::Heap(q) => q.peek_time(),
-            QueueImpl::Calendar(q) => q.peek_time(),
-        }
-    }
-
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
         match &self.0 {
-            QueueImpl::Heap(q) => EventSchedule::len(q),
-            QueueImpl::Calendar(q) => EventSchedule::len(q),
+            QueueImpl::Heap(q) => q.len(),
+            QueueImpl::Calendar(q) => q.len(),
         }
     }
 
@@ -684,48 +443,12 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled on this queue (a cheap proxy
-    /// for simulation work, reported by the bench harness).
-    pub fn scheduled_total(&self) -> u64 {
-        match &self.0 {
-            QueueImpl::Heap(q) => EventSchedule::scheduled_total(q),
-            QueueImpl::Calendar(q) => EventSchedule::scheduled_total(q),
-        }
-    }
-
     /// Snapshot of the backing implementation's self-telemetry counters.
     pub fn stats(&self) -> QueueStats {
         match &self.0 {
-            QueueImpl::Heap(q) => EventSchedule::stats(q),
-            QueueImpl::Calendar(q) => EventSchedule::stats(q),
+            QueueImpl::Heap(q) => q.stats(),
+            QueueImpl::Calendar(q) => q.stats(),
         }
-    }
-}
-
-impl<E> EventSchedule<E> for EventQueue<E> {
-    fn schedule(&mut self, at: SimTime, payload: E) {
-        EventQueue::schedule(self, at, payload);
-    }
-    fn schedule_cancellable(&mut self, at: SimTime, payload: E) -> EventHandle {
-        EventQueue::schedule_cancellable(self, at, payload)
-    }
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        EventQueue::cancel(self, handle)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn scheduled_total(&self) -> u64 {
-        EventQueue::scheduled_total(self)
-    }
-    fn stats(&self) -> QueueStats {
-        EventQueue::stats(self)
     }
 }
 
@@ -740,7 +463,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("kind", &self.kind())
             .field("pending", &self.len())
-            .field("scheduled_total", &self.scheduled_total())
+            .field("scheduled", &self.stats().scheduled)
             .finish()
     }
 }
@@ -752,8 +475,8 @@ mod tests {
 
     /// Every behavioural test runs against both implementations.
     fn both(f: impl Fn(EventQueue<i64>)) {
-        f(EventQueue::heap());
-        f(EventQueue::calendar());
+        f(EventQueue::with_kind(SchedKind::Heap));
+        f(EventQueue::with_kind(SchedKind::Calendar));
     }
 
     #[test]
@@ -796,44 +519,29 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        both(|mut q| {
-            q.schedule(Cycles(4), 0);
-            assert_eq!(q.peek_time(), Some(Cycles(4)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        });
-    }
-
-    #[test]
     fn counts_total_scheduled() {
         both(|mut q| {
             for i in 0..5 {
                 q.schedule(Cycles(i as u64), i);
             }
+            assert_eq!(q.len(), 5);
+            assert!(!q.is_empty());
             while q.pop().is_some() {}
-            assert_eq!(q.scheduled_total(), 5);
+            assert_eq!(q.stats().scheduled, 5);
             assert!(q.is_empty());
         });
     }
 
     #[test]
     fn explicit_kinds_are_honoured() {
-        assert_eq!(EventQueue::<u8>::heap().kind(), SchedKind::Heap);
-        assert_eq!(EventQueue::<u8>::calendar().kind(), SchedKind::Calendar);
-        assert_eq!(
-            EventQueue::<u8>::with_kind(SchedKind::Heap).kind(),
-            SchedKind::Heap
-        );
+        for kind in [SchedKind::Heap, SchedKind::Calendar] {
+            assert_eq!(EventQueue::<u8>::with_kind(kind).kind(), kind);
+        }
     }
 
     #[test]
     fn default_kind_is_calendar() {
         assert_eq!(EventQueue::<u8>::new().kind(), SchedKind::Calendar);
-        assert_eq!(
-            EventQueue::<u8>::with_capacity(64).kind(),
-            SchedKind::Calendar
-        );
         assert_eq!(SchedKind::default(), SchedKind::Calendar);
     }
 
@@ -841,7 +549,6 @@ mod tests {
     fn kind_parses_and_roundtrips() {
         for kind in [SchedKind::Heap, SchedKind::Calendar] {
             assert_eq!(kind.as_str().parse::<SchedKind>().unwrap(), kind);
-            assert_eq!(EventQueue::<u8>::with_kind_capacity(kind, 16).kind(), kind);
         }
         assert_eq!("".parse::<SchedKind>().unwrap(), SchedKind::Calendar);
         assert!("typo".parse::<SchedKind>().is_err());
@@ -870,92 +577,10 @@ mod tests {
         });
     }
 
-    #[test]
-    fn cancelled_events_never_pop() {
-        both(|mut q| {
-            q.schedule(Cycles(10), 1);
-            let doomed = q.schedule_cancellable(Cycles(5), 2);
-            q.schedule(Cycles(20), 3);
-            assert_eq!(q.len(), 3);
-            assert!(q.cancel(doomed));
-            assert!(!q.cancel(doomed), "second cancel sees a stale handle");
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(Cycles(10)), "peek skips the ghost");
-            assert_eq!(q.pop(), Some((Cycles(10), 1)));
-            assert_eq!(q.pop(), Some((Cycles(20), 3)));
-            assert_eq!(q.pop(), None);
-            let s = q.stats();
-            assert_eq!(s.cancelled, 1);
-            assert_eq!(s.popped, 2);
-        });
-    }
-
-    #[test]
-    fn handle_goes_stale_after_pop() {
-        both(|mut q| {
-            let h = q.schedule_cancellable(Cycles(1), 42);
-            assert_eq!(q.pop(), Some((Cycles(1), 42)));
-            assert!(!q.cancel(h), "fired events cannot be cancelled");
-        });
-    }
-
-    /// Regression test for the cancel-and-reschedule double count: the
-    /// occupancy (pending peak) and the hold histogram must each count a
-    /// cancelled-and-rescheduled event exactly once, even when the
-    /// cancel and the replacement land in the same cycle-day.
-    #[test]
-    fn cancel_reschedule_same_day_counts_once() {
-        both(|mut q| {
-            // Advance the clock so distances are non-trivial.
-            q.schedule(Cycles(100), 0);
-            assert_eq!(q.pop(), Some((Cycles(100), 0)));
-            let baseline = q.stats();
-            // Schedule at t=103 (distance 3 → bucket 2), think better of
-            // it, and rebook the same work in the same cycle-day.
-            let h = q.schedule_cancellable(Cycles(103), 7);
-            assert!(q.cancel(h));
-            q.schedule(Cycles(103), 8);
-            let s = q.stats();
-            let hist_delta: u64 = s
-                .hold_hist
-                .iter()
-                .zip(baseline.hold_hist.iter())
-                .map(|(a, b)| a - b)
-                .sum();
-            assert_eq!(hist_delta, 1, "histogram counts the event once");
-            assert_eq!(
-                s.pending_peak, baseline.pending_peak,
-                "occupancy peak unchanged: the ghost freed its slot first"
-            );
-            assert_eq!(s.scheduled - baseline.scheduled, 2, "both calls counted");
-            assert_eq!(s.cancelled - baseline.cancelled, 1);
-            assert_eq!(q.pop(), Some((Cycles(103), 8)));
-        });
-    }
-
-    #[test]
-    fn cancel_interleaves_with_pop_order() {
-        both(|mut q| {
-            let mut handles = Vec::new();
-            for i in 0..50 {
-                handles.push(q.schedule_cancellable(Cycles(i as u64), i));
-            }
-            // Cancel every odd event.
-            for (i, h) in handles.iter().enumerate() {
-                if i % 2 == 1 {
-                    assert!(q.cancel(*h));
-                }
-            }
-            let popped: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            let want: Vec<i64> = (0..50).filter(|i| i % 2 == 0).collect();
-            assert_eq!(popped, want);
-        });
-    }
-
     /// Every behavioural test that also varies the tie-break policy.
     fn both_with(tiebreak: TieBreak, f: impl Fn(EventQueue<i64>)) {
-        f(EventQueue::heap().with_tiebreak(tiebreak));
-        f(EventQueue::calendar().with_tiebreak(tiebreak));
+        f(EventQueue::with_kind(SchedKind::Heap).with_tiebreak(tiebreak));
+        f(EventQueue::with_kind(SchedKind::Calendar).with_tiebreak(tiebreak));
     }
 
     #[test]
@@ -982,8 +607,9 @@ mod tests {
             }
             std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect()
         };
-        let mut heap = EventQueue::heap().with_tiebreak(TieBreak::Shuffle(42));
-        let mut cal = EventQueue::calendar().with_tiebreak(TieBreak::Shuffle(42));
+        let mut heap = EventQueue::with_kind(SchedKind::Heap).with_tiebreak(TieBreak::Shuffle(42));
+        let mut cal =
+            EventQueue::with_kind(SchedKind::Calendar).with_tiebreak(TieBreak::Shuffle(42));
         let a = order_of(&mut heap);
         let b = order_of(&mut cal);
         assert_eq!(a, b, "backends must agree on the shuffled order");
@@ -991,7 +617,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..64).collect::<Vec<_>>(), "a permutation");
         assert_ne!(a, (0..64).collect::<Vec<_>>(), "not FIFO");
-        let mut other = EventQueue::heap().with_tiebreak(TieBreak::Shuffle(43));
+        let mut other = EventQueue::with_kind(SchedKind::Heap).with_tiebreak(TieBreak::Shuffle(43));
         assert_ne!(order_of(&mut other), a, "seed changes the order");
     }
 
@@ -1005,22 +631,6 @@ mod tests {
                 assert_eq!(q.pop(), Some((Cycles(10), 1)));
                 assert_eq!(q.pop(), Some((Cycles(20), 2)));
                 assert_eq!(q.pop(), Some((Cycles(30), 3)));
-            });
-        }
-    }
-
-    #[test]
-    fn tiebreak_cancellation_still_works() {
-        for tiebreak in [TieBreak::Lifo, TieBreak::Shuffle(5)] {
-            both_with(tiebreak, |mut q| {
-                let doomed = q.schedule_cancellable(Cycles(4), 0);
-                q.schedule(Cycles(4), 1);
-                let kept = q.schedule_cancellable(Cycles(4), 2);
-                assert!(q.cancel(doomed));
-                let mut popped: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-                popped.sort_unstable();
-                assert_eq!(popped, vec![1, 2]);
-                assert!(!q.cancel(kept), "fired handle is stale");
             });
         }
     }
@@ -1057,22 +667,5 @@ mod tests {
             // The extremes map somewhere, uniquely.
             assert!(seen.insert(policy.rank(u64::MAX)));
         }
-    }
-
-    #[test]
-    fn mixed_inline_and_cancellable_interleave_exactly() {
-        both(|mut q| {
-            // Inline and pooled entries must obey one global (time, seq)
-            // order regardless of which tier stores them.
-            q.schedule(Cycles(5), 0);
-            let h = q.schedule_cancellable(Cycles(5), 1);
-            q.schedule(Cycles(5), 2);
-            let _keep = q.schedule_cancellable(Cycles(4), 3);
-            assert_eq!(q.pop(), Some((Cycles(4), 3)));
-            assert!(q.cancel(h));
-            assert_eq!(q.pop(), Some((Cycles(5), 0)));
-            assert_eq!(q.pop(), Some((Cycles(5), 2)));
-            assert_eq!(q.pop(), None);
-        });
     }
 }

@@ -33,7 +33,6 @@
 
 pub mod breakdown;
 pub mod event;
-pub mod export;
 pub mod hpm;
 pub mod intervals;
 pub mod qmon;
