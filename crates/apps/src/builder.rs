@@ -49,7 +49,7 @@ impl AppBuilder {
     }
 
     /// Appends a serial section that also touches global memory.
-    pub fn serial_with(mut self, work: u64, accesses: Vec<AccessPattern>) -> Self {
+    pub(crate) fn serial_with(mut self, work: u64, accesses: Vec<AccessPattern>) -> Self {
         self.phases.push(Phase::Serial {
             work: Cycles(work),
             accesses,

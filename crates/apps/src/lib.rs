@@ -37,8 +37,8 @@
 //! ```
 
 pub mod adm;
-pub mod arc2d;
-pub mod builder;
+pub(crate) mod arc2d;
+pub(crate) mod builder;
 pub mod flo52;
 pub mod mdg;
 pub mod ocean;

@@ -189,7 +189,7 @@ impl AppSpec {
     /// fallible twin of [`validate`](Self::validate) — callers with a
     /// typed error surface (the campaign service) map the message into
     /// `CedarError::ConfigInvalid` instead of unwinding.
-    pub fn try_validate(&self) -> Result<(), String> {
+    pub(crate) fn try_validate(&self) -> Result<(), String> {
         let check_access = |a: &AccessPattern| -> Result<(), String> {
             let arr = self.arrays.get(a.array).ok_or_else(|| {
                 format!("{}: access references missing array {}", self.name, a.array)
@@ -260,9 +260,9 @@ impl AppSpec {
     ///
     /// # Panics
     ///
-    /// Panics with [`try_validate`](Self::try_validate)'s message on the
-    /// first violation. Kept for model constructors and tests where a
-    /// malformed spec is a programming error.
+    /// Panics with the first violation's message. Kept for model
+    /// constructors and tests where a malformed spec is a programming
+    /// error.
     pub fn validate(&self) {
         if let Err(msg) = self.try_validate() {
             panic!("{msg}");

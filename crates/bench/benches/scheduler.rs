@@ -16,9 +16,7 @@ use cedar_bench::harness::{black_box, Harness};
 use cedar_core::prelude::FaultPlan;
 use cedar_core::suite::SuiteResult;
 use cedar_core::{Experiment, SimConfig};
-use cedar_hw::{
-    CeId, Configuration, GlobalAddr, GlobalMemorySystem, GmemEvent, GmemOutput, MemOp, NetConfig,
-};
+use cedar_hw::{CeId, Configuration, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig};
 use cedar_sim::{Cycles, EventQueue, Outbox, SchedKind, SplitMix64};
 
 /// The classic hold model: keep `pending` events in flight, pop one and
@@ -62,10 +60,10 @@ fn net_dense(kind: SchedKind, per_ce: u64, events: u64) -> u64 {
     let mut handled = 0u64;
     while handled < events {
         let (now, ev) = q.pop().expect("closed loop never drains");
-        if let Some(GmemOutput::Deliver(resp)) = sys.handle(ev, now, &mut out) {
+        if let Some(resp) = sys.handle(ev, now, &mut out) {
             checksum = checksum
                 .wrapping_mul(31)
-                .wrapping_add(now.0 ^ resp.id.0 ^ resp.value);
+                .wrapping_add(now.0 ^ resp.ce.0 as u64 ^ resp.value);
             let addr = GlobalAddr(rng.next_below(1 << 16) * 8);
             sys.inject(resp.ce, addr, MemOp::Read, now, &mut out);
         }

@@ -9,7 +9,7 @@
 //! This experiment drives `GlobalMemorySystem` directly — no OS, no
 //! runtime — so the numbers isolate pure memory-system behaviour.
 
-use cedar_hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, GmemOutput, MemOp, NetConfig};
+use cedar_hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig};
 use cedar_rtl::{CombiningTree, Propagation};
 use cedar_sim::{Cycles, EventQueue, Outbox, SimTime};
 
@@ -32,7 +32,7 @@ fn flat_barrier(n: u32) -> SimTime {
     let mut done = Cycles::ZERO;
     let mut completed = 0;
     while let Some((now, ev)) = q.pop() {
-        if let Some(GmemOutput::Deliver(resp)) = sys.handle(ev, now, &mut out) {
+        if let Some(resp) = sys.handle(ev, now, &mut out) {
             completed += 1;
             if resp.value + 1 == n as u64 {
                 done = now; // the arrival that completed the count
@@ -51,29 +51,27 @@ fn combining_barrier(n: u32, fanout: u32) -> SimTime {
     let tree = CombiningTree::new(GlobalAddr(0x4000), n, fanout);
     let mut q = EventQueue::new();
     let mut out: Outbox<GmemEvent> = Outbox::new();
-    // Track which (level, idx) each in-flight request targets.
-    let mut target: std::collections::HashMap<u64, (usize, u32)> = std::collections::HashMap::new();
+    // Track which (level, idx) each CE's in-flight request targets: a
+    // CE issues its next fetch-add only after the previous one returns,
+    // so it has at most one request in flight.
+    let mut target: std::collections::HashMap<CeId, (usize, u32)> =
+        std::collections::HashMap::new();
     for p in 0..n {
+        let ce = CeId(p as u16);
         let leaf = tree.leaf_of(p);
-        let id = sys.inject(
-            CeId(p as u16),
-            leaf,
-            MemOp::FetchAdd(1),
-            Cycles(0),
-            &mut out,
-        );
-        target.insert(id.0, (0, tree.leaf_index(p)));
+        sys.inject(ce, leaf, MemOp::FetchAdd(1), Cycles(0), &mut out);
+        target.insert(ce, (0, tree.leaf_index(p)));
         out.flush_into(Cycles(0), &mut q);
     }
     let mut released_at = None;
     while let Some((now, ev)) = q.pop() {
-        if let Some(GmemOutput::Deliver(resp)) = sys.handle(ev, now, &mut out) {
-            let (level, idx) = target.remove(&resp.id.0).expect("tracked request");
+        if let Some(resp) = sys.handle(ev, now, &mut out) {
+            let (level, idx) = target.remove(&resp.ce).expect("tracked request");
             match tree.propagate(level, idx, resp.value) {
                 Propagation::Waiting => {}
                 Propagation::Up { level, idx, addr } => {
-                    let id = sys.inject(resp.ce, addr, MemOp::FetchAdd(1), now, &mut out);
-                    target.insert(id.0, (level, idx));
+                    sys.inject(resp.ce, addr, MemOp::FetchAdd(1), now, &mut out);
+                    target.insert(resp.ce, (level, idx));
                 }
                 Propagation::Release => released_at = Some(now),
             }

@@ -26,23 +26,23 @@ use std::fmt::Write as _;
 use cedar_obs::json::{self, JsonValue};
 
 /// Allowed suite-runtime growth over the baseline: +15%.
-pub const SUITE_TOLERANCE: f64 = 0.15;
+pub(crate) const SUITE_TOLERANCE: f64 = 0.15;
 
 /// Required calendar-over-heap speedup on `sched/net_dense`.
-pub const SCHED_MARGIN: f64 = 1.3;
+pub(crate) const SCHED_MARGIN: f64 = 1.3;
 
 /// Allowed fault-path runtime growth over the baseline: +15%. Keeps
 /// the injection machinery (driver draws, extra fault events, scaled
 /// lock acquires) honest the same way the suite check keeps the clean
 /// simulator honest.
-pub const FAULTS_TOLERANCE: f64 = 0.15;
+pub(crate) const FAULTS_TOLERANCE: f64 = 0.15;
 
 /// Extracts `benchmark name -> median_ns` from harness-format JSON by
 /// walking its `benchmarks` array. Returns an error if the text does
 /// not parse, holds no benchmarks, or has a benchmark without a name or
 /// `median_ns`, so a truncated or hand-mangled file fails loudly
 /// instead of passing an empty gate.
-pub fn medians(text: &str) -> Result<BTreeMap<String, f64>, String> {
+pub(crate) fn medians(text: &str) -> Result<BTreeMap<String, f64>, String> {
     let doc = json::parse(text).map_err(|e| format!("unparseable JSON: {e}"))?;
     let benchmarks = match doc.get("benchmarks") {
         Some(JsonValue::Arr(items)) if !items.is_empty() => items,

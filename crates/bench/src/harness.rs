@@ -9,7 +9,7 @@
 //! with (`"workers"`), since a campaign's wall time scales with it.
 //!
 //! Iteration counts and the output directory come from a typed
-//! [`RunOptions`] value ([`Harness::with_options`]); the plain
+//! [`RunOptions`] value (`Harness::with_options`); the plain
 //! [`Harness::new`] uses the process-wide [`crate::run_options`], so the
 //! environment knobs (`BENCH_SMOKE=1` — one timed iteration, no warmup;
 //! `BENCH_ITERS=n` — timed iterations, default 30; `BENCH_WARMUP=n` —
@@ -36,15 +36,15 @@ pub struct BenchStats {
     /// Timed iterations measured.
     pub iters: u32,
     /// Fastest iteration.
-    pub min_ns: f64,
+    pub(crate) min_ns: f64,
     /// Slowest iteration.
-    pub max_ns: f64,
+    pub(crate) max_ns: f64,
     /// Median iteration.
-    pub median_ns: f64,
+    pub(crate) median_ns: f64,
     /// Mean iteration.
-    pub mean_ns: f64,
+    pub(crate) mean_ns: f64,
     /// Population standard deviation.
-    pub stddev_ns: f64,
+    pub(crate) stddev_ns: f64,
 }
 
 impl BenchStats {
@@ -129,7 +129,7 @@ impl Harness {
     /// otherwise `opts.bench_warmup`/`opts.bench_iters` apply (defaults
     /// 5 and 30); `opts.output_dir` overrides where
     /// [`finish`](Self::finish) writes the JSON.
-    pub fn with_options(suite: &str, opts: &RunOptions) -> Harness {
+    pub(crate) fn with_options(suite: &str, opts: &RunOptions) -> Harness {
         let (warmup, iters) = if opts.smoke {
             (0, 1)
         } else {

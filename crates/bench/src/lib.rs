@@ -7,8 +7,10 @@
 //! | `all`    | the full campaign: Tables 1–4, Figures 3 and 5–9, CSVs  |
 //! | `compare`| the published Table 1/3/4 numbers next to the measured  |
 //! | `probe`  | calibration view of one application                     |
-//! | `hotspot`| the Pfister & Norton hot-spot ablation (§6 discussion)  |
 //! | `ablation` | xdoall-vs-sdoall rewrite ablation (§6 suggestion)     |
+//!
+//! The Pfister & Norton hot-spot ablation (§6 discussion) is an example,
+//! not a binary: `cargo run --release --example hotspot`.
 //!
 //! All binaries are configured by one typed [`cedar_obs::RunOptions`]
 //! value, parsed **once** from the `CEDAR_*`/`BENCH_*` environment by
@@ -54,7 +56,7 @@ pub fn bench_options() -> &'static RunOptions {
 }
 
 /// The Perfect suite at the scale `opts` asks for.
-pub fn suite_apps(opts: &RunOptions) -> Vec<AppSpec> {
+pub(crate) fn suite_apps(opts: &RunOptions) -> Vec<AppSpec> {
     let f = opts.shrink;
     cedar_apps::perfect_suite()
         .into_iter()

@@ -16,7 +16,7 @@ fn fnv1a_alt(bytes: &[u8]) -> u64 {
 
 /// The canonical semantic fingerprint of one `(application, machine
 /// configuration)` experiment: 128 bits of FNV-1a over the canonical
-/// text, with [`crate::MODEL_VERSION`] mixed in so behavior bumps
+/// text, with the crate's `MODEL_VERSION` mixed in so behavior bumps
 /// re-key everything.
 ///
 /// The canonical text is produced by the caller (`cedar-core` renders

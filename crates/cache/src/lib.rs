@@ -13,7 +13,7 @@
 //! * [`RunKey`] — the canonical semantic fingerprint of one experiment:
 //!   a 128-bit content address derived from the application spec, the
 //!   simulated-machine configuration, the fault plan, and the
-//!   [`MODEL_VERSION`].
+//!   model version (`MODEL_VERSION`).
 //! * [`CachedRun`] — a mirror of `cedar_core::RunResult` built from
 //!   leaf-crate types only, with a stable line-record serialization
 //!   ([`CachedRun::encode`] / [`CachedRun::decode`]) that round-trips
@@ -29,8 +29,8 @@
 //!
 //! ## Versioning policy
 //!
-//! * [`FORMAT_VERSION`] — bump when the on-disk entry layout changes.
-//! * [`MODEL_VERSION`] — bump on **any behavior-affecting simulator
+//! * `FORMAT_VERSION` — bump when the on-disk entry layout changes.
+//! * `MODEL_VERSION` — bump on **any behavior-affecting simulator
 //!   change** (cost models, scheduling of simulated work, counter
 //!   semantics, …). The version participates in every [`RunKey`], so a
 //!   bump orphans all previous entries at once: they simply stop being
@@ -48,13 +48,13 @@ pub use store::{CacheStats, RunCache};
 
 /// On-disk entry format version. Bump when the serialization layout
 /// changes; entries with any other format version are misses.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Simulator behavior version. Bump on any change that can alter a
 /// `RunResult` for a fixed configuration — the bump re-keys the whole
 /// cache so no stale result is ever served. See the crate docs for the
 /// policy.
-pub const MODEL_VERSION: u32 = 1;
+pub(crate) const MODEL_VERSION: u32 = 1;
 
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};

@@ -144,15 +144,15 @@ impl CheckCase {
 
 /// The configurations the corpus sweeps: the paper's single-cluster
 /// baseline, one mid-size parallel machine, and the full machine.
-pub const CORPUS_CONFIGS: [Configuration; 3] =
+pub(crate) const CORPUS_CONFIGS: [Configuration; 3] =
     [Configuration::P1, Configuration::P8, Configuration::P32];
 
 /// The fault intensities the corpus sweeps: unperturbed and the
 /// mid-ladder canonical mix.
-pub const CORPUS_FAULT_LEVELS: [u32; 2] = [0, 2];
+pub(crate) const CORPUS_FAULT_LEVELS: [u32; 2] = [0, 2];
 
 /// The seeded corpus: all five Perfect applications ×
-/// [`CORPUS_CONFIGS`] × [`CORPUS_FAULT_LEVELS`], each with its own
+/// {1, 8, 32} processors × fault levels {0, 2}, each with its own
 /// shuffle seed drawn from a fixed `SplitMix64` stream (so the
 /// explored permutations differ per case but are identical across
 /// invocations).

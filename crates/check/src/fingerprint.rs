@@ -61,7 +61,7 @@ pub fn fingerprint(result: &RunResult) -> u64 {
 /// Completion time is deliberately absent — on parallel configurations
 /// it legitimately shifts a few percent with the tie-break policy (the
 /// tie-stability oracle bounds that shift separately).
-pub fn stable_core(result: &RunResult) -> String {
+pub(crate) fn stable_core(result: &RunResult) -> String {
     format!(
         "app={};configuration={:?};bodies={};clusters={}",
         result.app,

@@ -40,7 +40,7 @@ pub mod report;
 pub mod shrink;
 
 pub use case::{corpus, smoke_corpus, CheckCase};
-pub use fingerprint::{fingerprint, fingerprint_text, stable_core};
+pub use fingerprint::{fingerprint, fingerprint_text};
 pub use harness::{CheckConfig, Harness, Sabotage};
 pub use options::CheckOptions;
 pub use oracle::{OracleKind, Violation};

@@ -4,11 +4,9 @@
 //! evaluates every applicable oracle against every case; a failed
 //! assertion becomes a [`Violation`] carrying the oracle, the case's
 //! replay token, and a human-readable detail — serialized as ordered
-//! JSON into `CHECK_violations.json` and convertible to the workspace's
-//! typed [`CedarError::CheckViolation`].
+//! JSON into `CHECK_violations.json`.
 
 use cedar_obs::json::Obj;
-use cedar_obs::CedarError;
 
 use crate::case::CheckCase;
 
@@ -56,8 +54,7 @@ impl OracleKind {
         OracleKind::FaultAttribution,
     ];
 
-    /// Stable registry name (used in reports, counters, and
-    /// [`CedarError::CheckViolation::oracle`]).
+    /// Stable registry name (used in reports and counters).
     pub fn name(self) -> &'static str {
         match self {
             OracleKind::Conservation => "conservation",
@@ -71,7 +68,7 @@ impl OracleKind {
     }
 
     /// The pass counter this oracle bumps in the harness rollup.
-    pub fn pass_counter(self) -> &'static str {
+    pub(crate) fn pass_counter(self) -> &'static str {
         match self {
             OracleKind::Conservation => "check.oracle.conservation.pass",
             OracleKind::Determinism => "check.oracle.determinism.pass",
@@ -84,7 +81,7 @@ impl OracleKind {
     }
 
     /// The violation counter this oracle bumps in the harness rollup.
-    pub fn violation_counter(self) -> &'static str {
+    pub(crate) fn violation_counter(self) -> &'static str {
         match self {
             OracleKind::Conservation => "check.oracle.conservation.violation",
             OracleKind::Determinism => "check.oracle.determinism.violation",
@@ -130,14 +127,6 @@ impl Violation {
             .str("replay", &self.case.replay_token())
             .raw("case", case.finish());
         o.finish()
-    }
-
-    /// The violation as the workspace's typed error.
-    pub fn to_error(&self) -> CedarError {
-        CedarError::CheckViolation {
-            oracle: self.oracle.name().to_string(),
-            detail: format!("{} [{}]", self.detail, self.case.replay_token()),
-        }
     }
 }
 
@@ -195,16 +184,5 @@ mod tests {
         // The replay token round-trips back to the violating case.
         let replay = parsed.get("replay").unwrap().as_str().unwrap();
         assert_eq!(CheckCase::parse(replay).unwrap(), v.case);
-    }
-
-    #[test]
-    fn violation_lowers_to_the_typed_error() {
-        let err = violation().to_error();
-        assert!(
-            matches!(&err, CedarError::CheckViolation { oracle, .. } if oracle == "fault_attribution"),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("fault_attribution"));
-        assert!(err.to_string().contains("app=MDG"));
     }
 }

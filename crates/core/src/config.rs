@@ -24,9 +24,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// Keep the full cedarhpm event trace in the result (memory-hungry
     /// on long runs; breakdowns are computed either way).
-    pub keep_trace: bool,
+    pub(crate) keep_trace: bool,
     /// Safety valve: abort if the event count exceeds this bound.
-    pub max_events: u64,
+    pub(crate) max_events: u64,
     /// Pending-event-set implementation backing the machine's queue.
     /// Both kinds produce bit-identical runs; see
     /// [`cedar_sim::EventQueue`].
@@ -77,46 +77,16 @@ impl SimConfig {
     /// Keeps the cedarhpm trace in the result (builder style).
     ///
     /// ```
-    /// use cedar_core::SimConfig;
+    /// use cedar_apps::synthetic;
+    /// use cedar_core::{Experiment, SimConfig};
     /// use cedar_hw::Configuration;
     ///
-    /// let c = SimConfig::cedar(Configuration::P8).with_trace();
-    /// assert!(c.keep_trace);
+    /// let app = synthetic::uniform_sdoall(1, 1, 2, 4, 100, 0);
+    /// let cfg = SimConfig::cedar(Configuration::P4).with_trace();
+    /// assert!(Experiment::new(app, cfg).run().trace.is_some());
     /// ```
     pub fn with_trace(mut self) -> Self {
         self.keep_trace = true;
-        self
-    }
-
-    /// Drops the cedarhpm trace from the result (builder style) — the
-    /// default, provided so [`with_trace`](Self::with_trace) has an
-    /// inverse and configurations can be toggled back.
-    ///
-    /// ```
-    /// use cedar_core::SimConfig;
-    /// use cedar_hw::Configuration;
-    ///
-    /// let c = SimConfig::cedar(Configuration::P8)
-    ///     .with_trace()
-    ///     .with_trace_off();
-    /// assert!(!c.keep_trace);
-    /// ```
-    pub fn with_trace_off(mut self) -> Self {
-        self.keep_trace = false;
-        self
-    }
-
-    /// Overrides the runaway-workload event bound (builder style).
-    ///
-    /// ```
-    /// use cedar_core::SimConfig;
-    /// use cedar_hw::Configuration;
-    ///
-    /// let c = SimConfig::cedar(Configuration::P8).with_max_events(10_000);
-    /// assert_eq!(c.max_events, 10_000);
-    /// ```
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
         self
     }
 
@@ -205,15 +175,11 @@ impl SimConfig {
     /// use cedar_hw::Configuration;
     ///
     /// assert!(SimConfig::cedar(Configuration::P8).validate().is_ok());
-    /// let bad = SimConfig::cedar(Configuration::P8).with_max_events(0);
+    /// let mut bad = SimConfig::cedar(Configuration::P8);
+    /// bad.hw.net.modules = 0;
     /// assert!(bad.validate().is_err());
     /// ```
     pub fn validate(&self) -> Result<(), CedarError> {
-        if self.max_events == 0 {
-            return Err(CedarError::ConfigInvalid(
-                "max_events must be at least 1 (0 would abort every run immediately)".to_string(),
-            ));
-        }
         if self.hw.net.modules == 0 {
             return Err(CedarError::ConfigInvalid(
                 "network configuration has zero memory modules".to_string(),
@@ -245,12 +211,9 @@ mod tests {
         let c = SimConfig::cedar(Configuration::P1)
             .with_seed(7)
             .with_trace()
-            .with_max_events(123)
             .with_scheduler(SchedKind::Heap);
         assert_eq!(c.seed, 7);
         assert!(c.keep_trace);
-        assert_eq!(c.max_events, 123);
         assert_eq!(c.sched, SchedKind::Heap);
-        assert!(!c.with_trace_off().keep_trace);
     }
 }

@@ -4,7 +4,7 @@ use cedar_hw::GmemEvent;
 
 /// Every event the machine's queue can carry.
 #[derive(Debug, Clone, Copy)]
-pub enum Ev {
+pub(crate) enum Ev {
     /// A packet hop inside the global-memory system.
     Gmem(GmemEvent),
     /// A CE's current activity (compute span) completed. `gen` is the
@@ -19,8 +19,6 @@ pub enum Ev {
     CeResume {
         /// CE position.
         ce: usize,
-        /// Activity generation stamped at scheduling time.
-        gen: u64,
     },
     /// An intra-cluster (concurrency-bus) barrier released.
     CbusRelease {
@@ -60,7 +58,7 @@ pub enum Ev {
 /// Telemetry counter name of each event class, indexed by
 /// [`Ev::class`]. Dotted `events.*` paths, ready for the run manifest's
 /// counter rollup.
-pub const EV_CLASS_NAMES: [&str; 8] = [
+pub(crate) const EV_CLASS_NAMES: [&str; 8] = [
     "events.gmem",
     "events.ce_done",
     "events.ce_resume",

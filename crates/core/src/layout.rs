@@ -7,12 +7,11 @@ use cedar_rtl::RtlWords;
 
 /// The resolved memory map for one run.
 #[derive(Debug, Clone)]
-pub struct MemoryLayout {
+pub(crate) struct MemoryLayout {
     words: RtlWords,
     array_bases: Vec<GlobalAddr>,
     array_dwords: Vec<u64>,
     page_bytes: u64,
-    end: GlobalAddr,
 }
 
 impl MemoryLayout {
@@ -33,7 +32,6 @@ impl MemoryLayout {
             array_bases,
             array_dwords,
             page_bytes,
-            end: GlobalAddr(cursor),
         }
     }
 
@@ -47,21 +45,11 @@ impl MemoryLayout {
         self.page_bytes
     }
 
-    /// Base address of array `idx`.
-    pub fn array_base(&self, idx: usize) -> GlobalAddr {
-        self.array_bases[idx]
-    }
-
-    /// One past the last allocated byte.
-    pub fn end(&self) -> GlobalAddr {
-        self.end
-    }
-
     /// Resolves an access pattern for logical iteration `iter` into a
     /// concrete vector access, wrapping within the array so that the
     /// access always stays in bounds while successive iterations walk
     /// the array.
-    pub fn resolve(&self, a: &AccessPattern, iter: u64, op: MemOp) -> VectorAccess {
+    pub(crate) fn resolve(&self, a: &AccessPattern, iter: u64, op: MemOp) -> VectorAccess {
         let dwords = self.array_dwords[a.array];
         let span = (a.words as u64).saturating_sub(1) * a.stride_dwords + 1;
         debug_assert!(span <= dwords, "validated by AppSpec::validate");
@@ -92,18 +80,17 @@ mod tests {
     #[test]
     fn arrays_are_page_aligned_and_disjoint() {
         let l = layout();
-        let a = l.array_base(0);
-        let b = l.array_base(1);
+        let a = l.array_bases[0];
+        let b = l.array_bases[1];
         assert_eq!(a.0 % 4096, 0);
         assert_eq!(b.0 % 4096, 0);
         assert!(b.0 >= a.0 + 2 * 1024 * 1024);
-        assert!(l.end().0 >= b.0 + 2 * 1024 * 1024);
     }
 
     #[test]
     fn arrays_start_after_rtl_words() {
         let l = layout();
-        assert!(l.array_base(0).0 >= l.words().end().0);
+        assert!(l.array_bases[0].0 >= l.words().end().0);
     }
 
     #[test]
@@ -123,8 +110,8 @@ mod tests {
         for iter in [0u64, 1_000, 100_000, u64::MAX / 16] {
             let v = l.resolve(&a, iter, MemOp::Read);
             let last = v.base.0 + (v.words as u64 - 1) * v.stride_dwords * DWORD_BYTES;
-            assert!(v.base.0 >= l.array_base(0).0);
-            assert!(last < l.array_base(0).0 + dwords * DWORD_BYTES);
+            assert!(v.base.0 >= l.array_bases[0].0);
+            assert!(last < l.array_bases[0].0 + dwords * DWORD_BYTES);
         }
     }
 

@@ -43,13 +43,13 @@
 pub mod cache;
 pub mod config;
 pub mod events;
-pub mod layout;
+pub(crate) mod layout;
 pub mod machine;
 pub mod methodology;
 pub mod metrics;
 pub mod pool;
 pub mod prelude;
-pub mod program;
+pub(crate) mod program;
 pub mod result;
 pub mod run;
 pub mod suite;

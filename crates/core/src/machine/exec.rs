@@ -23,7 +23,7 @@ use crate::program::CompiledPhase;
 /// joining helpers; the real runtime reads this from the descriptor
 /// words, which the simulated helpers also do for timing).
 #[derive(Debug, Clone)]
-pub struct PostedLoop {
+pub(crate) struct PostedLoop {
     pub(crate) kind: LoopKind,
     pub(crate) seq: u32,
     pub(crate) outer: u32,
@@ -131,7 +131,6 @@ impl Machine {
                     self.post(TraceEventId::ClusterLoopStart, lead, kind.code());
                     self.tasks[0].cur = Some(LoopCtx {
                         kind,
-                        seq: posted.seq,
                         outer_total: posted.outer,
                         inner_total: posted.inner,
                         body: posted.body,
@@ -275,9 +274,7 @@ impl Machine {
                 self.post(TraceEventId::ProgramEnd, pos, 0);
                 self.set_mode(pos, CeMode::Stopped);
             }
-            CeMode::CbusWait | CeMode::BodyFaultWait { .. } => {
-                unreachable!("no activity completes in {mode:?}")
-            }
+            CeMode::CbusWait => unreachable!("no activity completes in {mode:?}"),
         }
     }
 
@@ -320,7 +317,6 @@ impl Machine {
         debug_assert_eq!(observed_total, posted.outer, "descriptor round trip");
         self.tasks[cluster].cur = Some(LoopCtx {
             kind: posted.kind,
-            seq: posted.seq,
             outer_total: posted.outer,
             inner_total: posted.inner,
             body: posted.body.clone(),

@@ -2,7 +2,7 @@
 //!
 //! Each timed fault class maps onto exactly one existing OS charging
 //! primitive, so an injected disturbance lands in the same Table-2
-//! bucket the organic activity would — and [`InjectedCost`] records how
+//! bucket the organic activity would — and `InjectedCost` records how
 //! many cycles each class added, which the attribution-invariant suite
 //! compares against the bucket deltas:
 //!
@@ -35,7 +35,7 @@ use crate::events::Ev;
 /// Cycles added by the fault campaign so far, per attribution surface.
 /// All zero when the plan is empty (nothing ever fires).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct InjectedCost {
+pub(crate) struct InjectedCost {
     /// Per-CE CPI service time from interrupt storms (`Cpi` bucket).
     pub cpi: Cycles,
     /// AST service time from bursts (`Ast` bucket).

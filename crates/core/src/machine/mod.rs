@@ -2,10 +2,10 @@
 //!
 //! The machine owns every component (global-memory system, CE engines,
 //! task state machines, OS models, monitors) and routes the master event
-//! stream between them. Loop-protocol logic lives in [`exec`]; OS
+//! stream between them. Loop-protocol logic lives in `exec`; OS
 //! activity handling lives in [`os`].
 
-pub mod exec;
+pub(crate) mod exec;
 pub mod faults;
 pub mod os;
 pub mod state;
@@ -19,7 +19,8 @@ use cedar_hw::ce::{Activity, CeEngine};
 use cedar_hw::{CeId, ClusterId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, VectorAccess};
 use cedar_rtl::{FinishBarrier, WorkWaiter};
 use cedar_sim::{Cycles, EventQueue, Outbox, SimTime, SplitMix64};
-use cedar_trace::{HpmMonitor, QMonitor, Statfx, TraceEventId, UserBucket};
+use cedar_trace::qmon::ClusterUtilization;
+use cedar_trace::{HpmMonitor, Statfx, TraceEventId, UserBucket};
 use cedar_xylem::{AddressSpace, AstSchedule, DaemonSchedule, KernelLock, OsAccounting};
 
 use crate::config::SimConfig;
@@ -67,7 +68,6 @@ pub struct Machine {
     pub(crate) tasks: Vec<Task>,
     pub(crate) vm: AddressSpace,
     pub(crate) os_acct: OsAccounting,
-    pub(crate) qmon: QMonitor,
     pub(crate) statfx: Statfx,
     pub(crate) hpm: HpmMonitor,
     pub(crate) cluster_locks: Vec<KernelLock>,
@@ -83,13 +83,6 @@ pub struct Machine {
     /// Cycles injected so far, per attribution surface.
     pub(crate) injected: faults::InjectedCost,
     pub(crate) rng: SplitMix64,
-    /// Outstanding global-memory requests per CE position. A CE's
-    /// activity completes only when every response has arrived, and a
-    /// new activity begins only after that — so every in-flight request
-    /// of a CE belongs to its current activity, and a plain count is
-    /// exactly equivalent to the per-request owner map it replaces,
-    /// without a hash insert/remove per memory packet.
-    pub(crate) outstanding: Vec<u32>,
     /// CE position by raw `CeId`, for routing memory responses.
     pub(crate) pos_of_ce: Vec<usize>,
     pub(crate) joined_truth: i32,
@@ -143,7 +136,6 @@ impl Machine {
             }
             pos_of_ce[raw] = pos;
         }
-        let outstanding = vec![0u32; ces.len()];
 
         // The hpm trace buffer only matters when the run keeps a trace;
         // gating it here makes the per-event post() a no-op otherwise.
@@ -201,7 +193,6 @@ impl Machine {
             tasks,
             vm,
             os_acct: OsAccounting::new(n_clusters as u8),
-            qmon: QMonitor::new(n_clusters as u8),
             statfx: Statfx::new(n_clusters as u8, per),
             hpm,
             cluster_locks: (0..n_clusters).map(|_| KernelLock::new()).collect(),
@@ -213,7 +204,6 @@ impl Machine {
             fault_driver,
             injected: faults::InjectedCost::default(),
             rng,
-            outstanding,
             pos_of_ce,
             joined_truth: 0,
             now: Cycles::ZERO,
@@ -298,7 +288,7 @@ impl Machine {
             }
             CeMode::ClaimOuter => Some(UserBucket::PickupSdoall),
             CeMode::ClaimFlat => Some(UserBucket::PickupXdoall),
-            CeMode::Body { .. } | CeMode::BodyFaultWait { .. } => match kind {
+            CeMode::Body { .. } => match kind {
                 Some(cedar_rtl::LoopKind::Cluster) | Some(cedar_rtl::LoopKind::Doacross) => {
                     Some(UserBucket::ClusterLoop)
                 }
@@ -336,9 +326,7 @@ impl Machine {
     /// Starts a pure-compute activity on CE `pos` and schedules its
     /// completion.
     pub(crate) fn start_compute(&mut self, pos: usize, dur: Cycles) {
-        let gen = self.ces[pos]
-            .engine
-            .begin(&Activity::Compute(dur), self.now);
+        let gen = self.ces[pos].engine.begin(&Activity::Compute(dur));
         self.queue
             .schedule(self.now + dur, Ev::CeDone { ce: pos, gen });
     }
@@ -362,13 +350,10 @@ impl Machine {
 
     /// Issues a single-word global-memory operation from CE `pos`.
     pub(crate) fn start_word(&mut self, pos: usize, addr: GlobalAddr, op: MemOp) {
-        self.ces[pos]
-            .engine
-            .begin(&Activity::Word { addr, op }, self.now);
+        self.ces[pos].engine.begin(&Activity::Word { addr, op });
         let ce_id = self.ce_id(pos);
         self.gmem
             .inject(ce_id, addr, op, self.now, &mut self.gmem_out);
-        self.outstanding[pos] += 1;
         self.gmem_out
             .flush_map_into(self.now, &mut self.queue, Ev::Gmem);
     }
@@ -376,14 +361,11 @@ impl Machine {
     /// Issues a vector burst from CE `pos`, pipelined one word per cycle.
     pub(crate) fn start_vector(&mut self, pos: usize, access: &VectorAccess) {
         assert!(access.words > 0, "empty vector access");
-        self.ces[pos]
-            .engine
-            .begin(&Activity::Vector(*access), self.now);
+        self.ces[pos].engine.begin(&Activity::Vector(*access));
         let ce_id = self.ce_id(pos);
         for (k, addr) in access.addresses().enumerate() {
             self.gmem
                 .inject(ce_id, addr, access.op, self.now, &mut self.gmem_out);
-            self.outstanding[pos] += 1;
             // Re-anchor this word's events k cycles later (issue pipeline).
             self.gmem_out
                 .flush_map_into(self.now + Cycles(k as u64), &mut self.queue, Ev::Gmem);
@@ -458,7 +440,7 @@ impl Machine {
                 let delivered = self.gmem.handle(g, self.now, &mut self.gmem_out);
                 self.gmem_out
                     .flush_map_into(self.now, &mut self.queue, Ev::Gmem);
-                if let Some(cedar_hw::GmemOutput::Deliver(resp)) = delivered {
+                if let Some(resp) = delivered {
                     self.on_response(resp);
                 }
             }
@@ -467,7 +449,7 @@ impl Machine {
                     self.on_activity_complete(ce, 0);
                 }
             }
-            Ev::CeResume { ce, gen: _ } => self.on_resume(ce),
+            Ev::CeResume { ce } => self.proceed(ce, self.ces[ce].stashed_value),
             Ev::CbusRelease { cluster, episode } => {
                 if self.tasks[cluster].barrier_episode == episode {
                     self.tasks[cluster].barrier_episode += 1;
@@ -482,28 +464,30 @@ impl Machine {
     }
 
     fn on_response(&mut self, resp: cedar_hw::MemResponse) {
+        // A CE's activity completes only when every response has
+        // arrived, and its next activity begins only after that, so the
+        // engine's outstanding count covers every in-flight request of
+        // the CE.
         let pos = match self.pos_of_ce.get(resp.ce.0 as usize) {
-            Some(&p) if p != usize::MAX && self.outstanding[p] > 0 => p,
+            Some(&p) if p != usize::MAX && self.ces[p].engine.outstanding() > 0 => p,
             _ => return, // response for a stopped task's stray request
         };
-        self.outstanding[pos] -= 1;
-        if self.ces[pos].engine.on_response(resp.value) {
+        if self.ces[pos].engine.on_response() {
             self.on_activity_complete(pos, resp.value);
         }
     }
 
     /// Common completion path: finish the engine activity, serialize any
-    /// pending OS penalty, then advance the protocol. The engine's
-    /// recorded last response value is authoritative for word/vector
-    /// activities; compute completions do not consume it.
+    /// pending OS penalty, then advance the protocol with `value`, the
+    /// last response's value (zero for compute completions, which do not
+    /// consume it).
     fn on_activity_complete(&mut self, pos: usize, value: u64) {
-        let _ = self.ces[pos].engine.finish(self.now);
+        self.ces[pos].engine.finish();
         let penalty = std::mem::take(&mut self.ces[pos].pending_penalty);
         if penalty > Cycles::ZERO {
             self.ces[pos].stashed_value = value;
-            self.ces[pos].in_penalty = true;
             self.queue
-                .schedule(self.now + penalty, Ev::CeResume { ce: pos, gen: 0 });
+                .schedule(self.now + penalty, Ev::CeResume { ce: pos });
         } else {
             self.proceed(pos, value);
         }
@@ -516,18 +500,6 @@ impl Machine {
             self.start_word(pos, addr, op);
         } else {
             self.advance(pos, value);
-        }
-    }
-
-    fn on_resume(&mut self, pos: usize) {
-        if self.ces[pos].in_penalty {
-            self.ces[pos].in_penalty = false;
-            let v = self.ces[pos].stashed_value;
-            self.proceed(pos, v);
-        } else if let CeMode::BodyFaultWait { iter, stage } = self.ces[pos].mode {
-            // Fault serviced: proceed with the access that faulted.
-            self.set_mode(pos, CeMode::Body { iter, stage });
-            self.start_body_stage(pos, iter, stage);
         }
     }
 
@@ -609,7 +581,7 @@ impl Machine {
         }
         let n = self.tasks.len();
         let utilization = (0..n)
-            .map(|c| self.qmon.cluster(ClusterId(c as u8)))
+            .map(|c| ClusterUtilization::from_accounting(self.os_acct.cluster(ClusterId(c as u8))))
             .collect();
         let concurrency = (0..n)
             .map(|c| self.statfx.cluster_average(ClusterId(c as u8), ct))

@@ -1,13 +1,13 @@
 //! Operating-system activity: daemons, ASTs, page-fault charging,
 //! cross-processor interrupts and system calls.
 //!
-//! All OS time is charged twice over, deliberately: once into
-//! [`OsAccounting`](cedar_xylem::OsAccounting) per activity (Table 2),
-//! and once into the [`QMonitor`](cedar_trace::QMonitor) per Figure 3
-//! category. CE timelines are extended through the penalty mechanism
-//! (the service time serializes in front of the CE's next activity
-//! boundary), and a lead CE's user-time bucket subtracts the overlap so
-//! user and OS time never double-count.
+//! All OS time is charged once, per activity, into
+//! [`OsAccounting`](cedar_xylem::OsAccounting) (Table 2); Figure 3's
+//! per-cluster categories are summed from that ledger when the run's
+//! result is assembled. CE timelines are extended through the penalty
+//! mechanism (the service time serializes in front of the CE's next
+//! activity boundary), and a lead CE's user-time bucket subtracts the
+//! overlap so user and OS time never double-count.
 
 use cedar_hw::ClusterId;
 use cedar_sim::Cycles;
@@ -19,12 +19,10 @@ use super::Machine;
 use crate::events::Ev;
 
 impl Machine {
-    /// Charges `wall` cycles of OS time on `cluster` to `activity` (both
-    /// accountings).
+    /// Charges `wall` cycles of OS time on `cluster` to `activity`.
     pub(crate) fn charge_os(&mut self, cluster: usize, activity: OsActivity, wall: Cycles) {
-        let cid = ClusterId(cluster as u8);
-        self.os_acct.charge(cid, activity, wall);
-        self.qmon.charge(cid, activity.figure3_category(), wall);
+        self.os_acct
+            .charge(ClusterId(cluster as u8), activity, wall);
     }
 
     /// Extends every busy CE of `cluster` by `wall` (gang preemption) and
@@ -205,8 +203,8 @@ impl Machine {
     /// Total OS wall time charged on a cluster so far (test aid).
     #[cfg(test)]
     pub(crate) fn os_wall(&self, cluster: usize) -> Cycles {
-        let c = self.qmon.cluster(ClusterId(cluster as u8));
-        c.os_total()
+        let acct = self.os_acct.cluster(ClusterId(cluster as u8));
+        cedar_trace::qmon::ClusterUtilization::from_accounting(acct).os_total()
     }
 
     /// Category totals snapshot (test aid).

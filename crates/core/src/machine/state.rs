@@ -12,7 +12,7 @@ use cedar_trace::UserBucket;
 
 /// What a CE is doing, at task-protocol granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CeMode {
+pub(crate) enum CeMode {
     /// Gang-waiting for the next intra-cluster dispatch.
     Idle,
     /// Task has terminated.
@@ -54,13 +54,6 @@ pub enum CeMode {
         /// Current stage.
         stage: u8,
     },
-    /// Any CE: stalled on a page fault before injecting a body access.
-    BodyFaultWait {
-        /// Global iteration number.
-        iter: u64,
-        /// Stage to resume at (the access that faulted).
-        stage: u8,
-    },
     /// Any CE: arrived at the intra-cluster barrier, waiting for release.
     CbusWait,
     /// Main lead: resetting the DOACROSS ticket before dispatch.
@@ -88,28 +81,26 @@ impl CeMode {
     /// *not* active: the Alliant hardware parks them until the release,
     /// which is why the paper's equation can take the concurrency during
     /// non-parallel work as exactly 1 per cluster (§7).
-    pub fn is_busy(self) -> bool {
+    pub(crate) fn is_busy(self) -> bool {
         !matches!(self, CeMode::Idle | CeMode::Stopped | CeMode::CbusWait)
     }
 }
 
 /// One CE's runtime state.
 #[derive(Debug)]
-pub struct Ce {
+pub(crate) struct Ce {
     /// The hardware activity engine.
-    pub engine: CeEngine,
+    pub(crate) engine: CeEngine,
     /// Current protocol mode.
     pub mode: CeMode,
     /// OS service time to serialize before the next activity.
-    pub pending_penalty: Cycles,
+    pub(crate) pending_penalty: Cycles,
     /// Value delivered by the last completed activity.
-    pub stashed_value: u64,
+    pub(crate) stashed_value: u64,
     /// A word operation to issue once the current (delay) compute ends.
-    pub pending_word: Option<(GlobalAddr, MemOp)>,
+    pub(crate) pending_word: Option<(GlobalAddr, MemOp)>,
     /// Per-CE claimer for flat (`xdoall`) loops.
     pub claimer: Option<IterClaimer>,
-    /// Set while a penalty stall is in flight.
-    pub in_penalty: bool,
 }
 
 impl Ce {
@@ -122,14 +113,13 @@ impl Ce {
             stashed_value: 0,
             pending_word: None,
             claimer: None,
-            in_penalty: false,
         }
     }
 }
 
 /// Task role on its cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
+pub(crate) enum Role {
     /// The application's main task (cluster 0).
     Main,
     /// A helper task created by the runtime.
@@ -138,50 +128,48 @@ pub enum Role {
 
 /// The loop a cluster task is currently executing.
 #[derive(Debug, Clone)]
-pub struct LoopCtx {
+pub(crate) struct LoopCtx {
     /// Construct.
     pub kind: LoopKind,
-    /// Loop sequence number.
-    pub seq: u32,
     /// Outer iterations (flat count for `xdoall`).
-    pub outer_total: u32,
+    pub(crate) outer_total: u32,
     /// Inner iterations per outer (1 for flat/cluster handled as inner
     /// loop of the single outer? No — cluster loops use `outer_total=1`).
-    pub inner_total: u32,
+    pub(crate) inner_total: u32,
     /// Per-iteration work (shared handle; never deep-copied on entry).
     pub body: Arc<BodySpec>,
     /// DOACROSS: serialized-region work per iteration (zero otherwise).
     pub serial_region: Cycles,
     /// Next inner iteration to hand out (intra-cluster self-scheduling).
-    pub inner_next: u32,
+    pub(crate) inner_next: u32,
     /// Outer iteration this cluster currently owns (sdoall).
-    pub outer_current: u32,
+    pub(crate) outer_current: u32,
 }
 
 /// One cluster task's runtime state.
 #[derive(Debug)]
 pub struct Task {
     /// Role.
-    pub role: Role,
+    pub(crate) role: Role,
     /// Helper: the wait-for-work spin machine.
     pub waiter: WorkWaiter,
     /// Main: the finish-barrier spin machine.
     pub finish: FinishBarrier,
     /// Lead's claimer for outer `sdoall` iterations.
-    pub outer_claimer: Option<IterClaimer>,
+    pub(crate) outer_claimer: Option<IterClaimer>,
     /// Intra-cluster barrier on the concurrency bus.
     pub barrier: CbusBarrier,
     /// Barrier episode counter (stale release guard).
-    pub barrier_episode: u64,
+    pub(crate) barrier_episode: u64,
     /// The loop currently being executed, if any.
-    pub cur: Option<LoopCtx>,
+    pub(crate) cur: Option<LoopCtx>,
     /// Lead-CE user-time bucket currently accruing.
-    pub lead_bucket: Option<UserBucket>,
+    pub(crate) lead_bucket: Option<UserBucket>,
     /// When the current bucket began accruing.
-    pub lead_since: SimTime,
+    pub(crate) lead_since: SimTime,
     /// OS wall time overlapping the current bucket span (subtracted at
     /// charge time so OS stalls are not double-counted as user time).
-    pub lead_overlap: Cycles,
+    pub(crate) lead_overlap: Cycles,
 }
 
 #[cfg(test)]
@@ -205,6 +193,5 @@ mod tests {
         assert_eq!(ce.mode, CeMode::Idle);
         assert_eq!(ce.pending_penalty, Cycles::ZERO);
         assert!(ce.pending_word.is_none());
-        assert!(!ce.in_penalty);
     }
 }

@@ -3,6 +3,7 @@
 use cedar_apps::{synthetic, AppBuilder, BodySpec};
 use cedar_hw::Configuration;
 use cedar_sim::Cycles;
+use cedar_trace::qmon::ClusterUtilization;
 use cedar_trace::UserBucket;
 use cedar_xylem::accounting::Category;
 
@@ -128,17 +129,20 @@ fn machine_internal_accounting_helpers_agree() {
 }
 
 #[test]
-fn os_accounting_is_consistent_with_qmon() {
+fn utilization_is_consistent_with_os_accounting() {
     let app = synthetic::uniform_sdoall(4, 2, 8, 16, 300, 8);
     let r = run(app, Configuration::P8);
-    // Same charges flow to both accountings.
-    let os_total: Cycles = [Category::System, Category::Interrupt, Category::Spin]
-        .iter()
-        .map(|c| r.os.category_total(*c))
-        .sum();
-    let q_total: Cycles = r.utilization.iter().map(|u| u.os_total()).sum();
-    assert_eq!(os_total, q_total);
-    assert!(os_total > Cycles::ZERO, "daemons must have fired");
+    // Figure 3's categories are sums of the Table 2 ledger's activities.
+    let sum =
+        |f: fn(&ClusterUtilization) -> Cycles| -> Cycles { r.utilization.iter().map(f).sum() };
+    assert_eq!(r.os.category_total(Category::System), sum(|u| u.system));
+    assert_eq!(
+        r.os.category_total(Category::Interrupt),
+        sum(|u| u.interrupt)
+    );
+    assert_eq!(r.os.category_total(Category::Spin), sum(|u| u.spin));
+    assert_eq!(r.os.os_total(), sum(ClusterUtilization::os_total));
+    assert!(r.os.os_total() > Cycles::ZERO, "daemons must have fired");
 }
 
 #[test]

@@ -51,7 +51,7 @@ pub fn parallel_loop_concurrency(run: &RunResult) -> Vec<ClusterConcurrency> {
 
 /// Sum of per-cluster parallel-loop concurrencies (`par_concurr_total`
 /// in the §7 multicluster formula).
-pub fn total_parallel_concurrency(per_cluster: &[ClusterConcurrency]) -> f64 {
+pub(crate) fn total_parallel_concurrency(per_cluster: &[ClusterConcurrency]) -> f64 {
     per_cluster.iter().map(|c| c.par_concurr).sum()
 }
 

@@ -19,20 +19,6 @@ pub fn speedup(base: Cycles, fast: Cycles) -> f64 {
     }
 }
 
-/// Percentage `part / whole * 100`.
-pub fn percent(part: Cycles, whole: Cycles) -> f64 {
-    part.fraction_of(whole) * 100.0
-}
-
-/// Parallel efficiency: speedup divided by processor count.
-pub fn efficiency(base: Cycles, fast: Cycles, processors: u16) -> f64 {
-    if processors == 0 {
-        0.0
-    } else {
-        speedup(base, fast) / processors as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,16 +26,5 @@ mod tests {
     #[test]
     fn speedup_handles_zero() {
         assert_eq!(speedup(Cycles(10), Cycles(0)), 0.0);
-    }
-
-    #[test]
-    fn percent_of_whole() {
-        assert!((percent(Cycles(25), Cycles(200)) - 12.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn efficiency_is_speedup_per_processor() {
-        assert!((efficiency(Cycles(3200), Cycles(100), 32) - 1.0).abs() < 1e-12);
-        assert_eq!(efficiency(Cycles(1), Cycles(1), 0), 0.0);
     }
 }

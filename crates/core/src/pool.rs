@@ -18,7 +18,7 @@ pub struct PoolError {
     /// Index of the failed job in the submitted job list.
     pub job: usize,
     /// The panic payload, when it was a string.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for PoolError {

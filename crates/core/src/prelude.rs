@@ -28,9 +28,7 @@ pub use cedar_faults::{
     AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
 };
 pub use cedar_hw::Configuration;
-pub use cedar_obs::{
-    CacheMode, CedarError, Counters, Recorder, RunOptions, RunStats, TelemetryLevel,
-};
+pub use cedar_obs::{CacheMode, CedarError, Counters, RunOptions, RunStats, TelemetryLevel};
 pub use cedar_sim::SchedKind;
 
 pub use crate::cache::CacheSession;

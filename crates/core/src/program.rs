@@ -9,7 +9,7 @@ use cedar_sim::Cycles;
 
 /// One executable phase.
 #[derive(Debug, Clone)]
-pub enum CompiledPhase {
+pub(crate) enum CompiledPhase {
     /// Serial code on the main lead CE.
     Serial {
         /// Compute cycles.
@@ -35,19 +35,9 @@ pub enum CompiledPhase {
     },
 }
 
-impl CompiledPhase {
-    /// Loop bodies this phase executes.
-    pub fn bodies(&self) -> u64 {
-        match self {
-            CompiledPhase::Serial { .. } => 0,
-            CompiledPhase::Loop { outer, inner, .. } => *outer as u64 * *inner as u64,
-        }
-    }
-}
-
 /// The compiled program: flattened phases plus bookkeeping.
 #[derive(Debug, Clone)]
-pub struct CompiledProgram {
+pub(crate) struct CompiledProgram {
     phases: Vec<CompiledPhase>,
 }
 
@@ -57,7 +47,7 @@ impl CompiledProgram {
     /// # Panics
     ///
     /// Panics if the spec fails validation.
-    pub fn compile(app: &AppSpec) -> Self {
+    pub(crate) fn compile(app: &AppSpec) -> Self {
         app.validate();
         let phases = app
             .flattened()
@@ -102,19 +92,9 @@ impl CompiledProgram {
         CompiledProgram { phases }
     }
 
-    /// The executable phases in order.
-    pub fn phases(&self) -> &[CompiledPhase] {
-        &self.phases
-    }
-
     /// Phase at `idx`, if any.
     pub fn phase(&self, idx: usize) -> Option<&CompiledPhase> {
         self.phases.get(idx)
-    }
-
-    /// Total loop bodies across the program.
-    pub fn total_bodies(&self) -> u64 {
-        self.phases.iter().map(CompiledPhase::bodies).sum()
     }
 }
 
@@ -127,7 +107,7 @@ mod tests {
     fn compiles_constructs_to_loop_kinds() {
         let p = CompiledProgram::compile(&synthetic::uniform_xdoall(1, 1, 16, 100, 4));
         let kinds: Vec<_> = p
-            .phases()
+            .phases
             .iter()
             .filter_map(|ph| match ph {
                 CompiledPhase::Loop { kind, .. } => Some(*kind),
@@ -140,7 +120,7 @@ mod tests {
     #[test]
     fn sdoall_keeps_outer_inner_split() {
         let p = CompiledProgram::compile(&synthetic::uniform_sdoall(1, 1, 4, 8, 100, 4));
-        let found = p.phases().iter().any(|ph| {
+        let found = p.phases.iter().any(|ph| {
             matches!(
                 ph,
                 CompiledPhase::Loop {
@@ -157,7 +137,7 @@ mod tests {
     #[test]
     fn xdoall_has_inner_one() {
         let p = CompiledProgram::compile(&synthetic::uniform_xdoall(1, 1, 16, 100, 4));
-        for ph in p.phases() {
+        for ph in &p.phases {
             if let CompiledPhase::Loop { inner, .. } = ph {
                 assert_eq!(*inner, 1);
             }
@@ -168,6 +148,14 @@ mod tests {
     fn total_bodies_matches_spec() {
         let app = synthetic::uniform_sdoall(3, 2, 4, 8, 100, 4);
         let p = CompiledProgram::compile(&app);
-        assert_eq!(p.total_bodies(), app.total_bodies());
+        let bodies: u64 = p
+            .phases
+            .iter()
+            .map(|ph| match ph {
+                CompiledPhase::Serial { .. } => 0,
+                CompiledPhase::Loop { outer, inner, .. } => *outer as u64 * *inner as u64,
+            })
+            .sum();
+        assert_eq!(bodies, app.total_bodies());
     }
 }

@@ -107,11 +107,4 @@ impl RunResult {
             .parallelization_overhead()
             .fraction_of(self.completion_time)
     }
-
-    /// A helper task's parallelization-overhead fraction of CT.
-    pub fn helper_parallelization_fraction(&self, helper: usize) -> f64 {
-        self.helper_breakdowns()[helper]
-            .parallelization_overhead()
-            .fraction_of(self.completion_time)
-    }
 }

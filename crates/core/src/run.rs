@@ -47,8 +47,8 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics if the workload deadlocks or exceeds the event bound (see
-    /// [`SimConfig::max_events`]).
+    /// Panics if the workload deadlocks or exceeds the event bound (the
+    /// configuration's `max_events`).
     pub fn run(self) -> RunResult {
         execute(&self.app, self.cfg)
     }

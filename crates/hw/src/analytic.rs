@@ -36,7 +36,7 @@ pub fn utilization(lambda: f64, service: Cycles) -> f64 {
 /// # Panics
 ///
 /// Panics if `lambda` is negative.
-pub fn md1_wait(lambda: f64, service: Cycles) -> f64 {
+pub(crate) fn md1_wait(lambda: f64, service: Cycles) -> f64 {
     assert!(lambda >= 0.0, "arrival rate must be non-negative");
     let rho = utilization(lambda, service);
     if rho >= 1.0 {
@@ -49,14 +49,14 @@ pub fn md1_wait(lambda: f64, service: Cycles) -> f64 {
 /// Predicted mean queueing per request at the memory modules for a
 /// machine-wide request rate `total_rate` (words per cycle) spread
 /// uniformly over the modules.
-pub fn module_wait(cfg: &NetConfig, total_rate: f64) -> f64 {
+pub(crate) fn module_wait(cfg: &NetConfig, total_rate: f64) -> f64 {
     let per_module = total_rate / cfg.modules as f64;
     md1_wait(per_module, cfg.module_service)
 }
 
 /// Predicted mean queueing per request at a cluster's shared injection
 /// path, for a per-cluster request rate (words per cycle).
-pub fn cluster_path_wait(cfg: &NetConfig, cluster_rate: f64) -> f64 {
+pub(crate) fn cluster_path_wait(cfg: &NetConfig, cluster_rate: f64) -> f64 {
     if cfg.cluster_inject_ports == 0 {
         return 0.0;
     }
@@ -69,7 +69,7 @@ pub fn cluster_path_wait(cfg: &NetConfig, cluster_rate: f64) -> f64 {
 /// a machine-wide rate spread uniformly over destinations (each stage
 /// has one port per destination-group link; uniform traffic splits the
 /// rate over `modules` effective ports).
-pub fn stage_wait(cfg: &NetConfig, total_rate: f64) -> f64 {
+pub(crate) fn stage_wait(cfg: &NetConfig, total_rate: f64) -> f64 {
     let per_port = total_rate / cfg.modules as f64;
     md1_wait(per_port, cfg.port_occupancy)
 }
@@ -140,7 +140,7 @@ mod tests {
     /// and compare the measured mean queueing with the M/D/1 prediction.
     #[test]
     fn simulated_queueing_tracks_the_prediction() {
-        use crate::gmem::{GlobalMemorySystem, GmemEvent, GmemOutput};
+        use crate::gmem::{GlobalMemorySystem, GmemEvent};
         use crate::{CeId, GlobalAddr, MemOp};
         use cedar_sim::{EventQueue, Outbox, SplitMix64};
 
@@ -170,7 +170,7 @@ mod tests {
         }
         let mut delivered = 0u64;
         while let Some((now, ev)) = q.pop() {
-            if let Some(GmemOutput::Deliver(_)) = sys.handle(ev, now, &mut out) {
+            if sys.handle(ev, now, &mut out).is_some() {
                 delivered += 1;
             }
             out.flush_into(now, &mut q);

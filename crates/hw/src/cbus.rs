@@ -8,55 +8,12 @@
 //! re-enters the runtime library (§2) — all without generating any
 //! network traffic, which is precisely why the paper concludes
 //! clustering helps (§6).
+//!
+//! Only the barrier needs state; the bus's dispatch cost is the fixed
+//! [`ClusterConfig::cbus_dispatch`](crate::config::ClusterConfig::cbus_dispatch)
+//! the machine adds when it fans a loop out.
 
 use cedar_sim::{Cycles, SimTime};
-
-use crate::config::ClusterConfig;
-
-/// The concurrency bus of one cluster: dispatch cost model plus an
-/// arrival-counting barrier.
-#[derive(Debug, Clone)]
-pub struct ConcurrencyBus {
-    dispatch_cost: Cycles,
-    barrier_cost: Cycles,
-    dispatches: u64,
-    barriers: u64,
-}
-
-impl ConcurrencyBus {
-    /// Creates the bus with the cluster's timing parameters.
-    pub fn new(cfg: &ClusterConfig) -> Self {
-        ConcurrencyBus {
-            dispatch_cost: cfg.cbus_dispatch,
-            barrier_cost: cfg.cbus_barrier,
-            dispatches: 0,
-            barriers: 0,
-        }
-    }
-
-    /// Cost to fan a `cdoall` iteration range out to the cluster's CEs.
-    /// Counted per dispatch for the utilization report.
-    pub fn dispatch(&mut self) -> Cycles {
-        self.dispatches += 1;
-        self.dispatch_cost
-    }
-
-    /// Cost added after the last CE arrives at an intra-cluster barrier.
-    pub fn barrier_release_cost(&mut self) -> Cycles {
-        self.barriers += 1;
-        self.barrier_cost
-    }
-
-    /// Dispatches performed.
-    pub fn dispatches(&self) -> u64 {
-        self.dispatches
-    }
-
-    /// Barriers completed.
-    pub fn barriers(&self) -> u64 {
-        self.barriers
-    }
-}
 
 /// An intra-cluster barrier tracked on the concurrency bus.
 ///
@@ -119,11 +76,6 @@ impl CbusBarrier {
         }
     }
 
-    /// Arrivals currently waiting.
-    pub fn waiting(&self) -> u16 {
-        self.arrived
-    }
-
     /// Expected arrival count.
     pub fn expected(&self) -> u16 {
         self.expected
@@ -140,7 +92,7 @@ mod tests {
         assert_eq!(b.arrive(Cycles(5)), None);
         assert_eq!(b.arrive(Cycles(50)), None);
         assert_eq!(b.arrive(Cycles(10)), None);
-        assert_eq!(b.waiting(), 3);
+        assert_eq!(b.arrived, 3);
         assert_eq!(b.arrive(Cycles(30)), Some(Cycles(58)));
     }
 
@@ -174,16 +126,5 @@ mod tests {
         late_last.arrive(Cycles(10));
         let b = late_last.arrive(Cycles(90));
         assert_eq!(a, b, "release depends on the max arrival time only");
-    }
-
-    #[test]
-    fn bus_counts_usage() {
-        let mut bus = ConcurrencyBus::new(&ClusterConfig::cedar());
-        let d = bus.dispatch();
-        let r = bus.barrier_release_cost();
-        assert_eq!(d, Cycles(6));
-        assert_eq!(r, Cycles(8));
-        assert_eq!(bus.dispatches(), 1);
-        assert_eq!(bus.barriers(), 1);
     }
 }

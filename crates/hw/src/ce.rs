@@ -4,11 +4,11 @@
 //! task's runtime-library state machine: a span of computation, a vector
 //! burst to global memory, or a single synchronization word access. The
 //! engine tracks outstanding memory responses and uses a generation
-//! counter so that stale completion events (from activities that were
-//! extended by OS service time) are recognized and dropped — the standard
-//! versioned-event technique for preemption in DES.
+//! counter so that a completion event stamped for an earlier activity is
+//! recognized and dropped — the standard versioned-event technique for
+//! preemption in DES.
 
-use cedar_sim::{Cycles, SimTime};
+use cedar_sim::Cycles;
 
 use crate::addr::GlobalAddr;
 use crate::packet::MemOp;
@@ -33,7 +33,7 @@ pub enum Activity {
 
 impl Activity {
     /// Number of memory responses this activity must collect.
-    pub fn responses_expected(&self) -> u32 {
+    pub(crate) fn responses_expected(&self) -> u32 {
         match self {
             Activity::Compute(_) => 0,
             Activity::Vector(v) => v.words,
@@ -42,28 +42,13 @@ impl Activity {
     }
 }
 
-/// Result of completing an activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ActivityOutcome {
-    /// Value returned by the *last* memory response (the interesting one
-    /// for `Word` activities: TAS old value, FetchAdd old value, read
-    /// value). Zero for `Compute`.
-    pub value: u64,
-    /// When the activity finished.
-    pub finished_at: SimTime,
-}
-
 /// Execution state of one CE.
 #[derive(Debug, Clone)]
 pub struct CeEngine {
     id: CeId,
     generation: u64,
     outstanding: u32,
-    last_value: u64,
-    busy: Cycles,
-    gmem_words: u64,
-    activities: u64,
-    active_since: Option<SimTime>,
+    active: bool,
 }
 
 impl CeEngine {
@@ -73,11 +58,7 @@ impl CeEngine {
             id,
             generation: 0,
             outstanding: 0,
-            last_value: 0,
-            busy: Cycles::ZERO,
-            gmem_words: 0,
-            activities: 0,
-            active_since: None,
+            active: false,
         }
     }
 
@@ -86,23 +67,21 @@ impl CeEngine {
         self.id
     }
 
-    /// Begins an activity at `now`; returns the generation token that a
-    /// matching completion event must carry.
+    /// Begins an activity; returns the generation token that a matching
+    /// completion event must carry.
     ///
     /// # Panics
     ///
     /// Panics if an activity is already in flight.
-    pub fn begin(&mut self, activity: &Activity, now: SimTime) -> u64 {
+    pub fn begin(&mut self, activity: &Activity) -> u64 {
         assert!(
-            self.active_since.is_none(),
+            !self.active,
             "{}: begin() while an activity is in flight",
             self.id
         );
         self.generation += 1;
         self.outstanding = activity.responses_expected();
-        self.gmem_words += self.outstanding as u64;
-        self.activities += 1;
-        self.active_since = Some(now);
+        self.active = true;
         self.generation
     }
 
@@ -112,68 +91,31 @@ impl CeEngine {
     /// # Panics
     ///
     /// Panics if no responses are outstanding.
-    pub fn on_response(&mut self, value: u64) -> bool {
+    pub fn on_response(&mut self) -> bool {
         assert!(self.outstanding > 0, "{}: unexpected response", self.id);
         self.outstanding -= 1;
-        self.last_value = value;
         self.outstanding == 0
     }
 
     /// `true` if `generation` matches the current activity (stale
     /// completion events fail this check and must be dropped).
     pub fn is_current(&self, generation: u64) -> bool {
-        generation == self.generation && self.active_since.is_some()
+        generation == self.generation && self.active
     }
 
-    /// Marks the current activity finished at `now`, accumulating busy
-    /// time, and returns its outcome.
+    /// Marks the current activity finished.
     ///
     /// # Panics
     ///
     /// Panics if no activity is in flight.
-    pub fn finish(&mut self, now: SimTime) -> ActivityOutcome {
-        let started = self
-            .active_since
-            .take()
-            .unwrap_or_else(|| panic!("{}: finish() with no activity", self.id));
-        self.busy += now.saturating_sub(started);
-        ActivityOutcome {
-            value: self.last_value,
-            finished_at: now,
-        }
-    }
-
-    /// Invalidates the in-flight completion event (used when OS service
-    /// extends the activity) and returns the fresh generation to stamp on
-    /// the re-scheduled completion.
-    pub fn extend(&mut self) -> u64 {
-        self.generation += 1;
-        self.generation
-    }
-
-    /// `true` while an activity is in flight.
-    pub fn is_active(&self) -> bool {
-        self.active_since.is_some()
+    pub fn finish(&mut self) {
+        assert!(self.active, "{}: finish() with no activity", self.id);
+        self.active = false;
     }
 
     /// Responses still outstanding for the current activity.
     pub fn outstanding(&self) -> u32 {
         self.outstanding
-    }
-
-    /// Cumulative busy time across finished activities.
-    pub fn busy(&self) -> Cycles {
-        self.busy
-    }
-
-    /// Global-memory words requested so far.
-    pub fn gmem_words(&self) -> u64 {
-        self.gmem_words
-    }
-
-    /// Activities begun so far.
-    pub fn activities(&self) -> u64 {
-        self.activities
     }
 }
 
@@ -184,77 +126,52 @@ mod tests {
     #[test]
     fn compute_activity_lifecycle() {
         let mut ce = CeEngine::new(CeId(3));
-        let g = ce.begin(&Activity::Compute(Cycles(100)), Cycles(10));
+        let g = ce.begin(&Activity::Compute(Cycles(100)));
         assert!(ce.is_current(g));
-        assert!(ce.is_active());
-        let out = ce.finish(Cycles(110));
-        assert_eq!(out.finished_at, Cycles(110));
-        assert_eq!(ce.busy(), Cycles(100));
-        assert!(!ce.is_active());
+        assert_eq!(ce.outstanding(), 0);
+        ce.finish();
         assert!(!ce.is_current(g), "finished activity is no longer current");
+        let g2 = ce.begin(&Activity::Compute(Cycles(5)));
+        assert!(!ce.is_current(g), "stale completion must be dropped");
+        assert!(ce.is_current(g2));
     }
 
     #[test]
     fn vector_activity_waits_for_all_responses() {
         let mut ce = CeEngine::new(CeId(0));
         let v = Activity::Vector(VectorAccess::read(GlobalAddr(0), 3, 1));
-        ce.begin(&v, Cycles(0));
+        ce.begin(&v);
         assert_eq!(ce.outstanding(), 3);
-        assert!(!ce.on_response(0));
-        assert!(!ce.on_response(0));
-        assert!(ce.on_response(7), "last response completes");
-        let out = ce.finish(Cycles(40));
-        assert_eq!(out.value, 7, "value of last response is surfaced");
-        assert_eq!(ce.gmem_words(), 3);
+        assert!(!ce.on_response());
+        assert!(!ce.on_response());
+        assert!(ce.on_response(), "last response completes");
+        assert_eq!(ce.outstanding(), 0);
     }
 
     #[test]
-    fn word_activity_carries_lock_value() {
+    fn word_activity_expects_one_response() {
         let mut ce = CeEngine::new(CeId(1));
-        ce.begin(
-            &Activity::Word {
-                addr: GlobalAddr(0x40),
-                op: MemOp::TestAndSet,
-            },
-            Cycles(0),
-        );
-        assert!(ce.on_response(1)); // lock was held
-        assert_eq!(ce.finish(Cycles(25)).value, 1);
-    }
-
-    #[test]
-    fn extend_invalidates_previous_generation() {
-        let mut ce = CeEngine::new(CeId(2));
-        let g1 = ce.begin(&Activity::Compute(Cycles(50)), Cycles(0));
-        let g2 = ce.extend();
-        assert!(!ce.is_current(g1), "stale completion must be dropped");
-        assert!(ce.is_current(g2));
+        ce.begin(&Activity::Word {
+            addr: GlobalAddr(0x40),
+            op: MemOp::TestAndSet,
+        });
+        assert_eq!(ce.outstanding(), 1);
+        assert!(ce.on_response());
     }
 
     #[test]
     #[should_panic(expected = "in flight")]
     fn double_begin_panics() {
         let mut ce = CeEngine::new(CeId(0));
-        ce.begin(&Activity::Compute(Cycles(1)), Cycles(0));
-        ce.begin(&Activity::Compute(Cycles(1)), Cycles(0));
+        ce.begin(&Activity::Compute(Cycles(1)));
+        ce.begin(&Activity::Compute(Cycles(1)));
     }
 
     #[test]
     #[should_panic(expected = "unexpected response")]
     fn response_without_outstanding_panics() {
         let mut ce = CeEngine::new(CeId(0));
-        ce.begin(&Activity::Compute(Cycles(1)), Cycles(0));
-        ce.on_response(0);
-    }
-
-    #[test]
-    fn busy_time_accumulates_across_activities() {
-        let mut ce = CeEngine::new(CeId(0));
-        ce.begin(&Activity::Compute(Cycles(10)), Cycles(0));
-        ce.finish(Cycles(10));
-        ce.begin(&Activity::Compute(Cycles(5)), Cycles(20));
-        ce.finish(Cycles(25));
-        assert_eq!(ce.busy(), Cycles(15));
-        assert_eq!(ce.activities(), 2);
+        ce.begin(&Activity::Compute(Cycles(1)));
+        ce.on_response();
     }
 }

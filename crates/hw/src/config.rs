@@ -17,26 +17,26 @@ pub struct NetConfig {
     /// Crossbar radix (ports per switch).
     pub radix: u16,
     /// Switch traversal latency per stage, excluding queueing.
-    pub switch_latency: Cycles,
+    pub(crate) switch_latency: Cycles,
     /// Output-port occupancy per packet (inverse bandwidth; 1 packet per
     /// cycle per port at the default).
-    pub port_occupancy: Cycles,
+    pub(crate) port_occupancy: Cycles,
     /// Module busy time per request (serialization at the module).
-    pub module_service: Cycles,
+    pub(crate) module_service: Cycles,
     /// DRAM access component of module latency (pipelined; does not
     /// occupy the module for followers).
-    pub module_access: Cycles,
+    pub(crate) module_access: Cycles,
     /// Global Interface injection latency (CE → first stage).
-    pub gi_inject: Cycles,
+    pub(crate) gi_inject: Cycles,
     /// Per-cluster injection ports: the modified Alliant FX/8's CEs share
     /// a cluster-level path to their Global Interfaces, which bounds a
     /// cluster's aggregate global-memory issue bandwidth to this many
     /// words per cycle. Zero disables the shared-path model. This is why
     /// FLO52's contention overhead peaks on the *single-cluster*
     /// configurations (Table 4: 27% at 8 processors).
-    pub cluster_inject_ports: u16,
+    pub(crate) cluster_inject_ports: u16,
     /// Delivery latency (last reverse stage → CE).
-    pub delivery: Cycles,
+    pub(crate) delivery: Cycles,
 }
 
 impl NetConfig {
@@ -109,9 +109,6 @@ pub struct ClusterConfig {
     /// Concurrency-bus cost for an intra-cluster barrier once every CE
     /// has arrived.
     pub cbus_barrier: Cycles,
-    /// Cache/local-memory effective access time folded into compute
-    /// costs (documented knob; local work is charged as compute cycles).
-    pub local_access: Cycles,
 }
 
 impl ClusterConfig {
@@ -120,7 +117,6 @@ impl ClusterConfig {
         ClusterConfig {
             cbus_dispatch: Cycles(6),
             cbus_barrier: Cycles(8),
-            local_access: Cycles(1),
         }
     }
 }

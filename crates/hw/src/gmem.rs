@@ -10,8 +10,8 @@ use crate::addr::GlobalAddr;
 use crate::config::NetConfig;
 use crate::module::MemoryModule;
 use crate::net::DeltaNet;
-use crate::packet::{MemOp, MemRequest, MemResponse, RequestId};
-use crate::topology::{CeId, ModuleId};
+use crate::packet::{MemOp, MemRequest, MemResponse};
+use crate::topology::CeId;
 
 /// Internal events of the global-memory system. `cedar-core` wraps these
 /// in its master event enum and feeds them back into [`GlobalMemorySystem::handle`].
@@ -29,13 +29,6 @@ pub enum GmemEvent {
     RevStage2(MemResponse),
     /// Response packet reaches the requesting CE's Global Interface.
     Delivered(MemResponse),
-}
-
-/// Output of one `handle` step: a response has reached its CE.
-#[derive(Debug, Clone, Copy)]
-pub enum GmemOutput {
-    /// Deliver `MemResponse` to `MemResponse::ce`.
-    Deliver(MemResponse),
 }
 
 /// Aggregate contention statistics for a run.
@@ -81,7 +74,8 @@ impl GmemStats {
 ///
 /// Drive it with [`inject`](Self::inject) and route the emitted
 /// [`GmemEvent`]s back through [`handle`](Self::handle); when a request's
-/// round trip completes, `handle` returns [`GmemOutput::Deliver`].
+/// round trip completes, `handle` returns its [`MemResponse`], addressed
+/// to the issuing CE.
 #[derive(Debug)]
 pub struct GlobalMemorySystem {
     cfg: NetConfig,
@@ -91,7 +85,6 @@ pub struct GlobalMemorySystem {
     /// Shared per-cluster injection paths (round-robin over the ports).
     cluster_paths: Vec<PortBank>,
     cluster_rr: Vec<usize>,
-    next_request: u64,
     latency: LatencyHistogram,
 }
 
@@ -110,7 +103,6 @@ impl GlobalMemorySystem {
                 .map(|_| PortBank::new(cfg.cluster_inject_ports as usize))
                 .collect(),
             cluster_rr: vec![0; n_clusters],
-            next_request: 0,
             latency: LatencyHistogram::new(24),
             cfg,
         }
@@ -121,16 +113,8 @@ impl GlobalMemorySystem {
         &self.cfg
     }
 
-    /// Allocates a fresh request id.
-    pub fn next_request_id(&mut self) -> RequestId {
-        let id = RequestId(self.next_request);
-        self.next_request += 1;
-        id
-    }
-
-    /// Injects a request from `ce` for `addr`/`op` at time `now`. Returns
-    /// the request id; the packet will surface later as
-    /// [`GmemOutput::Deliver`].
+    /// Injects a request from `ce` for `addr`/`op` at time `now`. Its
+    /// response surfaces later from [`handle`](Self::handle).
     pub fn inject(
         &mut self,
         ce: CeId,
@@ -138,10 +122,8 @@ impl GlobalMemorySystem {
         op: MemOp,
         now: SimTime,
         out: &mut Outbox<GmemEvent>,
-    ) -> RequestId {
-        let id = self.next_request_id();
+    ) {
         let req = MemRequest {
-            id,
             ce,
             addr,
             module: addr.module(self.cfg.modules),
@@ -174,17 +156,16 @@ impl GlobalMemorySystem {
             Cycles::ZERO
         };
         out.emit(path_delay + self.cfg.gi_inject, GmemEvent::FwdStage1(req));
-        id
     }
 
-    /// Advances one packet one hop. Returns `Some(Deliver)` when a
-    /// response reaches its CE.
+    /// Advances one packet one hop. Returns the response when it reaches
+    /// its CE.
     pub fn handle(
         &mut self,
         ev: GmemEvent,
         now: SimTime,
         out: &mut Outbox<GmemEvent>,
-    ) -> Option<GmemOutput> {
+    ) -> Option<MemResponse> {
         match ev {
             GmemEvent::FwdStage1(req) => {
                 let arrive = self
@@ -202,7 +183,6 @@ impl GlobalMemorySystem {
                 let (ready, value) =
                     self.modules[req.module.0 as usize].serve(req.addr.dword_index(), req.op, now);
                 let resp = MemResponse {
-                    id: req.id,
                     ce: req.ce,
                     value,
                     module: req.module,
@@ -226,7 +206,7 @@ impl GlobalMemorySystem {
             GmemEvent::Delivered(resp) => {
                 self.latency
                     .record(Cycles(now.0.saturating_sub(resp.injected_at)));
-                Some(GmemOutput::Deliver(resp))
+                Some(resp)
             }
         }
     }
@@ -290,11 +270,6 @@ impl GlobalMemorySystem {
         let module = addr.module(self.cfg.modules);
         self.modules[module.0 as usize].peek(addr.dword_index())
     }
-
-    /// The module an address maps to, under this configuration.
-    pub fn module_of(&self, addr: GlobalAddr) -> ModuleId {
-        addr.module(self.cfg.modules)
-    }
 }
 
 #[cfg(test)]
@@ -317,7 +292,7 @@ mod tests {
         }
         let mut delivered = Vec::new();
         while let Some((now, ev)) = q.pop() {
-            if let Some(GmemOutput::Deliver(resp)) = sys.handle(ev, now, &mut out) {
+            if let Some(resp) = sys.handle(ev, now, &mut out) {
                 delivered.push((now, resp));
             }
             out.flush_into(now, q);
@@ -339,12 +314,7 @@ mod tests {
         let mut q = EventQueue::with_kind(SchedKind::Calendar);
         let delivered = drive(&mut q, sys, &injections);
 
-        assert_eq!(delivered.len(), heap_run.len(), "A/B delivery count");
-        for (a, b) in delivered.iter().zip(&heap_run) {
-            assert_eq!(a.0, b.0, "A/B delivery time");
-            assert_eq!(a.1.id, b.1.id, "A/B delivery order");
-            assert_eq!(a.1.value, b.1.value, "A/B delivered value");
-        }
+        assert_eq!(delivered, heap_run, "A/B delivery stream");
         delivered
     }
 
@@ -435,7 +405,7 @@ mod tests {
     fn stats_record_per_module_hot_spot() {
         let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
         let hot = GlobalAddr(0x40);
-        let hot_module = sys.module_of(hot).0 as usize;
+        let hot_module = hot.module(sys.config().modules).0 as usize;
         let injections = (0..16)
             .map(|c| (CeId(c), hot, MemOp::TestAndSet, Cycles(0)))
             .collect();

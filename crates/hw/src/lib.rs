@@ -4,9 +4,11 @@
 //! paper):
 //!
 //! * 1–4 **clusters** (modified Alliant FX/8s) of 8 pipelined
-//!   computational elements (CEs) each, with a
+//!   computational elements (CEs) each ([`ce`]), with a
 //!   **concurrency control bus** for fast intra-cluster loop dispatch and
-//!   synchronization ([`cbus`], [`ce`]);
+//!   synchronization: its barrier is [`cbus::CbusBarrier`], and its
+//!   dispatch is a fixed cost ([`config::ClusterConfig::cbus_dispatch`])
+//!   the machine charges directly;
 //! * a 64 MB **global memory** of 32 independent, double-word interleaved
 //!   modules ([`module`], [`gmem`]);
 //! * a **two-stage shuffle-exchange network** of 8×8 crossbar switches,
@@ -19,14 +21,16 @@
 //! requests from many CEs queue exactly where they did on the real
 //! machine.
 //!
-//! Components follow the `cedar-sim` outbox pattern: they are plain
-//! structs with `handle(event, now, &mut Outbox)` methods, composed into a
-//! full machine by `cedar-core`.
+//! The global-memory system follows the `cedar-sim` outbox pattern: a
+//! plain struct with `inject`/`handle(event, now, &mut Outbox)` methods
+//! that returns the [`MemResponse`] when a round trip completes. The CE
+//! engine and the concurrency-bus barrier are plain state `cedar-core`
+//! drives directly.
 //!
 //! ## Example: one word's round trip
 //!
 //! ```
-//! use cedar_hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, GmemOutput, MemOp, NetConfig};
+//! use cedar_hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig};
 //! use cedar_sim::{Cycles, EventQueue, Outbox};
 //!
 //! let cfg = NetConfig::cedar();
@@ -38,7 +42,7 @@
 //! out.flush_into(Cycles(0), &mut q);
 //! let mut delivered_at = None;
 //! while let Some((now, ev)) = q.pop() {
-//!     if let Some(GmemOutput::Deliver(_)) = sys.handle(ev, now, &mut out) {
+//!     if sys.handle(ev, now, &mut out).is_some() {
 //!         delivered_at = Some(now);
 //!     }
 //!     out.flush_into(now, &mut q);
@@ -57,14 +61,13 @@ pub mod net;
 pub mod packet;
 pub mod route;
 pub mod switch;
-pub mod topology;
+pub(crate) mod topology;
 pub mod vector;
 
 pub use addr::GlobalAddr;
-pub use cbus::ConcurrencyBus;
-pub use ce::{Activity, ActivityOutcome, CeEngine};
+pub use ce::{Activity, CeEngine};
 pub use config::{HwConfig, NetConfig};
-pub use gmem::{GlobalMemorySystem, GmemEvent, GmemOutput};
-pub use packet::{MemOp, MemRequest, MemResponse, RequestId};
+pub use gmem::{GlobalMemorySystem, GmemEvent};
+pub use packet::{MemOp, MemRequest, MemResponse};
 pub use topology::{CeId, ClusterId, Configuration, ModuleId};
 pub use vector::VectorAccess;

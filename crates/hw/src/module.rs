@@ -144,7 +144,7 @@ impl MemoryModule {
 
     /// Synchronization (TAS/Unset/FetchAdd) requests served so far — high
     /// counts on a single module indicate a hot spot.
-    pub fn sync_requests(&self) -> u64 {
+    pub(crate) fn sync_requests(&self) -> u64 {
         self.sync_requests
     }
 

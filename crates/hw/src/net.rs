@@ -37,7 +37,7 @@ impl DeltaNet {
     }
 
     /// Routing geometry.
-    pub fn geometry(&self) -> DeltaGeometry {
+    pub(crate) fn geometry(&self) -> DeltaGeometry {
         self.geometry
     }
 

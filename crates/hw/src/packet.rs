@@ -1,19 +1,7 @@
 //! Network packets: global-memory requests and responses.
 
-use std::fmt;
-
 use crate::addr::GlobalAddr;
 use crate::topology::{CeId, ModuleId};
-
-/// Uniquely identifies an in-flight memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RequestId(pub u64);
-
-impl fmt::Display for RequestId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "req{}", self.0)
-    }
-}
 
 /// The operation a request performs at the memory module.
 ///
@@ -37,14 +25,9 @@ pub enum MemOp {
 }
 
 impl MemOp {
-    /// `true` for operations that modify module state.
-    pub fn is_write(self) -> bool {
-        !matches!(self, MemOp::Read)
-    }
-
     /// `true` for the synchronization primitives (they address hot lock
     /// words, which matters for hot-spot statistics).
-    pub fn is_sync(self) -> bool {
+    pub(crate) fn is_sync(self) -> bool {
         matches!(self, MemOp::TestAndSet | MemOp::Unset | MemOp::FetchAdd(_))
     }
 }
@@ -52,8 +35,6 @@ impl MemOp {
 /// A request packet travelling CE → forward network → memory module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
-    /// In-flight id, echoed in the response.
-    pub id: RequestId,
     /// Issuing computational element.
     pub ce: CeId,
     /// Target address.
@@ -69,8 +50,6 @@ pub struct MemRequest {
 /// A response packet travelling memory module → reverse network → CE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemResponse {
-    /// Id of the request this answers.
-    pub id: RequestId,
     /// CE to deliver to.
     pub ce: CeId,
     /// Value returned by the module (old value for `TestAndSet` /
@@ -89,9 +68,6 @@ mod tests {
 
     #[test]
     fn op_classification() {
-        assert!(!MemOp::Read.is_write());
-        assert!(MemOp::Write(3).is_write());
-        assert!(MemOp::TestAndSet.is_write());
         assert!(MemOp::TestAndSet.is_sync());
         assert!(MemOp::FetchAdd(1).is_sync());
         assert!(!MemOp::Read.is_sync());

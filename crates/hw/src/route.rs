@@ -17,7 +17,6 @@
 /// use cedar_hw::route::DeltaGeometry;
 /// let g = DeltaGeometry::new(32, 8); // the Cedar geometry
 /// assert_eq!(g.switches_per_stage(), 4);
-/// assert_eq!(g.parallel_links(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaGeometry {
@@ -103,11 +102,6 @@ impl DeltaGeometry {
         self.groups
     }
 
-    /// Parallel links between each (stage-1, stage-2) switch pair.
-    pub fn parallel_links(&self) -> u16 {
-        self.links
-    }
-
     /// `x / radix`, taking the shift fast path on power-of-two radices.
     #[inline]
     fn div_radix(&self, x: u16) -> u16 {
@@ -176,7 +170,7 @@ mod tests {
         assert_eq!(g.endpoints(), 32);
         assert_eq!(g.radix(), 8);
         assert_eq!(g.switches_per_stage(), 4);
-        assert_eq!(g.parallel_links(), 2);
+        assert_eq!(g.links, 2, "parallel links per switch pair");
     }
 
     #[test]
@@ -238,7 +232,7 @@ mod tests {
     fn smaller_geometries_work() {
         let g = DeltaGeometry::new(16, 4);
         assert_eq!(g.switches_per_stage(), 4);
-        assert_eq!(g.parallel_links(), 1);
+        assert_eq!(g.links, 1);
         for dst in 0..16 {
             assert_eq!(g.stage1_port(dst), g.stage2_switch(dst));
         }

@@ -65,7 +65,7 @@ impl PortServer {
 
 /// Ports a [`PortBank`] stores inline before spilling to the heap.
 /// Cedar's switches are 8×8 (§2), so the standard machine never spills.
-pub const INLINE_PORTS: usize = 8;
+pub(crate) const INLINE_PORTS: usize = 8;
 
 /// A fixed-capacity inline bank of FCFS ports.
 ///
@@ -74,7 +74,7 @@ pub const INLINE_PORTS: usize = 8;
 /// `free_at`/counter scalars sits in two cache lines); configurations
 /// wider than the inline bound spill the remainder to a vector.
 #[derive(Debug, Clone)]
-pub struct PortBank {
+pub(crate) struct PortBank {
     inline: [PortServer; INLINE_PORTS],
     inline_len: usize,
     spill: Vec<PortServer>,
@@ -90,35 +90,12 @@ impl PortBank {
         }
     }
 
-    /// Number of ports in the bank.
-    pub fn len(&self) -> usize {
-        self.inline_len + self.spill.len()
-    }
-
-    /// `true` when the bank has no ports.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn get(&self, i: usize) -> &PortServer {
-        if i < self.inline_len {
-            &self.inline[i]
-        } else {
-            &self.spill[i - self.inline_len]
-        }
-    }
-
     /// The `i`-th port, mutably.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn get_mut(&mut self, i: usize) -> &mut PortServer {
+    pub(crate) fn get_mut(&mut self, i: usize) -> &mut PortServer {
         if i < self.inline_len {
             &mut self.inline[i]
         } else {
@@ -137,7 +114,7 @@ impl PortBank {
 /// An `radix`-output crossbar switch (inputs need no modelling: an ideal
 /// crossbar only conflicts at outputs).
 #[derive(Debug, Clone)]
-pub struct Crossbar {
+pub(crate) struct Crossbar {
     ports: PortBank,
     latency: Cycles,
     occupancy: Cycles,
@@ -159,7 +136,7 @@ impl Crossbar {
     /// # Panics
     ///
     /// Panics if `port` is out of range.
-    pub fn transit(&mut self, port: u16, now: SimTime) -> SimTime {
+    pub(crate) fn transit(&mut self, port: u16, now: SimTime) -> SimTime {
         let served_by = self
             .ports
             .get_mut(port as usize)
@@ -169,18 +146,8 @@ impl Crossbar {
         served_by + self.latency
     }
 
-    /// Per-port statistics.
-    pub fn port(&self, port: u16) -> &PortServer {
-        self.ports.get(port as usize)
-    }
-
-    /// Number of output ports.
-    pub fn radix(&self) -> u16 {
-        self.ports.len() as u16
-    }
-
     /// Total packets across all ports.
-    pub fn total_packets(&self) -> u64 {
+    pub(crate) fn total_packets(&self) -> u64 {
         self.ports.iter().map(PortServer::packets).sum()
     }
 
@@ -188,23 +155,23 @@ impl Crossbar {
     pub fn total_queued(&self) -> Cycles {
         self.ports.iter().map(PortServer::queued).sum()
     }
-
-    /// Read-only access to the whole port bank (diagnostics).
-    pub fn ports(&self) -> &PortBank {
-        &self.ports
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Output `i`'s statistics, read through the bank's iterator.
+    fn port(sw: &Crossbar, i: usize) -> &PortServer {
+        sw.ports.iter().nth(i).expect("port in range")
+    }
+
     #[test]
     fn uncontended_packet_takes_occupancy_plus_latency() {
         let mut sw = Crossbar::new(8, Cycles(4), Cycles(1));
         let out = sw.transit(3, Cycles(100));
         assert_eq!(out, Cycles(105)); // 100 + 1 occupancy + 4 latency
-        assert_eq!(sw.port(3).queued(), Cycles::ZERO);
+        assert_eq!(port(&sw, 3).queued(), Cycles::ZERO);
     }
 
     #[test]
@@ -214,7 +181,7 @@ mod tests {
         let b = sw.transit(0, Cycles(10)); // same instant, same port
         assert_eq!(a, Cycles(15));
         assert_eq!(b, Cycles(16)); // one cycle behind
-        assert_eq!(sw.port(0).queued(), Cycles(1));
+        assert_eq!(port(&sw, 0).queued(), Cycles(1));
     }
 
     #[test]
@@ -231,10 +198,10 @@ mod tests {
         for _ in 0..5 {
             sw.transit(2, Cycles(0));
         }
-        assert_eq!(sw.port(2).packets(), 5);
-        assert_eq!(sw.port(2).busy(), Cycles(5));
+        assert_eq!(port(&sw, 2).packets(), 5);
+        assert_eq!(port(&sw, 2).busy(), Cycles(5));
         // Packets arrived simultaneously: 0+1+2+3+4 cycles of queueing.
-        assert_eq!(sw.port(2).queued(), Cycles(10));
+        assert_eq!(port(&sw, 2).queued(), Cycles(10));
         assert_eq!(sw.total_packets(), 5);
         assert_eq!(sw.total_queued(), Cycles(10));
     }
@@ -243,15 +210,14 @@ mod tests {
     fn wide_crossbar_spills_past_inline_ports() {
         // A 16-output switch exercises the spill half of the bank.
         let mut sw = Crossbar::new(16, Cycles(4), Cycles(1));
-        assert_eq!(sw.radix(), 16);
+        assert_eq!(sw.ports.iter().count(), 16);
         let a = sw.transit(15, Cycles(10)); // spill port
         let b = sw.transit(15, Cycles(10));
         assert_eq!((a, b), (Cycles(15), Cycles(16)));
         let c = sw.transit(0, Cycles(10)); // inline port, independent
         assert_eq!(c, Cycles(15));
-        assert_eq!(sw.port(15).packets(), 2);
+        assert_eq!(port(&sw, 15).packets(), 2);
         assert_eq!(sw.total_packets(), 3);
-        assert_eq!(sw.ports().iter().count(), 16);
     }
 
     #[test]
@@ -260,6 +226,6 @@ mod tests {
         sw.transit(0, Cycles(0)); // busy until 3
         let out = sw.transit(0, Cycles(50)); // long after
         assert_eq!(out, Cycles(54));
-        assert_eq!(sw.port(0).queued(), Cycles::ZERO);
+        assert_eq!(port(&sw, 0).queued(), Cycles::ZERO);
     }
 }

@@ -22,7 +22,7 @@ impl fmt::Display for ClusterId {
 pub struct CeId(pub u16);
 
 /// CEs per cluster on the real Cedar.
-pub const CES_PER_CLUSTER: u16 = 8;
+pub(crate) const CES_PER_CLUSTER: u16 = 8;
 
 impl CeId {
     /// The cluster this CE belongs to (full-machine numbering).
@@ -135,11 +135,6 @@ impl Configuration {
         let per = self.ces_per_cluster();
         (0..self.clusters() as u16)
             .flat_map(move |cl| (0..per).map(move |i| CeId::from_parts(ClusterId(cl as u8), i)))
-    }
-
-    /// Iterator over the active cluster ids.
-    pub fn cluster_ids(self) -> impl Iterator<Item = ClusterId> {
-        (0..self.clusters()).map(ClusterId)
     }
 }
 

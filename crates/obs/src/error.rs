@@ -16,8 +16,8 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CedarError {
     /// A configuration or workload model violates a structural
-    /// invariant (missing array reference, zero-iteration loop,
-    /// zero event bound).
+    /// invariant (missing array reference, zero-iteration loop, zero
+    /// memory modules).
     ConfigInvalid(String),
     /// The content-addressed run cache could not be opened or written
     /// (root is a file, permissions, disk full at open time).
@@ -25,17 +25,6 @@ pub enum CedarError {
     /// The reproduction itself failed an invariant (a panicking
     /// experiment, an I/O failure rendering a report).
     Internal(String),
-    /// A `cedar-check` invariant oracle found a measurement that breaks
-    /// one of the reproduction's claimed laws (conservation, scheduler
-    /// parity, fault-attribution monotonicity, …). Carries the oracle
-    /// name so tooling can route the violation without parsing the
-    /// message.
-    CheckViolation {
-        /// The violated oracle's registry name (e.g. `"conservation"`).
-        oracle: String,
-        /// Human-readable description of what broke.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for CedarError {
@@ -44,9 +33,6 @@ impl std::fmt::Display for CedarError {
             CedarError::ConfigInvalid(m) => write!(f, "invalid configuration: {m}"),
             CedarError::CacheIo(m) => write!(f, "run-cache I/O failure: {m}"),
             CedarError::Internal(m) => write!(f, "internal error: {m}"),
-            CedarError::CheckViolation { oracle, detail } => {
-                write!(f, "check oracle `{oracle}` violated: {detail}")
-            }
         }
     }
 }
@@ -64,14 +50,8 @@ mod tests {
             e.to_string(),
             "invalid configuration: loop `L1` has zero iterations"
         );
-        let e = CedarError::CheckViolation {
-            oracle: "conservation".into(),
-            detail: "bodies 3 != 4".into(),
-        };
-        assert_eq!(
-            e.to_string(),
-            "check oracle `conservation` violated: bodies 3 != 4"
-        );
+        let e = CedarError::CacheIo("root is a file".into());
+        assert_eq!(e.to_string(), "run-cache I/O failure: root is a file");
     }
 
     #[test]

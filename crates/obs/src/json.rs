@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 /// Escapes `s` as a JSON string literal (with quotes).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -209,14 +209,6 @@ impl JsonValue {
             JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -482,7 +474,7 @@ mod tests {
         let v = parse(&o.finish()).unwrap();
         assert_eq!(v.get("name").unwrap().as_str(), Some("cedar \"v1\"\n"));
         assert_eq!(v.get("events").unwrap().as_u64(), Some(42));
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
         assert_eq!(v.get("w"), Some(&JsonValue::Null));
         assert_eq!(v.get("rate").unwrap().as_f64(), Some(2.5));
         assert_eq!(

@@ -6,17 +6,13 @@
 //! *simulator itself*, so a campaign can report where the event loop,
 //! scheduler, worker pool and outbox spend wall-clock time.
 //!
-//! Three pieces:
+//! It has no span facility: the run's wall-clock phases are plain
+//! `*_ns` fields of [`RunStats`], timed where they happen. The pieces:
 //!
-//! * [`Recorder`] — a lightweight span/counter facility. Spans are
-//!   enter/exit wall-clock intervals ([`Recorder::enter`] /
-//!   [`Recorder::exit`], or the closure form [`Recorder::time`]);
-//!   counters are monotonic named totals ([`Counters`]). A disabled
-//!   recorder is a no-op: `enter` never reads the clock and every other
-//!   call returns immediately, so instrumented code pays one branch.
-//!   For per-event tallies even that is too much; hot loops batch into
-//!   a flat [`ScratchCounters`] block and flush it into the rollup at a
-//!   phase boundary.
+//! * [`Counters`] — monotonic named totals, the run's counter rollup.
+//!   Hot loops batch into a flat [`ScratchCounters`] block and flush it
+//!   into the rollup at a phase boundary, so per-event tallies never
+//!   pay a map probe.
 //! * [`RunOptions`] — the single typed run-configuration record
 //!   (scheduler kind, worker count, shrink factor, smoke mode,
 //!   telemetry level, output directory). Built programmatically with
@@ -33,13 +29,13 @@
 //!   `cedar_core::CedarError` re-exports it as the canonical import
 //!   path.
 
+pub mod counters;
 pub mod error;
 pub mod json;
 pub mod options;
-pub mod recorder;
 pub mod scratch;
 
+pub use counters::{Counters, RunStats};
 pub use error::CedarError;
 pub use options::{CacheMode, RunOptions, TelemetryLevel};
-pub use recorder::{Counters, Recorder, RunStats, SpanStat, SpanToken};
 pub use scratch::ScratchCounters;

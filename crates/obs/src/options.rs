@@ -271,24 +271,6 @@ impl RunOptions {
         self
     }
 
-    /// Enables benchmark smoke mode (builder style).
-    pub fn with_smoke(mut self) -> Self {
-        self.smoke = true;
-        self
-    }
-
-    /// Overrides benchmark timed iterations (builder style).
-    pub fn with_bench_iters(mut self, iters: u32) -> Self {
-        self.bench_iters = Some(iters.max(1));
-        self
-    }
-
-    /// Overrides benchmark warmup iterations (builder style).
-    pub fn with_bench_warmup(mut self, warmup: u32) -> Self {
-        self.bench_warmup = Some(warmup);
-        self
-    }
-
     /// Sets the telemetry level (builder style).
     pub fn with_telemetry(mut self, level: TelemetryLevel) -> Self {
         self.telemetry = level;
@@ -353,17 +335,11 @@ mod tests {
             .with_scheduler(SchedKind::Heap)
             .with_workers(3)
             .with_shrink(0) // clamped to 1
-            .with_smoke()
-            .with_bench_iters(0) // clamped to 1
-            .with_bench_warmup(2)
             .with_telemetry(TelemetryLevel::Off)
             .with_output_dir("/tmp/x");
         assert_eq!(o.scheduler, SchedKind::Heap);
         assert_eq!(o.workers, Some(3));
         assert_eq!(o.shrink, 1);
-        assert!(o.smoke);
-        assert_eq!(o.bench_iters, Some(1));
-        assert_eq!(o.bench_warmup, Some(2));
         assert_eq!(o.telemetry, TelemetryLevel::Off);
         assert_eq!(o.output_dir, Some(PathBuf::from("/tmp/x")));
     }

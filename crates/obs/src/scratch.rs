@@ -8,7 +8,7 @@
 //! with a static name table, flushed into the run's [`Counters`] rollup
 //! once at a phase boundary (end of run) instead of per event.
 
-use crate::recorder::Counters;
+use crate::counters::Counters;
 
 /// A flat block of `N` counters addressed by index on the hot path and
 /// by name only at flush time.

@@ -46,7 +46,7 @@ pub fn figure3(suite: &SuiteResult) -> String {
 /// configurations. Quantities are percentages of the completion time;
 /// below-the-line buckets (iterations, serial code, cluster-only loops)
 /// come first, parallelization overheads after the `||` divider.
-pub fn user_breakdown(app: &AppResults) -> String {
+pub(crate) fn user_breakdown(app: &AppResults) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "User Time Breakdown for {}", app.app);
     let _ = writeln!(

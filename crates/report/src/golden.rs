@@ -29,14 +29,14 @@ pub enum GoldenStatus {
 }
 
 /// True when the caller asked for snapshots to be re-recorded.
-pub fn update_mode() -> bool {
+pub(crate) fn update_mode() -> bool {
     std::env::var("UPDATE_GOLDEN")
         .map(|v| v == "1")
         .unwrap_or(false)
 }
 
 /// Compares `actual` against the snapshot at `path`, honouring
-/// [`update_mode`]. Filesystem failures surface as
+/// `UPDATE_GOLDEN=1`. Filesystem failures surface as
 /// [`CedarError::Internal`] with the path in the message.
 pub fn check(path: &Path, actual: &str) -> Result<GoldenStatus, CedarError> {
     let io_err =
@@ -88,7 +88,7 @@ pub fn assert_matches(path: &Path, actual: &str) {
 /// differing middle shown as `-expected` / `+actual` lines with one line
 /// of context. Not a general diff algorithm, but campaign renderings
 /// change in localized blocks, which this presents readably.
-pub fn line_diff(expected: &str, actual: &str) -> String {
+pub(crate) fn line_diff(expected: &str, actual: &str) -> String {
     let e: Vec<&str> = expected.lines().collect();
     let a: Vec<&str> = actual.lines().collect();
     let mut head = 0;

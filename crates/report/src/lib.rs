@@ -9,13 +9,13 @@
 //!   user/system/interrupt/spin per configuration (Figure 3 a–f);
 //! * [`tables::table2`] — detailed OS-activity overheads on the
 //!   4-cluster Cedar (Table 2);
-//! * [`figures::user_breakdown`] — per-task user-time breakdowns
+//! * [`figures::figures5to9`] — per-task user-time breakdowns
 //!   (Figures 5–9);
 //! * [`tables::table3`] — average parallel-loop concurrency (Table 3);
 //! * [`tables::table4`] — global-memory and network contention overhead
 //!   (Table 4).
 //!
-//! [`table::TextTable`] is the generic aligned-text backend and
+//! A crate-private aligned-text table backs every rendering, and
 //! [`csv`] provides machine-readable output for downstream plotting.
 //! [`golden`] locks the rendered artifacts down with checked-in text
 //! snapshots (`UPDATE_GOLDEN=1` re-records them).
@@ -24,8 +24,7 @@ pub mod csv;
 pub mod figures;
 pub mod golden;
 pub mod paper;
-pub mod table;
+mod table;
 pub mod tables;
 
 pub use golden::GoldenStatus;
-pub use table::TextTable;

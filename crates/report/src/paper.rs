@@ -68,7 +68,7 @@ pub const TABLE4_OV: [(&str, [f64; 4]); 5] = [
 ];
 
 /// Table 3's published main-task parallel-loop concurrency at 32p.
-pub const TABLE3_MAIN_32P: [(&str, f64); 5] = [
+pub(crate) const TABLE3_MAIN_32P: [(&str, f64); 5] = [
     ("FLO52", 6.85),
     ("ARC2D", 7.62),
     ("MDG", 7.98),

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 /// Column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
+pub(crate) enum Align {
     /// Left-aligned (labels).
     Left,
     /// Right-aligned (numbers).
@@ -12,20 +12,8 @@ pub enum Align {
 }
 
 /// A simple monospace table builder.
-///
-/// # Example
-///
-/// ```
-/// use cedar_report::TextTable;
-///
-/// let mut t = TextTable::new(vec!["Program", "CT (s)"]);
-/// t.row(vec!["FLO52".into(), "613".into()]);
-/// let s = t.render();
-/// assert!(s.contains("FLO52"));
-/// assert!(s.contains("CT (s)"));
-/// ```
 #[derive(Debug, Clone)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
     aligns: Vec<Align>,
@@ -34,7 +22,7 @@ pub struct TextTable {
 impl TextTable {
     /// Creates a table with the given column headers. The first column
     /// is left-aligned, the rest right-aligned (the common numeric
-    /// layout); override with [`aligns`](Self::aligns).
+    /// layout).
     pub fn new<S: Into<String>>(header: Vec<S>) -> Self {
         let header: Vec<String> = header.into_iter().map(Into::into).collect();
         let aligns = (0..header.len())
@@ -45,17 +33,6 @@ impl TextTable {
             rows: Vec::new(),
             aligns,
         }
-    }
-
-    /// Overrides column alignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the count does not match the header.
-    pub fn aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.header.len(), "one align per column");
-        self.aligns = aligns;
-        self
     }
 
     /// Appends a row.
@@ -69,13 +46,8 @@ impl TextTable {
     }
 
     /// Appends a horizontal separator row.
-    pub fn separator(&mut self) {
+    pub(crate) fn separator(&mut self) {
         self.rows.push(Vec::new());
-    }
-
-    /// Number of data rows (separators excluded).
-    pub fn n_rows(&self) -> usize {
-        self.rows.iter().filter(|r| !r.is_empty()).count()
     }
 
     /// Renders the table.
@@ -120,7 +92,7 @@ impl TextTable {
 }
 
 /// Formats a float with `digits` decimal places.
-pub fn fnum(v: f64, digits: usize) -> String {
+pub(crate) fn fnum(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 
@@ -149,7 +121,7 @@ mod tests {
         t.row(vec!["1".into()]);
         t.separator();
         t.row(vec!["2".into()]);
-        assert_eq!(t.n_rows(), 2);
+        assert_eq!(t.rows.iter().filter(|r| !r.is_empty()).count(), 2);
         assert_eq!(t.render().lines().count(), 5);
     }
 

@@ -118,11 +118,6 @@ impl WorkWaiter {
     pub fn stalled(&self) -> Cycles {
         self.stalled
     }
-
-    /// `true` while spinning.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +155,7 @@ mod tests {
                 kind: LoopKind::Sdoall
             }
         );
-        assert!(!w.is_active());
+        assert!(!w.active);
     }
 
     #[test]
@@ -199,7 +194,7 @@ mod tests {
         w.record_stall(Cycles(200));
         assert_eq!(w.stalled(), Cycles(1_000));
         // The spin state machine is unaffected.
-        assert!(w.is_active());
+        assert!(w.active);
         assert_eq!(w.checks(), 1);
         assert!(matches!(w.on_value(0), WaitStep::Issue(_)));
     }

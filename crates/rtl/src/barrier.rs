@@ -79,21 +79,6 @@ impl FinishBarrier {
     pub fn checks(&self) -> u64 {
         self.checks
     }
-
-    /// `true` while spinning.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    /// The fetch-add a task issues when *joining* a loop.
-    pub fn join_op(words: &RtlWords) -> WordIssue {
-        WordIssue::now(words.joined, MemOp::FetchAdd(1))
-    }
-
-    /// The fetch-add a task issues when *detaching* from a loop.
-    pub fn detach_op(words: &RtlWords) -> WordIssue {
-        WordIssue::now(words.joined, MemOp::FetchAdd(-1))
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +96,7 @@ mod tests {
         assert!(matches!(b.on_value(2), BarrierStep::Issue(_)));
         assert!(matches!(b.on_value(1), BarrierStep::Issue(_)));
         assert_eq!(b.on_value(0), BarrierStep::Released);
-        assert!(!b.is_active());
+        assert!(!b.active);
         assert_eq!(b.checks(), 3);
     }
 
@@ -144,14 +129,6 @@ mod tests {
         b.begin();
         assert!(matches!(b.on_value(1), BarrierStep::Issue(_)));
         assert_eq!(b.on_value(0), BarrierStep::Released);
-    }
-
-    #[test]
-    fn join_and_detach_are_fetch_adds() {
-        let w = RtlWords::cedar();
-        assert_eq!(FinishBarrier::join_op(&w).op, MemOp::FetchAdd(1));
-        assert_eq!(FinishBarrier::detach_op(&w).op, MemOp::FetchAdd(-1));
-        assert_eq!(FinishBarrier::join_op(&w).addr, w.joined);
     }
 
     #[test]

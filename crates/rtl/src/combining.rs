@@ -70,7 +70,7 @@ impl CombiningTree {
     /// # Panics
     ///
     /// Panics if the node does not exist.
-    pub fn node(&self, level: usize, idx: u32) -> GlobalAddr {
+    pub(crate) fn node(&self, level: usize, idx: u32) -> GlobalAddr {
         assert!(level < self.levels.len(), "level {level} out of range");
         assert!(idx < self.levels[level], "node {idx} out of range");
         let before: u32 = self.levels[..level].iter().sum();
@@ -84,7 +84,7 @@ impl CombiningTree {
 
     /// How many arrivals node `idx` at `level` expects before it
     /// propagates to its parent (the last group may be partial).
-    pub fn expected_at(&self, level: usize, idx: u32) -> u32 {
+    pub(crate) fn expected_at(&self, level: usize, idx: u32) -> u32 {
         let inputs = if level == 0 {
             self.participants
         } else {

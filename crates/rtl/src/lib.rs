@@ -19,8 +19,10 @@
 //!   all helpers which entered the loop to detach
 //!   ([`barrier::FinishBarrier`] over a joined-count word maintained
 //!   with fetch-and-add).
-//! * **DOACROSS**: serialized regions within a parallel loop
-//!   ([`doacross::DoacrossGate`]).
+//!
+//! DOACROSS loops (serialized regions within a parallel loop) have no
+//! state machine here: the machine runs their ticket protocol inline in
+//! `cedar-core`'s `machine/exec.rs`.
 //!
 //! Each state machine emits [`WordIssue`]s — single-word global-memory
 //! operations with optional delays — that `cedar-core` turns into CE
@@ -51,7 +53,6 @@ pub mod activity;
 pub mod barrier;
 pub mod combining;
 pub mod config;
-pub mod doacross;
 pub mod loops;
 pub mod sched;
 pub mod words;
@@ -60,7 +61,6 @@ pub use activity::{WaitStep, WorkWaiter};
 pub use barrier::{BarrierStep, FinishBarrier};
 pub use combining::{CombiningTree, Propagation};
 pub use config::RtlConfig;
-pub use doacross::DoacrossGate;
 pub use loops::{LoopDescriptor, LoopKind};
 pub use sched::{ClaimStep, IterClaimer};
 pub use words::RtlWords;

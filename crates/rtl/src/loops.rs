@@ -29,7 +29,7 @@ impl LoopKind {
     }
 
     /// Decodes a construct code.
-    pub fn from_code(code: u32) -> Option<LoopKind> {
+    pub(crate) fn from_code(code: u32) -> Option<LoopKind> {
         match code {
             1 => Some(LoopKind::Sdoall),
             2 => Some(LoopKind::Xdoall),
@@ -86,7 +86,7 @@ pub fn pack_activity(seq: u32, kind_code: u32) -> u64 {
 }
 
 /// Unpacks an activity word into `(seq, kind_code)`.
-pub fn unpack_activity(word: u64) -> (u32, u32) {
+pub(crate) fn unpack_activity(word: u64) -> (u32, u32) {
     ((word >> 3) as u32, (word & 0x7) as u32)
 }
 

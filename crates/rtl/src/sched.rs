@@ -61,9 +61,6 @@ pub struct IterClaimer {
     total: u32,
     backoff: Cycles,
     state: State,
-    tas_attempts: u64,
-    tas_failures: u64,
-    claims: u64,
 }
 
 impl IterClaimer {
@@ -75,9 +72,6 @@ impl IterClaimer {
             total,
             backoff,
             state: State::Idle,
-            tas_attempts: 0,
-            tas_failures: 0,
-            claims: 0,
         }
     }
 
@@ -107,14 +101,11 @@ impl IterClaimer {
                     return ClaimStep::Exhausted;
                 }
                 self.state = State::WaitTas;
-                self.tas_attempts += 1;
                 ClaimStep::Issue(WordIssue::now(self.words.lock, MemOp::TestAndSet))
             }
             State::WaitTas => {
                 if value != 0 {
                     // Lock held: back off, then retry the test-and-set.
-                    self.tas_failures += 1;
-                    self.tas_attempts += 1;
                     ClaimStep::Issue(WordIssue::after(
                         self.words.lock,
                         MemOp::TestAndSet,
@@ -140,34 +131,11 @@ impl IterClaimer {
             State::WaitUnlock { result } => {
                 self.state = State::Idle;
                 match result {
-                    Some(i) => {
-                        self.claims += 1;
-                        ClaimStep::Claimed(i)
-                    }
+                    Some(i) => ClaimStep::Claimed(i),
                     None => ClaimStep::Exhausted,
                 }
             }
         }
-    }
-
-    /// `true` when no claim is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.state == State::Idle
-    }
-
-    /// Test-and-set packets issued (successful + failed).
-    pub fn tas_attempts(&self) -> u64 {
-        self.tas_attempts
-    }
-
-    /// Failed test-and-set attempts (lock was held).
-    pub fn tas_failures(&self) -> u64 {
-        self.tas_failures
-    }
-
-    /// Iterations successfully claimed.
-    pub fn claims(&self) -> u64 {
-        self.claims
     }
 }
 
@@ -229,7 +197,7 @@ mod tests {
         assert_eq!(drive(&mut c, &mut lock, &mut index), ClaimStep::Claimed(1));
         assert_eq!(drive(&mut c, &mut lock, &mut index), ClaimStep::Claimed(2));
         assert_eq!(drive(&mut c, &mut lock, &mut index), ClaimStep::Exhausted);
-        assert_eq!(c.claims(), 3);
+        assert_eq!(index, 3, "one index fetch per claim");
         assert_eq!(lock, 0, "lock released after exhaustion");
     }
 
@@ -249,8 +217,6 @@ mod tests {
             }
             other => panic!("expected retry, got {other:?}"),
         }
-        assert_eq!(c.tas_failures(), 1);
-        assert_eq!(c.tas_attempts(), 2);
         // Now the lock is free: the claim proceeds to the index fetch.
         match c.on_value(0) {
             ClaimStep::Issue(i) => assert_eq!(i.op, MemOp::FetchAdd(1)),
@@ -261,11 +227,16 @@ mod tests {
     #[test]
     fn exhaustion_skips_index_write() {
         let mut c = claimer(2);
+        assert!(matches!(c.begin(), ClaimStep::Issue(i) if i.op == MemOp::Read));
+        assert_eq!(
+            c.on_value(2),
+            ClaimStep::Exhausted,
+            "exhaustion discovered lock-free"
+        );
         let (mut lock, mut index) = (0u64, 2u64); // already exhausted
         assert_eq!(drive(&mut c, &mut lock, &mut index), ClaimStep::Exhausted);
         assert_eq!(index, 2, "index not advanced past total");
         assert_eq!(lock, 0, "pre-check never touched the lock");
-        assert_eq!(c.tas_attempts(), 0, "exhaustion discovered lock-free");
     }
 
     #[test]
@@ -322,6 +293,5 @@ mod tests {
         let mut c = claimer(0);
         let (mut lock, mut index) = (0u64, 0u64);
         assert_eq!(drive(&mut c, &mut lock, &mut index), ClaimStep::Exhausted);
-        assert_eq!(c.claims(), 0);
     }
 }

@@ -4,8 +4,8 @@
 //! It deliberately contains nothing Cedar-specific: simulated time
 //! ([`Cycles`], [`SimTime`]), a deterministic pending-event set
 //! ([`EventQueue`], backed by a calendar queue or, as the reference, a
-//! binary heap), the outbox pattern used by component state machines
-//! ([`Outbox`]), a small deterministic RNG ([`SplitMix64`]), and
+//! binary heap), the outbox the global-memory system emits its packet
+//! hops into ([`Outbox`]), a small deterministic RNG ([`SplitMix64`]), and
 //! time-weighted statistics helpers ([`stats`]).
 //!
 //! ## Determinism

@@ -1,14 +1,16 @@
-//! The outbox pattern used by component state machines.
+//! The outbox pattern.
 //!
-//! Components in `cedar-hw`, `cedar-xylem` and `cedar-rtl` are plain
-//! structs whose `handle(...)` methods receive an event, the current time
-//! and a mutable [`Outbox`]. Instead of scheduling directly into the global
-//! queue (which would require every component to hold a queue reference,
-//! entangling ownership), they *emit* `(delay, event)` pairs into the
-//! outbox; the machine loop in `cedar-core` drains the outbox into the
-//! master [`EventQueue`]. This keeps each component
-//! independently unit-testable: tests call `handle` with a scratch outbox
-//! and assert on what was emitted.
+//! Only the global-memory system uses it: `cedar-hw`'s
+//! `GlobalMemorySystem` is a plain struct whose `inject`/`handle`
+//! methods receive the current time and a mutable [`Outbox`]. Instead of
+//! scheduling directly into the global queue (which would require it to
+//! hold a queue reference, entangling ownership), it *emits*
+//! `(delay, event)` pairs into the outbox; the machine loop in
+//! `cedar-core` drains the outbox into the master [`EventQueue`]. This
+//! keeps the memory system unit-testable on its own: its tests drain
+//! the outbox into a scratch queue. The other components (the runtime
+//! library's state machines, the OS models) return their next step or
+//! cost to the machine directly and need no outbox.
 
 use crate::queue::EventQueue;
 use crate::time::{Cycles, SimTime};

@@ -90,7 +90,7 @@ impl UserBucket {
     /// computing the parallel fraction `pf` of §7. Footnote 4: "For the
     /// xdoall loops, the iteration pick up is a parallel activity, and
     /// hence is included in the parallel fraction."
-    pub fn counts_as_parallel_execution(self) -> bool {
+    pub(crate) fn counts_as_parallel_execution(self) -> bool {
         matches!(
             self,
             UserBucket::IterExec

@@ -59,11 +59,6 @@ impl HpmMonitor {
         self.enabled = enabled;
     }
 
-    /// Whether recording is currently on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The recorded trace, in posting order (equivalently, time order —
     /// the simulation posts monotonically).
     pub fn events(&self) -> &[TraceEvent] {
@@ -79,11 +74,6 @@ impl HpmMonitor {
     /// Events matching `id`, in order.
     pub fn filter(&self, id: TraceEventId) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.id == id)
-    }
-
-    /// Events that occurred on `ce`, in order.
-    pub fn for_ce(&self, ce: CeId) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.ce == ce)
     }
 }
 
@@ -121,7 +111,8 @@ mod tests {
         hpm.post(TraceEventId::IterEnd, CeId(0), 0, Cycles(10));
         hpm.post(TraceEventId::IterStart, CeId(1), 0, Cycles(5));
         assert_eq!(hpm.filter(TraceEventId::IterStart).count(), 2);
-        assert_eq!(hpm.for_ce(CeId(0)).count(), 2);
+        let on_ce0 = hpm.events().iter().filter(|e| e.ce == CeId(0));
+        assert_eq!(on_ce0.count(), 2);
     }
 
     #[test]

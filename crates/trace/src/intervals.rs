@@ -59,16 +59,6 @@ pub fn pair_intervals(
     out
 }
 
-/// Sums the durations of intervals, optionally filtered by the enter
-/// event's argument.
-pub fn total_duration(intervals: &[Interval], arg_filter: Option<u32>) -> Cycles {
-    intervals
-        .iter()
-        .filter(|i| arg_filter.is_none_or(|a| i.arg == a))
-        .map(Interval::duration)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,23 +129,5 @@ mod tests {
         assert_eq!(iv[0].duration(), Cycles(10));
         assert_eq!(iv[1].arg, 1);
         assert_eq!(iv[1].duration(), Cycles(50));
-    }
-
-    #[test]
-    fn total_duration_filters_by_arg() {
-        let events = vec![
-            ev(TraceEventId::PickIterEnter, 0, 0, 1),
-            ev(TraceEventId::PickIterExit, 0, 10, 0),
-            ev(TraceEventId::PickIterEnter, 0, 20, 2),
-            ev(TraceEventId::PickIterExit, 0, 50, 0),
-        ];
-        let iv = pair_intervals(
-            &events,
-            TraceEventId::PickIterEnter,
-            TraceEventId::PickIterExit,
-        );
-        assert_eq!(total_duration(&iv, None), Cycles(40));
-        assert_eq!(total_duration(&iv, Some(1)), Cycles(10));
-        assert_eq!(total_duration(&iv, Some(2)), Cycles(30));
     }
 }

@@ -10,7 +10,9 @@
 //! * [`statfx`] — the software concurrency monitor: time-weighted average
 //!   number of active processors per cluster (Table 1's `Concurr` rows).
 //! * [`qmon`] — the **Q** utilization facility: per-cluster breakdown of
-//!   completion time into user / system / interrupt / spin (Figure 3).
+//!   completion time into user / system / interrupt / spin (Figure 3),
+//!   derived from the one OS ledger (`cedar_xylem::OsAccounting`) the
+//!   machine charges, so OS time is charged once.
 //!
 //! [`event`] defines the instrumentation points inserted into the runtime
 //! library, the OS and the applications (§4), [`intervals`] pairs
@@ -42,5 +44,4 @@ pub use breakdown::{TaskBreakdown, UserBucket};
 pub use event::{TraceEvent, TraceEventId};
 pub use hpm::HpmMonitor;
 pub use intervals::{pair_intervals, Interval};
-pub use qmon::QMonitor;
 pub use statfx::Statfx;

@@ -4,13 +4,15 @@
 //! time is broken into its individual components — user/CPU, system,
 //! interrupt, and spin times. This breakdown was obtained using a
 //! software measurement facility Q which monitors the utilization of
-//! each cluster" (§5). The monitor accumulates wall-clock time per
-//! cluster in the three OS categories; user time is the remainder of the
-//! completion time.
+//! each cluster" (§5). The simulator charges OS time once, per Table 2
+//! activity, into [`OsAccounting`](cedar_xylem::OsAccounting); a
+//! cluster's Figure 3 split is derived from that ledger
+//! ([`ClusterUtilization::from_accounting`]), and user time is the
+//! remainder of the completion time.
 
-use cedar_hw::ClusterId;
 use cedar_sim::Cycles;
-use cedar_xylem::accounting::Category;
+use cedar_xylem::accounting::{Category, ClusterAccounting};
+use cedar_xylem::OsActivity;
 
 /// Wall-time utilization of one cluster split into Figure 3's categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,6 +27,23 @@ pub struct ClusterUtilization {
 }
 
 impl ClusterUtilization {
+    /// One cluster's Figure 3 categories: each is the sum of the
+    /// cluster's Table 2 activities under
+    /// [`OsActivity::figure3_category`].
+    pub fn from_accounting(acct: &ClusterAccounting) -> Self {
+        let mut u = ClusterUtilization::default();
+        for a in OsActivity::ALL {
+            let total = acct.get(a).total();
+            match a.figure3_category() {
+                Category::System => u.system += total,
+                Category::Interrupt => u.interrupt += total,
+                Category::Spin => u.spin += total,
+                Category::User => unreachable!("no OS activity is user time"),
+            }
+        }
+        u
+    }
+
     /// Total OS wall time on this cluster.
     pub fn os_total(&self) -> Cycles {
         self.system + self.interrupt + self.spin
@@ -35,103 +54,52 @@ impl ClusterUtilization {
     /// Saturates at zero: overlapping OS service on different CEs of a
     /// cluster is charged additively (the paper's per-activity times are
     /// additive too), which on degenerate micro-runs can exceed the wall
-    /// clock. Use [`is_overcommitted`](Self::is_overcommitted) to detect
-    /// that case.
+    /// clock.
     pub fn user(&self, completion_time: Cycles) -> Cycles {
         completion_time.saturating_sub(self.os_total())
-    }
-
-    /// `true` when additive OS charges exceed the wall clock (only
-    /// plausible on unrealistically small workloads).
-    pub fn is_overcommitted(&self, completion_time: Cycles) -> bool {
-        self.os_total() > completion_time
-    }
-}
-
-/// Per-cluster Q accounting.
-#[derive(Debug, Clone)]
-pub struct QMonitor {
-    clusters: Vec<ClusterUtilization>,
-}
-
-impl QMonitor {
-    /// Creates the monitor for `clusters` clusters.
-    pub fn new(clusters: u8) -> Self {
-        QMonitor {
-            clusters: vec![ClusterUtilization::default(); clusters as usize],
-        }
-    }
-
-    /// Charges wall time on `cluster` to an OS category.
-    ///
-    /// # Panics
-    ///
-    /// Panics when charging to [`Category::User`] — user time is derived,
-    /// never charged.
-    pub fn charge(&mut self, cluster: ClusterId, category: Category, duration: Cycles) {
-        let c = &mut self.clusters[cluster.0 as usize];
-        match category {
-            Category::System => c.system += duration,
-            Category::Interrupt => c.interrupt += duration,
-            Category::Spin => c.spin += duration,
-            Category::User => panic!("user time is derived, not charged"),
-        }
-    }
-
-    /// One cluster's utilization.
-    pub fn cluster(&self, cluster: ClusterId) -> ClusterUtilization {
-        self.clusters[cluster.0 as usize]
-    }
-
-    /// Number of clusters monitored.
-    pub fn n_clusters(&self) -> u8 {
-        self.clusters.len() as u8
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cedar_hw::ClusterId;
+    use cedar_xylem::OsAccounting;
 
     #[test]
-    fn charges_accumulate_per_category() {
-        let mut q = QMonitor::new(2);
-        q.charge(ClusterId(0), Category::System, Cycles(100));
-        q.charge(ClusterId(0), Category::System, Cycles(50));
-        q.charge(ClusterId(0), Category::Interrupt, Cycles(30));
-        q.charge(ClusterId(1), Category::Spin, Cycles(5));
-        let c0 = q.cluster(ClusterId(0));
+    fn categories_sum_the_cluster_activities() {
+        let mut acct = OsAccounting::new(2);
+        acct.charge(ClusterId(0), OsActivity::Ctx, Cycles(100));
+        acct.charge(ClusterId(0), OsActivity::PgFltSequential, Cycles(50));
+        acct.charge(ClusterId(0), OsActivity::Cpi, Cycles(30));
+        acct.charge(ClusterId(1), OsActivity::KernelSpin, Cycles(5));
+        let c0 = ClusterUtilization::from_accounting(acct.cluster(ClusterId(0)));
         assert_eq!(c0.system, Cycles(150));
         assert_eq!(c0.interrupt, Cycles(30));
         assert_eq!(c0.spin, Cycles::ZERO);
-        assert_eq!(q.cluster(ClusterId(1)).spin, Cycles(5));
+        let c1 = ClusterUtilization::from_accounting(acct.cluster(ClusterId(1)));
+        assert_eq!(c1.spin, Cycles(5));
+        assert_eq!(c1.os_total(), Cycles(5));
     }
 
     #[test]
     fn user_is_remainder_of_completion_time() {
-        let mut q = QMonitor::new(1);
-        q.charge(ClusterId(0), Category::System, Cycles(100));
-        q.charge(ClusterId(0), Category::Interrupt, Cycles(40));
-        q.charge(ClusterId(0), Category::Spin, Cycles(10));
-        let c = q.cluster(ClusterId(0));
+        let c = ClusterUtilization {
+            system: Cycles(100),
+            interrupt: Cycles(40),
+            spin: Cycles(10),
+        };
         assert_eq!(c.os_total(), Cycles(150));
         assert_eq!(c.user(Cycles(1000)), Cycles(850));
     }
 
     #[test]
-    fn overcharging_saturates_and_is_detectable() {
-        let mut q = QMonitor::new(1);
-        q.charge(ClusterId(0), Category::System, Cycles(2000));
-        let c = q.cluster(ClusterId(0));
+    fn overcharging_saturates() {
+        let c = ClusterUtilization {
+            system: Cycles(2000),
+            ..ClusterUtilization::default()
+        };
         assert_eq!(c.user(Cycles(1000)), Cycles::ZERO);
-        assert!(c.is_overcommitted(Cycles(1000)));
-        assert!(!c.is_overcommitted(Cycles(3000)));
-    }
-
-    #[test]
-    #[should_panic(expected = "derived, not charged")]
-    fn charging_user_panics() {
-        let mut q = QMonitor::new(1);
-        q.charge(ClusterId(0), Category::User, Cycles(1));
+        assert_eq!(c.user(Cycles(3000)), Cycles(1000));
     }
 }

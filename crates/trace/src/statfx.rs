@@ -63,19 +63,6 @@ impl Statfx {
     pub fn cluster_average(&self, cluster: ClusterId, end: SimTime) -> f64 {
         self.per_cluster[cluster.0 as usize].average(end)
     }
-
-    /// Machine-wide average concurrency: the sum over clusters, as the
-    /// paper reports for multi-cluster configurations.
-    pub fn total_average(&self, end: SimTime) -> f64 {
-        (0..self.per_cluster.len())
-            .map(|c| self.cluster_average(ClusterId(c as u8), end))
-            .sum()
-    }
-
-    /// CEs currently busy on `cluster`.
-    pub fn busy_now(&self, cluster: ClusterId) -> u16 {
-        self.busy_count[cluster.0 as usize]
-    }
 }
 
 #[cfg(test)]
@@ -98,16 +85,17 @@ mod tests {
             s.mark_busy(CeId(i), Cycles(0));
         }
         assert!((s.cluster_average(ClusterId(0), Cycles(100)) - 8.0).abs() < 1e-12);
-        assert_eq!(s.busy_now(ClusterId(0)), 8);
+        assert_eq!(s.busy_count[0], 8);
     }
 
     #[test]
-    fn total_average_sums_clusters() {
+    fn clusters_average_independently() {
         let mut s = Statfx::new(2, 8);
         s.mark_busy(CeId(0), Cycles(0)); // cluster 0
         s.mark_busy(CeId(8), Cycles(0)); // cluster 1
         s.mark_busy(CeId(9), Cycles(0)); // cluster 1
-        assert!((s.total_average(Cycles(10)) - 3.0).abs() < 1e-12);
+        assert!((s.cluster_average(ClusterId(0), Cycles(10)) - 1.0).abs() < 1e-12);
+        assert!((s.cluster_average(ClusterId(1), Cycles(10)) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -115,10 +103,10 @@ mod tests {
         let mut s = Statfx::new(1, 8);
         s.mark_busy(CeId(3), Cycles(0));
         s.mark_busy(CeId(3), Cycles(10));
-        assert_eq!(s.busy_now(ClusterId(0)), 1);
+        assert_eq!(s.busy_count[0], 1);
         s.mark_idle(CeId(3), Cycles(20));
         s.mark_idle(CeId(3), Cycles(30));
-        assert_eq!(s.busy_now(ClusterId(0)), 0);
+        assert_eq!(s.busy_count[0], 0);
     }
 
     #[test]

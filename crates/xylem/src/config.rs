@@ -14,24 +14,24 @@ pub struct OsConfig {
     /// Bytes per virtual-memory page.
     pub page_bytes: u64,
     /// Service time of a sequential (single-CE) page fault.
-    pub page_fault_sequential: Cycles,
+    pub(crate) page_fault_sequential: Cycles,
     /// Service time charged to each *additional* CE involved in a
     /// concurrent page fault ("more expensive than sequential", §5.1).
-    pub page_fault_concurrent: Cycles,
+    pub(crate) page_fault_concurrent: Cycles,
     /// Per-CE cost of servicing a cross-processor interrupt: register
     /// save/restore and "miscellaneous accounting calculations" (§5.1).
     pub cpi_cost_per_ce: Cycles,
     /// Mean interval between OS bookkeeping context switches on each
     /// cluster (system daemons, I/O bookkeeping).
-    pub ctx_interval: Cycles,
+    pub(crate) ctx_interval: Cycles,
     /// Register save + restore cost of one context switch, per CE.
     pub ctx_cost_per_ce: Cycles,
     /// Duration the system task runs per bookkeeping context switch.
-    pub daemon_duration: Cycles,
+    pub(crate) daemon_duration: Cycles,
     /// Fraction of daemon duration spent inside cluster critical sections.
-    pub daemon_cr_sect_fraction: f64,
+    pub(crate) daemon_cr_sect_fraction: f64,
     /// Fraction of daemon duration spent in cluster system calls.
-    pub daemon_syscall_fraction: f64,
+    pub(crate) daemon_syscall_fraction: f64,
     /// Cost of a cluster-local system call from the runtime library.
     pub syscall_cluster: Cycles,
     /// Cost of a global system call (task creation/start across
@@ -42,9 +42,9 @@ pub struct OsConfig {
     /// Duration of one global critical-section entry.
     pub cr_sect_global: Cycles,
     /// Mean interval between asynchronous system traps per cluster.
-    pub ast_interval: Cycles,
+    pub(crate) ast_interval: Cycles,
     /// Cost of servicing one AST.
-    pub ast_cost: Cycles,
+    pub(crate) ast_cost: Cycles,
 }
 
 impl OsConfig {

@@ -22,7 +22,7 @@
 //!   *concurrent* and more expensive ([`vm`]);
 //! * **cluster and global critical sections** protected by cluster/global
 //!   memory locks, whose (negligible) spin time the paper reports
-//!   separately ([`locks`]);
+//!   separately ([`KernelLock`]);
 //! * **cluster and global system calls** and **asynchronous system
 //!   traps** ([`syscall`], [`daemon::AstSchedule`]).
 //!
@@ -51,7 +51,7 @@ pub mod accounting;
 pub mod background;
 pub mod config;
 pub mod daemon;
-pub mod locks;
+pub(crate) mod locks;
 pub mod syscall;
 pub mod vm;
 

@@ -16,9 +16,6 @@ use cedar_sim::{Cycles, SimTime};
 #[derive(Debug, Clone, Default)]
 pub struct KernelLock {
     free_at: SimTime,
-    acquisitions: u64,
-    total_spin: Cycles,
-    total_held: Cycles,
 }
 
 impl KernelLock {
@@ -27,21 +24,14 @@ impl KernelLock {
         KernelLock::default()
     }
 
-    /// Acquires at `now`, holding for `hold`. Returns
-    /// `(critical_section_start, spin_time)`: the caller spins for
-    /// `spin_time` (charged to the kernel-spin bucket) and occupies the
-    /// critical section from `critical_section_start` to
-    /// `critical_section_start + hold`.
-    pub fn acquire(&mut self, now: SimTime, hold: Cycles) -> (SimTime, Cycles) {
-        let (start, spin, _) = self.acquire_scaled(now, hold, 0);
-        (start, spin)
-    }
-
-    /// [`acquire`](Self::acquire) with the hold time inflated by
-    /// `inflate_pct`% (fault injection; 0 is the plain acquire).
-    /// Returns `(critical_section_start, spin_time, effective_hold)` —
-    /// the caller charges `effective_hold` to its critical-section
-    /// bucket so accounting matches the lock's true occupancy.
+    /// Acquires at `now`, holding for `hold` inflated by `inflate_pct`%
+    /// (fault injection; 0 is the plain acquire). Returns
+    /// `(critical_section_start, spin_time, effective_hold)`: the caller
+    /// spins for `spin_time` (charged to the kernel-spin bucket), occupies
+    /// the critical section from `critical_section_start` for
+    /// `effective_hold`, and charges `effective_hold` to its
+    /// critical-section bucket so accounting matches the lock's true
+    /// occupancy.
     pub fn acquire_scaled(
         &mut self,
         now: SimTime,
@@ -52,25 +42,7 @@ impl KernelLock {
         let start = now.max(self.free_at);
         let spin = start - now;
         self.free_at = start + held;
-        self.acquisitions += 1;
-        self.total_spin += spin;
-        self.total_held += held;
         (start, spin, held)
-    }
-
-    /// Total acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Total spin time callers experienced on this lock.
-    pub fn total_spin(&self) -> Cycles {
-        self.total_spin
-    }
-
-    /// Total time the lock was held.
-    pub fn total_held(&self) -> Cycles {
-        self.total_held
     }
 }
 
@@ -78,10 +50,17 @@ impl KernelLock {
 mod tests {
     use super::*;
 
+    /// An uninflated acquire: `(critical_section_start, spin_time)`.
+    fn acquire(l: &mut KernelLock, now: SimTime, hold: Cycles) -> (SimTime, Cycles) {
+        let (start, spin, held) = l.acquire_scaled(now, hold, 0);
+        assert_eq!(held, hold, "zero inflation holds exactly the hold time");
+        (start, spin)
+    }
+
     #[test]
     fn uncontended_acquire_has_no_spin() {
         let mut l = KernelLock::new();
-        let (start, spin) = l.acquire(Cycles(100), Cycles(50));
+        let (start, spin) = acquire(&mut l, Cycles(100), Cycles(50));
         assert_eq!(start, Cycles(100));
         assert_eq!(spin, Cycles::ZERO);
     }
@@ -89,11 +68,10 @@ mod tests {
     #[test]
     fn overlapping_acquire_spins_until_release() {
         let mut l = KernelLock::new();
-        l.acquire(Cycles(0), Cycles(100));
-        let (start, spin) = l.acquire(Cycles(30), Cycles(10));
+        acquire(&mut l, Cycles(0), Cycles(100));
+        let (start, spin) = acquire(&mut l, Cycles(30), Cycles(10));
         assert_eq!(start, Cycles(100));
         assert_eq!(spin, Cycles(70));
-        assert_eq!(l.total_spin(), Cycles(70));
     }
 
     #[test]
@@ -101,12 +79,11 @@ mod tests {
         let mut l = KernelLock::new();
         let mut now = Cycles(0);
         for _ in 0..10 {
-            let (start, spin) = l.acquire(now, Cycles(10));
+            let (start, spin) = acquire(&mut l, now, Cycles(10));
             assert_eq!(spin, Cycles::ZERO);
             now = start + Cycles(10);
         }
-        assert_eq!(l.acquisitions(), 10);
-        assert_eq!(l.total_held(), Cycles(100));
+        assert_eq!(l.free_at, Cycles(100), "ten holds of 10 cycles each");
     }
 
     #[test]
@@ -116,32 +93,18 @@ mod tests {
         assert_eq!((start, spin), (Cycles(0), Cycles::ZERO));
         assert_eq!(held, Cycles(250));
         // The next acquirer spins until the inflated hold releases.
-        let (s2, spin2) = l.acquire(Cycles(10), Cycles(10));
+        let (s2, spin2) = acquire(&mut l, Cycles(10), Cycles(10));
         assert_eq!(s2, Cycles(250));
         assert_eq!(spin2, Cycles(240));
-        assert_eq!(l.total_held(), Cycles(260));
-    }
-
-    #[test]
-    fn zero_inflation_matches_plain_acquire() {
-        let mut a = KernelLock::new();
-        let mut b = KernelLock::new();
-        for i in 0..5u64 {
-            let (s1, sp1) = a.acquire(Cycles(i * 7), Cycles(20));
-            let (s2, sp2, held) = b.acquire_scaled(Cycles(i * 7), Cycles(20), 0);
-            assert_eq!((s1, sp1), (s2, sp2));
-            assert_eq!(held, Cycles(20));
-        }
-        assert_eq!(a.total_held(), b.total_held());
-        assert_eq!(a.total_spin(), b.total_spin());
+        assert_eq!(l.free_at, Cycles(260));
     }
 
     #[test]
     fn queue_of_spinners_forms_fcfs() {
         let mut l = KernelLock::new();
-        l.acquire(Cycles(0), Cycles(10));
-        let (s1, _) = l.acquire(Cycles(1), Cycles(10));
-        let (s2, _) = l.acquire(Cycles(2), Cycles(10));
+        acquire(&mut l, Cycles(0), Cycles(10));
+        let (s1, _) = acquire(&mut l, Cycles(1), Cycles(10));
+        let (s2, _) = acquire(&mut l, Cycles(2), Cycles(10));
         assert_eq!(s1, Cycles(10));
         assert_eq!(s2, Cycles(20));
     }

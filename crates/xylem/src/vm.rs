@@ -58,7 +58,6 @@ pub enum PageTouch {
 #[derive(Debug, Clone, Default)]
 struct PageBitmap {
     bits: Vec<u64>,
-    count: usize,
 }
 
 impl PageBitmap {
@@ -74,15 +73,7 @@ impl PageBitmap {
         if word >= self.bits.len() {
             self.bits.resize(word + 1, 0);
         }
-        let mask = 1 << (page.0 % 64);
-        if self.bits[word] & mask == 0 {
-            self.bits[word] |= mask;
-            self.count += 1;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.count
+        self.bits[word] |= 1 << (page.0 % 64);
     }
 }
 
@@ -172,28 +163,10 @@ impl AddressSpace {
         }
     }
 
-    /// Garbage-collects completed in-flight faults (called opportunistically).
-    pub fn settle(&mut self, now: SimTime) {
-        let mapped = &mut self.mapped;
-        self.in_flight.retain(|&(p, mapped_at)| {
-            if now >= mapped_at {
-                mapped.insert(p);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
     /// Pre-maps `page` without a fault (program text, stacks — anything
     /// warmed before the measured region).
     pub fn premap(&mut self, page: PageId) {
         self.mapped.insert(page);
-    }
-
-    /// Pages currently mapped.
-    pub fn mapped_pages(&self) -> usize {
-        self.mapped.len()
     }
 
     /// Sequential faults taken so far.
@@ -287,7 +260,7 @@ mod tests {
         let later = cfg.page_fault_sequential + Cycles(1);
         assert_eq!(vm.touch(PageId(2), CeId(1), later), PageTouch::Mapped);
         assert_eq!(vm.conc_faults(), 0);
-        assert_eq!(vm.mapped_pages(), 1);
+        assert!(vm.mapped.contains(PageId(2)));
     }
 
     #[test]
@@ -296,15 +269,6 @@ mod tests {
         vm.premap(PageId(9));
         assert_eq!(vm.touch(PageId(9), CeId(0), Cycles(0)), PageTouch::Mapped);
         assert_eq!(vm.seq_faults(), 0);
-    }
-
-    #[test]
-    fn settle_promotes_completed_faults() {
-        let mut vm = vm();
-        vm.touch(PageId(3), CeId(0), Cycles(0));
-        assert_eq!(vm.mapped_pages(), 0);
-        vm.settle(Cycles(1_000_000));
-        assert_eq!(vm.mapped_pages(), 1);
     }
 
     #[test]

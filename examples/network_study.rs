@@ -11,7 +11,7 @@
 //! ```
 
 use cedar::hw::analytic;
-use cedar::hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, GmemOutput, MemOp, NetConfig};
+use cedar::hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig};
 use cedar::sim::{Cycles, EventQueue, Outbox, SplitMix64};
 
 /// Drives uniform random traffic at ~`rate` words/cycle from 32 CEs and
@@ -41,7 +41,7 @@ fn measure(rate: f64) -> (f64, u64, u64) {
     let mut total_rtt = 0u64;
     let mut count = 0u64;
     while let Some((now, ev)) = q.pop() {
-        if let Some(GmemOutput::Deliver(resp)) = sys.handle(ev, now, &mut out) {
+        if let Some(resp) = sys.handle(ev, now, &mut out) {
             total_rtt += now.0 - resp.injected_at;
             count += 1;
         }

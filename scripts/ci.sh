@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CI entry point: the offline-build guarantee, the paper-band claims,
 # the full test suite, a one-iteration smoke pass of the bench harness,
-# and the run-cache soundness check (warm campaign = cold campaign, only
-# faster).
+# the run-cache soundness check (warm campaign = cold campaign, only
+# faster), and the benchmark package's own tests (perfbench/).
 #
 # The workspace has zero external dependencies, so every step runs with
 # --offline and must succeed with no registry or network access. The
@@ -166,5 +166,20 @@ if ! grep -q '"check.oracles.pass":' "$scratch/check/RUN_manifest.json"; then
 fi
 cp "$scratch/check/CHECK_violations.json" results/CHECK_violations.json
 echo "    wrote results/CHECK_violations.json (0 violations)"
+
+# perfbench/ declares a [workspace] of its own, so no step above
+# compiles it. Its tests build against the library crates' public API,
+# so narrowing an item the benchmark uses fails here rather than only in
+# the benchmark pipeline. The offline build may rewrite the committed
+# perfbench/Cargo.lock; it is restored whether or not the tests pass.
+echo "==> perfbench tests (the benchmark package, built against the public API)"
+cp perfbench/Cargo.lock "$scratch/perfbench.Cargo.lock"
+status=0
+cargo test --release --offline --manifest-path perfbench/Cargo.toml || status=$?
+cp "$scratch/perfbench.Cargo.lock" perfbench/Cargo.lock
+if [ "$status" != 0 ]; then
+    echo "error: perfbench tests failed (exit $status)" >&2
+    exit "$status"
+fi
 
 echo "==> OK"

@@ -10,10 +10,10 @@
 //!    breakdowns never exceed the wall clock, Figure-3 categories
 //!    partition completion time, and concurrency stays within the
 //!    machine's CE count.
-//! 2. *A/B byte-equality*: the scheduler-independent fingerprint
-//!    (completion time, event counts, OS buckets, breakdowns, memory
-//!    statistics, fault counters — everything the report layer reads)
-//!    is identical under `SchedKind::Heap` and `SchedKind::Calendar`.
+//! 2. *A/B byte-equality*: the measurement fingerprint
+//!    ([`cedar::check::fingerprint_text`]: the cached run encoding minus
+//!    wall-clock and `queue.*`/`outbox.*` backend telemetry) is identical
+//!    under `SchedKind::Heap` and `SchedKind::Calendar`.
 //!
 //! Every failure message carries the case seed. To replay one case:
 //!
@@ -21,9 +21,8 @@
 //! CEDAR_FUZZ_SEED=0xDEADBEEF cargo test --test config_fuzz
 //! ```
 
-use std::fmt::Write as _;
-
 use cedar::apps::{AccessPattern, AppBuilder, AppSpec, BodySpec};
+use cedar::check::fingerprint_text;
 use cedar::core::{Experiment, RunResult, SimConfig};
 use cedar::faults::{
     AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
@@ -31,7 +30,6 @@ use cedar::faults::{
 use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
 use cedar::sim::{Cycles, SchedKind, SplitMix64};
-use cedar::xylem::OsActivity;
 
 /// Number of fuzz cases in the full sweep.
 const CASES: u64 = 200;
@@ -199,47 +197,6 @@ impl Case {
     }
 }
 
-/// Every scheduler-independent measurement of one run, as text. Mirrors
-/// `tests/fault_determinism.rs`: `queue.*` and `outbox.*` counters
-/// describe the host-side scheduler machinery (hold histograms, wheel
-/// peaks, spill counts) and legitimately differ between schedulers, so
-/// they are excluded; everything the report layer consumes is included.
-fn fingerprint(r: &RunResult) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{} @ {}: ct={} events={} bodies={} faults={:?} stolen={}",
-        r.app,
-        r.configuration.label(),
-        r.completion_time.0,
-        r.events,
-        r.bodies,
-        r.faults,
-        r.background_stolen.0,
-    );
-    for a in OsActivity::ALL {
-        let _ = writeln!(s, "  os.{a:?}={}", r.os.total(a).0);
-    }
-    for (k, b) in r.breakdowns.iter().enumerate() {
-        let _ = writeln!(s, "  breakdown[{k}]={}", b.total().0);
-    }
-    let g = &r.gmem;
-    let _ = writeln!(
-        s,
-        "  gmem: packets={} queued={} min_rt={}",
-        g.packets,
-        g.total_queued().0,
-        g.min_round_trip.0
-    );
-    for (name, v) in r.stats.counters.iter() {
-        if name.starts_with("queue.") || name.starts_with("outbox.") {
-            continue;
-        }
-        let _ = writeln!(s, "  {name}={v}");
-    }
-    s
-}
-
 /// The conservation laws every run must respect, whatever the config.
 fn assert_conservation(case: &Case, run: &RunResult, sched: SchedKind) {
     let ctx = || format!("{} under {sched:?}", case.replay());
@@ -295,8 +252,8 @@ fn seeded_config_sweep_conserves_and_schedulers_agree() {
         assert_conservation(&case, &heap, SchedKind::Heap);
         assert_conservation(&case, &cal, SchedKind::Calendar);
         assert_eq!(
-            fingerprint(&heap),
-            fingerprint(&cal),
+            fingerprint_text(&heap),
+            fingerprint_text(&cal),
             "case {i}: schedulers disagree ({})",
             case.replay()
         );
@@ -313,7 +270,7 @@ fn replay_of_a_case_seed_is_exact() {
     let b = Case::derive(seed);
     let run_a = Experiment::new(a.app.clone(), a.sim_config(SchedKind::Calendar)).run();
     let run_b = Experiment::new(b.app.clone(), b.sim_config(SchedKind::Calendar)).run();
-    assert_eq!(fingerprint(&run_a), fingerprint(&run_b));
+    assert_eq!(fingerprint_text(&run_a), fingerprint_text(&run_b));
 }
 
 /// `RunOptions`-level fuzzing of the suite driver: the worker fan-out
@@ -343,8 +300,9 @@ fn fuzzed_run_options_are_worker_count_independent() {
             s.apps
                 .iter()
                 .flat_map(|a| a.runs.iter())
-                .map(fingerprint)
-                .collect()
+                .map(fingerprint_text)
+                .collect::<Vec<_>>()
+                .join("\n")
         };
         assert_eq!(
             fp(&one),

@@ -10,72 +10,32 @@
 //! any accidental coupling — e.g. drawing fault jitter from the
 //! machine RNG, or letting pop order leak into wave shapes.
 //!
-//! The fingerprint below covers every measurement the report layer
-//! consumes (completion time, event counts, OS buckets, breakdowns,
-//! memory-system statistics, fault counters) but deliberately excludes
-//! the `queue.*` and `outbox.*` telemetry counters: those describe the
-//! host-side machinery (hold histograms, wheel peaks) and legitimately
-//! differ between scheduler implementations.
-
-use std::fmt::Write as _;
+//! The comparison uses [`cedar::check::fingerprint_text`], the filter
+//! the parity oracles use: every measurement the cached run encoding
+//! carries, minus host wall-clock and the `queue.*`/`outbox.*`
+//! telemetry counters, which describe the host-side machinery (hold
+//! histograms, wheel peaks) and legitimately differ between scheduler
+//! implementations.
 
 use cedar::apps::perfect_suite;
+use cedar::check::fingerprint_text;
 use cedar::core::suite::SuiteResult;
-use cedar::core::RunResult;
 use cedar::faults::FaultPlan;
 use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
 use cedar::sim::SchedKind;
-use cedar::xylem::OsActivity;
 
 const SHRINK: u32 = 16;
 const CONFIGS: [Configuration; 2] = [Configuration::P8, Configuration::P32];
-
-/// Every scheduler-independent measurement of one run, as text.
-fn fingerprint_run(r: &RunResult) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{} @ {}: ct={} events={} bodies={} faults={:?} stolen={}",
-        r.app,
-        r.configuration.label(),
-        r.completion_time.0,
-        r.events,
-        r.bodies,
-        r.faults,
-        r.background_stolen.0,
-    );
-    for a in OsActivity::ALL {
-        let _ = writeln!(s, "  os.{a:?}={}", r.os.total(a).0);
-    }
-    for (k, b) in r.breakdowns.iter().enumerate() {
-        let _ = writeln!(s, "  breakdown[{k}]={}", b.total().0);
-    }
-    let g = &r.gmem;
-    let _ = writeln!(
-        s,
-        "  gmem: packets={} queued={} min_rt={}",
-        g.packets,
-        g.total_queued().0,
-        g.min_round_trip.0
-    );
-    for (name, v) in r.stats.counters.iter() {
-        // Host-side queue machinery differs across schedulers by design.
-        if name.starts_with("queue.") || name.starts_with("outbox.") {
-            continue;
-        }
-        let _ = writeln!(s, "  {name}={v}");
-    }
-    s
-}
 
 fn fingerprint_suite(suite: &SuiteResult) -> String {
     suite
         .apps
         .iter()
         .flat_map(|a| a.runs.iter())
-        .map(fingerprint_run)
-        .collect()
+        .map(fingerprint_text)
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 fn campaign(opts: &RunOptions) -> SuiteResult {
