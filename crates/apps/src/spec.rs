@@ -183,13 +183,15 @@ impl AppSpec {
         out
     }
 
-    /// Checks structural invariants, returning the first violation as a
-    /// human-readable message: an access referencing a missing array, an
-    /// access larger than its array, or a zero-iteration loop. The
-    /// fallible twin of [`validate`](Self::validate) — callers with a
-    /// typed error surface (the campaign service) map the message into
-    /// `CedarError::ConfigInvalid` instead of unwinding.
-    pub(crate) fn try_validate(&self) -> Result<(), String> {
+    /// Validates structural invariants: no access references a missing
+    /// array or spans more than its array, and no loop or repetition
+    /// count is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the first violation's message. Model constructors
+    /// and tests call it; a malformed spec is a programming error.
+    pub fn validate(&self) {
         let check_access = |a: &AccessPattern| -> Result<(), String> {
             let arr = self.arrays.get(a.array).ok_or_else(|| {
                 format!("{}: access references missing array {}", self.name, a.array)
@@ -218,7 +220,7 @@ impl AppSpec {
             }
             Ok(())
         }
-        walk(&self.phases, &mut |p| match p {
+        let checked = walk(&self.phases, &mut |p| match p {
             Phase::Serial { accesses, .. } => check_accesses(accesses),
             Phase::ClusterLoop { iters, body } => {
                 if *iters == 0 {
@@ -253,18 +255,8 @@ impl AppSpec {
                 }
                 Ok(())
             }
-        })
-    }
-
-    /// Validates structural invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the first violation's message. Kept for model
-    /// constructors and tests where a malformed spec is a programming
-    /// error.
-    pub fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
+        });
+        if let Err(msg) = checked {
             panic!("{msg}");
         }
     }
@@ -384,15 +376,14 @@ mod tests {
     }
 
     #[test]
-    fn try_validate_returns_the_violation() {
-        assert!(tiny().try_validate().is_ok());
+    #[should_panic(expected = "zero-iteration xdoall")]
+    fn validate_rejects_zero_iteration_loop() {
         let mut t = tiny();
         t.phases = vec![Phase::Xdoall {
             iters: 0,
             body: BodySpec::compute(1),
         }];
-        let msg = t.try_validate().unwrap_err();
-        assert!(msg.contains("zero-iteration xdoall"), "{msg}");
+        t.validate();
     }
 
     #[test]

@@ -1,26 +1,29 @@
 //! A zero-dependency micro-benchmark harness.
 //!
-//! Replaces the former criterion benches so the workspace builds
-//! offline. Each benchmark runs a warmup phase followed by N timed
-//! iterations and reports min/median/mean/stddev wall times. Results
-//! print as an aligned table and are written as machine-readable JSON to
-//! `results/BENCH_<suite>.json` for trajectory tracking across commits.
-//! The JSON also records the worker-pool width campaign benchmarks ran
-//! with (`"workers"`), since a campaign's wall time scales with it.
+//! It runs the scheduler benchmark (`benches/scheduler.rs`), whose
+//! entries `scripts/bench_check.sh` gates. Each benchmark runs 5 warmup
+//! iterations followed by N timed iterations and reports
+//! min/median/mean/stddev wall times. Results print as an aligned table
+//! and are written as JSON to `results/BENCH_<suite>.json`. The JSON
+//! also records the worker-pool width campaign benchmarks ran with
+//! (`"workers"`), since a campaign's wall time scales with it.
 //!
 //! Iteration counts and the output directory come from a typed
 //! [`RunOptions`] value (`Harness::with_options`); the plain
 //! [`Harness::new`] uses the process-wide [`crate::run_options`], so the
 //! environment knobs (`BENCH_SMOKE=1` — one timed iteration, no warmup;
-//! `BENCH_ITERS=n` — timed iterations, default 30; `BENCH_WARMUP=n` —
-//! warmup iterations, default 5; `BENCH_JSON_DIR=dir` — where the JSON
-//! lands) still work, parsed exactly once by
+//! `BENCH_ITERS=n` — timed iterations, default 30; `BENCH_JSON_DIR=dir`
+//! — where the JSON lands) are parsed exactly once by
 //! [`cedar_obs::RunOptions::from_env`].
 
 use std::hint::black_box as hint_black_box;
 use std::time::Instant;
 
+use cedar_obs::json::{self, Obj};
 use cedar_obs::RunOptions;
+
+/// Untimed calls before a benchmark's timed iterations.
+const WARMUP: u32 = 5;
 
 /// An opaque value sink preventing the optimizer from deleting the
 /// benchmarked computation.
@@ -73,37 +76,16 @@ impl BenchStats {
 
     /// One JSON object, keys in stable order.
     fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"iters\":{},\"min_ns\":{:.1},\"max_ns\":{:.1},\
-             \"median_ns\":{:.1},\"mean_ns\":{:.1},\"stddev_ns\":{:.1}}}",
-            json_string(&self.name),
-            self.iters,
-            self.min_ns,
-            self.max_ns,
-            self.median_ns,
-            self.mean_ns,
-            self.stddev_ns
-        )
+        Obj::new()
+            .str("name", &self.name)
+            .u64("iters", self.iters as u64)
+            .f64("min_ns", self.min_ns)
+            .f64("max_ns", self.max_ns)
+            .f64("median_ns", self.median_ns)
+            .f64("mean_ns", self.mean_ns)
+            .f64("stddev_ns", self.stddev_ns)
+            .finish()
     }
-}
-
-/// Escapes a string for JSON output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A suite of benchmarks sharing warmup/iteration settings.
@@ -126,17 +108,14 @@ impl Harness {
 
     /// Creates a harness for `suite` with explicit, typed settings:
     /// `opts.smoke` forces one timed iteration with no warmup;
-    /// otherwise `opts.bench_warmup`/`opts.bench_iters` apply (defaults
-    /// 5 and 30); `opts.output_dir` overrides where
+    /// otherwise 5 warmup iterations precede `opts.bench_iters` timed
+    /// ones (default 30); `opts.output_dir` overrides where
     /// [`finish`](Self::finish) writes the JSON.
     pub(crate) fn with_options(suite: &str, opts: &RunOptions) -> Harness {
         let (warmup, iters) = if opts.smoke {
             (0, 1)
         } else {
-            (
-                opts.bench_warmup.unwrap_or(5),
-                opts.bench_iters.unwrap_or(30).max(1),
-            )
+            (WARMUP, opts.bench_iters.unwrap_or(30).max(1))
         };
         if opts.smoke {
             eprintln!("[{suite}] smoke mode — single iteration, timings not meaningful");
@@ -180,15 +159,18 @@ impl Harness {
 
     /// The whole suite as a JSON document.
     pub fn to_json(&self) -> String {
-        let body: Vec<String> = self.results.iter().map(BenchStats::to_json).collect();
-        format!(
-            "{{\"suite\":{},\"warmup\":{},\"iters\":{},\"workers\":{},\"benchmarks\":[{}]}}\n",
-            json_string(&self.suite),
-            self.warmup,
-            self.iters,
-            self.workers,
-            body.join(",")
-        )
+        let mut doc = Obj::new()
+            .str("suite", &self.suite)
+            .u64("warmup", self.warmup as u64)
+            .u64("iters", self.iters as u64)
+            .u64("workers", self.workers as u64)
+            .raw(
+                "benchmarks",
+                json::array(self.results.iter().map(BenchStats::to_json)),
+            )
+            .finish();
+        doc.push('\n');
+        doc
     }
 
     /// Writes `BENCH_<suite>.json` under the configured output
@@ -242,11 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
     fn harness_records_and_serializes() {
         let mut h = Harness {
             suite: "unit".into(),
@@ -268,6 +245,9 @@ mod tests {
         assert!(json.contains("\"name\":\"counting\""));
         assert!(json.contains("\"median_ns\""));
         assert!(json.contains("\"stddev_ns\""));
+        // The gate reads the document back with cedar_obs::json.
+        let medians = crate::gate::medians(&json).expect("gate reads the harness JSON");
+        assert_eq!(medians.keys().collect::<Vec<_>>(), ["counting"]);
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //! pending-event-set implementation, and `CEDAR_OBS` sets the telemetry
 //! level (`off`/`summary`/`full`).
 //!
-//! The former criterion benches now run on the in-repo [`harness`]
-//! (`cargo bench --offline`); `BENCH_SMOKE=1` reduces them to one
-//! iteration for CI. Campaign runs write a run manifest (and, at
+//! The one bench target, `benches/scheduler.rs` (the entries
+//! `scripts/bench_check.sh` gates), runs on the in-repo [`harness`]
+//! (`cargo bench --offline`); `BENCH_SMOKE=1` reduces it to one
+//! iteration for CI. End-to-end and per-layer timing is the separate
+//! `perfbench/` package. Campaign runs write a run manifest (and, at
 //! `CEDAR_OBS=full`, a JSONL telemetry stream) via [`manifest`].
 
 pub mod gate;

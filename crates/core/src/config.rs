@@ -2,7 +2,6 @@
 
 use cedar_faults::FaultPlan;
 use cedar_hw::{Configuration, HwConfig};
-use cedar_obs::CedarError;
 use cedar_rtl::RtlConfig;
 use cedar_sim::{SchedKind, TieBreak};
 use cedar_xylem::{BackgroundLoad, OsConfig};
@@ -163,35 +162,6 @@ impl SimConfig {
     pub fn configuration(&self) -> Configuration {
         self.hw.configuration
     }
-
-    /// Checks the configuration's structural invariants, returning the
-    /// first violation as [`CedarError::ConfigInvalid`] instead of
-    /// letting it surface later as a panic deep inside the machine.
-    /// Every configuration reachable from [`SimConfig::cedar`] by
-    /// builder chaining with sane values passes.
-    ///
-    /// ```
-    /// use cedar_core::SimConfig;
-    /// use cedar_hw::Configuration;
-    ///
-    /// assert!(SimConfig::cedar(Configuration::P8).validate().is_ok());
-    /// let mut bad = SimConfig::cedar(Configuration::P8);
-    /// bad.hw.net.modules = 0;
-    /// assert!(bad.validate().is_err());
-    /// ```
-    pub fn validate(&self) -> Result<(), CedarError> {
-        if self.hw.net.modules == 0 {
-            return Err(CedarError::ConfigInvalid(
-                "network configuration has zero memory modules".to_string(),
-            ));
-        }
-        if self.hw.net.radix == 0 {
-            return Err(CedarError::ConfigInvalid(
-                "network configuration has a zero switch radix".to_string(),
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +172,6 @@ mod tests {
     fn cedar_config_carries_configuration() {
         let c = SimConfig::cedar(Configuration::P16);
         assert_eq!(c.configuration(), Configuration::P16);
-        assert_eq!(c.hw.net.modules, 32);
         assert_eq!(c.sched, SchedKind::Calendar);
     }
 

@@ -7,7 +7,7 @@
 use std::fmt;
 use std::ops::Add;
 
-use crate::topology::ModuleId;
+use crate::topology::{ModuleId, MODULES};
 
 /// Bytes per interleaving unit (one double word).
 pub const DWORD_BYTES: u64 = 8;
@@ -19,30 +19,16 @@ pub const DWORD_BYTES: u64 = 8;
 /// ```
 /// use cedar_hw::GlobalAddr;
 /// let a = GlobalAddr(0x100);
-/// assert_eq!(a.module(32).0, (0x100 / 8) % 32);
+/// assert_eq!(a.module().0, (0x100 / 8) % 32);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GlobalAddr(pub u64);
 
 impl GlobalAddr {
-    /// The memory module this address interleaves to, for a memory of
-    /// `n_modules` modules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_modules` is zero.
-    pub fn module(self, n_modules: u16) -> ModuleId {
-        assert!(n_modules > 0, "memory must have at least one module");
-        let dword = self.0 / DWORD_BYTES;
-        let n = n_modules as u64;
-        // Every real module count is a power of two; mask instead of
-        // paying a 64-bit division on each injected request.
-        let m = if n.is_power_of_two() {
-            dword & (n - 1)
-        } else {
-            dword % n
-        };
-        ModuleId(m as u16)
+    /// The memory module this address interleaves to.
+    pub fn module(self) -> ModuleId {
+        // 32 modules: the interleave is a mask.
+        ModuleId((self.dword_index() & (MODULES as u64 - 1)) as u16)
     }
 
     /// The double-word index of this address (used as the key for lock and
@@ -127,7 +113,7 @@ mod tests {
         // Consecutive double words land in consecutive modules.
         for i in 0..64u64 {
             let a = GlobalAddr(i * DWORD_BYTES);
-            assert_eq!(a.module(32).0, (i % 32) as u16);
+            assert_eq!(a.module().0, (i % 32) as u16);
         }
     }
 
@@ -135,7 +121,7 @@ mod tests {
     fn same_dword_same_module() {
         // All byte addresses within one double word map to one module.
         for b in 0..8u64 {
-            assert_eq!(GlobalAddr(0x40 + b).module(32), GlobalAddr(0x40).module(32));
+            assert_eq!(GlobalAddr(0x40 + b).module(), GlobalAddr(0x40).module());
         }
     }
 
@@ -164,11 +150,5 @@ mod tests {
     fn pages_touched_dedups_revisits() {
         let pages: Vec<PageId> = pages_touched(GlobalAddr(0), 16, 1, 4096).collect();
         assert_eq!(pages, vec![PageId(0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one module")]
-    fn zero_modules_rejected() {
-        GlobalAddr(0).module(0);
     }
 }

@@ -21,6 +21,7 @@
 use cedar_sim::Cycles;
 
 use crate::config::NetConfig;
+use crate::topology::{CLUSTER_PORTS, MODULES};
 
 /// Utilization `ρ = λ·s` of a deterministic server with arrival rate
 /// `lambda` (requests per cycle) and service time `service`.
@@ -50,27 +51,24 @@ pub(crate) fn md1_wait(lambda: f64, service: Cycles) -> f64 {
 /// machine-wide request rate `total_rate` (words per cycle) spread
 /// uniformly over the modules.
 pub(crate) fn module_wait(cfg: &NetConfig, total_rate: f64) -> f64 {
-    let per_module = total_rate / cfg.modules as f64;
+    let per_module = total_rate / MODULES as f64;
     md1_wait(per_module, cfg.module_service)
 }
 
 /// Predicted mean queueing per request at a cluster's shared injection
 /// path, for a per-cluster request rate (words per cycle).
-pub(crate) fn cluster_path_wait(cfg: &NetConfig, cluster_rate: f64) -> f64 {
-    if cfg.cluster_inject_ports == 0 {
-        return 0.0;
-    }
+pub(crate) fn cluster_path_wait(cluster_rate: f64) -> f64 {
     // Round-robin over the ports splits the stream evenly.
-    let per_port = cluster_rate / cfg.cluster_inject_ports as f64;
+    let per_port = cluster_rate / CLUSTER_PORTS as f64;
     md1_wait(per_port, Cycles(1))
 }
 
 /// Predicted mean queueing per request at one forward-network stage, for
 /// a machine-wide rate spread uniformly over destinations (each stage
 /// has one port per destination-group link; uniform traffic splits the
-/// rate over `modules` effective ports).
+/// rate over 32 effective ports).
 pub(crate) fn stage_wait(cfg: &NetConfig, total_rate: f64) -> f64 {
-    let per_port = total_rate / cfg.modules as f64;
+    let per_port = total_rate / MODULES as f64;
     md1_wait(per_port, cfg.port_occupancy)
 }
 
@@ -81,7 +79,7 @@ pub(crate) fn stage_wait(cfg: &NetConfig, total_rate: f64) -> f64 {
 pub fn round_trip(cfg: &NetConfig, total_rate: f64, clusters: u16) -> f64 {
     let base = cfg.min_round_trip().0 as f64;
     let per_cluster = total_rate / clusters.max(1) as f64;
-    base + cluster_path_wait(cfg, per_cluster)
+    base + cluster_path_wait(per_cluster)
         + 2.0 * stage_wait(cfg, total_rate)
         + module_wait(cfg, total_rate)
         + 2.0 * stage_wait(cfg, total_rate) // reverse stages
@@ -90,7 +88,7 @@ pub fn round_trip(cfg: &NetConfig, total_rate: f64, clusters: u16) -> f64 {
 /// The offered load (words/cycle machine-wide) at which the memory
 /// modules saturate for uniform traffic.
 pub fn module_saturation_rate(cfg: &NetConfig) -> f64 {
-    cfg.modules as f64 / cfg.module_service.0 as f64
+    MODULES as f64 / cfg.module_service.0 as f64
 }
 
 #[cfg(test)]
@@ -131,7 +129,7 @@ mod tests {
         // per-port ρ = 0.9 — this wait dwarfs the module wait, which is
         // the analytic form of FLO52's single-cluster contention peak.
         let cfg = NetConfig::cedar();
-        let path = cluster_path_wait(&cfg, 1.8);
+        let path = cluster_path_wait(1.8);
         let module = module_wait(&cfg, 1.8);
         assert!(path > 4.0 * module, "path {path} vs module {module}");
     }
@@ -179,9 +177,8 @@ mod tests {
 
         let measured = sys.stats().mean_queued_per_packet();
         let rate = 16.0 / 8.0; // words per cycle machine-wide
-        let predicted = cluster_path_wait(&cfg, rate / 2.0)
-            + 4.0 * stage_wait(&cfg, rate)
-            + module_wait(&cfg, rate);
+        let predicted =
+            cluster_path_wait(rate / 2.0) + 4.0 * stage_wait(&cfg, rate) + module_wait(&cfg, rate);
         // Simulated arrivals are burstier than Poisson; accept a band.
         assert!(
             measured > predicted * 0.3 && measured < predicted * 4.0 + 2.0,

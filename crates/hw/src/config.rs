@@ -9,13 +9,12 @@ use crate::topology::Configuration;
 /// Defaults model the Cedar network described in §2 and [9, 10]: two
 /// stages of 8×8 crossbars in each direction, 32 double-word interleaved
 /// memory modules with a 4-cycle module busy time (§7: "the global memory
-/// takes 4 processor clock cycles to process a request").
+/// takes 4 processor clock cycles to process a request"), and a 2-port
+/// shared path from each cluster to its Global Interfaces. The geometry
+/// is fixed; only the latencies vary, and only through
+/// [`slowed`](Self::slowed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Number of independent global-memory modules.
-    pub modules: u16,
-    /// Crossbar radix (ports per switch).
-    pub radix: u16,
     /// Switch traversal latency per stage, excluding queueing.
     pub(crate) switch_latency: Cycles,
     /// Output-port occupancy per packet (inverse bandwidth; 1 packet per
@@ -28,54 +27,34 @@ pub struct NetConfig {
     pub(crate) module_access: Cycles,
     /// Global Interface injection latency (CE → first stage).
     pub(crate) gi_inject: Cycles,
-    /// Per-cluster injection ports: the modified Alliant FX/8's CEs share
-    /// a cluster-level path to their Global Interfaces, which bounds a
-    /// cluster's aggregate global-memory issue bandwidth to this many
-    /// words per cycle. Zero disables the shared-path model. This is why
-    /// FLO52's contention overhead peaks on the *single-cluster*
-    /// configurations (Table 4: 27% at 8 processors).
-    pub(crate) cluster_inject_ports: u16,
     /// Delivery latency (last reverse stage → CE).
     pub(crate) delivery: Cycles,
 }
 
 impl NetConfig {
-    /// The Cedar network as built (32 modules, 8×8 switches, two stages).
+    /// The Cedar network as built.
     pub fn cedar() -> Self {
         NetConfig {
-            modules: 32,
-            radix: 8,
             switch_latency: Cycles(4),
             port_occupancy: Cycles(1),
             module_service: Cycles(4),
             module_access: Cycles(8),
             gi_inject: Cycles(2),
             delivery: Cycles(2),
-            cluster_inject_ports: 2, // 2 words/cycle per cluster
         }
     }
 
     /// Minimum (contention-free) round-trip latency for one word:
-    /// cluster path + inject + 4 switch traversals (each paying port
-    /// occupancy plus the stage latency) + module service + access +
-    /// delivery.
+    /// one cycle on the cluster path + inject + 4 switch traversals
+    /// (each paying port occupancy plus the stage latency) + module
+    /// service + access + delivery.
     pub fn min_round_trip(&self) -> Cycles {
-        let path = if self.cluster_inject_ports > 0 {
-            Cycles(1)
-        } else {
-            Cycles::ZERO
-        };
-        path + self.gi_inject
+        Cycles(1)
+            + self.gi_inject
             + (self.switch_latency + self.port_occupancy) * 4
             + self.module_service
             + self.module_access
             + self.delivery
-    }
-
-    /// Number of switches per stage needed to connect `inputs` endpoints
-    /// with this radix.
-    pub fn switches_per_stage(&self, inputs: u16) -> u16 {
-        inputs.div_ceil(self.radix)
     }
 
     /// This network with degraded hardware: switch-stage latency
@@ -161,14 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn cedar_has_32_modules_and_radix_8() {
-        let n = NetConfig::cedar();
-        assert_eq!(n.modules, 32);
-        assert_eq!(n.radix, 8);
-        assert_eq!(n.switches_per_stage(32), 4);
-    }
-
-    #[test]
     fn all_configurations_share_network_parameters() {
         let p1 = HwConfig::cedar(Configuration::P1);
         let p32 = HwConfig::cedar(Configuration::P32);
@@ -185,12 +156,5 @@ mod tests {
         assert_eq!(s.module_access, Cycles(16)); // 8 * 2
         assert_eq!(s.port_occupancy, n.port_occupancy);
         assert!(s.min_round_trip() > n.min_round_trip());
-    }
-
-    #[test]
-    fn switches_per_stage_rounds_up() {
-        let n = NetConfig::cedar();
-        assert_eq!(n.switches_per_stage(9), 2);
-        assert_eq!(n.switches_per_stage(8), 1);
     }
 }

@@ -4,14 +4,13 @@
 use cedar_sim::stats::LatencyHistogram;
 use cedar_sim::{Cycles, Outbox, SimTime};
 
-use crate::switch::PortBank;
-
 use crate::addr::GlobalAddr;
 use crate::config::NetConfig;
 use crate::module::MemoryModule;
 use crate::net::DeltaNet;
 use crate::packet::{MemOp, MemRequest, MemResponse};
-use crate::topology::CeId;
+use crate::switch::PortServer;
+use crate::topology::{CeId, CLUSTERS, CLUSTER_PORTS, MODULES};
 
 /// Internal events of the global-memory system. `cedar-core` wraps these
 /// in its master event enum and feeds them back into [`GlobalMemorySystem::handle`].
@@ -82,27 +81,24 @@ pub struct GlobalMemorySystem {
     forward: DeltaNet,
     reverse: DeltaNet,
     modules: Vec<MemoryModule>,
-    /// Shared per-cluster injection paths (round-robin over the ports).
-    cluster_paths: Vec<PortBank>,
-    cluster_rr: Vec<usize>,
+    /// Each cluster's shared injection path (round-robin over its ports).
+    cluster_paths: [[PortServer; CLUSTER_PORTS]; CLUSTERS],
+    cluster_rr: [usize; CLUSTERS],
     latency: LatencyHistogram,
 }
 
 impl GlobalMemorySystem {
     /// Builds the memory system for `cfg`.
     pub fn new(cfg: NetConfig) -> Self {
-        let modules = (0..cfg.modules)
+        let modules = (0..MODULES)
             .map(|_| MemoryModule::new(cfg.module_service, cfg.module_access))
             .collect();
-        let n_clusters = (cfg.modules / 8).max(1) as usize;
         GlobalMemorySystem {
             forward: DeltaNet::new(&cfg),
             reverse: DeltaNet::new(&cfg),
             modules,
-            cluster_paths: (0..n_clusters)
-                .map(|_| PortBank::new(cfg.cluster_inject_ports as usize))
-                .collect(),
-            cluster_rr: vec![0; n_clusters],
+            cluster_paths: Default::default(),
+            cluster_rr: [0; CLUSTERS],
             latency: LatencyHistogram::new(24),
             cfg,
         }
@@ -126,36 +122,20 @@ impl GlobalMemorySystem {
         let req = MemRequest {
             ce,
             addr,
-            module: addr.module(self.cfg.modules),
+            module: addr.module(),
             op,
             injected_at: now.0,
         };
         // The cluster's shared path to its Global Interfaces serializes
         // the cluster's aggregate issue stream.
-        let path_delay = if self.cfg.cluster_inject_ports > 0 {
-            let ports = self.cfg.cluster_inject_ports as usize;
-            let cluster = {
-                // Per-packet path: avoid the division when the cluster id
-                // is already in range (always, for machine-built configs).
-                let c = (ce.0 / 8) as usize;
-                let n = self.cluster_paths.len();
-                if c < n {
-                    c
-                } else {
-                    c % n
-                }
-            };
-            let rr = self.cluster_rr[cluster];
-            debug_assert!(rr < ports, "round-robin cursor out of range");
-            self.cluster_rr[cluster] = if rr + 1 == ports { 0 } else { rr + 1 };
-            let through = self.cluster_paths[cluster]
-                .get_mut(rr)
-                .accept(now, Cycles(1));
-            through - now
-        } else {
-            Cycles::ZERO
-        };
-        out.emit(path_delay + self.cfg.gi_inject, GmemEvent::FwdStage1(req));
+        let cluster = ce.cluster().0 as usize;
+        let port = self.cluster_rr[cluster];
+        self.cluster_rr[cluster] = (port + 1) % CLUSTER_PORTS;
+        let through = self.cluster_paths[cluster][port].accept(now, Cycles(1));
+        out.emit(
+            through - now + self.cfg.gi_inject,
+            GmemEvent::FwdStage1(req),
+        );
     }
 
     /// Advances one packet one hop. Returns the response when it reaches
@@ -168,9 +148,9 @@ impl GlobalMemorySystem {
     ) -> Option<MemResponse> {
         match ev {
             GmemEvent::FwdStage1(req) => {
-                let arrive = self
-                    .forward
-                    .transit_stage1(self.fwd_src(req.ce), req.module.0, now);
+                // Each CE has its own Global Interface into the network
+                // (§2), so CE ids are the forward network's inputs.
+                let arrive = self.forward.transit_stage1(req.ce.0, req.module.0, now);
                 out.emit(arrive - now, GmemEvent::FwdStage2(req));
                 None
             }
@@ -192,14 +172,12 @@ impl GlobalMemorySystem {
                 None
             }
             GmemEvent::RevStage1(resp) => {
-                let arrive = self
-                    .reverse
-                    .transit_stage1(resp.module.0, self.rev_dst(resp.ce), now);
+                let arrive = self.reverse.transit_stage1(resp.module.0, resp.ce.0, now);
                 out.emit(arrive - now, GmemEvent::RevStage2(resp));
                 None
             }
             GmemEvent::RevStage2(resp) => {
-                let arrive = self.reverse.transit_stage2(self.rev_dst(resp.ce), now);
+                let arrive = self.reverse.transit_stage2(resp.ce.0, now);
                 out.emit(arrive - now + self.cfg.delivery, GmemEvent::Delivered(resp));
                 None
             }
@@ -211,38 +189,12 @@ impl GlobalMemorySystem {
         }
     }
 
-    /// Maps a CE to its forward-network input endpoint.
-    ///
-    /// CE global ids already match the 32-endpoint numbering: each CE has
-    /// its own Global Interface into the network (§2).
-    fn fwd_src(&self, ce: CeId) -> u16 {
-        let n = self.forward.geometry().endpoints();
-        // CE ids already fit the endpoint numbering on machine-built
-        // configs; the wrap is a correctness fallback, not the hot case,
-        // so dodge the per-hop hardware division.
-        if ce.0 < n {
-            ce.0
-        } else {
-            ce.0 % n
-        }
-    }
-
-    /// Maps a CE to its reverse-network output endpoint.
-    fn rev_dst(&self, ce: CeId) -> u16 {
-        let n = self.reverse.geometry().endpoints();
-        if ce.0 < n {
-            ce.0
-        } else {
-            ce.0 % n
-        }
-    }
-
     /// Total queueing delay at the shared per-cluster injection paths.
     pub fn cluster_path_queued(&self) -> Cycles {
         self.cluster_paths
             .iter()
-            .flat_map(PortBank::iter)
-            .map(crate::switch::PortServer::queued)
+            .flatten()
+            .map(PortServer::queued)
             .sum()
     }
 
@@ -267,14 +219,14 @@ impl GlobalMemorySystem {
 
     /// Peeks at a stored global-memory word (tests/debugging only).
     pub fn peek(&self, addr: GlobalAddr) -> u64 {
-        let module = addr.module(self.cfg.modules);
-        self.modules[module.0 as usize].peek(addr.dword_index())
+        self.modules[addr.module().0 as usize].peek(addr.dword_index())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::ModuleId;
     use cedar_sim::{EventQueue, SchedKind};
 
     /// Drives the memory system to quiescence through `q`, returning
@@ -329,6 +281,26 @@ mod tests {
         );
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, min);
+    }
+
+    #[test]
+    fn every_ce_reaches_every_module_in_min_round_trip() {
+        let min = NetConfig::cedar().min_round_trip();
+        for ce in 0..32u16 {
+            for module in 0..32u16 {
+                let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
+                // Double word `module` interleaves to that module.
+                let addr = GlobalAddr(module as u64 * 8);
+                let done =
+                    run_to_completion(&mut sys, vec![(CeId(ce), addr, MemOp::Read, Cycles(0))]);
+                let [(at, resp)] = done[..] else {
+                    panic!("ce {ce} module {module}: {} responses", done.len());
+                };
+                assert_eq!(at, min, "ce {ce} module {module}");
+                assert_eq!(resp.module, ModuleId(module), "ce {ce}");
+                assert_eq!(resp.ce, CeId(ce), "module {module}");
+            }
+        }
     }
 
     #[test]
@@ -405,7 +377,7 @@ mod tests {
     fn stats_record_per_module_hot_spot() {
         let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
         let hot = GlobalAddr(0x40);
-        let hot_module = hot.module(sys.config().modules).0 as usize;
+        let hot_module = hot.module().0 as usize;
         let injections = (0..16)
             .map(|c| (CeId(c), hot, MemOp::TestAndSet, Cycles(0)))
             .collect();

@@ -3,7 +3,7 @@
 //! Event-driven models of the Cedar multiprocessor's hardware (§2 of the
 //! paper):
 //!
-//! * 1–4 **clusters** (modified Alliant FX/8s) of 8 pipelined
+//! * 1–4 active **clusters** (modified Alliant FX/8s) of 8 pipelined
 //!   computational elements (CEs) each ([`ce`]), with a
 //!   **concurrency control bus** for fast intra-cluster loop dispatch and
 //!   synchronization: its barrier is [`cbus::CbusBarrier`], and its
@@ -11,9 +11,18 @@
 //!   the machine charges directly;
 //! * a 64 MB **global memory** of 32 independent, double-word interleaved
 //!   modules ([`module`], [`gmem`]);
-//! * a **two-stage shuffle-exchange network** of 8×8 crossbar switches,
+//! * a **two-stage shuffle-exchange network** of 8×8 crossbar switches
+//!   (4 per stage, 2 parallel links between each stage-1/stage-2 pair),
 //!   one network for the CE→memory path and another for the return path
-//!   ([`switch`], [`route`], [`net`]).
+//!   ([`switch`], [`route`]);
+//! * a shared **2-port injection path** from each cluster to its Global
+//!   Interfaces, so a cluster issues at most 2 words per cycle.
+//!
+//! This is the one machine the paper measured, so the geometry — 32
+//! modules, radix 8, 4 switches per stage, 2 links, 4 clusters of 2
+//! injection ports — is a set of crate constants, not configuration.
+//! [`NetConfig`] carries only latencies. Every configuration (1–32
+//! processors) uses the same network and memory (§3.2).
 //!
 //! Contention — the paper's third overhead source — emerges here: every
 //! global-memory word travels as a packet through switch output ports and
@@ -57,7 +66,7 @@ pub mod ce;
 pub mod config;
 pub mod gmem;
 pub mod module;
-pub mod net;
+pub(crate) mod net;
 pub mod packet;
 pub mod route;
 pub mod switch;

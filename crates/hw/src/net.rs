@@ -4,7 +4,7 @@
 use cedar_sim::{Cycles, SimTime};
 
 use crate::config::NetConfig;
-use crate::route::DeltaGeometry;
+use crate::route::{self, SWITCHES_PER_STAGE};
 use crate::switch::Crossbar;
 
 /// A two-stage delta network in one direction (forward: CEs → memory;
@@ -14,47 +14,34 @@ use crate::switch::Crossbar;
 /// packet arrives at the next hop, accounting for queueing at the chosen
 /// switch output port.
 #[derive(Debug, Clone)]
-pub struct DeltaNet {
-    geometry: DeltaGeometry,
-    stage1: Vec<Crossbar>,
-    stage2: Vec<Crossbar>,
+pub(crate) struct DeltaNet {
+    stage1: [Crossbar; SWITCHES_PER_STAGE],
+    stage2: [Crossbar; SWITCHES_PER_STAGE],
 }
 
 impl DeltaNet {
-    /// Builds the network for `cfg`'s geometry and latencies.
+    /// Builds the network with `cfg`'s latencies.
     pub fn new(cfg: &NetConfig) -> Self {
-        let geometry = DeltaGeometry::new(cfg.modules, cfg.radix);
-        let make = || {
-            (0..geometry.switches_per_stage())
-                .map(|_| Crossbar::new(cfg.radix, cfg.switch_latency, cfg.port_occupancy))
-                .collect::<Vec<_>>()
-        };
+        let make =
+            || std::array::from_fn(|_| Crossbar::new(cfg.switch_latency, cfg.port_occupancy));
         DeltaNet {
-            geometry,
             stage1: make(),
             stage2: make(),
         }
     }
 
-    /// Routing geometry.
-    pub(crate) fn geometry(&self) -> DeltaGeometry {
-        self.geometry
-    }
-
     /// Packet from endpoint `src` bound for endpoint `dst` arrives at its
     /// stage-1 switch at `now`; returns arrival time at the stage-2 switch.
     pub fn transit_stage1(&mut self, src: u16, dst: u16, now: SimTime) -> SimTime {
-        let sw = self.geometry.stage1_switch(src) as usize;
-        let port = self.geometry.stage1_port(dst);
-        self.stage1[sw].transit(port, now)
+        let sw = route::stage1_switch(src) as usize;
+        self.stage1[sw].transit(route::stage1_port(dst), now)
     }
 
     /// Packet bound for endpoint `dst` arrives at its stage-2 switch at
     /// `now`; returns arrival time at the destination endpoint.
     pub fn transit_stage2(&mut self, dst: u16, now: SimTime) -> SimTime {
-        let sw = self.geometry.stage2_switch(dst) as usize;
-        let port = self.geometry.stage2_port(dst);
-        self.stage2[sw].transit(port, now)
+        let sw = route::stage2_switch(dst) as usize;
+        self.stage2[sw].transit(route::stage2_port(dst), now)
     }
 
     /// Total packets that crossed stage 1 (== packets injected).

@@ -10,6 +10,8 @@
 
 use cedar_sim::{Cycles, SimTime};
 
+use crate::route::RADIX;
+
 /// One FCFS output port.
 #[derive(Debug, Clone, Default)]
 pub struct PortServer {
@@ -63,68 +65,21 @@ impl PortServer {
     }
 }
 
-/// Ports a [`PortBank`] stores inline before spilling to the heap.
-/// Cedar's switches are 8×8 (§2), so the standard machine never spills.
-pub(crate) const INLINE_PORTS: usize = 8;
-
-/// A fixed-capacity inline bank of FCFS ports.
-///
-/// The first [`INLINE_PORTS`] ports live directly in the bank (no
-/// pointer chase on the packet hot path — the whole bank of
-/// `free_at`/counter scalars sits in two cache lines); configurations
-/// wider than the inline bound spill the remainder to a vector.
-#[derive(Debug, Clone)]
-pub(crate) struct PortBank {
-    inline: [PortServer; INLINE_PORTS],
-    inline_len: usize,
-    spill: Vec<PortServer>,
-}
-
-impl PortBank {
-    /// Creates a bank of `ports` idle ports.
-    pub fn new(ports: usize) -> Self {
-        PortBank {
-            inline: Default::default(),
-            inline_len: ports.min(INLINE_PORTS),
-            spill: vec![PortServer::new(); ports.saturating_sub(INLINE_PORTS)],
-        }
-    }
-
-    /// The `i`-th port, mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub(crate) fn get_mut(&mut self, i: usize) -> &mut PortServer {
-        if i < self.inline_len {
-            &mut self.inline[i]
-        } else {
-            &mut self.spill[i - self.inline_len]
-        }
-    }
-
-    /// Iterates the bank's ports in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &PortServer> {
-        self.inline[..self.inline_len]
-            .iter()
-            .chain(self.spill.iter())
-    }
-}
-
-/// An `radix`-output crossbar switch (inputs need no modelling: an ideal
-/// crossbar only conflicts at outputs).
+/// A `RADIX`-output crossbar switch (inputs need no modelling: an ideal
+/// crossbar only conflicts at outputs). Its eight ports live inline, so
+/// the packet hot path never chases a pointer.
 #[derive(Debug, Clone)]
 pub(crate) struct Crossbar {
-    ports: PortBank,
+    ports: [PortServer; RADIX],
     latency: Cycles,
     occupancy: Cycles,
 }
 
 impl Crossbar {
-    /// Creates a switch with `radix` output ports.
-    pub fn new(radix: u16, latency: Cycles, occupancy: Cycles) -> Self {
+    /// Creates an idle switch.
+    pub fn new(latency: Cycles, occupancy: Cycles) -> Self {
         Crossbar {
-            ports: PortBank::new(radix as usize),
+            ports: Default::default(),
             latency,
             occupancy,
         }
@@ -137,10 +92,7 @@ impl Crossbar {
     ///
     /// Panics if `port` is out of range.
     pub(crate) fn transit(&mut self, port: u16, now: SimTime) -> SimTime {
-        let served_by = self
-            .ports
-            .get_mut(port as usize)
-            .accept(now, self.occupancy);
+        let served_by = self.ports[port as usize].accept(now, self.occupancy);
         // The packet leaves the port when transmission completes, then
         // takes the stage latency to reach the next hop.
         served_by + self.latency
@@ -161,32 +113,27 @@ impl Crossbar {
 mod tests {
     use super::*;
 
-    /// Output `i`'s statistics, read through the bank's iterator.
-    fn port(sw: &Crossbar, i: usize) -> &PortServer {
-        sw.ports.iter().nth(i).expect("port in range")
-    }
-
     #[test]
     fn uncontended_packet_takes_occupancy_plus_latency() {
-        let mut sw = Crossbar::new(8, Cycles(4), Cycles(1));
+        let mut sw = Crossbar::new(Cycles(4), Cycles(1));
         let out = sw.transit(3, Cycles(100));
         assert_eq!(out, Cycles(105)); // 100 + 1 occupancy + 4 latency
-        assert_eq!(port(&sw, 3).queued(), Cycles::ZERO);
+        assert_eq!(sw.ports[3].queued(), Cycles::ZERO);
     }
 
     #[test]
     fn back_to_back_packets_queue_at_port() {
-        let mut sw = Crossbar::new(8, Cycles(4), Cycles(1));
+        let mut sw = Crossbar::new(Cycles(4), Cycles(1));
         let a = sw.transit(0, Cycles(10));
         let b = sw.transit(0, Cycles(10)); // same instant, same port
         assert_eq!(a, Cycles(15));
         assert_eq!(b, Cycles(16)); // one cycle behind
-        assert_eq!(port(&sw, 0).queued(), Cycles(1));
+        assert_eq!(sw.ports[0].queued(), Cycles(1));
     }
 
     #[test]
     fn different_ports_do_not_conflict() {
-        let mut sw = Crossbar::new(8, Cycles(4), Cycles(1));
+        let mut sw = Crossbar::new(Cycles(4), Cycles(1));
         let a = sw.transit(0, Cycles(10));
         let b = sw.transit(1, Cycles(10));
         assert_eq!(a, b);
@@ -194,38 +141,24 @@ mod tests {
 
     #[test]
     fn port_statistics_accumulate() {
-        let mut sw = Crossbar::new(4, Cycles(2), Cycles(1));
+        let mut sw = Crossbar::new(Cycles(2), Cycles(1));
         for _ in 0..5 {
             sw.transit(2, Cycles(0));
         }
-        assert_eq!(port(&sw, 2).packets(), 5);
-        assert_eq!(port(&sw, 2).busy(), Cycles(5));
+        assert_eq!(sw.ports[2].packets(), 5);
+        assert_eq!(sw.ports[2].busy(), Cycles(5));
         // Packets arrived simultaneously: 0+1+2+3+4 cycles of queueing.
-        assert_eq!(port(&sw, 2).queued(), Cycles(10));
+        assert_eq!(sw.ports[2].queued(), Cycles(10));
         assert_eq!(sw.total_packets(), 5);
         assert_eq!(sw.total_queued(), Cycles(10));
     }
 
     #[test]
-    fn wide_crossbar_spills_past_inline_ports() {
-        // A 16-output switch exercises the spill half of the bank.
-        let mut sw = Crossbar::new(16, Cycles(4), Cycles(1));
-        assert_eq!(sw.ports.iter().count(), 16);
-        let a = sw.transit(15, Cycles(10)); // spill port
-        let b = sw.transit(15, Cycles(10));
-        assert_eq!((a, b), (Cycles(15), Cycles(16)));
-        let c = sw.transit(0, Cycles(10)); // inline port, independent
-        assert_eq!(c, Cycles(15));
-        assert_eq!(port(&sw, 15).packets(), 2);
-        assert_eq!(sw.total_packets(), 3);
-    }
-
-    #[test]
     fn idle_gap_resets_queueing() {
-        let mut sw = Crossbar::new(2, Cycles(1), Cycles(3));
+        let mut sw = Crossbar::new(Cycles(1), Cycles(3));
         sw.transit(0, Cycles(0)); // busy until 3
         let out = sw.transit(0, Cycles(50)); // long after
         assert_eq!(out, Cycles(54));
-        assert_eq!(port(&sw, 0).queued(), Cycles::ZERO);
+        assert_eq!(sw.ports[0].queued(), Cycles::ZERO);
     }
 }

@@ -24,6 +24,18 @@ pub struct CeId(pub u16);
 /// CEs per cluster on the real Cedar.
 pub(crate) const CES_PER_CLUSTER: u16 = 8;
 
+/// Clusters in the full machine (§2).
+pub(crate) const CLUSTERS: usize = 4;
+
+/// Ports on each cluster's shared path to its Global Interfaces: a
+/// cluster issues at most this many global-memory words per cycle. This
+/// is why FLO52's contention overhead peaks on the single-cluster
+/// configurations (Table 4: 27% at 8 processors).
+pub(crate) const CLUSTER_PORTS: usize = 2;
+
+/// Independent, double-word interleaved global-memory modules (§2).
+pub(crate) const MODULES: usize = 32;
+
 impl CeId {
     /// The cluster this CE belongs to (full-machine numbering).
     pub fn cluster(self) -> ClusterId {

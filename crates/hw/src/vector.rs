@@ -10,6 +10,7 @@
 
 use crate::addr::{GlobalAddr, DWORD_BYTES};
 use crate::packet::MemOp;
+use crate::topology::MODULES;
 
 /// One strided burst of double-word accesses.
 ///
@@ -71,15 +72,14 @@ impl VectorAccess {
         }
     }
 
-    /// Number of *distinct* memory modules touched, for an `n_modules`
-    /// interleaved memory — unit-stride vectors sweep all modules, while
-    /// power-of-two strides can concentrate on few (classic interleaving
-    /// pathology).
-    pub fn modules_touched(&self, n_modules: u16) -> usize {
-        let mut seen = vec![false; n_modules as usize];
+    /// Number of *distinct* memory modules touched — unit-stride
+    /// vectors sweep all modules, while power-of-two strides can
+    /// concentrate on few (classic interleaving pathology).
+    pub fn modules_touched(&self) -> usize {
+        let mut seen = [false; MODULES];
         let mut count = 0;
         for a in self.addresses() {
-            let m = a.module(n_modules).0 as usize;
+            let m = a.module().0 as usize;
             if !seen[m] {
                 seen[m] = true;
                 count += 1;
@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn unit_stride_sweeps_all_modules() {
         let v = VectorAccess::read(GlobalAddr(0), 64, 1);
-        assert_eq!(v.modules_touched(32), 32);
+        assert_eq!(v.modules_touched(), 32);
     }
 
     #[test]
@@ -104,13 +104,13 @@ mod tests {
         // Stride equal to the module count: every element lands on the
         // same module — the worst case for an interleaved memory.
         let v = VectorAccess::read(GlobalAddr(0), 16, 32);
-        assert_eq!(v.modules_touched(32), 1);
+        assert_eq!(v.modules_touched(), 1);
     }
 
     #[test]
     fn stride_2_hits_half_the_modules() {
         let v = VectorAccess::read(GlobalAddr(0), 64, 2);
-        assert_eq!(v.modules_touched(32), 16);
+        assert_eq!(v.modules_touched(), 16);
     }
 
     #[test]

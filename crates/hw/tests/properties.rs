@@ -136,7 +136,7 @@ fn vector_addresses_stay_in_span() {
         let last = addrs.last().unwrap();
         assert_eq!(last.0 - v.base.0 + 8, v.span_bytes(), "seed {seed}");
         // Distinct modules never exceed the word count or module count.
-        let touched = v.modules_touched(32);
+        let touched = v.modules_touched();
         assert!(touched <= 32, "seed {seed}");
         assert!(touched <= words as usize, "seed {seed}");
     }

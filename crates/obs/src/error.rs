@@ -1,11 +1,10 @@
 //! The workspace's typed error API.
 //!
-//! Every public fallible entry point — configuration validation, cache
-//! store opening, golden/report rendering and the campaign runners —
-//! returns `Result<_, CedarError>` instead of panicking or
-//! stringly-typed errors. The variants are deliberately coarse: they
-//! partition failures by *who must act* (the caller sent a structurally
-//! invalid configuration, the host's storage misbehaved, or the
+//! Every public fallible entry point — cache store opening,
+//! golden/report rendering and the campaign runners — returns
+//! `Result<_, CedarError>` instead of panicking or stringly-typed
+//! errors. The variants are deliberately coarse: they partition
+//! failures by *who must act* (the host's storage misbehaved, or the
 //! reproduction itself broke an invariant).
 //!
 //! The enum lives in `cedar-obs` — the leaf crate every layer already
@@ -15,10 +14,6 @@
 /// A typed workspace error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CedarError {
-    /// A configuration or workload model violates a structural
-    /// invariant (missing array reference, zero-iteration loop, zero
-    /// memory modules).
-    ConfigInvalid(String),
     /// The content-addressed run cache could not be opened or written
     /// (root is a file, permissions, disk full at open time).
     CacheIo(String),
@@ -30,7 +25,6 @@ pub enum CedarError {
 impl std::fmt::Display for CedarError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CedarError::ConfigInvalid(m) => write!(f, "invalid configuration: {m}"),
             CedarError::CacheIo(m) => write!(f, "run-cache I/O failure: {m}"),
             CedarError::Internal(m) => write!(f, "internal error: {m}"),
         }
@@ -45,11 +39,6 @@ mod tests {
 
     #[test]
     fn display_carries_the_message() {
-        let e = CedarError::ConfigInvalid("loop `L1` has zero iterations".into());
-        assert_eq!(
-            e.to_string(),
-            "invalid configuration: loop `L1` has zero iterations"
-        );
         let e = CedarError::CacheIo("root is a file".into());
         assert_eq!(e.to_string(), "run-cache I/O failure: root is a file");
     }

@@ -2,8 +2,8 @@
 //!
 //! Every knob that used to be a scattered `std::env::var` read —
 //! `CEDAR_SCHED`, `CEDAR_WORKERS`, `CEDAR_SHRINK`, `BENCH_SMOKE`,
-//! `BENCH_ITERS`, `BENCH_WARMUP`, `BENCH_JSON_DIR`, plus the new
-//! `CEDAR_OBS` telemetry level — now lives in one [`RunOptions`] value.
+//! `BENCH_ITERS`, `BENCH_JSON_DIR`, `CEDAR_CACHE`, plus the
+//! `CEDAR_OBS` telemetry level — lives in one [`RunOptions`] value.
 //! Library code takes `&RunOptions` explicitly; the environment is
 //! consulted exactly once, by [`RunOptions::from_env`], at process
 //! startup (tools and the bench harness do this; tests construct
@@ -155,8 +155,6 @@ pub struct RunOptions {
     pub smoke: bool,
     /// Benchmark timed-iteration override (`None` = harness default).
     pub bench_iters: Option<u32>,
-    /// Benchmark warmup-iteration override (`None` = harness default).
-    pub bench_warmup: Option<u32>,
     /// Self-telemetry level.
     pub telemetry: TelemetryLevel,
     /// Output directory for manifests, bench JSON and telemetry streams
@@ -187,7 +185,6 @@ impl Default for RunOptions {
             shrink: 1,
             smoke: false,
             bench_iters: None,
-            bench_warmup: None,
             telemetry: TelemetryLevel::default(),
             output_dir: None,
             faults: FaultPlan::default(),
@@ -209,7 +206,6 @@ impl RunOptions {
     /// | `CEDAR_OBS`     | `telemetry`   | `off`, `summary`, `full`     |
     /// | `BENCH_SMOKE`   | `smoke`       | `1`                          |
     /// | `BENCH_ITERS`   | `bench_iters` | integer ≥ 1                  |
-    /// | `BENCH_WARMUP`  | `bench_warmup`| integer ≥ 0                  |
     /// | `BENCH_JSON_DIR`| `output_dir`  | a directory path             |
     /// | `CEDAR_CACHE`   | `cache`       | `off`, `rw`, `ro`, `refresh` |
     ///
@@ -234,7 +230,6 @@ impl RunOptions {
                 .unwrap_or(1),
             smoke: var("BENCH_SMOKE").map(|v| v == "1").unwrap_or(false),
             bench_iters: var("BENCH_ITERS").and_then(|v| v.parse().ok()),
-            bench_warmup: var("BENCH_WARMUP").and_then(|v| v.parse().ok()),
             telemetry: var("CEDAR_OBS")
                 .map(|v| v.parse().unwrap_or_else(|e| panic!("CEDAR_OBS: {e}")))
                 .unwrap_or_default(),

@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn leaves_spread_across_modules() {
         let t = tree(32, 4);
-        let modules: Vec<u16> = (0..8).map(|i| t.node(0, i).module(32).0).collect();
+        let modules: Vec<u16> = (0..8).map(|i| t.node(0, i).module().0).collect();
         let mut uniq = modules.clone();
         uniq.sort_unstable();
         uniq.dedup();

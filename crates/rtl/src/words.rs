@@ -89,7 +89,7 @@ mod tests {
             w.ticket,
         ]
         .iter()
-        .map(|a| a.module(32).0)
+        .map(|a| a.module().0)
         .collect();
         let mut dedup = m.clone();
         dedup.sort_unstable();

@@ -60,4 +60,4 @@ pub mod time;
 pub use outbox::{Outbox, OutboxStats};
 pub use queue::{EventQueue, QueueStats, SchedKind, TieBreak, HOLD_BUCKETS};
 pub use rng::SplitMix64;
-pub use time::{Cycles, HpmTicks, SimTime, CYCLE_NS, HPM_TICKS_PER_CYCLE, HPM_TICK_NS};
+pub use time::{Cycles, HpmTicks, SimTime, HPM_TICKS_PER_CYCLE};

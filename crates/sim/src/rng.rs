@@ -47,11 +47,6 @@ impl SplitMix64 {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform integer in `[lo, hi]` inclusive.
     ///
     /// # Panics
@@ -112,15 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn next_f64_in_unit_interval() {
-        let mut r = SplitMix64::new(11);
-        for _ in 0..1000 {
-            let v = r.next_f64();
-            assert!((0.0..1.0).contains(&v));
-        }
-    }
-
-    #[test]
     fn split_streams_are_independent() {
         let mut root = SplitMix64::new(123);
         let mut child = root.split();
@@ -133,14 +119,5 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn next_below_zero_bound_panics() {
         SplitMix64::new(0).next_below(0);
-    }
-
-    #[test]
-    fn mean_of_next_f64_is_near_half() {
-        let mut r = SplitMix64::new(2024);
-        let n = 50_000;
-        let sum: f64 = (0..n).map(|_| r.next_f64()).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 0.5).abs() < 0.01, "mean {mean} too far from 0.5");
     }
 }

@@ -1,4 +1,5 @@
-//! Statistics helpers: counters, time-weighted averages and histograms.
+//! Statistics helpers: time-weighted averages, duration accumulators
+//! and histograms.
 //!
 //! The measurement facilities in `cedar-trace` (the `statfx` concurrency
 //! monitor and the `Q` utilization facility) are built on these primitives.
@@ -70,34 +71,6 @@ impl TimeWeighted {
         }
         let tail = self.last_value * end.saturating_sub(self.last_time).0 as f64;
         (self.integral + tail) / total
-    }
-}
-
-/// A named monotonically increasing event counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.count
     }
 }
 
@@ -288,14 +261,6 @@ mod tests {
     fn time_weighted_rejects_backwards_time() {
         let mut tw = TimeWeighted::new(Cycles(10), 0.0);
         tw.update(Cycles(5), 1.0);
-    }
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 
     #[test]

@@ -11,10 +11,10 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 
 /// Nanoseconds per simulated CE clock cycle (10 MHz CE clock).
-pub const CYCLE_NS: u64 = 100;
+pub(crate) const CYCLE_NS: u64 = 100;
 
 /// Nanoseconds per `cedarhpm` timestamp tick (the monitor's resolution).
-pub const HPM_TICK_NS: u64 = 50;
+pub(crate) const HPM_TICK_NS: u64 = 50;
 
 /// `cedarhpm` ticks per CE cycle.
 pub const HPM_TICKS_PER_CYCLE: u64 = CYCLE_NS / HPM_TICK_NS;
@@ -60,11 +60,6 @@ impl Cycles {
     /// Saturating subtraction; clamps at zero instead of underflowing.
     pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition returning `None` on overflow.
-    pub fn checked_add(self, rhs: Cycles) -> Option<Cycles> {
-        self.0.checked_add(rhs.0).map(Cycles)
     }
 
     /// Fraction `self / total` as an `f64` in `[0, 1]` for non-degenerate
@@ -168,11 +163,6 @@ pub type SimTime = Cycles;
 pub struct HpmTicks(pub u64);
 
 impl HpmTicks {
-    /// Convert back to CE cycles, truncating sub-cycle precision.
-    pub fn to_cycles(self) -> Cycles {
-        Cycles(self.0 / HPM_TICKS_PER_CYCLE)
-    }
-
     /// Timestamp in simulated seconds.
     pub fn as_secs(self) -> f64 {
         self.0 as f64 * HPM_TICK_NS as f64 * 1e-9
@@ -214,10 +204,8 @@ mod tests {
     }
 
     #[test]
-    fn hpm_conversion_round_trips_at_cycle_granularity() {
-        let t = Cycles(1234);
-        assert_eq!(t.to_hpm_ticks(), HpmTicks(2468));
-        assert_eq!(t.to_hpm_ticks().to_cycles(), t);
+    fn hpm_ticks_are_half_cycles() {
+        assert_eq!(Cycles(1234).to_hpm_ticks(), HpmTicks(2468));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # CI entry point: the offline-build guarantee, the paper-band claims,
-# the full test suite, a one-iteration smoke pass of the bench harness,
-# the run-cache soundness check (warm campaign = cold campaign, only
-# faster), and the benchmark package's own tests (perfbench/).
+# the full test suite, a one-iteration smoke pass of the scheduler
+# benchmark, the shrunk campaign's pinned work counts, the run-cache
+# soundness check (warm campaign = cold campaign, only faster), and the
+# benchmark package's own tests (perfbench/).
 #
 # The workspace has zero external dependencies, so every step runs with
 # --offline and must succeed with no registry or network access. The
@@ -68,8 +69,11 @@ cargo test -q --offline --workspace
 echo "==> per-suite integration-test budgets (hard, results/TEST_budgets.json)"
 ./scripts/test_times.sh
 
-echo "==> bench harness smoke pass (BENCH_SMOKE=1: 1 iteration, no warmup)"
+echo "==> scheduler benchmark smoke pass (BENCH_SMOKE=1: 1 iteration, no warmup)"
 BENCH_SMOKE=1 cargo bench --offline -p cedar-bench
+
+scratch=$(mktemp -d "${TMPDIR:-/tmp}/cedar-ci.XXXXXX")
+trap 'rm -rf "$scratch"' EXIT
 
 echo "==> reduced-scale campaign + run manifest (CEDAR_SHRINK=16, CEDAR_OBS=full)"
 CEDAR_SHRINK=16 CEDAR_OBS=full cargo run --release --offline -p cedar-bench --bin all > /dev/null
@@ -81,6 +85,32 @@ for f in results/RUN_manifest.json results/RUN_telemetry.jsonl; do
 done
 echo "    wrote results/RUN_manifest.json + results/RUN_telemetry.jsonl"
 
+# Exact work counts: every "name value" line of results/CI_work_counts.txt
+# must match the value the campaign's manifest holds for that name. The
+# counts do not depend on the host, the scheduler or the pool width, so
+# an accidental extra event fails here on any machine.
+echo "==> pinned work counts (results/CI_work_counts.txt)"
+awk -v manifest=results/RUN_manifest.json '
+    BEGIN {
+        while ((getline line < manifest) > 0) {
+            n = split(line, field, /[{},]/)
+            for (i = 1; i <= n; i++)
+                if (field[i] ~ /^"[^"]+":[0-9]+$/) {
+                    split(field[i], kv, /":/)
+                    value[substr(kv[1], 2)] = kv[2]
+                }
+        }
+    }
+    /^#/ || NF == 0 { print; next }
+    { print $1, ($1 in value) ? value[$1] : "missing" }
+' results/CI_work_counts.txt > "$scratch/work_counts.txt"
+if ! diff -u results/CI_work_counts.txt "$scratch/work_counts.txt" >&2; then
+    echo "error: the campaign's work counts moved (- pinned, + this run)" >&2
+    echo "re-pin results/CI_work_counts.txt only with a change that explains the diff" >&2
+    exit 1
+fi
+echo "    $(grep -c '^[^#]' results/CI_work_counts.txt) counts match"
+
 # Cache soundness: the same shrunk campaign twice against one cache
 # root. The cold pass populates the store, the warm pass must (a) hit on
 # every lookup, (b) produce a RUN_manifest.json byte-identical to the
@@ -89,8 +119,6 @@ echo "    wrote results/RUN_manifest.json + results/RUN_telemetry.jsonl"
 # (c) be measurably faster than simulating. The built binary is invoked
 # directly so the timing compares campaigns, not cargo overhead.
 echo "==> run-cache soundness (cold vs warm campaign, CEDAR_SHRINK=4)"
-scratch=$(mktemp -d "${TMPDIR:-/tmp}/cedar-cache-ci.XXXXXX")
-trap 'rm -rf "$scratch"' EXIT
 mask_manifest() {
     sed -e 's/"git":"[^"]*"/"git":"MASKED"/' \
         -e 's/"git":null/"git":"MASKED"/' \
