@@ -16,8 +16,10 @@ use cedar_bench::harness::{black_box, Harness};
 use cedar_core::prelude::FaultPlan;
 use cedar_core::suite::SuiteResult;
 use cedar_core::{Experiment, SimConfig};
-use cedar_hw::{CeId, Configuration, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig};
-use cedar_sim::{Cycles, EventQueue, Outbox, SchedKind, SplitMix64};
+use cedar_hw::{
+    CeId, Configuration, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig, Step,
+};
+use cedar_sim::{Cycles, EventQueue, SchedKind, SplitMix64};
 
 /// The classic hold model: keep `pending` events in flight, pop one and
 /// reschedule it a short, random distance ahead, `steps` times. This is
@@ -47,27 +49,29 @@ fn hold_model(kind: SchedKind, pending: u64, steps: u64) -> u64 {
 fn net_dense(kind: SchedKind, per_ce: u64, events: u64) -> u64 {
     let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
     let mut q: EventQueue<GmemEvent> = EventQueue::with_kind(kind);
-    let mut out: Outbox<GmemEvent> = Outbox::new();
     let mut rng = SplitMix64::new(0xD15E);
     for ce in 0..32u16 {
         for _ in 0..per_ce {
             let addr = GlobalAddr(rng.next_below(1 << 16) * 8);
-            sys.inject(CeId(ce), addr, MemOp::Read, Cycles(0), &mut out);
-            out.flush_into(Cycles(0), &mut q);
+            let (at, hop) = sys.inject(CeId(ce), addr, MemOp::Read, Cycles(0));
+            q.schedule(at, hop);
         }
     }
     let mut checksum = 0u64;
     let mut handled = 0u64;
     while handled < events {
         let (now, ev) = q.pop().expect("closed loop never drains");
-        if let Some(resp) = sys.handle(ev, now, &mut out) {
-            checksum = checksum
-                .wrapping_mul(31)
-                .wrapping_add(now.0 ^ resp.ce.0 as u64 ^ resp.value);
-            let addr = GlobalAddr(rng.next_below(1 << 16) * 8);
-            sys.inject(resp.ce, addr, MemOp::Read, now, &mut out);
-        }
-        out.flush_into(now, &mut q);
+        let (at, hop) = match sys.handle(ev, now) {
+            Step::Next(at, hop) => (at, hop),
+            Step::Delivered(resp) => {
+                checksum = checksum
+                    .wrapping_mul(31)
+                    .wrapping_add(now.0 ^ resp.ce.0 as u64 ^ resp.value);
+                let addr = GlobalAddr(rng.next_below(1 << 16) * 8);
+                sys.inject(resp.ce, addr, MemOp::Read, now)
+            }
+        };
+        q.schedule(at, hop);
         handled += 1;
     }
     checksum

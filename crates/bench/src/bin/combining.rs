@@ -9,36 +9,31 @@
 //! This experiment drives `GlobalMemorySystem` directly — no OS, no
 //! runtime — so the numbers isolate pure memory-system behaviour.
 
-use cedar_hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig};
+use cedar_hw::{CeId, GlobalAddr, GlobalMemorySystem, MemOp, NetConfig, Step};
 use cedar_rtl::{CombiningTree, Propagation};
-use cedar_sim::{Cycles, EventQueue, Outbox, SimTime};
+use cedar_sim::{Cycles, EventQueue, SimTime};
 
 /// Drives one flat-barrier episode; returns the completion time.
 fn flat_barrier(n: u32) -> SimTime {
     let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
     let counter = GlobalAddr(0x4000);
     let mut q = EventQueue::new();
-    let mut out: Outbox<GmemEvent> = Outbox::new();
     for p in 0..n {
-        sys.inject(
-            CeId(p as u16),
-            counter,
-            MemOp::FetchAdd(1),
-            Cycles(0),
-            &mut out,
-        );
-        out.flush_into(Cycles(0), &mut q);
+        let (at, hop) = sys.inject(CeId(p as u16), counter, MemOp::FetchAdd(1), Cycles(0));
+        q.schedule(at, hop);
     }
     let mut done = Cycles::ZERO;
     let mut completed = 0;
     while let Some((now, ev)) = q.pop() {
-        if let Some(resp) = sys.handle(ev, now, &mut out) {
-            completed += 1;
-            if resp.value + 1 == n as u64 {
-                done = now; // the arrival that completed the count
+        match sys.handle(ev, now) {
+            Step::Next(at, hop) => q.schedule(at, hop),
+            Step::Delivered(resp) => {
+                completed += 1;
+                if resp.value + 1 == n as u64 {
+                    done = now; // the arrival that completed the count
+                }
             }
         }
-        out.flush_into(now, &mut q);
     }
     assert_eq!(completed, n);
     done
@@ -50,7 +45,6 @@ fn combining_barrier(n: u32, fanout: u32) -> SimTime {
     let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
     let tree = CombiningTree::new(GlobalAddr(0x4000), n, fanout);
     let mut q = EventQueue::new();
-    let mut out: Outbox<GmemEvent> = Outbox::new();
     // Track which (level, idx) each CE's in-flight request targets: a
     // CE issues its next fetch-add only after the previous one returns,
     // so it has at most one request in flight.
@@ -59,24 +53,29 @@ fn combining_barrier(n: u32, fanout: u32) -> SimTime {
     for p in 0..n {
         let ce = CeId(p as u16);
         let leaf = tree.leaf_of(p);
-        sys.inject(ce, leaf, MemOp::FetchAdd(1), Cycles(0), &mut out);
+        let (at, hop) = sys.inject(ce, leaf, MemOp::FetchAdd(1), Cycles(0));
         target.insert(ce, (0, tree.leaf_index(p)));
-        out.flush_into(Cycles(0), &mut q);
+        q.schedule(at, hop);
     }
     let mut released_at = None;
     while let Some((now, ev)) = q.pop() {
-        if let Some(resp) = sys.handle(ev, now, &mut out) {
-            let (level, idx) = target.remove(&resp.ce).expect("tracked request");
-            match tree.propagate(level, idx, resp.value) {
-                Propagation::Waiting => {}
-                Propagation::Up { level, idx, addr } => {
-                    sys.inject(resp.ce, addr, MemOp::FetchAdd(1), now, &mut out);
-                    target.insert(resp.ce, (level, idx));
-                }
-                Propagation::Release => released_at = Some(now),
+        let resp = match sys.handle(ev, now) {
+            Step::Next(at, hop) => {
+                q.schedule(at, hop);
+                continue;
             }
+            Step::Delivered(resp) => resp,
+        };
+        let (level, idx) = target.remove(&resp.ce).expect("tracked request");
+        match tree.propagate(level, idx, resp.value) {
+            Propagation::Waiting => {}
+            Propagation::Up { level, idx, addr } => {
+                let (at, hop) = sys.inject(resp.ce, addr, MemOp::FetchAdd(1), now);
+                q.schedule(at, hop);
+                target.insert(resp.ce, (level, idx));
+            }
+            Propagation::Release => released_at = Some(now),
         }
-        out.flush_into(now, &mut q);
     }
     released_at.expect("barrier completed")
 }

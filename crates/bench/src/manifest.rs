@@ -4,8 +4,8 @@
 //! After a campaign, [`write`] drops `RUN_manifest.json` next to the
 //! tables' CSVs: the typed [`RunOptions`] the run was configured with
 //! (plus their stable fingerprint), best-effort git provenance, event
-//! totals, the merged counter rollup (per-class event counts, queue and
-//! outbox statistics, hold-latency histogram), per-phase wall-clock, and
+//! totals, the merged counter rollup (per-class event counts, queue
+//! statistics, hold-latency histogram), per-phase wall-clock, and
 //! the worker pool's busy/idle accounting. At `CEDAR_OBS=full` a
 //! `RUN_telemetry.jsonl` stream rides along — one JSON line per
 //! `(application, configuration)` run with that run's own counters.

@@ -7,8 +7,16 @@
 //! * `stats.*_ns` — host wall-clock phase timings;
 //! * `counter queue.*` — pending-event-set telemetry, which differs
 //!   between the heap and calendar backends by design;
-//! * `counter outbox.*` — event-pool telemetry, likewise
-//!   implementation-shaped.
+//! * `counter outbox.*` — telemetry of the event buffer the machine no
+//!   longer has. Current runs carry none of these lines, but run-cache
+//!   entries written before it was deleted still do, so the filter
+//!   stays and old and new entries fingerprint alike.
+//!
+//! The `counters <n>` line counts the record's counters, telemetry
+//! included, and every run before the outbox was deleted reported
+//! [`OUTBOX_COUNTERS`] of them. The fingerprint therefore always counts
+//! those four, present or not: an entry written before the deletion, a
+//! run after it and the pinned fingerprints of the paper grid all agree.
 //!
 //! [`fingerprint_text`] drops exactly those lines; what remains is the
 //! paper-facing measurement surface (completion time, breakdowns,
@@ -36,15 +44,30 @@ fn is_measurement_line(line: &str) -> bool {
     true
 }
 
+/// The `outbox.*` counters every run reported until the outbox was
+/// deleted (`emitted`, `flushes`, `grows`, `buffered.peak`).
+const OUTBOX_COUNTERS: usize = 4;
+
 /// The run's deterministic measurement payload as text — the cacheable
 /// encoding with wall-clock and backend-telemetry lines removed. Two
 /// runs of the same experiment must produce identical text no matter
 /// which scheduler backend, worker pool, or cache path executed them.
 pub fn fingerprint_text(result: &RunResult) -> String {
-    to_cached(result)
-        .encode()
+    let encoded = to_cached(result).encode();
+    let kept = encoded
+        .lines()
+        .filter(|l| l.starts_with("counter ") && !l.starts_with("counter outbox."));
+    let counters_line = format!("counters {}", kept.count() + OUTBOX_COUNTERS);
+    encoded
         .lines()
         .filter(|l| is_measurement_line(l))
+        .map(|l| {
+            if l.starts_with("counters ") {
+                counters_line.as_str()
+            } else {
+                l
+            }
+        })
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -105,6 +128,25 @@ mod tests {
         assert!(!text.contains("counter queue."), "queue telemetry leaked");
         assert!(text.contains("completion_time"), "measurements kept");
         assert!(text.contains("counter events.total"), "counters kept");
+    }
+
+    #[test]
+    fn entries_written_before_the_outbox_was_deleted_fingerprint_alike() {
+        let mut old = tiny(SchedKind::Calendar, TieBreak::Fifo);
+        for name in [
+            "outbox.emitted",
+            "outbox.flushes",
+            "outbox.grows",
+            "outbox.buffered.peak",
+        ] {
+            old.stats.counters.add(name, 7);
+        }
+        let new = tiny(SchedKind::Calendar, TieBreak::Fifo);
+        assert_eq!(fingerprint_text(&old), fingerprint_text(&new));
+        // The count the old record carries, as fingerprints pinned before
+        // the deletion hashed it.
+        let pinned_count = format!("\ncounters {}\n", old.stats.counters.len());
+        assert!(fingerprint_text(&new).contains(&pinned_count));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use cedar_hw::GmemEvent;
 /// Every event the machine's queue can carry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
-    /// A packet hop inside the global-memory system.
+    /// A packet's next hop inside the global-memory system.
     Gmem(GmemEvent),
     /// A CE's current activity (compute span) completed. `gen` is the
     /// activity generation; stale completions are dropped.
@@ -54,6 +54,11 @@ pub(crate) enum Ev {
         cluster: usize,
     },
 }
+
+// The 24-byte packet's spare bits carry the discriminant, so an event
+// stays 24 bytes and a calendar bucket entry, `(rank, Ev)`, 32.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 24);
+const _: () = assert!(std::mem::size_of::<(u64, Ev)>() <= 32);
 
 /// Telemetry counter name of each event class, indexed by
 /// [`Ev::class`]. Dotted `events.*` paths, ready for the run manifest's

@@ -16,9 +16,9 @@ mod tests;
 use cedar_apps::AppSpec;
 use cedar_hw::cbus::CbusBarrier;
 use cedar_hw::ce::{Activity, CeEngine};
-use cedar_hw::{CeId, ClusterId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, VectorAccess};
+use cedar_hw::{CeId, ClusterId, GlobalAddr, GlobalMemorySystem, MemOp, Step, VectorAccess};
 use cedar_rtl::{FinishBarrier, WorkWaiter};
-use cedar_sim::{Cycles, EventQueue, Outbox, SimTime, SplitMix64};
+use cedar_sim::{Cycles, EventQueue, SimTime, SplitMix64};
 use cedar_trace::qmon::ClusterUtilization;
 use cedar_trace::{HpmMonitor, Statfx, TraceEventId, UserBucket};
 use cedar_xylem::{AddressSpace, AstSchedule, DaemonSchedule, KernelLock, OsAccounting};
@@ -60,10 +60,6 @@ pub struct Machine {
     pub(crate) program: CompiledProgram,
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) gmem: GlobalMemorySystem,
-    /// Long-lived scratch outbox for memory-system events. Reused across
-    /// every inject/handle call (slab-style) so the packet-heavy network
-    /// model does not allocate a fresh buffer per event.
-    pub(crate) gmem_out: Outbox<GmemEvent>,
     pub(crate) ces: Vec<Ce>,
     pub(crate) tasks: Vec<Task>,
     pub(crate) vm: AddressSpace,
@@ -188,7 +184,6 @@ impl Machine {
             program,
             queue: EventQueue::with_kind(cfg.sched).with_tiebreak(cfg.tiebreak),
             gmem: GlobalMemorySystem::new(net),
-            gmem_out: Outbox::new(),
             ces,
             tasks,
             vm,
@@ -352,10 +347,8 @@ impl Machine {
     pub(crate) fn start_word(&mut self, pos: usize, addr: GlobalAddr, op: MemOp) {
         self.ces[pos].engine.begin(&Activity::Word { addr, op });
         let ce_id = self.ce_id(pos);
-        self.gmem
-            .inject(ce_id, addr, op, self.now, &mut self.gmem_out);
-        self.gmem_out
-            .flush_map_into(self.now, &mut self.queue, Ev::Gmem);
+        let (at, hop) = self.gmem.inject(ce_id, addr, op, self.now);
+        self.queue.schedule(at, Ev::Gmem(hop));
     }
 
     /// Issues a vector burst from CE `pos`, pipelined one word per cycle.
@@ -364,11 +357,9 @@ impl Machine {
         self.ces[pos].engine.begin(&Activity::Vector(*access));
         let ce_id = self.ce_id(pos);
         for (k, addr) in access.addresses().enumerate() {
-            self.gmem
-                .inject(ce_id, addr, access.op, self.now, &mut self.gmem_out);
-            // Re-anchor this word's events k cycles later (issue pipeline).
-            self.gmem_out
-                .flush_map_into(self.now + Cycles(k as u64), &mut self.queue, Ev::Gmem);
+            let (at, hop) = self.gmem.inject(ce_id, addr, access.op, self.now);
+            // Word k's first hop fires k cycles later (issue pipeline).
+            self.queue.schedule(at + Cycles(k as u64), Ev::Gmem(hop));
         }
     }
 
@@ -436,14 +427,10 @@ impl Machine {
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::Gmem(g) => {
-                let delivered = self.gmem.handle(g, self.now, &mut self.gmem_out);
-                self.gmem_out
-                    .flush_map_into(self.now, &mut self.queue, Ev::Gmem);
-                if let Some(resp) = delivered {
-                    self.on_response(resp);
-                }
-            }
+            Ev::Gmem(hop) => match self.gmem.handle(hop, self.now) {
+                Step::Next(at, hop) => self.queue.schedule(at, Ev::Gmem(hop)),
+                Step::Delivered(resp) => self.on_response(resp),
+            },
             Ev::CeDone { ce, gen } => {
                 if self.ces[ce].engine.is_current(gen) {
                     self.on_activity_complete(ce, 0);
@@ -504,8 +491,8 @@ impl Machine {
     }
 
     /// Folds the machine's self-telemetry counters — per-class event
-    /// totals, queue statistics (with the hold-distance histogram), and
-    /// outbox reuse — into one [`cedar_obs::Counters`] rollup.
+    /// totals and queue statistics (with the hold-distance histogram) —
+    /// into one [`cedar_obs::Counters`] rollup.
     fn telemetry_counters(&self) -> cedar_obs::Counters {
         /// Counter name of each hold-histogram bucket, by index.
         const HOLD_NAMES: [&str; cedar_sim::HOLD_BUCKETS] = [
@@ -541,11 +528,6 @@ impl Machine {
                 c.add(name, count);
             }
         }
-        let o = self.gmem_out.stats();
-        c.add("outbox.emitted", o.emitted);
-        c.add("outbox.flushes", o.flushes);
-        c.add("outbox.grows", o.grows);
-        c.record_max("outbox.buffered.peak", o.peak_buffered);
         // Fault-campaign counters only exist when a plan is armed, so an
         // empty plan leaves the rollup byte-identical to the pre-faults
         // machine.

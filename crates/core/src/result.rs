@@ -41,9 +41,9 @@ pub struct RunResult {
     /// The cedarhpm trace, when `SimConfig::keep_trace` was set.
     pub trace: Option<Vec<TraceEvent>>,
     /// The simulator's own telemetry for this run: per-phase wall-clock
-    /// and the counter rollup (event classes, queue and outbox
-    /// statistics). The counters are deterministic for a fixed
-    /// configuration; only the `*_ns` phase fields vary run to run.
+    /// and the counter rollup (event classes and queue statistics). The
+    /// counters are deterministic for a fixed configuration; only the
+    /// `*_ns` phase fields vary run to run.
     pub stats: cedar_obs::RunStats,
 }
 

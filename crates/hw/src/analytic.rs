@@ -138,16 +138,15 @@ mod tests {
     /// and compare the measured mean queueing with the M/D/1 prediction.
     #[test]
     fn simulated_queueing_tracks_the_prediction() {
-        use crate::gmem::{GlobalMemorySystem, GmemEvent};
-        use crate::{CeId, GlobalAddr, MemOp};
-        use cedar_sim::{EventQueue, Outbox, SplitMix64};
+        use crate::gmem::{GlobalMemorySystem, Step};
+        use crate::{CeId, GlobalAddr, GmemEvent, MemOp};
+        use cedar_sim::{EventQueue, SplitMix64};
 
         let cfg = NetConfig::cedar();
         // 16 CEs on 2 clusters, each issuing a word every 8 cycles:
         // total rate = 2 w/cy, per-cluster 1.0 (ports at ρ = 0.5).
         let mut sys = GlobalMemorySystem::new(cfg.clone());
         let mut q: EventQueue<GmemEvent> = EventQueue::new();
-        let mut out: Outbox<GmemEvent> = Outbox::new();
         let mut rng = SplitMix64::new(42);
         let n_requests_per_ce = 500u64;
         // Generate every request first, then inject in global time order
@@ -163,15 +162,15 @@ mod tests {
         }
         requests.sort_unstable();
         for (t, ce, addr) in requests {
-            sys.inject(CeId(ce), GlobalAddr(addr), MemOp::Read, Cycles(t), &mut out);
-            out.flush_into(Cycles(t), &mut q);
+            let (at, hop) = sys.inject(CeId(ce), GlobalAddr(addr), MemOp::Read, Cycles(t));
+            q.schedule(at, hop);
         }
         let mut delivered = 0u64;
         while let Some((now, ev)) = q.pop() {
-            if sys.handle(ev, now, &mut out).is_some() {
-                delivered += 1;
+            match sys.handle(ev, now) {
+                Step::Next(at, hop) => q.schedule(at, hop),
+                Step::Delivered(_) => delivered += 1,
             }
-            out.flush_into(now, &mut q);
         }
         assert_eq!(delivered, 16 * n_requests_per_ce);
 

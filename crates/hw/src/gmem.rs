@@ -2,31 +2,23 @@
 //! reverse network, composed as one event-driven component.
 
 use cedar_sim::stats::LatencyHistogram;
-use cedar_sim::{Cycles, Outbox, SimTime};
+use cedar_sim::{Cycles, SimTime};
 
 use crate::addr::GlobalAddr;
 use crate::config::NetConfig;
 use crate::module::MemoryModule;
 use crate::net::DeltaNet;
-use crate::packet::{MemOp, MemRequest, MemResponse};
+use crate::packet::{GmemEvent, Hop, MemOp, MemResponse};
 use crate::switch::PortServer;
 use crate::topology::{CeId, CLUSTERS, CLUSTER_PORTS, MODULES};
 
-/// Internal events of the global-memory system. `cedar-core` wraps these
-/// in its master event enum and feeds them back into [`GlobalMemorySystem::handle`].
-#[derive(Debug, Clone, Copy)]
-pub enum GmemEvent {
-    /// Request packet arrives at its stage-1 (forward) switch.
-    FwdStage1(MemRequest),
-    /// Request packet arrives at its stage-2 (forward) switch.
-    FwdStage2(MemRequest),
-    /// Request packet arrives at its memory module.
-    AtModule(MemRequest),
-    /// Response packet arrives at its stage-1 (reverse) switch.
-    RevStage1(MemResponse),
-    /// Response packet arrives at its stage-2 (reverse) switch.
-    RevStage2(MemResponse),
-    /// Response packet reaches the requesting CE's Global Interface.
+/// What one hop of a packet leads to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The packet's next hop, to be scheduled at the given time.
+    Next(SimTime, GmemEvent),
+    /// The round trip is complete; the response is addressed to the
+    /// issuing CE.
     Delivered(MemResponse),
 }
 
@@ -71,10 +63,10 @@ impl GmemStats {
 
 /// Forward network + 32 memory modules + reverse network.
 ///
-/// Drive it with [`inject`](Self::inject) and route the emitted
-/// [`GmemEvent`]s back through [`handle`](Self::handle); when a request's
-/// round trip completes, `handle` returns its [`MemResponse`], addressed
-/// to the issuing CE.
+/// Drive it with [`inject`](Self::inject), which returns a packet's
+/// first hop, and feed each hop back through [`handle`](Self::handle),
+/// which returns the next one. When a round trip completes, `handle`
+/// returns the [`MemResponse`], addressed to the issuing CE.
 #[derive(Debug)]
 pub struct GlobalMemorySystem {
     cfg: NetConfig,
@@ -109,84 +101,75 @@ impl GlobalMemorySystem {
         &self.cfg
     }
 
-    /// Injects a request from `ce` for `addr`/`op` at time `now`. Its
-    /// response surfaces later from [`handle`](Self::handle).
+    /// Injects a request from `ce` for `addr`/`op` at time `now` and
+    /// returns its first hop with the time it fires.
+    ///
+    /// Always inlined, like [`handle`](Self::handle), so the hop reaches
+    /// the caller's queue without a round trip through memory.
+    #[inline(always)]
     pub fn inject(
         &mut self,
         ce: CeId,
         addr: GlobalAddr,
         op: MemOp,
         now: SimTime,
-        out: &mut Outbox<GmemEvent>,
-    ) {
-        let req = MemRequest {
-            ce,
-            addr,
-            module: addr.module(),
-            op,
-            injected_at: now.0,
-        };
+    ) -> (SimTime, GmemEvent) {
         // The cluster's shared path to its Global Interfaces serializes
         // the cluster's aggregate issue stream.
         let cluster = ce.cluster().0 as usize;
         let port = self.cluster_rr[cluster];
         self.cluster_rr[cluster] = (port + 1) % CLUSTER_PORTS;
         let through = self.cluster_paths[cluster][port].accept(now, Cycles(1));
-        out.emit(
-            through - now + self.cfg.gi_inject,
-            GmemEvent::FwdStage1(req),
-        );
+        (
+            through + self.cfg.gi_inject,
+            GmemEvent::new(ce, addr, op, now),
+        )
     }
 
-    /// Advances one packet one hop. Returns the response when it reaches
-    /// its CE.
-    pub fn handle(
-        &mut self,
-        ev: GmemEvent,
-        now: SimTime,
-        out: &mut Outbox<GmemEvent>,
-    ) -> Option<MemResponse> {
-        match ev {
-            GmemEvent::FwdStage1(req) => {
-                // Each CE has its own Global Interface into the network
-                // (§2), so CE ids are the forward network's inputs.
-                let arrive = self.forward.transit_stage1(req.ce.0, req.module.0, now);
-                out.emit(arrive - now, GmemEvent::FwdStage2(req));
-                None
-            }
-            GmemEvent::FwdStage2(req) => {
-                let arrive = self.forward.transit_stage2(req.module.0, now);
-                out.emit(arrive - now, GmemEvent::AtModule(req));
-                None
-            }
-            GmemEvent::AtModule(req) => {
+    /// Advances one packet one hop at `now`: returns its next hop, or the
+    /// response when it has reached its CE.
+    ///
+    /// Always inlined: a call returns the 32-byte [`Step`] through memory,
+    /// written field by field and read straight back with wide loads,
+    /// which defeats store forwarding on every hop.
+    #[inline(always)]
+    pub fn handle(&mut self, mut p: GmemEvent, now: SimTime) -> Step {
+        let module = p.addr.module();
+        let (at, next) = match p.hop {
+            // Each CE has its own Global Interface into the network (§2),
+            // so CE ids are the forward network's inputs.
+            Hop::FwdStage1 => (
+                self.forward.transit_stage1(p.ce.0, module.0, now),
+                Hop::FwdStage2,
+            ),
+            Hop::FwdStage2 => (self.forward.transit_stage2(module.0, now), Hop::AtModule),
+            Hop::AtModule => {
                 let (ready, value) =
-                    self.modules[req.module.0 as usize].serve(req.addr.dword_index(), req.op, now);
-                let resp = MemResponse {
-                    ce: req.ce,
-                    value,
-                    module: req.module,
-                    injected_at: req.injected_at,
-                };
-                out.emit(ready - now, GmemEvent::RevStage1(resp));
-                None
+                    self.modules[module.0 as usize].serve(p.addr.dword_index(), p.op(), now);
+                p.word = value;
+                (ready, Hop::RevStage1)
             }
-            GmemEvent::RevStage1(resp) => {
-                let arrive = self.reverse.transit_stage1(resp.module.0, resp.ce.0, now);
-                out.emit(arrive - now, GmemEvent::RevStage2(resp));
-                None
+            Hop::RevStage1 => (
+                self.reverse.transit_stage1(module.0, p.ce.0, now),
+                Hop::RevStage2,
+            ),
+            Hop::RevStage2 => (
+                self.reverse.transit_stage2(p.ce.0, now) + self.cfg.delivery,
+                Hop::Delivered,
+            ),
+            Hop::Delivered => {
+                let age = p.age(now);
+                self.latency.record(age);
+                return Step::Delivered(MemResponse {
+                    ce: p.ce,
+                    value: p.word,
+                    module,
+                    injected_at: now.0 - age.0,
+                });
             }
-            GmemEvent::RevStage2(resp) => {
-                let arrive = self.reverse.transit_stage2(resp.ce.0, now);
-                out.emit(arrive - now + self.cfg.delivery, GmemEvent::Delivered(resp));
-                None
-            }
-            GmemEvent::Delivered(resp) => {
-                self.latency
-                    .record(Cycles(now.0.saturating_sub(resp.injected_at)));
-                Some(resp)
-            }
-        }
+        };
+        p.hop = next;
+        Step::Next(at, p)
     }
 
     /// Total queueing delay at the shared per-cluster injection paths.
@@ -229,6 +212,9 @@ mod tests {
     use crate::topology::ModuleId;
     use cedar_sim::{EventQueue, SchedKind};
 
+    /// A response with the time it was delivered.
+    type Delivery = (SimTime, MemResponse);
+
     /// Drives the memory system to quiescence through `q`, returning
     /// delivered responses with their delivery times. The caller picks
     /// the scheduler, so the same producers run against every kind.
@@ -236,18 +222,17 @@ mod tests {
         q: &mut EventQueue<GmemEvent>,
         sys: &mut GlobalMemorySystem,
         injections: &[(CeId, GlobalAddr, MemOp, SimTime)],
-    ) -> Vec<(SimTime, MemResponse)> {
-        let mut out = Outbox::new();
+    ) -> Vec<Delivery> {
         for &(ce, addr, op, at) in injections {
-            sys.inject(ce, addr, op, at, &mut out);
-            out.flush_into(at, q);
+            let (first, hop) = sys.inject(ce, addr, op, at);
+            q.schedule(first, hop);
         }
         let mut delivered = Vec::new();
         while let Some((now, ev)) = q.pop() {
-            if let Some(resp) = sys.handle(ev, now, &mut out) {
-                delivered.push((now, resp));
+            match sys.handle(ev, now) {
+                Step::Next(at, hop) => q.schedule(at, hop),
+                Step::Delivered(resp) => delivered.push((now, resp)),
             }
-            out.flush_into(now, q);
         }
         delivered
     }
@@ -258,7 +243,7 @@ mod tests {
     fn run_to_completion(
         sys: &mut GlobalMemorySystem,
         injections: Vec<(CeId, GlobalAddr, MemOp, SimTime)>,
-    ) -> Vec<(SimTime, MemResponse)> {
+    ) -> Vec<Delivery> {
         let mut heap_sys = GlobalMemorySystem::new(sys.config().clone());
         let mut heap_q = EventQueue::with_kind(SchedKind::Heap);
         let heap_run = drive(&mut heap_q, &mut heap_sys, &injections);
@@ -268,6 +253,51 @@ mod tests {
 
         assert_eq!(delivered, heap_run, "A/B delivery stream");
         delivered
+    }
+
+    /// Walks one packet from CE 3 by hand: five `Next` steps, each firing
+    /// strictly later, then `Delivered`. Returns the delivery time.
+    fn walk(sys: &mut GlobalMemorySystem, addr: GlobalAddr, op: MemOp, t0: SimTime) -> Delivery {
+        let (mut now, mut hop) = sys.inject(CeId(3), addr, op, t0);
+        assert!(now > t0, "{op:?}: the first hop fires after injection");
+        let mut nexts = 0;
+        loop {
+            match sys.handle(hop, now) {
+                Step::Next(at, next) => {
+                    assert!(at > now, "{op:?}: step {nexts} fires after now");
+                    nexts += 1;
+                    (now, hop) = (at, next);
+                }
+                Step::Delivered(resp) => {
+                    assert_eq!(nexts, 5, "{op:?}: Next steps before delivery");
+                    return (now, resp);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_op_walks_five_hops_and_carries_the_module_value_back() {
+        let min = NetConfig::cedar().min_round_trip();
+        let word = GlobalAddr(0x2A8);
+        // (op, value delivered, word stored afterwards) on a word holding 41.
+        let cases = [
+            (MemOp::Read, 41, 41),
+            (MemOp::Write(7), 0, 7),
+            (MemOp::TestAndSet, 41, 1),
+            (MemOp::Unset, 0, 0),
+            (MemOp::FetchAdd(-2), 41, 39),
+        ];
+        for (op, value, stored) in cases {
+            let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
+            let (at, resp) = walk(&mut sys, word, MemOp::Write(41), Cycles(0));
+            assert_eq!((at, resp.value), (min, 0), "seeding write");
+            let t0 = Cycles(1_000);
+            let (at, r) = walk(&mut sys, word, op, t0);
+            let got = (at, r.value, r.ce, r.module, r.injected_at, sys.peek(word));
+            let want = (t0 + min, value, CeId(3), word.module(), t0.0, stored);
+            assert_eq!(got, want, "{op:?}");
+        }
     }
 
     #[test]

@@ -30,31 +30,31 @@
 //! requests from many CEs queue exactly where they did on the real
 //! machine.
 //!
-//! The global-memory system follows the `cedar-sim` outbox pattern: a
-//! plain struct with `inject`/`handle(event, now, &mut Outbox)` methods
-//! that returns the [`MemResponse`] when a round trip completes. The CE
-//! engine and the concurrency-bus barrier are plain state `cedar-core`
-//! drives directly.
+//! The global-memory system is a plain struct the caller's event loop
+//! drives: `inject` returns a packet's first hop ([`GmemEvent`], 24
+//! bytes) with its fire time, and `handle(hop, now)` returns a [`Step`]:
+//! the next hop, or the [`MemResponse`] when the round trip completes.
+//! The CE engine and the concurrency-bus barrier are plain state
+//! `cedar-core` drives directly.
 //!
 //! ## Example: one word's round trip
 //!
 //! ```
-//! use cedar_hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig};
-//! use cedar_sim::{Cycles, EventQueue, Outbox};
+//! use cedar_hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig, Step};
+//! use cedar_sim::{Cycles, EventQueue};
 //!
 //! let cfg = NetConfig::cedar();
 //! let min_rtt = cfg.min_round_trip();
 //! let mut sys = GlobalMemorySystem::new(cfg);
 //! let mut q: EventQueue<GmemEvent> = EventQueue::new();
-//! let mut out: Outbox<GmemEvent> = Outbox::new();
-//! sys.inject(CeId(0), GlobalAddr(0x100), MemOp::Read, Cycles(0), &mut out);
-//! out.flush_into(Cycles(0), &mut q);
+//! let (at, hop) = sys.inject(CeId(0), GlobalAddr(0x100), MemOp::Read, Cycles(0));
+//! q.schedule(at, hop);
 //! let mut delivered_at = None;
 //! while let Some((now, ev)) = q.pop() {
-//!     if sys.handle(ev, now, &mut out).is_some() {
-//!         delivered_at = Some(now);
+//!     match sys.handle(ev, now) {
+//!         Step::Next(at, hop) => q.schedule(at, hop),
+//!         Step::Delivered(_) => delivered_at = Some(now),
 //!     }
-//!     out.flush_into(now, &mut q);
 //! }
 //! assert_eq!(delivered_at, Some(min_rtt)); // uncontended = minimum latency
 //! ```
@@ -76,7 +76,7 @@ pub mod vector;
 pub use addr::GlobalAddr;
 pub use ce::{Activity, CeEngine};
 pub use config::{HwConfig, NetConfig};
-pub use gmem::{GlobalMemorySystem, GmemEvent};
-pub use packet::{MemOp, MemRequest, MemResponse};
+pub use gmem::{GlobalMemorySystem, Step};
+pub use packet::{GmemEvent, MemOp, MemResponse};
 pub use topology::{CeId, ClusterId, Configuration, ModuleId};
 pub use vector::VectorAccess;

@@ -83,8 +83,8 @@ impl Counters {
 }
 
 /// Per-run self-telemetry: where one experiment's wall-clock went, plus
-/// the run's counter rollup (event classes, queue statistics, outbox
-/// reuse). Attached to every `RunResult`; collection is cheap enough to
+/// the run's counter rollup (event classes, queue statistics).
+/// Attached to every `RunResult`; collection is cheap enough to
 /// be always-on — the counters are plain integer fields in the hot
 /// structures, snapshotted once at end of run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

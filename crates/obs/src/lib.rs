@@ -4,7 +4,7 @@
 //! the Q facility to decompose where a run's time goes. This crate turns
 //! the same discipline inward: it is the observability substrate for the
 //! *simulator itself*, so a campaign can report where the event loop,
-//! scheduler, worker pool and outbox spend wall-clock time.
+//! scheduler and worker pool spend wall-clock time.
 //!
 //! It has no span facility: the run's wall-clock phases are plain
 //! `*_ns` fields of [`RunStats`], timed where they happen. The pieces:

@@ -1,51 +1,43 @@
-//! Calendar-queue pending-event set: a bucketed wheel over [`SimTime`]
-//! with an overflow tier.
+//! Calendar-queue pending-event set: a wheel of one-cycle days over
+//! [`SimTime`], with an overflow tier and a past tier.
 //!
-//! The wheel divides simulated time into fixed-width *days* (a power of
-//! two of cycles each) and keeps one bucket per day for the next
-//! `days` days. Scheduling an event within that horizon is an append to
-//! its day's bucket; scheduling beyond it pushes into an overflow
-//! min-heap that is drained into the wheel as the cursor advances.
-//! Popping takes the front of the cursor's bucket.
-//! Because the Cedar machine schedules almost every event a handful of
-//! cycles ahead (switch hops, module service, spin periods are all 1–8
-//! cycles), nearly all traffic stays on the O(1) wheel path and the
-//! heap's O(log n) per-event cost — with n in the tens of thousands
-//! during a 32-processor campaign — drops out of the simulator's hot
-//! loop.
+//! The wheel keeps one bucket per cycle for the next `days` cycles.
+//! Scheduling an event within that horizon is an append to its cycle's
+//! bucket; scheduling beyond it pushes into an overflow min-heap that is
+//! drained into the wheel as the cursor advances. Popping takes the next
+//! entry of the cursor's bucket. Because the Cedar machine schedules
+//! almost every event a handful of cycles ahead (switch hops, module
+//! service, spin periods are all 1–8 cycles), nearly all traffic stays
+//! on the O(1) wheel path and the heap's O(log n) per-event cost — with
+//! n in the tens of thousands during a 32-processor campaign — drops out
+//! of the simulator's hot loop.
 //!
 //! Ordering is identical to the heap scheduler's: ascending fire time,
 //! ties broken by the [`TieBreak`] rank of the scheduling sequence (the
-//! sequence itself under the default FIFO policy). Buckets keep their
-//! entries in ascending `(time, rank)` order and pop from the front;
-//! under FIFO appends almost always arrive in ascending order already
-//! (one-day buckets hold simultaneous events, whose tie-break sequences
-//! are issued ascending), so the common case is a plain push with no
-//! sorting or shifting at all. An order-breaking insert (an earlier-day
-//! stray clamped into the cursor's bucket, an overflow migration landing
-//! behind a direct insert, or a non-monotone LIFO/shuffle rank) flips a
-//! dirty bit and the bucket is re-sorted once on the next pop.
-//! Cross-bucket order holds because a bucket only ever drains events of
-//! a single pending day.
+//! sequence itself under the default FIFO policy). A bucket holds one
+//! cycle's events, so its fire time is the bucket's day and an entry is
+//! just `(rank, payload)`; entries pop in ascending rank. Under FIFO the
+//! appends arrive in ascending rank already, so the common case is a
+//! plain push with no sorting at all. The bucket header keeps the rank
+//! of the last push, so that order check never reads the entry array. An
+//! order-breaking append (an overflow migration landing behind a direct
+//! insert, or a non-monotone LIFO/shuffle rank) flips a dirty bit, and
+//! the bucket's unread entries are re-sorted once on the next pop.
 //!
-//! Buckets and the overflow heap hold the payloads themselves. A bucket
-//! is a ring buffer that keeps its capacity when it empties, so
-//! steady-state operation performs no allocation at all.
-
-use std::collections::VecDeque;
+//! An event scheduled before the cursor's day goes to a small past-tier
+//! min-heap that [`pop`](CalendarSchedule::pop) drains first. The queue
+//! accepts such events; the machine never schedules one, because it
+//! only schedules at or after the time it last popped.
+//!
+//! A bucket is a vector with a read index. It rewinds when its last
+//! entry is read and keeps its capacity, so steady-state operation
+//! performs no allocation at all.
 
 use crate::queue::{key_time, order_key, MinHeap, QueueStats, TieBreak};
-use crate::time::SimTime;
+use crate::time::{Cycles, SimTime};
 
-/// Default log2 of the day width: one-cycle days. A bucket then only
-/// ever holds simultaneous events, whose tie-break sequences arrive in
-/// ascending order — so appends never disturb the ascending order and
-/// the per-event cost stays flat instead of re-paying the heap's
-/// O(log n) inside large buckets.
-const DEFAULT_DAY_SHIFT: u32 = 0;
-
-/// Default number of days on the wheel (must be a power of two).
-/// 256 one-cycle days keep the whole bucket array within ~10 KiB, so the
+/// Default number of one-cycle days on the wheel (must be a power of
+/// two). 256 days keep the whole bucket array within ~12 KiB, so the
 /// cursor scan stays in L1 — measurements show the wheel's cache
 /// footprint, not the bucket maintenance, dominates throughput (256
 /// days run ~2.5× faster than 4096 on the packet-dense network
@@ -55,54 +47,59 @@ const DEFAULT_DAY_SHIFT: u32 = 0;
 /// which the wheel drains as the cursor advances.
 const DEFAULT_DAYS: u64 = 256;
 
-/// One day's worth of pending events, as `(fire time, tie rank,
-/// payload)`.
-///
-/// The entries are in ascending `(time, rank)` order whenever `sorted`
-/// is true, so the next to fire sits at the front.
+/// One cycle's pending events as `(tie rank, payload)` entries, read
+/// from `head` on.
 struct Bucket<E> {
-    items: VecDeque<(SimTime, u64, E)>,
+    items: Vec<(u64, E)>,
+    /// Index of the next entry to pop; the entries before it are spent.
+    head: usize,
+    /// Rank of the back entry (0 when empty), so a push checks order
+    /// without reading `items`.
+    last_rank: u64,
+    /// `items[head..]` is in ascending rank order.
     sorted: bool,
 }
 
-impl<E> Bucket<E> {
+impl<E: Copy> Bucket<E> {
     fn new() -> Self {
         Bucket {
-            items: VecDeque::new(),
+            items: Vec::new(),
+            head: 0,
+            last_rank: 0,
             sorted: true,
         }
     }
 
     /// Appends an entry, flagging the bucket dirty if it breaks
-    /// ascending order (rare: earlier-day strays, late overflow
-    /// migrations and non-FIFO tie ranks).
-    fn push(&mut self, at: SimTime, rank: u64, payload: E) {
-        if self.sorted {
-            if let Some(&(last_at, last_rank, _)) = self.items.back() {
-                if (at, rank) < (last_at, last_rank) {
-                    self.sorted = false;
-                }
-            }
-        }
-        self.items.push_back((at, rank, payload));
+    /// ascending rank order (overflow migrations and non-FIFO ranks).
+    #[inline(always)]
+    fn push(&mut self, rank: u64, payload: E) {
+        self.sorted &= rank >= self.last_rank;
+        self.last_rank = rank;
+        self.items.push((rank, payload));
     }
 
-    /// Removes the earliest entry, first restoring ascending order if an
-    /// append broke it.
-    fn pop_front(&mut self) -> Option<(SimTime, E)> {
+    /// Removes the lowest-ranked unread entry, first restoring ascending
+    /// order if an append broke it.
+    fn pop(&mut self) -> Option<E> {
+        if self.head == self.items.len() {
+            return None;
+        }
         if !self.sorted {
-            self.items
-                .make_contiguous()
-                .sort_unstable_by_key(|e| (e.0, e.1));
+            self.items[self.head..].sort_unstable_by_key(|&(rank, _)| rank);
             self.sorted = true;
+            self.last_rank = self.items[self.items.len() - 1].0;
         }
-        let (at, _, payload) = self.items.pop_front()?;
-        if self.items.is_empty() {
-            // Rewinds the ring to the buffer's start, so the next
-            // rotation reuses the same (cache-hot) slots.
+        let payload = self.items[self.head].1;
+        self.head += 1;
+        if self.head == self.items.len() {
+            // Rewinds to the buffer's start, so the next rotation reuses
+            // the same (cache-hot) slots.
             self.items.clear();
+            self.head = 0;
+            self.last_rank = 0;
         }
-        Some((at, payload))
+        Some(payload)
     }
 }
 
@@ -111,44 +108,42 @@ impl<E> Bucket<E> {
 /// backend of [`EventQueue`](crate::EventQueue).
 pub(crate) struct CalendarSchedule<E> {
     buckets: Vec<Bucket<E>>,
-    /// `buckets.len() - 1`; bucket count is a power of two so the day →
-    /// bucket map is a mask, not a modulo.
+    /// `buckets.len() - 1`; the bucket count is a power of two, so the
+    /// day → bucket map is a mask, not a modulo.
     day_mask: u64,
-    /// log2 of cycles per day; the time → day map is a shift, not a div.
-    day_shift: u32,
     /// The day the pop cursor is on. Every wheel event's day is in
-    /// `[cur_day, cur_day + days)` (earlier-day strays are clamped into
-    /// `cur_day`'s bucket at insert).
+    /// `[cur_day, last_day]`.
     cur_day: u64,
-    /// Events currently on the wheel (the overflow tier excluded).
+    /// The wheel's last day, `cur_day + days - 1`. It saturates at
+    /// `u64::MAX`, where the window to the end of time is no larger than
+    /// the wheel, so every remaining day fits.
+    last_day: u64,
+    /// Events currently on the wheel (the other tiers excluded).
     wheel_len: usize,
     /// Events beyond the wheel horizon, drained in as the cursor
     /// advances.
     overflow: MinHeap<E>,
+    /// Events scheduled before the cursor's day; they pop first.
+    past: MinHeap<E>,
     next_seq: u64,
     tiebreak: TieBreak,
     stats: QueueStats,
     last_popped: SimTime,
 }
 
-impl<E> CalendarSchedule<E> {
-    /// Creates an empty queue with the default geometry (one-cycle
-    /// days, 256-day wheel).
+impl<E: Copy> CalendarSchedule<E> {
+    /// Creates an empty queue with the default 256-day wheel.
     pub(crate) fn new() -> Self {
-        Self::with_geometry(1 << DEFAULT_DAY_SHIFT, DEFAULT_DAYS)
+        Self::with_days(DEFAULT_DAYS)
     }
 
-    /// Creates an empty queue with `day_width` cycles per bucket and a
-    /// `days`-bucket wheel.
+    /// Creates an empty queue with a `days`-bucket wheel of one-cycle
+    /// days.
     ///
     /// # Panics
     ///
-    /// Panics if either argument is zero or not a power of two.
-    pub(crate) fn with_geometry(day_width: u64, days: u64) -> Self {
-        assert!(
-            day_width.is_power_of_two(),
-            "day width must be a power of two, got {day_width}"
-        );
+    /// Panics if `days` is zero or not a power of two.
+    pub(crate) fn with_days(days: u64) -> Self {
         assert!(
             days.is_power_of_two(),
             "day count must be a power of two, got {days}"
@@ -156,10 +151,11 @@ impl<E> CalendarSchedule<E> {
         CalendarSchedule {
             buckets: (0..days).map(|_| Bucket::new()).collect(),
             day_mask: days - 1,
-            day_shift: day_width.trailing_zeros(),
             cur_day: 0,
+            last_day: days - 1,
             wheel_len: 0,
             overflow: MinHeap::new(),
+            past: MinHeap::new(),
             next_seq: 0,
             tiebreak: TieBreak::default(),
             stats: QueueStats::new(),
@@ -176,50 +172,38 @@ impl<E> CalendarSchedule<E> {
         self
     }
 
-    /// The day `t` falls on.
-    fn day_of(&self, t: SimTime) -> u64 {
-        t.0 >> self.day_shift
-    }
-
-    /// `true` if `day` falls inside the wheel's current coverage,
-    /// `[cur_day, cur_day + days)`. When `cur_day + days` overflows
-    /// `u64`, the window `[cur_day, u64::MAX]` is no larger than the
-    /// wheel, so every remaining day fits.
-    fn fits_wheel(&self, day: u64) -> bool {
-        match self.cur_day.checked_add(self.day_mask + 1) {
-            Some(horizon) => day < horizon,
-            None => true,
-        }
-    }
-
-    /// Appends an event to its day's bucket (an earlier-day stray goes
-    /// to the cursor's bucket).
-    fn push_wheel(&mut self, at: SimTime, rank: u64, payload: E) {
-        let day = self.day_of(at).max(self.cur_day);
-        self.buckets[(day & self.day_mask) as usize].push(at, rank, payload);
+    /// Appends an event to its day's bucket.
+    #[inline(always)]
+    fn push_wheel(&mut self, day: u64, rank: u64, payload: E) {
+        self.buckets[(day & self.day_mask) as usize].push(rank, payload);
         self.wheel_len += 1;
         self.stats.wheel_peak = self.stats.wheel_peak.max(self.wheel_len as u64);
     }
 
-    /// Moves every overflow event whose day now falls inside the horizon
-    /// onto the wheel. Called whenever `cur_day` changes, preserving the
-    /// invariant that overflow events are strictly beyond the wheel.
-    fn refill_from_overflow(&mut self) {
+    /// Moves the cursor to `day` and pulls every overflow event that now
+    /// falls inside the horizon onto the wheel, preserving the invariant
+    /// that overflow events are strictly beyond it.
+    fn advance_to(&mut self, day: u64) {
+        self.cur_day = day;
+        self.last_day = day.saturating_add(self.day_mask);
         while let Some(key) = self.overflow.peek_key() {
-            let at = key_time(key);
-            if !self.fits_wheel(self.day_of(at)) {
+            let day = key_time(key).0;
+            if day > self.last_day {
                 break;
             }
             let (_, payload) = self.overflow.pop().expect("peeked root exists");
-            self.push_wheel(at, key as u64, payload);
+            self.push_wheel(day, key as u64, payload);
         }
     }
 
+    #[inline(always)]
     pub(crate) fn schedule(&mut self, at: SimTime, payload: E) {
         let rank = self.tiebreak.rank(self.next_seq);
         self.next_seq += 1;
-        if self.fits_wheel(self.day_of(at)) {
-            self.push_wheel(at, rank, payload);
+        if at.0 < self.cur_day {
+            self.past.push(order_key(at, rank), payload);
+        } else if at.0 <= self.last_day {
+            self.push_wheel(at.0, rank, payload);
         } else {
             self.overflow.push(order_key(at, rank), payload);
             self.stats.overflow_spills += 1;
@@ -229,34 +213,35 @@ impl<E> CalendarSchedule<E> {
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (at, payload) = match self.past.pop() {
+            Some((key, payload)) => (key_time(key), payload),
+            None => self.pop_wheel()?,
+        };
+        self.stats.popped += 1;
+        self.last_popped = at;
+        Some((at, payload))
+    }
+
+    /// Pops the next wheel event, advancing the cursor past empty days
+    /// (or jumping it to the overflow head when the wheel is empty).
+    fn pop_wheel(&mut self) -> Option<(SimTime, E)> {
         loop {
             if self.wheel_len == 0 {
-                // Wheel empty: jump the cursor to the overflow head's day
-                // and pull its cohort in.
                 let key = self.overflow.peek_key()?;
-                self.cur_day = self.day_of(key_time(key));
-                self.refill_from_overflow();
-                debug_assert!(self.wheel_len > 0, "refill pulled nothing despite head");
+                self.advance_to(key_time(key).0);
                 continue;
             }
             let idx = (self.cur_day & self.day_mask) as usize;
-            match self.buckets[idx].pop_front() {
-                Some((at, payload)) => {
-                    self.wheel_len -= 1;
-                    self.stats.popped += 1;
-                    self.last_popped = at;
-                    return Some((at, payload));
-                }
-                None => {
-                    self.cur_day += 1;
-                    self.refill_from_overflow();
-                }
+            if let Some(payload) = self.buckets[idx].pop() {
+                self.wheel_len -= 1;
+                return Some((Cycles(self.cur_day), payload));
             }
+            self.advance_to(self.cur_day + 1);
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
+        self.wheel_len + self.overflow.len() + self.past.len()
     }
 
     pub(crate) fn stats(&self) -> QueueStats {
@@ -272,23 +257,41 @@ mod tests {
     use crate::time::Cycles;
 
     /// Pops everything from both schedulers, asserting identical streams
-    /// and pending populations, then identical counters.
+    /// and pending populations, then identical counters. Returns the
+    /// stream.
     fn assert_equivalent_drain(
         heap: &mut HeapSchedule<u64>,
         cal: &mut CalendarSchedule<u64>,
         context: &str,
-    ) {
+    ) -> Vec<(SimTime, u64)> {
+        let mut stream = Vec::new();
         loop {
             assert_eq!(heap.len(), cal.len(), "len diverged ({context})");
             let h = heap.pop();
             let c = cal.pop();
             assert_eq!(h, c, "pop streams diverged ({context})");
-            if h.is_none() {
-                break;
+            match h {
+                Some(popped) => stream.push(popped),
+                None => break,
             }
         }
         assert_same_counters(heap, cal, context);
+        stream
     }
+
+    /// Schedules payload `p` at time `t` on both schedulers.
+    fn schedule_both(
+        heap: &mut HeapSchedule<u64>,
+        cal: &mut CalendarSchedule<u64>,
+        t: u64,
+        p: u64,
+    ) {
+        heap.schedule(Cycles(t), p);
+        cal.schedule(Cycles(t), p);
+    }
+
+    /// The tie-break policies the past-tier and refill tests run under.
+    const POLICIES: [TieBreak; 3] = [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Shuffle(0x9A57)];
 
     /// Asserts that the backend-independent [`QueueStats`] fields agree.
     fn assert_same_counters(heap: &HeapSchedule<u64>, cal: &CalendarSchedule<u64>, context: &str) {
@@ -301,8 +304,8 @@ mod tests {
 
     #[test]
     fn overflow_events_pop_in_order() {
-        // A tiny wheel (4 days of 4 cycles) forces heavy overflow use.
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_geometry(4, 4);
+        // A tiny wheel (16 one-cycle days) forces heavy overflow use.
+        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_days(16);
         for (i, t) in [100u64, 3, 50, 17, 2_000, 16, 0].iter().enumerate() {
             q.schedule(Cycles(*t), i as u32);
         }
@@ -316,7 +319,7 @@ mod tests {
 
     #[test]
     fn overflow_ties_interleave_with_wheel_ties() {
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_geometry(4, 4);
+        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_days(16);
         // Both time-1000 events start in the overflow tier and migrate to
         // the wheel as the cursor advances; insertion order must survive
         // the migration.
@@ -328,18 +331,60 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycles(1_000), 2)));
     }
 
+    /// Once the cursor sits at day 500, scheduling in its past is legal
+    /// for the queue (the machine never does it). Such events take the
+    /// past tier and pop before everything else, in (time, rank) order,
+    /// as the heap pops them under every tie-break policy — including a
+    /// stray scheduled while the past tier is being drained.
     #[test]
-    fn earlier_than_cursor_inserts_still_pop_first() {
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::new();
-        q.schedule(Cycles(500), 0);
-        assert_eq!(q.pop(), Some((Cycles(500), 0)));
-        // The cursor now sits at day 500; scheduling in its past is
-        // legal for the queue (the machine never does it) and must pop
-        // before anything later.
-        q.schedule(Cycles(600), 1);
-        q.schedule(Cycles(10), 2);
-        assert_eq!(q.pop(), Some((Cycles(10), 2)));
-        assert_eq!(q.pop(), Some((Cycles(600), 1)));
+    fn events_before_the_cursor_pop_first_and_in_order() {
+        for tiebreak in POLICIES {
+            let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
+            let mut cal = CalendarSchedule::with_days(16).with_tiebreak(tiebreak);
+            heap.schedule(Cycles(500), 0);
+            cal.schedule(Cycles(500), 0);
+            assert_eq!(heap.pop(), cal.pop(), "{tiebreak}: cursor to 500");
+            // Below 500: past tier; 500 and 510: wheel; 600: overflow.
+            let times = [600u64, 10, 499, 10, 500, 0, 10, 510];
+            for (p, t) in (1..).zip(times) {
+                schedule_both(&mut heap, &mut cal, t, p);
+            }
+            assert_eq!(cal.past.len(), 5, "{tiebreak}: strays take the past tier");
+            assert_eq!(heap.pop(), cal.pop(), "{tiebreak}: first stray");
+            schedule_both(&mut heap, &mut cal, 10, 9);
+            let context = format!("{tiebreak} past");
+            let stream = assert_equivalent_drain(&mut heap, &mut cal, &context);
+            let times: Vec<u64> = stream.iter().map(|(t, _)| t.0).collect();
+            assert_eq!(times, [10, 10, 10, 10, 499, 500, 510, 600], "{tiebreak}");
+        }
+    }
+
+    /// Zero-delay events appended to the bucket the cursor is draining
+    /// pop in the heap's order under every tie-break policy: the read
+    /// index moves on, and a re-sort covers only the unread entries.
+    #[test]
+    fn a_bucket_refilled_while_draining_keeps_its_order() {
+        for tiebreak in POLICIES {
+            let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
+            let mut cal = CalendarSchedule::new().with_tiebreak(tiebreak);
+            for p in 0..8 {
+                schedule_both(&mut heap, &mut cal, 5, p);
+            }
+            schedule_both(&mut heap, &mut cal, 6, 8);
+            for round in 0..6u64 {
+                for _ in 0..2 {
+                    assert_eq!(heap.pop(), cal.pop(), "{tiebreak} round {round}");
+                }
+                assert!(cal.buckets[5].head > 0, "{tiebreak}: bucket mid-drain");
+                for k in 0..3 {
+                    schedule_both(&mut heap, &mut cal, 5, 9 + 3 * round + k);
+                }
+            }
+            let context = format!("{tiebreak} refill");
+            let stream = assert_equivalent_drain(&mut heap, &mut cal, &context);
+            let times: Vec<u64> = stream.iter().map(|(t, _)| t.0).collect();
+            assert_eq!(times, [[5; 14].as_slice(), &[6]].concat(), "{tiebreak}");
+        }
     }
 
     #[test]
@@ -373,8 +418,8 @@ mod tests {
             TieBreak::Shuffle(u64::MAX),
         ] {
             let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
-            // Tiny wheel: 4 days × 4 cycles = 16-cycle horizon.
-            let mut cal = CalendarSchedule::with_geometry(4, 4).with_tiebreak(tiebreak);
+            // Tiny wheel: 16 one-cycle days = 16-cycle horizon.
+            let mut cal = CalendarSchedule::with_days(16).with_tiebreak(tiebreak);
             // t=15 is the last on-wheel day; t=16/t=100 overflow. The
             // t=16 cohort is split: scheduled before and after a pop
             // advances the cursor (so some entries migrate, some insert
@@ -442,7 +487,7 @@ mod tests {
             for seed in 0..24u64 {
                 let mut rng = SplitMix64::new(0x71EB_0000 + seed);
                 let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
-                let mut cal = CalendarSchedule::with_geometry(4, 16).with_tiebreak(tiebreak);
+                let mut cal = CalendarSchedule::with_days(64).with_tiebreak(tiebreak);
                 let n = 1 + rng.next_below(300);
                 for i in 0..n {
                     let t = match rng.next_below(10) {
@@ -490,7 +535,7 @@ mod tests {
         for seed in 0..32u64 {
             let mut rng = SplitMix64::new(0xBEE5_0000 + seed);
             let mut heap = HeapSchedule::new();
-            let mut cal = CalendarSchedule::with_geometry(4, 64);
+            let mut cal = CalendarSchedule::with_days(256);
             let mut payload = 0u64;
             for _ in 0..50 {
                 let t = rng.next_below(256);
@@ -525,7 +570,7 @@ mod tests {
     fn property_len_agrees_with_heap() {
         let mut rng = SplitMix64::new(0x1DE5);
         let mut heap = HeapSchedule::new();
-        let mut cal = CalendarSchedule::with_geometry(8, 32);
+        let mut cal = CalendarSchedule::with_days(256);
         for i in 0..500u64 {
             let t = rng.next_below(1 << 16);
             heap.schedule(Cycles(t), i);
@@ -540,7 +585,7 @@ mod tests {
 
     #[test]
     fn stats_count_spills_and_wheel_peak() {
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_geometry(4, 4);
+        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_days(16);
         q.schedule(Cycles(1), 0); // wheel
         q.schedule(Cycles(2), 1); // wheel
         q.schedule(Cycles(10_000), 2); // beyond the 16-cycle horizon
@@ -562,7 +607,7 @@ mod tests {
     fn buckets_recycle_without_allocation_growth() {
         // Steady-state hold pattern: capacity stabilizes, lengths return
         // to zero, and the scheduled count keeps counting.
-        let mut q: CalendarSchedule<u64> = CalendarSchedule::with_geometry(4, 16);
+        let mut q: CalendarSchedule<u64> = CalendarSchedule::with_days(64);
         let mut now = Cycles::ZERO;
         for i in 0..10_000u64 {
             q.schedule(now + Cycles(1 + i % 60), i);

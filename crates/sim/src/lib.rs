@@ -4,8 +4,7 @@
 //! It deliberately contains nothing Cedar-specific: simulated time
 //! ([`Cycles`], [`SimTime`]), a deterministic pending-event set
 //! ([`EventQueue`], backed by a calendar queue or, as the reference, a
-//! binary heap), the outbox the global-memory system emits its packet
-//! hops into ([`Outbox`]), a small deterministic RNG ([`SplitMix64`]), and
+//! binary heap), a small deterministic RNG ([`SplitMix64`]), and
 //! time-weighted statistics helpers ([`stats`]).
 //!
 //! ## Determinism
@@ -25,10 +24,9 @@
 //!
 //! This crate never reads environment variables — scheduler selection by
 //! `CEDAR_SCHED` happens in `cedar_obs::RunOptions::from_env`, which
-//! passes a typed [`SchedKind`] down here. The queues and [`Outbox`]
-//! keep cheap always-on self-telemetry counters ([`QueueStats`],
-//! [`OutboxStats`]) that the observability layer rolls into the run
-//! manifest.
+//! passes a typed [`SchedKind`] down here. The queues keep cheap
+//! always-on self-telemetry counters ([`QueueStats`]) that the
+//! observability layer rolls into the run manifest.
 //!
 //! ## Example
 //!
@@ -51,13 +49,11 @@
 //! ```
 
 mod calendar;
-pub mod outbox;
 mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use outbox::{Outbox, OutboxStats};
 pub use queue::{EventQueue, QueueStats, SchedKind, TieBreak, HOLD_BUCKETS};
 pub use rng::SplitMix64;
 pub use time::{Cycles, HpmTicks, SimTime, HPM_TICKS_PER_CYCLE};

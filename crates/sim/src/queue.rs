@@ -17,7 +17,8 @@
 //!
 //! Both store the payloads themselves in their ordering structures, so
 //! once those have grown to the peak pending population, scheduling and
-//! popping allocate nothing. Both keep cheap always-on self-telemetry
+//! popping allocate nothing. Payloads are small `Copy` values: a calendar
+//! bucket reads an entry in place and rewinds when it is spent. Both keep cheap always-on self-telemetry
 //! counters (events scheduled and popped, peak pending population, and a
 //! power-of-two histogram of scheduling distances) surfaced through
 //! [`QueueStats`] — the paper's measurement discipline applied to the
@@ -382,7 +383,7 @@ enum QueueImpl<E> {
     Calendar(CalendarSchedule<E>),
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue of the default kind (calendar).
     pub fn new() -> Self {
         Self::with_kind(SchedKind::default())
@@ -415,6 +416,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
+    ///
+    /// Always inlined, with the calendar's push path, so a payload built
+    /// in registers is stored straight into its bucket instead of being
+    /// spilled to the stack and read back.
+    #[inline(always)]
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         match &mut self.0 {
             QueueImpl::Heap(q) => q.schedule(at, payload),
@@ -452,13 +458,13 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue::new()
     }
 }
 
-impl<E> std::fmt::Debug for EventQueue<E> {
+impl<E: Copy> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("kind", &self.kind())

@@ -11,8 +11,8 @@
 //! ```
 
 use cedar::hw::analytic;
-use cedar::hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig};
-use cedar::sim::{Cycles, EventQueue, Outbox, SplitMix64};
+use cedar::hw::{CeId, GlobalAddr, GlobalMemorySystem, GmemEvent, MemOp, NetConfig, Step};
+use cedar::sim::{Cycles, EventQueue, SplitMix64};
 
 /// Drives uniform random traffic at ~`rate` words/cycle from 32 CEs and
 /// returns (mean measured RTT, p50 bound, p99 bound).
@@ -20,7 +20,6 @@ fn measure(rate: f64) -> (f64, u64, u64) {
     let cfg = NetConfig::cedar();
     let mut sys = GlobalMemorySystem::new(cfg);
     let mut q: EventQueue<GmemEvent> = EventQueue::new();
-    let mut out: Outbox<GmemEvent> = Outbox::new();
     let mut rng = SplitMix64::new(7);
     let n_ces = 32u64;
     let mean_gap = (n_ces as f64 / rate).max(1.0) as u64;
@@ -35,17 +34,19 @@ fn measure(rate: f64) -> (f64, u64, u64) {
     }
     requests.sort_unstable();
     for (t, ce, addr) in requests {
-        sys.inject(CeId(ce), GlobalAddr(addr), MemOp::Read, Cycles(t), &mut out);
-        out.flush_into(Cycles(t), &mut q);
+        let (at, hop) = sys.inject(CeId(ce), GlobalAddr(addr), MemOp::Read, Cycles(t));
+        q.schedule(at, hop);
     }
     let mut total_rtt = 0u64;
     let mut count = 0u64;
     while let Some((now, ev)) = q.pop() {
-        if let Some(resp) = sys.handle(ev, now, &mut out) {
-            total_rtt += now.0 - resp.injected_at;
-            count += 1;
+        match sys.handle(ev, now) {
+            Step::Next(at, hop) => q.schedule(at, hop),
+            Step::Delivered(resp) => {
+                total_rtt += now.0 - resp.injected_at;
+                count += 1;
+            }
         }
-        out.flush_into(now, &mut q);
     }
     let stats = sys.stats();
     let p50 = stats.latency.quantile_bound(0.5).map(|c| c.0).unwrap_or(0);

@@ -12,7 +12,7 @@
 //!    machine's CE count.
 //! 2. *A/B byte-equality*: the measurement fingerprint
 //!    ([`cedar::check::fingerprint_text`]: the cached run encoding minus
-//!    wall-clock and `queue.*`/`outbox.*` backend telemetry) is identical
+//!    wall-clock and `queue.*` backend telemetry) is identical
 //!    under `SchedKind::Heap` and `SchedKind::Calendar`.
 //!
 //! Every failure message carries the case seed. To replay one case:

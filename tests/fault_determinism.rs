@@ -12,9 +12,9 @@
 //!
 //! The comparison uses [`cedar::check::fingerprint_text`], the filter
 //! the parity oracles use: every measurement the cached run encoding
-//! carries, minus host wall-clock and the `queue.*`/`outbox.*`
-//! telemetry counters, which describe the host-side machinery (hold
-//! histograms, wheel peaks) and legitimately differ between scheduler
+//! carries, minus host wall-clock and the `queue.*` telemetry
+//! counters, which describe the host-side machinery (hold histograms,
+//! wheel peaks) and legitimately differ between scheduler
 //! implementations.
 
 use cedar::apps::perfect_suite;
