@@ -27,10 +27,8 @@ fn main() {
                 move || {
                     let flat = synthetic::uniform_xdoall(20, 2, 128, 1200, 8);
                     let hier = synthetic::uniform_sdoall(20, 2, 16, 8, 1200, 8);
-                    let rf =
-                        session.execute(&flat, SimConfig::cedar(c).with_scheduler(opts.scheduler));
-                    let rh =
-                        session.execute(&hier, SimConfig::cedar(c).with_scheduler(opts.scheduler));
+                    let rf = session.execute(&flat, SimConfig::cedar(c));
+                    let rh = session.execute(&hier, SimConfig::cedar(c));
                     (rf, rh)
                 }
             })

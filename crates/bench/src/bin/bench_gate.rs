@@ -3,7 +3,7 @@
 //! Compares a fresh `results/BENCH_scheduler.json` against the committed
 //! `results/bench_baseline.json` (see [`cedar_bench::gate`]), prints the
 //! worker-pool width each was measured with, and exits non-zero on a
-//! suite or fault-path runtime regression or a lost scheduler margin.
+//! suite or fault-path runtime regression.
 //! Driven by `scripts/bench_check.sh`.
 
 use std::process::ExitCode;

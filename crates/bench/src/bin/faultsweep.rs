@@ -10,8 +10,8 @@
 //! overhead next to the Table-2 bucket it landed in.
 //!
 //! Honors the usual typed knobs: `CEDAR_SHRINK` scales the workload,
-//! `CEDAR_SCHED` picks the event scheduler, `CEDAR_WORKERS` bounds the
-//! sweep pool, `BENCH_JSON_DIR` redirects the CSV.
+//! `CEDAR_WORKERS` bounds the sweep pool, `BENCH_JSON_DIR` redirects the
+//! CSV.
 
 use std::fmt::Write as _;
 
@@ -89,13 +89,10 @@ fn main() {
             .iter()
             .map(|&(c, level)| {
                 let app = flo52(shrink);
-                let sched = opts.scheduler;
                 move || {
                     session.execute(
                         &app,
-                        SimConfig::cedar(c)
-                            .with_scheduler(sched)
-                            .with_faults(FaultPlan::canonical_at(level)),
+                        SimConfig::cedar(c).with_faults(FaultPlan::canonical_at(level)),
                     )
                 }
             })

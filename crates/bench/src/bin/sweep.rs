@@ -36,10 +36,7 @@ fn main() {
             .map(|&compute| {
                 move || {
                     let app = synthetic::uniform_xdoall(4, 2, 64, compute, 8);
-                    session.execute(
-                        &app,
-                        SimConfig::cedar(Configuration::P32).with_scheduler(opts.scheduler),
-                    )
+                    session.execute(&app, SimConfig::cedar(Configuration::P32))
                 }
             })
             .collect(),
@@ -81,14 +78,8 @@ fn main() {
             .map(|&words| {
                 move || {
                     let mk = || synthetic::uniform_sdoall(4, 2, 8, 16, 400, words);
-                    let base = session.execute(
-                        &mk(),
-                        SimConfig::cedar(Configuration::P1).with_scheduler(opts.scheduler),
-                    );
-                    let run = session.execute(
-                        &mk(),
-                        SimConfig::cedar(Configuration::P32).with_scheduler(opts.scheduler),
-                    );
+                    let base = session.execute(&mk(), SimConfig::cedar(Configuration::P1));
+                    let run = session.execute(&mk(), SimConfig::cedar(Configuration::P32));
                     (base, run)
                 }
             })

@@ -17,12 +17,12 @@
 //! [`run_options`] and passed down explicitly — no library code below
 //! this point reads `std::env`. The knobs: `CEDAR_SHRINK=<n>` divides
 //! every time-step count by `n` for a quick (non-publication) pass,
-//! `CEDAR_WORKERS=<n>` bounds the worker pool, `CEDAR_SCHED` picks the
-//! pending-event-set implementation, and `CEDAR_OBS` sets the telemetry
-//! level (`off`/`summary`/`full`).
+//! `CEDAR_WORKERS=<n>` bounds the worker pool, and `CEDAR_OBS` sets the
+//! telemetry level (`off`/`summary`/`full`).
 //!
-//! The one bench target, `benches/scheduler.rs` (the entries
-//! `scripts/bench_check.sh` gates), runs on the in-repo [`harness`]
+//! The one bench target, `benches/scheduler.rs` (the event queue's
+//! microbenchmarks plus the two entries `scripts/bench_check.sh`
+//! gates), runs on the in-repo [`harness`]
 //! (`cargo bench --offline`); `BENCH_SMOKE=1` reduces it to one
 //! iteration for CI. End-to-end and per-layer timing is the separate
 //! `perfbench/` package. Campaign runs write a run manifest (and, at
@@ -82,10 +82,7 @@ pub fn campaign() -> &'static SuiteResult {
         let workers = opts
             .workers
             .unwrap_or_else(cedar_core::pool::default_workers);
-        eprintln!(
-            "running measurement campaign (5 apps x 5 configurations, {workers} workers, {} scheduler)...",
-            opts.scheduler.as_str()
-        );
+        eprintln!("running measurement campaign (5 apps x 5 configurations, {workers} workers)...");
         let t0 = std::time::Instant::now();
         let suite = SuiteResult::run_parallel(&suite_apps(opts), &Configuration::ALL, opts)
             .expect("campaign experiment panicked");

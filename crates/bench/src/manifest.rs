@@ -40,7 +40,6 @@ fn counters_obj(counters: &Counters) -> String {
 
 fn options_obj(opts: &RunOptions) -> String {
     let mut o = Obj::new();
-    o.str("scheduler", opts.scheduler.as_str());
     o.opt_u64("workers", opts.workers.map(|w| w as u64));
     o.u64("shrink", opts.shrink as u64);
     o.bool("smoke", opts.smoke);
@@ -176,7 +175,6 @@ mod tests {
         let suite = tiny_suite(&opts);
         let m = manifest_json(&suite, &opts);
         assert!(m.starts_with("{\"schema\":\"cedar-obs/1\""));
-        assert!(m.contains("\"scheduler\":\"calendar\""));
         assert!(m.contains("\"shrink\":4"));
         assert!(m.contains("\"events.total\":"));
         assert!(m.contains("\"queue.scheduled\":"));

@@ -12,7 +12,7 @@ use cedar_apps::AppSpec;
 use cedar_core::SimConfig;
 use cedar_faults::FaultPlan;
 use cedar_hw::Configuration;
-use cedar_sim::{SchedKind, SplitMix64, TieBreak};
+use cedar_sim::{SplitMix64, TieBreak};
 
 /// One `(application, configuration, fault level, scale, seed)` case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,12 +45,10 @@ impl CheckCase {
         FaultPlan::canonical_at(self.fault_level)
     }
 
-    /// The machine this case runs on, under a given scheduler backend
-    /// and tie-break policy — the two execution-path axes the harness
-    /// permutes.
-    pub fn config(&self, sched: SchedKind, tiebreak: TieBreak) -> SimConfig {
+    /// The machine this case runs on, under a given tie-break policy —
+    /// the event-order axis the harness permutes.
+    pub fn config(&self, tiebreak: TieBreak) -> SimConfig {
         SimConfig::cedar(self.configuration)
-            .with_scheduler(sched)
             .with_tiebreak(tiebreak)
             .with_faults(self.plan())
     }
@@ -263,9 +261,8 @@ mod tests {
         };
         assert_eq!(case.workload().name, "FLO52");
         assert!(!case.plan().is_empty());
-        let cfg = case.config(SchedKind::Heap, TieBreak::Lifo);
+        let cfg = case.config(TieBreak::Lifo);
         assert_eq!(cfg.configuration(), Configuration::P8);
-        assert_eq!(cfg.sched, SchedKind::Heap);
         assert_eq!(cfg.tiebreak, TieBreak::Lifo);
         assert!(case.label().contains("FLO52"));
     }

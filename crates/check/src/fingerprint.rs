@@ -5,8 +5,9 @@
 //! a run, but three of its line families are *not* measurements:
 //!
 //! * `stats.*_ns` — host wall-clock phase timings;
-//! * `counter queue.*` — pending-event-set telemetry, which differs
-//!   between the heap and calendar backends by design;
+//! * `counter queue.*` — the event queue's own telemetry (operations,
+//!   pending peaks, wheel spills, hold distances): a record of how much
+//!   work the simulator did, not a measurement of the modelled machine;
 //! * `counter outbox.*` — telemetry of the event buffer the machine no
 //!   longer has. Current runs carry none of these lines, but run-cache
 //!   entries written before it was deleted still do, so the filter
@@ -20,16 +21,16 @@
 //!
 //! [`fingerprint_text`] drops exactly those lines; what remains is the
 //! paper-facing measurement surface (completion time, breakdowns,
-//!  utilization, OS clusters, gmem, fault and event totals, and every
-//! measurement counter), which the scheduler/worker/cache parity
-//! oracles require to be byte-identical.
+//! utilization, OS clusters, gmem, fault and event totals, and every
+//! measurement counter), which the worker and cache parity oracles
+//! require to be byte-identical.
 
 use cedar_core::cache::to_cached;
 use cedar_core::RunResult;
 use cedar_obs::json;
 
 /// True for payload lines that are measurements (not host wall-clock or
-/// scheduler-implementation telemetry).
+/// event-queue telemetry).
 fn is_measurement_line(line: &str) -> bool {
     let field = line.split_ascii_whitespace().next().unwrap_or("");
     if field.starts_with("stats.") {
@@ -49,9 +50,9 @@ fn is_measurement_line(line: &str) -> bool {
 const OUTBOX_COUNTERS: usize = 4;
 
 /// The run's deterministic measurement payload as text — the cacheable
-/// encoding with wall-clock and backend-telemetry lines removed. Two
-/// runs of the same experiment must produce identical text no matter
-/// which scheduler backend, worker pool, or cache path executed them.
+/// encoding with wall-clock and queue-telemetry lines removed. Two runs
+/// of the same experiment must produce identical text no matter which
+/// worker pool or cache path executed them.
 pub fn fingerprint_text(result: &RunResult) -> String {
     let encoded = to_cached(result).encode();
     let kept = encoded
@@ -99,30 +100,16 @@ mod tests {
     use super::*;
     use cedar_core::{Experiment, SimConfig};
     use cedar_hw::Configuration;
-    use cedar_sim::{SchedKind, TieBreak};
+    use cedar_sim::TieBreak;
 
-    fn tiny(sched: SchedKind, tie: TieBreak) -> RunResult {
+    fn tiny(tie: TieBreak) -> RunResult {
         let app = cedar_apps::synthetic::uniform_xdoall(1, 2, 8, 150, 4);
-        Experiment::new(
-            app,
-            SimConfig::cedar(Configuration::P4)
-                .with_scheduler(sched)
-                .with_tiebreak(tie),
-        )
-        .run()
+        Experiment::new(app, SimConfig::cedar(Configuration::P4).with_tiebreak(tie)).run()
     }
 
     #[test]
-    fn fingerprint_is_backend_independent() {
-        let heap = tiny(SchedKind::Heap, TieBreak::Fifo);
-        let cal = tiny(SchedKind::Calendar, TieBreak::Fifo);
-        assert_eq!(fingerprint_text(&heap), fingerprint_text(&cal));
-        assert_eq!(fingerprint(&heap), fingerprint(&cal));
-    }
-
-    #[test]
-    fn fingerprint_drops_wall_clock_and_backend_lines() {
-        let r = tiny(SchedKind::Calendar, TieBreak::Fifo);
+    fn fingerprint_drops_wall_clock_and_queue_lines() {
+        let r = tiny(TieBreak::Fifo);
         let text = fingerprint_text(&r);
         assert!(!text.contains("stats."), "wall-clock leaked: {text}");
         assert!(!text.contains("counter queue."), "queue telemetry leaked");
@@ -132,7 +119,7 @@ mod tests {
 
     #[test]
     fn entries_written_before_the_outbox_was_deleted_fingerprint_alike() {
-        let mut old = tiny(SchedKind::Calendar, TieBreak::Fifo);
+        let mut old = tiny(TieBreak::Fifo);
         for name in [
             "outbox.emitted",
             "outbox.flushes",
@@ -141,7 +128,7 @@ mod tests {
         ] {
             old.stats.counters.add(name, 7);
         }
-        let new = tiny(SchedKind::Calendar, TieBreak::Fifo);
+        let new = tiny(TieBreak::Fifo);
         assert_eq!(fingerprint_text(&old), fingerprint_text(&new));
         // The count the old record carries, as fingerprints pinned before
         // the deletion hashed it.
@@ -151,8 +138,8 @@ mod tests {
 
     #[test]
     fn stable_core_survives_tie_reordering() {
-        let fifo = tiny(SchedKind::Calendar, TieBreak::Fifo);
-        let lifo = tiny(SchedKind::Calendar, TieBreak::Lifo);
+        let fifo = tiny(TieBreak::Fifo);
+        let lifo = tiny(TieBreak::Lifo);
         assert_eq!(stable_core(&fifo), stable_core(&lifo));
         assert!(stable_core(&fifo).contains("bodies=16"));
     }

@@ -2,19 +2,19 @@
 //! workspace offers and evaluates the oracle registry.
 //!
 //! Per case the harness executes the experiment under three tie-break
-//! policies (FIFO, LIFO, the case's seeded shuffle) on the calendar
-//! backend, twice more on the heap backend, once through each campaign
-//! runner (sequential and pooled), twice through a throwaway run cache
-//! (cold then warm), and — for faulted cases — once unperturbed as the
-//! attribution reference. Roughly ten simulations per case; every one
-//! is deterministic, so a violation found here reproduces from the
-//! case's replay token alone.
+//! policies (FIFO, LIFO, the case's seeded shuffle), once more under
+//! FIFO as the determinism rerun, once through each campaign runner
+//! (sequential and pooled), twice through a throwaway run cache (cold
+//! then warm), and — for faulted cases — once unperturbed as the
+//! attribution reference and once per armed fault class. Seven
+//! simulations per clean case; every one is deterministic, so a
+//! violation found here reproduces from the case's replay token alone.
 
 use cedar_core::suite::SuiteResult;
 use cedar_core::{CacheSession, Experiment, RunResult};
 use cedar_faults::FaultPlan;
 use cedar_obs::{Counters, RunOptions};
-use cedar_sim::{SchedKind, TieBreak};
+use cedar_sim::TieBreak;
 use cedar_xylem::OsActivity;
 
 use crate::case::CheckCase;
@@ -124,16 +124,10 @@ impl Harness {
         }
     }
 
-    /// One simulation of `case` on a chosen execution path.
-    fn run(
-        &mut self,
-        case: &CheckCase,
-        sched: SchedKind,
-        tiebreak: TieBreak,
-        plan: FaultPlan,
-    ) -> RunResult {
+    /// One simulation of `case` under a tie-break policy and fault plan.
+    fn run(&mut self, case: &CheckCase, tiebreak: TieBreak, plan: FaultPlan) -> RunResult {
         self.counters.add("check.runs", 1);
-        let cfg = case.config(sched, tiebreak).with_faults(plan);
+        let cfg = case.config(tiebreak).with_faults(plan);
         let result = Experiment::new(case.workload(), cfg).run();
         // Fold the run's own telemetry into the rollup so the check
         // manifest records what was simulated alongside what was
@@ -149,12 +143,10 @@ impl Harness {
         let plan = case.plan();
         let shuffle = TieBreak::Shuffle(case.shuffle_seed);
 
-        let base = self.run(case, SchedKind::Calendar, TieBreak::Fifo, plan);
-        let dup = self.run(case, SchedKind::Calendar, TieBreak::Fifo, plan);
-        let lifo = self.run(case, SchedKind::Calendar, TieBreak::Lifo, plan);
-        let shuf = self.run(case, SchedKind::Calendar, shuffle, plan);
-        let heap_fifo = self.run(case, SchedKind::Heap, TieBreak::Fifo, plan);
-        let heap_shuf = self.run(case, SchedKind::Heap, shuffle, plan);
+        let base = self.run(case, TieBreak::Fifo, plan);
+        let dup = self.run(case, TieBreak::Fifo, plan);
+        let lifo = self.run(case, TieBreak::Lifo, plan);
+        let shuf = self.run(case, shuffle, plan);
 
         let mut all = Vec::new();
         for oracle in OracleKind::ALL {
@@ -162,9 +154,6 @@ impl Harness {
                 OracleKind::Conservation => self.conservation(case, &base, oracle),
                 OracleKind::Determinism => self.determinism(case, &base, &dup),
                 OracleKind::TieStability => self.tie_stability(case, &base, &lifo, &shuf),
-                OracleKind::SchedParity => {
-                    self.sched_parity(case, &base, &heap_fifo, &shuf, &heap_shuf)
-                }
                 OracleKind::WorkerParity => self.worker_parity(case, &base),
                 OracleKind::CacheParity => self.cache_parity(case, &base),
                 OracleKind::FaultAttribution => self.fault_attribution(case, &base),
@@ -191,23 +180,17 @@ impl Harness {
     pub fn check_oracle(&mut self, case: &CheckCase, oracle: OracleKind) -> Vec<Violation> {
         let plan = case.plan();
         let shuffle = TieBreak::Shuffle(case.shuffle_seed);
-        let base = self.run(case, SchedKind::Calendar, TieBreak::Fifo, plan);
+        let base = self.run(case, TieBreak::Fifo, plan);
         match oracle {
             OracleKind::Conservation => self.conservation(case, &base, oracle),
             OracleKind::Determinism => {
-                let dup = self.run(case, SchedKind::Calendar, TieBreak::Fifo, plan);
+                let dup = self.run(case, TieBreak::Fifo, plan);
                 self.determinism(case, &base, &dup)
             }
             OracleKind::TieStability => {
-                let lifo = self.run(case, SchedKind::Calendar, TieBreak::Lifo, plan);
-                let shuf = self.run(case, SchedKind::Calendar, shuffle, plan);
+                let lifo = self.run(case, TieBreak::Lifo, plan);
+                let shuf = self.run(case, shuffle, plan);
                 self.tie_stability(case, &base, &lifo, &shuf)
-            }
-            OracleKind::SchedParity => {
-                let shuf = self.run(case, SchedKind::Calendar, shuffle, plan);
-                let heap_fifo = self.run(case, SchedKind::Heap, TieBreak::Fifo, plan);
-                let heap_shuf = self.run(case, SchedKind::Heap, shuffle, plan);
-                self.sched_parity(case, &base, &heap_fifo, &shuf, &heap_shuf)
             }
             OracleKind::WorkerParity => self.worker_parity(case, &base),
             OracleKind::CacheParity => self.cache_parity(case, &base),
@@ -346,31 +329,6 @@ impl Harness {
         v
     }
 
-    fn sched_parity(
-        &self,
-        case: &CheckCase,
-        base: &RunResult,
-        heap_fifo: &RunResult,
-        shuf: &RunResult,
-        heap_shuf: &RunResult,
-    ) -> Vec<Violation> {
-        let mut v = Vec::new();
-        for (policy, cal, heap) in [("fifo", base, heap_fifo), ("shuffle", shuf, heap_shuf)] {
-            if fingerprint_text(cal) != fingerprint_text(heap) {
-                v.push(Violation {
-                    oracle: OracleKind::SchedParity,
-                    case: *case,
-                    detail: format!(
-                        "{policy}: calendar {:016x} vs heap {:016x}",
-                        fingerprint(cal),
-                        fingerprint(heap)
-                    ),
-                });
-            }
-        }
-        v
-    }
-
     fn worker_parity(&mut self, case: &CheckCase, base: &RunResult) -> Vec<Violation> {
         let opts = RunOptions::default()
             .with_faults(case.plan())
@@ -440,7 +398,7 @@ impl Harness {
         let verdict = (|| {
             let session = CacheSession::new(&opts)
                 .map_err(|e| format!("cache session failed to open: {e}"))?;
-            let cfg = case.config(SchedKind::Calendar, TieBreak::Fifo);
+            let cfg = case.config(TieBreak::Fifo);
             self.counters.add("check.runs", 1);
             let cold = session.execute(&case.workload(), cfg.clone());
             let warm = session.execute(&case.workload(), cfg);
@@ -494,12 +452,7 @@ impl Harness {
         if case.fault_level == 0 {
             return Vec::new(); // nothing injected, nothing to attribute
         }
-        let reference = self.run(
-            case,
-            SchedKind::Calendar,
-            TieBreak::Fifo,
-            FaultPlan::default(),
-        );
+        let reference = self.run(case, TieBreak::Fifo, FaultPlan::default());
         let plan = case.plan();
         let factor = self.attribution_factor(case);
 
@@ -577,7 +530,7 @@ impl Harness {
         // buckets (measured ≤ 2% of injected across the corpus, always
         // within a quarter of the reference's organic content).
         for (class, probe_plan, buckets) in &classes {
-            let probe = self.run(case, SchedKind::Calendar, TieBreak::Fifo, *probe_plan);
+            let probe = self.run(case, TieBreak::Fifo, *probe_plan);
             let injected: u64 = buckets
                 .iter()
                 .map(|(counter, _)| probe.stats.counters.get(counter))
@@ -710,12 +663,12 @@ mod tests {
         assert!(violations.is_empty(), "{violations:#?}");
         assert_eq!(h.counters.get("check.cases"), 1);
         assert_eq!(h.counters.get("check.oracles.violation"), 0);
-        // 6 direct runs + 2 suite runs + 1 cold cache run; faultless
+        // 4 direct runs + 2 suite runs + 1 cold cache run; faultless
         // cases skip the attribution reference.
-        assert_eq!(h.counters.get("check.runs"), 9);
+        assert_eq!(h.counters.get("check.runs"), 7);
         // All oracles but fault attribution checked something real;
         // attribution counts as a (vacuous) pass.
-        assert_eq!(h.counters.get("check.oracles.pass"), 7);
+        assert_eq!(h.counters.get("check.oracles.pass"), 6);
     }
 
     #[test]
@@ -730,8 +683,8 @@ mod tests {
         };
         let violations = h.check_case(&case);
         assert!(violations.is_empty(), "{violations:#?}");
-        // 9 path runs + 1 unfaulted reference + 4 single-class probes.
-        assert_eq!(h.counters.get("check.runs"), 14, "attribution probes ran");
+        // 7 path runs + 1 unfaulted reference + 4 single-class probes.
+        assert_eq!(h.counters.get("check.runs"), 12, "attribution probes ran");
         assert_eq!(h.counters.get("check.oracle.fault_attribution.pass"), 1);
     }
 

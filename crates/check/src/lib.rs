@@ -2,14 +2,14 @@
 //! claims.
 //!
 //! The workspace makes strong determinism promises: the same campaign
-//! measures the same numbers regardless of the event-scheduler backend,
-//! the worker pool, or the run cache, and fault injection lands each
+//! measures the same numbers regardless of the worker pool or the run
+//! cache, and fault injection lands each
 //! disturbance in exactly the Table-2 bucket its class targets. This
 //! crate *checks* those promises the way a model checker would — by
 //! re-executing each campaign case under systematically permuted
 //! simultaneous-event orders ([`cedar_sim::TieBreak`]: FIFO, LIFO, and
-//! a seeded shuffle) and across every execution path (heap vs calendar
-//! scheduler, sequential vs pooled runner, cold vs warm cache), then
+//! a seeded shuffle) and across every execution path (sequential vs
+//! pooled runner, cold vs warm cache), then
 //! asserting a registry of typed invariant oracles ([`OracleKind`]) over
 //! the results.
 //!

@@ -5,7 +5,7 @@
 //! token from a violation report (`app=…;procs=…;faults=…;shrink=…;
 //! seed=…`), and when set, the `check` binary runs that single case
 //! through the full typed path instead of the corpus. Everything else
-//! (shrink, smoke, scheduler) rides on `RunOptions::from_env`.
+//! (shrink, smoke) rides on `RunOptions::from_env`.
 
 use crate::case::CheckCase;
 

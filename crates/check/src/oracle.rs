@@ -27,9 +27,6 @@ pub enum OracleKind {
     /// single-cluster runs are byte-identical (simultaneous events on
     /// one cluster have no physically meaningful order).
     TieStability,
-    /// Heap and calendar event schedulers produce byte-identical
-    /// measurements under every tie-break policy.
-    SchedParity,
     /// The pooled campaign runner measures exactly what the sequential
     /// reference runner measures.
     WorkerParity,
@@ -44,11 +41,10 @@ pub enum OracleKind {
 
 impl OracleKind {
     /// Every oracle, in evaluation order.
-    pub const ALL: [OracleKind; 7] = [
+    pub const ALL: [OracleKind; 6] = [
         OracleKind::Conservation,
         OracleKind::Determinism,
         OracleKind::TieStability,
-        OracleKind::SchedParity,
         OracleKind::WorkerParity,
         OracleKind::CacheParity,
         OracleKind::FaultAttribution,
@@ -60,7 +56,6 @@ impl OracleKind {
             OracleKind::Conservation => "conservation",
             OracleKind::Determinism => "determinism",
             OracleKind::TieStability => "tie_stability",
-            OracleKind::SchedParity => "sched_parity",
             OracleKind::WorkerParity => "worker_parity",
             OracleKind::CacheParity => "cache_parity",
             OracleKind::FaultAttribution => "fault_attribution",
@@ -73,7 +68,6 @@ impl OracleKind {
             OracleKind::Conservation => "check.oracle.conservation.pass",
             OracleKind::Determinism => "check.oracle.determinism.pass",
             OracleKind::TieStability => "check.oracle.tie_stability.pass",
-            OracleKind::SchedParity => "check.oracle.sched_parity.pass",
             OracleKind::WorkerParity => "check.oracle.worker_parity.pass",
             OracleKind::CacheParity => "check.oracle.cache_parity.pass",
             OracleKind::FaultAttribution => "check.oracle.fault_attribution.pass",
@@ -86,7 +80,6 @@ impl OracleKind {
             OracleKind::Conservation => "check.oracle.conservation.violation",
             OracleKind::Determinism => "check.oracle.determinism.violation",
             OracleKind::TieStability => "check.oracle.tie_stability.violation",
-            OracleKind::SchedParity => "check.oracle.sched_parity.violation",
             OracleKind::WorkerParity => "check.oracle.worker_parity.violation",
             OracleKind::CacheParity => "check.oracle.cache_parity.violation",
             OracleKind::FaultAttribution => "check.oracle.fault_attribution.violation",

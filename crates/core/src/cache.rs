@@ -7,7 +7,7 @@
 //! replaying a stored result is indistinguishable from re-simulating,
 //! measurement for measurement. The key is the canonical `Debug` text of
 //! both values: every field that shapes the simulation (hardware
-//! configuration, OS/RTL cost models, seed, scheduler, event bound,
+//! configuration, OS/RTL cost models, seed, tie-break, event bound,
 //! background load, fault plan, and the full workload spec down to each
 //! phase) appears in that text, so any change re-keys the experiment.
 //! Behavior changes that do *not* alter the text must bump

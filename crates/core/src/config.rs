@@ -3,7 +3,7 @@
 use cedar_faults::FaultPlan;
 use cedar_hw::{Configuration, HwConfig};
 use cedar_rtl::RtlConfig;
-use cedar_sim::{SchedKind, TieBreak};
+use cedar_sim::TieBreak;
 use cedar_xylem::{BackgroundLoad, OsConfig};
 
 /// Everything needed to instantiate one simulated Cedar machine.
@@ -26,10 +26,6 @@ pub struct SimConfig {
     pub(crate) keep_trace: bool,
     /// Safety valve: abort if the event count exceeds this bound.
     pub(crate) max_events: u64,
-    /// Pending-event-set implementation backing the machine's queue.
-    /// Both kinds produce bit-identical runs; see
-    /// [`cedar_sim::EventQueue`].
-    pub sched: SchedKind,
     /// Simultaneous-event ordering policy. Measurements must not
     /// depend on it — `cedar-check` perturbs it to prove that; the
     /// FIFO default is the documented scheduling order.
@@ -52,7 +48,6 @@ impl SimConfig {
             seed: 0xCEDA_12B5,
             keep_trace: false,
             max_events: 4_000_000_000,
-            sched: SchedKind::default(),
             tiebreak: TieBreak::default(),
             background: None,
             faults: FaultPlan::default(),
@@ -89,25 +84,9 @@ impl SimConfig {
         self
     }
 
-    /// Selects the pending-event-set implementation (builder style).
-    /// The scheduler changes wall-clock speed only, never results.
-    ///
-    /// ```
-    /// use cedar_core::SimConfig;
-    /// use cedar_hw::Configuration;
-    /// use cedar_sim::SchedKind;
-    ///
-    /// let c = SimConfig::cedar(Configuration::P8).with_scheduler(SchedKind::Heap);
-    /// assert_eq!(c.sched, SchedKind::Heap);
-    /// ```
-    pub fn with_scheduler(mut self, sched: SchedKind) -> Self {
-        self.sched = sched;
-        self
-    }
-
     /// Selects the simultaneous-event ordering policy (builder style).
-    /// Like the scheduler, the tie-break never changes measurements —
-    /// a claim `cedar-check` verifies by perturbing it.
+    /// The tie-break never changes measurements — a claim `cedar-check`
+    /// verifies by perturbing it.
     ///
     /// ```
     /// use cedar_core::SimConfig;
@@ -172,7 +151,7 @@ mod tests {
     fn cedar_config_carries_configuration() {
         let c = SimConfig::cedar(Configuration::P16);
         assert_eq!(c.configuration(), Configuration::P16);
-        assert_eq!(c.sched, SchedKind::Calendar);
+        assert_eq!(c.tiebreak, TieBreak::Fifo);
     }
 
     #[test]
@@ -180,9 +159,9 @@ mod tests {
         let c = SimConfig::cedar(Configuration::P1)
             .with_seed(7)
             .with_trace()
-            .with_scheduler(SchedKind::Heap);
+            .with_tiebreak(TieBreak::Lifo);
         assert_eq!(c.seed, 7);
         assert!(c.keep_trace);
-        assert_eq!(c.sched, SchedKind::Heap);
+        assert_eq!(c.tiebreak, TieBreak::Lifo);
     }
 }

@@ -23,7 +23,7 @@
 //! use cedar_apps::synthetic;
 //!
 //! let app = synthetic::uniform_sdoall(2, 2, 4, 8, 200, 8);
-//! let cfg = SimConfig::cedar(Configuration::P8).with_scheduler(SchedKind::Calendar);
+//! let cfg = SimConfig::cedar(Configuration::P8);
 //! let result = Experiment::new(app, cfg).run();
 //! assert!(result.completion_time.0 > 0);
 //! assert!(result.stats.counters.get("events.total") > 0);
@@ -35,7 +35,7 @@
 //! ```no_run
 //! use cedar_core::prelude::*;
 //!
-//! let opts = RunOptions::default().with_scheduler(SchedKind::Heap);
+//! let opts = RunOptions::default().with_workers(2);
 //! let suite = SuiteResult::full_campaign(&opts);
 //! assert_eq!(suite.apps.len(), 5);
 //! ```

@@ -182,7 +182,7 @@ impl Machine {
             app_name: app.name,
             layout,
             program,
-            queue: EventQueue::with_kind(cfg.sched).with_tiebreak(cfg.tiebreak),
+            queue: EventQueue::new().with_tiebreak(cfg.tiebreak),
             gmem: GlobalMemorySystem::new(net),
             ces,
             tasks,

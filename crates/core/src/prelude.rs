@@ -2,7 +2,7 @@
 //!
 //! Pulls in the experiment entry points ([`Experiment`], [`SuiteResult`]),
 //! the typed configuration surface ([`SimConfig`], [`RunOptions`],
-//! [`SchedKind`], [`TelemetryLevel`], [`FaultPlan`], [`CacheMode`]), the
+//! [`TelemetryLevel`], [`FaultPlan`], [`CacheMode`]), the
 //! typed error enum ([`CedarError`]), the workload registry
 //! ([`AppSpec`], [`perfect_suite`], [`app_by_name`]), the machine-size
 //! enum ([`Configuration`]), and the result types — everything a tool or
@@ -12,10 +12,10 @@
 //! use cedar_core::prelude::*;
 //!
 //! let opts = RunOptions::default()
-//!     .with_scheduler(SchedKind::Heap)
+//!     .with_faults(FaultPlan::canonical())
 //!     .with_telemetry(TelemetryLevel::Off);
-//! let cfg = SimConfig::cedar(Configuration::P4).with_scheduler(opts.scheduler);
-//! assert_eq!(cfg.sched, SchedKind::Heap);
+//! let cfg = SimConfig::cedar(Configuration::P4).with_faults(opts.faults);
+//! assert!(!cfg.faults.is_empty());
 //! ```
 //!
 //! Report rendering (tables, figures, golden checks) lives in
@@ -29,7 +29,6 @@ pub use cedar_faults::{
 };
 pub use cedar_hw::Configuration;
 pub use cedar_obs::{CacheMode, CedarError, Counters, RunOptions, RunStats, TelemetryLevel};
-pub use cedar_sim::SchedKind;
 
 pub use crate::cache::CacheSession;
 pub use crate::config::SimConfig;

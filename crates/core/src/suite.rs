@@ -9,7 +9,7 @@
 //! time, never the measurements.
 //!
 //! Both runners take the campaign's [`RunOptions`] explicitly: the
-//! scheduler kind and worker count come from the options value the
+//! tie-break, fault plan and worker count come from the options value the
 //! caller built (or parsed once from the environment via
 //! [`RunOptions::from_env`]), never from ambient `std::env` reads.
 
@@ -124,7 +124,6 @@ fn grid(apps: &[AppSpec], configurations: &[Configuration]) -> Vec<(AppSpec, Con
 /// at `c` processors, with the campaign-wide knobs from `opts` applied.
 fn cell_config(c: Configuration, opts: &RunOptions) -> SimConfig {
     SimConfig::cedar(c)
-        .with_scheduler(opts.scheduler)
         .with_tiebreak(opts.tiebreak)
         .with_faults(opts.faults)
 }

@@ -64,7 +64,7 @@ pub struct WaveShape {
 /// One `SplitMix64` per `(class, cluster)` pair, all derived from
 /// [`FaultPlan::seed`]: a class's stream on one cluster never observes
 /// how often other classes or clusters fire, so the streams are
-/// independent of event interleaving — the property the cross-scheduler
+/// independent of event interleaving — the property the fault
 /// determinism suite leans on.
 ///
 /// # Example

@@ -27,7 +27,7 @@
 //! the machine's master RNG — so an **empty plan is a no-op** (the
 //! machine's event stream is byte-identical with and without the faults
 //! subsystem wired in), and a non-empty plan reproduces exactly under
-//! either event scheduler and any suite worker count.
+//! any suite worker count.
 //!
 //! Zero dependencies beyond `cedar-sim`, and no `std::env` reads: the
 //! plan travels on `SimConfig`/`RunOptions` as a typed value.

@@ -96,11 +96,6 @@ impl GlobalMemorySystem {
         }
     }
 
-    /// Network configuration in use.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
     /// Injects a request from `ce` for `addr`/`op` at time `now` and
     /// returns its first hop with the time it fires.
     ///
@@ -210,20 +205,20 @@ impl GlobalMemorySystem {
 mod tests {
     use super::*;
     use crate::topology::ModuleId;
-    use cedar_sim::{EventQueue, SchedKind};
+    use cedar_sim::EventQueue;
 
     /// A response with the time it was delivered.
     type Delivery = (SimTime, MemResponse);
 
-    /// Drives the memory system to quiescence through `q`, returning
-    /// delivered responses with their delivery times. The caller picks
-    /// the scheduler, so the same producers run against every kind.
-    fn drive(
-        q: &mut EventQueue<GmemEvent>,
+    /// Drives the memory system to quiescence, returning delivered
+    /// responses with their delivery times (and the system's final state
+    /// in `sys`).
+    fn run_to_completion(
         sys: &mut GlobalMemorySystem,
-        injections: &[(CeId, GlobalAddr, MemOp, SimTime)],
+        injections: Vec<(CeId, GlobalAddr, MemOp, SimTime)>,
     ) -> Vec<Delivery> {
-        for &(ce, addr, op, at) in injections {
+        let mut q = EventQueue::new();
+        for (ce, addr, op, at) in injections {
             let (first, hop) = sys.inject(ce, addr, op, at);
             q.schedule(first, hop);
         }
@@ -234,24 +229,6 @@ mod tests {
                 Step::Delivered(resp) => delivered.push((now, resp)),
             }
         }
-        delivered
-    }
-
-    /// Runs the injection schedule under both schedulers, asserts the
-    /// delivery streams are identical, and returns one of them (along
-    /// with the calendar-driven system's final state in `sys`).
-    fn run_to_completion(
-        sys: &mut GlobalMemorySystem,
-        injections: Vec<(CeId, GlobalAddr, MemOp, SimTime)>,
-    ) -> Vec<Delivery> {
-        let mut heap_sys = GlobalMemorySystem::new(sys.config().clone());
-        let mut heap_q = EventQueue::with_kind(SchedKind::Heap);
-        let heap_run = drive(&mut heap_q, &mut heap_sys, &injections);
-
-        let mut q = EventQueue::with_kind(SchedKind::Calendar);
-        let delivered = drive(&mut q, sys, &injections);
-
-        assert_eq!(delivered, heap_run, "A/B delivery stream");
         delivered
     }
 

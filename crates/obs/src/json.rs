@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn fnv1a_is_stable_and_discriminating() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"sched=heap"), fnv1a(b"sched=calendar"));
+        assert_ne!(fnv1a(b"tie=fifo"), fnv1a(b"tie=lifo"));
         assert_eq!(fnv1a(b"x"), fnv1a(b"x"));
     }
 

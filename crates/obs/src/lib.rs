@@ -4,7 +4,7 @@
 //! the Q facility to decompose where a run's time goes. This crate turns
 //! the same discipline inward: it is the observability substrate for the
 //! *simulator itself*, so a campaign can report where the event loop,
-//! scheduler and worker pool spend wall-clock time.
+//! event queue and worker pool spend wall-clock time.
 //!
 //! It has no span facility: the run's wall-clock phases are plain
 //! `*_ns` fields of [`RunStats`], timed where they happen. The pieces:
@@ -14,8 +14,8 @@
 //!   into the rollup at a phase boundary, so per-event tallies never
 //!   pay a map probe.
 //! * [`RunOptions`] — the single typed run-configuration record
-//!   (scheduler kind, worker count, shrink factor, smoke mode,
-//!   telemetry level, output directory). Built programmatically with
+//!   (worker count, shrink factor, smoke mode, telemetry level, output
+//!   directory, cache mode). Built programmatically with
 //!   builder methods, or once at process startup from the environment
 //!   via [`RunOptions::from_env`] — the only place in the workspace
 //!   (besides the golden-update hook) that reads configuration

@@ -1,9 +1,9 @@
 //! The typed run-configuration API.
 //!
 //! Every knob that used to be a scattered `std::env::var` read —
-//! `CEDAR_SCHED`, `CEDAR_WORKERS`, `CEDAR_SHRINK`, `BENCH_SMOKE`,
-//! `BENCH_ITERS`, `BENCH_JSON_DIR`, `CEDAR_CACHE`, plus the
-//! `CEDAR_OBS` telemetry level — lives in one [`RunOptions`] value.
+//! `CEDAR_WORKERS`, `CEDAR_SHRINK`, `BENCH_SMOKE`, `BENCH_ITERS`,
+//! `BENCH_JSON_DIR`, `CEDAR_CACHE`, plus the `CEDAR_OBS` telemetry
+//! level — lives in one [`RunOptions`] value.
 //! Library code takes `&RunOptions` explicitly; the environment is
 //! consulted exactly once, by [`RunOptions::from_env`], at process
 //! startup (tools and the bench harness do this; tests construct
@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 
 use cedar_faults::FaultPlan;
-use cedar_sim::{SchedKind, TieBreak};
+use cedar_sim::TieBreak;
 
 /// How much self-telemetry a run emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,28 +119,24 @@ impl std::str::FromStr for CacheMode {
 ///
 /// `SimConfig` still owns the *simulated machine* (hardware, OS and RTL
 /// cost models, seed); `RunOptions` owns how the *host process* executes
-/// the campaign: which event scheduler backs the queue, how many worker
-/// threads fan the grid, whether workloads are shrunk, how benchmarks
-/// iterate, how much telemetry to emit, and where output files land.
+/// the campaign: how many worker threads fan the grid, whether
+/// workloads are shrunk, how benchmarks iterate, how much telemetry to
+/// emit, and where output files land.
 ///
 /// # Example
 ///
 /// ```
 /// use cedar_obs::{RunOptions, TelemetryLevel};
-/// use cedar_sim::SchedKind;
 ///
 /// let opts = RunOptions::default()
-///     .with_scheduler(SchedKind::Heap)
 ///     .with_workers(4)
 ///     .with_shrink(16)
 ///     .with_telemetry(TelemetryLevel::Full);
-/// assert_eq!(opts.scheduler, SchedKind::Heap);
 /// assert_eq!(opts.workers, Some(4));
+/// assert_eq!(opts.shrink, 16);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOptions {
-    /// Pending-event-set implementation for every experiment.
-    pub scheduler: SchedKind,
     /// Simultaneous-event ordering policy for every experiment.
     /// Measurements must not depend on it (a claim `cedar-check`
     /// verifies by perturbation); like the fault plan it is typed only
@@ -179,7 +175,6 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            scheduler: SchedKind::default(),
             tiebreak: TieBreak::default(),
             workers: None,
             shrink: 1,
@@ -200,51 +195,40 @@ impl RunOptions {
     ///
     /// | variable        | field         | accepted values              |
     /// |-----------------|---------------|------------------------------|
-    /// | `CEDAR_SCHED`   | `scheduler`   | `heap`, `calendar` (default) |
     /// | `CEDAR_WORKERS` | `workers`     | integer ≥ 1                  |
     /// | `CEDAR_SHRINK`  | `shrink`      | integer ≥ 1                  |
     /// | `CEDAR_OBS`     | `telemetry`   | `off`, `summary`, `full`     |
-    /// | `BENCH_SMOKE`   | `smoke`       | `1`                          |
+    /// | `BENCH_SMOKE`   | `smoke`       | `0`, `1`                     |
     /// | `BENCH_ITERS`   | `bench_iters` | integer ≥ 1                  |
     /// | `BENCH_JSON_DIR`| `output_dir`  | a directory path             |
     /// | `CEDAR_CACHE`   | `cache`       | `off`, `rw`, `ro`, `refresh` |
     ///
+    /// An unset or empty variable keeps the field's default.
+    ///
     /// # Panics
     ///
-    /// Panics on a malformed `CEDAR_SCHED`, `CEDAR_OBS` or
-    /// `CEDAR_CACHE`, so a typo fails loudly instead of silently
-    /// running the wrong configuration.
+    /// Panics on a malformed value of any of these variables, naming
+    /// the variable and the value, so a typo fails loudly instead of
+    /// silently running the wrong configuration.
     pub fn from_env() -> RunOptions {
-        let var = |name: &str| std::env::var(name).ok().filter(|v| !v.is_empty());
-        RunOptions {
-            scheduler: var("CEDAR_SCHED")
-                .map(|v| v.parse().unwrap_or_else(|e| panic!("CEDAR_SCHED: {e}")))
-                .unwrap_or_default(),
-            tiebreak: TieBreak::default(),
-            workers: var("CEDAR_WORKERS")
-                .and_then(|v| v.parse().ok())
-                .filter(|&n: &usize| n >= 1),
-            shrink: var("CEDAR_SHRINK")
-                .and_then(|v| v.parse().ok())
-                .filter(|&n: &u32| n >= 1)
-                .unwrap_or(1),
-            smoke: var("BENCH_SMOKE").map(|v| v == "1").unwrap_or(false),
-            bench_iters: var("BENCH_ITERS").and_then(|v| v.parse().ok()),
-            telemetry: var("CEDAR_OBS")
-                .map(|v| v.parse().unwrap_or_else(|e| panic!("CEDAR_OBS: {e}")))
-                .unwrap_or_default(),
-            output_dir: var("BENCH_JSON_DIR").map(PathBuf::from),
-            faults: FaultPlan::default(),
-            cache: var("CEDAR_CACHE")
-                .map(|v| v.parse().unwrap_or_else(|e| panic!("CEDAR_CACHE: {e}")))
-                .unwrap_or_default(),
-        }
+        Self::from_vars(|name| std::env::var(name).ok()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Overrides the event scheduler (builder style).
-    pub fn with_scheduler(mut self, kind: SchedKind) -> Self {
-        self.scheduler = kind;
-        self
+    /// [`from_env`](Self::from_env)'s parse over any variable lookup, so
+    /// it can be tested without touching the process environment.
+    fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<RunOptions, String> {
+        let lookup = &lookup;
+        Ok(RunOptions {
+            tiebreak: TieBreak::default(),
+            workers: env_value(lookup, "CEDAR_WORKERS", positive)?,
+            shrink: env_value(lookup, "CEDAR_SHRINK", positive)?.unwrap_or(1),
+            smoke: env_value(lookup, "BENCH_SMOKE", flag)?.unwrap_or(false),
+            bench_iters: env_value(lookup, "BENCH_ITERS", positive)?,
+            telemetry: env_value(lookup, "CEDAR_OBS", |v| v.parse())?.unwrap_or_default(),
+            output_dir: env_value(lookup, "BENCH_JSON_DIR", |v| Ok(PathBuf::from(v)))?,
+            faults: FaultPlan::default(),
+            cache: env_value(lookup, "CEDAR_CACHE", |v| v.parse())?.unwrap_or_default(),
+        })
     }
 
     /// Overrides the simultaneous-event ordering policy (builder
@@ -299,13 +283,42 @@ impl RunOptions {
     /// measurements, and their manifests carry the same fingerprint.
     pub fn fingerprint_seed(&self) -> String {
         format!(
-            "sched={};tie={};shrink={};smoke={};faults={}",
-            self.scheduler.as_str(),
+            "tie={};shrink={};smoke={};faults={}",
             self.tiebreak,
             self.shrink,
             self.smoke,
             self.faults.fingerprint()
         )
+    }
+}
+
+/// Variable `name` through `lookup`, parsed: `None` when it is unset or
+/// empty, an error naming the variable when `parse` rejects its value.
+fn env_value<T>(
+    lookup: &impl Fn(&str) -> Option<String>,
+    name: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match lookup(name) {
+        Some(v) if !v.is_empty() => parse(&v).map(Some).map_err(|e| format!("{name}: {e}")),
+        _ => Ok(None),
+    }
+}
+
+/// Parses an integer ≥ 1.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(v: &str) -> Result<T, String> {
+    v.parse()
+        .ok()
+        .filter(|n| *n >= T::from(1))
+        .ok_or_else(|| format!("must be an integer ≥ 1, got `{v}`"))
+}
+
+/// Parses `0` (off) or `1` (on).
+fn flag(v: &str) -> Result<bool, String> {
+    match v {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        other => Err(format!("must be `0` or `1`, got `{other}`")),
     }
 }
 
@@ -316,7 +329,6 @@ mod tests {
     #[test]
     fn defaults_match_the_old_env_defaults() {
         let o = RunOptions::default();
-        assert_eq!(o.scheduler, SchedKind::Calendar);
         assert_eq!(o.workers, None);
         assert_eq!(o.shrink, 1);
         assert!(!o.smoke);
@@ -327,16 +339,86 @@ mod tests {
     #[test]
     fn builders_are_total() {
         let o = RunOptions::default()
-            .with_scheduler(SchedKind::Heap)
             .with_workers(3)
             .with_shrink(0) // clamped to 1
             .with_telemetry(TelemetryLevel::Off)
             .with_output_dir("/tmp/x");
-        assert_eq!(o.scheduler, SchedKind::Heap);
         assert_eq!(o.workers, Some(3));
         assert_eq!(o.shrink, 1);
         assert_eq!(o.telemetry, TelemetryLevel::Off);
         assert_eq!(o.output_dir, Some(PathBuf::from("/tmp/x")));
+    }
+
+    /// Parses `vars` as the environment, leaving the process's alone.
+    fn from_vars(vars: &[(&str, &str)]) -> Result<RunOptions, String> {
+        RunOptions::from_vars(|name| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn every_variable_reaches_its_field() {
+        let o = from_vars(&[
+            ("CEDAR_WORKERS", "8"),
+            ("CEDAR_SHRINK", "16"),
+            ("CEDAR_OBS", "full"),
+            ("BENCH_SMOKE", "1"),
+            ("BENCH_ITERS", "3"),
+            ("BENCH_JSON_DIR", "/tmp/x"),
+            ("CEDAR_CACHE", "ro"),
+        ]);
+        let mut typed = RunOptions::default()
+            .with_workers(8)
+            .with_shrink(16)
+            .with_telemetry(TelemetryLevel::Full)
+            .with_output_dir("/tmp/x")
+            .with_cache(CacheMode::ReadOnly);
+        typed.smoke = true;
+        typed.bench_iters = Some(3);
+        assert_eq!(o, Ok(typed));
+        assert_eq!(
+            from_vars(&[("BENCH_SMOKE", "0")]),
+            Ok(RunOptions::default())
+        );
+    }
+
+    #[test]
+    fn unset_and_empty_variables_keep_the_defaults() {
+        assert_eq!(from_vars(&[]), Ok(RunOptions::default()));
+        let empty = [
+            "CEDAR_WORKERS",
+            "CEDAR_SHRINK",
+            "CEDAR_OBS",
+            "BENCH_SMOKE",
+            "BENCH_ITERS",
+            "BENCH_JSON_DIR",
+            "CEDAR_CACHE",
+        ]
+        .map(|name| (name, ""));
+        assert_eq!(from_vars(&empty), Ok(RunOptions::default()));
+    }
+
+    #[test]
+    fn malformed_values_are_errors_naming_the_variable_and_value() {
+        for (name, value) in [
+            ("CEDAR_WORKERS", "0"),
+            ("CEDAR_WORKERS", "eight"),
+            ("CEDAR_SHRINK", "x16"),
+            ("CEDAR_SHRINK", "0"),
+            ("BENCH_ITERS", "0"),
+            ("BENCH_ITERS", "-3"),
+            ("BENCH_SMOKE", "yes"),
+            ("CEDAR_OBS", "verbose"),
+            ("CEDAR_CACHE", "sometimes"),
+        ] {
+            let err = from_vars(&[(name, value)]).expect_err(name);
+            assert!(
+                err.starts_with(&format!("{name}: ")) && err.contains(&format!("`{value}`")),
+                "{name}={value}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -369,7 +451,7 @@ mod tests {
             .with_output_dir("/elsewhere")
             .with_cache(CacheMode::ReadWrite);
         assert_eq!(a.fingerprint_seed(), b.fingerprint_seed());
-        let c = RunOptions::default().with_scheduler(SchedKind::Heap);
+        let c = RunOptions::default().with_shrink(16);
         assert_ne!(a.fingerprint_seed(), c.fingerprint_seed());
     }
 
@@ -377,8 +459,7 @@ mod tests {
     fn tiebreak_is_typed_only_and_fingerprinted() {
         let a = RunOptions::default();
         assert_eq!(a.tiebreak, TieBreak::Fifo);
-        // Like the scheduler, the policy names *how the run was
-        // produced*, so it participates in the manifest fingerprint
+        // The policy names *how the run was produced*, so it participates in the manifest fingerprint
         // even though measurements are invariant to it.
         let b = RunOptions::default().with_tiebreak(TieBreak::Shuffle(7));
         assert_ne!(a.fingerprint_seed(), b.fingerprint_seed());

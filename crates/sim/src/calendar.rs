@@ -1,5 +1,5 @@
-//! Calendar-queue pending-event set: a wheel of one-cycle days over
-//! [`SimTime`], with an overflow tier and a past tier.
+//! The pending-event set: a calendar queue, a wheel of one-cycle days
+//! over [`SimTime`] with an overflow tier.
 //!
 //! The wheel keeps one bucket per cycle for the next `days` cycles.
 //! Scheduling an event within that horizon is an append to its cycle's
@@ -8,26 +8,28 @@
 //! entry of the cursor's bucket. Because the Cedar machine schedules
 //! almost every event a handful of cycles ahead (switch hops, module
 //! service, spin periods are all 1–8 cycles), nearly all traffic stays
-//! on the O(1) wheel path and the heap's O(log n) per-event cost — with
-//! n in the tens of thousands during a 32-processor campaign — drops out
-//! of the simulator's hot loop.
+//! on the O(1) wheel path and a heap's O(log n) per-event cost — with
+//! n in the tens of thousands during a 32-processor campaign — stays
+//! out of the simulator's hot loop.
 //!
-//! Ordering is identical to the heap scheduler's: ascending fire time,
-//! ties broken by the [`TieBreak`] rank of the scheduling sequence (the
-//! sequence itself under the default FIFO policy). A bucket holds one
-//! cycle's events, so its fire time is the bucket's day and an entry is
-//! just `(rank, payload)`; entries pop in ascending rank. Under FIFO the
-//! appends arrive in ascending rank already, so the common case is a
-//! plain push with no sorting at all. The bucket header keeps the rank
-//! of the last push, so that order check never reads the entry array. An
-//! order-breaking append (an overflow migration landing behind a direct
-//! insert, or a non-monotone LIFO/shuffle rank) flips a dirty bit, and
-//! the bucket's unread entries are re-sorted once on the next pop.
+//! Events pop in ascending fire time, ties broken by the [`TieBreak`]
+//! rank of the scheduling sequence (the sequence itself under the
+//! default FIFO policy). A bucket holds one cycle's events, so its fire
+//! time is the bucket's day and an entry is just `(rank, payload)`;
+//! entries pop in ascending rank. Under FIFO the appends arrive in
+//! ascending rank already, so the common case is a plain push with no
+//! sorting at all. The bucket header keeps the rank of the last push,
+//! so that order check never reads the entry array. An order-breaking
+//! append (an overflow migration landing behind a direct insert, or a
+//! non-monotone LIFO/shuffle rank) flips a dirty bit, and the bucket's
+//! unread entries are re-sorted once on the next pop.
 //!
-//! An event scheduled before the cursor's day goes to a small past-tier
-//! min-heap that [`pop`](CalendarSchedule::pop) drains first. The queue
-//! accepts such events; the machine never schedules one, because it
-//! only schedules at or after the time it last popped.
+//! The queue is causal: an event may be scheduled at the time of the
+//! last pop or later, never before it, which is how a simulation only
+//! ever schedules. The cursor's day is the time of the last pop, so
+//! the bound check that picks the wheel or the overflow tier also
+//! catches a breach, and [`schedule`](EventQueue::schedule) panics
+//! naming both times.
 //!
 //! A bucket is a vector with a read index. It rewinds when its last
 //! entry is read and keeps its capacity, so steady-state operation
@@ -103,37 +105,56 @@ impl<E: Copy> Bucket<E> {
     }
 }
 
-/// A calendar queue: O(1) amortized schedule and pop for the near-future
-/// event traffic that dominates discrete-event simulation. The default
-/// backend of [`EventQueue`](crate::EventQueue).
-pub(crate) struct CalendarSchedule<E> {
+/// A deterministic future-event set keyed by simulated time: a calendar
+/// queue with O(1) amortized schedule and pop on the near-future event
+/// traffic that dominates discrete-event simulation.
+///
+/// [`pop`](Self::pop) returns events in ascending `(fire time, tie
+/// rank)` order, where the rank is the [`TieBreak`] transform of the
+/// number of `schedule` calls made before the event's own (the sequence
+/// itself under the default FIFO policy). Simulation determinism rests
+/// on this ordering, so it is exact — not "time order with arbitrary
+/// tie-breaks": replaying the same schedule yields the same pop order,
+/// bit for bit.
+///
+/// # Example
+///
+/// ```
+/// use cedar_sim::{Cycles, EventQueue};
+///
+/// let mut q = EventQueue::new();
+/// q.schedule(Cycles(10), 'b');
+/// q.schedule(Cycles(2), 'a');
+/// assert_eq!(q.len(), 2);
+/// assert_eq!(q.pop(), Some((Cycles(2), 'a')));
+/// assert_eq!(q.pop(), Some((Cycles(10), 'b')));
+/// assert_eq!(q.pop(), None);
+/// ```
+pub struct EventQueue<E> {
     buckets: Vec<Bucket<E>>,
     /// `buckets.len() - 1`; the bucket count is a power of two, so the
     /// day → bucket map is a mask, not a modulo.
     day_mask: u64,
-    /// The day the pop cursor is on. Every wheel event's day is in
-    /// `[cur_day, last_day]`.
+    /// The day the pop cursor is on: the time of the last pop (0 before
+    /// the first). Every wheel event's day is in `[cur_day, last_day]`.
     cur_day: u64,
     /// The wheel's last day, `cur_day + days - 1`. It saturates at
     /// `u64::MAX`, where the window to the end of time is no larger than
     /// the wheel, so every remaining day fits.
     last_day: u64,
-    /// Events currently on the wheel (the other tiers excluded).
+    /// Events currently on the wheel (the overflow tier excluded).
     wheel_len: usize,
     /// Events beyond the wheel horizon, drained in as the cursor
     /// advances.
     overflow: MinHeap<E>,
-    /// Events scheduled before the cursor's day; they pop first.
-    past: MinHeap<E>,
     next_seq: u64,
     tiebreak: TieBreak,
     stats: QueueStats,
-    last_popped: SimTime,
 }
 
-impl<E: Copy> CalendarSchedule<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue with the default 256-day wheel.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Self::with_days(DEFAULT_DAYS)
     }
 
@@ -143,30 +164,28 @@ impl<E: Copy> CalendarSchedule<E> {
     /// # Panics
     ///
     /// Panics if `days` is zero or not a power of two.
-    pub(crate) fn with_days(days: u64) -> Self {
+    fn with_days(days: u64) -> Self {
         assert!(
             days.is_power_of_two(),
             "day count must be a power of two, got {days}"
         );
-        CalendarSchedule {
+        EventQueue {
             buckets: (0..days).map(|_| Bucket::new()).collect(),
             day_mask: days - 1,
             cur_day: 0,
             last_day: days - 1,
             wheel_len: 0,
             overflow: MinHeap::new(),
-            past: MinHeap::new(),
             next_seq: 0,
             tiebreak: TieBreak::default(),
             stats: QueueStats::new(),
-            last_popped: SimTime::ZERO,
         }
     }
 
-    /// Selects the simultaneous-event ordering policy. Ranks are
-    /// assigned at schedule time, so this must be set before any event
-    /// is scheduled.
-    pub(crate) fn with_tiebreak(mut self, tiebreak: TieBreak) -> Self {
+    /// Selects the simultaneous-event ordering policy (see
+    /// [`TieBreak`]). Ranks are assigned at schedule time, so this must
+    /// be called before any event is scheduled.
+    pub fn with_tiebreak(mut self, tiebreak: TieBreak) -> Self {
         debug_assert_eq!(self.next_seq, 0, "tie-break set after scheduling");
         self.tiebreak = tiebreak;
         self
@@ -196,35 +215,34 @@ impl<E: Copy> CalendarSchedule<E> {
         }
     }
 
+    /// Schedules `payload` to fire at absolute time `at`.
+    ///
+    /// Always inlined, with the bucket push, so a payload built in
+    /// registers is stored straight into its bucket instead of being
+    /// spilled to the stack and read back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the last pop.
     #[inline(always)]
-    pub(crate) fn schedule(&mut self, at: SimTime, payload: E) {
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         let rank = self.tiebreak.rank(self.next_seq);
         self.next_seq += 1;
         if at.0 < self.cur_day {
-            self.past.push(order_key(at, rank), payload);
+            before_the_last_pop(at, self.cur_day);
         } else if at.0 <= self.last_day {
             self.push_wheel(at.0, rank, payload);
         } else {
             self.overflow.push(order_key(at, rank), payload);
             self.stats.overflow_spills += 1;
         }
-        self.stats
-            .on_schedule(at.0.saturating_sub(self.last_popped.0), self.len());
+        self.stats.on_schedule(at.0 - self.cur_day, self.len());
     }
 
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, payload) = match self.past.pop() {
-            Some((key, payload)) => (key_time(key), payload),
-            None => self.pop_wheel()?,
-        };
-        self.stats.popped += 1;
-        self.last_popped = at;
-        Some((at, payload))
-    }
-
-    /// Pops the next wheel event, advancing the cursor past empty days
-    /// (or jumping it to the overflow head when the wheel is empty).
-    fn pop_wheel(&mut self) -> Option<(SimTime, E)> {
+    /// Removes and returns the earliest pending event, or `None` if
+    /// empty. Moves the cursor over empty days, or jumps it to the
+    /// overflow head when the wheel is empty.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
             if self.wheel_len == 0 {
                 let key = self.overflow.peek_key()?;
@@ -234,18 +252,52 @@ impl<E: Copy> CalendarSchedule<E> {
             let idx = (self.cur_day & self.day_mask) as usize;
             if let Some(payload) = self.buckets[idx].pop() {
                 self.wheel_len -= 1;
+                self.stats.popped += 1;
                 return Some((Cycles(self.cur_day), payload));
             }
             self.advance_to(self.cur_day + 1);
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len() + self.past.len()
+    /// Number of events currently pending.
+    pub fn len(&self) -> usize {
+        self.wheel_len + self.overflow.len()
     }
 
-    pub(crate) fn stats(&self) -> QueueStats {
+    /// `true` when no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Snapshot of the self-telemetry counters.
+    pub fn stats(&self) -> QueueStats {
         self.stats
+    }
+}
+
+/// The causal contract's breach, kept out of line so the inlined
+/// [`EventQueue::schedule`] stays small.
+#[cold]
+#[inline(never)]
+fn before_the_last_pop(at: SimTime, last_pop: u64) -> ! {
+    panic!(
+        "event scheduled at cycle {} before the last pop at cycle {last_pop}",
+        at.0
+    )
+}
+
+impl<E: Copy> Default for EventQueue<E> {
+    fn default() -> Self {
+        EventQueue::new()
+    }
+}
+
+impl<E: Copy> std::fmt::Debug for EventQueue<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EventQueue")
+            .field("pending", &self.len())
+            .field("scheduled", &self.stats.scheduled)
+            .finish()
     }
 }
 
@@ -256,12 +308,12 @@ mod tests {
     use crate::rng::SplitMix64;
     use crate::time::Cycles;
 
-    /// Pops everything from both schedulers, asserting identical streams
-    /// and pending populations, then identical counters. Returns the
-    /// stream.
+    /// Pops everything from the heap reference and the queue, asserting
+    /// identical streams and pending populations, then identical
+    /// counters. Returns the stream.
     fn assert_equivalent_drain(
         heap: &mut HeapSchedule<u64>,
-        cal: &mut CalendarSchedule<u64>,
+        cal: &mut EventQueue<u64>,
         context: &str,
     ) -> Vec<(SimTime, u64)> {
         let mut stream = Vec::new();
@@ -279,22 +331,15 @@ mod tests {
         stream
     }
 
-    /// Schedules payload `p` at time `t` on both schedulers.
-    fn schedule_both(
-        heap: &mut HeapSchedule<u64>,
-        cal: &mut CalendarSchedule<u64>,
-        t: u64,
-        p: u64,
-    ) {
+    /// Schedules payload `p` at time `t` on the heap reference and the
+    /// queue.
+    fn schedule_both(heap: &mut HeapSchedule<u64>, cal: &mut EventQueue<u64>, t: u64, p: u64) {
         heap.schedule(Cycles(t), p);
         cal.schedule(Cycles(t), p);
     }
 
-    /// The tie-break policies the past-tier and refill tests run under.
-    const POLICIES: [TieBreak; 3] = [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Shuffle(0x9A57)];
-
-    /// Asserts that the backend-independent [`QueueStats`] fields agree.
-    fn assert_same_counters(heap: &HeapSchedule<u64>, cal: &CalendarSchedule<u64>, context: &str) {
+    /// Asserts that the [`QueueStats`] fields both keep agree.
+    fn assert_same_counters(heap: &HeapSchedule<u64>, cal: &EventQueue<u64>, context: &str) {
         let (h, c) = (heap.stats(), cal.stats());
         assert_eq!(h.scheduled, c.scheduled, "scheduled ({context})");
         assert_eq!(h.popped, c.popped, "popped ({context})");
@@ -305,7 +350,7 @@ mod tests {
     #[test]
     fn overflow_events_pop_in_order() {
         // A tiny wheel (16 one-cycle days) forces heavy overflow use.
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_days(16);
+        let mut q: EventQueue<u32> = EventQueue::with_days(16);
         for (i, t) in [100u64, 3, 50, 17, 2_000, 16, 0].iter().enumerate() {
             q.schedule(Cycles(*t), i as u32);
         }
@@ -319,7 +364,7 @@ mod tests {
 
     #[test]
     fn overflow_ties_interleave_with_wheel_ties() {
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_days(16);
+        let mut q: EventQueue<u32> = EventQueue::with_days(16);
         // Both time-1000 events start in the overflow tier and migrate to
         // the wheel as the cursor advances; insertion order must survive
         // the migration.
@@ -331,42 +376,26 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycles(1_000), 2)));
     }
 
-    /// Once the cursor sits at day 500, scheduling in its past is legal
-    /// for the queue (the machine never does it). Such events take the
-    /// past tier and pop before everything else, in (time, rank) order,
-    /// as the heap pops them under every tie-break policy — including a
-    /// stray scheduled while the past tier is being drained.
+    /// The queue is causal: scheduling at the time of the last pop is
+    /// legal, scheduling before it panics and names both times.
     #[test]
-    fn events_before_the_cursor_pop_first_and_in_order() {
-        for tiebreak in POLICIES {
-            let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
-            let mut cal = CalendarSchedule::with_days(16).with_tiebreak(tiebreak);
-            heap.schedule(Cycles(500), 0);
-            cal.schedule(Cycles(500), 0);
-            assert_eq!(heap.pop(), cal.pop(), "{tiebreak}: cursor to 500");
-            // Below 500: past tier; 500 and 510: wheel; 600: overflow.
-            let times = [600u64, 10, 499, 10, 500, 0, 10, 510];
-            for (p, t) in (1..).zip(times) {
-                schedule_both(&mut heap, &mut cal, t, p);
-            }
-            assert_eq!(cal.past.len(), 5, "{tiebreak}: strays take the past tier");
-            assert_eq!(heap.pop(), cal.pop(), "{tiebreak}: first stray");
-            schedule_both(&mut heap, &mut cal, 10, 9);
-            let context = format!("{tiebreak} past");
-            let stream = assert_equivalent_drain(&mut heap, &mut cal, &context);
-            let times: Vec<u64> = stream.iter().map(|(t, _)| t.0).collect();
-            assert_eq!(times, [10, 10, 10, 10, 499, 500, 510, 600], "{tiebreak}");
-        }
+    #[should_panic(expected = "event scheduled at cycle 499 before the last pop at cycle 500")]
+    fn scheduling_before_the_last_pop_panics() {
+        let mut q = EventQueue::with_days(16);
+        q.schedule(Cycles(500), 0u32);
+        assert_eq!(q.pop(), Some((Cycles(500), 0)));
+        q.schedule(Cycles(500), 1);
+        q.schedule(Cycles(499), 2);
     }
 
     /// Zero-delay events appended to the bucket the cursor is draining
-    /// pop in the heap's order under every tie-break policy: the read
+    /// pop in the heap reference's order under every tie-break policy: the read
     /// index moves on, and a re-sort covers only the unread entries.
     #[test]
     fn a_bucket_refilled_while_draining_keeps_its_order() {
-        for tiebreak in POLICIES {
+        for tiebreak in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Shuffle(0x9A57)] {
             let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
-            let mut cal = CalendarSchedule::new().with_tiebreak(tiebreak);
+            let mut cal = EventQueue::new().with_tiebreak(tiebreak);
             for p in 0..8 {
                 schedule_both(&mut heap, &mut cal, 5, p);
             }
@@ -389,7 +418,7 @@ mod tests {
 
     #[test]
     fn simtime_extremes() {
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::new();
+        let mut q: EventQueue<u32> = EventQueue::new();
         q.schedule(Cycles::MAX, 0);
         q.schedule(Cycles::ZERO, 1);
         q.schedule(Cycles(u64::MAX - 1), 2);
@@ -403,7 +432,7 @@ mod tests {
 
     /// Regression (PR 9): same-timestamp events straddling the
     /// wheel/overflow boundary must pop in one global tie order, under
-    /// every tie-break policy, identically on both backends. The
+    /// every tie-break policy, as the heap reference pops them. The
     /// dangerous shape: part of a tie cohort lands on the wheel
     /// directly while the rest spills to the overflow heap and only
     /// migrates in later — the migrated entries' ranks (LIFO/shuffle
@@ -419,7 +448,7 @@ mod tests {
         ] {
             let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
             // Tiny wheel: 16 one-cycle days = 16-cycle horizon.
-            let mut cal = CalendarSchedule::with_days(16).with_tiebreak(tiebreak);
+            let mut cal = EventQueue::with_days(16).with_tiebreak(tiebreak);
             // t=15 is the last on-wheel day; t=16/t=100 overflow. The
             // t=16 cohort is split: scheduled before and after a pop
             // advances the cursor (so some entries migrate, some insert
@@ -446,7 +475,7 @@ mod tests {
     /// Regression (PR 9): tie cohorts at `SimTime::MAX` — where the
     /// day index saturates and (under LIFO) ranks reach `u64::MAX`, so
     /// packed order keys hit `u128::MAX` — must pop in one global
-    /// order on both backends under every policy.
+    /// order, as the heap reference pops them, under every policy.
     #[test]
     fn tie_cohorts_at_simtime_max_pop_identically() {
         for tiebreak in [
@@ -456,7 +485,7 @@ mod tests {
             TieBreak::Shuffle(u64::MAX),
         ] {
             let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
-            let mut cal = CalendarSchedule::new().with_tiebreak(tiebreak);
+            let mut cal = EventQueue::new().with_tiebreak(tiebreak);
             for (t, p) in [
                 (u64::MAX, 0u64),
                 (0, 1),
@@ -487,7 +516,7 @@ mod tests {
             for seed in 0..24u64 {
                 let mut rng = SplitMix64::new(0x71EB_0000 + seed);
                 let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
-                let mut cal = CalendarSchedule::with_days(64).with_tiebreak(tiebreak);
+                let mut cal = EventQueue::with_days(64).with_tiebreak(tiebreak);
                 let n = 1 + rng.next_below(300);
                 for i in 0..n {
                     let t = match rng.next_below(10) {
@@ -509,7 +538,7 @@ mod tests {
         for seed in 0..64u64 {
             let mut rng = SplitMix64::new(0xCA1E_0000 + seed);
             let mut heap = HeapSchedule::new();
-            let mut cal = CalendarSchedule::new();
+            let mut cal = EventQueue::new();
             // Mixed near/far/tied times, including u64::MAX extremes.
             let n = 1 + rng.next_below(400);
             for i in 0..n {
@@ -535,7 +564,7 @@ mod tests {
         for seed in 0..32u64 {
             let mut rng = SplitMix64::new(0xBEE5_0000 + seed);
             let mut heap = HeapSchedule::new();
-            let mut cal = CalendarSchedule::with_days(256);
+            let mut cal = EventQueue::with_days(256);
             let mut payload = 0u64;
             for _ in 0..50 {
                 let t = rng.next_below(256);
@@ -570,14 +599,17 @@ mod tests {
     fn property_len_agrees_with_heap() {
         let mut rng = SplitMix64::new(0x1DE5);
         let mut heap = HeapSchedule::new();
-        let mut cal = CalendarSchedule::with_days(256);
+        let mut cal = EventQueue::with_days(256);
+        let mut now = 0;
         for i in 0..500u64 {
-            let t = rng.next_below(1 << 16);
+            let t = now + rng.next_below(1 << 16);
             heap.schedule(Cycles(t), i);
             cal.schedule(Cycles(t), i);
             assert_eq!(heap.len(), cal.len());
             if rng.next_below(3) == 0 {
-                assert_eq!(heap.pop(), cal.pop());
+                let popped = heap.pop();
+                assert_eq!(popped, cal.pop());
+                now = popped.expect("one event is pending").0 .0;
             }
         }
         assert_equivalent_drain(&mut heap, &mut cal, "len property");
@@ -585,7 +617,7 @@ mod tests {
 
     #[test]
     fn stats_count_spills_and_wheel_peak() {
-        let mut q: CalendarSchedule<u32> = CalendarSchedule::with_days(16);
+        let mut q: EventQueue<u32> = EventQueue::with_days(16);
         q.schedule(Cycles(1), 0); // wheel
         q.schedule(Cycles(2), 1); // wheel
         q.schedule(Cycles(10_000), 2); // beyond the 16-cycle horizon
@@ -607,7 +639,7 @@ mod tests {
     fn buckets_recycle_without_allocation_growth() {
         // Steady-state hold pattern: capacity stabilizes, lengths return
         // to zero, and the scheduled count keeps counting.
-        let mut q: CalendarSchedule<u64> = CalendarSchedule::with_days(64);
+        let mut q: EventQueue<u64> = EventQueue::with_days(64);
         let mut now = Cycles::ZERO;
         for i in 0..10_000u64 {
             q.schedule(now + Cycles(1 + i % 60), i);

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Benchmark regression gate: run the scheduler/suite benchmark and
+# Benchmark regression gate: run the event-queue/suite benchmark and
 # compare the fresh results against the committed baseline.
 #
 #   ./scripts/bench_check.sh            # what CI runs
@@ -8,10 +8,7 @@
 #   - the fresh `suite/mini_campaign` median exceeds the baseline's by
 #     more than 15%;
 #   - the fresh `faults/flo52_p8/calendar` median exceeds the
-#     baseline's by more than 15%;
-#   - the calendar scheduler drops below 1.3x over the heap on the
-#     event-dense network workload (checked within the fresh run, so it
-#     holds on any machine speed).
+#     baseline's by more than 15%.
 #
 # Refreshing the baseline: after an *intentional* performance change
 # (or a change of reference hardware), re-pin it with

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # CI entry point: the offline-build guarantee, the paper-band claims,
-# the full test suite, a one-iteration smoke pass of the scheduler
+# the full test suite, a one-iteration smoke pass of the event-queue
 # benchmark, the shrunk campaign's pinned work counts, the run-cache
 # soundness check (warm campaign = cold campaign, only faster), and the
 # benchmark package's own tests (perfbench/).
@@ -69,7 +69,7 @@ cargo test -q --offline --workspace
 echo "==> per-suite integration-test budgets (hard, results/TEST_budgets.json)"
 ./scripts/test_times.sh
 
-echo "==> scheduler benchmark smoke pass (BENCH_SMOKE=1: 1 iteration, no warmup)"
+echo "==> event-queue benchmark smoke pass (BENCH_SMOKE=1: 1 iteration, no warmup)"
 BENCH_SMOKE=1 cargo bench --offline -p cedar-bench
 
 scratch=$(mktemp -d "${TMPDIR:-/tmp}/cedar-ci.XXXXXX")
@@ -87,8 +87,8 @@ echo "    wrote results/RUN_manifest.json + results/RUN_telemetry.jsonl"
 
 # Exact work counts: every "name value" line of results/CI_work_counts.txt
 # must match the value the campaign's manifest holds for that name. The
-# counts do not depend on the host, the scheduler or the pool width, so
-# an accidental extra event fails here on any machine.
+# counts do not depend on the host or the pool width, so an accidental
+# extra event fails here on any machine.
 echo "==> pinned work counts (results/CI_work_counts.txt)"
 awk -v manifest=results/RUN_manifest.json '
     BEGIN {

@@ -39,7 +39,7 @@ pub use cedar_xylem as xylem;
 /// ```
 /// use cedar::prelude::*;
 ///
-/// let opts = RunOptions::default().with_scheduler(SchedKind::Heap);
+/// let opts = RunOptions::default().with_telemetry(TelemetryLevel::Off);
 /// let app = cedar::apps::synthetic::uniform_xdoall(1, 2, 8, 150, 4);
 /// let suite = SuiteResult::run_sequential(&[app], &[Configuration::P1], &opts).unwrap();
 /// assert!(tables::table1(&suite).contains("1 proc"));

@@ -44,7 +44,7 @@ fn planted_bug_is_caught_shrunk_and_replayed() {
     };
 
     // 1. The checker catches the planted bug, and blames only the
-    // attribution oracle — the sabotage must not bleed into the seven
+    // attribution oracle — the sabotage must not bleed into the five
     // laws it does not break.
     let mut harness = sabotaged();
     let found = harness.check_case(&start);

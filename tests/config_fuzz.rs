@@ -1,19 +1,13 @@
 //! Configuration fuzzing: ~200 seeded `SimConfig`/`FaultPlan` combos
-//! through short runs, checking the simulator's conservation laws and
-//! heap/calendar scheduler agreement on every one.
+//! through short runs, checking the simulator's conservation laws on
+//! every one.
 //!
 //! Each case derives its workload, machine configuration, run options
 //! and (half the time) a fault mix from one `SplitMix64` stream, runs
-//! the experiment under **both** event schedulers, and asserts:
-//!
-//! 1. *Conservation*: every iteration executes exactly once, user
-//!    breakdowns never exceed the wall clock, Figure-3 categories
-//!    partition completion time, and concurrency stays within the
-//!    machine's CE count.
-//! 2. *A/B byte-equality*: the measurement fingerprint
-//!    ([`cedar::check::fingerprint_text`]: the cached run encoding minus
-//!    wall-clock and `queue.*` backend telemetry) is identical
-//!    under `SchedKind::Heap` and `SchedKind::Calendar`.
+//! the experiment, and asserts *conservation*: every iteration executes
+//! exactly once, user breakdowns never exceed the wall clock, Figure-3
+//! categories partition completion time, and concurrency stays within
+//! the machine's CE count.
 //!
 //! Every failure message carries the case seed. To replay one case:
 //!
@@ -29,7 +23,7 @@ use cedar::faults::{
 };
 use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
-use cedar::sim::{Cycles, SchedKind, SplitMix64};
+use cedar::sim::{Cycles, SplitMix64};
 
 /// Number of fuzz cases in the full sweep.
 const CASES: u64 = 200;
@@ -60,8 +54,8 @@ fn case_seeds() -> Vec<u64> {
 }
 
 /// A short random loop-parallel program. Deliberately smaller than the
-/// `tests/invariants.rs` generator: the sweep runs ~400 simulations
-/// (200 cases x 2 schedulers), so each must finish in milliseconds.
+/// `tests/invariants.rs` generator: the sweep runs 200 simulations, so
+/// each must finish in milliseconds.
 fn arb_app(rng: &mut SplitMix64) -> AppSpec {
     let loops = rng.next_range(1, 3);
     let flat = rng.next_u64().is_multiple_of(2);
@@ -175,10 +169,8 @@ impl Case {
         }
     }
 
-    fn sim_config(&self, sched: SchedKind) -> SimConfig {
-        let mut c = SimConfig::cedar(self.config)
-            .with_seed(self.sim_seed)
-            .with_scheduler(sched);
+    fn sim_config(&self) -> SimConfig {
+        let mut c = SimConfig::cedar(self.config).with_seed(self.sim_seed);
         if self.trace {
             c = c.with_trace();
         }
@@ -198,13 +190,12 @@ impl Case {
 }
 
 /// The conservation laws every run must respect, whatever the config.
-fn assert_conservation(case: &Case, run: &RunResult, sched: SchedKind) {
-    let ctx = || format!("{} under {sched:?}", case.replay());
+fn assert_conservation(case: &Case, run: &RunResult) {
     assert_eq!(
         run.bodies,
         case.app.total_bodies(),
         "every iteration must execute exactly once ({})",
-        ctx()
+        case.replay()
     );
     for b in &run.breakdowns {
         assert!(
@@ -212,7 +203,7 @@ fn assert_conservation(case: &Case, run: &RunResult, sched: SchedKind) {
             "task user time {} > CT {} ({})",
             b.total(),
             run.completion_time,
-            ctx()
+            case.replay()
         );
     }
     for (k, u) in run.utilization.iter().enumerate() {
@@ -221,7 +212,7 @@ fn assert_conservation(case: &Case, run: &RunResult, sched: SchedKind) {
                 u.user(run.completion_time) + u.os_total(),
                 run.completion_time,
                 "cluster {k}: Figure-3 categories must partition CT ({})",
-                ctx()
+                case.replay()
             );
         }
     }
@@ -229,15 +220,15 @@ fn assert_conservation(case: &Case, run: &RunResult, sched: SchedKind) {
     assert!(
         total > 0.0 && total <= case.config.total_ces() as f64 + 1e-9,
         "concurrency {total} out of range ({})",
-        ctx()
+        case.replay()
     );
 }
 
 #[test]
-fn seeded_config_sweep_conserves_and_schedulers_agree() {
+fn seeded_config_sweep_conserves() {
     let seeds = case_seeds();
     let replaying = seeds.len() == 1 && std::env::var("CEDAR_FUZZ_SEED").is_ok();
-    for (i, &seed) in seeds.iter().enumerate() {
+    for &seed in &seeds {
         let case = Case::derive(seed);
         if replaying {
             eprintln!(
@@ -247,16 +238,8 @@ fn seeded_config_sweep_conserves_and_schedulers_agree() {
                 case.plan.is_some()
             );
         }
-        let heap = Experiment::new(case.app.clone(), case.sim_config(SchedKind::Heap)).run();
-        let cal = Experiment::new(case.app.clone(), case.sim_config(SchedKind::Calendar)).run();
-        assert_conservation(&case, &heap, SchedKind::Heap);
-        assert_conservation(&case, &cal, SchedKind::Calendar);
-        assert_eq!(
-            fingerprint_text(&heap),
-            fingerprint_text(&cal),
-            "case {i}: schedulers disagree ({})",
-            case.replay()
-        );
+        let run = Experiment::new(case.app.clone(), case.sim_config()).run();
+        assert_conservation(&case, &run);
     }
 }
 
@@ -268,8 +251,8 @@ fn replay_of_a_case_seed_is_exact() {
     let seed = SplitMix64::new(BASE_SEED).next_u64();
     let a = Case::derive(seed);
     let b = Case::derive(seed);
-    let run_a = Experiment::new(a.app.clone(), a.sim_config(SchedKind::Calendar)).run();
-    let run_b = Experiment::new(b.app.clone(), b.sim_config(SchedKind::Calendar)).run();
+    let run_a = Experiment::new(a.app.clone(), a.sim_config()).run();
+    let run_b = Experiment::new(b.app.clone(), b.sim_config()).run();
     assert_eq!(fingerprint_text(&run_a), fingerprint_text(&run_b));
 }
 
@@ -283,7 +266,7 @@ fn fuzzed_run_options_are_worker_count_independent() {
         let case = Case::derive(seed);
         let apps = [case.app.clone()];
         let configs = [case.config];
-        let mut opts = RunOptions::default().with_scheduler(SchedKind::Calendar);
+        let mut opts = RunOptions::default();
         if let Some(plan) = case.plan {
             opts = opts.with_faults(plan);
         }

@@ -1,7 +1,6 @@
 //! Fault-campaign determinism: an identical `FaultPlan` (same seed,
 //! same classes) must produce byte-identical measurements regardless of
-//! which event scheduler backs the queue and how many worker threads
-//! fan the campaign grid.
+//! how many worker threads fan the campaign grid.
 //!
 //! The guarantee rests on the driver's stream discipline: one
 //! `SplitMix64` per `(class, cluster)` pair, all derived from the
@@ -13,9 +12,8 @@
 //! The comparison uses [`cedar::check::fingerprint_text`], the filter
 //! the parity oracles use: every measurement the cached run encoding
 //! carries, minus host wall-clock and the `queue.*` telemetry
-//! counters, which describe the host-side machinery (hold histograms,
-//! wheel peaks) and legitimately differ between scheduler
-//! implementations.
+//! counters, which record the simulator's own work (hold histograms,
+//! wheel peaks) rather than a measurement.
 
 use cedar::apps::perfect_suite;
 use cedar::check::fingerprint_text;
@@ -23,7 +21,6 @@ use cedar::core::suite::SuiteResult;
 use cedar::faults::FaultPlan;
 use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
-use cedar::sim::SchedKind;
 
 const SHRINK: u32 = 16;
 const CONFIGS: [Configuration; 2] = [Configuration::P8, Configuration::P32];
@@ -36,35 +33,6 @@ fn fingerprint_suite(suite: &SuiteResult) -> String {
         .map(fingerprint_text)
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-fn campaign(opts: &RunOptions) -> SuiteResult {
-    let apps: Vec<_> = perfect_suite()
-        .into_iter()
-        .filter(|a| a.name == "FLO52" || a.name == "MDG")
-        .map(|a| a.shrunk(SHRINK))
-        .collect();
-    SuiteResult::run_parallel(&apps, &CONFIGS, opts).expect("campaign experiment panicked")
-}
-
-#[test]
-fn fault_campaign_is_scheduler_independent() {
-    let plan = FaultPlan::canonical();
-    let calendar = campaign(
-        &RunOptions::default()
-            .with_scheduler(SchedKind::Calendar)
-            .with_faults(plan),
-    );
-    let heap = campaign(
-        &RunOptions::default()
-            .with_scheduler(SchedKind::Heap)
-            .with_faults(plan),
-    );
-    assert_eq!(
-        fingerprint_suite(&calendar),
-        fingerprint_suite(&heap),
-        "heap and calendar schedulers must agree on every faulted measurement"
-    );
 }
 
 #[test]

@@ -69,8 +69,8 @@ fn app(salt: u64) -> AppSpec {
         .build()
 }
 
-/// The scheduler-independent measurement fingerprint, mirroring
-/// `tests/config_fuzz.rs`. Cache hits must preserve every line.
+/// The measurement fingerprint: what a cache hit must preserve, line
+/// for line.
 fn fingerprint(r: &RunResult) -> String {
     let mut s = String::new();
     let _ = writeln!(

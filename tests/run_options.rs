@@ -3,7 +3,7 @@
 //! must be indistinguishable from building the same `RunOptions` in
 //! code — the same options value, byte-identical rendered tables, and a
 //! byte-identical run manifest once the wall-clock-only fields are
-//! masked. Checked under both schedulers.
+//! masked.
 //!
 //! All environment manipulation lives in one `#[test]`: test threads
 //! share the process environment, so a single test owning the variables
@@ -15,7 +15,6 @@ use cedar::core::suite::SuiteResult;
 use cedar::hw::Configuration;
 use cedar::obs::{RunOptions, TelemetryLevel};
 use cedar::report::tables;
-use cedar::sim::SchedKind;
 use cedar_bench::manifest;
 
 /// Reduced scale, matching the golden campaign's fixed factor.
@@ -67,60 +66,48 @@ fn mask_key(s: &str, key: &str) -> String {
 }
 
 #[test]
-fn env_path_and_typed_path_are_equivalent_under_both_schedulers() {
+fn env_path_and_typed_path_are_equivalent() {
     let apps = grid_apps();
     let configs = [Configuration::P1, Configuration::P8];
 
-    for sched in [SchedKind::Calendar, SchedKind::Heap] {
-        // Env path: the variables a user would export, parsed once.
-        std::env::set_var("CEDAR_SCHED", sched.as_str());
-        std::env::set_var("CEDAR_SHRINK", SHRINK.to_string());
-        std::env::set_var("CEDAR_WORKERS", "2");
-        std::env::set_var("CEDAR_OBS", "full");
-        let from_env = RunOptions::from_env();
-        for var in ["CEDAR_SCHED", "CEDAR_SHRINK", "CEDAR_WORKERS", "CEDAR_OBS"] {
-            std::env::remove_var(var);
-        }
-
-        // Typed path: the same configuration, spelled in code.
-        let typed = RunOptions::default()
-            .with_scheduler(sched)
-            .with_shrink(SHRINK)
-            .with_workers(2)
-            .with_telemetry(TelemetryLevel::Full);
-        assert_eq!(from_env, typed, "options parse ({sched:?})");
-
-        let suite_env = SuiteResult::run_parallel(&apps, &configs, &from_env)
-            .expect("env-path campaign panicked");
-        let suite_typed = SuiteResult::run_parallel(&apps, &configs, &typed)
-            .expect("typed-path campaign panicked");
-
-        // Rendered artifacts: byte-identical.
-        assert_eq!(
-            tables::table1(&suite_env),
-            tables::table1(&suite_typed),
-            "table1 bytes ({sched:?})"
-        );
-        assert_eq!(
-            tables::table4(&suite_env),
-            tables::table4(&suite_typed),
-            "table4 bytes ({sched:?})"
-        );
-
-        // Run manifests: byte-identical modulo wall-clock and provenance.
-        assert_eq!(
-            mask_volatile(&manifest::manifest_json(&suite_env, &from_env)),
-            mask_volatile(&manifest::manifest_json(&suite_typed, &typed)),
-            "manifest bytes ({sched:?})"
-        );
-
-        // JSONL telemetry: same stream, line for line, once masked.
-        assert_eq!(
-            mask_volatile(&manifest::telemetry_jsonl(&suite_env)),
-            mask_volatile(&manifest::telemetry_jsonl(&suite_typed)),
-            "telemetry stream ({sched:?})"
-        );
+    // Env path: the variables a user would export, parsed once.
+    std::env::set_var("CEDAR_SHRINK", SHRINK.to_string());
+    std::env::set_var("CEDAR_WORKERS", "2");
+    std::env::set_var("CEDAR_OBS", "full");
+    let from_env = RunOptions::from_env();
+    for var in ["CEDAR_SHRINK", "CEDAR_WORKERS", "CEDAR_OBS"] {
+        std::env::remove_var(var);
     }
+
+    // Typed path: the same configuration, spelled in code.
+    let typed = RunOptions::default()
+        .with_shrink(SHRINK)
+        .with_workers(2)
+        .with_telemetry(TelemetryLevel::Full);
+    assert_eq!(from_env, typed, "options parse");
+
+    let suite_env =
+        SuiteResult::run_parallel(&apps, &configs, &from_env).expect("env-path campaign panicked");
+    let suite_typed =
+        SuiteResult::run_parallel(&apps, &configs, &typed).expect("typed-path campaign panicked");
+
+    // Rendered artifacts: byte-identical.
+    assert_eq!(tables::table1(&suite_env), tables::table1(&suite_typed));
+    assert_eq!(tables::table4(&suite_env), tables::table4(&suite_typed));
+
+    // Run manifests: byte-identical modulo wall-clock and provenance.
+    assert_eq!(
+        mask_volatile(&manifest::manifest_json(&suite_env, &from_env)),
+        mask_volatile(&manifest::manifest_json(&suite_typed, &typed)),
+        "manifest bytes"
+    );
+
+    // JSONL telemetry: same stream, line for line, once masked.
+    assert_eq!(
+        mask_volatile(&manifest::telemetry_jsonl(&suite_env)),
+        mask_volatile(&manifest::telemetry_jsonl(&suite_typed)),
+        "telemetry stream"
+    );
 }
 
 #[test]
