@@ -6,12 +6,12 @@
 //! [`RunResult`] (`tests/config_fuzz.rs` proves this continuously) — so
 //! replaying a stored result is indistinguishable from re-simulating,
 //! measurement for measurement. The key is the canonical `Debug` text of
-//! both values: every field that shapes the simulation (hardware
-//! configuration, OS/RTL cost models, seed, tie-break, event bound,
-//! background load, fault plan, and the full workload spec down to each
-//! phase) appears in that text, so any change re-keys the experiment.
-//! Behavior changes that do *not* alter the text must bump
-//! `cedar_cache::MODEL_VERSION` instead.
+//! both values: every value a run varies (processor configuration, seed,
+//! tie-break, background load, fault plan, and the full workload spec
+//! down to each phase) appears in that text, so any change re-keys the
+//! experiment. Behavior changes that do *not* alter the text — among
+//! them any change to the hardware, OS or runtime-library cost
+//! constants — must bump `cedar_cache::MODEL_VERSION` instead.
 
 use std::path::PathBuf;
 

@@ -1,31 +1,30 @@
 //! Complete simulation configuration.
 
 use cedar_faults::FaultPlan;
-use cedar_hw::{Configuration, HwConfig};
-use cedar_rtl::RtlConfig;
+use cedar_hw::Configuration;
 use cedar_sim::TieBreak;
-use cedar_xylem::{BackgroundLoad, OsConfig};
+use cedar_xylem::BackgroundLoad;
 
-/// Everything needed to instantiate one simulated Cedar machine.
+/// What one run of the simulated Cedar varies: the processor
+/// configuration, the seed, the tie-break, the background load, the
+/// fault plan and whether the trace is kept.
 ///
-/// The builders are total: every field has both a setter and (where the
-/// field is a toggle) an unsetter, so any configuration is reachable
-/// from [`SimConfig::cedar`] by chaining.
+/// The hardware, OS and runtime-library costs are not here: Cedar is
+/// one machine, so they are constants in the crates that use them
+/// (`cedar_hw::config`, `cedar_xylem::config`, `cedar_rtl::config`).
+/// Every value is reachable from [`SimConfig::cedar`] by chaining the
+/// builders. [`with_trace`](Self::with_trace) and
+/// [`with_background`](Self::with_background) only switch on: neither
+/// has an unsetter.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Hardware: configuration, network, cluster parameters.
-    pub hw: HwConfig,
-    /// Operating-system cost model.
-    pub os: OsConfig,
-    /// Runtime-library cost model.
-    pub rtl: RtlConfig,
+    /// Which processor configuration is active (1/4/8/16/32).
+    configuration: Configuration,
     /// Master random seed (workload jitter, daemon phases).
     pub seed: u64,
     /// Keep the full cedarhpm event trace in the result (memory-hungry
     /// on long runs; breakdowns are computed either way).
     pub(crate) keep_trace: bool,
-    /// Safety valve: abort if the event count exceeds this bound.
-    pub(crate) max_events: u64,
     /// Simultaneous-event ordering policy. Measurements must not
     /// depend on it — `cedar-check` perturbs it to prove that; the
     /// FIFO default is the documented scheduling order.
@@ -42,12 +41,9 @@ impl SimConfig {
     /// The machine the paper measured, at a given processor count.
     pub fn cedar(configuration: Configuration) -> Self {
         SimConfig {
-            hw: HwConfig::cedar(configuration),
-            os: OsConfig::cedar(),
-            rtl: RtlConfig::cedar(),
+            configuration,
             seed: 0xCEDA_12B5,
             keep_trace: false,
-            max_events: 4_000_000_000,
             tiebreak: TieBreak::default(),
             background: None,
             faults: FaultPlan::default(),
@@ -139,7 +135,7 @@ impl SimConfig {
 
     /// The active processor configuration.
     pub fn configuration(&self) -> Configuration {
-        self.hw.configuration
+        self.configuration
     }
 }
 

@@ -4,6 +4,7 @@ use cedar_apps::{AccessPattern, AppSpec};
 use cedar_hw::addr::DWORD_BYTES;
 use cedar_hw::{GlobalAddr, MemOp, VectorAccess};
 use cedar_rtl::RtlWords;
+use cedar_xylem::config::PAGE_BYTES;
 
 /// The resolved memory map for one run.
 #[derive(Debug, Clone)]
@@ -11,38 +12,31 @@ pub(crate) struct MemoryLayout {
     words: RtlWords,
     array_bases: Vec<GlobalAddr>,
     array_dwords: Vec<u64>,
-    page_bytes: u64,
 }
 
 impl MemoryLayout {
     /// Lays out the runtime data area followed by the application's
     /// arrays, each aligned to a page boundary.
-    pub fn new(app: &AppSpec, page_bytes: u64) -> Self {
+    pub fn new(app: &AppSpec) -> Self {
         let words = RtlWords::cedar();
-        let mut cursor = align_up(words.end().0, page_bytes);
+        let mut cursor = align_up(words.end().0, PAGE_BYTES);
         let mut array_bases = Vec::with_capacity(app.arrays.len());
         let mut array_dwords = Vec::with_capacity(app.arrays.len());
         for a in &app.arrays {
             array_bases.push(GlobalAddr(cursor));
             array_dwords.push(a.bytes / DWORD_BYTES);
-            cursor = align_up(cursor + a.bytes, page_bytes);
+            cursor = align_up(cursor + a.bytes, PAGE_BYTES);
         }
         MemoryLayout {
             words,
             array_bases,
             array_dwords,
-            page_bytes,
         }
     }
 
     /// The runtime coordination words.
     pub fn words(&self) -> RtlWords {
         self.words
-    }
-
-    /// Page size used for fault modelling.
-    pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
     }
 
     /// Resolves an access pattern for logical iteration `iter` into a
@@ -74,7 +68,7 @@ mod tests {
     use cedar_apps::synthetic;
 
     fn layout() -> MemoryLayout {
-        MemoryLayout::new(&synthetic::streaming(1, 2, 2, 8), 4096)
+        MemoryLayout::new(&synthetic::streaming(1, 2, 2, 8))
     }
 
     #[test]
@@ -82,8 +76,8 @@ mod tests {
         let l = layout();
         let a = l.array_bases[0];
         let b = l.array_bases[1];
-        assert_eq!(a.0 % 4096, 0);
-        assert_eq!(b.0 % 4096, 0);
+        assert_eq!(a.0 % PAGE_BYTES, 0);
+        assert_eq!(b.0 % PAGE_BYTES, 0);
         assert!(b.0 >= a.0 + 2 * 1024 * 1024);
     }
 

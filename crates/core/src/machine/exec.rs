@@ -5,7 +5,9 @@ use std::sync::Arc;
 
 use cedar_apps::{AccessPattern, BodySpec};
 use cedar_hw::addr::pages_touched;
+use cedar_hw::config::CBUS_DISPATCH;
 use cedar_hw::{MemOp, VectorAccess};
+use cedar_rtl::config::{BARRIER_SPIN_PERIOD, INNER_CLAIM, JOIN_LOCAL, LOCK_BACKOFF, SETUP_LOCAL};
 use cedar_rtl::loops::{pack_activity, TERMINATE_CODE};
 use cedar_rtl::{
     BarrierStep, ClaimStep, IterClaimer, LoopDescriptor, LoopKind, WaitStep, WordIssue,
@@ -13,6 +15,7 @@ use cedar_rtl::{
 use cedar_sim::Cycles;
 use cedar_trace::event::loop_kind_code;
 use cedar_trace::TraceEventId;
+use cedar_xylem::config::PAGE_BYTES;
 use cedar_xylem::{PageTouch, SyscallKind};
 
 use super::state::{CeMode, LoopCtx, Role};
@@ -124,8 +127,7 @@ impl Machine {
                     self.post(TraceEventId::LoopSetupEnter, lead, kind.code());
                     self.posted = Some(posted);
                     self.set_mode(lead, CeMode::SetupWrite { step: 0 });
-                    let setup = self.cfg.rtl.setup_local;
-                    self.start_compute(lead, setup);
+                    self.start_compute(lead, SETUP_LOCAL);
                 } else {
                     // Main-cluster-only loop: no posting, no helpers.
                     self.post(TraceEventId::ClusterLoopStart, lead, kind.code());
@@ -223,8 +225,7 @@ impl Machine {
                 // activity word (it re-validates against the descriptor).
                 let seq = self.posted.as_ref().expect("loop posted").seq;
                 self.tasks[cluster].waiter.mark_seen(seq);
-                let join_local = self.cfg.rtl.join_local;
-                self.ces[pos].pending_penalty += join_local;
+                self.ces[pos].pending_penalty += JOIN_LOCAL;
                 self.enter_posted_loop(cluster, value as u32);
             }
             CeMode::DetachAdd => {
@@ -255,8 +256,7 @@ impl Machine {
                 } else {
                     // Not yet: re-read the ticket after a spin period.
                     let ticket = self.layout.words().ticket;
-                    let period = self.cfg.rtl.barrier_spin_period;
-                    self.start_delayed_word(pos, period, ticket, MemOp::Read);
+                    self.start_delayed_word(pos, BARRIER_SPIN_PERIOD, ticket, MemOp::Read);
                 }
             }
             CeMode::DoacrossRegion { iter } => {
@@ -334,9 +334,8 @@ impl Machine {
             LoopKind::Xdoall => {
                 // Every CE competes for iterations independently, after
                 // the concurrency-bus dispatch fans them out (§2).
-                let dispatch = self.cfg.hw.cluster.cbus_dispatch;
                 for pos in self.cluster_ces(cluster) {
-                    self.begin_flat_claim(pos, dispatch);
+                    self.begin_flat_claim(pos, CBUS_DISPATCH);
                 }
             }
             LoopKind::Cluster | LoopKind::Doacross => {
@@ -348,26 +347,19 @@ impl Machine {
     /// Fans a cluster-only loop (or a claimed outer chunk) out across the
     /// cluster's CEs.
     pub(crate) fn dispatch_cluster(&mut self, cluster: usize) {
-        let dispatch = self.cfg.hw.cluster.cbus_dispatch;
         for pos in self.cluster_ces(cluster) {
-            self.claim_inner_or_barrier(pos, dispatch);
+            self.claim_inner_or_barrier(pos, CBUS_DISPATCH);
         }
     }
 
     fn begin_outer_claim(&mut self, lead: usize) {
         let cluster = self.cluster_of(lead);
-        let kind = self.tasks[cluster].cur.as_ref().expect("in loop").kind;
-        let (outer_total, words, backoff) = {
-            let ctx = self.tasks[cluster].cur.as_ref().unwrap();
-            (
-                ctx.outer_total,
-                self.layout.words(),
-                self.cfg.rtl.lock_backoff,
-            )
-        };
+        let ctx = self.tasks[cluster].cur.as_ref().expect("in loop");
+        let (kind, outer_total) = (ctx.kind, ctx.outer_total);
+        let words = self.layout.words();
         self.post(TraceEventId::PickIterEnter, lead, kind.code());
         self.set_mode(lead, CeMode::ClaimOuter);
-        let mut claimer = IterClaimer::new(words, outer_total, backoff);
+        let mut claimer = IterClaimer::new(words, outer_total, LOCK_BACKOFF);
         let step = claimer.begin();
         self.tasks[cluster].outer_claimer = Some(claimer);
         self.apply_outer_claim(lead, step);
@@ -378,10 +370,9 @@ impl Machine {
         let ctx = self.tasks[cluster].cur.as_ref().expect("in loop");
         let total = ctx.outer_total;
         let words = self.layout.words();
-        let backoff = self.cfg.rtl.lock_backoff;
         self.post(TraceEventId::PickIterEnter, pos, loop_kind_code::XDOALL);
         self.set_mode(pos, CeMode::ClaimFlat);
-        let mut claimer = IterClaimer::new(words, total, backoff);
+        let mut claimer = IterClaimer::new(words, total, LOCK_BACKOFF);
         let step = claimer.begin();
         self.ces[pos].claimer = Some(claimer);
         match step {
@@ -510,8 +501,7 @@ impl Machine {
         match claimed {
             Some((i, outer, inner_total)) => {
                 let iter = outer as u64 * inner_total as u64 + i as u64;
-                let claim = self.cfg.rtl.inner_claim;
-                self.begin_body(pos, iter, extra_delay + claim);
+                self.begin_body(pos, iter, extra_delay + INNER_CLAIM);
             }
             None => self.cbus_arrive(pos),
         }
@@ -588,8 +578,7 @@ impl Machine {
     /// First-touch demand paging for an access: faults charge the OS
     /// buckets and extend the CE's activity via the penalty mechanism.
     fn touch_pages(&mut self, pos: usize, access: &VectorAccess) {
-        let page_bytes = self.layout.page_bytes();
-        let pages = pages_touched(access.base, access.words, access.stride_dwords, page_bytes);
+        let pages = pages_touched(access.base, access.words, access.stride_dwords, PAGE_BYTES);
         let ce_id = self.ce_id(pos);
         for page in pages {
             match self.vm.touch(page, ce_id, self.now) {

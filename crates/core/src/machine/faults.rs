@@ -26,6 +26,7 @@
 
 use cedar_faults::FaultKind;
 use cedar_sim::Cycles;
+use cedar_xylem::config::CPI_COST_PER_CE;
 use cedar_xylem::{FaultClass, OsActivity};
 
 use super::state::CeMode;
@@ -87,7 +88,7 @@ impl Machine {
     }
 
     /// `burst` back-to-back cross-processor interrupts, each at the
-    /// machine's configured per-CE CPI cost.
+    /// per-CE CPI cost.
     fn inject_storm(&mut self, cluster: usize) {
         let spec = self
             .cfg
@@ -97,7 +98,7 @@ impl Machine {
         for _ in 0..spec.burst {
             self.raise_cpi(cluster);
         }
-        self.injected.cpi += self.cfg.os.cpi_cost_per_ce * spec.burst as u64;
+        self.injected.cpi += CPI_COST_PER_CE * spec.burst as u64;
     }
 
     /// `burst` AST deliveries to the cluster's lead CE.

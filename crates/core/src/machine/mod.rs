@@ -16,11 +16,15 @@ mod tests;
 use cedar_apps::AppSpec;
 use cedar_hw::cbus::CbusBarrier;
 use cedar_hw::ce::{Activity, CeEngine};
-use cedar_hw::{CeId, ClusterId, GlobalAddr, GlobalMemorySystem, MemOp, Step, VectorAccess};
+use cedar_hw::config::CBUS_BARRIER;
+use cedar_hw::{
+    CeId, ClusterId, GlobalAddr, GlobalMemorySystem, MemOp, NetConfig, Step, VectorAccess,
+};
 use cedar_rtl::{FinishBarrier, WorkWaiter};
 use cedar_sim::{Cycles, EventQueue, SimTime, SplitMix64};
 use cedar_trace::qmon::ClusterUtilization;
 use cedar_trace::{HpmMonitor, Statfx, TraceEventId, UserBucket};
+use cedar_xylem::config::PAGE_BYTES;
 use cedar_xylem::{AddressSpace, AstSchedule, DaemonSchedule, KernelLock, OsAccounting};
 
 use crate::config::SimConfig;
@@ -38,6 +42,10 @@ pub(crate) const SCRATCH_EV_CLASS0: usize = 1;
 pub(crate) const SCRATCH_BODIES: usize = SCRATCH_EV_CLASS0 + crate::events::EV_CLASS_NAMES.len();
 /// Slots in the machine's scratch-counter block.
 pub(crate) const SCRATCH_SLOTS: usize = SCRATCH_BODIES + 1;
+
+/// Safety valve: [`Machine::run`] aborts once a run dispatches more
+/// events than this.
+const MAX_EVENTS: u64 = 4_000_000_000;
 
 /// Flush names of the machine's scratch block, slot by slot.
 const fn scratch_names() -> [&'static str; SCRATCH_SLOTS] {
@@ -97,15 +105,14 @@ pub struct Machine {
 impl Machine {
     /// Builds the machine for `app` under `cfg`.
     pub fn new(app: &AppSpec, cfg: SimConfig) -> Self {
-        cfg.os.validate();
         let configuration = cfg.configuration();
         let n_clusters = configuration.clusters() as usize;
         let per = configuration.ces_per_cluster();
-        let layout = MemoryLayout::new(app, cfg.os.page_bytes);
+        let layout = MemoryLayout::new(app);
         let program = CompiledProgram::compile(app);
         let mut rng = SplitMix64::new(cfg.seed);
 
-        let mut vm = AddressSpace::new(&cfg.os);
+        let mut vm = AddressSpace::default();
         // The runtime data area (locks, flags, counters) is warmed before
         // the measured region; only application arrays demand-fault.
         let words = layout.words();
@@ -117,7 +124,7 @@ impl Machine {
             words.joined,
             words.ticket,
         ] {
-            vm.premap(a.page(cfg.os.page_bytes));
+            vm.premap(a.page(PAGE_BYTES));
         }
 
         let ces: Vec<Ce> = configuration
@@ -141,10 +148,10 @@ impl Machine {
         let tasks = (0..n_clusters)
             .map(|c| Task {
                 role: if c == 0 { Role::Main } else { Role::Helper },
-                waiter: WorkWaiter::new(words, cfg.rtl.activity_spin_period),
-                finish: FinishBarrier::new(words, cfg.rtl.barrier_spin_period),
+                waiter: WorkWaiter::new(words),
+                finish: FinishBarrier::new(words),
                 outer_claimer: None,
-                barrier: CbusBarrier::new(per, cfg.hw.cluster.cbus_barrier),
+                barrier: CbusBarrier::new(per, CBUS_BARRIER),
                 barrier_episode: 0,
                 cur: None,
                 lead_bucket: None,
@@ -154,10 +161,10 @@ impl Machine {
             .collect();
 
         let daemons = (0..n_clusters)
-            .map(|_| DaemonSchedule::new(&cfg.os, rng.next_u64()))
+            .map(|_| DaemonSchedule::new(rng.next_u64()))
             .collect();
         let asts = (0..n_clusters)
-            .map(|_| AstSchedule::new(&cfg.os, rng.next_u64()))
+            .map(|_| AstSchedule::new(rng.next_u64()))
             .collect();
         let background = cfg
             .background
@@ -168,12 +175,13 @@ impl Machine {
             })
             .unwrap_or_default();
 
-        // A degraded-network fault statically stretches the latency
-        // parameters the memory system is built with; everything
-        // downstream (min_round_trip, queueing stats) stays consistent.
+        // Every configuration shares Cedar's one network (§3.2). A
+        // degraded-network fault statically stretches its latencies;
+        // everything downstream (min_round_trip, queueing stats) stays
+        // consistent.
         let net = match cfg.faults.degraded_network {
-            Some(d) => cfg.hw.net.slowed(d.switch_pct, d.module_pct),
-            None => cfg.hw.net.clone(),
+            Some(d) => NetConfig::cedar().slowed(d.switch_pct, d.module_pct),
+            None => NetConfig::cedar(),
         };
         let fault_driver = (!cfg.faults.is_empty())
             .then(|| cedar_faults::FaultDriver::new(&cfg.faults, n_clusters));
@@ -393,8 +401,8 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the event bound (`SimConfig::max_events`) is exceeded —
-    /// a deadlock guard for malformed workloads.
+    /// Panics if the run dispatches more than 4 × 10⁹ events — a
+    /// deadlock guard for malformed workloads.
     pub fn run(mut self) -> RunResult {
         let t_loop = std::time::Instant::now();
         self.startup();
@@ -403,7 +411,7 @@ impl Machine {
             self.now = t;
             self.scratch.bump(SCRATCH_EVENTS_TOTAL);
             assert!(
-                self.scratch.get(SCRATCH_EVENTS_TOTAL) <= self.cfg.max_events,
+                self.scratch.get(SCRATCH_EVENTS_TOTAL) <= MAX_EVENTS,
                 "event bound exceeded at {} — likely deadlock or runaway workload",
                 self.now
             );

@@ -12,6 +12,7 @@
 use cedar_hw::ClusterId;
 use cedar_sim::Cycles;
 use cedar_trace::TraceEventId;
+use cedar_xylem::config::{CPI_COST_PER_CE, CR_SECT_CLUSTER, CR_SECT_GLOBAL, CTX_COST_PER_CE};
 use cedar_xylem::syscall::CrSect;
 use cedar_xylem::{FaultClass, OsActivity, SyscallKind};
 
@@ -52,15 +53,14 @@ impl Machine {
     /// register saves/restores and accounting before synchronizing to a
     /// single execution thread (§5.1).
     pub(crate) fn raise_cpi(&mut self, cluster: usize) {
-        let cost = self.cfg.os.cpi_cost_per_ce;
-        self.charge_os(cluster, OsActivity::Cpi, cost);
-        self.gang_penalty(cluster, cost);
+        self.charge_os(cluster, OsActivity::Cpi, CPI_COST_PER_CE);
+        self.gang_penalty(cluster, CPI_COST_PER_CE);
     }
 
     /// Charges one system call issued on `cluster`, including the
     /// critical section its handler enters.
     pub(crate) fn charge_syscall(&mut self, cluster: usize, kind: SyscallKind) {
-        let cost = kind.cost(&self.cfg.os);
+        let cost = kind.cost();
         let activity = if kind.is_global() {
             OsActivity::SyscallGlobal
         } else {
@@ -70,7 +70,7 @@ impl Machine {
         let pct = self.lock_inflate_pct();
         match kind.critical_section() {
             Some(CrSect::Global) => {
-                let hold = self.cfg.os.cr_sect_global;
+                let hold = CR_SECT_GLOBAL;
                 let (_, spin, held) = self.global_lock.acquire_scaled(self.now, hold, pct);
                 self.charge_os(cluster, OsActivity::CrSectGlobal, held);
                 self.injected.lock_global += held - hold;
@@ -80,7 +80,7 @@ impl Machine {
                 self.lead_penalty(cluster, cost + held + spin);
             }
             Some(CrSect::Cluster) => {
-                let hold = self.cfg.os.cr_sect_cluster;
+                let hold = CR_SECT_CLUSTER;
                 let (_, spin, held) =
                     self.cluster_locks[cluster].acquire_scaled(self.now, hold, pct);
                 self.charge_os(cluster, OsActivity::CrSectCluster, held);
@@ -179,7 +179,7 @@ impl Machine {
             quantum
         };
         // Switch out + switch in.
-        let ctx = self.cfg.os.ctx_cost_per_ce * 2;
+        let ctx = CTX_COST_PER_CE * 2;
         self.charge_os(cluster, OsActivity::Ctx, ctx);
         self.raise_cpi(cluster);
         self.background_stolen += quantum;

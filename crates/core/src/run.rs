@@ -33,22 +33,12 @@ impl Experiment {
         Experiment { app, cfg }
     }
 
-    /// The application under test.
-    pub fn app(&self) -> &AppSpec {
-        &self.app
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// Builds the machine, runs to completion, returns the measurements.
     ///
     /// # Panics
     ///
-    /// Panics if the workload deadlocks or exceeds the event bound (the
-    /// configuration's `max_events`).
+    /// Panics if the workload deadlocks or exceeds the event bound (see
+    /// [`Machine::run`]).
     pub fn run(self) -> RunResult {
         execute(&self.app, self.cfg)
     }

@@ -10,8 +10,9 @@
 //! clustering helps (§6).
 //!
 //! Only the barrier needs state; the bus's dispatch cost is the fixed
-//! [`ClusterConfig::cbus_dispatch`](crate::config::ClusterConfig::cbus_dispatch)
-//! the machine adds when it fans a loop out.
+//! [`CBUS_DISPATCH`](crate::config::CBUS_DISPATCH) the machine adds when
+//! it fans a loop out, and the machine builds each barrier with
+//! [`CBUS_BARRIER`](crate::config::CBUS_BARRIER).
 
 use cedar_sim::{Cycles, SimTime};
 

@@ -1,8 +1,7 @@
-//! Hardware configuration and latency parameters.
+//! Hardware timing: the network's latency parameters and the cluster
+//! concurrency bus's costs.
 
 use cedar_sim::Cycles;
-
-use crate::topology::Configuration;
 
 /// Interconnection network and global-memory timing parameters.
 ///
@@ -73,61 +72,12 @@ impl NetConfig {
     }
 }
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig::cedar()
-    }
-}
-
-/// Cluster-local hardware timing parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterConfig {
-    /// Concurrency-bus cost to dispatch a `cdoall` across the cluster's
-    /// CEs (the bus makes this fast; §2).
-    pub cbus_dispatch: Cycles,
-    /// Concurrency-bus cost for an intra-cluster barrier once every CE
-    /// has arrived.
-    pub cbus_barrier: Cycles,
-}
-
-impl ClusterConfig {
-    /// Alliant FX/8-class defaults.
-    pub fn cedar() -> Self {
-        ClusterConfig {
-            cbus_dispatch: Cycles(6),
-            cbus_barrier: Cycles(8),
-        }
-    }
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig::cedar()
-    }
-}
-
-/// Complete hardware description for one simulated machine instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HwConfig {
-    /// Which processor configuration is active (1/4/8/16/32).
-    pub configuration: Configuration,
-    /// Network and memory parameters (identical across configurations —
-    /// the paper's methodology depends on this, §3.2).
-    pub net: NetConfig,
-    /// Cluster-local parameters.
-    pub cluster: ClusterConfig,
-}
-
-impl HwConfig {
-    /// The machine the paper measured, at a given processor count.
-    pub fn cedar(configuration: Configuration) -> Self {
-        HwConfig {
-            configuration,
-            net: NetConfig::cedar(),
-            cluster: ClusterConfig::cedar(),
-        }
-    }
-}
+/// Concurrency-bus cost to dispatch a `cdoall` across a cluster's CEs
+/// (the bus makes this fast; §2).
+pub const CBUS_DISPATCH: Cycles = Cycles(6);
+/// Concurrency-bus cost for an intra-cluster barrier once every CE has
+/// arrived.
+pub const CBUS_BARRIER: Cycles = Cycles(8);
 
 #[cfg(test)]
 mod tests {
@@ -137,13 +87,6 @@ mod tests {
     fn min_round_trip_is_sum_of_stages() {
         let n = NetConfig::cedar();
         assert_eq!(n.min_round_trip(), Cycles(1 + 2 + (4 + 1) * 4 + 4 + 8 + 2));
-    }
-
-    #[test]
-    fn all_configurations_share_network_parameters() {
-        let p1 = HwConfig::cedar(Configuration::P1);
-        let p32 = HwConfig::cedar(Configuration::P32);
-        assert_eq!(p1.net, p32.net);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   computational elements (CEs) each ([`ce`]), with a
 //!   **concurrency control bus** for fast intra-cluster loop dispatch and
 //!   synchronization: its barrier is [`cbus::CbusBarrier`], and its
-//!   dispatch is a fixed cost ([`config::ClusterConfig::cbus_dispatch`])
-//!   the machine charges directly;
+//!   dispatch is a fixed cost ([`config::CBUS_DISPATCH`]) the machine
+//!   charges directly;
 //! * a 64 MB **global memory** of 32 independent, double-word interleaved
 //!   modules ([`module`], [`gmem`]);
 //! * a **two-stage shuffle-exchange network** of 8×8 crossbar switches
@@ -75,7 +75,7 @@ pub mod vector;
 
 pub use addr::GlobalAddr;
 pub use ce::{Activity, CeEngine};
-pub use config::{HwConfig, NetConfig};
+pub use config::NetConfig;
 pub use gmem::{GlobalMemorySystem, Step};
 pub use packet::{GmemEvent, MemOp, MemResponse};
 pub use topology::{CeId, ClusterId, Configuration, ModuleId};

@@ -17,9 +17,10 @@
 //!   (worker count, shrink factor, smoke mode, telemetry level, output
 //!   directory, cache mode). Built programmatically with
 //!   builder methods, or once at process startup from the environment
-//!   via [`RunOptions::from_env`] — the only place in the workspace
-//!   (besides the golden-update hook) that reads configuration
-//!   environment variables.
+//!   via [`RunOptions::from_env`]. It is one of the workspace's three
+//!   sanctioned environment readers; the others are
+//!   `cedar_check::CheckOptions::from_env` (`CEDAR_CHECK_REPLAY`) and
+//!   the golden-update hook (`UPDATE_GOLDEN`).
 //! * [`json`] — a tiny ordered-JSON writer and reader plus the stable
 //!   [`fingerprint`](json::fnv1a) hash and [`git_describe`](json::git_describe)
 //!   helper used by the run manifest (`results/RUN_manifest.json`) and

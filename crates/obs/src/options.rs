@@ -117,8 +117,9 @@ impl std::str::FromStr for CacheMode {
 
 /// One run's complete tool-level configuration.
 ///
-/// `SimConfig` still owns the *simulated machine* (hardware, OS and RTL
-/// cost models, seed); `RunOptions` owns how the *host process* executes
+/// `SimConfig` owns what one *simulated run* varies (processor
+/// configuration, seed, tie-break, background load, fault plan);
+/// `RunOptions` owns how the *host process* executes
 /// the campaign: how many worker threads fan the grid, whether
 /// workloads are shrunk, how benchmarks iterate, how much telemetry to
 /// emit, and where output files land.
@@ -189,9 +190,11 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Reads the whole configuration from the environment. This is the
-    /// single sanctioned configuration env-read in the workspace (the
-    /// golden-update hook `UPDATE_GOLDEN` is the other).
+    /// Reads the whole configuration from the environment. This is one
+    /// of the workspace's three sanctioned environment readers; the
+    /// others are `cedar_check::CheckOptions::from_env`
+    /// (`CEDAR_CHECK_REPLAY`) and the golden-update hook
+    /// (`UPDATE_GOLDEN`).
     ///
     /// | variable        | field         | accepted values              |
     /// |-----------------|---------------|------------------------------|

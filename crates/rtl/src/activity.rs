@@ -10,6 +10,7 @@
 use cedar_hw::MemOp;
 use cedar_sim::Cycles;
 
+use crate::config::ACTIVITY_SPIN_PERIOD;
 use crate::loops::{unpack_activity, LoopKind, TERMINATE_CODE};
 use crate::words::RtlWords;
 use crate::WordIssue;
@@ -34,7 +35,6 @@ pub enum WaitStep {
 #[derive(Debug, Clone)]
 pub struct WorkWaiter {
     words: RtlWords,
-    period: Cycles,
     last_seq: u32,
     checks: u64,
     stalled: Cycles,
@@ -42,11 +42,11 @@ pub struct WorkWaiter {
 }
 
 impl WorkWaiter {
-    /// Creates a waiter polling `words.activity` every `period`.
-    pub fn new(words: RtlWords, period: Cycles) -> Self {
+    /// Creates a waiter polling `words.activity` every
+    /// `ACTIVITY_SPIN_PERIOD`.
+    pub fn new(words: RtlWords) -> Self {
         WorkWaiter {
             words,
-            period,
             last_seq: 0,
             checks: 0,
             stalled: Cycles::ZERO,
@@ -91,7 +91,7 @@ impl WorkWaiter {
         WaitStep::Issue(WordIssue::after(
             self.words.activity,
             MemOp::Read,
-            self.period,
+            ACTIVITY_SPIN_PERIOD,
         ))
     }
 
@@ -126,7 +126,7 @@ mod tests {
     use crate::loops::pack_activity;
 
     fn waiter() -> WorkWaiter {
-        WorkWaiter::new(RtlWords::cedar(), Cycles(60))
+        WorkWaiter::new(RtlWords::cedar())
     }
 
     #[test]
@@ -135,7 +135,7 @@ mod tests {
         w.begin();
         match w.on_value(0) {
             WaitStep::Issue(i) => {
-                assert_eq!(i.after, Cycles(60));
+                assert_eq!(i.after, ACTIVITY_SPIN_PERIOD);
                 assert_eq!(i.op, MemOp::Read);
             }
             other => panic!("expected re-read, got {other:?}"),

@@ -9,8 +9,8 @@
 //! spin period until it reaches zero.
 
 use cedar_hw::MemOp;
-use cedar_sim::Cycles;
 
+use crate::config::BARRIER_SPIN_PERIOD;
 use crate::words::RtlWords;
 use crate::WordIssue;
 
@@ -27,17 +27,16 @@ pub enum BarrierStep {
 #[derive(Debug, Clone)]
 pub struct FinishBarrier {
     words: RtlWords,
-    period: Cycles,
     checks: u64,
     active: bool,
 }
 
 impl FinishBarrier {
-    /// Creates the spinner reading through `words.joined` every `period`.
-    pub fn new(words: RtlWords, period: Cycles) -> Self {
+    /// Creates the spinner reading through `words.joined` every
+    /// [`BARRIER_SPIN_PERIOD`].
+    pub fn new(words: RtlWords) -> Self {
         FinishBarrier {
             words,
-            period,
             checks: 0,
             active: false,
         }
@@ -70,7 +69,7 @@ impl FinishBarrier {
             BarrierStep::Issue(WordIssue::after(
                 self.words.joined,
                 MemOp::Read,
-                self.period,
+                BARRIER_SPIN_PERIOD,
             ))
         }
     }
@@ -86,7 +85,7 @@ mod tests {
     use super::*;
 
     fn barrier() -> FinishBarrier {
-        FinishBarrier::new(RtlWords::cedar(), Cycles(60))
+        FinishBarrier::new(RtlWords::cedar())
     }
 
     #[test]
@@ -106,7 +105,7 @@ mod tests {
         b.begin();
         match b.on_value(3) {
             BarrierStep::Issue(i) => {
-                assert_eq!(i.after, Cycles(60));
+                assert_eq!(i.after, BARRIER_SPIN_PERIOD);
                 assert_eq!(i.op, MemOp::Read);
             }
             other => panic!("expected delayed re-read, got {other:?}"),

@@ -1,60 +1,32 @@
-//! Runtime-library timing parameters.
+//! Runtime-library cost constants of the modelled Cedar Fortran runtime,
+//! with compile-time checks of the calibration's invariants.
 
 use cedar_sim::Cycles;
 
-/// Costs and periods of the modelled Cedar Fortran runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RtlConfig {
-    /// Period at which a spin-waiting helper re-reads the
-    /// `sdoall_activity` word ("checking ... every few cycles", §7 — kept
-    /// coarse enough that idle helpers cause negligible contention).
-    pub activity_spin_period: Cycles,
-    /// Period at which the main task re-reads the joined count while
-    /// spin-waiting at the loop finish barrier.
-    pub barrier_spin_period: Cycles,
-    /// Backoff before re-issuing a failed test-and-set on the iteration
-    /// lock.
-    pub lock_backoff: Cycles,
-    /// Local (non-network) work to set up loop parameters before the
-    /// descriptor is posted.
-    pub setup_local: Cycles,
-    /// Local work a task performs when joining a posted loop.
-    pub join_local: Cycles,
-    /// Cost for a CE to claim the next inner (`cdoall`) iteration over
-    /// the concurrency bus — intra-cluster self-scheduling is fast and
-    /// network-free (§2).
-    pub inner_claim: Cycles,
-}
+/// Period at which a spin-waiting helper re-reads the `sdoall_activity`
+/// word ("checking ... every few cycles", §7 — kept coarse enough that
+/// idle helpers cause negligible contention).
+pub(crate) const ACTIVITY_SPIN_PERIOD: Cycles = Cycles(60);
+/// Period at which the main task re-reads the joined count while
+/// spin-waiting at the loop finish barrier (also the DOACROSS ticket
+/// re-read period).
+pub const BARRIER_SPIN_PERIOD: Cycles = Cycles(60);
+/// Backoff before re-issuing a failed test-and-set on the iteration
+/// lock.
+pub const LOCK_BACKOFF: Cycles = Cycles(150);
+/// Local (non-network) work to set up loop parameters before the
+/// descriptor is posted.
+pub const SETUP_LOCAL: Cycles = Cycles(60);
+/// Local work a task performs when joining a posted loop.
+pub const JOIN_LOCAL: Cycles = Cycles(15);
+/// Cost for a CE to claim the next inner (`cdoall`) iteration over the
+/// concurrency bus — intra-cluster self-scheduling is fast and
+/// network-free (§2).
+pub const INNER_CLAIM: Cycles = Cycles(3);
 
-impl RtlConfig {
-    /// Parameters calibrated for the Cedar reproduction.
-    pub fn cedar() -> Self {
-        RtlConfig {
-            activity_spin_period: Cycles(60),
-            barrier_spin_period: Cycles(60),
-            lock_backoff: Cycles(150),
-            setup_local: Cycles(60),
-            join_local: Cycles(15),
-            inner_claim: Cycles(3),
-        }
-    }
-}
-
-impl Default for RtlConfig {
-    fn default() -> Self {
-        RtlConfig::cedar()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cedar_defaults_are_sane() {
-        let c = RtlConfig::cedar();
-        assert!(c.activity_spin_period > Cycles(10), "spin must be coarse");
-        assert!(c.inner_claim < Cycles(10), "cbus claim must be cheap");
-        assert!(c.lock_backoff > Cycles::ZERO);
-    }
-}
+const _: () = assert!(
+    ACTIVITY_SPIN_PERIOD.0 > 10,
+    "the activity spin must be coarse"
+);
+const _: () = assert!(INNER_CLAIM.0 < 10, "a concurrency-bus claim must be cheap");
+const _: () = assert!(LOCK_BACKOFF.0 > 0, "a failed lock attempt must back off");

@@ -11,7 +11,10 @@
 
 use cedar_sim::{Cycles, SimTime, SplitMix64};
 
-use crate::config::OsConfig;
+use crate::config::{
+    AST_COST, AST_INTERVAL, CTX_COST_PER_CE, CTX_INTERVAL, DAEMON_CR_SECT_FRACTION,
+    DAEMON_DURATION, DAEMON_SYSCALL_FRACTION,
+};
 
 /// One occurrence of daemon work on a cluster, broken down the way the
 /// accounting charges it.
@@ -32,35 +35,45 @@ impl DaemonWork {
     pub fn duration(&self) -> Cycles {
         self.cr_sect + self.syscall + self.other
     }
+
+    /// The work of one occurrence: the daemon duration split by the
+    /// calibrated critical-section and syscall fractions.
+    fn cedar() -> Self {
+        let cr_sect = DAEMON_DURATION.scale(DAEMON_CR_SECT_FRACTION);
+        let syscall = DAEMON_DURATION.scale(DAEMON_SYSCALL_FRACTION);
+        DaemonWork {
+            ctx_per_ce: CTX_COST_PER_CE,
+            cr_sect,
+            syscall,
+            other: DAEMON_DURATION.saturating_sub(cr_sect + syscall),
+        }
+    }
+}
+
+/// `now` plus an interval jittered ±25% around `mean`.
+fn jittered(rng: &mut SplitMix64, now: SimTime, mean: Cycles) -> SimTime {
+    let base = mean.0;
+    let jitter_span = base / 2; // +/- 25%
+    let jitter = rng.next_below(jitter_span.max(1));
+    let interval = base - jitter_span / 2 + jitter;
+    now + Cycles(interval.max(1))
 }
 
 /// Generates the bookkeeping context-switch schedule for one cluster.
 ///
-/// Intervals are jittered ±25% around the configured mean so that
-/// clusters do not phase-lock, but the stream is fully deterministic for
-/// a given seed.
+/// Intervals are jittered ±25% around `CTX_INTERVAL` so that clusters
+/// do not phase-lock, but the stream is fully deterministic for a given
+/// seed.
 #[derive(Debug, Clone)]
 pub struct DaemonSchedule {
-    mean_interval: Cycles,
-    work: DaemonWork,
     rng: SplitMix64,
     occurrences: u64,
 }
 
 impl DaemonSchedule {
     /// Creates the schedule for one cluster.
-    pub fn new(cfg: &OsConfig, seed: u64) -> Self {
-        let cr_sect = cfg.daemon_duration.scale(cfg.daemon_cr_sect_fraction);
-        let syscall = cfg.daemon_duration.scale(cfg.daemon_syscall_fraction);
-        let other = cfg.daemon_duration.saturating_sub(cr_sect + syscall);
+    pub fn new(seed: u64) -> Self {
         DaemonSchedule {
-            mean_interval: cfg.ctx_interval,
-            work: DaemonWork {
-                ctx_per_ce: cfg.ctx_cost_per_ce,
-                cr_sect,
-                syscall,
-                other,
-            },
             rng: SplitMix64::new(seed),
             occurrences: 0,
         }
@@ -68,12 +81,11 @@ impl DaemonSchedule {
 
     /// Time of the next daemon occurrence after `now`, and its work.
     pub fn next_after(&mut self, now: SimTime) -> (SimTime, DaemonWork) {
-        let base = self.mean_interval.0;
-        let jitter_span = base / 2; // +/- 25%
-        let jitter = self.rng.next_below(jitter_span.max(1));
-        let interval = base - jitter_span / 2 + jitter;
         self.occurrences += 1;
-        (now + Cycles(interval.max(1)), self.work)
+        (
+            jittered(&mut self.rng, now, CTX_INTERVAL),
+            DaemonWork::cedar(),
+        )
     }
 
     /// Occurrences generated so far.
@@ -82,31 +94,24 @@ impl DaemonSchedule {
     }
 }
 
-/// Generates the (rare) asynchronous-system-trap schedule for a cluster.
+/// Generates the (rare) asynchronous-system-trap schedule for a cluster,
+/// jittered ±25% around `AST_INTERVAL`.
 #[derive(Debug, Clone)]
 pub struct AstSchedule {
-    mean_interval: Cycles,
-    cost: Cycles,
     rng: SplitMix64,
 }
 
 impl AstSchedule {
     /// Creates the AST schedule for one cluster.
-    pub fn new(cfg: &OsConfig, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         AstSchedule {
-            mean_interval: cfg.ast_interval,
-            cost: cfg.ast_cost,
             rng: SplitMix64::new(seed),
         }
     }
 
     /// Time of the next AST after `now` and its service cost.
     pub fn next_after(&mut self, now: SimTime) -> (SimTime, Cycles) {
-        let base = self.mean_interval.0;
-        let jitter_span = base / 2;
-        let jitter = self.rng.next_below(jitter_span.max(1));
-        let interval = base - jitter_span / 2 + jitter;
-        (now + Cycles(interval.max(1)), self.cost)
+        (jittered(&mut self.rng, now, AST_INTERVAL), AST_COST)
     }
 }
 
@@ -116,18 +121,16 @@ mod tests {
 
     #[test]
     fn daemon_work_partitions_duration() {
-        let cfg = OsConfig::cedar();
-        let mut d = DaemonSchedule::new(&cfg, 1);
+        let mut d = DaemonSchedule::new(1);
         let (_, work) = d.next_after(Cycles(0));
-        assert_eq!(work.duration(), cfg.daemon_duration);
-        assert_eq!(work.cr_sect, cfg.daemon_duration.scale(0.35));
-        assert_eq!(work.syscall, cfg.daemon_duration.scale(0.15));
+        assert_eq!(work.duration(), DAEMON_DURATION);
+        assert_eq!(work.cr_sect, DAEMON_DURATION.scale(0.35));
+        assert_eq!(work.syscall, DAEMON_DURATION.scale(0.15));
     }
 
     #[test]
     fn intervals_jitter_around_mean() {
-        let cfg = OsConfig::cedar();
-        let mut d = DaemonSchedule::new(&cfg, 42);
+        let mut d = DaemonSchedule::new(42);
         let mut now = Cycles(0);
         let mut intervals = Vec::new();
         for _ in 0..200 {
@@ -136,7 +139,7 @@ mod tests {
             now = next;
         }
         let mean: f64 = intervals.iter().map(|&i| i as f64).sum::<f64>() / 200.0;
-        let target = cfg.ctx_interval.0 as f64;
+        let target = CTX_INTERVAL.0 as f64;
         assert!(
             (mean - target).abs() / target < 0.10,
             "mean interval {mean} too far from {target}"
@@ -149,9 +152,8 @@ mod tests {
 
     #[test]
     fn schedule_is_deterministic_per_seed() {
-        let cfg = OsConfig::cedar();
-        let mut a = DaemonSchedule::new(&cfg, 7);
-        let mut b = DaemonSchedule::new(&cfg, 7);
+        let mut a = DaemonSchedule::new(7);
+        let mut b = DaemonSchedule::new(7);
         for _ in 0..10 {
             assert_eq!(a.next_after(Cycles(0)).0, b.next_after(Cycles(0)).0);
         }
@@ -159,9 +161,8 @@ mod tests {
 
     #[test]
     fn different_seeds_desynchronize_clusters() {
-        let cfg = OsConfig::cedar();
-        let mut a = DaemonSchedule::new(&cfg, 1);
-        let mut b = DaemonSchedule::new(&cfg, 2);
+        let mut a = DaemonSchedule::new(1);
+        let mut b = DaemonSchedule::new(2);
         let same = (0..10)
             .filter(|_| a.next_after(Cycles(0)).0 == b.next_after(Cycles(0)).0)
             .count();
@@ -170,17 +171,15 @@ mod tests {
 
     #[test]
     fn ast_schedule_produces_fixed_cost() {
-        let cfg = OsConfig::cedar();
-        let mut a = AstSchedule::new(&cfg, 3);
+        let mut a = AstSchedule::new(3);
         let (t, cost) = a.next_after(Cycles(1000));
         assert!(t > Cycles(1000));
-        assert_eq!(cost, cfg.ast_cost);
+        assert_eq!(cost, AST_COST);
     }
 
     #[test]
     fn occurrences_counted() {
-        let cfg = OsConfig::cedar();
-        let mut d = DaemonSchedule::new(&cfg, 5);
+        let mut d = DaemonSchedule::new(5);
         for _ in 0..3 {
             d.next_after(Cycles(0));
         }

@@ -13,7 +13,7 @@
 //!   faults, explicit resource scheduling requests, system calls and
 //!   context switching requests to obtain a single CE execution thread" —
 //!   each CE pays register save/restore plus accounting before
-//!   synchronizing ([`config::OsConfig::cpi_cost_per_ce`]);
+//!   synchronizing ([`config::CPI_COST_PER_CE`]);
 //! * **context switching** (`ctx`) between the application task and
 //!   system tasks when the OS "must perform some bookkeeping"
 //!   ([`daemon`]);
@@ -33,11 +33,11 @@
 //! ## Example: the concurrent-fault distinction
 //!
 //! ```
-//! use cedar_xylem::{AddressSpace, FaultClass, OsConfig, PageTouch};
+//! use cedar_xylem::{AddressSpace, FaultClass, PageTouch};
 //! use cedar_hw::{addr::PageId, CeId};
 //! use cedar_sim::Cycles;
 //!
-//! let mut vm = AddressSpace::new(&OsConfig::cedar());
+//! let mut vm = AddressSpace::default();
 //! // First toucher: sequential fault.
 //! let first = vm.touch(PageId(7), CeId(0), Cycles(0));
 //! assert!(matches!(first, PageTouch::Fault { class: FaultClass::Sequential, .. }));
@@ -57,7 +57,6 @@ pub mod vm;
 
 pub use accounting::{OsAccounting, OsActivity};
 pub use background::{BackgroundLoad, BackgroundSchedule};
-pub use config::OsConfig;
 pub use daemon::{AstSchedule, DaemonSchedule, DaemonWork};
 pub use locks::KernelLock;
 pub use syscall::SyscallKind;

@@ -8,7 +8,7 @@
 
 use cedar_sim::Cycles;
 
-use crate::config::OsConfig;
+use crate::config::{SYSCALL_CLUSTER, SYSCALL_GLOBAL};
 
 /// Kinds of system calls the modelled runtime issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,12 +34,12 @@ impl SyscallKind {
         )
     }
 
-    /// Service time of this call under `cfg`.
-    pub fn cost(self, cfg: &OsConfig) -> Cycles {
+    /// Service time of this call.
+    pub fn cost(self) -> Cycles {
         if self.is_global() {
-            cfg.syscall_global
+            SYSCALL_GLOBAL
         } else {
-            cfg.syscall_cluster
+            SYSCALL_CLUSTER
         }
     }
 
@@ -81,9 +81,8 @@ mod tests {
 
     #[test]
     fn global_calls_cost_more() {
-        let cfg = OsConfig::cedar();
-        assert!(SyscallKind::TaskCreate.cost(&cfg) > SyscallKind::ClusterMisc.cost(&cfg));
-        assert_eq!(SyscallKind::ClusterResource.cost(&cfg), cfg.syscall_cluster);
+        assert!(SyscallKind::TaskCreate.cost() > SyscallKind::ClusterMisc.cost());
+        assert_eq!(SyscallKind::ClusterResource.cost(), SYSCALL_CLUSTER);
     }
 
     #[test]

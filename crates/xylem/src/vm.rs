@@ -16,7 +16,7 @@ use cedar_hw::addr::PageId;
 use cedar_hw::CeId;
 use cedar_sim::{Cycles, SimTime};
 
-use crate::config::OsConfig;
+use crate::config::{PAGE_FAULT_CONCURRENT, PAGE_FAULT_SEQUENTIAL};
 
 /// Classification of a page fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,12 +83,11 @@ impl PageBitmap {
 /// # Example
 ///
 /// ```
-/// use cedar_xylem::{AddressSpace, OsConfig, PageTouch};
+/// use cedar_xylem::{AddressSpace, PageTouch};
 /// use cedar_hw::{addr::PageId, CeId};
 /// use cedar_sim::Cycles;
 ///
-/// let cfg = OsConfig::cedar();
-/// let mut vm = AddressSpace::new(&cfg);
+/// let mut vm = AddressSpace::default();
 /// // First touch faults sequentially...
 /// assert!(matches!(vm.touch(PageId(0), CeId(0), Cycles(0)),
 ///                  PageTouch::Fault { .. }));
@@ -96,10 +95,8 @@ impl PageBitmap {
 /// assert!(matches!(vm.touch(PageId(0), CeId(1), Cycles(10_000)),
 ///                  PageTouch::Mapped));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
-    seq_cost: Cycles,
-    conc_cost: Cycles,
     mapped: PageBitmap,
     /// Faults currently being serviced, `(page, mapped_at)`. At most a
     /// handful are ever in flight at once (one per concurrently faulting
@@ -112,20 +109,6 @@ pub struct AddressSpace {
 }
 
 impl AddressSpace {
-    /// Creates an empty address space with `cfg`'s fault costs.
-    pub fn new(cfg: &OsConfig) -> Self {
-        AddressSpace {
-            seq_cost: cfg.page_fault_sequential,
-            conc_cost: cfg.page_fault_concurrent,
-            mapped: PageBitmap::default(),
-            in_flight: Vec::new(),
-            seq_faults: 0,
-            conc_faults: 0,
-            injected_seq: 0,
-            injected_conc: 0,
-        }
-    }
-
     /// CE `ce` touches `page` at `now`.
     pub fn touch(&mut self, page: PageId, ce: CeId, now: SimTime) -> PageTouch {
         let _ = ce; // classification does not depend on the toucher's id
@@ -143,22 +126,22 @@ impl AddressSpace {
             // Concurrent fault: wait out the in-flight mapping, then pay
             // the (higher) concurrent service cost.
             self.conc_faults += 1;
-            let resume_at = fault_mapped_at + self.conc_cost;
+            let resume_at = fault_mapped_at + PAGE_FAULT_CONCURRENT;
             return PageTouch::Fault {
                 class: FaultClass::Concurrent,
                 resume_at,
-                cost: self.conc_cost,
+                cost: PAGE_FAULT_CONCURRENT,
                 raise_cpi: true,
             };
         }
         // Sequential fault: map after the sequential service time.
         self.seq_faults += 1;
-        let mapped_at = now + self.seq_cost;
+        let mapped_at = now + PAGE_FAULT_SEQUENTIAL;
         self.in_flight.push((page, mapped_at));
         PageTouch::Fault {
             class: FaultClass::Sequential,
             resume_at: mapped_at,
-            cost: self.seq_cost,
+            cost: PAGE_FAULT_SEQUENTIAL,
             raise_cpi: false,
         }
     }
@@ -202,7 +185,7 @@ mod tests {
     use super::*;
 
     fn vm() -> AddressSpace {
-        AddressSpace::new(&OsConfig::cedar())
+        AddressSpace::default()
     }
 
     #[test]
@@ -216,7 +199,7 @@ mod tests {
                 raise_cpi,
             } => {
                 assert_eq!(class, FaultClass::Sequential);
-                assert_eq!(cost, OsConfig::cedar().page_fault_sequential);
+                assert_eq!(cost, PAGE_FAULT_SEQUENTIAL);
                 assert_eq!(resume_at, Cycles(100) + cost);
                 assert!(!raise_cpi);
             }
@@ -228,7 +211,6 @@ mod tests {
     #[test]
     fn simultaneous_touch_is_concurrent_and_raises_cpi() {
         let mut vm = vm();
-        let cfg = OsConfig::cedar();
         vm.touch(PageId(1), CeId(0), Cycles(0));
         match vm.touch(PageId(1), CeId(1), Cycles(10)) {
             PageTouch::Fault {
@@ -239,12 +221,12 @@ mod tests {
             } => {
                 assert_eq!(class, FaultClass::Concurrent);
                 assert!(raise_cpi);
-                assert_eq!(cost, cfg.page_fault_concurrent);
+                assert_eq!(cost, PAGE_FAULT_CONCURRENT);
                 // Resumes after the original mapping completes plus the
                 // concurrent service cost.
                 assert_eq!(
                     resume_at,
-                    Cycles(0) + cfg.page_fault_sequential + cfg.page_fault_concurrent
+                    Cycles(0) + PAGE_FAULT_SEQUENTIAL + PAGE_FAULT_CONCURRENT
                 );
             }
             other => panic!("expected fault, got {other:?}"),
@@ -255,9 +237,8 @@ mod tests {
     #[test]
     fn touch_after_fault_completes_is_mapped() {
         let mut vm = vm();
-        let cfg = OsConfig::cedar();
         vm.touch(PageId(2), CeId(0), Cycles(0));
-        let later = cfg.page_fault_sequential + Cycles(1);
+        let later = PAGE_FAULT_SEQUENTIAL + Cycles(1);
         assert_eq!(vm.touch(PageId(2), CeId(1), later), PageTouch::Mapped);
         assert_eq!(vm.conc_faults(), 0);
         assert!(vm.mapped.contains(PageId(2)));

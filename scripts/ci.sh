@@ -2,8 +2,9 @@
 # CI entry point: the offline-build guarantee, the paper-band claims,
 # the full test suite, a one-iteration smoke pass of the event-queue
 # benchmark, the shrunk campaign's pinned work counts, the run-cache
-# soundness check (warm campaign = cold campaign, only faster), and the
-# benchmark package's own tests (perfbench/).
+# soundness check (warm campaign = cold campaign, only faster), the
+# benchmark package's own tests (perfbench/) and its full-scale
+# fingerprints against perfbench/fingerprints.txt.
 #
 # The workspace has zero external dependencies, so every step runs with
 # --offline and must succeed with no registry or network access. The
@@ -209,5 +210,27 @@ if [ "$status" != 0 ]; then
     echo "error: perfbench tests failed (exit $status)" >&2
     exit "$status"
 fi
+
+# Full-scale fingerprints: perfbench's tests only count the lines of
+# perfbench/fingerprints.txt and the goldens run at 1/16 scale, so this
+# reruns the 25-run paper grid at full scale and compares every
+# fingerprint (the file's non-comment lines) with the pinned one.
+echo "==> full-scale fingerprints (perfbench --pin vs perfbench/fingerprints.txt)"
+status=0
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- --pin \
+    > "$scratch/pin.txt" || status=$?
+cp "$scratch/perfbench.Cargo.lock" perfbench/Cargo.lock
+if [ "$status" != 0 ]; then
+    echo "error: perfbench --pin failed (exit $status)" >&2
+    exit "$status"
+fi
+grep -v '^#' perfbench/fingerprints.txt > "$scratch/fingerprints.pinned"
+grep -v '^#' "$scratch/pin.txt" > "$scratch/fingerprints.run"
+if ! diff -u "$scratch/fingerprints.pinned" "$scratch/fingerprints.run" >&2; then
+    echo "error: the full-scale fingerprints moved (- pinned, + this run)" >&2
+    echo "re-pin perfbench/fingerprints.txt only with an intended model change" >&2
+    exit 1
+fi
+echo "    $(wc -l < "$scratch/fingerprints.pinned") fingerprints match"
 
 echo "==> OK"

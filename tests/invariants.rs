@@ -174,6 +174,7 @@ use cedar::core::RunResult;
 use cedar::faults::{
     AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
 };
+use cedar::hw::NetConfig;
 use cedar::sim::Cycles;
 use cedar::xylem::OsActivity;
 
@@ -415,8 +416,14 @@ fn degraded_network_moves_contention_not_os_buckets() {
         module_pct: 100,
     });
     let (base, faulted) = attribution_pair(plan);
-    assert!(
-        faulted.gmem.min_round_trip > base.gmem.min_round_trip,
+    // The machine builds Cedar's one network, slowed only by the plan.
+    assert_eq!(
+        base.gmem.min_round_trip,
+        NetConfig::cedar().min_round_trip()
+    );
+    assert_eq!(
+        faulted.gmem.min_round_trip,
+        NetConfig::cedar().slowed(100, 100).min_round_trip(),
         "degraded hardware must lengthen the no-contention round trip"
     );
     assert!(
