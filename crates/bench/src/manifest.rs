@@ -1,7 +1,7 @@
 //! The run manifest: the campaign's self-measurement, applied to the
 //! simulator the way the paper applied cedarhpm to Cedar.
 //!
-//! After a campaign, [`write`] drops `RUN_manifest.json` next to the
+//! After a campaign, [`write()`] drops `RUN_manifest.json` next to the
 //! tables' CSVs: the typed [`RunOptions`] the run was configured with
 //! (plus their stable fingerprint), best-effort git provenance, event
 //! totals, the merged counter rollup (per-class event counts, queue

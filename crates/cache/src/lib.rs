@@ -8,17 +8,12 @@
 //! every bench binary. This crate memoizes completed runs on disk so
 //! repeated campaigns replay from the cache instead of recomputing.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`RunKey`] — the canonical semantic fingerprint of one experiment:
 //!   a 128-bit content address derived from the application spec, the
 //!   simulated-machine configuration, the fault plan, and the
 //!   model version (`MODEL_VERSION`).
-//! * [`CachedRun`] — a mirror of `cedar_core::RunResult` built from
-//!   leaf-crate types only, with a stable line-record serialization
-//!   ([`CachedRun::encode`] / [`CachedRun::decode`]) that round-trips
-//!   without serde. Floats travel as IEEE-754 bit patterns, so the
-//!   round trip is exact.
 //! * [`RunCache`] — the disk store (`results/cache/` by default):
 //!   `open`/`get`/`put`/`stats`, two-level fan-out directories, atomic
 //!   rename writes, and a self-describing entry header (format version,
@@ -26,6 +21,11 @@
 //!   truncated, bit-flipped, stale-versioned or otherwise unreadable
 //!   entry is **silently a miss** — the run is recomputed and the entry
 //!   rewritten; corruption can cost time, never correctness.
+//!
+//! The store never looks inside a payload: `cedar-core` hands
+//! [`RunCache::put`] the text of `RunResult::encode` and gives
+//! [`RunCache::get`] the matching decoder, whose rejection is a miss
+//! like any other defect.
 //!
 //! ## Versioning policy
 //!
@@ -39,11 +39,9 @@
 //!   simulation.
 
 pub mod key;
-pub mod record;
 pub mod store;
 
 pub use key::RunKey;
-pub use record::{CachedRun, DecodeError};
 pub use store::{CacheStats, RunCache};
 
 /// On-disk entry format version. Bump when the serialization layout
@@ -55,44 +53,3 @@ pub(crate) const FORMAT_VERSION: u32 = 1;
 /// cache so no stale result is ever served. See the crate docs for the
 /// policy.
 pub(crate) const MODEL_VERSION: u32 = 1;
-
-use std::collections::HashSet;
-use std::sync::{Mutex, OnceLock};
-
-/// Interns `s`, returning a `&'static str` with the same contents.
-///
-/// Deserialized records carry owned strings, but the in-memory result
-/// types (`RunResult::app`, `cedar_obs::Counters` names) use
-/// `&'static str`. The intern table leaks each *distinct* string once;
-/// the universe is the app names and counter names the simulator emits,
-/// so the leak is bounded and tiny.
-pub fn intern(s: &str) -> &'static str {
-    static TABLE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut set = table.lock().expect("intern table lock");
-    match set.get(s) {
-        Some(&interned) => interned,
-        None => {
-            let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-            set.insert(leaked);
-            leaked
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn intern_dedups_and_is_stable() {
-        let a = intern("events.total");
-        let b = intern(&String::from("events.total"));
-        assert_eq!(a, "events.total");
-        assert!(
-            std::ptr::eq(a, b),
-            "same contents must intern to one allocation"
-        );
-        assert_ne!(intern("x"), intern("y"));
-    }
-}

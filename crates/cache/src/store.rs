@@ -9,7 +9,7 @@
 //! payload_bytes 1234
 //! payload_fnv1a 0123456789abcdef
 //! ---
-//! <payload: CachedRun line records>
+//! <payload: RunResult::encode line records>
 //! ```
 //!
 //! Every read validates the magic, format version, model version, key
@@ -28,7 +28,6 @@ use cedar_obs::json::fnv1a;
 use cedar_obs::{CacheMode, CedarError};
 
 use crate::key::RunKey;
-use crate::record::CachedRun;
 use crate::{FORMAT_VERSION, MODEL_VERSION};
 
 /// Snapshot of one cache session's traffic.
@@ -39,7 +38,7 @@ pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that fell through to simulation (including corrupt or
-    /// stale entries, and every run under `Refresh`).
+    /// stale entries).
     pub misses: u64,
     /// Entries written (or overwritten).
     pub writes: u64,
@@ -123,56 +122,39 @@ impl RunCache {
             .join(format!("{}.run", key.hex()))
     }
 
-    /// Looks up `key`, validating the entry end to end. Any defect —
-    /// absent file, bad header, version skew, length or checksum
-    /// mismatch, undecodable payload — is counted and returned as a
-    /// miss; this method never panics and never propagates I/O errors.
-    pub fn get(&self, key: &RunKey) -> Option<CachedRun> {
-        let run = self.read_validated(key);
-        let counter = if run.is_some() {
+    /// Looks up `key`, validating the entry end to end, and hands the
+    /// payload to `decode`. Any defect — absent file, bad header,
+    /// version skew, length or checksum mismatch, a payload `decode`
+    /// rejects — is counted and returned as a miss; this method never
+    /// panics and never propagates I/O errors.
+    pub fn get<T>(&self, key: &RunKey, decode: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        let entry = std::fs::read(self.entry_path(key))
+            .ok()
+            .and_then(|bytes| String::from_utf8(bytes).ok());
+        let value = entry
+            .as_deref()
+            .and_then(|text| validated_payload(text, key))
+            .and_then(decode);
+        let counter = if value.is_some() {
             &self.hits
         } else {
             &self.misses
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        run
+        value
     }
 
-    fn read_validated(&self, key: &RunKey) -> Option<CachedRun> {
-        let bytes = std::fs::read(self.entry_path(key)).ok()?;
-        let text = String::from_utf8(bytes).ok()?;
-        let (header, payload) = text.split_once("---\n")?;
-        let mut lines = header.lines();
-        let magic = lines.next()?;
-        if magic != format!("cedar-run-cache format={FORMAT_VERSION} model={MODEL_VERSION}") {
-            return None;
-        }
-        if lines.next()? != format!("key {}", key.hex()) {
-            return None;
-        }
-        let declared_len: usize = lines.next()?.strip_prefix("payload_bytes ")?.parse().ok()?;
-        let declared_sum = lines.next()?.strip_prefix("payload_fnv1a ")?;
-        if payload.len() != declared_len {
-            return None;
-        }
-        if format!("{:016x}", fnv1a(payload.as_bytes())) != declared_sum {
-            return None;
-        }
-        CachedRun::decode(payload).ok()
-    }
-
-    /// Stores `run` under `key` via an atomic rename. Best-effort: an
-    /// I/O failure (read-only filesystem, disk full) leaves the cache
-    /// cold but the campaign unharmed, so errors are swallowed after
-    /// counting nothing.
-    pub fn put(&self, key: &RunKey, run: &CachedRun) {
-        if self.write_entry(key, run).is_ok() {
+    /// Stores `payload` under `key` via an atomic rename. Best-effort:
+    /// an I/O failure (read-only filesystem, disk full) leaves the
+    /// cache cold but the campaign unharmed, so errors are swallowed
+    /// after counting nothing.
+    pub fn put(&self, key: &RunKey, payload: &str) {
+        if self.write_entry(key, payload).is_ok() {
             self.writes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn write_entry(&self, key: &RunKey, run: &CachedRun) -> std::io::Result<()> {
-        let payload = run.encode();
+    fn write_entry(&self, key: &RunKey, payload: &str) -> std::io::Result<()> {
         let mut entry = String::with_capacity(payload.len() + 128);
         entry.push_str(&format!(
             "cedar-run-cache format={FORMAT_VERSION} model={MODEL_VERSION}\n"
@@ -184,7 +166,7 @@ impl RunCache {
             fnv1a(payload.as_bytes())
         ));
         entry.push_str("---\n");
-        entry.push_str(&payload);
+        entry.push_str(payload);
 
         let path = self.entry_path(key);
         let dir = path.parent().expect("entry path has a shard directory");
@@ -215,12 +197,6 @@ impl RunCache {
         self.bypasses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one forced recomputation (the `Refresh` path, which never
-    /// reads).
-    pub fn note_refresh_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Snapshot of the session counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -233,14 +209,33 @@ impl RunCache {
     }
 }
 
+/// The payload of entry `text` when its header matches `key` and the
+/// current versions and the payload's declared length and checksum
+/// hold; `None` on any mismatch.
+fn validated_payload<'a>(text: &'a str, key: &RunKey) -> Option<&'a str> {
+    let (header, payload) = text.split_once("---\n")?;
+    let mut lines = header.lines();
+    let magic = lines.next()?;
+    if magic != format!("cedar-run-cache format={FORMAT_VERSION} model={MODEL_VERSION}") {
+        return None;
+    }
+    if lines.next()? != format!("key {}", key.hex()) {
+        return None;
+    }
+    let declared_len: usize = lines.next()?.strip_prefix("payload_bytes ")?.parse().ok()?;
+    let declared_sum = lines.next()?.strip_prefix("payload_fnv1a ")?;
+    if payload.len() != declared_len {
+        return None;
+    }
+    if format!("{:016x}", fnv1a(payload.as_bytes())) != declared_sum {
+        return None;
+    }
+    Some(payload)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cedar_hw::Configuration;
-    use cedar_obs::RunStats;
-    use cedar_sim::stats::LatencyHistogram;
-    use cedar_sim::Cycles;
-    use cedar_xylem::OsAccounting;
 
     fn tmp_root(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -253,42 +248,21 @@ mod tests {
         dir
     }
 
-    fn tiny_run() -> CachedRun {
-        CachedRun {
-            app: "T".to_string(),
-            configuration: Configuration::P1,
-            completion_time: Cycles(10),
-            breakdowns: vec![],
-            utilization: vec![],
-            os: OsAccounting::new(1),
-            concurrency: vec![1.0],
-            gmem: cedar_hw::gmem::GmemStats {
-                packets: 0,
-                cluster_path_queued: Cycles(0),
-                fwd_queued: Cycles(0),
-                rev_queued: Cycles(0),
-                module_queued: Cycles(0),
-                module_requests: vec![],
-                module_sync_requests: vec![],
-                latency: LatencyHistogram::new(2),
-                min_round_trip: Cycles(0),
-            },
-            background_stolen: Cycles(0),
-            bodies: 1,
-            faults: (0, 0),
-            events: 2,
-            stats: RunStats::default(),
-        }
+    /// The store never parses a payload, so any text will do.
+    const PAYLOAD: &str = "app T\nbodies 1\n";
+
+    fn text(payload: &str) -> Option<String> {
+        Some(payload.to_string())
     }
 
     #[test]
     fn put_then_get_round_trips() {
         let cache = RunCache::open(tmp_root("rt"), CacheMode::ReadWrite).unwrap();
         let key = RunKey::new("case=1");
-        assert!(cache.get(&key).is_none(), "cold cache misses");
-        cache.put(&key, &tiny_run());
-        let back = cache.get(&key).expect("hit after put");
-        assert_eq!(back.encode(), tiny_run().encode());
+        assert!(cache.get(&key, text).is_none(), "cold cache misses");
+        cache.put(&key, PAYLOAD);
+        let back = cache.get(&key, text).expect("hit after put");
+        assert_eq!(back, PAYLOAD);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.writes), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -298,7 +272,7 @@ mod tests {
     #[test]
     fn missing_directory_is_a_silent_miss() {
         let cache = RunCache::open(tmp_root("missing"), CacheMode::ReadOnly).unwrap();
-        assert!(cache.get(&RunKey::new("anything")).is_none());
+        assert!(cache.get(&RunKey::new("anything"), text).is_none());
         assert!(!cache.root().exists(), "read must not create the store");
     }
 
@@ -306,20 +280,20 @@ mod tests {
     fn header_validation_rejects_tampering() {
         let cache = RunCache::open(tmp_root("tamper"), CacheMode::ReadWrite).unwrap();
         let key = RunKey::new("case=2");
-        cache.put(&key, &tiny_run());
+        cache.put(&key, PAYLOAD);
         let path = cache.entry_path(&key);
         let pristine = std::fs::read_to_string(&path).unwrap();
 
         // Truncation: checksum/length catch it.
         std::fs::write(&path, &pristine[..pristine.len() / 2]).unwrap();
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get(&key, text).is_none());
 
         // Bit flip in the payload: checksum catches it.
         let mut flipped = pristine.clone().into_bytes();
         let last = flipped.len() - 2;
         flipped[last] ^= 0x01;
         std::fs::write(&path, &flipped).unwrap();
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get(&key, text).is_none());
 
         // Wrong format version.
         std::fs::write(
@@ -327,7 +301,7 @@ mod tests {
             pristine.replacen(&format!("format={FORMAT_VERSION}"), "format=999", 1),
         )
         .unwrap();
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get(&key, text).is_none());
 
         // Wrong model version.
         std::fs::write(
@@ -335,7 +309,7 @@ mod tests {
             pristine.replacen(&format!("model={MODEL_VERSION}"), "model=999", 1),
         )
         .unwrap();
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get(&key, text).is_none());
 
         // Wrong key echo (an entry renamed to another address).
         std::fs::write(
@@ -343,11 +317,23 @@ mod tests {
             pristine.replacen(&key.hex(), &RunKey::new("other").hex(), 1),
         )
         .unwrap();
-        assert!(cache.get(&key).is_none());
+        assert!(cache.get(&key, text).is_none());
 
         // Restored pristine bytes hit again.
         std::fs::write(&path, &pristine).unwrap();
-        assert!(cache.get(&key).is_some());
+        assert!(cache.get(&key, text).is_some());
+        let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn rejected_payload_is_a_miss() {
+        let cache = RunCache::open(tmp_root("reject"), CacheMode::ReadWrite).unwrap();
+        let key = RunKey::new("case=5");
+        cache.put(&key, PAYLOAD);
+        assert!(cache.get(&key, |_| None::<()>).is_none());
+        assert!(cache.get(&key, text).is_some());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
@@ -366,7 +352,7 @@ mod tests {
     fn no_tmp_files_left_behind() {
         let cache = RunCache::open(tmp_root("tmp"), CacheMode::ReadWrite).unwrap();
         let key = RunKey::new("case=4");
-        cache.put(&key, &tiny_run());
+        cache.put(&key, PAYLOAD);
         let shard = cache.root().join(key.shard());
         let leftovers: Vec<_> = std::fs::read_dir(&shard)
             .unwrap()

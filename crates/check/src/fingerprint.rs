@@ -1,8 +1,8 @@
 //! The measurement fingerprint the parity oracles compare.
 //!
-//! The cacheable payload ([`CachedRun::encode`],
-//! `crates/cache/src/record.rs`) is the complete measurement record of
-//! a run, but three of its line families are *not* measurements:
+//! The run's line-record encoding ([`RunResult::encode`], the payload
+//! the run cache stores) is the complete measurement record of a run,
+//! but three of its line families are *not* measurements:
 //!
 //! * `stats.*_ns` — host wall-clock phase timings;
 //! * `counter queue.*` — the event queue's own telemetry (operations,
@@ -14,8 +14,8 @@
 //!   stays and old and new entries fingerprint alike.
 //!
 //! The `counters <n>` line counts the record's counters, telemetry
-//! included, and every run before the outbox was deleted reported
-//! [`OUTBOX_COUNTERS`] of them. The fingerprint therefore always counts
+//! included, and every run before the outbox was deleted reported four
+//! `outbox.*` counters. The fingerprint therefore always counts
 //! those four, present or not: an entry written before the deletion, a
 //! run after it and the pinned fingerprints of the paper grid all agree.
 //!
@@ -25,7 +25,6 @@
 //! measurement counter), which the worker and cache parity oracles
 //! require to be byte-identical.
 
-use cedar_core::cache::to_cached;
 use cedar_core::RunResult;
 use cedar_obs::json;
 
@@ -54,7 +53,7 @@ const OUTBOX_COUNTERS: usize = 4;
 /// of the same experiment must produce identical text no matter which
 /// worker pool or cache path executed them.
 pub fn fingerprint_text(result: &RunResult) -> String {
-    let encoded = to_cached(result).encode();
+    let encoded = result.encode();
     let kept = encoded
         .lines()
         .filter(|l| l.starts_with("counter ") && !l.starts_with("counter outbox."));

@@ -24,7 +24,7 @@
 //! configuration identity) plus a bounded completion-time band rather
 //! than bit-equality; the parity oracles stay byte-exact.
 //!
-//! On violation, a delta-debugging shrinker ([`shrink`]) minimizes the
+//! On violation, a delta-debugging shrinker ([`shrink()`]) minimizes the
 //! `(application, configuration, fault level, workload scale,
 //! perturbation seed)` tuple to the smallest case that still violates
 //! the same oracle, and the reproducer is written as ordered JSON to

@@ -1,5 +1,6 @@
-//! The campaign-side face of the run cache: keying, result conversion,
-//! and the per-campaign [`CacheSession`].
+//! The campaign-side face of the run cache: keying and the
+//! per-campaign [`CacheSession`], which stores [`RunResult::encode`]
+//! payloads and decodes hits with [`RunResult::decode`].
 //!
 //! Correctness rests on the workspace's determinism theorem — an
 //! identical `(application, SimConfig)` pair produces a byte-identical
@@ -16,7 +17,7 @@
 use std::path::PathBuf;
 
 use cedar_apps::AppSpec;
-use cedar_cache::{CacheStats, CachedRun, RunCache, RunKey};
+use cedar_cache::{CacheStats, RunCache, RunKey};
 use cedar_obs::{CacheMode, CedarError, RunOptions};
 
 use crate::config::SimConfig;
@@ -26,48 +27,6 @@ use crate::run::execute;
 /// The content address of one `(application, configuration)` experiment.
 pub fn run_key(app: &AppSpec, cfg: &SimConfig) -> RunKey {
     RunKey::new(&format!("app={app:?};cfg={cfg:?}"))
-}
-
-/// Projects a completed run into its cacheable mirror. The cedarhpm
-/// trace is dropped by design — trace-keeping runs never reach the
-/// cache (see [`CacheSession::execute`]).
-pub fn to_cached(r: &RunResult) -> CachedRun {
-    CachedRun {
-        app: r.app.to_string(),
-        configuration: r.configuration,
-        completion_time: r.completion_time,
-        breakdowns: r.breakdowns.clone(),
-        utilization: r.utilization.clone(),
-        os: r.os.clone(),
-        concurrency: r.concurrency.clone(),
-        gmem: r.gmem.clone(),
-        background_stolen: r.background_stolen,
-        bodies: r.bodies,
-        faults: r.faults,
-        events: r.events,
-        stats: r.stats.clone(),
-    }
-}
-
-/// Rehydrates a cached mirror into the [`RunResult`] the methodology
-/// layer consumes. The app name is interned back to `&'static str`.
-pub fn from_cached(c: CachedRun) -> RunResult {
-    RunResult {
-        app: cedar_cache::intern(&c.app),
-        configuration: c.configuration,
-        completion_time: c.completion_time,
-        breakdowns: c.breakdowns,
-        utilization: c.utilization,
-        os: c.os,
-        concurrency: c.concurrency,
-        gmem: c.gmem,
-        background_stolen: c.background_stolen,
-        bodies: c.bodies,
-        faults: c.faults,
-        events: c.events,
-        trace: None,
-        stats: c.stats,
-    }
 }
 
 /// Where the cache lives when the caller did not redirect output:
@@ -143,17 +102,13 @@ impl CacheSession {
             return (execute(app, cfg), ExecOutcome::Bypass);
         }
         let key = run_key(app, &cfg);
-        if cache.mode().reads() {
-            if let Some(hit) = cache.get(&key) {
-                return (from_cached(hit), ExecOutcome::DiskHit);
-            }
-        } else {
-            cache.note_refresh_miss();
+        if let Some(hit) = cache.get(&key, |payload| RunResult::decode(payload).ok()) {
+            return (hit, ExecOutcome::DiskHit);
         }
         let result = execute(app, cfg);
         let wrote = cache.mode().writes();
         if wrote {
-            cache.put(&key, &to_cached(&result));
+            cache.put(&key, &result.encode());
         }
         (result, ExecOutcome::Simulated { wrote })
     }
@@ -196,15 +151,13 @@ mod tests {
         let app = synthetic::uniform_xdoall(1, 2, 8, 150, 8);
         let cfg = SimConfig::cedar(Configuration::P4);
         let direct = execute(&app, cfg.clone());
-        let replayed =
-            from_cached(CachedRun::decode(&to_cached(&direct).encode()).expect("decode"));
+        let replayed = RunResult::decode(&direct.encode()).expect("decode");
         assert_eq!(direct.app, replayed.app);
-        assert!(std::ptr::eq(direct.app, replayed.app) || direct.app == replayed.app);
         assert_eq!(direct.completion_time, replayed.completion_time);
         assert_eq!(direct.events, replayed.events);
         assert_eq!(
-            to_cached(&direct).encode(),
-            to_cached(&replayed).encode(),
+            direct.encode(),
+            replayed.encode(),
             "full measurement payload survives"
         );
     }

@@ -50,6 +50,7 @@ pub mod metrics;
 pub mod pool;
 pub mod prelude;
 pub(crate) mod program;
+mod record;
 pub mod result;
 pub mod run;
 pub mod suite;
@@ -59,6 +60,7 @@ pub use cedar_cache::CacheStats;
 pub use cedar_obs::{CacheMode, CedarError, RunOptions, TelemetryLevel};
 pub use config::SimConfig;
 pub use pool::{PoolError, PoolStats};
+pub use record::DecodeError;
 pub use result::RunResult;
 pub use run::Experiment;
 pub use suite::{AppResults, SuiteResult, SuiteTelemetry};

@@ -13,7 +13,6 @@ use cedar_rtl::{
     BarrierStep, ClaimStep, IterClaimer, LoopDescriptor, LoopKind, WaitStep, WordIssue,
 };
 use cedar_sim::Cycles;
-use cedar_trace::event::loop_kind_code;
 use cedar_trace::TraceEventId;
 use cedar_xylem::config::PAGE_BYTES;
 use cedar_xylem::{PageTouch, SyscallKind};
@@ -370,7 +369,7 @@ impl Machine {
         let ctx = self.tasks[cluster].cur.as_ref().expect("in loop");
         let total = ctx.outer_total;
         let words = self.layout.words();
-        self.post(TraceEventId::PickIterEnter, pos, loop_kind_code::XDOALL);
+        self.post(TraceEventId::PickIterEnter, pos, LoopKind::Xdoall.code());
         self.set_mode(pos, CeMode::ClaimFlat);
         let mut claimer = IterClaimer::new(words, total, LOCK_BACKOFF);
         let step = claimer.begin();
@@ -388,7 +387,7 @@ impl Machine {
         match step {
             ClaimStep::Issue(wi) => self.issue(pos, wi),
             ClaimStep::Claimed(o) => {
-                self.post(TraceEventId::PickIterExit, pos, loop_kind_code::SDOALL);
+                self.post(TraceEventId::PickIterExit, pos, LoopKind::Sdoall.code());
                 {
                     let ctx = self.tasks[cluster].cur.as_mut().expect("in loop");
                     ctx.outer_current = o;
@@ -397,7 +396,7 @@ impl Machine {
                 self.dispatch_cluster(cluster);
             }
             ClaimStep::Exhausted => {
-                self.post(TraceEventId::PickIterExit, pos, loop_kind_code::SDOALL);
+                self.post(TraceEventId::PickIterExit, pos, LoopKind::Sdoall.code());
                 self.tasks[cluster].outer_claimer = None;
                 self.leave_loop(pos);
             }
@@ -408,11 +407,11 @@ impl Machine {
         match step {
             ClaimStep::Issue(wi) => self.issue(pos, wi),
             ClaimStep::Claimed(i) => {
-                self.post(TraceEventId::PickIterExit, pos, loop_kind_code::XDOALL);
+                self.post(TraceEventId::PickIterExit, pos, LoopKind::Xdoall.code());
                 self.begin_body(pos, i as u64, Cycles::ZERO);
             }
             ClaimStep::Exhausted => {
-                self.post(TraceEventId::PickIterExit, pos, loop_kind_code::XDOALL);
+                self.post(TraceEventId::PickIterExit, pos, LoopKind::Xdoall.code());
                 self.ces[pos].claimer = None;
                 self.cbus_arrive(pos);
             }
@@ -535,7 +534,7 @@ impl Machine {
             // Body complete.
             let kind = self.tasks[cluster].cur.as_ref().unwrap().kind;
             self.post(TraceEventId::IterEnd, pos, kind.code());
-            self.scratch.bump(super::SCRATCH_BODIES);
+            self.bodies += 1;
             match kind {
                 LoopKind::Doacross => {
                     // Enter the serialized region in iteration order.
@@ -544,7 +543,7 @@ impl Machine {
                     self.start_word(pos, ticket, MemOp::Read);
                 }
                 LoopKind::Xdoall => {
-                    self.post(TraceEventId::PickIterEnter, pos, loop_kind_code::XDOALL);
+                    self.post(TraceEventId::PickIterEnter, pos, LoopKind::Xdoall.code());
                     self.set_mode(pos, CeMode::ClaimFlat);
                     let step = self.ces[pos]
                         .claimer

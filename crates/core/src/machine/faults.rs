@@ -6,10 +6,10 @@
 //! many cycles each class added, which the attribution-invariant suite
 //! compares against the bucket deltas:
 //!
-//! * interrupt storms → [`Machine::raise_cpi`] (the `Cpi` bucket, gang
+//! * interrupt storms → `Machine::raise_cpi` (the `Cpi` bucket, gang
 //!   penalty);
 //! * AST bursts → `Ast` charge plus a lead penalty, like
-//!   [`Machine::on_ast`];
+//!   `Machine::on_ast`;
 //! * page-fault waves → `PgFlt*` charges plus a lead penalty.
 //!   Deliberately **no** CPI and **no** kernel-lock acquire, so the wave
 //!   moves only the page-fault buckets (organic concurrent faults do
@@ -19,9 +19,9 @@
 //!   attributed to user-side waiting, which is exactly how a descheduled
 //!   helper reads in the paper's Figure 4.
 //!
-//! The two static classes never reach [`Machine::on_fault`]:
+//! The two static classes never reach `Machine::on_fault`:
 //! lock-hold inflation rides every kernel-lock acquire via
-//! [`Machine::lock_inflate_pct`], and network degradation is baked into
+//! `Machine::lock_inflate_pct`, and network degradation is baked into
 //! the memory system's latency parameters at construction.
 
 use cedar_faults::FaultKind;

@@ -28,37 +28,15 @@ use cedar_xylem::config::PAGE_BYTES;
 use cedar_xylem::{AddressSpace, AstSchedule, DaemonSchedule, KernelLock, OsAccounting};
 
 use crate::config::SimConfig;
-use crate::events::Ev;
+use crate::events::{Ev, EV_CLASS_NAMES};
 use crate::layout::MemoryLayout;
 use crate::program::CompiledProgram;
 use crate::result::RunResult;
 use state::{Ce, CeMode, Role, Task};
 
-/// Scratch slot of the `events.total` tally.
-pub(crate) const SCRATCH_EVENTS_TOTAL: usize = 0;
-/// First scratch slot of the per-class event tallies.
-pub(crate) const SCRATCH_EV_CLASS0: usize = 1;
-/// Scratch slot of the loop-bodies tally.
-pub(crate) const SCRATCH_BODIES: usize = SCRATCH_EV_CLASS0 + crate::events::EV_CLASS_NAMES.len();
-/// Slots in the machine's scratch-counter block.
-pub(crate) const SCRATCH_SLOTS: usize = SCRATCH_BODIES + 1;
-
 /// Safety valve: [`Machine::run`] aborts once a run dispatches more
 /// events than this.
 const MAX_EVENTS: u64 = 4_000_000_000;
-
-/// Flush names of the machine's scratch block, slot by slot.
-const fn scratch_names() -> [&'static str; SCRATCH_SLOTS] {
-    let mut names = [""; SCRATCH_SLOTS];
-    names[SCRATCH_EVENTS_TOTAL] = "events.total";
-    let mut i = 0;
-    while i < crate::events::EV_CLASS_NAMES.len() {
-        names[SCRATCH_EV_CLASS0 + i] = crate::events::EV_CLASS_NAMES[i];
-        i += 1;
-    }
-    names[SCRATCH_BODIES] = "bodies";
-    names
-}
 
 /// The complete simulated machine for one run.
 pub struct Machine {
@@ -87,8 +65,6 @@ pub struct Machine {
     /// Cycles injected so far, per attribution surface.
     pub(crate) injected: faults::InjectedCost,
     pub(crate) rng: SplitMix64,
-    /// CE position by raw `CeId`, for routing memory responses.
-    pub(crate) pos_of_ce: Vec<usize>,
     pub(crate) joined_truth: i32,
     pub(crate) now: SimTime,
     pub(crate) finished_at: Option<SimTime>,
@@ -96,9 +72,12 @@ pub struct Machine {
     pub(crate) posted: Option<exec::PostedLoop>,
     pub(crate) phase_idx: usize,
     pub(crate) serial_counter: u64,
-    /// Batched per-event tallies (event total, per-class counts, loop
-    /// bodies), flushed into the counter rollup once at end of run.
-    pub(crate) scratch: cedar_obs::ScratchCounters<SCRATCH_SLOTS>,
+    /// Events dispatched so far.
+    pub(crate) events: u64,
+    /// Events dispatched so far, per class (indexed by [`Ev::class`]).
+    pub(crate) class_events: [u64; EV_CLASS_NAMES.len()],
+    /// Loop bodies executed so far.
+    pub(crate) bodies: u64,
     pub(crate) breakdowns: Vec<cedar_trace::TaskBreakdown>,
 }
 
@@ -131,14 +110,6 @@ impl Machine {
             .ces()
             .map(|id| Ce::new(CeEngine::new(id)))
             .collect();
-        let mut pos_of_ce = Vec::new();
-        for (pos, ce) in ces.iter().enumerate() {
-            let raw = ce.engine.id().0 as usize;
-            if raw >= pos_of_ce.len() {
-                pos_of_ce.resize(raw + 1, usize::MAX);
-            }
-            pos_of_ce[raw] = pos;
-        }
 
         // The hpm trace buffer only matters when the run keeps a trace;
         // gating it here makes the per-event post() a no-op otherwise.
@@ -207,7 +178,6 @@ impl Machine {
             fault_driver,
             injected: faults::InjectedCost::default(),
             rng,
-            pos_of_ce,
             joined_truth: 0,
             now: Cycles::ZERO,
             finished_at: None,
@@ -215,7 +185,9 @@ impl Machine {
             posted: None,
             phase_idx: 0,
             serial_counter: 0,
-            scratch: cedar_obs::ScratchCounters::new(scratch_names()),
+            events: 0,
+            class_events: [0; EV_CLASS_NAMES.len()],
+            bodies: 0,
             breakdowns: (0..n_clusters)
                 .map(|_| cedar_trace::TaskBreakdown::new())
                 .collect(),
@@ -396,8 +368,8 @@ impl Machine {
     ///
     /// The result carries the run's self-telemetry
     /// ([`RunResult::stats`]): wall-clock per phase (the event loop vs.
-    /// result assembly; machine construction is timed by the caller via
-    /// [`crate::run::execute`]) and the counter rollup.
+    /// result assembly; machine construction is timed by the caller,
+    /// `crate::run::execute`) and the counter rollup.
     ///
     /// # Panics
     ///
@@ -409,13 +381,13 @@ impl Machine {
         while let Some((t, ev)) = self.queue.pop() {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
-            self.scratch.bump(SCRATCH_EVENTS_TOTAL);
+            self.events += 1;
             assert!(
-                self.scratch.get(SCRATCH_EVENTS_TOTAL) <= MAX_EVENTS,
+                self.events <= MAX_EVENTS,
                 "event bound exceeded at {} — likely deadlock or runaway workload",
                 self.now
             );
-            self.scratch.bump(SCRATCH_EV_CLASS0 + ev.class());
+            self.class_events[ev.class()] += 1;
             self.dispatch(ev);
             if self.all_stopped() {
                 break;
@@ -462,11 +434,12 @@ impl Machine {
         // A CE's activity completes only when every response has
         // arrived, and its next activity begins only after that, so the
         // engine's outstanding count covers every in-flight request of
-        // the CE.
-        let pos = match self.pos_of_ce.get(resp.ce.0 as usize) {
-            Some(&p) if p != usize::MAX && self.ces[p].engine.outstanding() > 0 => p,
-            _ => return, // response for a stopped task's stray request
-        };
+        // the CE. CEs are numbered densely from 0, so a CE's id is its
+        // position.
+        let pos = resp.ce.0 as usize;
+        if self.ces[pos].engine.outstanding() == 0 {
+            return; // response for a stopped task's stray request
+        }
         if self.ces[pos].engine.on_response() {
             self.on_activity_complete(pos, resp.value);
         }
@@ -522,9 +495,13 @@ impl Machine {
             "queue.hold.p2_15",
         ];
         let mut c = cedar_obs::Counters::new();
-        // One batched flush covers events.total, the per-class event
-        // counts and the bodies tally.
-        self.scratch.flush_into(&mut c);
+        // Every event class is reported, zero or not, so the rollup's
+        // names do not depend on traffic.
+        c.add("events.total", self.events);
+        for (name, &count) in EV_CLASS_NAMES.iter().zip(&self.class_events) {
+            c.add(name, count);
+        }
+        c.add("bodies", self.bodies);
         let q = self.queue.stats();
         c.add("queue.scheduled", q.scheduled);
         c.add("queue.popped", q.popped);
@@ -590,9 +567,9 @@ impl Machine {
             concurrency,
             gmem: self.gmem.stats(),
             background_stolen: self.background_stolen,
-            bodies: self.scratch.get(SCRATCH_BODIES),
+            bodies: self.bodies,
             faults: (self.vm.seq_faults(), self.vm.conc_faults()),
-            events: self.scratch.get(SCRATCH_EVENTS_TOTAL),
+            events: self.events,
             trace: if self.cfg.keep_trace {
                 Some(self.hpm.into_events())
             } else {

@@ -377,6 +377,18 @@ fn fault_events_count_under_their_own_class() {
     )
     .run();
 
+    // The rollup names the event total, the bodies tally and every
+    // event class whether or not it fired, so its names do not depend on
+    // traffic.
+    for name in ["events.total", "bodies"]
+        .iter()
+        .chain(&crate::events::EV_CLASS_NAMES)
+    {
+        assert!(
+            base.stats.counters.iter().any(|(n, _)| n == *name),
+            "{name} missing from the fault-free rollup"
+        );
+    }
     // Injected occurrences ride a distinct event class — never folded
     // into the organic counts.
     assert_eq!(base.stats.counters.get("events.fault"), 0);

@@ -1,13 +1,11 @@
-//! The cached mirror of one run's measurements, and its stable
-//! line-record serialization.
+//! The stable line-record encoding of one run: [`RunResult::encode`]
+//! and [`RunResult::decode`].
 //!
-//! `cedar_core::RunResult` is built entirely from leaf-crate types
-//! (`cedar-sim`, `cedar-hw`, `cedar-trace`, `cedar-xylem`,
-//! `cedar-obs`), so this crate can mirror it without depending on the
-//! core crate: [`CachedRun`] carries the same fields, and `cedar-core`
-//! converts between the two at the cache boundary. The cedarhpm trace
-//! is deliberately absent — trace-keeping runs bypass the cache (they
-//! are debugging runs, and the trace dwarfs the measurements).
+//! The run cache stores these payloads and `cedar_check`'s fingerprint
+//! hashes them, so the encoding is the run's one persistent form. The
+//! cedarhpm trace is deliberately absent — trace-keeping runs bypass
+//! the cache (they are debugging runs, and the trace dwarfs the
+//! measurements) — so a decoded run carries `trace: None`.
 //!
 //! ## Format
 //!
@@ -20,7 +18,9 @@
 //! what lets the store checksum entries and the CI soundness gate diff
 //! warm-vs-cold artifacts byte for byte.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::sync::{Mutex, OnceLock};
 
 use cedar_hw::gmem::GmemStats;
 use cedar_hw::{ClusterId, Configuration};
@@ -31,42 +31,11 @@ use cedar_trace::qmon::ClusterUtilization;
 use cedar_trace::{TaskBreakdown, UserBucket};
 use cedar_xylem::{OsAccounting, OsActivity};
 
-/// A completed run's measurements, ready to serialize or just
-/// deserialized. Field-for-field mirror of `cedar_core::RunResult`
-/// minus the optional cedarhpm trace.
-#[derive(Debug, Clone)]
-pub struct CachedRun {
-    /// Application name.
-    pub app: String,
-    /// Processor configuration.
-    pub configuration: Configuration,
-    /// Completion time.
-    pub completion_time: Cycles,
-    /// Per-task user-time breakdowns.
-    pub breakdowns: Vec<TaskBreakdown>,
-    /// Per-cluster Q-facility utilization.
-    pub utilization: Vec<ClusterUtilization>,
-    /// Per-activity OS accounting.
-    pub os: OsAccounting,
-    /// statfx average concurrency per cluster.
-    pub concurrency: Vec<f64>,
-    /// Global-memory system statistics.
-    pub gmem: GmemStats,
-    /// Cluster time stolen by a competing job.
-    pub background_stolen: Cycles,
-    /// Loop bodies executed.
-    pub bodies: u64,
-    /// (sequential, concurrent) page-fault counts.
-    pub faults: (u64, u64),
-    /// Events processed by the simulator.
-    pub events: u64,
-    /// The run's self-telemetry (phase wall-clock + counter rollup).
-    pub stats: RunStats,
-}
+use crate::result::RunResult;
 
-/// Why a payload failed to decode. The store maps every variant to a
-/// cache miss; the variant only exists so tests can assert *which*
-/// defense caught a corruption.
+/// Why a payload failed to decode. The run cache maps every variant to
+/// a miss; the variant only exists so tests can assert *which* defense
+/// caught a corruption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// A required line was absent or named the wrong field.
@@ -85,6 +54,26 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// Interns `s`, returning a `&'static str` with the same contents.
+///
+/// Decoded payloads carry owned text, but `RunResult::app` and the
+/// `cedar_obs::Counters` names are `&'static str`. The table leaks each
+/// *distinct* string once; the universe is the app names and counter
+/// names the simulator emits, so the leak is bounded and tiny.
+fn intern(s: &str) -> &'static str {
+    static TABLE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| Mutex::new(HashSet::new()));
+    let mut set = table.lock().expect("intern table lock");
+    match set.get(s) {
+        Some(&interned) => interned,
+        None => {
+            let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
+            set.insert(leaked);
+            leaked
+        }
+    }
+}
 
 fn config_name(c: Configuration) -> &'static str {
     match c {
@@ -135,6 +124,15 @@ impl<'a> Reader<'a> {
             .map_err(|_| DecodeError::BadValue(name))
     }
 
+    fn u64_pair(&mut self, name: &'static str) -> Result<(u64, u64), DecodeError> {
+        let raw = self.field(name)?;
+        let (a, b) = raw.split_once(' ').ok_or(DecodeError::BadValue(name))?;
+        Ok((
+            a.parse().map_err(|_| DecodeError::BadValue(name))?,
+            b.parse().map_err(|_| DecodeError::BadValue(name))?,
+        ))
+    }
+
     /// A whitespace-separated list of u64s with a leading count.
     fn u64_list(&mut self, name: &'static str) -> Result<Vec<u64>, DecodeError> {
         let raw = self.field(name)?;
@@ -162,8 +160,9 @@ fn push_u64_list(out: &mut String, name: &str, vals: impl ExactSizeIterator<Item
     out.push('\n');
 }
 
-impl CachedRun {
-    /// Serializes to the stable line-record form.
+impl RunResult {
+    /// Serializes the run's measurements to the stable line-record form
+    /// (everything but the cedarhpm trace).
     pub fn encode(&self) -> String {
         let mut s = String::with_capacity(4096);
         let _ = writeln!(s, "app {}", self.app);
@@ -239,23 +238,23 @@ impl CachedRun {
         s
     }
 
-    /// Parses a payload produced by [`encode`](Self::encode). Every
-    /// structural or numeric anomaly is an error, never a panic — the
-    /// store turns errors into cache misses.
-    pub fn decode(payload: &str) -> Result<CachedRun, DecodeError> {
+    /// Parses a payload produced by [`encode`](Self::encode); the
+    /// result has no trace. Every structural or numeric anomaly is an
+    /// error, never a panic — the run cache turns errors into misses.
+    pub fn decode(payload: &str) -> Result<RunResult, DecodeError> {
         // Every record line is newline-terminated; a payload cut mid-line
         // (even by one byte) must not decode.
         if !payload.ends_with('\n') {
             return Err(DecodeError::MissingField("terminator"));
         }
         let mut r = Reader::new(payload);
-        let app = r.field("app")?.to_string();
+        let app = intern(r.field("app")?);
         let configuration = config_from_name(r.field("configuration")?)
             .ok_or(DecodeError::BadValue("configuration"))?;
         let completion_time = Cycles(r.u64("completion_time")?);
         let background_stolen = Cycles(r.u64("background_stolen")?);
         let bodies = r.u64("bodies")?;
-        let faults_raw = r.u64_pair("faults")?;
+        let faults = r.u64_pair("faults")?;
         let events = r.u64("events")?;
 
         let n_breakdowns = r.u64("breakdowns")? as usize;
@@ -351,7 +350,7 @@ impl CachedRun {
             let value: u64 = value
                 .parse()
                 .map_err(|_| DecodeError::BadValue("counter"))?;
-            counters.add(crate::intern(name), value);
+            counters.add(intern(name), value);
         }
         if counters.len() != n_counters {
             return Err(DecodeError::BadValue("counters"));
@@ -362,7 +361,7 @@ impl CachedRun {
             return Err(DecodeError::BadValue("trailing data"));
         }
 
-        Ok(CachedRun {
+        Ok(RunResult {
             app,
             configuration,
             completion_time,
@@ -373,8 +372,9 @@ impl CachedRun {
             gmem,
             background_stolen,
             bodies,
-            faults: faults_raw,
+            faults,
             events,
+            trace: None,
             stats: RunStats {
                 setup_ns,
                 run_ns,
@@ -385,23 +385,12 @@ impl CachedRun {
     }
 }
 
-impl Reader<'_> {
-    fn u64_pair(&mut self, name: &'static str) -> Result<(u64, u64), DecodeError> {
-        let raw = self.field(name)?;
-        let (a, b) = raw.split_once(' ').ok_or(DecodeError::BadValue(name))?;
-        Ok((
-            a.parse().map_err(|_| DecodeError::BadValue(name))?,
-            b.parse().map_err(|_| DecodeError::BadValue(name))?,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// A hand-built record exercising every field shape.
-    fn sample() -> CachedRun {
+    fn sample() -> RunResult {
         let mut b = TaskBreakdown::new();
         b.charge(UserBucket::IterExec, Cycles(700));
         b.charge(UserBucket::BarrierWait, Cycles(200));
@@ -415,8 +404,8 @@ mod tests {
         let mut counters = Counters::new();
         counters.add("events.total", 42);
         counters.record_max("queue.pending.peak", 9);
-        CachedRun {
-            app: "FLO52".to_string(),
+        RunResult {
+            app: "FLO52",
             configuration: Configuration::P16,
             completion_time: Cycles(123_456),
             breakdowns: vec![b, TaskBreakdown::new()],
@@ -445,6 +434,7 @@ mod tests {
             bodies: 64,
             faults: (3, 8),
             events: 9_000,
+            trace: None,
             stats: RunStats {
                 setup_ns: 111,
                 run_ns: 222,
@@ -454,17 +444,15 @@ mod tests {
         }
     }
 
-    fn assert_same(a: &CachedRun, b: &CachedRun) {
-        // Byte-equality of the canonical encoding is the strongest
-        // equality the mirror types support (several lack PartialEq).
-        assert_eq!(a.encode(), b.encode());
-    }
-
     #[test]
     fn round_trip_is_exact() {
         let run = sample();
-        let decoded = CachedRun::decode(&run.encode()).expect("decode");
-        assert_same(&run, &decoded);
+        let decoded = RunResult::decode(&run.encode()).expect("decode");
+        // Byte-equality of the encoding is the strongest equality the
+        // record supports (several field types lack PartialEq).
+        assert_eq!(run.encode(), decoded.encode());
+        assert_eq!(decoded.app, "FLO52");
+        assert!(decoded.trace.is_none());
         assert_eq!(decoded.concurrency, vec![3.25, 0.1], "floats are bit-exact");
         assert_eq!(decoded.os.total(OsActivity::Cpi), Cycles(140));
         assert_eq!(
@@ -490,7 +478,7 @@ mod tests {
         let full = sample().encode();
         for cut in [0, 1, full.len() / 3, full.len() / 2, full.len() - 1] {
             assert!(
-                CachedRun::decode(&full[..cut]).is_err(),
+                RunResult::decode(&full[..cut]).is_err(),
                 "cut at {cut} must fail to decode"
             );
         }
@@ -500,11 +488,11 @@ mod tests {
     fn wrong_counts_are_errors() {
         let full = sample().encode();
         let lied = full.replace("breakdowns 2", "breakdowns 3");
-        assert!(CachedRun::decode(&lied).is_err());
+        assert!(RunResult::decode(&lied).is_err());
         let lied = full.replace("counters 2", "counters 1");
         // One counter line too many: the reader sees a stray line where
         // the next field should be; also an error.
-        assert!(CachedRun::decode(&lied).is_err());
+        assert!(RunResult::decode(&lied).is_err());
     }
 
     #[test]
@@ -512,13 +500,25 @@ mod tests {
         let full = sample().encode();
         let bad = full.replace("completion_time 123456", "completion_time zebra");
         assert_eq!(
-            CachedRun::decode(&bad).unwrap_err(),
+            RunResult::decode(&bad).unwrap_err(),
             DecodeError::BadValue("completion_time")
         );
         let bad = full.replace("configuration P16", "configuration P64");
         assert_eq!(
-            CachedRun::decode(&bad).unwrap_err(),
+            RunResult::decode(&bad).unwrap_err(),
             DecodeError::BadValue("configuration")
         );
+    }
+
+    #[test]
+    fn intern_dedups_and_is_stable() {
+        let a = intern("events.total");
+        let b = intern(&String::from("events.total"));
+        assert_eq!(a, "events.total");
+        assert!(
+            std::ptr::eq(a, b),
+            "same contents must intern to one allocation"
+        );
+        assert_ne!(intern("x"), intern("y"));
     }
 }

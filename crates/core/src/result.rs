@@ -10,6 +10,11 @@ use cedar_xylem::{OsAccounting, OsActivity};
 
 /// Everything the methodology needs from one `(application,
 /// configuration)` run.
+///
+/// It is also the run's one persistent form: [`RunResult::encode`]
+/// writes it as the line records the run cache stores and
+/// `cedar_check`'s fingerprint hashes, and [`RunResult::decode`] reads
+/// them back.
 #[derive(Debug)]
 pub struct RunResult {
     /// Application name.

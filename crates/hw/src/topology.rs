@@ -198,6 +198,13 @@ mod tests {
         assert_eq!(v[0], CeId(0));
         assert_eq!(v[8], CeId(8)); // second cluster starts at global CE 8
         assert!(v.iter().all(|ce| ce.cluster().0 < 2));
+        // CEs are numbered densely from 0, so a CE's id is its position;
+        // the machine indexes its CEs by id on that basis.
+        for c in Configuration::ALL {
+            let ids: Vec<_> = c.ces().collect();
+            let dense: Vec<_> = (0..c.total_ces()).map(CeId).collect();
+            assert_eq!(ids, dense, "{c}");
+        }
     }
 
     #[test]

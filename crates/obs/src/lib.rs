@@ -10,9 +10,9 @@
 //! `*_ns` fields of [`RunStats`], timed where they happen. The pieces:
 //!
 //! * [`Counters`] — monotonic named totals, the run's counter rollup.
-//!   Hot loops batch into a flat [`ScratchCounters`] block and flush it
-//!   into the rollup at a phase boundary, so per-event tallies never
-//!   pay a map probe.
+//!   Hot loops keep their tallies in plain integer fields and add them
+//!   to the rollup once at end of run, so per-event tallies never pay a
+//!   map probe.
 //! * [`RunOptions`] — the single typed run-configuration record
 //!   (worker count, shrink factor, smoke mode, telemetry level, output
 //!   directory, cache mode). Built programmatically with
@@ -34,9 +34,7 @@ pub mod counters;
 pub mod error;
 pub mod json;
 pub mod options;
-pub mod scratch;
 
 pub use counters::{Counters, RunStats};
 pub use error::CedarError;
 pub use options::{CacheMode, RunOptions, TelemetryLevel};
-pub use scratch::ScratchCounters;

@@ -72,9 +72,6 @@ pub enum CacheMode {
     ReadWrite,
     /// Serve hits, never write (e.g. CI jobs with a read-only mount).
     ReadOnly,
-    /// Recompute everything and overwrite entries — a forced
-    /// repopulation after a suspected stale cache.
-    Refresh,
 }
 
 impl CacheMode {
@@ -84,18 +81,13 @@ impl CacheMode {
             CacheMode::Off => "off",
             CacheMode::ReadWrite => "rw",
             CacheMode::ReadOnly => "ro",
-            CacheMode::Refresh => "refresh",
         }
     }
 
-    /// Whether this mode ever reads entries.
-    pub fn reads(self) -> bool {
-        matches!(self, CacheMode::ReadWrite | CacheMode::ReadOnly)
-    }
-
-    /// Whether this mode ever writes entries.
+    /// Whether this mode ever writes entries. Every mode that opens the
+    /// store reads it.
     pub fn writes(self) -> bool {
-        matches!(self, CacheMode::ReadWrite | CacheMode::Refresh)
+        matches!(self, CacheMode::ReadWrite)
     }
 }
 
@@ -104,13 +96,10 @@ impl std::str::FromStr for CacheMode {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "off" | "0" => Ok(CacheMode::Off),
-            "rw" | "readwrite" | "on" | "1" => Ok(CacheMode::ReadWrite),
-            "ro" | "readonly" => Ok(CacheMode::ReadOnly),
-            "refresh" => Ok(CacheMode::Refresh),
-            other => Err(format!(
-                "cache mode must be off|rw|ro|refresh, got `{other}`"
-            )),
+            "off" => Ok(CacheMode::Off),
+            "rw" => Ok(CacheMode::ReadWrite),
+            "ro" => Ok(CacheMode::ReadOnly),
+            other => Err(format!("cache mode must be off|rw|ro, got `{other}`")),
         }
     }
 }
@@ -196,15 +185,15 @@ impl RunOptions {
     /// (`CEDAR_CHECK_REPLAY`) and the golden-update hook
     /// (`UPDATE_GOLDEN`).
     ///
-    /// | variable        | field         | accepted values              |
-    /// |-----------------|---------------|------------------------------|
-    /// | `CEDAR_WORKERS` | `workers`     | integer ≥ 1                  |
-    /// | `CEDAR_SHRINK`  | `shrink`      | integer ≥ 1                  |
-    /// | `CEDAR_OBS`     | `telemetry`   | `off`, `summary`, `full`     |
-    /// | `BENCH_SMOKE`   | `smoke`       | `0`, `1`                     |
-    /// | `BENCH_ITERS`   | `bench_iters` | integer ≥ 1                  |
-    /// | `BENCH_JSON_DIR`| `output_dir`  | a directory path             |
-    /// | `CEDAR_CACHE`   | `cache`       | `off`, `rw`, `ro`, `refresh` |
+    /// | variable        | field         | accepted values          |
+    /// |-----------------|---------------|--------------------------|
+    /// | `CEDAR_WORKERS` | `workers`     | integer ≥ 1              |
+    /// | `CEDAR_SHRINK`  | `shrink`      | integer ≥ 1              |
+    /// | `CEDAR_OBS`     | `telemetry`   | `off`, `summary`, `full` |
+    /// | `BENCH_SMOKE`   | `smoke`       | `0`, `1`                 |
+    /// | `BENCH_ITERS`   | `bench_iters` | integer ≥ 1              |
+    /// | `BENCH_JSON_DIR`| `output_dir`  | a directory path         |
+    /// | `CEDAR_CACHE`   | `cache`       | `off`, `rw`, `ro`        |
     ///
     /// An unset or empty variable keeps the field's default.
     ///
@@ -471,24 +460,28 @@ mod tests {
 
     #[test]
     fn cache_modes_parse_and_roundtrip() {
-        for mode in [
-            CacheMode::Off,
-            CacheMode::ReadWrite,
-            CacheMode::ReadOnly,
-            CacheMode::Refresh,
-        ] {
+        for mode in [CacheMode::Off, CacheMode::ReadWrite, CacheMode::ReadOnly] {
             assert_eq!(mode.as_str().parse::<CacheMode>().unwrap(), mode);
         }
-        assert_eq!("on".parse::<CacheMode>().unwrap(), CacheMode::ReadWrite);
-        assert!("sometimes".parse::<CacheMode>().is_err());
+        for alias in [
+            "0",
+            "1",
+            "on",
+            "readwrite",
+            "readonly",
+            "refresh",
+            "sometimes",
+        ] {
+            let err = alias.parse::<CacheMode>().unwrap_err();
+            assert!(err.contains("off|rw|ro,"), "{alias}: {err}");
+        }
     }
 
     #[test]
     fn cache_mode_read_write_capabilities() {
-        assert!(!CacheMode::Off.reads() && !CacheMode::Off.writes());
-        assert!(CacheMode::ReadWrite.reads() && CacheMode::ReadWrite.writes());
-        assert!(CacheMode::ReadOnly.reads() && !CacheMode::ReadOnly.writes());
-        assert!(!CacheMode::Refresh.reads() && CacheMode::Refresh.writes());
+        assert!(!CacheMode::Off.writes());
+        assert!(CacheMode::ReadWrite.writes());
+        assert!(!CacheMode::ReadOnly.writes());
         assert_eq!(CacheMode::default(), CacheMode::Off);
     }
 }

@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use cedar_rtl::LoopKind;
 use cedar_sim::Cycles;
 
 /// One bucket of a task's user time (Figure 4).
@@ -186,7 +187,6 @@ pub fn from_lead_trace(events: &[crate::event::TraceEvent], lead: cedar_hw::CeId
     use crate::event::TraceEventId as Id;
     let mut b = TaskBreakdown::new();
     let mut mode: Option<(UserBucket, u64)> = None; // (bucket, start ticks)
-    let mut loop_kind: u32 = 0;
     for e in events.iter().filter(|e| e.ce == lead) {
         let t = e.at.0;
         let close = |b: &mut TaskBreakdown, mode: &mut Option<(UserBucket, u64)>, t: u64| {
@@ -215,8 +215,7 @@ pub fn from_lead_trace(events: &[crate::event::TraceEvent], lead: cedar_hw::CeId
             Id::ClusterLoopEnd => close(&mut b, &mut mode, t),
             Id::PickIterEnter => {
                 close(&mut b, &mut mode, t);
-                loop_kind = e.arg;
-                let bucket = if e.arg == crate::event::loop_kind_code::XDOALL {
+                let bucket = if e.arg == LoopKind::Xdoall.code() {
                     UserBucket::PickupXdoall
                 } else {
                     UserBucket::PickupSdoall
@@ -226,13 +225,12 @@ pub fn from_lead_trace(events: &[crate::event::TraceEvent], lead: cedar_hw::CeId
             Id::PickIterExit => close(&mut b, &mut mode, t),
             Id::IterStart => {
                 close(&mut b, &mut mode, t);
-                let bucket = if e.arg == crate::event::loop_kind_code::CLUSTER
-                    || e.arg == crate::event::loop_kind_code::DOACROSS
-                {
-                    UserBucket::ClusterLoop
-                } else {
-                    UserBucket::IterExec
-                };
+                let bucket =
+                    if e.arg == LoopKind::Cluster.code() || e.arg == LoopKind::Doacross.code() {
+                        UserBucket::ClusterLoop
+                    } else {
+                        UserBucket::IterExec
+                    };
                 open(&mut mode, bucket, t);
             }
             Id::IterEnd => {
@@ -240,7 +238,6 @@ pub fn from_lead_trace(events: &[crate::event::TraceEvent], lead: cedar_hw::CeId
                 // Between a body and the next pick/barrier the lead is in
                 // intra-cluster territory; attribute to ClusterSync until
                 // the next explicit event.
-                let _ = loop_kind;
                 open(&mut mode, UserBucket::ClusterSync, t);
             }
             Id::FinishBarrierEnter => {

@@ -13,11 +13,11 @@ use cedar_sim::HpmTicks;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceEventId {
     // ---- runtime-library events (§4 items a–f of the RTL list) ----
-    /// Main task encounters an `s(x)doall` loop (arg = loop kind code).
+    /// Main task encounters an `s(x)doall` loop (arg = `LoopKind::code`).
     MainEncounterLoop,
     /// A helper task joins in the execution of an `s(x)doall` loop.
     HelperJoinLoop,
-    /// Entry to the pick-next-iteration routine (arg = loop kind code).
+    /// Entry to the pick-next-iteration routine (arg = `LoopKind::code`).
     PickIterEnter,
     /// Exit from the pick-next-iteration routine.
     PickIterExit,
@@ -66,18 +66,6 @@ pub enum TraceEventId {
     ProgramEnd,
 }
 
-/// Argument codes distinguishing loop constructs in pick/encounter events.
-pub mod loop_kind_code {
-    /// Hierarchical SDOALL/CDOALL construct.
-    pub const SDOALL: u32 = 1;
-    /// Flat XDOALL construct.
-    pub const XDOALL: u32 = 2;
-    /// Main-cluster-only CDOALL.
-    pub const CLUSTER: u32 = 3;
-    /// DOACROSS (serialized regions permitted).
-    pub const DOACROSS: u32 = 4;
-}
-
 /// One record in the `cedarhpm` trace buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -94,6 +82,7 @@ pub struct TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cedar_rtl::LoopKind;
     use cedar_sim::Cycles;
 
     #[test]
@@ -102,24 +91,9 @@ mod tests {
             id: TraceEventId::IterStart,
             at: Cycles(100).to_hpm_ticks(),
             ce: CeId(3),
-            arg: loop_kind_code::XDOALL,
+            arg: LoopKind::Xdoall.code(),
         };
         assert_eq!(e.at.0, 200); // 100 cycles = 200 hpm ticks
         assert_eq!(e.arg, 2);
-    }
-
-    #[test]
-    fn loop_kind_codes_are_distinct() {
-        let codes = [
-            loop_kind_code::SDOALL,
-            loop_kind_code::XDOALL,
-            loop_kind_code::CLUSTER,
-            loop_kind_code::DOACROSS,
-        ];
-        for (i, a) in codes.iter().enumerate() {
-            for b in codes.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-        }
     }
 }

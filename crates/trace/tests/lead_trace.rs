@@ -8,9 +8,10 @@
 //! post-iteration `ClusterSync` attribution, and the lead-CE filter.
 
 use cedar_hw::CeId;
+use cedar_rtl::LoopKind;
 use cedar_sim::{Cycles, HPM_TICKS_PER_CYCLE};
 use cedar_trace::breakdown::from_lead_trace;
-use cedar_trace::event::{loop_kind_code, TraceEvent, TraceEventId as Id};
+use cedar_trace::event::{TraceEvent, TraceEventId as Id};
 use cedar_trace::UserBucket;
 
 const LEAD: CeId = CeId(0);
@@ -41,7 +42,7 @@ fn serial_span_charges_serial_in_cycles_not_ticks() {
 fn pickup_bucket_follows_the_loop_kind_argument() {
     let sdoall = from_lead_trace(
         &[
-            ev(Id::PickIterEnter, 0, loop_kind_code::SDOALL),
+            ev(Id::PickIterEnter, 0, LoopKind::Sdoall.code()),
             ev(Id::PickIterExit, 7, 0),
         ],
         LEAD,
@@ -51,7 +52,7 @@ fn pickup_bucket_follows_the_loop_kind_argument() {
 
     let xdoall = from_lead_trace(
         &[
-            ev(Id::PickIterEnter, 0, loop_kind_code::XDOALL),
+            ev(Id::PickIterEnter, 0, LoopKind::Xdoall.code()),
             ev(Id::PickIterExit, 7, 0),
         ],
         LEAD,
@@ -66,11 +67,11 @@ fn iteration_body_charges_iter_exec_and_the_gap_charges_cluster_sync() {
     // intra-cluster territory and must land in ClusterSync, not IterExec.
     let b = from_lead_trace(
         &[
-            ev(Id::PickIterEnter, 0, loop_kind_code::SDOALL),
+            ev(Id::PickIterEnter, 0, LoopKind::Sdoall.code()),
             ev(Id::PickIterExit, 2, 0),
-            ev(Id::IterStart, 2, loop_kind_code::SDOALL),
+            ev(Id::IterStart, 2, LoopKind::Sdoall.code()),
             ev(Id::IterEnd, 12, 0),
-            ev(Id::PickIterEnter, 15, loop_kind_code::SDOALL),
+            ev(Id::PickIterEnter, 15, LoopKind::Sdoall.code()),
             ev(Id::PickIterExit, 16, 0),
             ev(Id::ProgramEnd, 16, 0),
         ],
@@ -86,7 +87,7 @@ fn iteration_body_charges_iter_exec_and_the_gap_charges_cluster_sync() {
 fn cluster_loop_iterations_stay_out_of_the_parallel_buckets() {
     // A cdoall/doacross body is main-cluster-only loop time (below the
     // line), never s(x)doall IterExec.
-    for kind in [loop_kind_code::CLUSTER, loop_kind_code::DOACROSS] {
+    for kind in [LoopKind::Cluster.code(), LoopKind::Doacross.code()] {
         let b = from_lead_trace(
             &[
                 ev(Id::IterStart, 0, kind),
@@ -164,11 +165,11 @@ fn detach_and_join_open_helper_wait_spans() {
     // the next join; both transitions route through HelperWait.
     let b = from_lead_trace(
         &[
-            ev(Id::IterStart, 0, loop_kind_code::SDOALL),
+            ev(Id::IterStart, 0, LoopKind::Sdoall.code()),
             ev(Id::IterEnd, 10, 0),
             ev(Id::TaskDetach, 12, 0),
             ev(Id::HelperJoinLoop, 30, 0),
-            ev(Id::PickIterEnter, 35, loop_kind_code::SDOALL),
+            ev(Id::PickIterEnter, 35, LoopKind::Sdoall.code()),
             ev(Id::PickIterExit, 36, 0),
             ev(Id::ProgramEnd, 36, 0),
         ],

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# CI entry point: the offline-build guarantee, the paper-band claims,
-# the full test suite, a one-iteration smoke pass of the event-queue
+# CI entry point: the offline-build guarantee, warning-free rustdoc, the
+# paper-band claims, the full test suite, a one-iteration smoke pass of the event-queue
 # benchmark, the shrunk campaign's pinned work counts, the run-cache
 # soundness check (warm campaign = cold campaign, only faster), the
 # benchmark package's own tests (perfbench/) and its full-scale
@@ -57,6 +57,11 @@ fi
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
+
+# Every intra-doc link must resolve and point at a documented item; a
+# broken or private link is an error, not a warning nobody reads.
+echo "==> rustdoc (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The EXPERIMENTS.md claims, checked at full scale. They are #[ignore]d
 # so the debug workspace run below stays fast; in release they take a

@@ -7,23 +7,21 @@
 //!    round-trips through encode → decode with every
 //!    report-layer-visible measurement intact.
 //! 3. *Campaign semantics*: a warm identical suite is 100% hits with
-//!    byte-identical measurements; `ReadOnly` never writes; `Refresh`
-//!    never reads; trace-keeping runs bypass the cache.
+//!    byte-identical measurements; `ReadOnly` never writes;
+//!    trace-keeping runs bypass the cache.
 //!
 //! Each test uses its own temp cache root, so the suite is safe under
 //! the parallel test runner and touches nothing in `results/`.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use cedar::apps::{AccessPattern, AppBuilder, AppSpec, BodySpec};
-use cedar::cache::{CachedRun, RunCache};
-use cedar::core::cache::{from_cached, run_key, to_cached};
+use cedar::cache::RunCache;
+use cedar::core::cache::run_key;
 use cedar::core::suite::SuiteResult;
 use cedar::core::{CacheMode, CacheSession, RunOptions, RunResult, SimConfig};
 use cedar::hw::Configuration;
 use cedar::sim::SplitMix64;
-use cedar::xylem::OsActivity;
 
 /// A fresh cache root under the system temp dir; removed by `Root`'s
 /// drop so failures don't accumulate garbage.
@@ -69,42 +67,10 @@ fn app(salt: u64) -> AppSpec {
         .build()
 }
 
-/// The measurement fingerprint: what a cache hit must preserve, line
-/// for line.
-fn fingerprint(r: &RunResult) -> String {
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{} @ {}: ct={} events={} bodies={} faults={:?}",
-        r.app,
-        r.configuration.label(),
-        r.completion_time.0,
-        r.events,
-        r.bodies,
-        r.faults,
-    );
-    for a in OsActivity::ALL {
-        let _ = writeln!(s, "  os.{a:?}={}", r.os.total(a).0);
-    }
-    for (k, b) in r.breakdowns.iter().enumerate() {
-        let _ = writeln!(s, "  breakdown[{k}]={}", b.total().0);
-    }
-    let _ = writeln!(
-        s,
-        "  gmem: packets={} queued={} conc={:?}",
-        r.gmem.packets,
-        r.gmem.total_queued().0,
-        r.concurrency,
-    );
-    for (name, v) in r.stats.counters.iter() {
-        let _ = writeln!(s, "  {name}={v}");
-    }
-    s
-}
-
-/// An on-disk entry with the wall-clock-only lines (`stats.*_ns`, and
-/// the header checksum/length they perturb) masked out. Everything else
-/// in an entry is deterministic.
+/// An on-disk entry, or a bare `RunResult::encode` record, with the
+/// wall-clock-only lines (`stats.*_ns`, and the header checksum/length
+/// they perturb) masked out. Everything else in an entry is
+/// deterministic.
 fn masked_entry(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes)
         .lines()
@@ -123,12 +89,19 @@ fn masked_entry(bytes: &[u8]) -> String {
         .join("\n")
 }
 
+/// What a cache hit must preserve: every run's whole record, with the
+/// wall-clock lines masked.
 fn suite_fingerprint(s: &SuiteResult) -> String {
     s.apps
         .iter()
         .flat_map(|a| a.runs.iter())
-        .map(fingerprint)
+        .map(|r| masked_entry(r.encode().as_bytes()))
         .collect()
+}
+
+/// The decoder the campaign hands the store.
+fn decode(payload: &str) -> Option<RunResult> {
+    RunResult::decode(payload).ok()
 }
 
 #[test]
@@ -256,24 +229,6 @@ fn read_only_serves_hits_but_never_writes() {
 }
 
 #[test]
-fn refresh_recomputes_and_overwrites() {
-    let root = Root::new("refresh");
-    let apps = [app(5)];
-    let configs = [Configuration::P4];
-
-    SuiteResult::measure(&apps, &configs, &root.opts(CacheMode::ReadWrite));
-    let refreshed = SuiteResult::measure(&apps, &configs, &root.opts(CacheMode::Refresh));
-    let c = refreshed.telemetry.cache.expect("cache stats");
-    assert_eq!(c.hits, 0, "refresh never reads");
-    assert_eq!(c.misses, 1, "refresh recomputes");
-    assert_eq!(c.writes, 1, "refresh overwrites");
-
-    let warm = SuiteResult::measure(&apps, &configs, &root.opts(CacheMode::ReadWrite));
-    let c = warm.telemetry.cache.expect("cache stats");
-    assert_eq!(c.hits, 1, "the refreshed entry serves later reads");
-}
-
-#[test]
 fn trace_keeping_runs_bypass_the_cache() {
     let root = Root::new("bypass");
     let opts = root.opts(CacheMode::ReadWrite);
@@ -341,21 +296,14 @@ fn seeded_round_trip_property() {
 
         let direct = cedar::core::Experiment::new(a.clone(), cfg.clone()).run();
         let key = run_key(&a, &cfg);
-        cache.put(&key, &to_cached(&direct));
-        let replayed = from_cached(
-            cache
-                .get(&key)
-                .unwrap_or_else(|| panic!("case {i}: entry vanished for key {key}")),
-        );
+        cache.put(&key, &direct.encode());
+        let replayed = cache
+            .get(&key, decode)
+            .unwrap_or_else(|| panic!("case {i}: entry vanished for key {key}"));
         assert_eq!(
-            fingerprint(&direct),
-            fingerprint(&replayed),
+            direct.encode(),
+            replayed.encode(),
             "case {i}: disk round trip altered a measurement"
-        );
-        assert_eq!(
-            to_cached(&direct).encode(),
-            to_cached(&replayed).encode(),
-            "case {i}: canonical payloads differ"
         );
     }
     let s = cache.stats();
@@ -399,7 +347,7 @@ fn seeded_partial_write_corruption_is_a_silent_miss_then_heals() {
     let cfg = SimConfig::cedar(Configuration::P4);
     let direct = cedar::core::Experiment::new(a.clone(), cfg.clone()).run();
     let key = run_key(&a, &cfg);
-    cache.put(&key, &to_cached(&direct));
+    cache.put(&key, &direct.encode());
     let path = cache.entry_path(&key);
     let pristine = std::fs::read(&path).unwrap();
     let text = String::from_utf8(pristine.clone()).unwrap();
@@ -446,19 +394,19 @@ fn seeded_partial_write_corruption_is_a_silent_miss_then_heals() {
         std::fs::write(&path, &corrupted).unwrap();
 
         assert!(
-            cache.get(&key).is_none(),
+            cache.get(&key, decode).is_none(),
             "case {case}: corruption at byte {target} must be a miss, not served"
         );
         // Recovery: one rewrite restores a byte-equivalent entry
         // (modulo wall-clock telemetry) that hits again.
-        cache.put(&key, &to_cached(&direct));
-        let healed = cache.get(&key).unwrap_or_else(|| {
+        cache.put(&key, &direct.encode());
+        let healed = cache.get(&key, decode).unwrap_or_else(|| {
             panic!("case {case}: rewritten entry must hit");
         });
         hits_expected += 1;
         assert_eq!(
             healed.encode(),
-            to_cached(&direct).encode(),
+            direct.encode(),
             "case {case}: healed entry altered a measurement"
         );
         assert_eq!(
@@ -493,7 +441,7 @@ fn version_skew_is_stale_not_fatal() {
     let cfg = SimConfig::cedar(Configuration::P1);
     let direct = cedar::core::Experiment::new(a.clone(), cfg.clone()).run();
     let key = run_key(&a, &cfg);
-    cache.put(&key, &to_cached(&direct));
+    cache.put(&key, &direct.encode());
 
     let path = cache.entry_path(&key);
     let doctored = std::fs::read_to_string(&path).unwrap().replacen(
@@ -503,15 +451,15 @@ fn version_skew_is_stale_not_fatal() {
     );
     std::fs::write(&path, doctored).unwrap();
     assert!(
-        cache.get(&key).is_none(),
+        cache.get(&key, decode).is_none(),
         "an old-format entry is stale, not served"
     );
     // Rewriting through put() makes it live again.
-    cache.put(&key, &to_cached(&direct));
-    let revived = cache.get(&key).expect("rewritten entry hits");
+    cache.put(&key, &direct.encode());
+    let revived = cache.get(&key, decode).expect("rewritten entry hits");
     assert_eq!(
-        CachedRun::encode(&revived),
-        to_cached(&direct).encode(),
+        revived.encode(),
+        direct.encode(),
         "revived entry carries the original measurements"
     );
 }
