@@ -33,7 +33,7 @@ mod tests {
     }
 
     #[test]
-    fn all_suite_apps_validate() {
+    fn every_perfect_app_validates() {
         for app in perfect_suite() {
             app.validate();
         }

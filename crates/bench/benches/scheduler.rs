@@ -95,7 +95,7 @@ fn bench_suite(h: &mut Harness) {
     h.bench("suite/mini_campaign", || {
         black_box(SuiteResult::measure(
             &apps,
-            &[Configuration::P1, Configuration::P8, Configuration::P32],
+            &[Configuration::P1, Configuration::P8, Configuration::P32].map(SimConfig::cedar),
             // bench_options, not run_options: the gate must time real
             // simulation even when the environment enables the cache.
             cedar_bench::bench_options(),

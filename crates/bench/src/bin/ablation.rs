@@ -4,38 +4,27 @@
 //! clustering hardware during work distribution; the flat one pays at
 //! the global iteration lock.
 use cedar_apps::synthetic;
-use cedar_core::{pool, CacheSession, SimConfig};
+use cedar_core::{SimConfig, SuiteResult};
 use cedar_hw::Configuration;
 use cedar_trace::UserBucket;
 
 fn main() {
     let opts = cedar_bench::run_options();
-    let workers = opts.workers.unwrap_or_else(pool::default_workers);
-    let session = CacheSession::new(opts).expect("run cache unavailable");
-    let session = &session;
     println!("Construct ablation: 20 steps x 2 loops of 128 iterations (c=1200, 8 words)");
     println!(
         "{:>8} | {:>14} | {:>14} | {:>10} | {:>12}",
         "config", "xdoall CT (s)", "sdoall CT (s)", "xdoall adv", "pickup x/s %"
     );
     println!("{}", "-".repeat(72));
-    let pairs = pool::run_jobs(
-        workers,
-        Configuration::ALL
-            .into_iter()
-            .map(|c| {
-                move || {
-                    let flat = synthetic::uniform_xdoall(20, 2, 128, 1200, 8);
-                    let hier = synthetic::uniform_sdoall(20, 2, 16, 8, 1200, 8);
-                    let rf = session.execute(&flat, SimConfig::cedar(c));
-                    let rh = session.execute(&hier, SimConfig::cedar(c));
-                    (rf, rh)
-                }
-            })
-            .collect(),
-    )
-    .expect("ablation experiment panicked");
-    for (c, (rf, rh)) in Configuration::ALL.into_iter().zip(&pairs) {
+    let flat = synthetic::uniform_xdoall(20, 2, 128, 1200, 8);
+    let hier = synthetic::uniform_sdoall(20, 2, 16, 8, 1200, 8);
+    let suite = SuiteResult::measure(
+        &[flat, hier],
+        &Configuration::ALL.map(SimConfig::cedar),
+        opts,
+    );
+    let (flat, hier) = (&suite.apps[0].runs, &suite.apps[1].runs);
+    for ((c, rf), rh) in Configuration::ALL.into_iter().zip(flat).zip(hier) {
         let pick_x = rf
             .main_breakdown()
             .get(UserBucket::PickupXdoall)
@@ -59,7 +48,7 @@ fn main() {
     println!();
     println!("ratio > 1 means the flat construct is slower; the gap opens with");
     println!("the processor count as the iteration lock becomes a hot spot (S6).");
-    if let Some(c) = session.stats() {
-        println!("{}", cedar_report::tables::cache_line(&c));
+    if let Some(c) = &suite.telemetry.cache {
+        println!("{}", cedar_report::tables::cache_line(c));
     }
 }

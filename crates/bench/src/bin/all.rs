@@ -1,6 +1,7 @@
 //! Runs the full measurement campaign and regenerates every table and
 //! figure of the paper, plus machine-readable CSVs and the run manifest
-//! (`RUN_manifest.json`) under `results/`.
+//! (`RUN_manifest.json`) under `BENCH_JSON_DIR`, by default the
+//! workspace-root `results/`.
 use std::fs;
 
 fn main() {
@@ -12,8 +13,8 @@ fn main() {
     println!("{}", cedar_report::figures::figures5to9(suite));
     println!("{}", cedar_report::tables::table3(suite));
     println!("{}", cedar_report::tables::table4(suite));
-    let dir = std::path::Path::new("results");
-    if fs::create_dir_all(dir).is_ok() {
+    let dir = cedar_bench::manifest::artifact_dir(opts);
+    if fs::create_dir_all(&dir).is_ok() {
         let _ = fs::write(
             dir.join("summary.csv"),
             cedar_report::csv::summary_csv(suite),
@@ -26,17 +27,13 @@ fn main() {
             dir.join("concurrency.csv"),
             cedar_report::csv::concurrency_csv(suite),
         );
-        println!("CSV output written to results/");
+        println!("CSV output written to {}", dir.display());
     }
     if let Some(c) = &suite.telemetry.cache {
         println!("{}", cedar_report::tables::cache_line(c));
     }
     match cedar_bench::manifest::write(suite, opts) {
-        Ok(paths) => {
-            for p in paths {
-                println!("run manifest written to {}", p.display());
-            }
-        }
+        Ok(path) => println!("run manifest written to {}", path.display()),
         Err(e) => eprintln!("warning: could not write run manifest: {e}"),
     }
 }

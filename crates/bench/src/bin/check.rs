@@ -118,11 +118,7 @@ fn main() -> ExitCode {
         },
     };
     match cedar_bench::manifest::write(&suite, opts) {
-        Ok(paths) => {
-            for p in paths {
-                eprintln!("run manifest written to {}", p.display());
-            }
-        }
+        Ok(path) => eprintln!("run manifest written to {}", path.display()),
         Err(e) => eprintln!("warning: could not write run manifest: {e}"),
     }
 

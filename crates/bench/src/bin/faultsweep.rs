@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 
 use cedar_core::prelude::FaultPlan;
-use cedar_core::{pool, CacheSession, RunResult, SimConfig};
+use cedar_core::{RunResult, SimConfig, SuiteResult};
 use cedar_hw::Configuration;
 use cedar_xylem::OsActivity;
 
@@ -31,7 +31,7 @@ fn flo52(shrink: u32) -> cedar_apps::AppSpec {
         .shrunk(shrink)
 }
 
-fn csv(results: &[(Configuration, u32, RunResult)]) -> String {
+fn csv(results: &[(Configuration, u32, &RunResult)]) -> String {
     let mut s = String::from(
         "config,level,fingerprint,ct_cycles,os_fraction,\
          cpi,ctx,pgflt_conc,pgflt_seq,crsect_cluster,crsect_global,\
@@ -73,7 +73,6 @@ fn csv(results: &[(Configuration, u32, RunResult)]) -> String {
 
 fn main() {
     let opts = cedar_bench::run_options();
-    let workers = opts.workers.unwrap_or_else(pool::default_workers);
     let shrink = opts.shrink.max(1);
     println!("Fault sensitivity sweep: FLO52/{shrink}, levels {LEVELS:?} of the canonical plan");
 
@@ -81,27 +80,14 @@ fn main() {
         .iter()
         .flat_map(|&c| LEVELS.iter().map(move |&l| (c, l)))
         .collect();
-    let session = CacheSession::new(opts).expect("run cache unavailable");
-    let session = &session;
-    let runs = pool::run_jobs(
-        workers,
-        cells
-            .iter()
-            .map(|&(c, level)| {
-                let app = flo52(shrink);
-                move || {
-                    session.execute(
-                        &app,
-                        SimConfig::cedar(c).with_faults(FaultPlan::canonical_at(level)),
-                    )
-                }
-            })
-            .collect(),
-    )
-    .expect("sweep experiment panicked");
-    let results: Vec<(Configuration, u32, RunResult)> = cells
+    let configs: Vec<SimConfig> = cells
         .iter()
-        .zip(runs)
+        .map(|&(c, level)| SimConfig::cedar(c).with_faults(FaultPlan::canonical_at(level)))
+        .collect();
+    let suite = SuiteResult::measure(&[flo52(shrink)], &configs, opts);
+    let results: Vec<(Configuration, u32, &RunResult)> = cells
+        .iter()
+        .zip(&suite.apps[0].runs)
         .map(|(&(c, l), r)| (c, l, r))
         .collect();
 
@@ -137,7 +123,7 @@ fn main() {
         results
             .iter()
             .find(|(c, l, _)| *c == Configuration::P8 && *l == level)
-            .map(|(_, _, r)| r)
+            .map(|&(_, _, r)| r)
             .expect("P8 level present")
     };
     println!();
@@ -149,7 +135,7 @@ fn main() {
         std::fs::write(&path, csv(&results)).expect("write sensitivity CSV");
         println!("CSV written to {}", path.display());
     }
-    if let Some(c) = session.stats() {
-        println!("{}", cedar_report::tables::cache_line(&c));
+    if let Some(c) = &suite.telemetry.cache {
+        println!("{}", cedar_report::tables::cache_line(c));
     }
 }

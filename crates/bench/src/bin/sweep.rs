@@ -13,15 +13,24 @@
 
 use cedar_apps::synthetic;
 use cedar_core::methodology::contention_overhead;
-use cedar_core::{pool, CacheSession, SimConfig};
+use cedar_core::{CacheStats, SimConfig, SuiteResult};
 use cedar_hw::Configuration;
 use cedar_trace::UserBucket;
 
+/// Both sweeps' run-cache traffic, summed into one session's report.
+fn merged(a: Option<CacheStats>, b: Option<CacheStats>) -> Option<CacheStats> {
+    let (a, b) = (a?, b?);
+    Some(CacheStats {
+        mode: a.mode,
+        hits: a.hits + b.hits,
+        misses: a.misses + b.misses,
+        writes: a.writes + b.writes,
+        bypasses: a.bypasses + b.bypasses,
+    })
+}
+
 fn main() {
     let opts = cedar_bench::run_options();
-    let workers = opts.workers.unwrap_or_else(pool::default_workers);
-    let session = CacheSession::new(opts).expect("run cache unavailable");
-    let session = &session;
     println!("Sweep 1: xdoall granularity vs distribution overhead (32 proc)");
     println!(
         "{:>12} | {:>10} | {:>12} | {:>10}",
@@ -29,20 +38,10 @@ fn main() {
     );
     println!("{}", "-".repeat(52));
     let computes = [200u64, 500, 1_000, 2_000, 5_000, 10_000, 20_000];
-    let runs = pool::run_jobs(
-        workers,
-        computes
-            .iter()
-            .map(|&compute| {
-                move || {
-                    let app = synthetic::uniform_xdoall(4, 2, 64, compute, 8);
-                    session.execute(&app, SimConfig::cedar(Configuration::P32))
-                }
-            })
-            .collect(),
-    )
-    .expect("sweep experiment panicked");
-    for (compute, run) in computes.iter().zip(&runs) {
+    let apps = computes.map(|compute| synthetic::uniform_xdoall(4, 2, 64, compute, 8));
+    let granularity = SuiteResult::measure(&apps, &[SimConfig::cedar(Configuration::P32)], opts);
+    for (compute, app) in computes.iter().zip(&granularity.apps) {
+        let run = &app.runs[0];
         let pickup = run
             .main_breakdown()
             .get(UserBucket::PickupXdoall)
@@ -71,22 +70,14 @@ fn main() {
     );
     println!("{}", "-".repeat(54));
     let word_counts = [0u32, 8, 16, 32, 64, 96];
-    let pairs = pool::run_jobs(
-        workers,
-        word_counts
-            .iter()
-            .map(|&words| {
-                move || {
-                    let mk = || synthetic::uniform_sdoall(4, 2, 8, 16, 400, words);
-                    let base = session.execute(&mk(), SimConfig::cedar(Configuration::P1));
-                    let run = session.execute(&mk(), SimConfig::cedar(Configuration::P32));
-                    (base, run)
-                }
-            })
-            .collect(),
-    )
-    .expect("sweep experiment panicked");
-    for (words, (base, run)) in word_counts.iter().zip(&pairs) {
+    let apps = word_counts.map(|words| synthetic::uniform_sdoall(4, 2, 8, 16, 400, words));
+    let traffic = SuiteResult::measure(
+        &apps,
+        &[Configuration::P1, Configuration::P32].map(SimConfig::cedar),
+        opts,
+    );
+    for (words, app) in word_counts.iter().zip(&traffic.apps) {
+        let (base, run) = (&app.runs[0], &app.runs[1]);
         let ov = contention_overhead(base, run).overhead_pct;
         println!(
             "{:>12} | {:>10.4} | {:>10.1} | {:>14.2}",
@@ -99,7 +90,7 @@ fn main() {
     println!();
     println!("Granularity buys off the distribution overhead; traffic buys it");
     println!("back as contention — the two levers behind Tables 1 and 4.");
-    if let Some(c) = session.stats() {
+    if let Some(c) = merged(granularity.telemetry.cache, traffic.telemetry.cache) {
         println!("{}", cedar_report::tables::cache_line(&c));
     }
 }

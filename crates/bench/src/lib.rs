@@ -17,16 +17,16 @@
 //! [`run_options`] and passed down explicitly — no library code below
 //! this point reads `std::env`. The knobs: `CEDAR_SHRINK=<n>` divides
 //! every time-step count by `n` for a quick (non-publication) pass,
-//! `CEDAR_WORKERS=<n>` bounds the worker pool, and `CEDAR_OBS` sets the
-//! telemetry level (`off`/`summary`/`full`).
+//! `CEDAR_WORKERS=<n>` bounds the worker pool, `CEDAR_CACHE` sets the
+//! run-cache mode and `BENCH_JSON_DIR` redirects the output files.
 //!
 //! The one bench target, `benches/scheduler.rs` (the event queue's
 //! microbenchmarks plus the two entries `scripts/bench_check.sh`
 //! gates), runs on the in-repo [`harness`]
 //! (`cargo bench --offline`); `BENCH_SMOKE=1` reduces it to one
 //! iteration for CI. End-to-end and per-layer timing is the separate
-//! `perfbench/` package. Campaign runs write a run manifest (and, at
-//! `CEDAR_OBS=full`, a JSONL telemetry stream) via [`manifest`].
+//! `perfbench/` package. Campaign runs write a run manifest via
+//! [`manifest`].
 
 pub mod gate;
 pub mod harness;
@@ -34,9 +34,7 @@ pub mod manifest;
 
 use std::sync::OnceLock;
 
-use cedar_apps::AppSpec;
 use cedar_core::suite::SuiteResult;
-use cedar_hw::Configuration;
 use cedar_obs::RunOptions;
 
 /// The process-wide run options, parsed from the environment exactly
@@ -57,15 +55,6 @@ pub fn bench_options() -> &'static RunOptions {
     OPTS.get_or_init(|| run_options().clone().with_cache(cedar_obs::CacheMode::Off))
 }
 
-/// The Perfect suite at the scale `opts` asks for.
-pub(crate) fn suite_apps(opts: &RunOptions) -> Vec<AppSpec> {
-    let f = opts.shrink;
-    cedar_apps::perfect_suite()
-        .into_iter()
-        .map(|a| if f > 1 { a.shrunk(f) } else { a })
-        .collect()
-}
-
 /// Runs the full measurement campaign once per process under
 /// [`run_options`] and caches it, so every table and figure a binary
 /// prints comes from the same run.
@@ -84,30 +73,8 @@ pub fn campaign() -> &'static SuiteResult {
             .unwrap_or_else(cedar_core::pool::default_workers);
         eprintln!("running measurement campaign (5 apps x 5 configurations, {workers} workers)...");
         let t0 = std::time::Instant::now();
-        let suite = SuiteResult::run_parallel(&suite_apps(opts), &Configuration::ALL, opts)
-            .expect("campaign experiment panicked");
+        let suite = SuiteResult::full_campaign(opts);
         eprintln!("campaign done in {:.1}s", t0.elapsed().as_secs_f64());
         suite
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn suite_apps_are_the_perfect_five() {
-        let names: Vec<_> = suite_apps(&RunOptions::default())
-            .iter()
-            .map(|a| a.name)
-            .collect();
-        assert_eq!(names, vec!["FLO52", "ARC2D", "MDG", "OCEAN", "ADM"]);
-    }
-
-    #[test]
-    fn shrunk_suite_keeps_names() {
-        let opts = RunOptions::default().with_shrink(16);
-        let names: Vec<_> = suite_apps(&opts).iter().map(|a| a.name).collect();
-        assert_eq!(names, vec!["FLO52", "ARC2D", "MDG", "OCEAN", "ADM"]);
-    }
 }

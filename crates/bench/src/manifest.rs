@@ -6,9 +6,7 @@
 //! (plus their stable fingerprint), best-effort git provenance, event
 //! totals, the merged counter rollup (per-class event counts, queue
 //! statistics, hold-latency histogram), per-phase wall-clock, and
-//! the worker pool's busy/idle accounting. At `CEDAR_OBS=full` a
-//! `RUN_telemetry.jsonl` stream rides along — one JSON line per
-//! `(application, configuration)` run with that run's own counters.
+//! the worker pool's busy/idle accounting.
 //!
 //! Every field except the `*_ns` wall-clock timings, `utilization`, the
 //! `git` line, and the `cache` traffic object is deterministic for a
@@ -22,7 +20,7 @@ use std::path::{Path, PathBuf};
 
 use cedar_core::suite::SuiteResult;
 use cedar_obs::json::{self, Obj};
-use cedar_obs::{Counters, RunOptions, TelemetryLevel};
+use cedar_obs::{Counters, RunOptions};
 
 /// Where campaign artifacts land when `opts.output_dir` is unset: the
 /// workspace-root `results/`, regardless of the binary's cwd.
@@ -43,15 +41,13 @@ fn options_obj(opts: &RunOptions) -> String {
     o.opt_u64("workers", opts.workers.map(|w| w as u64));
     o.u64("shrink", opts.shrink as u64);
     o.bool("smoke", opts.smoke);
-    o.str("telemetry", opts.telemetry.as_str());
-    o.str("faults", &opts.faults.fingerprint());
     o.str("cache", opts.cache.as_str());
     o.finish()
 }
 
 /// Where artifacts for `opts` land: its `output_dir` override, else the
 /// workspace-root `results/`. Shared by the manifest writer and the
-/// sweep binaries so every campaign file ends up in one place.
+/// campaign binaries so every campaign file ends up in one place.
 pub fn artifact_dir(opts: &RunOptions) -> PathBuf {
     opts.output_dir.clone().unwrap_or_else(default_dir)
 }
@@ -114,48 +110,14 @@ pub fn manifest_json(suite: &SuiteResult, opts: &RunOptions) -> String {
     out
 }
 
-/// Renders the `RUN_telemetry.jsonl` stream: one JSON line per run, in
-/// grid order, carrying that run's own counters and phase timings.
-pub fn telemetry_jsonl(suite: &SuiteResult) -> String {
-    let mut out = String::new();
-    for app in &suite.apps {
-        for r in &app.runs {
-            let mut o = Obj::new();
-            o.str("app", r.app);
-            o.str("configuration", &format!("{:?}", r.configuration));
-            o.u64("completion_time", r.completion_time.0);
-            o.u64("events", r.events);
-            o.u64("setup_ns", r.stats.setup_ns);
-            o.u64("run_ns", r.stats.run_ns);
-            o.u64("breakdown_ns", r.stats.breakdown_ns);
-            o.raw("counters", counters_obj(&r.stats.counters));
-            out.push_str(&o.finish());
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Writes the manifest (and, at [`TelemetryLevel::Full`], the JSONL
-/// stream) under `opts.output_dir` or the workspace `results/`. A no-op
-/// returning an empty list at [`TelemetryLevel::Off`]. Returns the paths
-/// written.
-pub fn write(suite: &SuiteResult, opts: &RunOptions) -> io::Result<Vec<PathBuf>> {
-    if opts.telemetry == TelemetryLevel::Off {
-        return Ok(Vec::new());
-    }
+/// Writes `RUN_manifest.json` under `opts.output_dir` or the workspace
+/// `results/` and returns its path.
+pub fn write(suite: &SuiteResult, opts: &RunOptions) -> io::Result<PathBuf> {
     let dir = artifact_dir(opts);
     std::fs::create_dir_all(&dir)?;
-    let mut written = Vec::new();
     let manifest = dir.join("RUN_manifest.json");
     std::fs::write(&manifest, manifest_json(suite, opts))?;
-    written.push(manifest);
-    if opts.telemetry == TelemetryLevel::Full {
-        let stream = dir.join("RUN_telemetry.jsonl");
-        std::fs::write(&stream, telemetry_jsonl(suite))?;
-        written.push(stream);
-    }
-    Ok(written)
+    Ok(manifest)
 }
 
 #[cfg(test)]
@@ -165,8 +127,8 @@ mod tests {
 
     fn tiny_suite(opts: &RunOptions) -> SuiteResult {
         let apps = vec![cedar_apps::synthetic::uniform_xdoall(1, 2, 8, 120, 4)];
-        SuiteResult::run_sequential(&apps, &[Configuration::P1, Configuration::P4], opts)
-            .expect("tiny campaign")
+        let configs = [Configuration::P1, Configuration::P4].map(cedar_core::SimConfig::cedar);
+        SuiteResult::run_sequential(&apps, &configs, opts).expect("tiny campaign")
     }
 
     #[test]
@@ -202,24 +164,5 @@ mod tests {
             "second identical campaign is all hits: {m2}"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn jsonl_has_one_line_per_run() {
-        let opts = RunOptions::default();
-        let suite = tiny_suite(&opts);
-        let s = telemetry_jsonl(&suite);
-        assert_eq!(s.lines().count(), 2);
-        for line in s.lines() {
-            assert!(line.starts_with("{\"app\":"));
-            assert!(line.contains("\"counters\":{"));
-        }
-    }
-
-    #[test]
-    fn off_level_writes_nothing() {
-        let opts = RunOptions::default().with_telemetry(TelemetryLevel::Off);
-        let suite = tiny_suite(&opts);
-        assert!(write(&suite, &opts).unwrap().is_empty());
     }
 }

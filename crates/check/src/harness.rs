@@ -330,13 +330,11 @@ impl Harness {
     }
 
     fn worker_parity(&mut self, case: &CheckCase, base: &RunResult) -> Vec<Violation> {
-        let opts = RunOptions::default()
-            .with_faults(case.plan())
-            .with_workers(2);
+        let opts = RunOptions::default().with_workers(2);
         let apps = [case.workload()];
-        let configurations = [case.configuration];
+        let configs = [case.config(TieBreak::Fifo)];
         self.counters.add("check.runs", 2);
-        let seq = match SuiteResult::run_sequential(&apps, &configurations, &opts) {
+        let seq = match SuiteResult::run_sequential(&apps, &configs, &opts) {
             Ok(s) => s,
             Err(e) => {
                 return vec![Violation {
@@ -346,7 +344,7 @@ impl Harness {
                 }]
             }
         };
-        let par = match SuiteResult::run_parallel(&apps, &configurations, &opts) {
+        let par = match SuiteResult::run_parallel(&apps, &configs, &opts) {
             Ok(s) => s,
             Err(e) => {
                 return vec![Violation {

@@ -29,13 +29,14 @@
 //! assert!(result.stats.counters.get("events.total") > 0);
 //! ```
 //!
-//! Campaign-level runs take a typed [`RunOptions`] (build one, or parse
-//! the `CEDAR_*` environment once via [`RunOptions::from_env`]):
+//! Campaign-level runs take the machines as `SimConfig`s and the host
+//! settings as a typed [`RunOptions`] (build one, or parse the `CEDAR_*`
+//! environment once via [`RunOptions::from_env`]):
 //!
 //! ```no_run
 //! use cedar_core::prelude::*;
 //!
-//! let opts = RunOptions::default().with_workers(2);
+//! let opts = RunOptions::default().with_workers(2).with_shrink(16);
 //! let suite = SuiteResult::full_campaign(&opts);
 //! assert_eq!(suite.apps.len(), 5);
 //! ```
@@ -57,7 +58,7 @@ pub mod suite;
 
 pub use cache::CacheSession;
 pub use cedar_cache::CacheStats;
-pub use cedar_obs::{CacheMode, CedarError, RunOptions, TelemetryLevel};
+pub use cedar_obs::{CacheMode, CedarError, RunOptions};
 pub use config::SimConfig;
 pub use pool::{PoolError, PoolStats};
 pub use record::DecodeError;

@@ -207,9 +207,10 @@ impl Machine {
         pos / self.per_cluster()
     }
 
-    /// The hardware `CeId` of CE position `pos`.
+    /// The hardware `CeId` of CE position `pos`: a CE's id is its
+    /// position.
     pub(crate) fn ce_id(&self, pos: usize) -> CeId {
-        self.ces[pos].engine.id()
+        CeId(pos as u16)
     }
 
     /// `true` if `pos` is its cluster's lead CE.

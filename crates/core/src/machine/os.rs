@@ -57,6 +57,28 @@ impl Machine {
         self.gang_penalty(cluster, CPI_COST_PER_CE);
     }
 
+    /// Enters a kernel critical section from `cluster` for `hold`, under
+    /// the cluster's lock or the global one. Lock-hold inflation
+    /// stretches the hold, and the extra lands in the injected tally; any
+    /// spin for the lock is charged to `KernelSpin`. Returns
+    /// `(spin, held)`: the caller charges its own critical-section bucket.
+    fn critical_section(&mut self, cluster: usize, sect: CrSect, hold: Cycles) -> (Cycles, Cycles) {
+        let pct = self.lock_inflate_pct();
+        let (lock, injected) = match sect {
+            CrSect::Cluster => (
+                &mut self.cluster_locks[cluster],
+                &mut self.injected.lock_cluster,
+            ),
+            CrSect::Global => (&mut self.global_lock, &mut self.injected.lock_global),
+        };
+        let (_, spin, held) = lock.acquire_scaled(self.now, hold, pct);
+        *injected += held - hold;
+        if spin > Cycles::ZERO {
+            self.charge_os(cluster, OsActivity::KernelSpin, spin);
+        }
+        (spin, held)
+    }
+
     /// Charges one system call issued on `cluster`, including the
     /// critical section its handler enters.
     pub(crate) fn charge_syscall(&mut self, cluster: usize, kind: SyscallKind) {
@@ -67,31 +89,19 @@ impl Machine {
             OsActivity::SyscallCluster
         };
         self.charge_os(cluster, activity, cost);
-        let pct = self.lock_inflate_pct();
-        match kind.critical_section() {
-            Some(CrSect::Global) => {
-                let hold = CR_SECT_GLOBAL;
-                let (_, spin, held) = self.global_lock.acquire_scaled(self.now, hold, pct);
-                self.charge_os(cluster, OsActivity::CrSectGlobal, held);
-                self.injected.lock_global += held - hold;
-                if spin > Cycles::ZERO {
-                    self.charge_os(cluster, OsActivity::KernelSpin, spin);
-                }
-                self.lead_penalty(cluster, cost + held + spin);
+        let penalty = match kind.critical_section() {
+            Some(sect) => {
+                let (hold, bucket) = match sect {
+                    CrSect::Cluster => (CR_SECT_CLUSTER, OsActivity::CrSectCluster),
+                    CrSect::Global => (CR_SECT_GLOBAL, OsActivity::CrSectGlobal),
+                };
+                let (spin, held) = self.critical_section(cluster, sect, hold);
+                self.charge_os(cluster, bucket, held);
+                cost + held + spin
             }
-            Some(CrSect::Cluster) => {
-                let hold = CR_SECT_CLUSTER;
-                let (_, spin, held) =
-                    self.cluster_locks[cluster].acquire_scaled(self.now, hold, pct);
-                self.charge_os(cluster, OsActivity::CrSectCluster, held);
-                self.injected.lock_cluster += held - hold;
-                if spin > Cycles::ZERO {
-                    self.charge_os(cluster, OsActivity::KernelSpin, spin);
-                }
-                self.lead_penalty(cluster, cost + held + spin);
-            }
-            None => self.lead_penalty(cluster, cost),
-        }
+            None => cost,
+        };
+        self.lead_penalty(cluster, penalty);
     }
 
     /// Charges one page fault taken by CE `pos` and stalls it for
@@ -115,15 +125,10 @@ impl Machine {
         // the handler occupies the lock longer; the extra hold is
         // critical-section time and extends the stall.
         let hold = cost.scale(0.12);
-        let pct = self.lock_inflate_pct();
-        let (_, spin, held) = self.cluster_locks[cluster].acquire_scaled(self.now, hold, pct);
+        let (spin, held) = self.critical_section(cluster, CrSect::Cluster, hold);
         let extra = held - hold;
         if extra > Cycles::ZERO {
             self.charge_os(cluster, OsActivity::CrSectCluster, extra);
-            self.injected.lock_cluster += extra;
-        }
-        if spin > Cycles::ZERO {
-            self.charge_os(cluster, OsActivity::KernelSpin, spin);
         }
         // The faulting CE is stalled for the whole mapping time.
         self.ces[pos].pending_penalty += stall + spin + extra;
@@ -149,15 +154,9 @@ impl Machine {
         // Save/restore plus the non-categorized bookkeeping time.
         self.charge_os(cluster, OsActivity::Ctx, work.ctx_per_ce + work.other);
         // Cluster critical sections the system task enters.
-        let pct = self.lock_inflate_pct();
-        let (_, spin, held) =
-            self.cluster_locks[cluster].acquire_scaled(self.now, work.cr_sect, pct);
+        let (spin, held) = self.critical_section(cluster, CrSect::Cluster, work.cr_sect);
         self.charge_os(cluster, OsActivity::CrSectCluster, held);
         let extra = held - work.cr_sect;
-        self.injected.lock_cluster += extra;
-        if spin > Cycles::ZERO {
-            self.charge_os(cluster, OsActivity::KernelSpin, spin);
-        }
         // Cluster system calls the system task makes.
         self.charge_os(cluster, OsActivity::SyscallCluster, work.syscall);
         // The context-switch request interrupts every CE.

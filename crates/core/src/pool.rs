@@ -82,23 +82,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `jobs` on `workers` OS threads and returns their outputs in
-/// submission order.
+/// submission order, with the pool's own telemetry (worker count, busy
+/// vs. wall time) so suite runners can roll worker idle time into the
+/// run manifest.
 ///
 /// Work is distributed dynamically (an atomic next-job cursor), so an
 /// expensive job does not serialize the rest of the grid behind it. If
 /// any job panics, the remaining jobs still run to completion and the
 /// first failure (by job index) is returned as `Err`.
-pub fn run_jobs<T, F>(workers: usize, jobs: Vec<F>) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_jobs_timed(workers, jobs).map(|(out, _)| out)
-}
-
-/// [`run_jobs`], additionally reporting the pool's own telemetry
-/// (worker count, busy vs. wall time) so suite runners can roll worker
-/// idle time into the run manifest.
 pub fn run_jobs_timed<T, F>(workers: usize, jobs: Vec<F>) -> Result<(Vec<T>, PoolStats), PoolError>
 where
     T: Send,
@@ -170,7 +161,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = run_jobs(4, jobs).unwrap();
+        let (out, _) = run_jobs_timed(4, jobs).unwrap();
         assert_eq!(out, (0..32u64).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -178,16 +169,14 @@ mod tests {
     fn worker_count_does_not_change_results() {
         for workers in [1, 2, 3, 8, 64] {
             let jobs: Vec<_> = (0..10u64).map(|i| move || i + 1).collect();
-            assert_eq!(
-                run_jobs(workers, jobs).unwrap(),
-                (1..=10).collect::<Vec<_>>()
-            );
+            let (out, _) = run_jobs_timed(workers, jobs).unwrap();
+            assert_eq!(out, (1..=10).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn empty_job_list_is_fine() {
-        let out: Vec<u64> = run_jobs(8, Vec::<fn() -> u64>::new()).unwrap();
+        let (out, _) = run_jobs_timed(8, Vec::<fn() -> u64>::new()).unwrap();
         assert!(out.is_empty());
     }
 
@@ -198,7 +187,7 @@ mod tests {
             Box::new(|| panic!("experiment exploded")),
             Box::new(|| 3),
         ];
-        let err = run_jobs(2, jobs).unwrap_err();
+        let err = run_jobs_timed(2, jobs).unwrap_err();
         assert_eq!(err.job, 1);
         assert!(
             err.message.contains("experiment exploded"),
@@ -214,7 +203,7 @@ mod tests {
             Box::new(|| panic!("first")),
             Box::new(|| panic!("second")),
         ];
-        let err = run_jobs(1, jobs).unwrap_err();
+        let err = run_jobs_timed(1, jobs).unwrap_err();
         assert_eq!(err.job, 1);
         assert!(err.message.contains("first"));
     }

@@ -1,17 +1,19 @@
-//! Running the full measurement campaign: five applications × five
-//! configurations, as the paper's tables require.
+//! Running a measurement campaign: a grid of applications × machine
+//! configurations, such as the five Perfect codes on the five Cedar
+//! configurations the paper's tables require.
 //!
-//! The grid can run sequentially ([`SuiteResult::run_sequential`]) or
-//! fanned out over a bounded worker pool
-//! ([`SuiteResult::run_parallel`]). Each `(application, configuration)`
-//! simulation is an isolated deterministic experiment, so the two paths
-//! produce identical results — the parallel path only changes wall-clock
-//! time, never the measurements.
+//! A campaign is every `(AppSpec, SimConfig)` cell of that grid. A
+//! faulted, reseeded or tie-broken campaign passes its `SimConfig`s with
+//! those settings applied. The grid can run sequentially
+//! ([`SuiteResult::run_sequential`]) or fanned out over a bounded worker
+//! pool ([`SuiteResult::run_parallel`]). Each cell is an isolated
+//! deterministic experiment, so the two paths produce identical results
+//! — the parallel path only changes wall-clock time, never the
+//! measurements.
 //!
-//! Both runners take the campaign's [`RunOptions`] explicitly: the
-//! tie-break, fault plan and worker count come from the options value the
-//! caller built (or parsed once from the environment via
-//! [`RunOptions::from_env`]), never from ambient `std::env` reads.
+//! Both runners take the host settings (worker count, run cache) as a
+//! [`RunOptions`] the caller built or parsed once from the environment
+//! via [`RunOptions::from_env`], never from ambient `std::env` reads.
 
 use cedar_apps::AppSpec;
 use cedar_cache::CacheStats;
@@ -28,12 +30,13 @@ use crate::result::RunResult;
 pub struct AppResults {
     /// Application name.
     pub app: &'static str,
-    /// One result per configuration, in `Configuration::ALL` order.
+    /// One result per machine configuration, in the order the campaign
+    /// gave them.
     pub runs: Vec<RunResult>,
 }
 
 impl AppResults {
-    /// The result for `configuration`.
+    /// The first result on `configuration`.
     pub fn run(&self, configuration: Configuration) -> &RunResult {
         self.runs
             .iter()
@@ -107,25 +110,17 @@ pub struct SuiteResult {
     pub telemetry: SuiteTelemetry,
 }
 
-/// The grid's job list: every `(app, configuration)` pair, apps-major,
-/// configurations in the order given. Both runner paths share it so the
-/// result ordering is identical by construction.
-fn grid(apps: &[AppSpec], configurations: &[Configuration]) -> Vec<(AppSpec, Configuration)> {
-    let mut jobs = Vec::with_capacity(apps.len() * configurations.len());
+/// The grid's cells: every `(app, config)` pair, apps-major, configs in
+/// the order given. Both runner paths share it so the result ordering is
+/// identical by construction.
+fn grid(apps: &[AppSpec], configs: &[SimConfig]) -> Vec<(AppSpec, SimConfig)> {
+    let mut cells = Vec::with_capacity(apps.len() * configs.len());
     for app in apps {
-        for &c in configurations {
-            jobs.push((app.clone(), c));
+        for cfg in configs {
+            cells.push((app.clone(), cfg.clone()));
         }
     }
-    jobs
-}
-
-/// The machine configuration one grid cell runs under: the paper's Cedar
-/// at `c` processors, with the campaign-wide knobs from `opts` applied.
-fn cell_config(c: Configuration, opts: &RunOptions) -> SimConfig {
-    SimConfig::cedar(c)
-        .with_tiebreak(opts.tiebreak)
-        .with_faults(opts.faults)
+    cells
 }
 
 /// Folds a flat grid of runs (in `grid` order) back into per-app groups.
@@ -143,21 +138,21 @@ fn regroup(apps: &[AppSpec], per_app: usize, mut runs: Vec<RunResult>) -> Vec<Ap
 }
 
 impl SuiteResult {
-    /// Runs `apps` on every configuration in `configurations`, one
-    /// experiment at a time on the calling thread. This is the reference
-    /// path the parallel runner is checked against. Fails with
+    /// Runs `apps` on every machine in `configs`, one experiment at a
+    /// time on the calling thread. This is the reference path the
+    /// parallel runner is checked against. Fails with
     /// [`CedarError::CacheIo`] when the configured cache root is
     /// unusable.
     pub fn run_sequential(
         apps: &[AppSpec],
-        configurations: &[Configuration],
+        configs: &[SimConfig],
         opts: &RunOptions,
     ) -> Result<SuiteResult, CedarError> {
         let wall = std::time::Instant::now();
         let session = CacheSession::new(opts)?;
-        let runs: Vec<_> = grid(apps, configurations)
+        let runs: Vec<_> = grid(apps, configs)
             .into_iter()
-            .map(|(app, c)| session.execute(&app, cell_config(c, opts)))
+            .map(|(app, cfg)| session.execute(&app, cfg))
             .collect();
         let telemetry = SuiteTelemetry::from_runs(
             &runs,
@@ -166,7 +161,7 @@ impl SuiteResult {
             session.stats(),
         );
         Ok(SuiteResult {
-            apps: regroup(apps, configurations.len(), runs),
+            apps: regroup(apps, configs.len(), runs),
             telemetry,
         })
     }
@@ -179,17 +174,16 @@ impl SuiteResult {
     /// hanging the pool.
     pub fn run_parallel(
         apps: &[AppSpec],
-        configurations: &[Configuration],
+        configs: &[SimConfig],
         opts: &RunOptions,
     ) -> Result<SuiteResult, CedarError> {
         let wall = std::time::Instant::now();
         // One session serves all workers: pool jobs borrow it (the pool
         // runs on scoped threads) and its counters are atomic.
         let session = CacheSession::new(opts)?;
-        let jobs: Vec<_> = grid(apps, configurations)
+        let jobs: Vec<_> = grid(apps, configs)
             .into_iter()
-            .map(|(app, c)| {
-                let cfg = cell_config(c, opts);
+            .map(|(app, cfg)| {
                 let session = &session;
                 move || session.execute(&app, cfg)
             })
@@ -204,26 +198,27 @@ impl SuiteResult {
             session.stats(),
         );
         Ok(SuiteResult {
-            apps: regroup(apps, configurations.len(), runs),
+            apps: regroup(apps, configs.len(), runs),
             telemetry,
         })
     }
 
-    /// Runs `apps` on every configuration in `configurations` across the
-    /// worker pool under `opts`, panicking on any [`CedarError`]. The
-    /// convenience entry point for tools and tests.
-    pub fn measure(
-        apps: &[AppSpec],
-        configurations: &[Configuration],
-        opts: &RunOptions,
-    ) -> SuiteResult {
-        SuiteResult::run_parallel(apps, configurations, opts).expect("campaign failed")
+    /// Runs `apps` on every machine in `configs` across the worker pool
+    /// under `opts`, panicking on any [`CedarError`]. The convenience
+    /// entry point for tools and tests.
+    pub fn measure(apps: &[AppSpec], configs: &[SimConfig], opts: &RunOptions) -> SuiteResult {
+        SuiteResult::run_parallel(apps, configs, opts).expect("campaign failed")
     }
 
     /// Runs the full campaign under `opts`: the five Perfect
-    /// applications on all five configurations.
+    /// applications, shrunk by `opts.shrink`, on the paper's Cedar at
+    /// all five configurations.
     pub fn full_campaign(opts: &RunOptions) -> SuiteResult {
-        SuiteResult::measure(&cedar_apps::perfect_suite(), &Configuration::ALL, opts)
+        let apps: Vec<_> = cedar_apps::perfect_suite()
+            .into_iter()
+            .map(|a| a.shrunk(opts.shrink))
+            .collect();
+        SuiteResult::measure(&apps, &Configuration::ALL.map(SimConfig::cedar), opts)
     }
 
     /// Looks up one application's results by name.

@@ -62,11 +62,6 @@ impl CeEngine {
         }
     }
 
-    /// This CE's id.
-    pub fn id(&self) -> CeId {
-        self.id
-    }
-
     /// Begins an activity; returns the generation token that a matching
     /// completion event must carry.
     ///

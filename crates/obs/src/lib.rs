@@ -13,11 +13,11 @@
 //!   Hot loops keep their tallies in plain integer fields and add them
 //!   to the rollup once at end of run, so per-event tallies never pay a
 //!   map probe.
-//! * [`RunOptions`] — the single typed run-configuration record
-//!   (worker count, shrink factor, smoke mode, telemetry level, output
-//!   directory, cache mode). Built programmatically with
-//!   builder methods, or once at process startup from the environment
-//!   via [`RunOptions::from_env`]. It is one of the workspace's three
+//! * [`RunOptions`] — the single typed record of how the host runs a
+//!   campaign (worker count, shrink factor, smoke mode, bench
+//!   iterations, output directory, cache mode). Built programmatically
+//!   with builder methods, or once at process startup from the
+//!   environment via [`RunOptions::from_env`]. It is one of the workspace's three
 //!   sanctioned environment readers; the others are
 //!   `cedar_check::CheckOptions::from_env` (`CEDAR_CHECK_REPLAY`) and
 //!   the golden-update hook (`UPDATE_GOLDEN`).
@@ -37,4 +37,4 @@ pub mod options;
 
 pub use counters::{Counters, RunStats};
 pub use error::CedarError;
-pub use options::{CacheMode, RunOptions, TelemetryLevel};
+pub use options::{CacheMode, RunOptions};

@@ -2,58 +2,14 @@
 //!
 //! Every knob that used to be a scattered `std::env::var` read —
 //! `CEDAR_WORKERS`, `CEDAR_SHRINK`, `BENCH_SMOKE`, `BENCH_ITERS`,
-//! `BENCH_JSON_DIR`, `CEDAR_CACHE`, plus the `CEDAR_OBS` telemetry
-//! level — lives in one [`RunOptions`] value.
+//! `BENCH_JSON_DIR` and `CEDAR_CACHE` — lives in one [`RunOptions`]
+//! value.
 //! Library code takes `&RunOptions` explicitly; the environment is
 //! consulted exactly once, by [`RunOptions::from_env`], at process
 //! startup (tools and the bench harness do this; tests construct
 //! options programmatically).
 
 use std::path::PathBuf;
-
-use cedar_faults::FaultPlan;
-use cedar_sim::TieBreak;
-
-/// How much self-telemetry a run emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TelemetryLevel {
-    /// Collect nothing beyond the always-on cheap counters; write no
-    /// telemetry files.
-    Off,
-    /// Write the run manifest (`RUN_manifest.json`) with the span and
-    /// counter rollup. The default.
-    #[default]
-    Summary,
-    /// Additionally stream one JSONL record per experiment
-    /// (`RUN_telemetry.jsonl`) for offline analysis.
-    Full,
-}
-
-impl TelemetryLevel {
-    /// Canonical lower-case name, as accepted by `CEDAR_OBS`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TelemetryLevel::Off => "off",
-            TelemetryLevel::Summary => "summary",
-            TelemetryLevel::Full => "full",
-        }
-    }
-}
-
-impl std::str::FromStr for TelemetryLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" | "0" => Ok(TelemetryLevel::Off),
-            "summary" | "1" | "" => Ok(TelemetryLevel::Summary),
-            "full" | "2" => Ok(TelemetryLevel::Full),
-            other => Err(format!(
-                "telemetry level must be off|summary|full, got `{other}`"
-            )),
-        }
-    }
-}
 
 /// How a campaign uses the content-addressed run cache
 /// (`results/cache/`, implemented by the `cedar-cache` crate).
@@ -104,34 +60,26 @@ impl std::str::FromStr for CacheMode {
     }
 }
 
-/// One run's complete tool-level configuration.
+/// One campaign's host-level configuration.
 ///
 /// `SimConfig` owns what one *simulated run* varies (processor
-/// configuration, seed, tie-break, background load, fault plan);
-/// `RunOptions` owns how the *host process* executes
-/// the campaign: how many worker threads fan the grid, whether
-/// workloads are shrunk, how benchmarks iterate, how much telemetry to
-/// emit, and where output files land.
+/// configuration, seed, tie-break, background load, fault plan); a
+/// campaign is a list of them. `RunOptions` owns how the *host process*
+/// executes the campaign: how many worker threads fan the grid, whether
+/// workloads are shrunk, how benchmarks iterate, where output files
+/// land and how the run cache is used.
 ///
 /// # Example
 ///
 /// ```
-/// use cedar_obs::{RunOptions, TelemetryLevel};
+/// use cedar_obs::RunOptions;
 ///
-/// let opts = RunOptions::default()
-///     .with_workers(4)
-///     .with_shrink(16)
-///     .with_telemetry(TelemetryLevel::Full);
+/// let opts = RunOptions::default().with_workers(4).with_shrink(16);
 /// assert_eq!(opts.workers, Some(4));
 /// assert_eq!(opts.shrink, 16);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOptions {
-    /// Simultaneous-event ordering policy for every experiment.
-    /// Measurements must not depend on it (a claim `cedar-check`
-    /// verifies by perturbation); like the fault plan it is typed only
-    /// — no environment variable sets it.
-    pub tiebreak: TieBreak,
     /// Worker-pool width for suite grids (`None` = available
     /// parallelism).
     pub workers: Option<usize>,
@@ -141,21 +89,9 @@ pub struct RunOptions {
     pub smoke: bool,
     /// Benchmark timed-iteration override (`None` = harness default).
     pub bench_iters: Option<u32>,
-    /// Self-telemetry level.
-    pub telemetry: TelemetryLevel,
-    /// Output directory for manifests, bench JSON and telemetry streams
-    /// (`None` = the workspace-root `results/`).
+    /// Output directory for manifests, CSVs and bench JSON (`None` =
+    /// the workspace-root `results/`).
     pub output_dir: Option<PathBuf>,
-    /// Fault-injection campaign applied to every experiment (the empty
-    /// default injects nothing and leaves results byte-identical). A
-    /// deliberate exception to the host-vs-machine split: the plan
-    /// *does* change what is simulated, so it participates in
-    /// [`fingerprint_seed`](Self::fingerprint_seed), but it is campaign
-    /// tooling (sweeps, attribution tests) rather than a property of the
-    /// modelled Cedar, so it travels with the run options and is applied
-    /// to each cell's `SimConfig` by the suite runners. Typed only — no
-    /// environment variable sets it.
-    pub faults: FaultPlan,
     /// How the campaign layer uses the content-addressed run cache.
     /// Wall-clock-only (results are deterministic), so it is excluded
     /// from [`fingerprint_seed`](Self::fingerprint_seed).
@@ -165,14 +101,11 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            tiebreak: TieBreak::default(),
             workers: None,
             shrink: 1,
             smoke: false,
             bench_iters: None,
-            telemetry: TelemetryLevel::default(),
             output_dir: None,
-            faults: FaultPlan::default(),
             cache: CacheMode::default(),
         }
     }
@@ -189,7 +122,6 @@ impl RunOptions {
     /// |-----------------|---------------|--------------------------|
     /// | `CEDAR_WORKERS` | `workers`     | integer ≥ 1              |
     /// | `CEDAR_SHRINK`  | `shrink`      | integer ≥ 1              |
-    /// | `CEDAR_OBS`     | `telemetry`   | `off`, `summary`, `full` |
     /// | `BENCH_SMOKE`   | `smoke`       | `0`, `1`                 |
     /// | `BENCH_ITERS`   | `bench_iters` | integer ≥ 1              |
     /// | `BENCH_JSON_DIR`| `output_dir`  | a directory path         |
@@ -211,23 +143,13 @@ impl RunOptions {
     fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<RunOptions, String> {
         let lookup = &lookup;
         Ok(RunOptions {
-            tiebreak: TieBreak::default(),
             workers: env_value(lookup, "CEDAR_WORKERS", positive)?,
             shrink: env_value(lookup, "CEDAR_SHRINK", positive)?.unwrap_or(1),
             smoke: env_value(lookup, "BENCH_SMOKE", flag)?.unwrap_or(false),
             bench_iters: env_value(lookup, "BENCH_ITERS", positive)?,
-            telemetry: env_value(lookup, "CEDAR_OBS", |v| v.parse())?.unwrap_or_default(),
             output_dir: env_value(lookup, "BENCH_JSON_DIR", |v| Ok(PathBuf::from(v)))?,
-            faults: FaultPlan::default(),
             cache: env_value(lookup, "CEDAR_CACHE", |v| v.parse())?.unwrap_or_default(),
         })
-    }
-
-    /// Overrides the simultaneous-event ordering policy (builder
-    /// style). `TieBreak::Fifo` restores the default order.
-    pub fn with_tiebreak(mut self, tiebreak: TieBreak) -> Self {
-        self.tiebreak = tiebreak;
-        self
     }
 
     /// Bounds the suite worker pool (builder style).
@@ -242,22 +164,9 @@ impl RunOptions {
         self
     }
 
-    /// Sets the telemetry level (builder style).
-    pub fn with_telemetry(mut self, level: TelemetryLevel) -> Self {
-        self.telemetry = level;
-        self
-    }
-
     /// Redirects output files (builder style).
     pub fn with_output_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.output_dir = Some(dir.into());
-        self
-    }
-
-    /// Applies a fault-injection campaign to every experiment (builder
-    /// style). `FaultPlan::default()` restores the unperturbed run.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
         self
     }
 
@@ -270,17 +179,11 @@ impl RunOptions {
     /// The stable fingerprint seed: every field that changes *what is
     /// simulated or how results are produced*, in a fixed textual form.
     /// Wall-clock-only knobs (worker count, bench iterations, output
-    /// directory, telemetry level, cache mode) are deliberately excluded
-    /// — two runs differing only in those produce identical
-    /// measurements, and their manifests carry the same fingerprint.
+    /// directory, cache mode) are deliberately excluded — two runs
+    /// differing only in those produce identical measurements, and their
+    /// manifests carry the same fingerprint.
     pub fn fingerprint_seed(&self) -> String {
-        format!(
-            "tie={};shrink={};smoke={};faults={}",
-            self.tiebreak,
-            self.shrink,
-            self.smoke,
-            self.faults.fingerprint()
-        )
+        format!("shrink={};smoke={}", self.shrink, self.smoke)
     }
 }
 
@@ -324,7 +227,6 @@ mod tests {
         assert_eq!(o.workers, None);
         assert_eq!(o.shrink, 1);
         assert!(!o.smoke);
-        assert_eq!(o.telemetry, TelemetryLevel::Summary);
         assert_eq!(o.output_dir, None);
     }
 
@@ -333,11 +235,9 @@ mod tests {
         let o = RunOptions::default()
             .with_workers(3)
             .with_shrink(0) // clamped to 1
-            .with_telemetry(TelemetryLevel::Off)
             .with_output_dir("/tmp/x");
         assert_eq!(o.workers, Some(3));
         assert_eq!(o.shrink, 1);
-        assert_eq!(o.telemetry, TelemetryLevel::Off);
         assert_eq!(o.output_dir, Some(PathBuf::from("/tmp/x")));
     }
 
@@ -355,7 +255,6 @@ mod tests {
         let o = from_vars(&[
             ("CEDAR_WORKERS", "8"),
             ("CEDAR_SHRINK", "16"),
-            ("CEDAR_OBS", "full"),
             ("BENCH_SMOKE", "1"),
             ("BENCH_ITERS", "3"),
             ("BENCH_JSON_DIR", "/tmp/x"),
@@ -364,7 +263,6 @@ mod tests {
         let mut typed = RunOptions::default()
             .with_workers(8)
             .with_shrink(16)
-            .with_telemetry(TelemetryLevel::Full)
             .with_output_dir("/tmp/x")
             .with_cache(CacheMode::ReadOnly);
         typed.smoke = true;
@@ -382,7 +280,6 @@ mod tests {
         let empty = [
             "CEDAR_WORKERS",
             "CEDAR_SHRINK",
-            "CEDAR_OBS",
             "BENCH_SMOKE",
             "BENCH_ITERS",
             "BENCH_JSON_DIR",
@@ -402,7 +299,6 @@ mod tests {
             ("BENCH_ITERS", "0"),
             ("BENCH_ITERS", "-3"),
             ("BENCH_SMOKE", "yes"),
-            ("CEDAR_OBS", "verbose"),
             ("CEDAR_CACHE", "sometimes"),
         ] {
             let err = from_vars(&[(name, value)]).expect_err(name);
@@ -414,48 +310,15 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_levels_parse_and_roundtrip() {
-        for level in [
-            TelemetryLevel::Off,
-            TelemetryLevel::Summary,
-            TelemetryLevel::Full,
-        ] {
-            assert_eq!(level.as_str().parse::<TelemetryLevel>().unwrap(), level);
-        }
-        assert!("verbose".parse::<TelemetryLevel>().is_err());
-    }
-
-    #[test]
-    fn fault_plan_changes_the_fingerprint() {
-        let a = RunOptions::default();
-        assert!(a.faults.is_empty());
-        assert!(a.fingerprint_seed().ends_with("faults=none"));
-        let b = RunOptions::default().with_faults(FaultPlan::canonical());
-        assert_ne!(a.fingerprint_seed(), b.fingerprint_seed());
-    }
-
-    #[test]
     fn fingerprint_ignores_wall_clock_only_knobs() {
         let a = RunOptions::default();
         let b = RunOptions::default()
             .with_workers(64)
-            .with_telemetry(TelemetryLevel::Full)
             .with_output_dir("/elsewhere")
             .with_cache(CacheMode::ReadWrite);
         assert_eq!(a.fingerprint_seed(), b.fingerprint_seed());
         let c = RunOptions::default().with_shrink(16);
         assert_ne!(a.fingerprint_seed(), c.fingerprint_seed());
-    }
-
-    #[test]
-    fn tiebreak_is_typed_only_and_fingerprinted() {
-        let a = RunOptions::default();
-        assert_eq!(a.tiebreak, TieBreak::Fifo);
-        // The policy names *how the run was produced*, so it participates in the manifest fingerprint
-        // even though measurements are invariant to it.
-        let b = RunOptions::default().with_tiebreak(TieBreak::Shuffle(7));
-        assert_ne!(a.fingerprint_seed(), b.fingerprint_seed());
-        assert!(b.fingerprint_seed().contains("tie=shuffle:0x7"));
     }
 
     #[test]

@@ -112,7 +112,7 @@ mod tests {
         a.name = "T";
         SuiteResult::measure(
             &[a],
-            &[Configuration::P1, Configuration::P8],
+            &[Configuration::P1, Configuration::P8].map(cedar_core::SimConfig::cedar),
             &cedar_core::RunOptions::default(),
         )
     }

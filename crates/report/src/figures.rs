@@ -131,7 +131,7 @@ mod tests {
         a.name = "FLO52";
         SuiteResult::measure(
             &[a],
-            &[Configuration::P1, Configuration::P16],
+            &[Configuration::P1, Configuration::P16].map(cedar_core::SimConfig::cedar),
             &cedar_core::RunOptions::default(),
         )
     }

@@ -284,7 +284,7 @@ mod tests {
         c.name = "MDG";
         SuiteResult::measure(
             &[a, b, c],
-            &Configuration::ALL,
+            &Configuration::ALL.map(cedar_core::SimConfig::cedar),
             &cedar_core::RunOptions::default(),
         )
     }

@@ -3,8 +3,9 @@
 # paper-band claims, the full test suite, a one-iteration smoke pass of the event-queue
 # benchmark, the shrunk campaign's pinned work counts, the run-cache
 # soundness check (warm campaign = cold campaign, only faster), the
-# benchmark package's own tests (perfbench/) and its full-scale
-# fingerprints against perfbench/fingerprints.txt.
+# benchmark package's own tests (perfbench/), its full-scale
+# fingerprints against perfbench/fingerprints.txt, and a last check that
+# no step rewrote the committed full-scale results/*.csv.
 #
 # The workspace has zero external dependencies, so every step runs with
 # --offline and must succeed with no registry or network access. The
@@ -13,6 +14,11 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# The committed full-scale CSVs. Every campaign below writes its CSVs
+# under a scratch directory; the last step fails if any of these changed.
+tracked_csvs="results/summary.csv results/breakdown.csv results/concurrency.csv"
+csv_sums=$(cksum $tracked_csvs)
 
 # Environment-read guard: library crates must take their configuration
 # through the typed cedar_obs::RunOptions surface, not ambient std::env
@@ -81,15 +87,15 @@ BENCH_SMOKE=1 cargo bench --offline -p cedar-bench
 scratch=$(mktemp -d "${TMPDIR:-/tmp}/cedar-ci.XXXXXX")
 trap 'rm -rf "$scratch"' EXIT
 
-echo "==> reduced-scale campaign + run manifest (CEDAR_SHRINK=16, CEDAR_OBS=full)"
-CEDAR_SHRINK=16 CEDAR_OBS=full cargo run --release --offline -p cedar-bench --bin all > /dev/null
-for f in results/RUN_manifest.json results/RUN_telemetry.jsonl; do
-    test -s "$f" || {
-        echo "error: campaign did not write $f" >&2
-        exit 1
-    }
-done
-echo "    wrote results/RUN_manifest.json + results/RUN_telemetry.jsonl"
+echo "==> reduced-scale campaign + run manifest (CEDAR_SHRINK=16)"
+CEDAR_SHRINK=16 BENCH_JSON_DIR="$scratch/campaign" \
+    cargo run --release --offline -p cedar-bench --bin all > /dev/null
+test -s "$scratch/campaign/RUN_manifest.json" || {
+    echo "error: campaign did not write RUN_manifest.json" >&2
+    exit 1
+}
+cp "$scratch/campaign/RUN_manifest.json" results/RUN_manifest.json
+echo "    wrote results/RUN_manifest.json"
 
 # Exact work counts: every "name value" line of results/CI_work_counts.txt
 # must match the value the campaign's manifest holds for that name. The
@@ -237,5 +243,13 @@ if ! diff -u "$scratch/fingerprints.pinned" "$scratch/fingerprints.run" >&2; the
     exit 1
 fi
 echo "    $(wc -l < "$scratch/fingerprints.pinned") fingerprints match"
+
+echo "==> committed full-scale CSVs unchanged ($tracked_csvs)"
+if [ "$(cksum $tracked_csvs)" != "$csv_sums" ]; then
+    echo "error: a step rewrote a committed CSV; campaigns must write under a scratch BENCH_JSON_DIR" >&2
+    git diff --stat -- $tracked_csvs >&2 || true
+    exit 1
+fi
+echo "    $(echo $tracked_csvs | wc -w) CSVs unchanged"
 
 echo "==> OK"

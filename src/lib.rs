@@ -13,7 +13,7 @@
 //! system), [`rtl`] (Cedar Fortran runtime), [`trace`] (cedarhpm /
 //! statfx / Q measurement facilities), [`faults`] (deterministic
 //! fault-injection campaigns), [`obs`] (the reproduction's own
-//! telemetry: `RunOptions`, recorders, the run-manifest JSON writer) and
+//! telemetry: `RunOptions`, counters, the run-manifest JSON writer) and
 //! [`cache`] (the content-addressed store of completed runs behind
 //! `CEDAR_CACHE`), all built on the [`sim`] discrete-event kernel.
 //! [`check`] is the model-checker-style harness that re-executes
@@ -39,9 +39,10 @@ pub use cedar_xylem as xylem;
 /// ```
 /// use cedar::prelude::*;
 ///
-/// let opts = RunOptions::default().with_telemetry(TelemetryLevel::Off);
+/// let opts = RunOptions::default();
 /// let app = cedar::apps::synthetic::uniform_xdoall(1, 2, 8, 150, 4);
-/// let suite = SuiteResult::run_sequential(&[app], &[Configuration::P1], &opts).unwrap();
+/// let p1 = SimConfig::cedar(Configuration::P1);
+/// let suite = SuiteResult::run_sequential(&[app], &[p1], &opts).unwrap();
 /// assert!(tables::table1(&suite).contains("1 proc"));
 /// ```
 pub mod prelude {

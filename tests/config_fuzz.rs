@@ -256,8 +256,8 @@ fn replay_of_a_case_seed_is_exact() {
     assert_eq!(fingerprint_text(&run_a), fingerprint_text(&run_b));
 }
 
-/// `RunOptions`-level fuzzing of the suite driver: the worker fan-out
-/// must not leak into results for any fuzzed configuration.
+/// Fuzzing of the suite driver: the worker fan-out must not leak into
+/// results for any fuzzed configuration and fault plan.
 #[test]
 fn fuzzed_run_options_are_worker_count_independent() {
     let mut rng = SplitMix64::new(BASE_SEED ^ 0x5157);
@@ -265,11 +265,12 @@ fn fuzzed_run_options_are_worker_count_independent() {
         let seed = rng.next_u64();
         let case = Case::derive(seed);
         let apps = [case.app.clone()];
-        let configs = [case.config];
-        let mut opts = RunOptions::default();
+        let mut cfg = SimConfig::cedar(case.config);
         if let Some(plan) = case.plan {
-            opts = opts.with_faults(plan);
+            cfg = cfg.with_faults(plan);
         }
+        let configs = [cfg];
+        let opts = RunOptions::default();
         let one = cedar::core::suite::SuiteResult::run_parallel(
             &apps,
             &configs,

@@ -18,6 +18,7 @@
 use cedar::apps::perfect_suite;
 use cedar::check::fingerprint_text;
 use cedar::core::suite::SuiteResult;
+use cedar::core::SimConfig;
 use cedar::faults::FaultPlan;
 use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
@@ -43,12 +44,13 @@ fn fault_campaign_is_worker_count_independent() {
         .filter(|a| a.name == "FLO52" || a.name == "MDG")
         .map(|a| a.shrunk(SHRINK))
         .collect();
-    let opts1 = RunOptions::default().with_faults(plan).with_workers(1);
-    let optsn = RunOptions::default().with_faults(plan).with_workers(3);
+    let configs = CONFIGS.map(|c| SimConfig::cedar(c).with_faults(plan));
+    let opts1 = RunOptions::default().with_workers(1);
+    let optsn = RunOptions::default().with_workers(3);
     let sequential =
-        SuiteResult::run_sequential(&apps, &CONFIGS, &opts1).expect("sequential campaign");
-    let one = SuiteResult::run_parallel(&apps, &CONFIGS, &opts1).expect("1-worker campaign");
-    let three = SuiteResult::run_parallel(&apps, &CONFIGS, &optsn).expect("3-worker campaign");
+        SuiteResult::run_sequential(&apps, &configs, &opts1).expect("sequential campaign");
+    let one = SuiteResult::run_parallel(&apps, &configs, &opts1).expect("1-worker campaign");
+    let three = SuiteResult::run_parallel(&apps, &configs, &optsn).expect("3-worker campaign");
     let want = fingerprint_suite(&sequential);
     assert_eq!(want, fingerprint_suite(&one), "sequential vs 1 worker");
     assert_eq!(want, fingerprint_suite(&three), "sequential vs 3 workers");
@@ -61,21 +63,14 @@ fn fault_seed_and_plan_change_the_measurements() {
         .filter(|a| a.name == "FLO52")
         .map(|a| a.shrunk(SHRINK))
         .collect();
-    let configs = [Configuration::P32];
-    let base = SuiteResult::run_sequential(
-        &apps,
-        &configs,
-        &RunOptions::default().with_faults(FaultPlan::canonical()),
-    )
-    .expect("faulted campaign");
-    let reseeded = SuiteResult::run_sequential(
-        &apps,
-        &configs,
-        &RunOptions::default().with_faults(FaultPlan::canonical().with_seed(99)),
-    )
-    .expect("reseeded campaign");
-    let clean = SuiteResult::run_sequential(&apps, &configs, &RunOptions::default())
-        .expect("clean campaign");
+    let opts = RunOptions::default();
+    let campaign = |plan: FaultPlan| {
+        let configs = [SimConfig::cedar(Configuration::P32).with_faults(plan)];
+        SuiteResult::run_sequential(&apps, &configs, &opts).expect("campaign")
+    };
+    let base = campaign(FaultPlan::canonical());
+    let reseeded = campaign(FaultPlan::canonical().with_seed(99));
+    let clean = campaign(FaultPlan::default());
     let ct = |s: &SuiteResult| s.apps[0].runs[0].completion_time;
     assert_ne!(
         ct(&base),

@@ -20,9 +20,7 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use cedar::apps::perfect_suite;
 use cedar::core::suite::SuiteResult;
-use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
 use cedar::report::{figures, golden, tables};
 
@@ -32,14 +30,7 @@ const GOLDEN_SHRINK: u32 = 16;
 
 fn campaign() -> &'static SuiteResult {
     static C: OnceLock<SuiteResult> = OnceLock::new();
-    C.get_or_init(|| {
-        let apps: Vec<_> = perfect_suite()
-            .into_iter()
-            .map(|a| a.shrunk(GOLDEN_SHRINK))
-            .collect();
-        SuiteResult::run_parallel(&apps, &Configuration::ALL, &RunOptions::default())
-            .expect("campaign experiment panicked")
-    })
+    C.get_or_init(|| SuiteResult::full_campaign(&RunOptions::default().with_shrink(GOLDEN_SHRINK)))
 }
 
 fn golden_path(name: &str) -> PathBuf {

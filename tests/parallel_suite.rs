@@ -4,6 +4,7 @@
 
 use cedar::apps::{perfect_suite, AppSpec};
 use cedar::core::suite::SuiteResult;
+use cedar::core::SimConfig;
 use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
 use cedar::report;
@@ -36,10 +37,10 @@ fn render_all(suite: &SuiteResult) -> String {
 #[test]
 fn parallel_grid_is_byte_identical_to_sequential() {
     let apps = grid_apps();
-    let sequential =
-        SuiteResult::run_sequential(&apps, &Configuration::ALL, &RunOptions::default())
-            .expect("sequential campaign");
-    let parallel = SuiteResult::run_parallel(&apps, &Configuration::ALL, &RunOptions::default())
+    let configs = Configuration::ALL.map(SimConfig::cedar);
+    let sequential = SuiteResult::run_sequential(&apps, &configs, &RunOptions::default())
+        .expect("sequential campaign");
+    let parallel = SuiteResult::run_parallel(&apps, &configs, &RunOptions::default())
         .expect("no experiment panics");
     assert_eq!(
         render_all(&sequential),
@@ -69,7 +70,7 @@ fn worker_count_does_not_change_the_flo52_p8_measurements() {
         .iter()
         .map(|&w| {
             let opts = RunOptions::default().with_workers(w);
-            SuiteResult::run_parallel(&apps, &[Configuration::P8], &opts)
+            SuiteResult::run_parallel(&apps, &[SimConfig::cedar(Configuration::P8)], &opts)
                 .expect("no experiment panics")
         })
         .collect();
@@ -102,7 +103,7 @@ fn worker_count_does_not_change_the_flo52_p8_measurements() {
 fn oversubscribed_pool_matches_too() {
     // More workers than jobs must degrade to one job per worker.
     let apps: Vec<AppSpec> = grid_apps().into_iter().take(2).collect();
-    let configs = [Configuration::P1, Configuration::P4];
+    let configs = [Configuration::P1, Configuration::P4].map(SimConfig::cedar);
     let seq = SuiteResult::run_sequential(&apps, &configs, &RunOptions::default())
         .expect("sequential campaign");
     let par = SuiteResult::run_parallel(&apps, &configs, &RunOptions::default().with_workers(64))

@@ -106,7 +106,7 @@ fn decode(payload: &str) -> Option<RunResult> {
 
 #[test]
 fn warm_suite_is_all_hits_and_byte_identical() {
-    type Runner = fn(&[AppSpec], &[Configuration], &RunOptions) -> SuiteResult;
+    type Runner = fn(&[AppSpec], &[SimConfig], &RunOptions) -> SuiteResult;
     let runners: [(&str, Runner); 2] = [
         ("run_parallel", SuiteResult::measure),
         ("run_sequential", |apps, configs, opts| {
@@ -114,7 +114,7 @@ fn warm_suite_is_all_hits_and_byte_identical() {
         }),
     ];
     let apps = [app(1), app(2)];
-    let configs = [Configuration::P1, Configuration::P8];
+    let configs = [Configuration::P1, Configuration::P8].map(SimConfig::cedar);
     for (runner, run) in runners {
         let root = Root::new(&format!("warm-{runner}"));
         let opts = root.opts(CacheMode::ReadWrite);
@@ -149,11 +149,11 @@ fn corrupt_entries_recompute_and_rewrite() {
     let root = Root::new("corrupt");
     let opts = root.opts(CacheMode::ReadWrite);
     let apps = [app(3)];
-    let configs = [Configuration::P4];
+    let cfg = SimConfig::cedar(Configuration::P4);
+    let configs = [cfg.clone()];
 
     let cold = SuiteResult::measure(&apps, &configs, &opts);
     let reference = suite_fingerprint(&cold);
-    let cfg = SimConfig::cedar(Configuration::P4);
     let entry = root
         .path()
         .join("cache")
@@ -210,7 +210,7 @@ fn corrupt_entries_recompute_and_rewrite() {
 fn read_only_serves_hits_but_never_writes() {
     let root = Root::new("ro");
     let apps = [app(4)];
-    let configs = [Configuration::P1, Configuration::P4];
+    let configs = [Configuration::P1, Configuration::P4].map(SimConfig::cedar);
 
     // Read-only over an empty store: all misses, nothing written.
     let ro_cold = SuiteResult::measure(&apps, &configs, &root.opts(CacheMode::ReadOnly));
@@ -253,7 +253,8 @@ fn trace_keeping_runs_bypass_the_cache() {
 fn off_mode_never_touches_disk() {
     let root = Root::new("off");
     let apps = [app(7)];
-    let suite = SuiteResult::measure(&apps, &[Configuration::P1], &root.opts(CacheMode::Off));
+    let p1 = [SimConfig::cedar(Configuration::P1)];
+    let suite = SuiteResult::measure(&apps, &p1, &root.opts(CacheMode::Off));
     assert!(suite.telemetry.cache.is_none(), "off mode reports no stats");
     assert!(!root.path().join("cache").exists());
 }

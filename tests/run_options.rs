@@ -12,8 +12,9 @@
 
 use cedar::apps::{perfect_suite, AppSpec};
 use cedar::core::suite::SuiteResult;
+use cedar::core::SimConfig;
 use cedar::hw::Configuration;
-use cedar::obs::{RunOptions, TelemetryLevel};
+use cedar::obs::RunOptions;
 use cedar::report::tables;
 use cedar_bench::manifest;
 
@@ -68,22 +69,18 @@ fn mask_key(s: &str, key: &str) -> String {
 #[test]
 fn env_path_and_typed_path_are_equivalent() {
     let apps = grid_apps();
-    let configs = [Configuration::P1, Configuration::P8];
+    let configs = [Configuration::P1, Configuration::P8].map(SimConfig::cedar);
 
     // Env path: the variables a user would export, parsed once.
     std::env::set_var("CEDAR_SHRINK", SHRINK.to_string());
     std::env::set_var("CEDAR_WORKERS", "2");
-    std::env::set_var("CEDAR_OBS", "full");
     let from_env = RunOptions::from_env();
-    for var in ["CEDAR_SHRINK", "CEDAR_WORKERS", "CEDAR_OBS"] {
+    for var in ["CEDAR_SHRINK", "CEDAR_WORKERS"] {
         std::env::remove_var(var);
     }
 
     // Typed path: the same configuration, spelled in code.
-    let typed = RunOptions::default()
-        .with_shrink(SHRINK)
-        .with_workers(2)
-        .with_telemetry(TelemetryLevel::Full);
+    let typed = RunOptions::default().with_shrink(SHRINK).with_workers(2);
     assert_eq!(from_env, typed, "options parse");
 
     let suite_env =
@@ -100,13 +97,6 @@ fn env_path_and_typed_path_are_equivalent() {
         mask_volatile(&manifest::manifest_json(&suite_env, &from_env)),
         mask_volatile(&manifest::manifest_json(&suite_typed, &typed)),
         "manifest bytes"
-    );
-
-    // JSONL telemetry: same stream, line for line, once masked.
-    assert_eq!(
-        mask_volatile(&manifest::telemetry_jsonl(&suite_env)),
-        mask_volatile(&manifest::telemetry_jsonl(&suite_typed)),
-        "telemetry stream"
     );
 }
 
