@@ -20,7 +20,8 @@ use cedar_sim::{Cycles, EventQueue, SplitMix64};
 /// The classic hold model: keep `pending` events in flight, pop one and
 /// reschedule it a short, random distance ahead, `steps` times. This is
 /// the steady state of a discrete-event kernel, O(1) per hold on the
-/// calendar queue.
+/// calendar queue, and the pop-then-reschedule path every packet hop
+/// takes.
 fn hold_model(pending: u64, steps: u64) -> u64 {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut rng = SplitMix64::new(0x601D);
@@ -31,7 +32,7 @@ fn hold_model(pending: u64, steps: u64) -> u64 {
     for _ in 0..steps {
         let (now, v) = q.pop().expect("hold model never drains");
         checksum = checksum.wrapping_mul(31).wrapping_add(now.0 ^ v);
-        q.schedule(now + Cycles(1 + rng.next_below(256)), v);
+        q.reschedule(now + Cycles(1 + rng.next_below(256)), v);
     }
     checksum
 }
@@ -41,7 +42,9 @@ fn hold_model(pending: u64, steps: u64) -> u64 {
 /// `per_ce` outstanding requests per CE. Every delivery immediately
 /// triggers a fresh injection, so the pending-event population stays at
 /// `32 × per_ce` packets in flight — the packet-heavy regime the 32-CE
-/// campaign codes produce.
+/// campaign codes produce. Each pop has exactly one successor, a hop or
+/// a fresh injection, so both go through `reschedule` as in the
+/// machine's event loop.
 fn net_dense(per_ce: u64, events: u64) -> u64 {
     let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
     let mut q: EventQueue<GmemEvent> = EventQueue::new();
@@ -67,7 +70,7 @@ fn net_dense(per_ce: u64, events: u64) -> u64 {
                 sys.inject(resp.ce, addr, MemOp::Read, now)
             }
         };
-        q.schedule(at, hop);
+        q.reschedule(at, hop);
         handled += 1;
     }
     checksum

@@ -26,7 +26,7 @@ fn flat_barrier(n: u32) -> SimTime {
     let mut completed = 0;
     while let Some((now, ev)) = q.pop() {
         match sys.handle(ev, now) {
-            Step::Next(at, hop) => q.schedule(at, hop),
+            Step::Next(at, hop) => q.reschedule(at, hop),
             Step::Delivered(resp) => {
                 completed += 1;
                 if resp.value + 1 == n as u64 {
@@ -61,7 +61,7 @@ fn combining_barrier(n: u32, fanout: u32) -> SimTime {
     while let Some((now, ev)) = q.pop() {
         let resp = match sys.handle(ev, now) {
             Step::Next(at, hop) => {
-                q.schedule(at, hop);
+                q.reschedule(at, hop);
                 continue;
             }
             Step::Delivered(resp) => resp,
@@ -71,7 +71,7 @@ fn combining_barrier(n: u32, fanout: u32) -> SimTime {
             Propagation::Waiting => {}
             Propagation::Up { level, idx, addr } => {
                 let (at, hop) = sys.inject(resp.ce, addr, MemOp::FetchAdd(1), now);
-                q.schedule(at, hop);
+                q.reschedule(at, hop);
                 target.insert(resp.ce, (level, idx));
             }
             Propagation::Release => released_at = Some(now),

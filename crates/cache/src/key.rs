@@ -1,17 +1,30 @@
 //! The content address of one experiment.
 
-use cedar_obs::json::fnv1a;
+use std::fmt::{self, Write};
 
-/// FNV-1a with a different offset basis, giving a second independent
+/// The standard FNV-1a offset basis ([`cedar_obs::json::fnv1a`]'s).
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// An arbitrary fixed alternate basis, giving a second independent
 /// 64-bit view of the same bytes for the 128-bit key.
-fn fnv1a_alt(bytes: &[u8]) -> u64 {
-    // The standard FNV prime with an arbitrary fixed alternate basis.
-    let mut h: u64 = 0x6c62_272e_07bb_0142;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const FNV_ALT_BASIS: u64 = 0x6c62_272e_07bb_0142;
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Both FNV-1a states of a [`RunKey`], fed from formatted text as it is
+/// written, so the canonical text is never built.
+struct KeyHasher {
+    hi: u64,
+    lo: u64,
+}
+
+impl Write for KeyHasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.hi = (self.hi ^ b as u64).wrapping_mul(FNV_PRIME);
+            self.lo = (self.lo ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
     }
-    h
 }
 
 /// The canonical semantic fingerprint of one `(application, machine
@@ -21,9 +34,10 @@ fn fnv1a_alt(bytes: &[u8]) -> u64 {
 ///
 /// The canonical text is produced by the caller (`cedar-core` renders
 /// the `AppSpec` and `SimConfig` through their `Debug` forms, which
-/// cover every field that shapes the simulation). Anything that changes
-/// the text changes the key; anything that changes simulator behavior
-/// without changing the text must bump `MODEL_VERSION`.
+/// cover every field that shapes the simulation) and hashed as it is
+/// formatted. Anything that changes the text changes the key; anything
+/// that changes simulator behavior without changing the text must bump
+/// `MODEL_VERSION`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunKey {
     hi: u64,
@@ -33,11 +47,19 @@ pub struct RunKey {
 impl RunKey {
     /// Keys `canonical`, mixing in the model version.
     pub fn new(canonical: &str) -> RunKey {
-        let salted = format!("model={};{canonical}", crate::MODEL_VERSION);
-        RunKey {
-            hi: fnv1a(salted.as_bytes()),
-            lo: fnv1a_alt(salted.as_bytes()),
-        }
+        RunKey::from_args(format_args!("{canonical}"))
+    }
+
+    /// Keys the text `canonical` formats to, hashing it as it is
+    /// written instead of building it: the key [`new`](Self::new) gives
+    /// that text.
+    pub fn from_args(canonical: fmt::Arguments<'_>) -> RunKey {
+        let mut h = KeyHasher {
+            hi: FNV_BASIS,
+            lo: FNV_ALT_BASIS,
+        };
+        write!(h, "model={};{canonical}", crate::MODEL_VERSION).expect("hashing never fails");
+        RunKey { hi: h.hi, lo: h.lo }
     }
 
     /// The 32-hex-digit content address (filename stem).
@@ -76,6 +98,31 @@ mod tests {
     fn shard_is_a_prefix_byte() {
         let k = RunKey::new("x");
         assert_eq!(k.shard(), k.hex()[..2].to_string());
+    }
+
+    /// The streamed key is the two byte-at-a-time FNV-1a passes over
+    /// the salted text it replaced.
+    #[test]
+    fn streamed_key_matches_two_passes_over_the_salted_text() {
+        fn fnv1a_with(basis: u64, bytes: &[u8]) -> u64 {
+            bytes
+                .iter()
+                .fold(basis, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+        }
+        let long = "app=AppSpec { phases: [..] };".repeat(64);
+        for canonical in ["", "x", "app=FLO52;cfg=P32", "ünïcode", long.as_str()] {
+            let salted = format!("model={};{canonical}", crate::MODEL_VERSION);
+            let expected = format!(
+                "{:016x}{:016x}",
+                cedar_obs::json::fnv1a(salted.as_bytes()),
+                fnv1a_with(FNV_ALT_BASIS, salted.as_bytes())
+            );
+            assert_eq!(RunKey::new(canonical).hex(), expected, "{canonical:.20}");
+            assert_eq!(
+                RunKey::from_args(format_args!("{canonical}")),
+                RunKey::new(canonical)
+            );
+        }
     }
 
     #[test]

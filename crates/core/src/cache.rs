@@ -24,9 +24,11 @@ use crate::config::SimConfig;
 use crate::result::RunResult;
 use crate::run::execute;
 
-/// The content address of one `(application, configuration)` experiment.
+/// The content address of one `(application, configuration)` experiment:
+/// the key of the text `app={app:?};cfg={cfg:?}`, hashed as it is
+/// formatted rather than built first.
 pub fn run_key(app: &AppSpec, cfg: &SimConfig) -> RunKey {
-    RunKey::new(&format!("app={app:?};cfg={cfg:?}"))
+    RunKey::from_args(format_args!("app={app:?};cfg={cfg:?}"))
 }
 
 /// Where the cache lives when the caller did not redirect output:
@@ -144,6 +146,23 @@ mod tests {
         );
         let other = synthetic::uniform_xdoall(1, 2, 4, 101, 8);
         assert_ne!(k, run_key(&other, &cfg), "workload changes the key");
+    }
+
+    /// The streamed key equals the key of the built text, the two-step
+    /// construction it replaced, on every cell of the paper grid.
+    #[test]
+    fn run_key_matches_the_key_of_the_built_text_on_the_grid() {
+        for app in cedar_apps::perfect_suite() {
+            for configuration in Configuration::ALL {
+                let cfg = SimConfig::cedar(configuration);
+                assert_eq!(
+                    run_key(&app, &cfg),
+                    RunKey::new(&format!("app={app:?};cfg={cfg:?}")),
+                    "{} {configuration:?}",
+                    app.name
+                );
+            }
+        }
     }
 
     #[test]

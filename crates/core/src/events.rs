@@ -75,11 +75,14 @@ pub(crate) const EV_CLASS_NAMES: [&str; 8] = [
 ];
 
 impl Ev {
+    /// The class index of a packet hop, [`Ev::Gmem`].
+    pub(crate) const GMEM_CLASS: usize = 0;
+
     /// Dense class index for per-class event accounting (the index into
     /// [`EV_CLASS_NAMES`]).
     pub fn class(&self) -> usize {
         match self {
-            Ev::Gmem(_) => 0,
+            Ev::Gmem(_) => Self::GMEM_CLASS,
             Ev::CeDone { .. } => 1,
             Ev::CeResume { .. } => 2,
             Ev::CbusRelease { .. } => 3,

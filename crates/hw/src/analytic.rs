@@ -168,7 +168,7 @@ mod tests {
         let mut delivered = 0u64;
         while let Some((now, ev)) = q.pop() {
             match sys.handle(ev, now) {
-                Step::Next(at, hop) => q.schedule(at, hop),
+                Step::Next(at, hop) => q.reschedule(at, hop),
                 Step::Delivered(_) => delivered += 1,
             }
         }

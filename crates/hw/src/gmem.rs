@@ -225,7 +225,7 @@ mod tests {
         let mut delivered = Vec::new();
         while let Some((now, ev)) = q.pop() {
             match sys.handle(ev, now) {
-                Step::Next(at, hop) => q.schedule(at, hop),
+                Step::Next(at, hop) => q.reschedule(at, hop),
                 Step::Delivered(resp) => delivered.push((now, resp)),
             }
         }

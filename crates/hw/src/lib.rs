@@ -52,7 +52,7 @@
 //! let mut delivered_at = None;
 //! while let Some((now, ev)) = q.pop() {
 //!     match sys.handle(ev, now) {
-//!         Step::Next(at, hop) => q.schedule(at, hop),
+//!         Step::Next(at, hop) => q.reschedule(at, hop),
 //!         Step::Delivered(_) => delivered_at = Some(now),
 //!     }
 //! }

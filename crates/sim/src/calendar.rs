@@ -16,13 +16,26 @@
 //! rank of the scheduling sequence (the sequence itself under the
 //! default FIFO policy). A bucket holds one cycle's events, so its fire
 //! time is the bucket's day and an entry is just `(rank, payload)`;
-//! entries pop in ascending rank. Under FIFO the appends arrive in
-//! ascending rank already, so the common case is a plain push with no
-//! sorting at all. The bucket header keeps the rank of the last push,
-//! so that order check never reads the entry array. An order-breaking
-//! append (an overflow migration landing behind a direct insert, or a
-//! non-monotone LIFO/shuffle rank) flips a dirty bit, and the bucket's
-//! unread entries are re-sorted once on the next pop.
+//! entries pop in ascending rank.
+//!
+//! Under FIFO a bucket is always in rank order, so a push is a bare
+//! append. An overflow event migrates into day *d*'s bucket in the one
+//! cursor advance that first brings *d* inside the horizon, and no
+//! direct push into *d* can come earlier, because *d* was beyond the
+//! horizon until then. Migrations arrive in rank order, and a FIFO rank
+//! is the scheduling sequence, so every direct push outranks every
+//! migrated entry and every earlier direct push. Under LIFO and shuffle
+//! ranks are not monotone: a push behind an unread entry marks the
+//! bucket unsorted, and its unread entries are sorted once on the next
+//! pop.
+//!
+//! [`reschedule`](EventQueue::reschedule) is `schedule` for the
+//! successor of the event just popped, the shape of every packet hop.
+//! Pop-then-reschedule returns the pending and wheel populations to
+//! values already recorded, so it skips the two peak updates. The
+//! `scheduled` and `popped` counts are never tallied per event:
+//! [`stats`](EventQueue::stats) derives them from the sequence counter
+//! and the pending population.
 //!
 //! The queue is causal: an event may be scheduled at the time of the
 //! last pop or later, never before it, which is how a simulation only
@@ -55,11 +68,11 @@ struct Bucket<E> {
     items: Vec<(u64, E)>,
     /// Index of the next entry to pop; the entries before it are spent.
     head: usize,
-    /// Rank of the back entry (0 when empty), so a push checks order
-    /// without reading `items`.
-    last_rank: u64,
     /// `items[head..]` is in ascending rank order.
     sorted: bool,
+    /// Sorts run by [`pop`](Self::pop), for the FIFO tests.
+    #[cfg(test)]
+    sorts: u64,
 }
 
 impl<E: Copy> Bucket<E> {
@@ -67,22 +80,14 @@ impl<E: Copy> Bucket<E> {
         Bucket {
             items: Vec::new(),
             head: 0,
-            last_rank: 0,
             sorted: true,
+            #[cfg(test)]
+            sorts: 0,
         }
     }
 
-    /// Appends an entry, flagging the bucket dirty if it breaks
-    /// ascending rank order (overflow migrations and non-FIFO ranks).
-    #[inline(always)]
-    fn push(&mut self, rank: u64, payload: E) {
-        self.sorted &= rank >= self.last_rank;
-        self.last_rank = rank;
-        self.items.push((rank, payload));
-    }
-
     /// Removes the lowest-ranked unread entry, first restoring ascending
-    /// order if an append broke it.
+    /// order if a push broke it.
     fn pop(&mut self) -> Option<E> {
         if self.head == self.items.len() {
             return None;
@@ -90,7 +95,10 @@ impl<E: Copy> Bucket<E> {
         if !self.sorted {
             self.items[self.head..].sort_unstable_by_key(|&(rank, _)| rank);
             self.sorted = true;
-            self.last_rank = self.items[self.items.len() - 1].0;
+            #[cfg(test)]
+            {
+                self.sorts += 1;
+            }
         }
         let payload = self.items[self.head].1;
         self.head += 1;
@@ -99,7 +107,6 @@ impl<E: Copy> Bucket<E> {
             // the same (cache-hot) slots.
             self.items.clear();
             self.head = 0;
-            self.last_rank = 0;
         }
         Some(payload)
     }
@@ -111,11 +118,11 @@ impl<E: Copy> Bucket<E> {
 ///
 /// [`pop`](Self::pop) returns events in ascending `(fire time, tie
 /// rank)` order, where the rank is the [`TieBreak`] transform of the
-/// number of `schedule` calls made before the event's own (the sequence
-/// itself under the default FIFO policy). Simulation determinism rests
-/// on this ordering, so it is exact — not "time order with arbitrary
-/// tie-breaks": replaying the same schedule yields the same pop order,
-/// bit for bit.
+/// number of `schedule` and `reschedule` calls made before the event's
+/// own (the sequence itself under the default FIFO policy). Simulation
+/// determinism rests on this ordering, so it is exact — not "time order
+/// with arbitrary tie-breaks": replaying the same schedule yields the
+/// same pop order, bit for bit.
 ///
 /// # Example
 ///
@@ -147,9 +154,16 @@ pub struct EventQueue<E> {
     /// Events beyond the wheel horizon, drained in as the cursor
     /// advances.
     overflow: MinHeap<E>,
+    /// Events ever scheduled; the next event's sequence number.
     next_seq: u64,
     tiebreak: TieBreak,
+    /// The peaks, spill count and hold histogram; `scheduled` and
+    /// `popped` stay 0 here and are derived by [`stats`](Self::stats).
     stats: QueueStats,
+    /// A pop has returned an event and nothing was scheduled since, so
+    /// a [`reschedule`](Self::reschedule) is legal.
+    #[cfg(debug_assertions)]
+    popped_last: bool,
 }
 
 impl<E: Copy> EventQueue<E> {
@@ -179,6 +193,8 @@ impl<E: Copy> EventQueue<E> {
             next_seq: 0,
             tiebreak: TieBreak::default(),
             stats: QueueStats::new(),
+            #[cfg(debug_assertions)]
+            popped_last: false,
         }
     }
 
@@ -191,12 +207,17 @@ impl<E: Copy> EventQueue<E> {
         self
     }
 
-    /// Appends an event to its day's bucket.
+    /// Appends an event to its day's bucket. A FIFO bucket stays in rank
+    /// order (see the module doc); under LIFO and shuffle a push behind
+    /// an unread entry marks the bucket unsorted.
     #[inline(always)]
     fn push_wheel(&mut self, day: u64, rank: u64, payload: E) {
-        self.buckets[(day & self.day_mask) as usize].push(rank, payload);
+        let bucket = &mut self.buckets[(day & self.day_mask) as usize];
+        if !matches!(self.tiebreak, TieBreak::Fifo) {
+            bucket.sorted &= bucket.head == bucket.items.len();
+        }
+        bucket.items.push((rank, payload));
         self.wheel_len += 1;
-        self.stats.wheel_peak = self.stats.wheel_peak.max(self.wheel_len as u64);
     }
 
     /// Moves the cursor to `day` and pulls every overflow event that now
@@ -212,6 +233,7 @@ impl<E: Copy> EventQueue<E> {
             }
             let (_, payload) = self.overflow.pop().expect("peeked root exists");
             self.push_wheel(day, key as u64, payload);
+            self.stats.wheel_peak = self.stats.wheel_peak.max(self.wheel_len as u64);
         }
     }
 
@@ -226,6 +248,40 @@ impl<E: Copy> EventQueue<E> {
     /// Panics if `at` is before the last pop.
     #[inline(always)]
     pub fn schedule(&mut self, at: SimTime, payload: E) {
+        self.insert(at, payload);
+        self.stats.pending_peak = self.stats.pending_peak.max(self.len() as u64);
+        self.stats.wheel_peak = self.stats.wheel_peak.max(self.wheel_len as u64);
+    }
+
+    /// [`schedule`](Self::schedule) for the successor of the event just
+    /// popped: the first scheduling since a pop that returned an event.
+    /// The pop took one event out, so putting one back cannot raise the
+    /// pending or wheel population above a value already recorded, and
+    /// the peak updates are skipped. Pop order and every counter are
+    /// exactly what `schedule` would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the last pop and, in a debug build, if
+    /// this is not the first scheduling since a pop that returned an
+    /// event.
+    #[inline(always)]
+    pub fn reschedule(&mut self, at: SimTime, payload: E) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.popped_last,
+            "reschedule is only legal as the first scheduling since a pop"
+        );
+        self.insert(at, payload);
+    }
+
+    /// Ranks `payload` and files it on the wheel or in the overflow tier.
+    #[inline(always)]
+    fn insert(&mut self, at: SimTime, payload: E) {
+        #[cfg(debug_assertions)]
+        {
+            self.popped_last = false;
+        }
         let rank = self.tiebreak.rank(self.next_seq);
         self.next_seq += 1;
         if at.0 < self.cur_day {
@@ -236,7 +292,7 @@ impl<E: Copy> EventQueue<E> {
             self.overflow.push(order_key(at, rank), payload);
             self.stats.overflow_spills += 1;
         }
-        self.stats.on_schedule(at.0 - self.cur_day, self.len());
+        self.stats.record_hold(at.0 - self.cur_day);
     }
 
     /// Removes and returns the earliest pending event, or `None` if
@@ -252,7 +308,10 @@ impl<E: Copy> EventQueue<E> {
             let idx = (self.cur_day & self.day_mask) as usize;
             if let Some(payload) = self.buckets[idx].pop() {
                 self.wheel_len -= 1;
-                self.stats.popped += 1;
+                #[cfg(debug_assertions)]
+                {
+                    self.popped_last = true;
+                }
                 return Some((Cycles(self.cur_day), payload));
             }
             self.advance_to(self.cur_day + 1);
@@ -269,9 +328,16 @@ impl<E: Copy> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Snapshot of the self-telemetry counters.
+    /// Snapshot of the self-telemetry counters. Every scheduled event
+    /// took one sequence number and every popped one left the pending
+    /// set, so `scheduled` and `popped` are exact without a per-event
+    /// tally.
     pub fn stats(&self) -> QueueStats {
-        self.stats
+        QueueStats {
+            scheduled: self.next_seq,
+            popped: self.next_seq - self.len() as u64,
+            ..self.stats
+        }
     }
 }
 
@@ -296,7 +362,7 @@ impl<E: Copy> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.len())
-            .field("scheduled", &self.stats.scheduled)
+            .field("scheduled", &self.next_seq)
             .finish()
     }
 }
@@ -633,6 +699,145 @@ mod tests {
             s.wheel_peak, 2,
             "refill of a lone event does not raise the peak"
         );
+    }
+
+    /// The tie-break policies the queue-contract tests run under.
+    const POLICIES: [TieBreak; 3] = [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Shuffle(0x5A17)];
+
+    /// The hold model driven through `reschedule` pops what the heap
+    /// reference pops and reads every [`QueueStats`] field a
+    /// `schedule`-driven calendar reads: the skipped peak updates never
+    /// lose a peak, and the derived `scheduled`/`popped` equal the
+    /// reference's tallies. A 16-day wheel makes events spill and
+    /// migrate; a few extra successors and skipped reschedules move the
+    /// population, so the peaks are reached more than once.
+    #[test]
+    fn reschedule_hold_model_matches_schedule_and_the_heap() {
+        for tiebreak in POLICIES {
+            let mut rng = SplitMix64::new(0x4E5C_0000);
+            let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
+            let mut fast = EventQueue::with_days(16).with_tiebreak(tiebreak);
+            let mut plain = EventQueue::with_days(16).with_tiebreak(tiebreak);
+            let mut payload = 0u64;
+            for _ in 0..40 {
+                let t = rng.next_below(64);
+                schedule_both(&mut heap, &mut fast, t, payload);
+                plain.schedule(Cycles(t), payload);
+                payload += 1;
+            }
+            for step in 0..5_000u64 {
+                let popped = heap.pop();
+                assert_eq!(popped, fast.pop(), "{tiebreak} step {step}");
+                assert_eq!(popped, plain.pop(), "{tiebreak} step {step}");
+                let Some((now, _)) = popped else { break };
+                let successors = match rng.next_below(8) {
+                    0 => 0,
+                    1 => 2,
+                    _ => 1,
+                };
+                for k in 0..successors {
+                    let delay = match rng.next_below(6) {
+                        0 => 0,
+                        1..=3 => 1 + rng.next_below(8),
+                        _ => 1 + rng.next_below(100),
+                    };
+                    let at = now + Cycles(delay);
+                    heap.schedule(at, payload);
+                    plain.schedule(at, payload);
+                    if k == 0 {
+                        fast.reschedule(at, payload);
+                    } else {
+                        fast.schedule(at, payload);
+                    }
+                    payload += 1;
+                }
+            }
+            let context = format!("{tiebreak} hold model");
+            assert_equivalent_drain(&mut heap, &mut fast, &context);
+            while plain.pop().is_some() {}
+            assert_eq!(fast.stats(), plain.stats(), "{context}");
+            assert!(fast.stats().overflow_spills > 0, "{context}: spills");
+        }
+    }
+
+    /// A FIFO bucket never needs a sort, whether it fills by migration
+    /// from the overflow tier, by direct pushes or by zero-delay pushes
+    /// into the bucket being drained. LIFO and shuffle buckets do, and
+    /// every policy pops what the heap reference pops.
+    #[test]
+    fn fifo_buckets_are_never_sorted() {
+        for tiebreak in POLICIES {
+            let mut rng = SplitMix64::new(0xF1F0);
+            let mut heap = HeapSchedule::new().with_tiebreak(tiebreak);
+            let mut cal = EventQueue::with_days(16).with_tiebreak(tiebreak);
+            let mut payload = 0u64;
+            for _ in 0..200 {
+                schedule_both(&mut heap, &mut cal, rng.next_below(200), payload);
+                payload += 1;
+            }
+            while let Some((now, _)) = heap.pop() {
+                assert_eq!(cal.pop().map(|(t, _)| t), Some(now), "{tiebreak}");
+                if payload < 2_000 {
+                    for _ in 0..rng.next_below(3) {
+                        let delay = match rng.next_below(4) {
+                            0 => 0,
+                            1 | 2 => rng.next_below(16),
+                            _ => 16 + rng.next_below(64),
+                        };
+                        schedule_both(&mut heap, &mut cal, now.0 + delay, payload);
+                        payload += 1;
+                    }
+                }
+            }
+            assert_eq!(cal.pop(), None, "{tiebreak}");
+            let sorts: u64 = cal.buckets.iter().map(|b| b.sorts).sum();
+            assert!(cal.stats().overflow_spills > 0, "{tiebreak}: spills");
+            if tiebreak == TieBreak::Fifo {
+                assert_eq!(sorts, 0, "a FIFO bucket was sorted");
+            } else {
+                assert!(sorts > 0, "{tiebreak}: ranks out of order need sorts");
+            }
+        }
+    }
+
+    /// In a debug build `reschedule` is legal only as the first
+    /// scheduling since a pop that returned an event.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn reschedule_without_a_pop_panics() {
+        type Misuse = fn(&mut EventQueue<u32>);
+        let misuses: [(&str, Misuse); 4] = [
+            ("fresh queue", |q| q.reschedule(Cycles(1), 0)),
+            ("pop of an empty queue", |q| {
+                assert_eq!(q.pop(), None);
+                q.reschedule(Cycles(1), 0);
+            }),
+            ("second successor", |q| {
+                q.schedule(Cycles(3), 0);
+                assert!(q.pop().is_some());
+                q.reschedule(Cycles(4), 1);
+                q.reschedule(Cycles(5), 2);
+            }),
+            ("after a schedule", |q| {
+                q.schedule(Cycles(3), 0);
+                assert!(q.pop().is_some());
+                q.schedule(Cycles(4), 1);
+                q.reschedule(Cycles(5), 2);
+            }),
+        ];
+        for tiebreak in POLICIES {
+            for (name, misuse) in misuses {
+                let mut q = EventQueue::with_days(16).with_tiebreak(tiebreak);
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| misuse(&mut q)));
+                let message = outcome.expect_err(name);
+                let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert!(
+                    message.contains("first scheduling since a pop"),
+                    "{tiebreak} {name}: {message}"
+                );
+            }
+        }
     }
 
     #[test]

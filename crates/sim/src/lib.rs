@@ -19,9 +19,13 @@
 //! * [`SplitMix64`] is a fixed-seed PRNG; no ambient entropy is consulted.
 //!
 //! The queue is causal: scheduling an event before the time of the last
-//! pop panics. It keeps cheap always-on self-telemetry counters
-//! ([`QueueStats`]) that the observability layer rolls into the run
-//! manifest. This crate never reads environment variables.
+//! pop panics. [`EventQueue::reschedule`] schedules the successor of the
+//! event just popped, a packet's next hop, and skips the two peak
+//! updates that pattern cannot move. The queue keeps cheap always-on
+//! self-telemetry counters ([`QueueStats`]), deriving the scheduled and
+//! popped counts instead of tallying them per event; the observability
+//! layer rolls them into the run manifest. This crate never reads
+//! environment variables.
 //!
 //! ## Example
 //!

@@ -8,7 +8,9 @@
 //! always-on self-telemetry counters ([`QueueStats`]: events scheduled
 //! and popped, peak pending population, and a power-of-two histogram of
 //! scheduling distances) — the paper's measurement discipline applied
-//! to the simulator's own hot loop.
+//! to the simulator's own hot loop. The calendar derives the scheduled
+//! and popped counts from its sequence counter and pending population
+//! instead of tallying them per event.
 //!
 //! Under `cfg(test)` it also holds `HeapSchedule`, a binary-heap
 //! future-event set that the calendar's property tests use as the
@@ -184,9 +186,9 @@ impl<E> MinHeap<E> {
 /// Number of power-of-two buckets in the hold-distance histogram.
 pub const HOLD_BUCKETS: usize = 16;
 
-/// Self-telemetry counters of the pending-event set. All are plain
-/// integer increments on the schedule/pop paths, cheap enough to stay on
-/// unconditionally.
+/// Self-telemetry counters of the pending-event set, cheap enough to
+/// stay on unconditionally: `scheduled` and `popped` are derived when
+/// read, the rest are updated on the schedule path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events ever scheduled.
@@ -220,23 +222,22 @@ impl QueueStats {
     }
 
     /// Records one scheduling `distance` cycles ahead of the most recent
-    /// pop, with `pending` events now in the set.
-    #[inline]
-    pub(crate) fn on_schedule(&mut self, distance: u64, pending: usize) {
+    /// pop in the hold histogram.
+    #[inline(always)]
+    pub(crate) fn record_hold(&mut self, distance: u64) {
         let bucket = if distance == 0 {
             0
         } else {
             (HOLD_BUCKETS - 1).min(64 - distance.leading_zeros() as usize)
         };
-        self.scheduled += 1;
-        self.pending_peak = self.pending_peak.max(pending as u64);
         self.hold_hist[bucket] += 1;
     }
 }
 
 /// A binary-min-heap future-event set: O(log n) schedule and pop, and
 /// the reference pop order the calendar queue's property tests check
-/// against.
+/// against. It tallies `scheduled`, `popped` and the pending peak on
+/// every call, the reference for the calendar's derived counts.
 #[cfg(test)]
 pub(crate) struct HeapSchedule<E> {
     heap: MinHeap<E>,
@@ -271,8 +272,10 @@ impl<E> HeapSchedule<E> {
         let rank = self.tiebreak.rank(self.next_seq);
         self.next_seq += 1;
         self.heap.push(order_key(at, rank), payload);
+        self.stats.scheduled += 1;
+        self.stats.pending_peak = self.stats.pending_peak.max(self.heap.len() as u64);
         self.stats
-            .on_schedule(at.0.saturating_sub(self.last_popped.0), self.heap.len());
+            .record_hold(at.0.saturating_sub(self.last_popped.0));
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {

@@ -41,7 +41,7 @@ fn measure(rate: f64) -> (f64, u64, u64) {
     let mut count = 0u64;
     while let Some((now, ev)) = q.pop() {
         match sys.handle(ev, now) {
-            Step::Next(at, hop) => q.schedule(at, hop),
+            Step::Next(at, hop) => q.reschedule(at, hop),
             Step::Delivered(resp) => {
                 total_rtt += now.0 - resp.injected_at;
                 count += 1;

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# CI entry point: the offline-build guarantee, warning-free rustdoc, the
+# CI entry point: the offline-build guarantee, the benchmark trajectory's
+# recomputed statistics, warning-free rustdoc, the
 # paper-band claims, the full test suite, a one-iteration smoke pass of the event-queue
 # benchmark, the shrunk campaign's pinned work counts, the run-cache
 # soundness check (warm campaign = cold campaign, only faster), the
@@ -60,6 +61,12 @@ if [ -n "$bad" ]; then
     echo "the workspace is zero-dependency; vendor the code or drop it" >&2
     exit 1
 fi
+
+# The committed BENCH_<workload>.json trajectory: every entry's median,
+# q1 and q3 must follow from its stored runs, and its pairs_won from the
+# pair's runs (scripts/bench_pairs.py writes new entries).
+echo "==> benchmark trajectory selftest (scripts/bench_pairs.py --selftest)"
+python3 scripts/bench_pairs.py --selftest
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
