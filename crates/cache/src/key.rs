@@ -40,8 +40,8 @@ impl Write for KeyHasher {
 /// `MODEL_VERSION`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunKey {
-    hi: u64,
-    lo: u64,
+    pub(crate) hi: u64,
+    pub(crate) lo: u64,
 }
 
 impl RunKey {

@@ -12,19 +12,24 @@
 //! <payload: RunResult::encode line records>
 //! ```
 //!
-//! Every read validates the magic, format version, model version, key
-//! echo, payload length and checksum before the payload is even parsed;
-//! any mismatch — a truncated write, a flipped bit, an entry from an
+//! A hit is one file read, one validation pass and one decode scan.
+//! The read hands [`RunCache::get`] the entry's raw bytes (no UTF-8
+//! check: the decoder compares bytes too). The validation pass walks
+//! the header once, comparing its bytes with the fixed text and its
+//! numbers, parsed in place, with the format version, model version,
+//! key, payload length and the FNV-1a of the payload; it builds no
+//! string and accepts only the exact header [`RunCache::put`] writes.
+//! Any mismatch — a truncated write, a flipped bit, an entry from an
 //! older format or simulator — is a **miss**, counted but otherwise
-//! silent. Writes go to a `.tmp` sibling and are renamed into place, so
-//! readers never observe a half-written entry even under a concurrent
-//! campaign.
+//! silent, and so is a payload the caller's decoder rejects. Writes go
+//! to a `.tmp` sibling and are renamed into place, so readers never
+//! observe a half-written entry even under a concurrent campaign.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cedar_obs::json::fnv1a;
+use cedar_obs::json::{canonical_u64, fnv1a};
 use cedar_obs::{CacheMode, CedarError};
 
 use crate::key::RunKey;
@@ -123,17 +128,15 @@ impl RunCache {
     }
 
     /// Looks up `key`, validating the entry end to end, and hands the
-    /// payload to `decode`. Any defect — absent file, bad header,
+    /// payload bytes to `decode`. Any defect — absent file, bad header,
     /// version skew, length or checksum mismatch, a payload `decode`
     /// rejects — is counted and returned as a miss; this method never
     /// panics and never propagates I/O errors.
-    pub fn get<T>(&self, key: &RunKey, decode: impl FnOnce(&str) -> Option<T>) -> Option<T> {
-        let entry = std::fs::read(self.entry_path(key))
-            .ok()
-            .and_then(|bytes| String::from_utf8(bytes).ok());
+    pub fn get<T>(&self, key: &RunKey, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
+        let entry = std::fs::read(self.entry_path(key)).ok();
         let value = entry
             .as_deref()
-            .and_then(|text| validated_payload(text, key))
+            .and_then(|bytes| validated_payload(bytes, key))
             .and_then(decode);
         let counter = if value.is_some() {
             &self.hits
@@ -209,28 +212,46 @@ impl RunCache {
     }
 }
 
-/// The payload of entry `text` when its header matches `key` and the
-/// current versions and the payload's declared length and checksum
-/// hold; `None` on any mismatch.
-fn validated_payload<'a>(text: &'a str, key: &RunKey) -> Option<&'a str> {
-    let (header, payload) = text.split_once("---\n")?;
-    let mut lines = header.lines();
-    let magic = lines.next()?;
-    if magic != format!("cedar-run-cache format={FORMAT_VERSION} model={MODEL_VERSION}") {
-        return None;
+/// The payload of `entry` when its header names the current format and
+/// model versions and `key`, and the payload has the declared length
+/// and FNV-1a checksum; `None` on any mismatch. One pass over the
+/// header compares bytes and integers as it goes: it builds no text,
+/// and accepts only the exact header [`RunCache::put`] writes.
+fn validated_payload<'a>(entry: &'a [u8], key: &RunKey) -> Option<&'a [u8]> {
+    let rest = entry.strip_prefix(b"cedar-run-cache format=")?;
+    let (format, rest) = canonical_u64(rest)?;
+    let rest = rest.strip_prefix(b" model=")?;
+    let (model, rest) = canonical_u64(rest)?;
+    let rest = rest.strip_prefix(b"\nkey ")?;
+    let (hi, rest) = hex_u64(rest)?;
+    let (lo, rest) = hex_u64(rest)?;
+    let rest = rest.strip_prefix(b"\npayload_bytes ")?;
+    let (len, rest) = canonical_u64(rest)?;
+    let rest = rest.strip_prefix(b"\npayload_fnv1a ")?;
+    let (sum, rest) = hex_u64(rest)?;
+    let payload = rest.strip_prefix(b"\n---\n")?;
+    let valid = format == u64::from(FORMAT_VERSION)
+        && model == u64::from(MODEL_VERSION)
+        && (hi, lo) == (key.hi, key.lo)
+        && len == payload.len() as u64
+        && sum == fnv1a(payload);
+    valid.then_some(payload)
+}
+
+/// Reads the 16 lowercase hex digits `{:016x}` writes at the start of
+/// `bytes`, returning the value and the bytes after them.
+fn hex_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
+    let (digits, rest) = bytes.split_first_chunk::<16>()?;
+    let mut value = 0;
+    for &b in digits {
+        let nibble = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        value = value << 4 | u64::from(nibble);
     }
-    if lines.next()? != format!("key {}", key.hex()) {
-        return None;
-    }
-    let declared_len: usize = lines.next()?.strip_prefix("payload_bytes ")?.parse().ok()?;
-    let declared_sum = lines.next()?.strip_prefix("payload_fnv1a ")?;
-    if payload.len() != declared_len {
-        return None;
-    }
-    if format!("{:016x}", fnv1a(payload.as_bytes())) != declared_sum {
-        return None;
-    }
-    Some(payload)
+    Some((value, rest))
 }
 
 #[cfg(test)]
@@ -251,8 +272,8 @@ mod tests {
     /// The store never parses a payload, so any text will do.
     const PAYLOAD: &str = "app T\nbodies 1\n";
 
-    fn text(payload: &str) -> Option<String> {
-        Some(payload.to_string())
+    fn text(payload: &[u8]) -> Option<String> {
+        String::from_utf8(payload.to_vec()).ok()
     }
 
     #[test]
@@ -320,6 +341,43 @@ mod tests {
         assert!(cache.get(&key, text).is_none());
 
         // Restored pristine bytes hit again.
+        std::fs::write(&path, &pristine).unwrap();
+        assert!(cache.get(&key, text).is_some());
+        let _ = std::fs::remove_dir_all(cache.root());
+    }
+
+    /// Validation compares bytes and integers, so a header that says the
+    /// same thing in other text (a sign, a leading zero, upper-case hex,
+    /// a CRLF, an extra line) is a miss too.
+    #[test]
+    fn header_must_be_the_exact_text_put_writes() {
+        let cache = RunCache::open(tmp_root("exact"), CacheMode::ReadWrite).unwrap();
+        let key = RunKey::new("case=6");
+        cache.put(&key, PAYLOAD);
+        let path = cache.entry_path(&key);
+        let pristine = std::fs::read_to_string(&path).unwrap();
+        let bytes = format!("payload_bytes {}", PAYLOAD.len());
+        let sum = format!("{:016x}", fnv1a(PAYLOAD.as_bytes()));
+        for (from, to) in [
+            (key.hex(), key.hex().to_uppercase()),
+            (bytes.clone(), format!("payload_bytes 0{}", PAYLOAD.len())),
+            (bytes.clone(), format!("payload_bytes +{}", PAYLOAD.len())),
+            (bytes.clone(), format!("payload_bytes  {}", PAYLOAD.len())),
+            (sum.clone(), sum.to_uppercase()),
+            (format!("{sum}\n"), format!("{sum}\nextra line\n")),
+            (
+                format!("model={MODEL_VERSION}\n"),
+                format!("model={MODEL_VERSION}\r\n"),
+            ),
+            (
+                format!("model={MODEL_VERSION}"),
+                format!("model=0{MODEL_VERSION}"),
+            ),
+        ] {
+            assert_ne!(from, to);
+            std::fs::write(&path, pristine.replacen(&from, &to, 1)).unwrap();
+            assert!(cache.get(&key, text).is_none(), "{to:?} must miss");
+        }
         std::fs::write(&path, &pristine).unwrap();
         assert!(cache.get(&key, text).is_some());
         let _ = std::fs::remove_dir_all(cache.root());

@@ -104,7 +104,7 @@ impl CacheSession {
             return (execute(app, cfg), ExecOutcome::Bypass);
         }
         let key = run_key(app, &cfg);
-        if let Some(hit) = cache.get(&key, |payload| RunResult::decode(payload).ok()) {
+        if let Some(hit) = cache.get(&key, |payload| RunResult::decode(payload, app.name).ok()) {
             return (hit, ExecOutcome::DiskHit);
         }
         let result = execute(app, cfg);
@@ -170,7 +170,7 @@ mod tests {
         let app = synthetic::uniform_xdoall(1, 2, 8, 150, 8);
         let cfg = SimConfig::cedar(Configuration::P4);
         let direct = execute(&app, cfg.clone());
-        let replayed = RunResult::decode(&direct.encode()).expect("decode");
+        let replayed = RunResult::decode(direct.encode().as_bytes(), app.name).expect("decode");
         assert_eq!(direct.app, replayed.app);
         assert_eq!(direct.completion_time, replayed.completion_time);
         assert_eq!(direct.events, replayed.events);

@@ -38,6 +38,26 @@ use state::{Ce, CeMode, Role, Task};
 /// events than this.
 const MAX_EVENTS: u64 = 4_000_000_000;
 
+/// Counter name of each hold-histogram bucket, by index.
+pub(crate) const HOLD_NAMES: [&str; cedar_sim::HOLD_BUCKETS] = [
+    "queue.hold.p2_00",
+    "queue.hold.p2_01",
+    "queue.hold.p2_02",
+    "queue.hold.p2_03",
+    "queue.hold.p2_04",
+    "queue.hold.p2_05",
+    "queue.hold.p2_06",
+    "queue.hold.p2_07",
+    "queue.hold.p2_08",
+    "queue.hold.p2_09",
+    "queue.hold.p2_10",
+    "queue.hold.p2_11",
+    "queue.hold.p2_12",
+    "queue.hold.p2_13",
+    "queue.hold.p2_14",
+    "queue.hold.p2_15",
+];
+
 /// The complete simulated machine for one run.
 pub struct Machine {
     pub(crate) cfg: SimConfig,
@@ -491,25 +511,6 @@ impl Machine {
     /// totals and queue statistics (with the hold-distance histogram) —
     /// into one [`cedar_obs::Counters`] rollup.
     fn telemetry_counters(&self) -> cedar_obs::Counters {
-        /// Counter name of each hold-histogram bucket, by index.
-        const HOLD_NAMES: [&str; cedar_sim::HOLD_BUCKETS] = [
-            "queue.hold.p2_00",
-            "queue.hold.p2_01",
-            "queue.hold.p2_02",
-            "queue.hold.p2_03",
-            "queue.hold.p2_04",
-            "queue.hold.p2_05",
-            "queue.hold.p2_06",
-            "queue.hold.p2_07",
-            "queue.hold.p2_08",
-            "queue.hold.p2_09",
-            "queue.hold.p2_10",
-            "queue.hold.p2_11",
-            "queue.hold.p2_12",
-            "queue.hold.p2_13",
-            "queue.hold.p2_14",
-            "queue.hold.p2_15",
-        ];
         let mut c = cedar_obs::Counters::new();
         // Every event class is reported, zero or not, so the rollup's
         // names do not depend on traffic.

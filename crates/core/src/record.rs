@@ -9,21 +9,35 @@
 //!
 //! ## Format
 //!
-//! One field per line, `name value…`, fixed order, `\n` separators:
-//! integers in decimal, floats as 16-hex-digit IEEE-754 bit patterns
-//! (bit-exact round trip), counter names as their literal text (they
-//! never contain whitespace). Arrays carry an explicit leading count so
-//! truncation is always detectable. The encoding is deterministic —
-//! identical measurements always produce identical bytes — which is
-//! what lets the store checksum entries and the CI soundness gate diff
-//! warm-vs-cold artifacts byte for byte.
+//! One field per line, `name value…`, fixed order, single spaces, `\n`
+//! line ends: integers in decimal, floats as the decimal integer of
+//! their IEEE-754 bit pattern (bit-exact round trip), counters in name
+//! order as their literal names (they never contain whitespace). Arrays
+//! carry an explicit leading count so truncation is always detectable.
+//! The encoding is deterministic — identical measurements always
+//! produce identical bytes — which is what lets the store checksum
+//! entries and the CI soundness gate diff warm-vs-cold artifacts byte
+//! for byte.
+//!
+//! ## Decoding
+//!
+//! A cache hit is decoded in one scan of the payload's bytes: a cursor
+//! checks each `name␠` prefix and parses each decimal in place, straight
+//! into the breakdowns, OS accumulators, gmem vectors and counters, with
+//! no per-line allocation. Only the canonical encoding decodes — no
+//! sign, no leading zero, no doubled space, no `\r`, counters in order —
+//! so whatever decodes re-encodes to the same bytes. Names need no
+//! interning: the application name must be the one the caller keyed the
+//! entry with, and the decoded run carries the caller's `&'static str`;
+//! each counter name resolves to its entry in a fixed table of every
+//! name the machine emits (plus the four `outbox.*` counters older
+//! entries carry), and an unknown name is a [`DecodeError`].
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock};
 
 use cedar_hw::gmem::GmemStats;
 use cedar_hw::{ClusterId, Configuration};
+use cedar_obs::json::canonical_u64;
 use cedar_obs::{Counters, RunStats};
 use cedar_sim::stats::{DurationAccum, LatencyHistogram};
 use cedar_sim::Cycles;
@@ -40,7 +54,8 @@ use crate::result::RunResult;
 pub enum DecodeError {
     /// A required line was absent or named the wrong field.
     MissingField(&'static str),
-    /// A value failed to parse as its declared type.
+    /// A value failed to parse as its declared type, or was not written
+    /// the way [`RunResult::encode`] writes it.
     BadValue(&'static str),
 }
 
@@ -55,25 +70,64 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Interns `s`, returning a `&'static str` with the same contents.
-///
-/// Decoded payloads carry owned text, but `RunResult::app` and the
-/// `cedar_obs::Counters` names are `&'static str`. The table leaks each
-/// *distinct* string once; the universe is the app names and counter
-/// names the simulator emits, so the leak is bounded and tiny.
-fn intern(s: &str) -> &'static str {
-    static TABLE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut set = table.lock().expect("intern table lock");
-    match set.get(s) {
-        Some(&interned) => interned,
-        None => {
-            let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-            set.insert(leaked);
-            leaked
-        }
-    }
-}
+/// Every counter name a payload can carry, in byte order, which is the
+/// order `encode` lists them (`Counters` iterates sorted): the names
+/// `Machine::telemetry_counters` emits, plus the four `outbox.*`
+/// counters that entries written before the outbox was deleted carry.
+/// A decoded counter's name is the entry of this table, so a name
+/// outside it is a [`DecodeError`]: a counter the machine starts to
+/// emit must be added here.
+const COUNTER_NAMES: [&str; 49] = [
+    "bodies",
+    "events.ast",
+    "events.background",
+    "events.cbus_release",
+    "events.ce_done",
+    "events.ce_resume",
+    "events.daemon",
+    "events.fault",
+    "events.gmem",
+    "events.total",
+    "faults.count.pgflt_conc",
+    "faults.count.pgflt_seq",
+    "faults.injected.ast",
+    "faults.injected.cpi",
+    "faults.injected.lock_cluster",
+    "faults.injected.lock_global",
+    "faults.injected.pgflt_conc",
+    "faults.injected.pgflt_seq",
+    "faults.injected.stall",
+    "faults.occ.ast_burst",
+    "faults.occ.helper_stall",
+    "faults.occ.pgflt_wave",
+    "faults.occ.storm",
+    "faults.waiter_stalled",
+    "outbox.buffered.peak",
+    "outbox.emitted",
+    "outbox.flushes",
+    "outbox.grows",
+    "queue.hold.p2_00",
+    "queue.hold.p2_01",
+    "queue.hold.p2_02",
+    "queue.hold.p2_03",
+    "queue.hold.p2_04",
+    "queue.hold.p2_05",
+    "queue.hold.p2_06",
+    "queue.hold.p2_07",
+    "queue.hold.p2_08",
+    "queue.hold.p2_09",
+    "queue.hold.p2_10",
+    "queue.hold.p2_11",
+    "queue.hold.p2_12",
+    "queue.hold.p2_13",
+    "queue.hold.p2_14",
+    "queue.hold.p2_15",
+    "queue.overflow_spills",
+    "queue.pending.peak",
+    "queue.popped",
+    "queue.scheduled",
+    "queue.wheel.peak",
+];
 
 fn config_name(c: Configuration) -> &'static str {
     match c {
@@ -85,70 +139,103 @@ fn config_name(c: Configuration) -> &'static str {
     }
 }
 
-fn config_from_name(s: &str) -> Option<Configuration> {
-    Some(match s {
-        "P1" => Configuration::P1,
-        "P4" => Configuration::P4,
-        "P8" => Configuration::P8,
-        "P16" => Configuration::P16,
-        "P32" => Configuration::P32,
-        _ => return None,
-    })
+/// A cursor over a payload's bytes. Each method consumes one token of
+/// the canonical encoding, exactly as `encode` writes it, or fails
+/// naming the field it was reading.
+struct Cursor<'a> {
+    rest: &'a [u8],
 }
 
-/// Field-at-a-time reader over the line records.
-struct Reader<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> Reader<'a> {
-    fn new(payload: &'a str) -> Self {
-        Reader {
-            lines: payload.lines(),
-        }
-    }
-
-    /// The rest-of-line value of the next line, which must be field
-    /// `name`.
-    fn field(&mut self, name: &'static str) -> Result<&'a str, DecodeError> {
-        let line = self.lines.next().ok_or(DecodeError::MissingField(name))?;
-        let rest = line
-            .strip_prefix(name)
+impl<'a> Cursor<'a> {
+    /// Consumes `name` and the space after it: the start of field
+    /// `name`'s line.
+    fn field(&mut self, name: &'static str) -> Result<(), DecodeError> {
+        let rest = self
+            .rest
+            .strip_prefix(name.as_bytes())
             .ok_or(DecodeError::MissingField(name))?;
-        rest.strip_prefix(' ').ok_or(DecodeError::BadValue(name))
+        self.rest = rest.strip_prefix(b" ").ok_or(DecodeError::BadValue(name))?;
+        Ok(())
     }
 
-    fn u64(&mut self, name: &'static str) -> Result<u64, DecodeError> {
-        self.field(name)?
-            .parse()
-            .map_err(|_| DecodeError::BadValue(name))
-    }
-
-    fn u64_pair(&mut self, name: &'static str) -> Result<(u64, u64), DecodeError> {
-        let raw = self.field(name)?;
-        let (a, b) = raw.split_once(' ').ok_or(DecodeError::BadValue(name))?;
-        Ok((
-            a.parse().map_err(|_| DecodeError::BadValue(name))?,
-            b.parse().map_err(|_| DecodeError::BadValue(name))?,
-        ))
-    }
-
-    /// A whitespace-separated list of u64s with a leading count.
-    fn u64_list(&mut self, name: &'static str) -> Result<Vec<u64>, DecodeError> {
-        let raw = self.field(name)?;
-        let mut it = raw.split_ascii_whitespace();
-        let n: usize = it
-            .next()
-            .ok_or(DecodeError::BadValue(name))?
-            .parse()
-            .map_err(|_| DecodeError::BadValue(name))?;
-        let vals: Vec<u64> = it
-            .map(|v| v.parse().map_err(|_| DecodeError::BadValue(name)))
-            .collect::<Result<_, _>>()?;
-        if vals.len() != n {
-            return Err(DecodeError::BadValue(name));
+    /// Consumes the byte `b`, which must come next in field `name`.
+    fn byte(&mut self, b: u8, name: &'static str) -> Result<(), DecodeError> {
+        match self.rest.split_first() {
+            Some((&first, rest)) if first == b => {
+                self.rest = rest;
+                Ok(())
+            }
+            _ => Err(DecodeError::BadValue(name)),
         }
-        Ok(vals)
+    }
+
+    /// Consumes a canonical decimal value of field `name`.
+    fn u64(&mut self, name: &'static str) -> Result<u64, DecodeError> {
+        let (value, rest) = canonical_u64(self.rest).ok_or(DecodeError::BadValue(name))?;
+        self.rest = rest;
+        Ok(value)
+    }
+
+    /// Consumes a space and the value after it: the next item of a
+    /// list.
+    fn item(&mut self, name: &'static str) -> Result<u64, DecodeError> {
+        self.byte(b' ', name)?;
+        self.u64(name)
+    }
+
+    /// Consumes the bytes up to the next `\n` and the `\n` itself:
+    /// the rest of field `name`'s line.
+    fn text(&mut self, name: &'static str) -> Result<&'a [u8], DecodeError> {
+        let end = self
+            .rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .ok_or(DecodeError::BadValue(name))?;
+        let text = &self.rest[..end];
+        self.rest = &self.rest[end + 1..];
+        Ok(text)
+    }
+
+    /// A whole `name value` line.
+    fn u64_line(&mut self, name: &'static str) -> Result<u64, DecodeError> {
+        self.field(name)?;
+        let value = self.u64(name)?;
+        self.byte(b'\n', name)?;
+        Ok(value)
+    }
+
+    /// Consumes `name n`, the start of a list line, returning `n`.
+    fn list_len(&mut self, name: &'static str) -> Result<u64, DecodeError> {
+        self.field(name)?;
+        self.u64(name)
+    }
+
+    /// Consumes `name n`, which must say `n` items.
+    fn list_of(&mut self, name: &'static str, n: usize) -> Result<(), DecodeError> {
+        if self.list_len(name)? == n as u64 {
+            Ok(())
+        } else {
+            Err(DecodeError::BadValue(name))
+        }
+    }
+
+    /// A whole `name n v1 … vn` line, as a vector of the values mapped
+    /// through `f`.
+    fn list<T>(&mut self, name: &'static str, f: impl Fn(u64) -> T) -> Result<Vec<T>, DecodeError> {
+        let n = self.list_len(name)?;
+        let mut out = Vec::with_capacity(self.room(n, 2));
+        for _ in 0..n {
+            out.push(f(self.item(name)?));
+        }
+        self.byte(b'\n', name)?;
+        Ok(out)
+    }
+
+    /// A capacity for `n` items of at least `min_bytes` bytes each that
+    /// the rest of the payload could hold: a lying count then fails on
+    /// the missing items instead of reserving memory for them.
+    fn room(&self, n: u64, min_bytes: usize) -> usize {
+        n.min((self.rest.len() / min_bytes) as u64) as usize
     }
 }
 
@@ -238,126 +325,119 @@ impl RunResult {
         s
     }
 
-    /// Parses a payload produced by [`encode`](Self::encode); the
-    /// result has no trace. Every structural or numeric anomaly is an
-    /// error, never a panic — the run cache turns errors into misses.
-    pub fn decode(payload: &str) -> Result<RunResult, DecodeError> {
-        // Every record line is newline-terminated; a payload cut mid-line
-        // (even by one byte) must not decode.
-        if !payload.ends_with('\n') {
-            return Err(DecodeError::MissingField("terminator"));
+    /// Parses a payload produced by [`encode`](Self::encode) for the
+    /// application named `app`, in one scan of its bytes; the result has
+    /// no trace and its `app` is `app` itself.
+    ///
+    /// Only the canonical encoding decodes: every value must be written
+    /// as `encode` writes it (no sign, no leading zero, single spaces,
+    /// `\n` line ends, counters in sorted order under names the machine
+    /// emits), so a payload that decodes re-encodes to the same bytes.
+    /// Every structural or numeric anomaly, and a payload of another
+    /// application, is an error, never a panic — the run cache turns
+    /// errors into misses.
+    pub fn decode(payload: &[u8], app: &'static str) -> Result<RunResult, DecodeError> {
+        let mut r = Cursor { rest: payload };
+        r.field("app")?;
+        if r.text("app")? != app.as_bytes() {
+            return Err(DecodeError::BadValue("app"));
         }
-        let mut r = Reader::new(payload);
-        let app = intern(r.field("app")?);
-        let configuration = config_from_name(r.field("configuration")?)
+        r.field("configuration")?;
+        let name = r.text("configuration")?;
+        let configuration = Configuration::ALL
+            .into_iter()
+            .find(|&c| config_name(c).as_bytes() == name)
             .ok_or(DecodeError::BadValue("configuration"))?;
-        let completion_time = Cycles(r.u64("completion_time")?);
-        let background_stolen = Cycles(r.u64("background_stolen")?);
-        let bodies = r.u64("bodies")?;
-        let faults = r.u64_pair("faults")?;
-        let events = r.u64("events")?;
+        let completion_time = Cycles(r.u64_line("completion_time")?);
+        let background_stolen = Cycles(r.u64_line("background_stolen")?);
+        let bodies = r.u64_line("bodies")?;
+        r.field("faults")?;
+        let faults = (r.u64("faults")?, r.item("faults")?);
+        r.byte(b'\n', "faults")?;
+        let events = r.u64_line("events")?;
 
-        let n_breakdowns = r.u64("breakdowns")? as usize;
-        let mut breakdowns = Vec::with_capacity(n_breakdowns);
-        for _ in 0..n_breakdowns {
-            let vals = r.u64_list("breakdown")?;
-            if vals.len() != UserBucket::ALL.len() {
-                return Err(DecodeError::BadValue("breakdown"));
-            }
+        let n = r.u64_line("breakdowns")?;
+        let mut breakdowns = Vec::with_capacity(r.room(n, 30));
+        for _ in 0..n {
+            r.list_of("breakdown", UserBucket::ALL.len())?;
             let mut b = TaskBreakdown::new();
-            for (&bucket, &v) in UserBucket::ALL.iter().zip(&vals) {
-                b.charge(bucket, Cycles(v));
+            for bucket in UserBucket::ALL {
+                b.charge(bucket, Cycles(r.item("breakdown")?));
             }
+            r.byte(b'\n', "breakdown")?;
             breakdowns.push(b);
         }
 
-        let n_util = r.u64("utilization")? as usize;
-        let mut utilization = Vec::with_capacity(n_util);
-        for _ in 0..n_util {
-            let raw = r.field("util")?;
-            let vals: Vec<u64> = raw
-                .split_ascii_whitespace()
-                .map(|v| v.parse().map_err(|_| DecodeError::BadValue("util")))
-                .collect::<Result<_, _>>()?;
-            if vals.len() != 3 {
-                return Err(DecodeError::BadValue("util"));
-            }
+        let n = r.u64_line("utilization")?;
+        let mut utilization = Vec::with_capacity(r.room(n, 11));
+        for _ in 0..n {
+            r.field("util")?;
             utilization.push(ClusterUtilization {
-                system: Cycles(vals[0]),
-                interrupt: Cycles(vals[1]),
-                spin: Cycles(vals[2]),
+                system: Cycles(r.u64("util")?),
+                interrupt: Cycles(r.item("util")?),
+                spin: Cycles(r.item("util")?),
             });
+            r.byte(b'\n', "util")?;
         }
 
-        let n_clusters = r.u64("os_clusters")?;
-        if n_clusters > u8::MAX as u64 {
-            return Err(DecodeError::BadValue("os_clusters"));
-        }
-        let mut os = OsAccounting::new(n_clusters as u8);
-        for k in 0..n_clusters as u8 {
-            let vals = r.u64_list("os")?;
-            if vals.len() != OsActivity::ALL.len() * 3 {
-                return Err(DecodeError::BadValue("os"));
-            }
-            for (i, &a) in OsActivity::ALL.iter().enumerate() {
-                let accum = DurationAccum::from_parts(
-                    Cycles(vals[3 * i]),
-                    vals[3 * i + 1],
-                    Cycles(vals[3 * i + 2]),
+        let n_clusters = r.u64_line("os_clusters")?;
+        let n_clusters =
+            u8::try_from(n_clusters).map_err(|_| DecodeError::BadValue("os_clusters"))?;
+        let mut os = OsAccounting::new(n_clusters);
+        for k in 0..n_clusters {
+            r.list_of("os", OsActivity::ALL.len() * 3)?;
+            for a in OsActivity::ALL {
+                let total = Cycles(r.item("os")?);
+                let samples = r.item("os")?;
+                let max = Cycles(r.item("os")?);
+                os.restore(
+                    ClusterId(k),
+                    a,
+                    DurationAccum::from_parts(total, samples, max),
                 );
-                os.restore(ClusterId(k), a, accum);
             }
+            r.byte(b'\n', "os")?;
         }
 
-        let concurrency = r
-            .u64_list("concurrency")?
-            .into_iter()
-            .map(f64::from_bits)
-            .collect();
-
-        let packets = r.u64("gmem.packets")?;
-        let cluster_path_queued = Cycles(r.u64("gmem.cluster_path_queued")?);
-        let fwd_queued = Cycles(r.u64("gmem.fwd_queued")?);
-        let rev_queued = Cycles(r.u64("gmem.rev_queued")?);
-        let module_queued = Cycles(r.u64("gmem.module_queued")?);
-        let module_requests = r.u64_list("gmem.module_requests")?;
-        let module_sync_requests = r.u64_list("gmem.module_sync_requests")?;
-        let latency_buckets = r.u64_list("gmem.latency")?;
-        let latency_overflow = r.u64("gmem.latency.overflow")?;
-        let min_round_trip = Cycles(r.u64("gmem.min_round_trip")?);
+        let concurrency = r.list("concurrency", f64::from_bits)?;
         let gmem = GmemStats {
-            packets,
-            cluster_path_queued,
-            fwd_queued,
-            rev_queued,
-            module_queued,
-            module_requests,
-            module_sync_requests,
-            latency: LatencyHistogram::from_parts(latency_buckets, latency_overflow),
-            min_round_trip,
+            packets: r.u64_line("gmem.packets")?,
+            cluster_path_queued: Cycles(r.u64_line("gmem.cluster_path_queued")?),
+            fwd_queued: Cycles(r.u64_line("gmem.fwd_queued")?),
+            rev_queued: Cycles(r.u64_line("gmem.rev_queued")?),
+            module_queued: Cycles(r.u64_line("gmem.module_queued")?),
+            module_requests: r.list("gmem.module_requests", |v| v)?,
+            module_sync_requests: r.list("gmem.module_sync_requests", |v| v)?,
+            latency: LatencyHistogram::from_parts(
+                r.list("gmem.latency", |v| v)?,
+                r.u64_line("gmem.latency.overflow")?,
+            ),
+            min_round_trip: Cycles(r.u64_line("gmem.min_round_trip")?),
         };
 
-        let setup_ns = r.u64("stats.setup_ns")?;
-        let run_ns = r.u64("stats.run_ns")?;
-        let breakdown_ns = r.u64("stats.breakdown_ns")?;
-        let n_counters = r.u64("counters")? as usize;
-        let mut counters = Counters::new();
-        for _ in 0..n_counters {
-            let raw = r.field("counter")?;
-            let (name, value) = raw
-                .rsplit_once(' ')
+        let setup_ns = r.u64_line("stats.setup_ns")?;
+        let run_ns = r.u64_line("stats.run_ns")?;
+        let breakdown_ns = r.u64_line("stats.breakdown_ns")?;
+        let n = r.u64_line("counters")?;
+        // Both the payload and the table are in byte order, so one walk
+        // down the table resolves every name, and a name that is unknown,
+        // repeated or out of order runs off its end.
+        let mut names = COUNTER_NAMES.iter();
+        let mut pairs = Vec::with_capacity(r.room(n, 12));
+        for _ in 0..n {
+            r.field("counter")?;
+            let raw = r.rest.split(|&b| b == b' ').next().unwrap_or_default();
+            let name = names
+                .find(|name| name.as_bytes() == raw)
                 .ok_or(DecodeError::BadValue("counter"))?;
-            let value: u64 = value
-                .parse()
-                .map_err(|_| DecodeError::BadValue("counter"))?;
-            counters.add(intern(name), value);
+            r.rest = &r.rest[raw.len()..];
+            pairs.push((*name, r.item("counter")?));
+            r.byte(b'\n', "counter")?;
         }
-        if counters.len() != n_counters {
-            return Err(DecodeError::BadValue("counters"));
-        }
+        let counters: Counters = pairs.into_iter().collect();
         // A well-formed payload is consumed exactly; leftovers mean a
         // count lied somewhere above.
-        if r.lines.next().is_some() {
+        if !r.rest.is_empty() {
             return Err(DecodeError::BadValue("trailing data"));
         }
 
@@ -444,10 +524,27 @@ mod tests {
         }
     }
 
+    /// Payloads today's `encode` wrote: FLO52 at 1 processor, MDG at 8
+    /// and ADM at 32 from the paper grid at `CEDAR_SHRINK=4`, and FLO52
+    /// at 32 under one of `--bin faultsweep`'s fault plans at
+    /// `CEDAR_SHRINK=16`, which carries every `faults.*` counter.
+    const FIXTURES: [(&str, &[u8]); 4] = [
+        (
+            "FLO52",
+            include_bytes!("../fixtures/records/flo52_p1.record"),
+        ),
+        ("MDG", include_bytes!("../fixtures/records/mdg_p8.record")),
+        ("ADM", include_bytes!("../fixtures/records/adm_p32.record")),
+        (
+            "FLO52",
+            include_bytes!("../fixtures/records/flo52_p32_faults.record"),
+        ),
+    ];
+
     #[test]
     fn round_trip_is_exact() {
         let run = sample();
-        let decoded = RunResult::decode(&run.encode()).expect("decode");
+        let decoded = RunResult::decode(run.encode().as_bytes(), "FLO52").expect("decode");
         // Byte-equality of the encoding is the strongest equality the
         // record supports (several field types lack PartialEq).
         assert_eq!(run.encode(), decoded.encode());
@@ -478,7 +575,7 @@ mod tests {
         let full = sample().encode();
         for cut in [0, 1, full.len() / 3, full.len() / 2, full.len() - 1] {
             assert!(
-                RunResult::decode(&full[..cut]).is_err(),
+                RunResult::decode(&full.as_bytes()[..cut], "FLO52").is_err(),
                 "cut at {cut} must fail to decode"
             );
         }
@@ -488,11 +585,16 @@ mod tests {
     fn wrong_counts_are_errors() {
         let full = sample().encode();
         let lied = full.replace("breakdowns 2", "breakdowns 3");
-        assert!(RunResult::decode(&lied).is_err());
+        assert!(RunResult::decode(lied.as_bytes(), "FLO52").is_err());
         let lied = full.replace("counters 2", "counters 1");
         // One counter line too many: the reader sees a stray line where
         // the next field should be; also an error.
-        assert!(RunResult::decode(&lied).is_err());
+        assert!(RunResult::decode(lied.as_bytes(), "FLO52").is_err());
+        let lied = full.replace("breakdowns 2", "breakdowns 18446744073709551615");
+        assert!(
+            RunResult::decode(lied.as_bytes(), "FLO52").is_err(),
+            "a huge count fails on the missing lines, reserving nothing for them"
+        );
     }
 
     #[test]
@@ -500,25 +602,138 @@ mod tests {
         let full = sample().encode();
         let bad = full.replace("completion_time 123456", "completion_time zebra");
         assert_eq!(
-            RunResult::decode(&bad).unwrap_err(),
+            RunResult::decode(bad.as_bytes(), "FLO52").unwrap_err(),
             DecodeError::BadValue("completion_time")
         );
         let bad = full.replace("configuration P16", "configuration P64");
         assert_eq!(
-            RunResult::decode(&bad).unwrap_err(),
+            RunResult::decode(bad.as_bytes(), "FLO52").unwrap_err(),
             DecodeError::BadValue("configuration")
         );
     }
 
+    /// An entry is keyed by its application, so a payload naming another
+    /// one is corrupt.
     #[test]
-    fn intern_dedups_and_is_stable() {
-        let a = intern("events.total");
-        let b = intern(&String::from("events.total"));
-        assert_eq!(a, "events.total");
+    fn another_applications_payload_is_an_error() {
+        let full = sample().encode();
+        for app in ["ADM", "FLO5", "FLO520", ""] {
+            assert_eq!(
+                RunResult::decode(full.as_bytes(), app).unwrap_err(),
+                DecodeError::BadValue("app"),
+                "{app:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn committed_payloads_decode_and_re_encode_byte_for_byte() {
+        for (app, payload) in FIXTURES {
+            let run = RunResult::decode(payload, app).unwrap_or_else(|e| panic!("{app}: {e}"));
+            assert!(run.encode().as_bytes() == payload, "{app} re-encodes");
+        }
+        let faulted = RunResult::decode(FIXTURES[3].1, "FLO52").unwrap();
+        let carried: Vec<&str> = faulted.stats.counters.iter().map(|(n, _)| n).collect();
+        for name in COUNTER_NAMES.iter().filter(|n| n.starts_with("faults.")) {
+            assert!(carried.contains(name), "the faulted fixture carries {name}");
+        }
+    }
+
+    /// Every payload `payload` becomes under one edit `encode` never
+    /// makes: each truncation at a line boundary; on each line a
+    /// trailing space, a CRLF end and each space doubled; on each number
+    /// a leading zero and a `+`; each counter renamed to a name no
+    /// machine emits or swapped with the next; and the final newline
+    /// dropped.
+    fn mutations(payload: &str) -> Vec<String> {
+        let lines: Vec<&str> = payload.split_inclusive('\n').collect();
+        let with_line =
+            |i: usize, line: String| lines[..i].concat() + &line + &lines[i + 1..].concat();
+        let mut out = vec![payload[..payload.len() - 1].to_string()];
+        for (i, full_line) in lines.iter().enumerate() {
+            out.push(lines[..i].concat());
+            let line = &full_line[..full_line.len() - 1];
+            out.push(with_line(i, format!("{line} \n")));
+            out.push(with_line(i, format!("{line}\r\n")));
+            let tokens: Vec<&str> = line.split(' ').collect();
+            for k in 1..tokens.len() {
+                let edit = |token: String| {
+                    let mut t = tokens.clone();
+                    t[k] = &token;
+                    with_line(i, t.join(" ") + "\n")
+                };
+                out.push(edit(format!(" {}", tokens[k])));
+                if tokens[k].bytes().all(|b| b.is_ascii_digit()) {
+                    out.push(edit(format!("0{}", tokens[k])));
+                    out.push(edit(format!("+{}", tokens[k])));
+                }
+            }
+            if tokens[0] == "counter" {
+                out.push(with_line(
+                    i,
+                    format!("counter {}x {}\n", tokens[1], tokens[2]),
+                ));
+                if let Some(next) = lines.get(i + 1) {
+                    out.push(lines[..i].concat() + next + full_line + &lines[i + 2..].concat());
+                }
+            }
+        }
+        out
+    }
+
+    /// The decoder accepts only what `encode` writes: no mutation of a
+    /// real payload decodes to a record that encodes to other bytes.
+    #[test]
+    fn decode_accepts_only_what_encode_writes() {
+        let mut tried = 0;
+        for (app, payload) in FIXTURES {
+            let text = std::str::from_utf8(payload).expect("fixtures are ASCII");
+            for mutated in mutations(text) {
+                assert_ne!(mutated, text);
+                if let Ok(run) = RunResult::decode(mutated.as_bytes(), app) {
+                    assert_eq!(run.encode(), mutated, "{app}: a mutation decoded");
+                }
+                tried += 1;
+            }
+        }
+        assert!(tried > 4000, "{tried} mutations");
+    }
+
+    /// Every name the machine can put in its counter rollup resolves:
+    /// each event class, hold-histogram bucket and fault kind, and each
+    /// name a faulted run emits.
+    #[test]
+    fn every_counter_the_machine_emits_resolves() {
         assert!(
-            std::ptr::eq(a, b),
-            "same contents must intern to one allocation"
+            COUNTER_NAMES.windows(2).all(|w| w[0] < w[1]),
+            "the table is in strict byte order, as Counters iterates"
         );
-        assert_ne!(intern("x"), intern("y"));
+        let app = cedar_apps::perfect_suite()
+            .into_iter()
+            .find(|a| a.name == "FLO52")
+            .expect("FLO52 is in the suite")
+            .shrunk(64);
+        let cfg = crate::config::SimConfig::cedar(Configuration::P8)
+            .with_faults(cedar_faults::FaultPlan::canonical_at(2));
+        let run = crate::run::execute(&app, cfg);
+        let emitted: Vec<&str> = run.stats.counters.iter().map(|(n, _)| n).collect();
+        let kinds = cedar_faults::FaultKind::ALL.map(cedar_faults::FaultKind::counter_name);
+        for name in emitted
+            .iter()
+            .chain(&crate::events::EV_CLASS_NAMES)
+            .chain(&crate::machine::HOLD_NAMES)
+            .chain(&kinds)
+        {
+            assert!(
+                COUNTER_NAMES.contains(name),
+                "{name} is not in COUNTER_NAMES"
+            );
+        }
+        let faults = |names: &[&str]| names.iter().filter(|n| n.starts_with("faults.")).count();
+        assert_eq!(
+            faults(&emitted),
+            faults(&COUNTER_NAMES),
+            "a faulted run emits every faults.* counter"
+        );
     }
 }

@@ -82,6 +82,16 @@ impl Counters {
     }
 }
 
+impl FromIterator<(&'static str, u64)> for Counters {
+    /// Collects `(name, value)` pairs; a name given twice keeps its last
+    /// value. Pairs already in name order build the set in one pass.
+    fn from_iter<I: IntoIterator<Item = (&'static str, u64)>>(pairs: I) -> Self {
+        Counters {
+            map: pairs.into_iter().collect(),
+        }
+    }
+}
+
 /// Per-run self-telemetry: where one experiment's wall-clock went, plus
 /// the run's counter rollup (event classes, queue statistics).
 /// Attached to every `RunResult`; collection is cheap enough to
@@ -115,6 +125,12 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get("x"), 5);
         assert_eq!(a.get("p.peak"), 10, "peaks merge by max, not sum");
+    }
+
+    #[test]
+    fn collecting_keeps_each_names_last_value() {
+        let c: Counters = [("b", 2), ("a", 1), ("b", 5)].into_iter().collect();
+        assert_eq!(c.iter().collect::<Vec<_>>(), vec![("a", 1), ("b", 5)]);
     }
 
     #[test]

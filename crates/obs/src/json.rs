@@ -1,5 +1,6 @@
 //! A minimal ordered-JSON writer and reader, the manifest fingerprint
-//! hash, and the `git describe` helper.
+//! hash, the canonical decimal reader the run cache shares, and the
+//! `git describe` helper.
 //!
 //! The workspace is zero-dependency by design, so the manifest and
 //! telemetry streams are rendered with this hand-rolled writer rather
@@ -139,6 +140,29 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Reads the canonical decimal `u64` at the start of `bytes` — ASCII
+/// digits only: no sign, no leading zero, no overflow — and returns it
+/// with the bytes after it. The run cache's entry headers and run
+/// records write integers only in this form, so their readers accept
+/// nothing else.
+pub fn canonical_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
+    let len = bytes
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .unwrap_or(bytes.len());
+    if len == 0 || len > 20 || (len > 1 && bytes[0] == b'0') {
+        return None;
+    }
+    let (digits, rest) = bytes.split_at(len);
+    // Nineteen digits always fit in a u64; only a twentieth can overflow.
+    let (head, tail) = digits.split_at(len.min(19));
+    let mut value = head.iter().fold(0u64, |v, &d| v * 10 + u64::from(d - b'0'));
+    if let Some(&d) = tail.first() {
+        value = value.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+    }
+    Some((value, rest))
 }
 
 /// `git describe --always --dirty` of the working tree, when a git
@@ -460,6 +484,26 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"tie=fifo"), fnv1a(b"tie=lifo"));
         assert_eq!(fnv1a(b"x"), fnv1a(b"x"));
+    }
+
+    #[test]
+    fn canonical_u64_reads_only_what_display_writes() {
+        for v in [0, 7, 10, 1_000_001, u64::MAX] {
+            let text = format!("{v} rest");
+            assert_eq!(canonical_u64(text.as_bytes()), Some((v, &b" rest"[..])));
+        }
+        for bad in [
+            "",
+            " 1",
+            "+1",
+            "-1",
+            "01",
+            "00",
+            "x",
+            "18446744073709551616",
+        ] {
+            assert_eq!(canonical_u64(bad.as_bytes()), None, "accepted {bad:?}");
+        }
     }
 
     #[test]

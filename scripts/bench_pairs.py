@@ -12,14 +12,20 @@ from its own checkout (its own CARGO_TARGET_DIR). The run length, the
 end-to-end metrics, their directions and bounds come from
 BENCHMARK.json. One pair per seed, the side that runs first alternating
 from pair to pair; the confirmation seeds continue the alternation.
-Then one `--trace 1 --seed 0` run per side gives the exact work counts
-and the per-layer self times.
+Then three alternating `--trace 1 --seed 0` pairs give the exact work
+counts, which must not differ between a side's runs, and each side's
+median per-layer self times.
 
 Each entry holds the median, q1 and q3 of every metric (linear
 interpolation over the pairs in `seeds`), `pairs_won` (pairs in which
 that side read better; ties count for neither), the work counts, the
 failed and attempted operations, and every run at full precision.
-Verdicts go to standard output, progress to standard error.
+Verdicts go to standard output, progress to standard error. A metric
+reads `gain` only when the change won at least 9 in 10 pairs by a gap
+wider than the parent's IQR, and the confirmation seeds agree: the
+change won most of them and its confirmation median is better too.
+Without that agreement, or without `--confirm`, it reads `unconfirmed
+gain`.
 
 `--selftest` recomputes the median, q1 and q3 of every committed entry
 from its runs, and each pair of entries' pairs_won counts. Older entries
@@ -124,38 +130,75 @@ def entry(commit, names, units, directions, runs, other, confirm, counts, second
     return e
 
 
+def judge(direction, bound, p, c, pc, cc):
+    """One metric's row from the parent's and the change's runs of the
+    pairs (`p`, `c`) and of the confirmation pairs (`pc`, `cc`): the
+    medians, the change's delta, the pairs it won, the parent's IQR as a
+    share of its median, and the verdict."""
+    pm, cm = quantile(p, 0.5), quantile(c, 0.5)
+    spread = quantile(p, 0.75) - quantile(p, 0.25)
+    share = spread / abs(pm) if pm else 0.0
+    delta = (cm - pm) / abs(pm) if pm else 0.0
+    worse = delta if direction == "lower" else -delta
+    won = sum(better(direction, b, a) for a, b in zip(p, c))
+    cwon = sum(better(direction, b, a) for a, b in zip(pc, cc))
+    if p == c:
+        text = "identical in every pair"
+    elif share > bound:
+        text = "unresolved: the parent's spread exceeds the bound"
+    elif worse > bound:
+        text = "WORSE than the bound"
+    elif won >= 0.9 * len(p) and abs(cm - pm) > spread and worse < 0:
+        if pc and 2 * cwon > len(pc) and better(direction, quantile(cc, 0.5), quantile(pc, 0.5)):
+            text = "gain: won at least 9 in 10 pairs, gap exceeds the parent's IQR, confirmed"
+        else:
+            text = "unconfirmed gain: the confirmation seeds did not agree or did not run"
+    else:
+        text = "within the bound"
+    if pc:
+        text += (f"; confirmation won {cwon}/{len(pc)}, medians "
+                 f"{quantile(pc, 0.5):.6g} -> {quantile(cc, 0.5):.6g}")
+    return pm, cm, delta, won, share, text
+
+
 def verdicts(bench, parent, change, parent_confirm, change_confirm):
     print(f"{'metric':<18} {'parent':>14} {'change':>14} {'delta':>8} {'won':>6} "
           f"{'IQR/med':>8} {'bound':>6}  verdict")
     for m in bench["end_to_end"]:
-        name, bound, direction = m["name"], m["bound"], m["better"]
-        p = [r[name] for r in parent]
-        c = [r[name] for r in change]
-        pm, cm = quantile(p, 0.5), quantile(c, 0.5)
-        spread = quantile(p, 0.75) - quantile(p, 0.25)
-        share = spread / abs(pm) if pm else 0.0
-        delta = (cm - pm) / abs(pm) if pm else 0.0
-        worse = delta if direction == "lower" else -delta
-        won = sum(better(direction, b, a) for a, b in zip(p, c))
-        if p == c:
-            verdict = "identical in every pair"
-        elif share > bound:
-            verdict = "unresolved: the parent's spread exceeds the bound"
-        elif worse > bound:
-            verdict = "WORSE than the bound"
-        elif won >= 0.9 * len(p) and abs(cm - pm) > spread and worse < 0:
-            verdict = "gain: won at least 9 in 10 pairs, gap exceeds the parent's IQR"
-        else:
-            verdict = "within the bound"
-        if parent_confirm:
-            pc = [r[name] for r in parent_confirm]
-            cc = [r[name] for r in change_confirm]
-            cwon = sum(better(direction, b, a) for a, b in zip(pc, cc))
-            verdict += f"; confirmation won {cwon}/{len(pc)}"
-        print(f"{name:<18} {pm:>14.6g} {cm:>14.6g} {delta:>+8.2%} {won:>3}/{len(p):<2} "
-              f"{share:>8.2%} {bound:>6.2f}  {verdict}")
+        name, bound = m["name"], m["bound"]
+        pm, cm, delta, won, share, text = judge(
+            m["better"], bound, *([r[name] for r in runs]
+                                  for runs in (parent, change, parent_confirm, change_confirm)))
+        print(f"{name:<18} {pm:>14.6g} {cm:>14.6g} {delta:>+8.2%} {won:>3}/{len(parent):<2} "
+              f"{share:>8.2%} {bound:>6.2f}  {text}")
     failed = sum(r["failed"] for r in parent + change + parent_confirm + change_confirm)
     print(f"failed operations over both sides and all pairs: {failed}")
+
+
+def traced(sides, workload, seconds, pairs=3):
+    """Work counts and median per-layer self times from `pairs`
+    alternating `--trace 1 --seed 0` pairs; exits when a side's work
+    counts differ between its runs."""
+    counts = {"parent": [], "change": []}
+    layers = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            out, result = run(sides[side], workload, 0, seconds, 1)
+            counts[side].append(work_counts(out))
+            layers[side].append({k: v["value"] for k, v in result["metrics"].items()
+                                 if k.startswith("self.")})
+            print(f"traced {i + 1}/{pairs} {side}: self.pass_ms="
+                  f"{layers[side][-1].get('self.pass_ms', 0.0):.6g}", file=sys.stderr)
+    for side in ("parent", "change"):
+        first = counts[side][0]
+        for other in counts[side][1:]:
+            if other != first:
+                diff = sorted(k for k in set(first) | set(other) if first.get(k) != other.get(k))
+                sys.exit(f"{side}: the work counts of its --trace 1 --seed 0 runs differ "
+                         f"({', '.join(diff)}); the benchmark is not deterministic")
+    medians = {side: {k: quantile([run[k] for run in layers[side]], 0.5) for k in layers[side][0]}
+               for side in ("parent", "change")}
+    return {side: counts[side][0] for side in counts}, medians
 
 
 def measure(a):
@@ -181,12 +224,7 @@ def measure(a):
             (runs if seed in seeds else confirm)[side].append(row)
             shown = " ".join(f"{n}={row[n]:.6g}" for n in ("wall_s", "ns_per_event"))
             print(f"seed {seed} {side}: {shown} failed {row['failed']}", file=sys.stderr)
-    counts, layers = {}, {}
-    for side in ("parent", "change"):
-        out, result = run(sides[side], a.workload, 0, seconds, 1)
-        counts[side] = work_counts(out)
-        layers[side] = {k: v["value"] for k, v in result["metrics"].items()
-                        if k.startswith("self.")}
+    counts, layers = traced(sides, a.workload, seconds)
     commits = {"parent": a.parent_commit,
                "change": f"child of {a.parent_commit} (the commit that adds this entry)"}
     entries = [entry(commits[s], names, units, directions, runs[s],
@@ -202,14 +240,17 @@ def measure(a):
     print(f"{a.workload}: appended two entries to {path}")
     verdicts(bench, runs["parent"], runs["change"], confirm["parent"], confirm["change"])
     same = counts["parent"] == counts["change"]
-    print(f"work counts of the seed-0 --trace 1 runs: {'identical' if same else 'DIFFER'}")
+    print(f"work counts of the --trace 1 --seed 0 runs: {'identical' if same else 'DIFFER'}")
     if not same:
         for k in sorted(set(counts["parent"]) | set(counts["change"])):
             if counts["parent"].get(k) != counts["change"].get(k):
                 print(f"  {k}: {counts['parent'].get(k)} -> {counts['change'].get(k)}")
-    print("per-layer self time of the seed-0 --trace 1 runs (ms per pass):")
+    print("per-layer self time, median of three alternating --trace 1 --seed 0 pairs "
+          "(ms per pass):")
     for k in layers["parent"]:
-        print(f"  {k:<24} {layers['parent'][k]:>12.3f} {layers['change'].get(k, 0.0):>12.3f}")
+        p, c = layers["parent"][k], layers["change"].get(k, 0.0)
+        delta = f"{(c - p) / p:+8.2%}" if p else ""
+        print(f"  {k:<24} {p:>12.3f} {c:>12.3f} {delta}")
 
 
 def selftest():

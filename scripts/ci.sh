@@ -134,8 +134,11 @@ echo "    $(grep -c '^[^#]' results/CI_work_counts.txt) counts match"
 # root. The cold pass populates the store, the warm pass must (a) hit on
 # every lookup, (b) produce a RUN_manifest.json byte-identical to the
 # cold one once the volatile fields (*_ns wall-clocks, utilization, git
-# provenance, and the cache-traffic object itself) are masked, and
-# (c) be measurably faster than simulating. The built binary is invoked
+# provenance, and the cache-traffic object itself) are masked,
+# (c) rewrite the cold pass's summary.csv, breakdown.csv and
+# concurrency.csv byte for byte (the manifest holds only counters and
+# event totals; the CSVs hold the measurements the tables print), and
+# (d) be measurably faster than simulating. The built binary is invoked
 # directly so the timing compares campaigns, not cargo overhead.
 echo "==> run-cache soundness (cold vs warm campaign, CEDAR_SHRINK=4)"
 mask_manifest() {
@@ -151,6 +154,9 @@ CEDAR_SHRINK=4 CEDAR_CACHE=rw BENCH_JSON_DIR="$scratch" \
     ./target/release/all > /dev/null
 cold_end=$(date +%s%N)
 mask_manifest "$scratch/RUN_manifest.json" > "$scratch/cold.masked.json"
+artifacts="summary.csv breakdown.csv concurrency.csv"
+mkdir "$scratch/cold"
+for f in $artifacts; do cp "$scratch/$f" "$scratch/cold/$f"; done
 warm_start=$(date +%s%N)
 CEDAR_SHRINK=4 CEDAR_CACHE=rw BENCH_JSON_DIR="$scratch" \
     ./target/release/all > /dev/null
@@ -169,10 +175,17 @@ if ! cmp -s "$scratch/cold.masked.json" "$scratch/warm.masked.json"; then
     diff "$scratch/cold.masked.json" "$scratch/warm.masked.json" >&2 || true
     exit 1
 fi
+for f in $artifacts; do
+    if ! cmp -s "$scratch/cold/$f" "$scratch/$f"; then
+        echo "error: the warm campaign rewrote $f differently (- cold, + warm):" >&2
+        diff -u "$scratch/cold/$f" "$scratch/$f" >&2 || true
+        exit 1
+    fi
+done
 cold_s=$(awk "BEGIN{printf \"%.2f\", ($cold_end - $cold_start) / 1e9}")
 warm_s=$(awk "BEGIN{printf \"%.2f\", ($warm_end - $warm_start) / 1e9}")
 speedup=$(awk "BEGIN{printf \"%.1f\", ($cold_end - $cold_start) / ($warm_end - $warm_start)}")
-echo "    $runs/$runs warm hits, manifests identical after masking"
+echo "    $runs/$runs warm hits, manifests identical after masking, $(echo $artifacts | wc -w) CSVs byte-identical"
 echo "    cold ${cold_s}s -> warm ${warm_s}s (${speedup}x speedup)"
 mkdir -p results
 printf '{\n  "runs": %s,\n  "warm_hits": %s,\n  "cold_s": %s,\n  "warm_s": %s,\n  "speedup": %s\n}\n' \

@@ -99,9 +99,10 @@ fn suite_fingerprint(s: &SuiteResult) -> String {
         .collect()
 }
 
-/// The decoder the campaign hands the store.
-fn decode(payload: &str) -> Option<RunResult> {
-    RunResult::decode(payload).ok()
+/// The decoder the campaign hands the store for an entry keyed with
+/// application `app`.
+fn decode(app: &'static str) -> impl FnOnce(&[u8]) -> Option<RunResult> {
+    move |payload| RunResult::decode(payload, app).ok()
 }
 
 #[test]
@@ -299,7 +300,7 @@ fn seeded_round_trip_property() {
         let key = run_key(&a, &cfg);
         cache.put(&key, &direct.encode());
         let replayed = cache
-            .get(&key, decode)
+            .get(&key, decode(a.name))
             .unwrap_or_else(|| panic!("case {i}: entry vanished for key {key}"));
         assert_eq!(
             direct.encode(),
@@ -337,9 +338,10 @@ fn keys_never_collide_across_the_sweep() {
 /// write can leave an entry damaged at *any* byte, so this sweep
 /// truncates and bit-flips at seeded offsets — biased into the two
 /// structurally delicate regions, the entry's header block (magic, key
-/// echo, length, checksum) and the payload's interned counter-name
-/// strings — and requires every single corruption to read as a silent
-/// miss (no panic, no wrong result) healed by one clean rewrite.
+/// echo, length, checksum) and the payload's counter-name strings,
+/// which the decoder resolves against the names the machine emits — and
+/// requires every single corruption to read as a silent miss (no panic,
+/// no wrong result) healed by one clean rewrite.
 #[test]
 fn seeded_partial_write_corruption_is_a_silent_miss_then_heals() {
     let root = Root::new("partial");
@@ -354,7 +356,7 @@ fn seeded_partial_write_corruption_is_a_silent_miss_then_heals() {
     let text = String::from_utf8(pristine.clone()).unwrap();
 
     // Byte ranges of the two targeted regions: the whole header block,
-    // and every `counter <interned-name>` text inside the payload.
+    // and every `counter <name>` text inside the payload.
     let header_end = text.find("---\n").expect("entry has a header") + 4;
     let mut counter_name_bytes = Vec::new();
     let mut offset = 0;
@@ -367,13 +369,13 @@ fn seeded_partial_write_corruption_is_a_silent_miss_then_heals() {
     }
     assert!(
         !counter_name_bytes.is_empty(),
-        "entry should carry interned counter names"
+        "entry should carry counter names"
     );
 
     let mut rng = SplitMix64::new(0xBAD_0FF5E7);
     let mut hits_expected = 0;
     for case in 0..48 {
-        // Pick a target byte: header region, interner region, or
+        // Pick a target byte: header region, counter-name region, or
         // anywhere, each a third of the cases.
         let target = match case % 3 {
             0 => rng.next_below(header_end as u64) as usize,
@@ -395,13 +397,13 @@ fn seeded_partial_write_corruption_is_a_silent_miss_then_heals() {
         std::fs::write(&path, &corrupted).unwrap();
 
         assert!(
-            cache.get(&key, decode).is_none(),
+            cache.get(&key, decode(a.name)).is_none(),
             "case {case}: corruption at byte {target} must be a miss, not served"
         );
         // Recovery: one rewrite restores a byte-equivalent entry
         // (modulo wall-clock telemetry) that hits again.
         cache.put(&key, &direct.encode());
-        let healed = cache.get(&key, decode).unwrap_or_else(|| {
+        let healed = cache.get(&key, decode(a.name)).unwrap_or_else(|| {
             panic!("case {case}: rewritten entry must hit");
         });
         hits_expected += 1;
@@ -452,12 +454,14 @@ fn version_skew_is_stale_not_fatal() {
     );
     std::fs::write(&path, doctored).unwrap();
     assert!(
-        cache.get(&key, decode).is_none(),
+        cache.get(&key, decode(a.name)).is_none(),
         "an old-format entry is stale, not served"
     );
     // Rewriting through put() makes it live again.
     cache.put(&key, &direct.encode());
-    let revived = cache.get(&key, decode).expect("rewritten entry hits");
+    let revived = cache
+        .get(&key, decode(a.name))
+        .expect("rewritten entry hits");
     assert_eq!(
         revived.encode(),
         direct.encode(),
