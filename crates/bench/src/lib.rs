@@ -1,13 +1,15 @@
-//! # cedar-bench — the benchmark harness
+//! # cedar-bench — the campaign binaries
 //!
-//! The campaign binaries:
-//!
-//! | binary   | regenerates                                             |
-//! |----------|---------------------------------------------------------|
-//! | `all`    | the full campaign: Tables 1–4, Figures 3 and 5–9, CSVs  |
-//! | `compare`| the published Table 1/3/4 numbers next to the measured  |
-//! | `probe`  | calibration view of one application                     |
-//! | `ablation` | xdoall-vs-sdoall rewrite ablation (§6 suggestion)     |
+//! | binary       | regenerates                                            |
+//! |--------------|--------------------------------------------------------|
+//! | `all`        | the full campaign: Tables 1–4, Figures 3 and 5–9, CSVs |
+//! | `compare`    | the published Table 1/3/4 numbers next to the measured |
+//! | `probe`      | calibration view of one application                    |
+//! | `ablation`   | xdoall-vs-sdoall rewrite ablation (§6 suggestion)      |
+//! | `sweep`      | granularity and traffic-density sweeps at 32p (§6)     |
+//! | `combining`  | flat barrier vs software combining tree (§6, \[16\])   |
+//! | `faultsweep` | fault-injection sensitivity, `FAULTS_sensitivity.csv`  |
+//! | `check`      | the invariant-oracle checker, `CHECK_violations.json`  |
 //!
 //! The Pfister & Norton hot-spot ablation (§6 discussion) is an example,
 //! not a binary: `cargo run --release --example hotspot`.
@@ -18,18 +20,12 @@
 //! this point reads `std::env`. The knobs: `CEDAR_SHRINK=<n>` divides
 //! every time-step count by `n` for a quick (non-publication) pass,
 //! `CEDAR_WORKERS=<n>` bounds the worker pool, `CEDAR_CACHE` sets the
-//! run-cache mode and `BENCH_JSON_DIR` redirects the output files.
+//! run-cache mode, `BENCH_SMOKE=1` selects `check`'s four-case corpus
+//! and `BENCH_JSON_DIR` redirects the output files.
 //!
-//! The one bench target, `benches/scheduler.rs` (the event queue's
-//! microbenchmarks plus the two entries `scripts/bench_check.sh`
-//! gates), runs on the in-repo [`harness`]
-//! (`cargo bench --offline`); `BENCH_SMOKE=1` reduces it to one
-//! iteration for CI. End-to-end and per-layer timing is the separate
-//! `perfbench/` package. Campaign runs write a run manifest via
-//! [`manifest`].
+//! Timing is the separate `perfbench/` package. Campaign runs write a
+//! run manifest via [`manifest`].
 
-pub mod gate;
-pub mod harness;
 pub mod manifest;
 
 use std::sync::OnceLock;
@@ -38,21 +34,11 @@ use cedar_core::suite::SuiteResult;
 use cedar_obs::RunOptions;
 
 /// The process-wide run options, parsed from the environment exactly
-/// once. This is the single place the bench binaries touch `CEDAR_*` /
+/// once. This is the single place the campaign binaries touch `CEDAR_*` /
 /// `BENCH_*`; everything downstream takes the typed value.
 pub fn run_options() -> &'static RunOptions {
     static OPTS: OnceLock<RunOptions> = OnceLock::new();
     OPTS.get_or_init(RunOptions::from_env)
-}
-
-/// [`run_options`] with the run cache structurally forced off. The
-/// in-repo benchmarks (and through them the regression gate in
-/// `scripts/bench_check.sh`) measure **real simulation time**; replaying
-/// memoized results would make every number a lie, so the benches use
-/// this accessor and no `CEDAR_CACHE` setting can reach them.
-pub fn bench_options() -> &'static RunOptions {
-    static OPTS: OnceLock<RunOptions> = OnceLock::new();
-    OPTS.get_or_init(|| run_options().clone().with_cache(cedar_obs::CacheMode::Off))
 }
 
 /// Runs the full measurement campaign once per process under

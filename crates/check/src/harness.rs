@@ -198,52 +198,18 @@ impl Harness {
         }
     }
 
-    /// Conservation laws on one run, reported under `kind` (the same
-    /// checks back both the base-run oracle and the perturbed-run legs
-    /// of tie stability).
+    /// [`conservation`](crate::conservation) on one run, each broken
+    /// clause reported under `kind` (the same law backs both the
+    /// base-run oracle and the perturbed-run legs of tie stability).
     fn conservation(&self, case: &CheckCase, run: &RunResult, kind: OracleKind) -> Vec<Violation> {
-        let mut v = Vec::new();
-        let expected = case.workload().total_bodies();
-        if run.bodies != expected {
-            v.push(Violation {
+        crate::law::conservation(run, case.workload().total_bodies())
+            .into_iter()
+            .map(|detail| Violation {
                 oracle: kind,
                 case: *case,
-                detail: format!(
-                    "coverage broken: {} bodies ran, expected {expected}",
-                    run.bodies
-                ),
-            });
-        }
-        for (i, b) in run.breakdowns.iter().enumerate() {
-            if b.total() > run.completion_time {
-                v.push(Violation {
-                    oracle: kind,
-                    case: *case,
-                    detail: format!(
-                        "task {i} breakdown {} exceeds completion time {}",
-                        b.total(),
-                        run.completion_time
-                    ),
-                });
-            }
-        }
-        for (k, u) in run.utilization.iter().enumerate() {
-            if u.os_total() <= run.completion_time
-                && u.user(run.completion_time) + u.os_total() != run.completion_time
-            {
-                v.push(Violation {
-                    oracle: kind,
-                    case: *case,
-                    detail: format!(
-                        "cluster {k}: user {} + OS {} does not partition CT {}",
-                        u.user(run.completion_time),
-                        u.os_total(),
-                        run.completion_time
-                    ),
-                });
-            }
-        }
-        v
+                detail,
+            })
+            .collect()
     }
 
     fn determinism(&self, case: &CheckCase, base: &RunResult, dup: &RunResult) -> Vec<Violation> {

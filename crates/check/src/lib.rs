@@ -34,6 +34,7 @@
 pub mod case;
 pub mod fingerprint;
 pub mod harness;
+pub mod law;
 pub mod options;
 pub mod oracle;
 pub mod report;
@@ -42,6 +43,7 @@ pub mod shrink;
 pub use case::{corpus, smoke_corpus, CheckCase};
 pub use fingerprint::{fingerprint, fingerprint_text};
 pub use harness::{CheckConfig, Harness, Sabotage};
+pub use law::conservation;
 pub use options::CheckOptions;
 pub use oracle::{OracleKind, Violation};
 pub use report::CheckReport;

@@ -13,10 +13,11 @@ use crate::case::CheckCase;
 /// One checked law of the reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
-    /// Completion-time conservation: every iteration executes exactly
-    /// once, task breakdowns never exceed the wall clock, and on every
-    /// unsaturated cluster the Figure-3 categories (user + OS)
-    /// partition completion time exactly.
+    /// Completion-time conservation ([`conservation`](crate::conservation)):
+    /// every iteration executes exactly once, task breakdowns never
+    /// exceed the wall clock, on every unsaturated cluster the Figure-3
+    /// categories (user + OS) partition completion time exactly, and
+    /// total concurrency lies in `(0, total CEs]`.
     Conservation,
     /// Re-running the identical case reproduces the measurement
     /// fingerprint byte for byte.

@@ -30,11 +30,15 @@ impl PortServer {
     /// Accepts a packet arriving at `now`; returns the time it finishes
     /// transiting the port (start of service + `occupancy`).
     ///
-    /// # Panics
-    ///
-    /// Panics if arrivals are presented out of time order **and** that
-    /// would move `free_at` backwards (cannot happen when driven from an
-    /// [`EventQueue`](cedar_sim::EventQueue)).
+    /// Precondition: arrivals are presented in time order. The port
+    /// serves packets in the order they are presented, so an earlier
+    /// arrival presented late waits behind every packet already
+    /// accepted and is charged queueing it never saw; nothing detects
+    /// this. The machine guarantees the order: it reaches a port only
+    /// through [`GlobalMemorySystem::inject`](crate::GlobalMemorySystem::inject)
+    /// and [`handle`](crate::GlobalMemorySystem::handle), which it
+    /// calls at the time of the last event it popped from its
+    /// [`EventQueue`](cedar_sim::EventQueue).
     pub fn accept(&mut self, now: SimTime, occupancy: Cycles) -> SimTime {
         let start = now.max(self.free_at);
         self.queued += start - now;

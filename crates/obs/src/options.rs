@@ -1,13 +1,12 @@
 //! The typed run-configuration API.
 //!
 //! Every knob that used to be a scattered `std::env::var` read —
-//! `CEDAR_WORKERS`, `CEDAR_SHRINK`, `BENCH_SMOKE`, `BENCH_ITERS`,
-//! `BENCH_JSON_DIR` and `CEDAR_CACHE` — lives in one [`RunOptions`]
-//! value.
+//! `CEDAR_WORKERS`, `CEDAR_SHRINK`, `BENCH_SMOKE`, `BENCH_JSON_DIR` and
+//! `CEDAR_CACHE` — lives in one [`RunOptions`] value.
 //! Library code takes `&RunOptions` explicitly; the environment is
 //! consulted exactly once, by [`RunOptions::from_env`], at process
-//! startup (tools and the bench harness do this; tests construct
-//! options programmatically).
+//! startup (the campaign binaries do this; tests construct options
+//! programmatically).
 
 use std::path::PathBuf;
 
@@ -20,8 +19,8 @@ use std::path::PathBuf;
 /// [`RunOptions::fingerprint_seed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// Never touch the cache. The default: plain runs, benchmarks and
-    /// the bench-regression gate all measure real simulation.
+    /// Never touch the cache. The default: plain runs and tests measure
+    /// real simulation.
     #[default]
     Off,
     /// Serve hits from disk, write misses back. The campaign mode.
@@ -66,8 +65,8 @@ impl std::str::FromStr for CacheMode {
 /// configuration, seed, tie-break, background load, fault plan); a
 /// campaign is a list of them. `RunOptions` owns how the *host process*
 /// executes the campaign: how many worker threads fan the grid, whether
-/// workloads are shrunk, how benchmarks iterate, where output files
-/// land and how the run cache is used.
+/// workloads are shrunk, which corpus the `check` binary runs, where
+/// output files land and how the run cache is used.
 ///
 /// # Example
 ///
@@ -85,12 +84,11 @@ pub struct RunOptions {
     pub workers: Option<usize>,
     /// Workload shrink divisor (1 = publication scale).
     pub shrink: u32,
-    /// Benchmark smoke mode: one iteration, no warmup.
+    /// Smoke mode: the `check` binary runs its four-case corpus, at
+    /// 1/64 scale unless `shrink` is set, instead of the full corpus.
     pub smoke: bool,
-    /// Benchmark timed-iteration override (`None` = harness default).
-    pub bench_iters: Option<u32>,
-    /// Output directory for manifests, CSVs and bench JSON (`None` =
-    /// the workspace-root `results/`).
+    /// Output directory for manifests, CSVs and check reports (`None`
+    /// = the workspace-root `results/`).
     pub output_dir: Option<PathBuf>,
     /// How the campaign layer uses the content-addressed run cache.
     /// Wall-clock-only (results are deterministic), so it is excluded
@@ -104,7 +102,6 @@ impl Default for RunOptions {
             workers: None,
             shrink: 1,
             smoke: false,
-            bench_iters: None,
             output_dir: None,
             cache: CacheMode::default(),
         }
@@ -123,7 +120,6 @@ impl RunOptions {
     /// | `CEDAR_WORKERS` | `workers`     | integer ≥ 1              |
     /// | `CEDAR_SHRINK`  | `shrink`      | integer ≥ 1              |
     /// | `BENCH_SMOKE`   | `smoke`       | `0`, `1`                 |
-    /// | `BENCH_ITERS`   | `bench_iters` | integer ≥ 1              |
     /// | `BENCH_JSON_DIR`| `output_dir`  | a directory path         |
     /// | `CEDAR_CACHE`   | `cache`       | `off`, `rw`, `ro`        |
     ///
@@ -146,7 +142,6 @@ impl RunOptions {
             workers: env_value(lookup, "CEDAR_WORKERS", positive)?,
             shrink: env_value(lookup, "CEDAR_SHRINK", positive)?.unwrap_or(1),
             smoke: env_value(lookup, "BENCH_SMOKE", flag)?.unwrap_or(false),
-            bench_iters: env_value(lookup, "BENCH_ITERS", positive)?,
             output_dir: env_value(lookup, "BENCH_JSON_DIR", |v| Ok(PathBuf::from(v)))?,
             cache: env_value(lookup, "CEDAR_CACHE", |v| v.parse())?.unwrap_or_default(),
         })
@@ -178,10 +173,10 @@ impl RunOptions {
 
     /// The stable fingerprint seed: every field that changes *what is
     /// simulated or how results are produced*, in a fixed textual form.
-    /// Wall-clock-only knobs (worker count, bench iterations, output
-    /// directory, cache mode) are deliberately excluded — two runs
-    /// differing only in those produce identical measurements, and their
-    /// manifests carry the same fingerprint.
+    /// Wall-clock-only knobs (worker count, output directory, cache
+    /// mode) are deliberately excluded — two runs differing only in
+    /// those produce identical measurements, and their manifests carry
+    /// the same fingerprint.
     pub fn fingerprint_seed(&self) -> String {
         format!("shrink={};smoke={}", self.shrink, self.smoke)
     }
@@ -256,7 +251,6 @@ mod tests {
             ("CEDAR_WORKERS", "8"),
             ("CEDAR_SHRINK", "16"),
             ("BENCH_SMOKE", "1"),
-            ("BENCH_ITERS", "3"),
             ("BENCH_JSON_DIR", "/tmp/x"),
             ("CEDAR_CACHE", "ro"),
         ]);
@@ -266,7 +260,6 @@ mod tests {
             .with_output_dir("/tmp/x")
             .with_cache(CacheMode::ReadOnly);
         typed.smoke = true;
-        typed.bench_iters = Some(3);
         assert_eq!(o, Ok(typed));
         assert_eq!(
             from_vars(&[("BENCH_SMOKE", "0")]),
@@ -281,7 +274,6 @@ mod tests {
             "CEDAR_WORKERS",
             "CEDAR_SHRINK",
             "BENCH_SMOKE",
-            "BENCH_ITERS",
             "BENCH_JSON_DIR",
             "CEDAR_CACHE",
         ]
@@ -296,8 +288,6 @@ mod tests {
             ("CEDAR_WORKERS", "eight"),
             ("CEDAR_SHRINK", "x16"),
             ("CEDAR_SHRINK", "0"),
-            ("BENCH_ITERS", "0"),
-            ("BENCH_ITERS", "-3"),
             ("BENCH_SMOKE", "yes"),
             ("CEDAR_CACHE", "sometimes"),
         ] {

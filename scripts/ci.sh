@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CI entry point: the offline-build guarantee, the benchmark trajectory's
 # recomputed statistics, warning-free rustdoc, the
-# paper-band claims, the full test suite, a one-iteration smoke pass of the event-queue
-# benchmark, the shrunk campaign's pinned work counts, the run-cache
+# paper-band claims, the full test suite (with the pinned allocation
+# counts), the shrunk campaign's pinned work counts, the run-cache
 # soundness check (warm campaign = cold campaign, only faster), the
 # benchmark package's own tests (perfbench/), its full-scale
 # fingerprints against perfbench/fingerprints.txt, and a last check that
@@ -87,9 +87,6 @@ cargo test -q --offline --workspace
 
 echo "==> per-suite integration-test budgets (hard, results/TEST_budgets.json)"
 ./scripts/test_times.sh
-
-echo "==> event-queue benchmark smoke pass (BENCH_SMOKE=1: 1 iteration, no warmup)"
-BENCH_SMOKE=1 cargo bench --offline -p cedar-bench
 
 scratch=$(mktemp -d "${TMPDIR:-/tmp}/cedar-ci.XXXXXX")
 trap 'rm -rf "$scratch"' EXIT

@@ -19,8 +19,8 @@
 # TEST_BUDGET_FACTOR multiplies every budget for known-slow machines
 # (e.g. emulated CI runners) without touching the pinned file.
 #
-# Fresh TEST_times.json files are gitignored, like BENCH_*.json;
-# TEST_budgets.json is committed, like bench_baseline.json.
+# Fresh TEST_times.json files are gitignored, like the run manifest;
+# TEST_budgets.json is committed.
 set -eu
 
 cd "$(dirname "$0")/.."

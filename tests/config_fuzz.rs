@@ -4,10 +4,10 @@
 //!
 //! Each case derives its workload, machine configuration, run options
 //! and (half the time) a fault mix from one `SplitMix64` stream, runs
-//! the experiment, and asserts *conservation*: every iteration executes
-//! exactly once, user breakdowns never exceed the wall clock, Figure-3
-//! categories partition completion time, and concurrency stays within
-//! the machine's CE count.
+//! the experiment, and asserts *conservation* (`cedar_check::conservation`):
+//! every iteration executes exactly once, user breakdowns never exceed
+//! the wall clock, Figure-3 categories partition completion time, and
+//! concurrency stays within the machine's CE count.
 //!
 //! Every failure message carries the case seed. To replay one case:
 //!
@@ -16,8 +16,8 @@
 //! ```
 
 use cedar::apps::{AccessPattern, AppBuilder, AppSpec, BodySpec};
-use cedar::check::fingerprint_text;
-use cedar::core::{Experiment, RunResult, SimConfig};
+use cedar::check::{conservation, fingerprint_text};
+use cedar::core::{Experiment, SimConfig};
 use cedar::faults::{
     AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
 };
@@ -189,41 +189,6 @@ impl Case {
     }
 }
 
-/// The conservation laws every run must respect, whatever the config.
-fn assert_conservation(case: &Case, run: &RunResult) {
-    assert_eq!(
-        run.bodies,
-        case.app.total_bodies(),
-        "every iteration must execute exactly once ({})",
-        case.replay()
-    );
-    for b in &run.breakdowns {
-        assert!(
-            b.total() <= run.completion_time,
-            "task user time {} > CT {} ({})",
-            b.total(),
-            run.completion_time,
-            case.replay()
-        );
-    }
-    for (k, u) in run.utilization.iter().enumerate() {
-        if u.os_total() <= run.completion_time {
-            assert_eq!(
-                u.user(run.completion_time) + u.os_total(),
-                run.completion_time,
-                "cluster {k}: Figure-3 categories must partition CT ({})",
-                case.replay()
-            );
-        }
-    }
-    let total = run.total_concurrency();
-    assert!(
-        total > 0.0 && total <= case.config.total_ces() as f64 + 1e-9,
-        "concurrency {total} out of range ({})",
-        case.replay()
-    );
-}
-
 #[test]
 fn seeded_config_sweep_conserves() {
     let seeds = case_seeds();
@@ -239,7 +204,8 @@ fn seeded_config_sweep_conserves() {
             );
         }
         let run = Experiment::new(case.app.clone(), case.sim_config()).run();
-        assert_conservation(&case, &run);
+        let broken = conservation(&run, case.app.total_bodies());
+        assert!(broken.is_empty(), "{broken:#?} ({})", case.replay());
     }
 }
 

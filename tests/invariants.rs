@@ -170,6 +170,7 @@ fn interleaving_covers_all_modules_uniformly() {
 // organic growth that a longer run implies, and no conservation law of
 // the simulator bends under any fault mix.
 
+use cedar::check::conservation;
 use cedar::core::RunResult;
 use cedar::faults::{
     AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
@@ -230,30 +231,12 @@ fn fault_mixes_preserve_conservation_laws() {
         let plan = arb_plan(&mut rng);
         let expected = app.total_bodies();
         let run = Experiment::new(app, SimConfig::cedar(c).with_faults(plan)).run();
-        // Coverage: every iteration still executes exactly once.
-        assert_eq!(run.bodies, expected, "case {case} on {}", c.label());
-        // User breakdowns never exceed the wall clock.
-        for b in &run.breakdowns {
-            assert!(
-                b.total() <= run.completion_time,
-                "case {case} on {}: user time {} > CT {}",
-                c.label(),
-                b.total(),
-                run.completion_time
-            );
-        }
-        // Figure 3 categories: when OS service does not saturate a
-        // cluster, user is the exact residual — the components sum to
-        // CT with no gap and no overlap.
-        for (k, u) in run.utilization.iter().enumerate() {
-            if u.os_total() <= run.completion_time {
-                assert_eq!(
-                    u.user(run.completion_time) + u.os_total(),
-                    run.completion_time,
-                    "case {case} cluster {k}: categories must partition CT"
-                );
-            }
-        }
+        let broken = conservation(&run, expected);
+        assert!(
+            broken.is_empty(),
+            "case {case} on {}: {broken:#?}",
+            c.label()
+        );
     });
 }
 
