@@ -20,9 +20,14 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use cedar::apps::app_by_name;
+use cedar::check::fingerprint;
 use cedar::core::suite::SuiteResult;
+use cedar::core::{Experiment, SimConfig};
+use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
 use cedar::report::{figures, golden, tables};
+use cedar::sim::TieBreak;
 
 /// Fixed shrink factor — must not depend on the build profile, or the
 /// snapshots would differ between `cargo test` and `cargo test --release`.
@@ -57,4 +62,30 @@ fn table4_matches_golden() {
 #[test]
 fn figure3_matches_golden() {
     golden::assert_matches(&golden_path("figure3"), &figures::figure3(campaign()));
+}
+
+/// The LIFO and shuffle pop orders, pinned through what they decide:
+/// the measurement fingerprint and event count of the three
+/// lock-heavy apps at 16 and 32 processors. The tables above all run
+/// under FIFO, so only this snapshot sees a change in how a non-FIFO
+/// tie cohort is ordered.
+#[test]
+fn tie_break_runs_match_golden() {
+    let mut text = String::from("# cedar_check::fingerprint and events, 1/16 scale\n");
+    for tiebreak in [TieBreak::Lifo, TieBreak::Shuffle(0x5EED)] {
+        for name in ["ADM", "MDG", "OCEAN"] {
+            let app = app_by_name(name).expect("a Perfect application");
+            for c in [Configuration::P16, Configuration::P32] {
+                let cfg = SimConfig::cedar(c).with_tiebreak(tiebreak);
+                let run = Experiment::new(app.shrunk(GOLDEN_SHRINK), cfg).run();
+                let (policy, procs) = (tiebreak.to_string(), format!("{}p", c.total_ces()));
+                text += &format!(
+                    "{policy:<14} {name:<6} {procs:<4} fingerprint {:016x} events {}\n",
+                    fingerprint(&run),
+                    run.events
+                );
+            }
+        }
+    }
+    golden::assert_matches(&golden_path("tiebreak_runs"), &text);
 }
