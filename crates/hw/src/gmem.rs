@@ -76,6 +76,8 @@ pub struct GlobalMemorySystem {
     /// Each cluster's shared injection path (round-robin over its ports).
     cluster_paths: [[PortServer; CLUSTER_PORTS]; CLUSTERS],
     cluster_rr: [usize; CLUSTERS],
+    /// Packets that have crossed forward stage 1, counted once each.
+    packets: u64,
     latency: LatencyHistogram,
 }
 
@@ -91,6 +93,7 @@ impl GlobalMemorySystem {
             modules,
             cluster_paths: Default::default(),
             cluster_rr: [0; CLUSTERS],
+            packets: 0,
             latency: LatencyHistogram::new(24),
             cfg,
         }
@@ -133,10 +136,13 @@ impl GlobalMemorySystem {
         let (at, next) = match p.hop {
             // Each CE has its own Global Interface into the network (§2),
             // so CE ids are the forward network's inputs.
-            Hop::FwdStage1 => (
-                self.forward.transit_stage1(p.ce.0, module.0, now),
-                Hop::FwdStage2,
-            ),
+            Hop::FwdStage1 => {
+                self.packets += 1;
+                (
+                    self.forward.transit_stage1(p.ce.0, module.0, now),
+                    Hop::FwdStage2,
+                )
+            }
             Hop::FwdStage2 => (self.forward.transit_stage2(module.0, now), Hop::AtModule),
             Hop::AtModule => {
                 let (ready, value) =
@@ -179,7 +185,7 @@ impl GlobalMemorySystem {
     /// Contention statistics accumulated so far.
     pub fn stats(&self) -> GmemStats {
         GmemStats {
-            packets: self.forward.packets(),
+            packets: self.packets,
             cluster_path_queued: self.cluster_path_queued(),
             fwd_queued: self.forward.total_queued(),
             rev_queued: self.reverse.total_queued(),

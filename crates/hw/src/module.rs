@@ -71,7 +71,6 @@ pub struct MemoryModule {
     words: WordStore,
     requests: u64,
     sync_requests: u64,
-    busy: Cycles,
     queued: Cycles,
 }
 
@@ -86,7 +85,6 @@ impl MemoryModule {
             words: WordStore::default(),
             requests: 0,
             sync_requests: 0,
-            busy: Cycles::ZERO,
             queued: Cycles::ZERO,
         }
     }
@@ -98,7 +96,6 @@ impl MemoryModule {
         let start = now.max(self.free_at);
         self.queued += start - now;
         self.free_at = start + self.service;
-        self.busy += self.service;
         self.requests += 1;
         if op.is_sync() {
             self.sync_requests += 1;
@@ -148,9 +145,10 @@ impl MemoryModule {
         self.sync_requests
     }
 
-    /// Cumulative service time.
+    /// Cumulative service time: every request holds the module for
+    /// one service period.
     pub fn busy(&self) -> Cycles {
-        self.busy
+        self.service * self.requests
     }
 
     /// Cumulative queueing delay at this module.

@@ -44,11 +44,6 @@ impl DeltaNet {
         self.stage2[sw].transit(route::stage2_port(dst), now)
     }
 
-    /// Total packets that crossed stage 1 (== packets injected).
-    pub fn packets(&self) -> u64 {
-        self.stage1.iter().map(Crossbar::total_packets).sum()
-    }
-
     /// Total queueing delay accumulated in both stages — the direct
     /// measure of network contention.
     pub fn total_queued(&self) -> Cycles {
@@ -103,15 +98,6 @@ mod tests {
         let b = n.transit_stage1(8, 9, Cycles(0));
         assert_eq!(a, b);
         assert_eq!(n.total_queued(), Cycles::ZERO);
-    }
-
-    #[test]
-    fn packet_count_tracks_stage1_crossings() {
-        let mut n = net();
-        for src in 0..4 {
-            n.transit_stage1(src, src, Cycles(0));
-        }
-        assert_eq!(n.packets(), 4);
     }
 
     #[test]

@@ -16,9 +16,10 @@ use crate::route::RADIX;
 #[derive(Debug, Clone, Default)]
 pub struct PortServer {
     free_at: SimTime,
-    packets: u64,
-    busy: Cycles,
     queued: Cycles,
+    /// The latest arrival accepted, for the time-order check.
+    #[cfg(debug_assertions)]
+    last_arrival: SimTime,
 }
 
 impl PortServer {
@@ -32,30 +33,33 @@ impl PortServer {
     ///
     /// Precondition: arrivals are presented in time order. The port
     /// serves packets in the order they are presented, so an earlier
-    /// arrival presented late waits behind every packet already
-    /// accepted and is charged queueing it never saw; nothing detects
-    /// this. The machine guarantees the order: it reaches a port only
-    /// through [`GlobalMemorySystem::inject`](crate::GlobalMemorySystem::inject)
+    /// arrival presented late would wait behind every packet already
+    /// accepted and be charged queueing it never saw. The machine
+    /// guarantees the order: it reaches a port only through
+    /// [`GlobalMemorySystem::inject`](crate::GlobalMemorySystem::inject)
     /// and [`handle`](crate::GlobalMemorySystem::handle), which it
     /// calls at the time of the last event it popped from its
     /// [`EventQueue`](cedar_sim::EventQueue).
+    ///
+    /// # Panics
+    ///
+    /// In a debug build, panics if `now` is earlier than an arrival
+    /// already accepted. A release build does not check.
     pub fn accept(&mut self, now: SimTime, occupancy: Cycles) -> SimTime {
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                now >= self.last_arrival,
+                "port arrival at cycle {} after one at cycle {}",
+                now.0,
+                self.last_arrival.0
+            );
+            self.last_arrival = now;
+        }
         let start = now.max(self.free_at);
         self.queued += start - now;
         self.free_at = start + occupancy;
-        self.busy += occupancy;
-        self.packets += 1;
         self.free_at
-    }
-
-    /// Total packets that have crossed this port.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Cumulative transmission time (utilization numerator).
-    pub fn busy(&self) -> Cycles {
-        self.busy
     }
 
     /// Cumulative queueing delay experienced at this port.
@@ -102,11 +106,6 @@ impl Crossbar {
         served_by + self.latency
     }
 
-    /// Total packets across all ports.
-    pub(crate) fn total_packets(&self) -> u64 {
-        self.ports.iter().map(PortServer::packets).sum()
-    }
-
     /// Total queueing delay across all ports.
     pub fn total_queued(&self) -> Cycles {
         self.ports.iter().map(PortServer::queued).sum()
@@ -149,12 +148,21 @@ mod tests {
         for _ in 0..5 {
             sw.transit(2, Cycles(0));
         }
-        assert_eq!(sw.ports[2].packets(), 5);
-        assert_eq!(sw.ports[2].busy(), Cycles(5));
         // Packets arrived simultaneously: 0+1+2+3+4 cycles of queueing.
         assert_eq!(sw.ports[2].queued(), Cycles(10));
-        assert_eq!(sw.total_packets(), 5);
         assert_eq!(sw.total_queued(), Cycles(10));
+    }
+
+    /// A debug build catches an arrival presented after a later one,
+    /// which the port would charge queueing it never saw.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "port arrival at cycle 9 after one at cycle 10")]
+    fn out_of_order_arrival_panics_in_debug() {
+        let mut port = PortServer::new();
+        port.accept(Cycles(10), Cycles(1));
+        port.accept(Cycles(10), Cycles(1));
+        port.accept(Cycles(9), Cycles(1));
     }
 
     #[test]
