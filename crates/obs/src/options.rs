@@ -86,6 +86,8 @@ pub struct RunOptions {
     pub shrink: u32,
     /// Smoke mode: the `check` binary runs its four-case corpus, at
     /// 1/64 scale unless `shrink` is set, instead of the full corpus.
+    /// It picks which cases run, not how a run is simulated, so it is
+    /// excluded from [`fingerprint_seed`](Self::fingerprint_seed).
     pub smoke: bool,
     /// Output directory for manifests, CSVs and check reports (`None`
     /// = the workspace-root `results/`).
@@ -173,12 +175,14 @@ impl RunOptions {
 
     /// The stable fingerprint seed: every field that changes *what is
     /// simulated or how results are produced*, in a fixed textual form.
-    /// Wall-clock-only knobs (worker count, output directory, cache
-    /// mode) are deliberately excluded — two runs differing only in
-    /// those produce identical measurements, and their manifests carry
-    /// the same fingerprint.
+    /// That is the shrink divisor alone. The worker count, output
+    /// directory and cache mode change only the wall clock, and smoke
+    /// mode only which cases the `check` binary runs, so they are
+    /// deliberately excluded: two campaigns differing only in those
+    /// produce identical measurements, and their manifests carry the
+    /// same fingerprint.
     pub fn fingerprint_seed(&self) -> String {
-        format!("shrink={};smoke={}", self.shrink, self.smoke)
+        format!("shrink={}", self.shrink)
     }
 }
 
@@ -302,10 +306,13 @@ mod tests {
     #[test]
     fn fingerprint_ignores_wall_clock_only_knobs() {
         let a = RunOptions::default();
-        let b = RunOptions::default()
-            .with_workers(64)
-            .with_output_dir("/elsewhere")
-            .with_cache(CacheMode::ReadWrite);
+        let b = RunOptions {
+            smoke: true,
+            ..RunOptions::default()
+                .with_workers(64)
+                .with_output_dir("/elsewhere")
+                .with_cache(CacheMode::ReadWrite)
+        };
         assert_eq!(a.fingerprint_seed(), b.fingerprint_seed());
         let c = RunOptions::default().with_shrink(16);
         assert_ne!(a.fingerprint_seed(), c.fingerprint_seed());
