@@ -43,9 +43,8 @@
 //!   compare-exchanges and placing the entries are straight-line code
 //!   with no branch on the ranks.
 //! - A cohort of 9–256 entries, most of FLO52's, sorts its keys as
-//!   plain integers in a scratch buffer the queue allocates when it is
-//!   built.
-//! - Either way each entry is then copied once to the position its key
+//!   plain integers in a buffer on the stack.
+//! - Either way each entry then moves once, to the position its key
 //!   sorted to. If two keys tie on their rank bits, or a cohort is too
 //!   large for eight index bits, the cohort is sorted by full rank
 //!   instead, so pops stay exactly in `(time, rank)` order.
@@ -72,9 +71,8 @@
 //! naming both times.
 //!
 //! A bucket is a vector with a read index. It rewinds when its last
-//! entry is read and keeps its capacity, and the cohort scratch buffers
-//! never grow past what the queue allocated when it was built, so
-//! steady-state operation performs no allocation at all.
+//! entry is read and keeps its capacity, so steady-state operation
+//! performs no allocation at all.
 
 use crate::queue::{key_time, order_key, MinHeap, QueueStats, TieBreak};
 use crate::time::{Cycles, SimTime};
@@ -129,12 +127,12 @@ impl<E: Copy> Bucket<E> {
 
     /// Removes the lowest-ranked unread entry, first restoring ascending
     /// order if a push broke it.
-    fn pop(&mut self, scratch: &mut Scratch<E>) -> Option<E> {
+    fn pop(&mut self) -> Option<E> {
         if self.head == self.items.len() {
             return None;
         }
         if !self.sorted {
-            sort_cohort(&mut self.items[self.head..], scratch);
+            sort_cohort(&mut self.items[self.head..]);
             self.sorted = true;
             #[cfg(test)]
             {
@@ -153,33 +151,14 @@ impl<E: Copy> Bucket<E> {
     }
 }
 
-/// Buffers for ordering a tie cohort of 9–256 entries, allocated once
-/// when the queue is built, so ordering a cohort never allocates.
-struct Scratch<E> {
-    /// The cohort's keys.
-    keys: Vec<u64>,
-    /// The cohort's entries, copied out so each can be moved straight to
-    /// its key's position.
-    held: Vec<(u64, E)>,
-}
-
-impl<E> Scratch<E> {
-    fn new() -> Self {
-        Scratch {
-            keys: Vec::with_capacity(MAX_KEYED),
-            held: Vec::with_capacity(MAX_KEYED),
-        }
-    }
-}
-
 /// Puts a tie cohort's entries in ascending rank order (see the module
 /// doc). Kept out of line: a FIFO queue never calls it.
 #[inline(never)]
-fn sort_cohort<E: Copy>(cohort: &mut [(u64, E)], scratch: &mut Scratch<E>) {
+fn sort_cohort<E: Copy>(cohort: &mut [(u64, E)]) {
     let keyed = match cohort.len() {
         0 | 1 => true,
         2..=MAX_NETWORK => sort_small(cohort),
-        ..=MAX_KEYED => sort_keyed(cohort, scratch),
+        ..=MAX_KEYED => sort_keyed(cohort),
         _ => false,
     };
     if !keyed {
@@ -269,25 +248,37 @@ fn sort_by_network<E: Copy, const N: usize, const C: usize>(
 }
 
 /// Orders a cohort of 9–256 entries by sorting its keys as plain
-/// integers; false, with the cohort untouched, if two keys tie.
-fn sort_keyed<E: Copy>(cohort: &mut [(u64, E)], scratch: &mut Scratch<E>) -> bool {
+/// integers; false, with the cohort untouched, if two keys tie. The
+/// keys live on the stack, not in a buffer the queue keeps: a larger
+/// `EventQueue` moved the machine's other fields and slowed FIFO runs,
+/// which never order a cohort, by about 7%.
+fn sort_keyed<E: Copy>(cohort: &mut [(u64, E)]) -> bool {
+    let mut buffer = [0; MAX_KEYED];
+    let keys = &mut buffer[..cohort.len()];
     let shift = shared_bits(cohort);
-    let keys = &mut scratch.keys;
-    keys.clear();
-    keys.extend(
-        cohort
-            .iter()
-            .enumerate()
-            .map(|(i, &(rank, _))| cohort_key(rank, shift, i)),
-    );
+    for (i, (key, &(rank, _))) in keys.iter_mut().zip(cohort.iter()).enumerate() {
+        *key = cohort_key(rank, shift, i);
+    }
     keys.sort_unstable();
     if !rank_bits_distinct(keys) {
         return false;
     }
-    scratch.held.clear();
-    scratch.held.extend_from_slice(cohort);
-    for (slot, &key) in cohort.iter_mut().zip(keys.iter()) {
-        *slot = scratch.held[(key & INDEX_MASK) as usize];
+    // The key at each position names the entry that belongs there.
+    // Following the permutation's cycles moves each entry once; a
+    // filled position's key is pointed at itself.
+    for start in 0..cohort.len() {
+        let held = cohort[start];
+        let mut at = start;
+        loop {
+            let from = (keys[at] & INDEX_MASK) as usize;
+            keys[at] = at as u64;
+            if from == start {
+                cohort[at] = held;
+                break;
+            }
+            cohort[at] = cohort[from];
+            at = from;
+        }
     }
     true
 }
@@ -337,8 +328,6 @@ pub struct EventQueue<E> {
     /// Events ever scheduled; the next event's sequence number.
     next_seq: u64,
     tiebreak: TieBreak,
-    /// Buffers for ordering a large tie cohort.
-    scratch: Scratch<E>,
     /// The peaks, spill count and hold histogram; `scheduled` and
     /// `popped` stay 0 here and are derived by [`stats`](Self::stats).
     stats: QueueStats,
@@ -374,7 +363,6 @@ impl<E: Copy> EventQueue<E> {
             overflow: MinHeap::new(),
             next_seq: 0,
             tiebreak: TieBreak::default(),
-            scratch: Scratch::new(),
             stats: QueueStats::new(),
             #[cfg(debug_assertions)]
             popped_last: false,
@@ -489,7 +477,7 @@ impl<E: Copy> EventQueue<E> {
                 continue;
             }
             let idx = (self.cur_day & self.day_mask) as usize;
-            if let Some(payload) = self.buckets[idx].pop(&mut self.scratch) {
+            if let Some(payload) = self.buckets[idx].pop() {
                 self.wheel_len -= 1;
                 #[cfg(debug_assertions)]
                 {
@@ -1029,8 +1017,7 @@ mod tests {
         let mut bucket = Bucket::new();
         bucket.items.extend(ranks.iter().map(|&rank| (rank, rank)));
         bucket.sorted = false;
-        let mut scratch = Scratch::new();
-        std::iter::from_fn(|| bucket.pop(&mut scratch)).collect()
+        std::iter::from_fn(|| bucket.pop()).collect()
     }
 
     /// `ranks` in ascending order, the full-rank sort a cohort must
@@ -1119,23 +1106,22 @@ mod tests {
         let mut large: Vec<u64> = (0..40).map(|k| (k << 32) | 0xABC).collect();
         large.extend([1 << 63, (7 << 32) | 0xA01]);
         let mut cohort = cohort_of(&large);
-        assert!(!sort_keyed(&mut cohort, &mut Scratch::new()));
+        assert!(!sort_keyed(&mut cohort));
         assert_eq!(cohort, cohort_of(&large));
         assert_eq!(drain_bucket(&large), rank_sorted(&large));
     }
 
-    /// Cohorts of 9–256 entries sort their keys in the scratch buffer and
-    /// pop in rank order, whatever order the entries were pushed in.
+    /// Cohorts of 9–256 entries sort their keys and pop in rank order,
+    /// whatever order the entries were pushed in.
     #[test]
     fn cohorts_of_nine_to_256_pop_in_rank_order() {
         let mut rng = SplitMix64::new(0xC0_4027);
-        let mut scratch = Scratch::new();
         for n in MAX_NETWORK + 1..=MAX_KEYED {
             for mut ranks in rank_families(n) {
                 for _ in 0..2 {
                     let want = rank_sorted(&ranks);
                     let mut cohort = cohort_of(&ranks);
-                    assert!(sort_keyed(&mut cohort, &mut scratch), "{n} entries");
+                    assert!(sort_keyed(&mut cohort), "{n} entries");
                     assert_eq!(cohort, cohort_of(&want), "{n} entries");
                     assert_eq!(drain_bucket(&ranks), want, "{n} entries");
                     for i in (1..n).rev() {
@@ -1144,8 +1130,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(scratch.keys.capacity(), MAX_KEYED, "the scratch never grew");
-        assert_eq!(scratch.held.capacity(), MAX_KEYED, "the scratch never grew");
     }
 
     /// A cohort too large for the keys to index falls back to a full-rank
