@@ -29,31 +29,29 @@
 //! bucket unsorted, and its unread entries, the tie cohort, are put in
 //! rank order once on the next pop.
 //!
-//! A cohort is ordered by one `u64` key per entry rather than by moving
+//! A cohort of 2–8 entries, 98% of them under shuffle in ADM, MDG and
+//! OCEAN, is ordered by one `u64` key per entry rather than by moving
 //! whole entries through a comparison sort. The key is the entry's rank
 //! shifted left past the high bits every rank in the cohort shares
-//! (which keeps the ranks' order), with its low eight bits replaced by
+//! (which keeps the ranks' order), with its low three bits replaced by
 //! the entry's index in the cohort. The shift matters under LIFO, whose
 //! ranks (`!seq`) in one cohort differ mostly in their low bits; under
 //! shuffle the ranks are uniform and the shift is almost always zero.
-//!
-//! - A cohort of 2–8 entries, 98% of them under shuffle in ADM, MDG and
-//!   OCEAN, goes through the optimal-size sorting network for its size.
-//!   Each size has its own copy of the code, so building the keys, the
-//!   compare-exchanges and placing the entries are straight-line code
-//!   with no branch on the ranks.
-//! - A cohort of 9–256 entries, most of FLO52's, sorts its keys as
-//!   plain integers in a buffer on the stack.
-//! - Either way each entry then moves once, to the position its key
-//!   sorted to. If two keys tie on their rank bits, or a cohort is too
-//!   large for eight index bits, the cohort is sorted by full rank
-//!   instead, so pops stay exactly in `(time, rank)` order.
+//! The keys go through the optimal-size sorting network for the
+//! cohort's size, and each entry then moves once, to the position its
+//! key sorted to. Each size has its own copy of the code, so building
+//! the keys, the compare-exchanges and the placement are straight-line
+//! code with no branch on the ranks. If two keys tie on their rank bits
+//! the cohort is sorted by full rank instead, as is every larger
+//! cohort, so pops stay exactly in `(time, rank)` order.
 //!
 //! With the cohort sizes of ADM, MDG and OCEAN under shuffle (65% hold
 //! 2–3 entries), ordering a cohort takes about 11 ns against 25 ns for
 //! a standard sort of its entries, on a 2-vCPU Xeon with the entries in
-//! cache. Under LIFO, whose cohorts mostly arrive in descending order, the
-//! two cost the same, about 10 ns.
+//! cache. Sorting the keys with the standard sort instead of a network
+//! made `perfbench` `replicate_sync` 8% slower end to end. Under LIFO, whose
+//! cohorts mostly arrive in descending order, the network and the
+//! standard sort cost the same, about 10 ns.
 //!
 //! [`reschedule`](EventQueue::reschedule) is `schedule` for the
 //! successor of the event just popped, the shape of every packet hop.
@@ -89,17 +87,14 @@ use crate::time::{Cycles, SimTime};
 const DEFAULT_DAYS: u64 = 256;
 
 /// Low bits of a cohort key that hold the entry's index in its cohort.
-const INDEX_BITS: u32 = 8;
+const INDEX_BITS: u32 = 3;
 
 /// A cohort key's index bits.
 const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 
-/// The largest cohort the keys can index; a larger one is sorted by
-/// full rank.
-const MAX_KEYED: usize = 1 << INDEX_BITS;
-
-/// The largest cohort a sorting network orders.
-const MAX_NETWORK: usize = 8;
+/// The largest cohort the keys can index, and so the largest a sorting
+/// network orders; a larger one is sorted by full rank.
+const MAX_NETWORK: usize = 1 << INDEX_BITS;
 
 /// One cycle's pending events as `(tie rank, payload)` entries, read
 /// from `head` on.
@@ -158,7 +153,6 @@ fn sort_cohort<E: Copy>(cohort: &mut [(u64, E)]) {
     let keyed = match cohort.len() {
         0 | 1 => true,
         2..=MAX_NETWORK => sort_small(cohort),
-        ..=MAX_KEYED => sort_keyed(cohort),
         _ => false,
     };
     if !keyed {
@@ -243,42 +237,6 @@ fn sort_by_network<E: Copy, const N: usize, const C: usize>(
     let held = *cohort;
     for (slot, key) in cohort.iter_mut().zip(keys) {
         *slot = held[(key & INDEX_MASK) as usize];
-    }
-    true
-}
-
-/// Orders a cohort of 9–256 entries by sorting its keys as plain
-/// integers; false, with the cohort untouched, if two keys tie. The
-/// keys live on the stack, not in a buffer the queue keeps: a larger
-/// `EventQueue` moved the machine's other fields and slowed FIFO runs,
-/// which never order a cohort, by about 7%.
-fn sort_keyed<E: Copy>(cohort: &mut [(u64, E)]) -> bool {
-    let mut buffer = [0; MAX_KEYED];
-    let keys = &mut buffer[..cohort.len()];
-    let shift = shared_bits(cohort);
-    for (i, (key, &(rank, _))) in keys.iter_mut().zip(cohort.iter()).enumerate() {
-        *key = cohort_key(rank, shift, i);
-    }
-    keys.sort_unstable();
-    if !rank_bits_distinct(keys) {
-        return false;
-    }
-    // The key at each position names the entry that belongs there.
-    // Following the permutation's cycles moves each entry once; a
-    // filled position's key is pointed at itself.
-    for start in 0..cohort.len() {
-        let held = cohort[start];
-        let mut at = start;
-        loop {
-            let from = (keys[at] & INDEX_MASK) as usize;
-            keys[at] = at as u64;
-            if from == start {
-                cohort[at] = held;
-                break;
-            }
-            cohort[at] = cohort[from];
-            at = from;
-        }
     }
     true
 }
@@ -1092,53 +1050,32 @@ mod tests {
 
     /// Two ranks that agree on every bit the keys keep tie on their
     /// keys: the cohort is left as it was and sorted by full rank, and
-    /// still pops in rank order, on both keyed paths.
+    /// still pops in rank order.
     #[test]
     fn equal_truncated_keys_fall_back_to_a_full_rank_sort() {
         // The top bit differs, so no bit is shifted out, and 0x105 and
-        // 0x1FE differ only in the index bits.
-        let small = [0x105, 1 << 63, 0x1FE, 0x2000];
-        let mut cohort = cohort_of(&small);
-        assert!(!sort_small(&mut cohort), "the keys of 0x105 and 0x1FE tie");
-        assert_eq!(cohort, cohort_of(&small), "a tied cohort is left as it was");
-        assert_eq!(drain_bucket(&small), rank_sorted(&small));
-
-        let mut large: Vec<u64> = (0..40).map(|k| (k << 32) | 0xABC).collect();
-        large.extend([1 << 63, (7 << 32) | 0xA01]);
-        let mut cohort = cohort_of(&large);
-        assert!(!sort_keyed(&mut cohort));
-        assert_eq!(cohort, cohort_of(&large));
-        assert_eq!(drain_bucket(&large), rank_sorted(&large));
+        // 0x102 differ only in the index bits.
+        let ranks = [0x105, 1 << 63, 0x102, 0x2000];
+        let mut cohort = cohort_of(&ranks);
+        assert!(!sort_small(&mut cohort), "the keys of 0x105 and 0x102 tie");
+        assert_eq!(cohort, cohort_of(&ranks), "a tied cohort is left as it was");
+        assert_eq!(drain_bucket(&ranks), rank_sorted(&ranks));
     }
 
-    /// Cohorts of 9–256 entries sort their keys and pop in rank order,
-    /// whatever order the entries were pushed in.
+    /// A cohort too large for a sorting network, 9–256 entries or 1,000,
+    /// is sorted by full rank and pops in rank order, whatever order its
+    /// entries were pushed in.
     #[test]
-    fn cohorts_of_nine_to_256_pop_in_rank_order() {
+    fn cohorts_larger_than_a_network_pop_in_rank_order() {
         let mut rng = SplitMix64::new(0xC0_4027);
-        for n in MAX_NETWORK + 1..=MAX_KEYED {
+        for n in (MAX_NETWORK + 1..=256).chain([1_000]) {
             for mut ranks in rank_families(n) {
                 for _ in 0..2 {
-                    let want = rank_sorted(&ranks);
-                    let mut cohort = cohort_of(&ranks);
-                    assert!(sort_keyed(&mut cohort), "{n} entries");
-                    assert_eq!(cohort, cohort_of(&want), "{n} entries");
-                    assert_eq!(drain_bucket(&ranks), want, "{n} entries");
+                    assert_eq!(drain_bucket(&ranks), rank_sorted(&ranks), "{n} entries");
                     for i in (1..n).rev() {
                         ranks.swap(i, rng.next_below(i as u64 + 1) as usize);
                     }
                 }
-            }
-        }
-    }
-
-    /// A cohort too large for the keys to index falls back to a full-rank
-    /// sort and pops in rank order.
-    #[test]
-    fn cohorts_too_large_for_the_keys_pop_in_rank_order() {
-        for n in [MAX_KEYED + 1, 1_000] {
-            for ranks in rank_families(n) {
-                assert_eq!(drain_bucket(&ranks), rank_sorted(&ranks), "{n} entries");
             }
         }
     }
