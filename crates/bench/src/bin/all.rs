@@ -32,7 +32,7 @@ fn main() {
     if let Some(c) = &suite.telemetry.cache {
         println!("{}", cedar_report::tables::cache_line(c));
     }
-    match cedar_bench::manifest::write(suite, opts) {
+    match cedar_bench::manifest::write(suite, opts, &opts.fingerprint_seed()) {
         Ok(path) => println!("run manifest written to {}", path.display()),
         Err(e) => eprintln!("warning: could not write run manifest: {e}"),
     }

@@ -16,7 +16,7 @@
 
 use std::process::ExitCode;
 
-use cedar_check::{corpus, shrink, smoke_corpus, CheckConfig, CheckOptions, CheckReport, Harness};
+use cedar_check::{shrink, CheckConfig, CheckOptions, CheckReport, Harness};
 use cedar_core::suite::{SuiteResult, SuiteTelemetry};
 
 fn main() -> ExitCode {
@@ -29,26 +29,10 @@ fn main() -> ExitCode {
         }
     };
 
-    let cases = match check_opts.replay {
-        Some(case) => {
-            eprintln!("replaying one case: {}", case.label());
-            vec![case]
-        }
-        None => {
-            let scale = if opts.shrink > 1 {
-                opts.shrink
-            } else if opts.smoke {
-                64
-            } else {
-                16
-            };
-            if opts.smoke {
-                smoke_corpus(scale)
-            } else {
-                corpus(scale)
-            }
-        }
-    };
+    if let Some(case) = check_opts.replay {
+        eprintln!("replaying one case: {}", case.label());
+    }
+    let cases = check_opts.cases(opts);
 
     let mut harness = Harness::new(CheckConfig::default());
     let mut violations = Vec::new();
@@ -117,7 +101,8 @@ fn main() -> ExitCode {
             ..SuiteTelemetry::default()
         },
     };
-    match cedar_bench::manifest::write(&suite, opts) {
+    let seed = cedar_check::cases_fingerprint_seed(&cases);
+    match cedar_bench::manifest::write(&suite, opts, &seed) {
         Ok(path) => eprintln!("run manifest written to {}", path.display()),
         Err(e) => eprintln!("warning: could not write run manifest: {e}"),
     }

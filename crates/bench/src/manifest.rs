@@ -2,8 +2,10 @@
 //! simulator the way the paper applied cedarhpm to Cedar.
 //!
 //! After a campaign, [`write()`] drops `RUN_manifest.json` next to the
-//! tables' CSVs: the typed [`RunOptions`] the run was configured with
-//! (plus their stable fingerprint), best-effort git provenance, event
+//! tables' CSVs: the typed [`RunOptions`] the run was configured with,
+//! a stable fingerprint of what it simulated (a campaign's
+//! [`RunOptions::fingerprint_seed`], the `check` binary's cases),
+//! best-effort git provenance, event
 //! totals, the merged counter rollup (per-class event counts, queue
 //! statistics, hold-latency histogram), per-phase wall-clock, and
 //! the worker pool's busy/idle accounting.
@@ -52,15 +54,17 @@ pub fn artifact_dir(opts: &RunOptions) -> PathBuf {
     opts.output_dir.clone().unwrap_or_else(default_dir)
 }
 
-/// Renders `RUN_manifest.json` for a finished campaign.
-pub fn manifest_json(suite: &SuiteResult, opts: &RunOptions) -> String {
+/// Renders `RUN_manifest.json` for a finished campaign whose
+/// `fingerprint` hashes `fingerprint_seed`, the text naming what it
+/// simulated.
+pub fn manifest_json(suite: &SuiteResult, opts: &RunOptions, fingerprint_seed: &str) -> String {
     let t = &suite.telemetry;
     let runs: usize = suite.apps.iter().map(|a| a.runs.len()).sum();
     let mut o = Obj::new();
     o.str("schema", "cedar-obs/1");
     o.str(
         "fingerprint",
-        &format!("{:016x}", json::fnv1a(opts.fingerprint_seed().as_bytes())),
+        &format!("{:016x}", json::fnv1a(fingerprint_seed.as_bytes())),
     );
     o.raw("options", options_obj(opts));
     o.u64(
@@ -110,13 +114,17 @@ pub fn manifest_json(suite: &SuiteResult, opts: &RunOptions) -> String {
     out
 }
 
-/// Writes `RUN_manifest.json` under `opts.output_dir` or the workspace
-/// `results/` and returns its path.
-pub fn write(suite: &SuiteResult, opts: &RunOptions) -> io::Result<PathBuf> {
+/// Writes `RUN_manifest.json`, fingerprinting `fingerprint_seed`, under
+/// `opts.output_dir` or the workspace `results/` and returns its path.
+pub fn write(
+    suite: &SuiteResult,
+    opts: &RunOptions,
+    fingerprint_seed: &str,
+) -> io::Result<PathBuf> {
     let dir = artifact_dir(opts);
     std::fs::create_dir_all(&dir)?;
     let manifest = dir.join("RUN_manifest.json");
-    std::fs::write(&manifest, manifest_json(suite, opts))?;
+    std::fs::write(&manifest, manifest_json(suite, opts, fingerprint_seed))?;
     Ok(manifest)
 }
 
@@ -135,7 +143,7 @@ mod tests {
     fn manifest_carries_options_and_counters() {
         let opts = RunOptions::default().with_shrink(4);
         let suite = tiny_suite(&opts);
-        let m = manifest_json(&suite, &opts);
+        let m = manifest_json(&suite, &opts, &opts.fingerprint_seed());
         assert!(m.starts_with("{\"schema\":\"cedar-obs/1\""));
         assert!(m.contains("\"shrink\":4"));
         assert!(m.contains("\"events.total\":"));
@@ -154,11 +162,11 @@ mod tests {
             .with_cache(cedar_obs::CacheMode::ReadWrite)
             .with_output_dir(&dir);
         let suite = tiny_suite(&opts);
-        let m = manifest_json(&suite, &opts);
+        let m = manifest_json(&suite, &opts, &opts.fingerprint_seed());
         assert!(m.contains("\"cache\":\"rw\""));
         assert!(m.contains("\"cache\":{\"mode\":\"rw\",\"hits\":0,\"misses\":2,\"writes\":2"));
         let warm = tiny_suite(&opts);
-        let m2 = manifest_json(&warm, &opts);
+        let m2 = manifest_json(&warm, &opts, &opts.fingerprint_seed());
         assert!(
             m2.contains("\"hits\":2,\"misses\":0,\"writes\":0"),
             "second identical campaign is all hits: {m2}"

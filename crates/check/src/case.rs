@@ -196,6 +196,14 @@ pub fn smoke_corpus(shrink: u32) -> Vec<CheckCase> {
     ]
 }
 
+/// What a `check` run's manifest fingerprints: the replay tokens of the
+/// cases it ran, one a line, so runs over different corpora or scales
+/// get different fingerprints and runs over the same cases the same one.
+pub fn cases_fingerprint_seed(cases: &[CheckCase]) -> String {
+    let tokens: Vec<String> = cases.iter().map(CheckCase::replay_token).collect();
+    tokens.join("\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,7 +40,7 @@ pub mod oracle;
 pub mod report;
 pub mod shrink;
 
-pub use case::{corpus, smoke_corpus, CheckCase};
+pub use case::{cases_fingerprint_seed, corpus, smoke_corpus, CheckCase};
 pub use fingerprint::{fingerprint, fingerprint_text};
 pub use harness::{CheckConfig, Harness, Sabotage};
 pub use law::conservation;

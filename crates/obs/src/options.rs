@@ -86,8 +86,9 @@ pub struct RunOptions {
     pub shrink: u32,
     /// Smoke mode: the `check` binary runs its four-case corpus, at
     /// 1/64 scale unless `shrink` is set, instead of the full corpus.
-    /// It picks which cases run, not how a run is simulated, so it is
-    /// excluded from [`fingerprint_seed`](Self::fingerprint_seed).
+    /// No campaign reads it, so it is excluded from
+    /// [`fingerprint_seed`](Self::fingerprint_seed); the `check`
+    /// binary's manifest fingerprints the cases it ran instead.
     pub smoke: bool,
     /// Output directory for manifests, CSVs and check reports (`None`
     /// = the workspace-root `results/`).
@@ -173,14 +174,15 @@ impl RunOptions {
         self
     }
 
-    /// The stable fingerprint seed: every field that changes *what is
-    /// simulated or how results are produced*, in a fixed textual form.
-    /// That is the shrink divisor alone. The worker count, output
-    /// directory and cache mode change only the wall clock, and smoke
-    /// mode only which cases the `check` binary runs, so they are
-    /// deliberately excluded: two campaigns differing only in those
+    /// The stable fingerprint seed of a campaign: every field that
+    /// changes *what the campaign simulates or how its results are
+    /// produced*, in a fixed textual form. That is the shrink divisor
+    /// alone. The worker count, output directory and cache mode change
+    /// only the wall clock, and no campaign reads smoke mode, so they
+    /// are deliberately excluded: two campaigns differing only in those
     /// produce identical measurements, and their manifests carry the
-    /// same fingerprint.
+    /// same fingerprint. The `check` binary runs its own cases, not a
+    /// campaign, and its manifest fingerprints those cases.
     pub fn fingerprint_seed(&self) -> String {
         format!("shrink={}", self.shrink)
     }

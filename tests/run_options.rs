@@ -94,8 +94,16 @@ fn env_path_and_typed_path_are_equivalent() {
 
     // Run manifests: byte-identical modulo wall-clock and provenance.
     assert_eq!(
-        mask_volatile(&manifest::manifest_json(&suite_env, &from_env)),
-        mask_volatile(&manifest::manifest_json(&suite_typed, &typed)),
+        mask_volatile(&manifest::manifest_json(
+            &suite_env,
+            &from_env,
+            &from_env.fingerprint_seed()
+        )),
+        mask_volatile(&manifest::manifest_json(
+            &suite_typed,
+            &typed,
+            &typed.fingerprint_seed()
+        )),
         "manifest bytes"
     );
 }
