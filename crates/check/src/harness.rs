@@ -10,6 +10,8 @@
 //! simulations per clean case; every one is deterministic, so a
 //! violation found here reproduces from the case's replay token alone.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use cedar_core::suite::SuiteResult;
 use cedar_core::{CacheSession, Experiment, RunResult};
 use cedar_faults::FaultPlan;
@@ -111,8 +113,12 @@ pub struct Harness {
     pub config: CheckConfig,
     /// `check.*` rollup: cases, simulations, per-oracle pass/violation.
     pub counters: Counters,
-    cache_dirs: u64,
 }
+
+/// Cache directories the process's harnesses have made. One count for
+/// the whole process, so harnesses on parallel test threads never
+/// share, and delete, each other's directory.
+static CACHE_DIRS: AtomicU64 = AtomicU64::new(0);
 
 impl Harness {
     /// A harness with the given knobs.
@@ -120,7 +126,6 @@ impl Harness {
         Harness {
             config,
             counters: Counters::default(),
-            cache_dirs: 0,
         }
     }
 
@@ -349,11 +354,10 @@ impl Harness {
     }
 
     fn cache_parity(&mut self, case: &CheckCase, base: &RunResult) -> Vec<Violation> {
-        self.cache_dirs += 1;
         let dir = std::env::temp_dir().join(format!(
             "cedar-check-{}-{}",
             std::process::id(),
-            self.cache_dirs
+            CACHE_DIRS.fetch_add(1, Ordering::Relaxed) + 1
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let opts = RunOptions::default()
