@@ -48,8 +48,8 @@
 //! With the cohort sizes of ADM, MDG and OCEAN under shuffle (65% hold
 //! 2–3 entries), ordering a cohort takes about 11 ns against 25 ns for
 //! a standard sort of its entries, on a 2-vCPU Xeon with the entries in
-//! cache. Sorting the keys with the standard sort instead of a network
-//! made `perfbench` `replicate_sync` 8% slower end to end. Under LIFO, whose
+//! cache. Sorting the keys with the standard sort in place of a network
+//! read 8% slower end to end than sorting the entries. Under LIFO, whose
 //! cohorts mostly arrive in descending order, the network and the
 //! standard sort cost the same, about 10 ns.
 //!
