@@ -5,10 +5,9 @@
 //! tables' CSVs: the typed [`RunOptions`] the run was configured with,
 //! a stable fingerprint of what it simulated (a campaign's
 //! [`RunOptions::fingerprint_seed`], the `check` binary's cases),
-//! best-effort git provenance, event
-//! totals, the merged counter rollup (per-class event counts, queue
-//! statistics, hold-latency histogram), per-phase wall-clock, and
-//! the worker pool's busy/idle accounting.
+//! best-effort git provenance, event totals, the merged counter rollup
+//! (per-class event counts, queue statistics, hold-latency histogram),
+//! per-phase wall-clock, and the worker pool's busy/idle accounting.
 //!
 //! Every field except the `*_ns` wall-clock timings, `utilization`, the
 //! `git` line, and the `cache` traffic object is deterministic for a
