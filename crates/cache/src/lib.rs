@@ -1,9 +1,11 @@
 //! # cedar-cache — a content-addressed store for completed runs
 //!
 //! The simulator is fully deterministic: identical `(application,
-//! SimConfig, FaultPlan)` inputs always yield a byte-identical
-//! `RunResult` (proven continuously by `tests/config_fuzz.rs`
-//! fingerprint equality). The measurement campaign, on the other hand,
+//! SimConfig, FaultPlan)` inputs always yield the same `RunResult`, every
+//! record line but host time alike (the law `cedar_check::same_run`,
+//! which the `determinism` oracle and `tests/invariants.rs`,
+//! `tests/config_fuzz.rs` and `tests/fault_determinism.rs` check
+//! continuously). The measurement campaign, on the other hand,
 //! re-simulates the same 5 × 5 grid from scratch on every invocation of
 //! every bench binary. This crate memoizes completed runs on disk so
 //! repeated campaigns replay from the cache instead of recomputing.

@@ -1,4 +1,6 @@
-//! The measurement fingerprint the parity oracles compare.
+//! The measurement fingerprint: the hash `perfbench --pin` and the
+//! tie-break golden pin, and the text tie stability compares on a
+//! single cluster.
 //!
 //! The run's line-record encoding ([`RunResult::encode`], the payload
 //! the run cache stores) is the complete measurement record of a run,
@@ -19,11 +21,12 @@
 //! those four, present or not: an entry written before the deletion, a
 //! run after it and the pinned fingerprints of the paper grid all agree.
 //!
-//! [`fingerprint_text`] drops exactly those lines; what remains is the
+//! `fingerprint_text` drops exactly those lines; what remains is the
 //! paper-facing measurement surface (completion time, breakdowns,
 //! utilization, OS clusters, gmem, fault and event totals, and every
-//! measurement counter), which the worker and cache parity oracles
-//! require to be byte-identical.
+//! measurement counter). Two runs of one experiment are compared by
+//! [`same_run`](crate::same_run) instead, which keeps the `queue.*`
+//! work counts too.
 
 use cedar_core::RunResult;
 use cedar_obs::json;
@@ -49,10 +52,8 @@ fn is_measurement_line(line: &str) -> bool {
 const OUTBOX_COUNTERS: usize = 4;
 
 /// The run's deterministic measurement payload as text — the cacheable
-/// encoding with wall-clock and queue-telemetry lines removed. Two runs
-/// of the same experiment must produce identical text no matter which
-/// worker pool or cache path executed them.
-pub fn fingerprint_text(result: &RunResult) -> String {
+/// encoding with wall-clock and queue-telemetry lines removed.
+pub(crate) fn fingerprint_text(result: &RunResult) -> String {
     let encoded = result.encode();
     let kept = encoded
         .lines()
@@ -72,8 +73,9 @@ pub fn fingerprint_text(result: &RunResult) -> String {
         .join("\n")
 }
 
-/// FNV-1a hash of [`fingerprint_text`] — the compact form recorded in
-/// violation reports and counters.
+/// FNV-1a hash of the run's measurement text (the record without the
+/// lines above) — the form `perfbench --pin` and the tie-break golden
+/// pin.
 pub fn fingerprint(result: &RunResult) -> u64 {
     json::fnv1a(fingerprint_text(result).as_bytes())
 }

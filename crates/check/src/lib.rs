@@ -22,7 +22,14 @@
 //! moves by a few percent between policies. The tie-stability oracle
 //! hence asserts a *stable core* (coverage, conservation,
 //! configuration identity) plus a bounded completion-time band rather
-//! than bit-equality; the parity oracles stay byte-exact.
+//! than bit-equality; the determinism and parity oracles stay exact.
+//!
+//! The laws live in [`law`], each defined once: [`conservation`], run
+//! equality ([`same_run`]: every line of the run record but host time,
+//! measurements and `queue.*` work counts alike) and its campaign form
+//! ([`same_campaign`]), and fault attribution's organic-growth budget
+//! ([`growth_budget`]). The oracles and the workspace's tests call
+//! them, so a law is as strict in a test as in the checker.
 //!
 //! On violation, a delta-debugging shrinker ([`shrink()`]) minimizes the
 //! `(application, configuration, fault level, workload scale,
@@ -41,9 +48,9 @@ pub mod report;
 pub mod shrink;
 
 pub use case::{cases_fingerprint_seed, corpus, smoke_corpus, CheckCase};
-pub use fingerprint::{fingerprint, fingerprint_text};
+pub use fingerprint::fingerprint;
 pub use harness::{CheckConfig, Harness, Sabotage};
-pub use law::conservation;
+pub use law::{conservation, growth_budget, same_campaign, same_run};
 pub use options::CheckOptions;
 pub use oracle::{OracleKind, Violation};
 pub use report::CheckReport;

@@ -19,8 +19,8 @@ pub enum OracleKind {
     /// categories (user + OS) partition completion time exactly, and
     /// total concurrency lies in `(0, total CEs]`.
     Conservation,
-    /// Re-running the identical case reproduces the measurement
-    /// fingerprint byte for byte.
+    /// Re-running the identical case reproduces the run
+    /// ([`same_run`](crate::same_run)).
     Determinism,
     /// Tie-break stability: under LIFO and seeded-shuffle event
     /// orders, the stable core (coverage, identity, conservation)
@@ -28,15 +28,24 @@ pub enum OracleKind {
     /// single-cluster runs are byte-identical (simultaneous events on
     /// one cluster have no physically meaningful order).
     TieStability,
-    /// The pooled campaign runner measures exactly what the sequential
-    /// reference runner measures.
+    /// The sequential runner, a one-worker pool and the direct library
+    /// path measure the same run ([`same_campaign`](crate::same_campaign),
+    /// [`same_run`](crate::same_run)). The case is a one-cell grid, and
+    /// the pool never starts more workers than it has jobs, so several
+    /// workers are checked elsewhere: `tests/parallel_suite.rs` (the
+    /// 25-cell grid on the default pool, 4 cells under 64 requested
+    /// workers), `tests/fault_determinism.rs` (4 cells on 3 workers) and
+    /// CI's `CEDAR_WORKERS=8` leg.
     WorkerParity,
-    /// A warm (cache-hit) run replays byte-identically to the cold run
-    /// that populated the cache.
+    /// A warm (cache-hit) run replays the cold run that populated the
+    /// cache, and both equal the direct run
+    /// ([`same_run`](crate::same_run)).
     CacheParity,
     /// Fault attribution: each injected fault class moves its targeted
-    /// Table-2 bucket by at least the injected cost, and untargeted
-    /// buckets move only with organic growth.
+    /// Table-2 bucket by at least the injected cost, less a
+    /// displacement allowance, and untargeted buckets move only with
+    /// organic growth ([`growth_budget`](crate::growth_budget), plus a
+    /// quantization allowance).
     FaultAttribution,
 }
 

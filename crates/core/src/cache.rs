@@ -3,10 +3,13 @@
 //! payloads and decodes hits with [`RunResult::decode`].
 //!
 //! Correctness rests on the workspace's determinism theorem — an
-//! identical `(application, SimConfig)` pair produces a byte-identical
-//! [`RunResult`] (`tests/config_fuzz.rs` proves this continuously) — so
-//! replaying a stored result is indistinguishable from re-simulating,
-//! measurement for measurement. The key is the canonical `Debug` text of
+//! identical `(application, SimConfig)` pair produces the same
+//! [`RunResult`], every record line but host time alike (the law
+//! `cedar_check::same_run`, which the `determinism` and `cache_parity`
+//! oracles and `tests/invariants.rs`, `tests/config_fuzz.rs` and
+//! `tests/run_cache.rs` check continuously) — so replaying a stored
+//! result is indistinguishable from re-simulating, measurement for
+//! measurement. The key is the canonical `Debug` text of
 //! both values: every value a run varies (processor configuration, seed,
 //! tie-break, background load, fault plan, and the full workload spec
 //! down to each phase) appears in that text, so any change re-keys the

@@ -77,40 +77,12 @@ impl TieBreak {
 }
 
 impl std::fmt::Display for TieBreak {
-    /// Canonical text form (`fifo` / `lifo` / `shuffle:0x<seed>`), the
-    /// inverse of the [`FromStr`](std::str::FromStr) parse.
+    /// Canonical text form (`fifo` / `lifo` / `shuffle:0x<seed>`).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TieBreak::Fifo => f.write_str("fifo"),
             TieBreak::Lifo => f.write_str("lifo"),
             TieBreak::Shuffle(seed) => write!(f, "shuffle:{seed:#x}"),
-        }
-    }
-}
-
-impl std::str::FromStr for TieBreak {
-    type Err = String;
-
-    /// Parses `"fifo"`, `"lifo"` or `"shuffle:<seed>"` (seed decimal or
-    /// `0x`-hex; empty selects the default).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fifo" | "" => Ok(TieBreak::Fifo),
-            "lifo" => Ok(TieBreak::Lifo),
-            other => {
-                let seed = other
-                    .strip_prefix("shuffle:")
-                    .and_then(|raw| match raw.strip_prefix("0x") {
-                        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                        None => raw.parse().ok(),
-                    })
-                    .ok_or_else(|| {
-                        format!(
-                            "tie-break must be `fifo`, `lifo` or `shuffle:<seed>`, got `{other}`"
-                        )
-                    })?;
-                Ok(TieBreak::Shuffle(seed))
-            }
         }
     }
 }
@@ -426,21 +398,13 @@ mod tests {
 
     #[test]
     fn tiebreak_parses_and_roundtrips() {
-        for tiebreak in [
-            TieBreak::Fifo,
-            TieBreak::Lifo,
-            TieBreak::Shuffle(0),
-            TieBreak::Shuffle(0xDEAD_BEEF),
-        ] {
-            assert_eq!(tiebreak.to_string().parse::<TieBreak>().unwrap(), tiebreak);
-        }
-        assert_eq!("".parse::<TieBreak>().unwrap(), TieBreak::Fifo);
+        assert_eq!(TieBreak::Fifo.to_string(), "fifo");
+        assert_eq!(TieBreak::Lifo.to_string(), "lifo");
+        assert_eq!(TieBreak::Shuffle(0).to_string(), "shuffle:0x0");
         assert_eq!(
-            "shuffle:12345".parse::<TieBreak>().unwrap(),
-            TieBreak::Shuffle(12345)
+            TieBreak::Shuffle(0xDEAD_BEEF).to_string(),
+            "shuffle:0xdeadbeef"
         );
-        assert!("random".parse::<TieBreak>().is_err());
-        assert!("shuffle:zebra".parse::<TieBreak>().is_err());
     }
 
     #[test]

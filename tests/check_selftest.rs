@@ -29,7 +29,6 @@ fn sabotaged() -> Harness {
     Harness::new(CheckConfig {
         sabotage: Some(SABOTAGE),
         max_shrink_evals: 32,
-        ..CheckConfig::default()
     })
 }
 

@@ -7,7 +7,8 @@
 //! the experiment, and asserts *conservation* (`cedar_check::conservation`):
 //! every iteration executes exactly once, user breakdowns never exceed
 //! the wall clock, Figure-3 categories partition completion time, and
-//! concurrency stays within the machine's CE count.
+//! concurrency stays within the machine's CE count. Replays and worker
+//! counts are held to run equality (`cedar_check::same_run`).
 //!
 //! Every failure message carries the case seed. To replay one case:
 //!
@@ -16,7 +17,7 @@
 //! ```
 
 use cedar::apps::{AccessPattern, AppBuilder, AppSpec, BodySpec};
-use cedar::check::{conservation, fingerprint_text};
+use cedar::check::{conservation, same_campaign, same_run};
 use cedar::core::{Experiment, SimConfig};
 use cedar::faults::{
     AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
@@ -219,7 +220,8 @@ fn replay_of_a_case_seed_is_exact() {
     let b = Case::derive(seed);
     let run_a = Experiment::new(a.app.clone(), a.sim_config()).run();
     let run_b = Experiment::new(b.app.clone(), b.sim_config()).run();
-    assert_eq!(fingerprint_text(&run_a), fingerprint_text(&run_b));
+    let broken = same_run(&run_a, &run_b);
+    assert!(broken.is_empty(), "{broken:#?} ({})", a.replay());
 }
 
 /// Fuzzing of the suite driver: the worker fan-out must not leak into
@@ -246,18 +248,10 @@ fn fuzzed_run_options_are_worker_count_independent() {
         let four =
             cedar::core::suite::SuiteResult::run_parallel(&apps, &configs, &opts.with_workers(4))
                 .expect("4-worker run");
-        let fp = |s: &cedar::core::suite::SuiteResult| -> String {
-            s.apps
-                .iter()
-                .flat_map(|a| a.runs.iter())
-                .map(fingerprint_text)
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            fp(&one),
-            fp(&four),
-            "case {i}: worker count leaked into results ({})",
+        let broken = same_campaign(&one, &four);
+        assert!(
+            broken.is_empty(),
+            "case {i}: worker count leaked into results: {broken:#?} ({})",
             case.replay()
         );
     }

@@ -9,14 +9,12 @@
 //! any accidental coupling — e.g. drawing fault jitter from the
 //! machine RNG, or letting pop order leak into wave shapes.
 //!
-//! The comparison uses [`cedar::check::fingerprint_text`], the filter
-//! the parity oracles use: every measurement the cached run encoding
-//! carries, minus host wall-clock and the `queue.*` telemetry
-//! counters, which record the simulator's own work (hold histograms,
-//! wheel peaks) rather than a measurement.
+//! The comparison is [`cedar::check::same_campaign`], the law the
+//! parity oracles use: every line of every run's record but host
+//! wall-clock, the `queue.*` work counts included.
 
 use cedar::apps::perfect_suite;
-use cedar::check::fingerprint_text;
+use cedar::check::same_campaign;
 use cedar::core::suite::SuiteResult;
 use cedar::core::SimConfig;
 use cedar::faults::FaultPlan;
@@ -25,16 +23,6 @@ use cedar::obs::RunOptions;
 
 const SHRINK: u32 = 16;
 const CONFIGS: [Configuration; 2] = [Configuration::P8, Configuration::P32];
-
-fn fingerprint_suite(suite: &SuiteResult) -> String {
-    suite
-        .apps
-        .iter()
-        .flat_map(|a| a.runs.iter())
-        .map(fingerprint_text)
-        .collect::<Vec<_>>()
-        .join("\n")
-}
 
 #[test]
 fn fault_campaign_is_worker_count_independent() {
@@ -51,9 +39,13 @@ fn fault_campaign_is_worker_count_independent() {
         SuiteResult::run_sequential(&apps, &configs, &opts1).expect("sequential campaign");
     let one = SuiteResult::run_parallel(&apps, &configs, &opts1).expect("1-worker campaign");
     let three = SuiteResult::run_parallel(&apps, &configs, &optsn).expect("3-worker campaign");
-    let want = fingerprint_suite(&sequential);
-    assert_eq!(want, fingerprint_suite(&one), "sequential vs 1 worker");
-    assert_eq!(want, fingerprint_suite(&three), "sequential vs 3 workers");
+    for (pooled, workers) in [(&one, 1), (&three, 3)] {
+        let broken = same_campaign(&sequential, pooled);
+        assert!(
+            broken.is_empty(),
+            "sequential vs {workers} workers: {broken:#?}"
+        );
+    }
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! Property-based invariants over randomly generated workloads.
 //!
 //! Every generated loop-parallel program, on every configuration, must
-//! respect the conservation laws of the simulator: each iteration
-//! executes exactly once, accounting never exceeds the wall clock, and
-//! identical inputs give identical traces.
+//! respect the conservation laws of the simulator
+//! (`cedar_check::conservation`: each iteration executes exactly once,
+//! accounting never exceeds the wall clock, the Figure-3 categories
+//! partition it, concurrency stays within the machine) and give the
+//! same run on identical inputs (`cedar_check::same_run`).
 //!
 //! Randomness comes from the in-repo `SplitMix64` generator with fixed
 //! seeds — no external crates, and the same seed always produces the
@@ -11,6 +13,7 @@
 //! in the assertion message.
 
 use cedar::apps::{AccessPattern, AppBuilder, AppSpec, BodySpec};
+use cedar::check::{conservation, growth_budget, same_run};
 use cedar::core::{Experiment, SimConfig};
 use cedar::hw::route;
 use cedar::hw::Configuration;
@@ -67,13 +70,24 @@ fn for_random_workloads(salt: u64, cases: u64, mut check: impl FnMut(u64, AppSpe
     }
 }
 
-#[test]
-fn every_iteration_executes_exactly_once() {
-    for_random_workloads(1, 12, |case, app, c| {
+/// Asserts [`conservation`] on 12 clean random workloads drawn with
+/// `salt`.
+fn assert_conserves(salt: u64) {
+    for_random_workloads(salt, 12, |case, app, c| {
         let expected = app.total_bodies();
         let run = Experiment::new(app, SimConfig::cedar(c)).run();
-        assert_eq!(run.bodies, expected, "case {case} on {}", c.label());
+        let broken = conservation(&run, expected);
+        assert!(
+            broken.is_empty(),
+            "case {case} on {}: {broken:#?}",
+            c.label()
+        );
     });
+}
+
+#[test]
+fn every_iteration_executes_exactly_once() {
+    assert_conserves(1);
 }
 
 #[test]
@@ -81,27 +95,14 @@ fn identical_runs_are_bit_identical() {
     for_random_workloads(2, 12, |case, app, c| {
         let a = Experiment::new(app.clone(), SimConfig::cedar(c)).run();
         let b = Experiment::new(app, SimConfig::cedar(c)).run();
-        assert_eq!(a.completion_time, b.completion_time, "case {case}");
-        assert_eq!(a.events, b.events, "case {case}");
-        assert_eq!(a.gmem.packets, b.gmem.packets, "case {case}");
-        assert_eq!(a.faults, b.faults, "case {case}");
+        let broken = same_run(&a, &b);
+        assert!(broken.is_empty(), "case {case}: {broken:#?}");
     });
 }
 
 #[test]
 fn breakdown_never_exceeds_completion_time() {
-    for_random_workloads(3, 12, |case, app, c| {
-        let run = Experiment::new(app, SimConfig::cedar(c)).run();
-        for b in &run.breakdowns {
-            assert!(
-                b.total() <= run.completion_time,
-                "case {case} on {}: task user time {} > CT {}",
-                c.label(),
-                b.total(),
-                run.completion_time
-            );
-        }
-    });
+    assert_conserves(3);
 }
 
 #[test]
@@ -120,16 +121,7 @@ fn more_processors_never_lose_badly() {
 
 #[test]
 fn concurrency_bounded_by_active_processors() {
-    for_random_workloads(5, 12, |case, app, c| {
-        let run = Experiment::new(app, SimConfig::cedar(c)).run();
-        let total = run.total_concurrency();
-        assert!(
-            total <= c.total_ces() as f64 + 1e-9,
-            "case {case} on {}: concurrency {total}",
-            c.label()
-        );
-        assert!(total > 0.0, "case {case}");
-    });
+    assert_conserves(5);
 }
 
 #[test]
@@ -170,7 +162,6 @@ fn interleaving_covers_all_modules_uniformly() {
 // organic growth that a longer run implies, and no conservation law of
 // the simulator bends under any fault mix.
 
-use cedar::check::conservation;
 use cedar::core::RunResult;
 use cedar::faults::{
     AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
@@ -247,13 +238,8 @@ fn fault_runs_are_deterministic_per_plan() {
         let plan = arb_plan(&mut rng);
         let a = Experiment::new(app.clone(), SimConfig::cedar(c).with_faults(plan)).run();
         let b = Experiment::new(app, SimConfig::cedar(c).with_faults(plan)).run();
-        assert_eq!(a.completion_time, b.completion_time, "case {case}");
-        assert_eq!(a.events, b.events, "case {case}");
-        assert_eq!(
-            a.stats.counters.iter().collect::<Vec<_>>(),
-            b.stats.counters.iter().collect::<Vec<_>>(),
-            "case {case}"
-        );
+        let broken = same_run(&a, &b);
+        assert!(broken.is_empty(), "case {case}: {broken:#?}");
     });
 }
 
@@ -275,9 +261,10 @@ fn delta(base: &RunResult, faulted: &RunResult, a: OsActivity) -> u64 {
 }
 
 /// Asserts the injected cycles land in `target` buckets and every other
-/// targetable bucket moves by at most the organic growth a longer run
-/// implies (bounded by the relative CT stretch) plus a small absolute
-/// allowance for discrete occurrence counts.
+/// bucket moves by at most its organic-growth budget
+/// ([`growth_budget`]: bounded by the relative CT stretch, plus a small
+/// absolute allowance for discrete occurrence counts). With no targets,
+/// every bucket stays within that budget.
 fn assert_attribution(
     base: &RunResult,
     faulted: &RunResult,
@@ -301,7 +288,7 @@ fn assert_attribution(
             continue; // spin legitimately emerges from hotter locks
         }
         let organic = base.os.total(activity).0;
-        let budget = (organic as f64 * (stretch * 2.0 + 0.05)) as u64 + injected_total / 10 + 200;
+        let budget = growth_budget(organic, stretch, injected_total);
         let d = delta(base, faulted, activity);
         assert!(
             d <= budget,
@@ -389,7 +376,7 @@ fn helper_stalls_charge_no_os_bucket() {
         faulted.completion_time >= base.completion_time,
         "stalled helpers cannot speed the run up"
     );
-    assert_attribution_noise_only(&base, &faulted, "stall");
+    assert_attribution(&base, &faulted, &[], "stall");
 }
 
 #[test]
@@ -413,24 +400,5 @@ fn degraded_network_moves_contention_not_os_buckets() {
         faulted.completion_time > base.completion_time,
         "slower memory must stretch CT"
     );
-    assert_attribution_noise_only(&base, &faulted, "net");
-}
-
-/// Variant of [`assert_attribution`] for classes that target *no* OS
-/// bucket: every bucket stays within organic growth.
-fn assert_attribution_noise_only(base: &RunResult, faulted: &RunResult, label: &str) {
-    let stretch = faulted.completion_time.0 as f64 / base.completion_time.0 as f64 - 1.0;
-    for activity in OsActivity::ALL {
-        if activity == OsActivity::KernelSpin {
-            continue;
-        }
-        let organic = base.os.total(activity).0;
-        let budget = (organic as f64 * (stretch * 2.0 + 0.05)) as u64 + 200;
-        let d = delta(base, faulted, activity);
-        assert!(
-            d <= budget,
-            "{label}: {activity:?} moved by {d} (budget {budget}, \
-             organic {organic}, stretch {stretch:.4})"
-        );
-    }
+    assert_attribution(&base, &faulted, &[], "net");
 }

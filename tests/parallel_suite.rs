@@ -1,8 +1,11 @@
 //! The parallel suite runner must be a pure wall-clock optimization:
 //! fanning the (application × configuration) grid across a worker pool
-//! changes nothing about the measurements, for any worker count.
+//! changes nothing about the measurements, for any worker count. Two
+//! campaigns are compared by `cedar_check::same_campaign`, every run's
+//! whole record but host time.
 
 use cedar::apps::{perfect_suite, AppSpec};
+use cedar::check::same_campaign;
 use cedar::core::suite::SuiteResult;
 use cedar::core::SimConfig;
 use cedar::hw::Configuration;
@@ -47,20 +50,16 @@ fn parallel_grid_is_byte_identical_to_sequential() {
         render_all(&parallel),
         "parallel runner must not change any measurement"
     );
-    // Structural identity too: same apps, same configuration order.
-    assert_eq!(sequential.apps.len(), parallel.apps.len());
-    for (s, p) in sequential.apps.iter().zip(&parallel.apps) {
-        assert_eq!(s.app, p.app);
-        let sc: Vec<_> = s.runs.iter().map(|r| r.configuration).collect();
-        let pc: Vec<_> = p.runs.iter().map(|r| r.configuration).collect();
-        assert_eq!(sc, pc);
-    }
+    // The runs themselves too: same apps, same configuration order,
+    // same records.
+    let broken = same_campaign(&sequential, &parallel);
+    assert!(broken.is_empty(), "{broken:#?}");
 }
 
 #[test]
 fn worker_count_does_not_change_the_flo52_p8_measurements() {
-    // The satellite check: FLO52 on the 8-processor Cedar under 1, 2 and
-    // 8 workers — identical cycle totals and overhead breakdowns.
+    // FLO52 on the 8-processor Cedar under 1, 2 and 8 workers: the same
+    // run, cycle totals and overhead breakdowns included.
     let apps: Vec<AppSpec> = grid_apps()
         .into_iter()
         .filter(|a| a.name == "FLO52")
@@ -74,28 +73,9 @@ fn worker_count_does_not_change_the_flo52_p8_measurements() {
                 .expect("no experiment panics")
         })
         .collect();
-    let reference = runs[0].app("FLO52").run(Configuration::P8);
-    for suite in &runs[1..] {
-        let r = suite.app("FLO52").run(Configuration::P8);
-        assert_eq!(r.completion_time, reference.completion_time, "Cycles total");
-        assert_eq!(r.events, reference.events);
-        assert_eq!(r.bodies, reference.bodies);
-        assert_eq!(r.faults, reference.faults);
-        // Overhead breakdowns, bucket by bucket.
-        assert_eq!(r.breakdowns.len(), reference.breakdowns.len());
-        for (a, b) in r.breakdowns.iter().zip(&reference.breakdowns) {
-            assert_eq!(a.total(), b.total(), "user-time breakdown totals");
-        }
-        assert_eq!(
-            r.os_overhead_fraction(),
-            reference.os_overhead_fraction(),
-            "OS overhead fraction"
-        );
-        assert_eq!(
-            r.main_parallelization_fraction(),
-            reference.main_parallelization_fraction(),
-            "parallelization overhead fraction"
-        );
+    for (suite, workers) in runs[1..].iter().zip([2, 8]) {
+        let broken = same_campaign(&runs[0], suite);
+        assert!(broken.is_empty(), "{workers} workers: {broken:#?}");
     }
 }
 
@@ -108,13 +88,6 @@ fn oversubscribed_pool_matches_too() {
         .expect("sequential campaign");
     let par = SuiteResult::run_parallel(&apps, &configs, &RunOptions::default().with_workers(64))
         .expect("no panics");
-    for (s, p) in seq.apps.iter().zip(&par.apps) {
-        assert_eq!(s.app, p.app);
-        for (sr, pr) in s.runs.iter().zip(&p.runs) {
-            assert_eq!(sr.configuration, pr.configuration);
-            assert_eq!(sr.completion_time, pr.completion_time);
-            assert_eq!(sr.events, pr.events);
-            assert_eq!(sr.bodies, pr.bodies);
-        }
-    }
+    let broken = same_campaign(&seq, &par);
+    assert!(broken.is_empty(), "{broken:#?}");
 }

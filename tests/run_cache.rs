@@ -17,6 +17,7 @@ use std::path::{Path, PathBuf};
 
 use cedar::apps::{AccessPattern, AppBuilder, AppSpec, BodySpec};
 use cedar::cache::RunCache;
+use cedar::check::same_campaign;
 use cedar::core::cache::run_key;
 use cedar::core::suite::SuiteResult;
 use cedar::core::{CacheMode, CacheSession, RunOptions, RunResult, SimConfig};
@@ -67,10 +68,9 @@ fn app(salt: u64) -> AppSpec {
         .build()
 }
 
-/// An on-disk entry, or a bare `RunResult::encode` record, with the
-/// wall-clock-only lines (`stats.*_ns`, and the header checksum/length
-/// they perturb) masked out. Everything else in an entry is
-/// deterministic.
+/// An on-disk entry with the wall-clock-only lines (`stats.*_ns`, and
+/// the header checksum/length they perturb) masked out. Everything else
+/// in an entry is deterministic.
 fn masked_entry(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes)
         .lines()
@@ -87,16 +87,6 @@ fn masked_entry(bytes: &[u8]) -> String {
         })
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-/// What a cache hit must preserve: every run's whole record, with the
-/// wall-clock lines masked.
-fn suite_fingerprint(s: &SuiteResult) -> String {
-    s.apps
-        .iter()
-        .flat_map(|a| a.runs.iter())
-        .map(|r| masked_entry(r.encode().as_bytes()))
-        .collect()
 }
 
 /// The decoder the campaign hands the store for an entry keyed with
@@ -137,10 +127,10 @@ fn warm_suite_is_all_hits_and_byte_identical() {
         );
         assert!((w.hit_rate() - 1.0).abs() < 1e-12);
 
-        assert_eq!(
-            suite_fingerprint(&cold),
-            suite_fingerprint(&warm),
-            "{runner}: replayed measurements must be byte-identical"
+        let broken = same_campaign(&cold, &warm);
+        assert!(
+            broken.is_empty(),
+            "{runner}: replayed measurements must be identical: {broken:#?}"
         );
     }
 }
@@ -154,7 +144,6 @@ fn corrupt_entries_recompute_and_rewrite() {
     let configs = [cfg.clone()];
 
     let cold = SuiteResult::measure(&apps, &configs, &opts);
-    let reference = suite_fingerprint(&cold);
     let entry = root
         .path()
         .join("cache")
@@ -193,10 +182,10 @@ fn corrupt_entries_recompute_and_rewrite() {
         assert_eq!(c.hits, 0, "{what}: a corrupt entry must not hit");
         assert_eq!(c.misses, 1, "{what}: must recompute");
         assert_eq!(c.writes, 1, "{what}: must rewrite the entry");
-        assert_eq!(
-            suite_fingerprint(&again),
-            reference,
-            "{what}: recomputed measurements must match"
+        let broken = same_campaign(&cold, &again);
+        assert!(
+            broken.is_empty(),
+            "{what}: recomputed measurements must match: {broken:#?}"
         );
         assert_eq!(
             masked_entry(&std::fs::read(&entry).unwrap()),
