@@ -296,6 +296,8 @@ impl Harness {
             Ok(s) => s,
             Err(e) => return vec![format!("parallel runner failed: {e}")],
         };
+        self.counters.merge(&seq.telemetry.counters);
+        self.counters.merge(&par.telemetry.counters);
         let mut broken: Vec<String> =
             within("sequential vs pooled", law::same_campaign(&seq, &par)).collect();
         let suite_run = &seq.apps[0].runs[0];
@@ -322,6 +324,7 @@ impl Harness {
             let cfg = case.config(TieBreak::Fifo);
             self.counters.add("check.runs", 1);
             let cold = session.execute(&case.workload(), cfg.clone());
+            self.counters.merge(&cold.stats.counters);
             let warm = session.execute(&case.workload(), cfg);
             let stats = session.stats().ok_or("cache session reports no stats")?;
             if stats.hits != 1 || stats.misses != 1 {
@@ -531,6 +534,21 @@ mod tests {
         // 4 direct runs + 2 suite runs + 1 cold cache run; faultless
         // cases skip the attribution reference.
         assert_eq!(h.counters.get("check.runs"), 7);
+        // The simulator counters roll up all seven runs: five under
+        // FIFO (the case's run, its determinism rerun, both suite runs
+        // and the cold cache run), one under LIFO and one under shuffle.
+        let case = tiny_case();
+        let events = |tiebreak| {
+            Experiment::new(case.workload(), case.config(tiebreak))
+                .run()
+                .stats
+                .counters
+                .get("events.total")
+        };
+        let fifo = events(TieBreak::Fifo);
+        let lifo = events(TieBreak::Lifo);
+        let shuffle = events(TieBreak::Shuffle(case.shuffle_seed));
+        assert_eq!(h.counters.get("events.total"), 5 * fifo + lifo + shuffle);
         // All oracles but fault attribution checked something real;
         // attribution counts as a (vacuous) pass.
         assert_eq!(h.counters.get("check.oracles.pass"), 6);

@@ -1,16 +1,28 @@
 //! The complete global-memory system: forward network, memory modules and
 //! reverse network, composed as one event-driven component.
 
+use std::hint::select_unpredictable;
+use std::ops::Range;
+
 use cedar_sim::stats::LatencyHistogram;
 use cedar_sim::{Cycles, SimTime};
 
 use crate::addr::GlobalAddr;
 use crate::config::NetConfig;
 use crate::module::MemoryModule;
-use crate::net::DeltaNet;
 use crate::packet::{GmemEvent, Hop, MemOp, MemResponse};
+use crate::route::{self, RADIX};
 use crate::switch::PortServer;
 use crate::topology::{CeId, CLUSTERS, CLUSTER_PORTS, MODULES};
+
+/// FCFS layers a packet crosses after injection, one per hop before
+/// `Delivered`: forward stage 1, forward stage 2, the modules, reverse
+/// stage 1, reverse stage 2.
+const LAYERS: usize = Hop::NEXT.len();
+
+/// Servers per layer: a network stage has 4 switches of 8 output ports,
+/// and there are 32 modules.
+const SERVERS_PER_LAYER: usize = MODULES;
 
 /// What one hop of a packet leads to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,17 +73,51 @@ impl GmemStats {
     }
 }
 
+/// The index in [`GlobalMemorySystem`]'s table of the server a packet
+/// from `ce` to `module` crosses at `hop`, any hop but `Delivered`. Each
+/// CE has its own Global Interface into the network (§2), so CE ids are
+/// the forward network's inputs and the reverse network's outputs.
+///
+/// A layer's servers start at `hop × 32`. A network stage numbers its
+/// ports switch-major, so a stage-2 port's number is its endpoint, and
+/// so is a module's. Hops of every kind interleave in the event stream,
+/// so the index is chosen by selects: a branch on the hop is hard to
+/// predict.
+#[inline(always)]
+fn server(hop: Hop, ce: u16, module: u16) -> usize {
+    let reverse = hop as u8 >= Hop::RevStage1 as u8;
+    let src = select_unpredictable(reverse, module, ce);
+    let dst = select_unpredictable(reverse, ce, module);
+    let stage1 = route::stage1_switch(src) * RADIX as u16 + route::stage1_port(dst);
+    let stage2 = route::stage2_switch(dst) * RADIX as u16 + route::stage2_port(dst);
+    let first = (hop == Hop::FwdStage1) | (hop == Hop::RevStage1);
+    hop as usize * SERVERS_PER_LAYER + usize::from(select_unpredictable(first, stage1, stage2))
+}
+
 /// Forward network + 32 memory modules + reverse network.
 ///
 /// Drive it with [`inject`](Self::inject), which returns a packet's
 /// first hop, and feed each hop back through [`handle`](Self::handle),
 /// which returns the next one. When a round trip completes, `handle`
 /// returns the [`MemResponse`], addressed to the issuing CE.
+///
+/// Every FCFS resource a packet crosses after injection is one
+/// [`PortServer`] in a single table, layer by layer in route order, with
+/// each layer's occupancy and onward latency from [`NetConfig`]; the
+/// modules keep only their words and request counts.
 #[derive(Debug)]
 pub struct GlobalMemorySystem {
     cfg: NetConfig,
-    forward: DeltaNet,
-    reverse: DeltaNet,
+    /// The switch output ports and modules, `SERVERS_PER_LAYER` per
+    /// layer; see [`server`].
+    servers: [PortServer; LAYERS * SERVERS_PER_LAYER],
+    /// Each layer's service time per packet: port occupancy, or the
+    /// module's busy time.
+    occupancy: [Cycles; LAYERS],
+    /// Each layer's time from the end of service to the next hop: the
+    /// stage latency, the module's DRAM access, or the last stage's
+    /// latency plus delivery to the CE.
+    onward: [Cycles; LAYERS],
     modules: Vec<MemoryModule>,
     /// Each cluster's shared injection path (round-robin over its ports).
     cluster_paths: [[PortServer; CLUSTER_PORTS]; CLUSTERS],
@@ -84,13 +130,18 @@ pub struct GlobalMemorySystem {
 impl GlobalMemorySystem {
     /// Builds the memory system for `cfg`.
     pub fn new(cfg: NetConfig) -> Self {
-        let modules = (0..MODULES)
-            .map(|_| MemoryModule::new(cfg.module_service, cfg.module_access))
-            .collect();
+        let (occ, switch) = (cfg.port_occupancy, cfg.switch_latency);
         GlobalMemorySystem {
-            forward: DeltaNet::new(&cfg),
-            reverse: DeltaNet::new(&cfg),
-            modules,
+            servers: std::array::from_fn(|_| PortServer::new()),
+            occupancy: [occ, occ, cfg.module_service, occ, occ],
+            onward: [
+                switch,
+                switch,
+                cfg.module_access,
+                switch,
+                switch + cfg.delivery,
+            ],
+            modules: vec![MemoryModule::default(); MODULES],
             cluster_paths: Default::default(),
             cluster_rr: [0; CLUSTERS],
             packets: 0,
@@ -127,50 +178,34 @@ impl GlobalMemorySystem {
     /// Advances one packet one hop at `now`: returns its next hop, or the
     /// response when it has reached its CE.
     ///
+    /// Only delivery and the module's word operation branch on the hop;
+    /// every other hop goes through the same table lookup.
+    ///
     /// Always inlined: a call returns the 32-byte [`Step`] through memory,
     /// written field by field and read straight back with wide loads,
     /// which defeats store forwarding on every hop.
     #[inline(always)]
     pub fn handle(&mut self, mut p: GmemEvent, now: SimTime) -> Step {
         let module = p.addr.module();
-        let (at, next) = match p.hop {
-            // Each CE has its own Global Interface into the network (§2),
-            // so CE ids are the forward network's inputs.
-            Hop::FwdStage1 => {
-                self.packets += 1;
-                (
-                    self.forward.transit_stage1(p.ce.0, module.0, now),
-                    Hop::FwdStage2,
-                )
-            }
-            Hop::FwdStage2 => (self.forward.transit_stage2(module.0, now), Hop::AtModule),
-            Hop::AtModule => {
-                let (ready, value) =
-                    self.modules[module.0 as usize].serve(p.addr.dword_index(), p.op(), now);
-                p.word = value;
-                (ready, Hop::RevStage1)
-            }
-            Hop::RevStage1 => (
-                self.reverse.transit_stage1(module.0, p.ce.0, now),
-                Hop::RevStage2,
-            ),
-            Hop::RevStage2 => (
-                self.reverse.transit_stage2(p.ce.0, now) + self.cfg.delivery,
-                Hop::Delivered,
-            ),
-            Hop::Delivered => {
-                let age = p.age(now);
-                self.latency.record(age);
-                return Step::Delivered(MemResponse {
-                    ce: p.ce,
-                    value: p.word,
-                    module,
-                    injected_at: now.0 - age.0,
-                });
-            }
-        };
-        p.hop = next;
-        Step::Next(at, p)
+        if p.hop == Hop::Delivered {
+            let age = p.age(now);
+            self.latency.record(age);
+            return Step::Delivered(MemResponse {
+                ce: p.ce,
+                value: p.word,
+                module,
+                injected_at: now.0 - age.0,
+            });
+        }
+        if p.hop == Hop::AtModule {
+            p.word = self.modules[module.0 as usize].apply(p.addr.dword_index(), p.op());
+        }
+        let layer = p.hop as usize;
+        let through =
+            self.servers[server(p.hop, p.ce.0, module.0)].accept(now, self.occupancy[layer]);
+        self.packets += u64::from(p.hop == Hop::FwdStage1);
+        p.hop = Hop::NEXT[layer];
+        Step::Next(through + self.onward[layer], p)
     }
 
     /// Total queueing delay at the shared per-cluster injection paths.
@@ -182,14 +217,21 @@ impl GlobalMemorySystem {
             .sum()
     }
 
+    /// Total queueing delay at the servers of the layers `hops` names.
+    fn queued(&self, hops: Range<Hop>) -> Cycles {
+        let servers =
+            hops.start as usize * SERVERS_PER_LAYER..hops.end as usize * SERVERS_PER_LAYER;
+        self.servers[servers].iter().map(PortServer::queued).sum()
+    }
+
     /// Contention statistics accumulated so far.
     pub fn stats(&self) -> GmemStats {
         GmemStats {
             packets: self.packets,
             cluster_path_queued: self.cluster_path_queued(),
-            fwd_queued: self.forward.total_queued(),
-            rev_queued: self.reverse.total_queued(),
-            module_queued: self.modules.iter().map(MemoryModule::queued).sum(),
+            fwd_queued: self.queued(Hop::FwdStage1..Hop::AtModule),
+            rev_queued: self.queued(Hop::RevStage1..Hop::Delivered),
+            module_queued: self.queued(Hop::AtModule..Hop::RevStage1),
             module_requests: self.modules.iter().map(MemoryModule::requests).collect(),
             module_sync_requests: self
                 .modules
@@ -257,6 +299,187 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A packet from `ce` for `addr`/`op`, injected at 0, about to take
+    /// `hop`.
+    fn packet(hop: Hop, ce: u16, addr: GlobalAddr, op: MemOp) -> GmemEvent {
+        let mut p = GmemEvent::new(CeId(ce), addr, op, Cycles(0));
+        p.hop = hop;
+        p
+    }
+
+    /// The hop `handle` returns for `p` at `now`.
+    fn next(sys: &mut GlobalMemorySystem, p: GmemEvent, now: SimTime) -> (SimTime, GmemEvent) {
+        match sys.handle(p, now) {
+            Step::Next(at, p) => (at, p),
+            Step::Delivered(resp) => panic!("{:?} delivered {resp:?}", p.hop),
+        }
+    }
+
+    /// A read from `src` through forward stage 1 towards module `dst`
+    /// at `now`: its arrival at stage 2.
+    fn transit_stage1(sys: &mut GlobalMemorySystem, src: u16, dst: u16, now: SimTime) -> SimTime {
+        let p = packet(Hop::FwdStage1, src, GlobalAddr(dst as u64 * 8), MemOp::Read);
+        next(sys, p, now).0
+    }
+
+    /// `op` on `addr` through its module's server at `now`: when the
+    /// response is ready (service plus DRAM access), with its value.
+    fn serve(
+        sys: &mut GlobalMemorySystem,
+        addr: GlobalAddr,
+        op: MemOp,
+        now: SimTime,
+    ) -> (SimTime, u64) {
+        let (ready, p) = next(sys, packet(Hop::AtModule, 0, addr, op), now);
+        (ready, p.word)
+    }
+
+    #[test]
+    fn handle_charges_the_server_the_route_names() {
+        let hops = [
+            Hop::FwdStage1,
+            Hop::FwdStage2,
+            Hop::AtModule,
+            Hop::RevStage1,
+            Hop::RevStage2,
+        ];
+        let radix = RADIX as u16;
+        for ce in 0..32u16 {
+            for module in 0..32u16 {
+                let named = [
+                    route::stage1_switch(ce) * radix + route::stage1_port(module),
+                    route::stage2_switch(module) * radix + route::stage2_port(module),
+                    module,
+                    route::stage1_switch(module) * radix + route::stage1_port(ce),
+                    route::stage2_switch(ce) * radix + route::stage2_port(ce),
+                ];
+                for (layer, hop) in hops.into_iter().enumerate() {
+                    let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
+                    let addr = GlobalAddr(module as u64 * 8);
+                    next(&mut sys, packet(hop, ce, addr, MemOp::Read), Cycles(0));
+                    let charged: Vec<usize> = (0..sys.servers.len())
+                        .filter(|&i| sys.servers[i].free_at() > Cycles::ZERO)
+                        .collect();
+                    let want = layer * SERVERS_PER_LAYER + named[layer] as usize;
+                    assert_eq!(charged, [want], "ce {ce} module {module} {hop:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uncontended_two_stage_transit() {
+        let mut n = GlobalMemorySystem::new(NetConfig::cedar());
+        let cfg = NetConfig::cedar();
+        let at_stage2 = transit_stage1(&mut n, 0, 17, Cycles(0));
+        // occupancy 1 + latency 4
+        assert_eq!(at_stage2, cfg.port_occupancy + cfg.switch_latency);
+        let p = packet(Hop::FwdStage2, 0, GlobalAddr(17 * 8), MemOp::Read);
+        let (at_dst, _) = next(&mut n, p, at_stage2);
+        assert_eq!(at_dst, at_stage2 + cfg.port_occupancy + cfg.switch_latency);
+        assert_eq!(n.stats().fwd_queued, Cycles::ZERO);
+    }
+
+    #[test]
+    fn hot_destination_queues() {
+        let mut n = GlobalMemorySystem::new(NetConfig::cedar());
+        // 8 CEs of cluster 0 all target module 5 simultaneously: they share
+        // one stage-1 switch and one output port, so they serialize.
+        let arrivals: Vec<_> = (0..8)
+            .map(|src| transit_stage1(&mut n, src, 5, Cycles(0)))
+            .collect();
+        for w in arrivals.windows(2) {
+            assert_eq!(w[1].0 - w[0].0, 1, "packets serialize one per cycle");
+        }
+        assert!(n.stats().fwd_queued > Cycles::ZERO);
+    }
+
+    #[test]
+    fn distinct_destinations_from_distinct_sources_do_not_queue() {
+        let mut n = GlobalMemorySystem::new(NetConfig::cedar());
+        // CEs in different clusters (different stage-1 switches) to
+        // different modules in different groups: fully conflict-free.
+        let a = transit_stage1(&mut n, 0, 0, Cycles(0));
+        let b = transit_stage1(&mut n, 8, 9, Cycles(0));
+        assert_eq!(a, b);
+        assert_eq!(n.stats().fwd_queued, Cycles::ZERO);
+    }
+
+    #[test]
+    fn unit_stride_vector_spreads_over_parallel_links() {
+        let mut n = GlobalMemorySystem::new(NetConfig::cedar());
+        // One CE issuing words to modules 0..8 pipelined at 1/cycle never
+        // waits: consecutive modules alternate stage-1 links and spread
+        // across stage-2 switches.
+        for k in 0..8u16 {
+            let t = transit_stage1(&mut n, 0, k, Cycles(k as u64));
+            assert_eq!(t.0, k as u64 + 5, "word {k} should not queue");
+        }
+        assert_eq!(n.stats().fwd_queued, Cycles::ZERO);
+    }
+
+    #[test]
+    fn read_of_untouched_word_is_zero() {
+        let mut m = GlobalMemorySystem::new(NetConfig::cedar());
+        let (ready, v) = serve(&mut m, GlobalAddr(10 * 8), MemOp::Read, Cycles(0));
+        assert_eq!(v, 0);
+        assert_eq!(ready, Cycles(12)); // 4 service + 8 access
+    }
+
+    #[test]
+    fn simultaneous_requests_serialize_four_cycles_apart() {
+        let mut m = GlobalMemorySystem::new(NetConfig::cedar());
+        // Double words 0, 32 and 64 all interleave to module 0.
+        let (r1, _) = serve(&mut m, GlobalAddr(0), MemOp::Read, Cycles(0));
+        let (r2, _) = serve(&mut m, GlobalAddr(32 * 8), MemOp::Read, Cycles(0));
+        let (r3, _) = serve(&mut m, GlobalAddr(64 * 8), MemOp::Read, Cycles(0));
+        assert_eq!(r1, Cycles(12));
+        assert_eq!(r2, Cycles(16)); // queued 4 cycles
+        assert_eq!(r3, Cycles(20)); // queued 8 cycles
+        assert_eq!(m.stats().module_queued, Cycles(12));
+    }
+
+    #[test]
+    fn statistics_track_sync_ops() {
+        let mut m = GlobalMemorySystem::new(NetConfig::cedar());
+        serve(&mut m, GlobalAddr(0), MemOp::Read, Cycles(0));
+        serve(&mut m, GlobalAddr(0), MemOp::TestAndSet, Cycles(0));
+        serve(&mut m, GlobalAddr(0), MemOp::FetchAdd(1), Cycles(0));
+        let stats = m.stats();
+        assert_eq!(stats.module_requests[0], 3);
+        assert_eq!(stats.module_sync_requests[0], 2);
+        // Every request arrived at cycle 0, so module 0 has been busy
+        // from 0 until it is next free.
+        let busy = m.servers[server(Hop::AtModule, 0, 0)].free_at();
+        assert_eq!(busy, Cycles(12));
+    }
+
+    #[test]
+    fn paper_example_back_to_back_same_module() {
+        // §7: "if the processor issues two requests in successive clock
+        // cycles to the same memory module the second one would be
+        // delayed" — by 3 cycles here (arrives at t=1, module busy to 4).
+        let mut m = GlobalMemorySystem::new(NetConfig::cedar());
+        serve(&mut m, GlobalAddr(0), MemOp::Read, Cycles(0));
+        let before = m.stats().module_queued;
+        serve(&mut m, GlobalAddr(32 * 8), MemOp::Read, Cycles(1)); // same module, next cycle
+        assert_eq!(m.stats().module_queued - before, Cycles(3));
+    }
+
+    /// A debug build catches an arrival presented after a later one,
+    /// which the server would charge queueing it never saw; a module is
+    /// a server of the table like every switch port.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "port arrival at cycle 9 after one at cycle 10")]
+    fn out_of_order_arrival_panics_in_debug() {
+        let mut sys = GlobalMemorySystem::new(NetConfig::cedar());
+        let p = packet(Hop::AtModule, 0, GlobalAddr(0), MemOp::Read);
+        sys.handle(p, Cycles(10));
+        sys.handle(p, Cycles(10));
+        sys.handle(p, Cycles(9));
     }
 
     #[test]

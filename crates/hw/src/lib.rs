@@ -10,11 +10,11 @@
 //!   dispatch is a fixed cost ([`config::CBUS_DISPATCH`]) the machine
 //!   charges directly;
 //! * a 64 MB **global memory** of 32 independent, double-word interleaved
-//!   modules ([`module`], [`gmem`]);
+//!   modules ([`module`] holds their words, [`gmem`] times them);
 //! * a **two-stage shuffle-exchange network** of 8×8 crossbar switches
 //!   (4 per stage, 2 parallel links between each stage-1/stage-2 pair),
 //!   one network for the CE→memory path and another for the return path
-//!   ([`switch`], [`route`]);
+//!   ([`route`]);
 //! * a shared **2-port injection path** from each cluster to its Global
 //!   Interfaces, so a cluster issues at most 2 words per cycle.
 //!
@@ -26,9 +26,13 @@
 //!
 //! Contention — the paper's third overhead source — emerges here: every
 //! global-memory word travels as a packet through switch output ports and
-//! memory modules modelled as FCFS servers, so simultaneous vector
-//! requests from many CEs queue exactly where they did on the real
-//! machine.
+//! memory modules modelled as FCFS servers ([`switch::PortServer`]), so
+//! simultaneous vector requests from many CEs queue exactly where they
+//! did on the real machine. After injection a packet crosses five layers
+//! of 32 servers each — forward stage 1, forward stage 2, the modules,
+//! reverse stage 1, reverse stage 2 — held in one table of
+//! [`GlobalMemorySystem`], which picks a hop's server by arithmetic on
+//! the hop, the CE and the module rather than by a branch on the hop.
 //!
 //! The global-memory system is a plain struct the caller's event loop
 //! drives: `inject` returns a packet's first hop ([`GmemEvent`], 24
@@ -66,7 +70,6 @@ pub mod ce;
 pub mod config;
 pub mod gmem;
 pub mod module;
-pub(crate) mod net;
 pub mod packet;
 pub mod route;
 pub mod switch;

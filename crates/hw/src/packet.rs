@@ -37,8 +37,10 @@ impl MemOp {
 
 /// The hop a packet takes next, in route order; its arrival there is
 /// the packet's event. `Delivered` is the arrival at the issuing CE's
-/// Global Interface.
+/// Global Interface. Every other hop is one layer of FCFS servers, and
+/// its discriminant is the layer's index in route order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum Hop {
     FwdStage1,
     FwdStage2,
@@ -46,6 +48,17 @@ pub(crate) enum Hop {
     RevStage1,
     RevStage2,
     Delivered,
+}
+
+impl Hop {
+    /// The hop after each server layer, indexed by the layer's hop.
+    pub(crate) const NEXT: [Hop; 5] = [
+        Hop::FwdStage2,
+        Hop::AtModule,
+        Hop::RevStage1,
+        Hop::RevStage2,
+        Hop::Delivered,
+    ];
 }
 
 /// A [`MemOp`] without its operand, which the packet's word carries.

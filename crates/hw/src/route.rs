@@ -28,7 +28,7 @@ use crate::topology::MODULES;
 pub(crate) const RADIX: usize = 8;
 
 /// Switches in each stage: 32 endpoints over 8-port switches.
-pub(crate) const SWITCHES_PER_STAGE: usize = 4;
+const SWITCHES_PER_STAGE: usize = 4;
 
 /// Parallel links between each stage-1/stage-2 switch pair.
 const LINKS: usize = 2;

@@ -1,18 +1,16 @@
-//! Output-queued crossbar switch model.
+//! The FCFS server every queueing resource of the memory system is
+//! built from: a cluster path port, a switch output port, a module.
 //!
-//! Each switch output port is a FCFS server with a configurable per-packet
-//! occupancy. Because the simulation processes packet arrivals in global
-//! time order, a port can be modelled by a single `free_at` timestamp:
-//! a packet arriving at `now` begins transmission at `max(now, free_at)`,
-//! occupies the port for `occupancy`, and reaches the next hop after the
-//! stage latency. Queueing delay — the contention the paper measures — is
-//! `start - now`.
+//! Because the simulation processes packet arrivals in global time
+//! order, a server can be modelled by a single `free_at` timestamp: a
+//! packet arriving at `now` begins service at `max(now, free_at)` and
+//! holds the server for its `occupancy`. Queueing delay — the
+//! contention the paper measures — is `start - now`. An ideal crossbar
+//! only conflicts at its outputs, so a switch is its output ports.
 
 use cedar_sim::{Cycles, SimTime};
 
-use crate::route::RADIX;
-
-/// One FCFS output port.
+/// One FCFS server.
 #[derive(Debug, Clone, Default)]
 pub struct PortServer {
     free_at: SimTime,
@@ -73,104 +71,60 @@ impl PortServer {
     }
 }
 
-/// A `RADIX`-output crossbar switch (inputs need no modelling: an ideal
-/// crossbar only conflicts at outputs). Its eight ports live inline, so
-/// the packet hot path never chases a pointer.
-#[derive(Debug, Clone)]
-pub(crate) struct Crossbar {
-    ports: [PortServer; RADIX],
-    latency: Cycles,
-    occupancy: Cycles,
-}
-
-impl Crossbar {
-    /// Creates an idle switch.
-    pub fn new(latency: Cycles, occupancy: Cycles) -> Self {
-        Crossbar {
-            ports: Default::default(),
-            latency,
-            occupancy,
-        }
-    }
-
-    /// Routes a packet arriving at `now` to output `port`; returns when it
-    /// arrives at the next hop (service start + stage latency).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub(crate) fn transit(&mut self, port: u16, now: SimTime) -> SimTime {
-        let served_by = self.ports[port as usize].accept(now, self.occupancy);
-        // The packet leaves the port when transmission completes, then
-        // takes the stage latency to reach the next hop.
-        served_by + self.latency
-    }
-
-    /// Total queueing delay across all ports.
-    pub fn total_queued(&self) -> Cycles {
-        self.ports.iter().map(PortServer::queued).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A packet's arrival at the next hop through switch output `port`,
+    /// with Cedar's 1-cycle occupancy and 4-cycle stage latency.
+    fn transit(port: &mut PortServer, now: SimTime) -> SimTime {
+        port.accept(now, Cycles(1)) + Cycles(4)
+    }
+
     #[test]
     fn uncontended_packet_takes_occupancy_plus_latency() {
-        let mut sw = Crossbar::new(Cycles(4), Cycles(1));
-        let out = sw.transit(3, Cycles(100));
+        let mut port = PortServer::new();
+        let out = transit(&mut port, Cycles(100));
         assert_eq!(out, Cycles(105)); // 100 + 1 occupancy + 4 latency
-        assert_eq!(sw.ports[3].queued(), Cycles::ZERO);
+        assert_eq!(port.queued(), Cycles::ZERO);
     }
 
     #[test]
     fn back_to_back_packets_queue_at_port() {
-        let mut sw = Crossbar::new(Cycles(4), Cycles(1));
-        let a = sw.transit(0, Cycles(10));
-        let b = sw.transit(0, Cycles(10)); // same instant, same port
+        let mut port = PortServer::new();
+        let a = transit(&mut port, Cycles(10));
+        let b = transit(&mut port, Cycles(10)); // same instant, same port
         assert_eq!(a, Cycles(15));
         assert_eq!(b, Cycles(16)); // one cycle behind
-        assert_eq!(sw.ports[0].queued(), Cycles(1));
+        assert_eq!(port.queued(), Cycles(1));
     }
 
     #[test]
     fn different_ports_do_not_conflict() {
-        let mut sw = Crossbar::new(Cycles(4), Cycles(1));
-        let a = sw.transit(0, Cycles(10));
-        let b = sw.transit(1, Cycles(10));
+        let mut ports = [PortServer::new(), PortServer::new()];
+        let a = transit(&mut ports[0], Cycles(10));
+        let b = transit(&mut ports[1], Cycles(10));
         assert_eq!(a, b);
     }
 
     #[test]
     fn port_statistics_accumulate() {
-        let mut sw = Crossbar::new(Cycles(2), Cycles(1));
+        let mut ports: [PortServer; 8] = Default::default();
         for _ in 0..5 {
-            sw.transit(2, Cycles(0));
+            ports[2].accept(Cycles(0), Cycles(1));
         }
         // Packets arrived simultaneously: 0+1+2+3+4 cycles of queueing.
-        assert_eq!(sw.ports[2].queued(), Cycles(10));
-        assert_eq!(sw.total_queued(), Cycles(10));
-    }
-
-    /// A debug build catches an arrival presented after a later one,
-    /// which the port would charge queueing it never saw.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "port arrival at cycle 9 after one at cycle 10")]
-    fn out_of_order_arrival_panics_in_debug() {
-        let mut port = PortServer::new();
-        port.accept(Cycles(10), Cycles(1));
-        port.accept(Cycles(10), Cycles(1));
-        port.accept(Cycles(9), Cycles(1));
+        assert_eq!(ports[2].queued(), Cycles(10));
+        let total: Cycles = ports.iter().map(PortServer::queued).sum();
+        assert_eq!(total, Cycles(10));
     }
 
     #[test]
     fn idle_gap_resets_queueing() {
-        let mut sw = Crossbar::new(Cycles(1), Cycles(3));
-        sw.transit(0, Cycles(0)); // busy until 3
-        let out = sw.transit(0, Cycles(50)); // long after
+        let mut port = PortServer::new();
+        port.accept(Cycles(0), Cycles(3)); // busy until 3
+        let out = port.accept(Cycles(50), Cycles(3)) + Cycles(1); // long after
         assert_eq!(out, Cycles(54));
-        assert_eq!(sw.ports[0].queued(), Cycles::ZERO);
+        assert_eq!(port.queued(), Cycles::ZERO);
     }
 }

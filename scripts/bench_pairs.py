@@ -14,7 +14,9 @@ BENCHMARK.json. One pair per seed, the side that runs first alternating
 from pair to pair; the confirmation seeds continue the alternation.
 Then three alternating `--trace 1 --seed 0` pairs give the exact work
 counts, which must not differ between a side's runs, and each side's
-median per-layer self times.
+per-layer self times: the median with the min-max of its runs. A
+layer's delta reads `unresolved` when the change's median falls inside
+the parent's range.
 
 Each entry holds the median, q1 and q3 of every metric (linear
 interpolation over the pairs in `seeds`), `pairs_won` (pairs in which
@@ -30,7 +32,8 @@ gain`.
 `--selftest` recomputes the median, q1 and q3 of every committed entry
 from its runs, and each pair of entries' pairs_won counts. Older entries
 store runs rounded to 6 decimals, so a statistic agrees within 1e-6, and
-a pair whose rounded runs tie may have been won by either side.
+a pair whose rounded runs tie may have been won by either side. It also
+checks the per-layer line's `unresolved` label on two made-up layers.
 """
 import argparse
 import json
@@ -176,7 +179,7 @@ def verdicts(bench, parent, change, parent_confirm, change_confirm):
 
 
 def traced(sides, workload, seconds, pairs=3):
-    """Work counts and median per-layer self times from `pairs`
+    """Work counts and each run's per-layer self times from `pairs`
     alternating `--trace 1 --seed 0` pairs; exits when a side's work
     counts differ between its runs."""
     counts = {"parent": [], "change": []}
@@ -196,9 +199,19 @@ def traced(sides, workload, seconds, pairs=3):
                 diff = sorted(k for k in set(first) | set(other) if first.get(k) != other.get(k))
                 sys.exit(f"{side}: the work counts of its --trace 1 --seed 0 runs differ "
                          f"({', '.join(diff)}); the benchmark is not deterministic")
-    medians = {side: {k: quantile([run[k] for run in layers[side]], 0.5) for k in layers[side][0]}
-               for side in ("parent", "change")}
-    return {side: counts[side][0] for side in counts}, medians
+    return {side: counts[side][0] for side in counts}, layers
+
+
+def layer_row(name, p, c):
+    """One layer's self-time line from the parent's runs `p` and the
+    change's runs `c`: each side's median and min-max, and the change's
+    delta, `unresolved` when its median lies inside the parent's range."""
+    pm, cm = quantile(p, 0.5), quantile(c, 0.5)
+    delta = f"{(cm - pm) / pm:+8.2%}" if pm else ""
+    if pm and min(p) <= cm <= max(p):
+        delta += " unresolved"
+    return (f"  {name:<24} {pm:>10.3f} [{min(p):.3f}-{max(p):.3f}] "
+            f"{cm:>10.3f} [{min(c):.3f}-{max(c):.3f}] {delta}")
 
 
 def measure(a):
@@ -245,12 +258,11 @@ def measure(a):
         for k in sorted(set(counts["parent"]) | set(counts["change"])):
             if counts["parent"].get(k) != counts["change"].get(k):
                 print(f"  {k}: {counts['parent'].get(k)} -> {counts['change'].get(k)}")
-    print("per-layer self time, median of three alternating --trace 1 --seed 0 pairs "
-          "(ms per pass):")
-    for k in layers["parent"]:
-        p, c = layers["parent"][k], layers["change"].get(k, 0.0)
-        delta = f"{(c - p) / p:+8.2%}" if p else ""
-        print(f"  {k:<24} {p:>12.3f} {c:>12.3f} {delta}")
+    print("per-layer self time, median [min-max] of three alternating --trace 1 --seed 0 "
+          "pairs (ms per pass), parent then change:")
+    for k in layers["parent"][0]:
+        print(layer_row(k, [run[k] for run in layers["parent"]],
+                        [run.get(k, 0.0) for run in layers["change"]]))
 
 
 def selftest():
@@ -290,6 +302,11 @@ def selftest():
                         bounded += 1
                     else:
                         exact += 1
+    for p, c, unresolved in (([10.0, 12.0, 11.0], [11.5, 10.5, 11.0], True),
+                             ([10.0, 12.0, 11.0], [8.0, 9.0, 8.5], False)):
+        row = layer_row("self.selftest_ms", p, c)
+        if ("unresolved" in row) != unresolved or "[10.000-12.000]" not in row:
+            errors.append(f"layer_row({p}, {c}) printed {row!r}")
     for err in errors:
         print(err, file=sys.stderr)
     print(f"{stats} entry metrics' median, q1 and q3 recomputed from their runs; "

@@ -237,7 +237,9 @@ fn fuzzed_run_options_are_worker_count_independent() {
         if let Some(plan) = case.plan {
             cfg = cfg.with_faults(plan);
         }
-        let configs = [cfg];
+        // Two cells, the default seed and the case's, so that the
+        // 4-worker pool runs more than one worker.
+        let configs = [cfg.clone(), cfg.with_seed(case.sim_seed)];
         let opts = RunOptions::default();
         let one = cedar::core::suite::SuiteResult::run_parallel(
             &apps,
@@ -248,6 +250,8 @@ fn fuzzed_run_options_are_worker_count_independent() {
         let four =
             cedar::core::suite::SuiteResult::run_parallel(&apps, &configs, &opts.with_workers(4))
                 .expect("4-worker run");
+        let pool = four.telemetry.pool.as_ref().expect("pool telemetry");
+        assert!(pool.workers > 1, "case {i}: {} worker", pool.workers);
         let broken = same_campaign(&one, &four);
         assert!(
             broken.is_empty(),

@@ -12,12 +12,12 @@
 //! same program, so every failure is reproducible from the seed printed
 //! in the assertion message.
 
-use cedar::apps::{AccessPattern, AppBuilder, AppSpec, BodySpec};
+use cedar::apps::{perfect_suite, AccessPattern, AppBuilder, AppSpec, BodySpec};
 use cedar::check::{conservation, growth_budget, same_run};
 use cedar::core::{Experiment, SimConfig};
 use cedar::hw::route;
 use cedar::hw::Configuration;
-use cedar::sim::SplitMix64;
+use cedar::sim::{SplitMix64, TieBreak};
 
 /// A small random loop-parallel program, drawn from `rng`.
 fn arb_app(rng: &mut SplitMix64) -> AppSpec {
@@ -98,6 +98,49 @@ fn identical_runs_are_bit_identical() {
         let broken = same_run(&a, &b);
         assert!(broken.is_empty(), "case {case}: {broken:#?}");
     });
+}
+
+/// Same seed, same cedarhpm trace: every CE mode change at the same
+/// tick, for FLO52 at 8 processors under FIFO tie-breaking and for a
+/// shuffled 32-processor cell. `same_run` never sees a trace, since
+/// `RunResult::encode` leaves it out.
+#[test]
+fn same_seed_gives_identical_traces() {
+    let app = |name: &str| {
+        perfect_suite()
+            .into_iter()
+            .find(|a| a.name == name)
+            .expect("a Perfect application")
+            .shrunk(16)
+    };
+    let cells = [
+        (
+            "FLO52 8p FIFO",
+            app("FLO52"),
+            SimConfig::cedar(Configuration::P8),
+        ),
+        (
+            "MDG 32p shuffle",
+            app("MDG"),
+            SimConfig::cedar(Configuration::P32).with_tiebreak(TieBreak::Shuffle(0x5EED)),
+        ),
+    ];
+    for (label, app, cfg) in cells {
+        let trace = || {
+            Experiment::new(app.clone(), cfg.clone().with_trace())
+                .run()
+                .trace
+                .expect("a traced run keeps its trace")
+        };
+        let (a, b) = (trace(), trace());
+        assert!(!a.is_empty(), "{label}: empty trace");
+        assert!(
+            a == b,
+            "{label}: traces of {} and {} events differ",
+            a.len(),
+            b.len()
+        );
+    }
 }
 
 #[test]

@@ -11,6 +11,7 @@ use cedar::core::SimConfig;
 use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
 use cedar::report;
+use cedar::sim::TieBreak;
 
 /// Campaign apps shrunk to a fixed factor so debug-build tests stay
 /// fast. The factor must be identical everywhere the results are
@@ -58,22 +59,31 @@ fn parallel_grid_is_byte_identical_to_sequential() {
 
 #[test]
 fn worker_count_does_not_change_the_flo52_p8_measurements() {
-    // FLO52 on the 8-processor Cedar under 1, 2 and 8 workers: the same
-    // run, cycle totals and overhead breakdowns included.
+    // FLO52 on the 8-processor Cedar under FIFO, LIFO and shuffled
+    // tie-breaking, on 1, 2 and 8 workers: the same runs, cycle totals
+    // and overhead breakdowns included. The pool starts no more workers
+    // than there are cells, so the grid needs several to use them.
     let apps: Vec<AppSpec> = grid_apps()
         .into_iter()
         .filter(|a| a.name == "FLO52")
         .collect();
     assert_eq!(apps.len(), 1);
+    let configs = [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Shuffle(0x5EED)]
+        .map(|t| SimConfig::cedar(Configuration::P8).with_tiebreak(t));
     let runs: Vec<SuiteResult> = [1usize, 2, 8]
         .iter()
         .map(|&w| {
             let opts = RunOptions::default().with_workers(w);
-            SuiteResult::run_parallel(&apps, &[SimConfig::cedar(Configuration::P8)], &opts)
-                .expect("no experiment panics")
+            SuiteResult::run_parallel(&apps, &configs, &opts).expect("no experiment panics")
         })
         .collect();
     for (suite, workers) in runs[1..].iter().zip([2, 8]) {
+        let pool = suite.telemetry.pool.as_ref().expect("pool telemetry");
+        assert!(
+            pool.workers > 1,
+            "{workers} workers ran on {}",
+            pool.workers
+        );
         let broken = same_campaign(&runs[0], suite);
         assert!(broken.is_empty(), "{workers} workers: {broken:#?}");
     }
