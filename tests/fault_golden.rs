@@ -1,13 +1,14 @@
-//! Golden snapshot of the fault-attribution report.
+//! Golden snapshots of the fault-injection subsystem.
 //!
-//! Renders [`tables::fault_report`] for FLO52 at 8 processors under the
-//! canonical fault campaign ([`FaultPlan::canonical`]) against its
-//! unperturbed twin, and compares byte-for-byte with the committed
-//! snapshot. Together with `tests/golden.rs` (whose snapshots are
-//! recorded with *no* plan and must stay untouched by this subsystem)
-//! this pins both sides of the empty-plan contract: an empty plan
-//! changes nothing, the canonical plan changes exactly the recorded
-//! numbers.
+//! `fault_report` renders [`tables::fault_report`] for FLO52 at 8
+//! processors under the canonical fault campaign
+//! ([`FaultPlan::canonical`]) against its unperturbed twin, and compares
+//! byte-for-byte with the committed snapshot. Together with
+//! `tests/golden.rs` (whose snapshots are recorded with *no* plan and
+//! must stay untouched by this subsystem) this pins both sides of the
+//! empty-plan contract: an empty plan changes nothing, the canonical
+//! plan changes exactly the recorded numbers. `fault_runs` pins every
+//! other plan the code builds, and both background presets.
 //!
 //! Re-record after an intentional change with:
 //!
@@ -17,10 +18,13 @@
 
 use std::path::PathBuf;
 
+use cedar::apps::app_by_name;
+use cedar::check::fingerprint;
 use cedar::core::{Experiment, SimConfig};
 use cedar::faults::FaultPlan;
 use cedar::hw::Configuration;
 use cedar::report::{golden, tables};
+use cedar::xylem::BackgroundLoad;
 
 /// Must match `GOLDEN_SHRINK` in `tests/golden.rs`.
 const GOLDEN_SHRINK: u32 = 16;
@@ -45,4 +49,56 @@ fn fault_report_matches_golden() {
         &golden_path("fault_report"),
         &tables::fault_report(&base, &faulted),
     );
+}
+
+/// Every fault plan and background load the code builds, pinned through
+/// what it decides: the measurement fingerprint, the event count and
+/// the fault-event count of ADM and MDG at 8 and 32 processors under
+/// each canonical level and each class alone at level 2, and MDG at 32
+/// processors under each background preset.
+#[test]
+fn fault_plan_runs_match_golden() {
+    let level2 = FaultPlan::canonical_at(2);
+    let only = FaultPlan::default().with_seed(level2.seed);
+    let classes = [
+        ("storm", only.with_interrupt_storm(level2.interrupt_storm.unwrap())),
+        ("ast", only.with_ast_burst(level2.ast_burst.unwrap())),
+        ("wave", only.with_page_fault_wave(level2.page_fault_wave.unwrap())),
+        ("lock", only.with_lock_inflation(level2.lock_inflation.unwrap())),
+        ("network", only.with_degraded_network(level2.degraded_network.unwrap())),
+        ("stall", only.with_helper_stall(level2.helper_stall.unwrap())),
+    ];
+    let mut plans: Vec<(String, FaultPlan)> = (1..=4)
+        .map(|level| (format!("level {level}"), FaultPlan::canonical_at(level)))
+        .collect();
+    plans.extend(classes.map(|(class, plan)| (format!("{class} 2"), plan)));
+
+    let mut cells: Vec<(String, &str, SimConfig)> = Vec::new();
+    for (plan_name, plan) in &plans {
+        for name in ["ADM", "MDG"] {
+            for c in [Configuration::P8, Configuration::P32] {
+                let cfg = SimConfig::cedar(c).with_faults(*plan);
+                cells.push((plan_name.clone(), name, cfg));
+            }
+        }
+    }
+    for (load_name, load) in [("light", BackgroundLoad::light()), ("heavy", BackgroundLoad::heavy())] {
+        let cfg = SimConfig::cedar(Configuration::P32).with_background(load);
+        cells.push((format!("background {load_name}"), "MDG", cfg));
+    }
+
+    let mut text =
+        String::from("# cedar_check::fingerprint, events and events.fault, 1/16 scale\n");
+    for (plan_name, name, cfg) in cells {
+        let app = app_by_name(name).expect("a Perfect application");
+        let procs = format!("{}p", cfg.configuration().total_ces());
+        let run = Experiment::new(app.shrunk(GOLDEN_SHRINK), cfg).run();
+        text += &format!(
+            "{plan_name:<18} {name:<4} {procs:<4} fingerprint {:016x} events {} events.fault {}\n",
+            fingerprint(&run),
+            run.events,
+            run.stats.counters.get("events.fault"),
+        );
+    }
+    golden::assert_matches(&golden_path("fault_runs"), &text);
 }
