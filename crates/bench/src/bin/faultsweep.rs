@@ -7,7 +7,8 @@
 //! the static multipliers), writes one CSV row per (configuration,
 //! level) to `results/FAULTS_sensitivity.csv`, and prints the
 //! fault-attribution report for the canonical level — each injected
-//! overhead next to the Table-2 bucket it landed in.
+//! overhead next to the Table-2 bucket it landed in. The `level` column
+//! names the plan: every class armed at that intensity.
 //!
 //! Honors the usual typed knobs: `CEDAR_SHRINK` scales the workload,
 //! `CEDAR_WORKERS` bounds the sweep pool, `BENCH_JSON_DIR` redirects the
@@ -33,7 +34,7 @@ fn flo52(shrink: u32) -> cedar_apps::AppSpec {
 
 fn csv(results: &[(Configuration, u32, &RunResult)]) -> String {
     let mut s = String::from(
-        "config,level,fingerprint,ct_cycles,os_fraction,\
+        "config,level,ct_cycles,os_fraction,\
          cpi,ctx,pgflt_conc,pgflt_seq,crsect_cluster,crsect_global,\
          syscall_cluster,syscall_global,ast,kernel_spin,\
          injected_cpi,injected_ast,injected_pgflt,injected_lock,injected_stall,\
@@ -44,10 +45,9 @@ fn csv(results: &[(Configuration, u32, &RunResult)]) -> String {
         let inj = |name: &str| r.stats.counters.get(name);
         let _ = writeln!(
             s,
-            "{},{},\"{}\",{},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.2}",
+            "{},{},{},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.2}",
             c.label(),
             level,
-            FaultPlan::canonical_at(*level).fingerprint(),
             r.completion_time.0,
             r.os_overhead_fraction(),
             os(OsActivity::Cpi),

@@ -21,7 +21,8 @@ pub struct CheckCase {
     pub app: &'static str,
     /// Machine size.
     pub configuration: Configuration,
-    /// Fault-plan intensity ([`FaultPlan::canonical_at`]; 0 = none).
+    /// Fault-plan intensity ([`FaultPlan::canonical_at`]; 0 = none, at
+    /// most [`FaultPlan::MAX_LEVEL`]).
     pub fault_level: u32,
     /// Workload shrink divisor ([`AppSpec::shrunk`]; larger = smaller).
     pub shrink: u32,
@@ -79,9 +80,10 @@ impl CheckCase {
     }
 
     /// Parses a replay token back into a case. Strict: unknown keys,
-    /// unknown applications, non-Cedar processor counts, and malformed
-    /// numbers are all errors, so a mistyped replay never silently
-    /// checks the wrong experiment.
+    /// unknown applications, non-Cedar processor counts, fault levels
+    /// above [`FaultPlan::MAX_LEVEL`], and malformed numbers are all
+    /// errors, so a mistyped replay never silently checks the wrong
+    /// experiment.
     pub fn parse(token: &str) -> Result<CheckCase, String> {
         let mut app = None;
         let mut configuration = None;
@@ -113,6 +115,12 @@ impl CheckCase {
                     fault_level = value
                         .parse()
                         .map_err(|_| format!("bad fault level `{value}`"))?;
+                    if fault_level > FaultPlan::MAX_LEVEL {
+                        return Err(format!(
+                            "`faults` must be at most {}, got {fault_level}",
+                            FaultPlan::MAX_LEVEL
+                        ));
+                    }
                 }
                 "shrink" => {
                     shrink = value.parse().map_err(|_| format!("bad shrink `{value}`"))?;
@@ -251,6 +259,11 @@ mod tests {
             ("app=FLO52;procs=8;shrink=0", "≥ 1"),
             ("app=FLO52;procs=8;turbo=1", "unknown replay key"),
             ("app=FLO52;procs=8;seed=zz", "bad seed"),
+            (
+                "app=ADM;procs=8;faults=30000000",
+                "`faults` must be at most 4",
+            ),
+            ("app=ADM;procs=8;faults=-1", "bad fault level"),
             ("garbage", "not key=value"),
         ] {
             let err = CheckCase::parse(token).unwrap_err();

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cedar_core::suite::SuiteResult;
 use cedar_core::{CacheSession, Experiment, RunResult};
-use cedar_faults::FaultPlan;
+use cedar_faults::{FaultKind, FaultPlan};
 use cedar_obs::{Counters, RunOptions};
 use cedar_sim::TieBreak;
 use cedar_xylem::OsActivity;
@@ -365,27 +365,26 @@ impl Harness {
         let plan = case.plan();
         let factor = self.attribution_factor(case);
 
-        // Each bucket-targeting class: its name, a single-class plan
-        // derived from the case's plan (same seed, one class armed),
-        // and the class's (injected-cycles counter, bucket) pairs. A
-        // wave's seq/conc split is timing-dependent — injected faults
-        // shift which side organic occurrences land on — so
-        // monotonicity is asserted on the class's bucket *group*.
-        let only = FaultPlan::default().with_seed(plan.seed);
-        let classes: Vec<(&str, FaultPlan, Targets)> = [
+        // Each bucket-targeting class: its name, the case's plan with
+        // only that class armed, and the class's (injected-cycles
+        // counter, bucket) pairs. A wave's seq/conc split is
+        // timing-dependent — injected faults shift which side organic
+        // occurrences land on — so monotonicity is asserted on the
+        // class's bucket *group*.
+        let classes: [(&str, FaultPlan, Targets); 4] = [
             (
                 "storm",
-                plan.interrupt_storm.map(|c| only.with_interrupt_storm(c)),
-                &[("faults.injected.cpi", OsActivity::Cpi)][..],
+                plan.only(FaultKind::InterruptStorm),
+                &[("faults.injected.cpi", OsActivity::Cpi)],
             ),
             (
                 "ast",
-                plan.ast_burst.map(|c| only.with_ast_burst(c)),
+                plan.only(FaultKind::AstBurst),
                 &[("faults.injected.ast", OsActivity::Ast)],
             ),
             (
                 "wave",
-                plan.page_fault_wave.map(|c| only.with_page_fault_wave(c)),
+                plan.only(FaultKind::PageFaultWave),
                 &[
                     ("faults.injected.pgflt_seq", OsActivity::PgFltSequential),
                     ("faults.injected.pgflt_conc", OsActivity::PgFltConcurrent),
@@ -393,16 +392,13 @@ impl Harness {
             ),
             (
                 "lock",
-                plan.lock_inflation.map(|c| only.with_lock_inflation(c)),
+                plan.only(FaultKind::LockInflation),
                 &[
                     ("faults.injected.lock_cluster", OsActivity::CrSectCluster),
                     ("faults.injected.lock_global", OsActivity::CrSectGlobal),
                 ],
             ),
-        ]
-        .into_iter()
-        .filter_map(|(class, probe, buckets)| Some((class, probe?, buckets)))
-        .collect();
+        ];
         let targeted: Vec<OsActivity> = classes
             .iter()
             .flat_map(|(_, _, buckets)| buckets.iter().map(|&(_, a)| a))

@@ -9,6 +9,9 @@
 
 use cedar_core::suite::SuiteResult;
 use cedar_core::RunResult;
+use cedar_hw::ClusterId;
+use cedar_xylem::config::{AST_COST, CPI_COST_PER_CE};
+use cedar_xylem::OsActivity;
 
 /// Completion-time conservation on one run. The clauses:
 ///
@@ -17,7 +20,9 @@ use cedar_core::RunResult;
 ///   completion time;
 /// - **Figure 3 partition**: on every cluster whose OS time does not
 ///   saturate the run, user plus OS time equals the completion time;
-/// - **concurrency**: `0 < total_concurrency ≤ total_ces`.
+/// - **concurrency**: `0 < total_concurrency ≤ total_ces`;
+/// - **OS costs**: on every cluster, the `Cpi` and `Ast` ledgers total
+///   their sample counts times their constant costs (see `os_costs`).
 ///
 /// Returns one line per broken clause; an empty list means the run
 /// conserves.
@@ -51,6 +56,35 @@ pub fn conservation(run: &RunResult, expected_bodies: u64) -> Vec<String> {
     let ces = run.configuration.total_ces();
     if !(total > 0.0 && total <= ces as f64 + 1e-9) {
         broken.push(format!("concurrency {total} outside (0, {ces}]"));
+    }
+    broken.extend(os_costs(run));
+    broken
+}
+
+/// The OS model's closed-form law, for the two Table 2 activities that
+/// cost one constant of `cedar_xylem::config` per charge: a cluster's
+/// `Cpi` ledger totals its sample count × `CPI_COST_PER_CE` (every CPI,
+/// organic or from an interrupt storm, is one per-CE CPI), and its `Ast`
+/// ledger its sample count × `AST_COST` unless the run injected AST
+/// bursts, which cost their own constant. The other ledgers mix costs
+/// from several sources.
+fn os_costs(run: &RunResult) -> Vec<String> {
+    let mut laws = vec![(OsActivity::Cpi, CPI_COST_PER_CE)];
+    if run.stats.counters.get("faults.injected.ast") == 0 {
+        laws.push((OsActivity::Ast, AST_COST));
+    }
+    let mut broken = Vec::new();
+    for k in 0..run.os.n_clusters() {
+        for &(activity, cost) in &laws {
+            let ledger = run.os.cluster(ClusterId(k)).get(activity);
+            if ledger.total() != cost * ledger.samples() {
+                broken.push(format!(
+                    "cluster {k}: {activity:?} ledger {} is not {} samples × {cost}",
+                    ledger.total(),
+                    ledger.samples()
+                ));
+            }
+        }
     }
     broken
 }
@@ -136,6 +170,8 @@ mod tests {
     use cedar_core::suite::AppResults;
     use cedar_core::{Experiment, SimConfig};
     use cedar_hw::Configuration;
+    use cedar_sim::stats::DurationAccum;
+    use cedar_sim::Cycles;
 
     fn tiny(c: Configuration) -> RunResult {
         let app = cedar_apps::synthetic::uniform_xdoall(1, 2, 16, 300, 8);
@@ -172,6 +208,41 @@ mod tests {
                 "concurrency 5 outside (0, 4]".to_string(),
             ]
         );
+    }
+
+    #[test]
+    fn a_tampered_os_ledger_is_reported() {
+        let app = cedar_apps::synthetic::uniform_sdoall(2, 2, 8, 16, 400, 4);
+        let expected = app.total_bodies();
+        let mut run = Experiment::new(app, SimConfig::cedar(Configuration::P16)).run();
+        assert!(
+            run.os.total(OsActivity::Cpi) > Cycles::ZERO,
+            "CPIs are charged"
+        );
+        assert_eq!(conservation(&run, expected), Vec::<String>::new());
+
+        // One CPI sample that costs a cycle too much, and an AST ledger
+        // with a sample but no cycles.
+        let cpi = run.os.cluster(ClusterId(0)).get(OsActivity::Cpi).clone();
+        let tampered = DurationAccum::from_parts(cpi.total() + Cycles(1), cpi.samples(), cpi.max());
+        run.os.restore(ClusterId(0), OsActivity::Cpi, tampered);
+        let ast = DurationAccum::from_parts(Cycles::ZERO, 1, Cycles::ZERO);
+        run.os.restore(ClusterId(1), OsActivity::Ast, ast);
+        assert_eq!(
+            conservation(&run, expected),
+            [
+                format!(
+                    "cluster 0: Cpi ledger {} is not {} samples × {CPI_COST_PER_CE}",
+                    cpi.total() + Cycles(1),
+                    cpi.samples()
+                ),
+                format!("cluster 1: Ast ledger 0cy is not 1 samples × {AST_COST}"),
+            ]
+        );
+
+        // A run that injected AST bursts keeps only the CPI law.
+        run.stats.counters.add("faults.injected.ast", 600);
+        assert_eq!(conservation(&run, expected).len(), 1);
     }
 
     #[test]

@@ -6,8 +6,10 @@ use cedar_sim::TieBreak;
 use cedar_xylem::BackgroundLoad;
 
 /// What one run of the simulated Cedar varies: the processor
-/// configuration, the seed, the tie-break, the background load, the
-/// fault plan and whether the trace is kept.
+/// configuration, the seed, whether the trace is kept, the tie-break,
+/// the background load and the fault plan. That is seven settable
+/// values in all: a background load is one of two presets, and a fault
+/// plan is an intensity level and a class.
 ///
 /// The hardware, OS and runtime-library costs are not here: Cedar is
 /// one machine, so they are constants in the crates that use them
@@ -29,11 +31,12 @@ pub struct SimConfig {
     /// depend on it — `cedar-check` perturbs it to prove that; the
     /// FIFO default is the documented scheduling order.
     pub tiebreak: TieBreak,
-    /// Competing multiprogrammed load (None = the paper's dedicated,
-    /// single-user setting).
+    /// Competing multiprogrammed load, one of [`BackgroundLoad`]'s
+    /// presets (None = the paper's dedicated, single-user setting).
     pub background: Option<BackgroundLoad>,
-    /// Fault-injection campaign (the empty default injects nothing —
-    /// the run is byte-identical to one without the faults subsystem).
+    /// Fault-injection campaign: a level and the armed classes (the
+    /// empty default injects nothing — the run is byte-identical to one
+    /// without the faults subsystem).
     pub faults: FaultPlan,
 }
 
@@ -124,7 +127,7 @@ impl SimConfig {
     /// use cedar_hw::Configuration;
     ///
     /// let c = SimConfig::cedar(Configuration::P8)
-    ///     .with_faults(FaultPlan::canonical());
+    ///     .with_faults(FaultPlan::canonical_at(1));
     /// assert!(!c.faults.is_empty());
     /// assert!(c.with_faults(FaultPlan::default()).faults.is_empty());
     /// ```

@@ -20,11 +20,14 @@
 //!   helper reads in the paper's Figure 4.
 //!
 //! The two static classes never reach `Machine::on_fault`:
-//! lock-hold inflation rides every kernel-lock acquire via
-//! `Machine::lock_inflate_pct`, and network degradation is baked into
+//! lock-hold inflation stretches every kernel-lock hold in
+//! `Machine::critical_section`, and network degradation is baked into
 //! the memory system's latency parameters at construction.
 
-use cedar_faults::FaultKind;
+use cedar_faults::{
+    FaultKind, AST_BURST_COST, AST_BURST_SIZE, STALL_CYCLES, STORM_BURST, WAVE_CONC_COST,
+    WAVE_SEQ_COST,
+};
 use cedar_sim::Cycles;
 use cedar_xylem::config::CPI_COST_PER_CE;
 use cedar_xylem::{FaultClass, OsActivity};
@@ -54,17 +57,6 @@ pub(crate) struct InjectedCost {
 }
 
 impl Machine {
-    /// Extra kernel-lock hold percentage the campaign dictates (0 when
-    /// lock inflation is not armed — `acquire_scaled` is then exactly
-    /// `acquire`).
-    pub(crate) fn lock_inflate_pct(&self) -> u32 {
-        self.cfg
-            .faults
-            .lock_inflation
-            .map(|l| l.hold_pct)
-            .unwrap_or(0)
-    }
-
     /// A timed fault occurrence fires on `cluster`. Mirrors the OS
     /// schedule handlers: bail after program completion, reschedule
     /// first (the next occurrence time never depends on what this one
@@ -84,55 +76,51 @@ impl Machine {
             FaultKind::AstBurst => self.inject_ast_burst(cluster),
             FaultKind::PageFaultWave => self.inject_wave(cluster),
             FaultKind::HelperStall => self.inject_helper_stall(cluster),
+            FaultKind::LockInflation | FaultKind::DegradedNetwork => {
+                unreachable!("static fault class {kind:?} has no occurrences")
+            }
         }
     }
 
-    /// `burst` back-to-back cross-processor interrupts, each at the
-    /// per-CE CPI cost.
+    /// `STORM_BURST` back-to-back cross-processor interrupts, each at
+    /// the per-CE CPI cost.
     fn inject_storm(&mut self, cluster: usize) {
-        let spec = self
-            .cfg
-            .faults
-            .interrupt_storm
-            .expect("storm fired unarmed");
-        for _ in 0..spec.burst {
+        for _ in 0..STORM_BURST {
             self.raise_cpi(cluster);
         }
-        self.injected.cpi += CPI_COST_PER_CE * spec.burst as u64;
+        self.injected.cpi += CPI_COST_PER_CE * u64::from(STORM_BURST);
     }
 
-    /// `burst` AST deliveries to the cluster's lead CE.
+    /// `AST_BURST_SIZE` AST deliveries to the cluster's lead CE.
     fn inject_ast_burst(&mut self, cluster: usize) {
-        let spec = self.cfg.faults.ast_burst.expect("ast burst fired unarmed");
-        for _ in 0..spec.burst {
-            self.charge_os(cluster, OsActivity::Ast, spec.cost);
-            self.lead_penalty(cluster, spec.cost);
+        for _ in 0..AST_BURST_SIZE {
+            self.charge_os(cluster, OsActivity::Ast, AST_BURST_COST);
+            self.lead_penalty(cluster, AST_BURST_COST);
         }
-        self.injected.ast += spec.cost * spec.burst as u64;
+        self.injected.ast += AST_BURST_COST * u64::from(AST_BURST_SIZE);
     }
 
     /// One wave of synthetic page faults, split sequential/concurrent by
     /// the driver's per-cluster stream. The counts go to the address
     /// space's *injected* tally, never the organic one.
     fn inject_wave(&mut self, cluster: usize) {
-        let spec = self.cfg.faults.page_fault_wave.expect("wave fired unarmed");
         let shape = self
             .fault_driver
             .as_mut()
             .expect("wave fired without a driver")
             .wave_shape(cluster);
         for _ in 0..shape.sequential {
-            self.charge_os(cluster, OsActivity::PgFltSequential, spec.seq_cost);
-            self.lead_penalty(cluster, spec.seq_cost);
+            self.charge_os(cluster, OsActivity::PgFltSequential, WAVE_SEQ_COST);
+            self.lead_penalty(cluster, WAVE_SEQ_COST);
             self.vm.record_injected(FaultClass::Sequential);
         }
         for _ in 0..shape.concurrent {
-            self.charge_os(cluster, OsActivity::PgFltConcurrent, spec.conc_cost);
-            self.lead_penalty(cluster, spec.conc_cost);
+            self.charge_os(cluster, OsActivity::PgFltConcurrent, WAVE_CONC_COST);
+            self.lead_penalty(cluster, WAVE_CONC_COST);
             self.vm.record_injected(FaultClass::Concurrent);
         }
-        self.injected.pgflt_seq += spec.seq_cost * shape.sequential as u64;
-        self.injected.pgflt_conc += spec.conc_cost * shape.concurrent as u64;
+        self.injected.pgflt_seq += WAVE_SEQ_COST * u64::from(shape.sequential);
+        self.injected.pgflt_conc += WAVE_CONC_COST * u64::from(shape.concurrent);
     }
 
     /// Freezes a busy helper lead CE for the stall length. No OS charge
@@ -142,15 +130,14 @@ impl Machine {
     /// helper does.
     fn inject_helper_stall(&mut self, cluster: usize) {
         debug_assert!(cluster >= 1, "helper stall on the main cluster");
-        let spec = self.cfg.faults.helper_stall.expect("stall fired unarmed");
         let lead = self.lead_of(cluster);
         if !self.ces[lead].mode.is_busy() {
             return; // nothing to freeze (already stopped/idle)
         }
-        self.ces[lead].pending_penalty += spec.stall;
+        self.ces[lead].pending_penalty += STALL_CYCLES;
         if self.ces[lead].mode == CeMode::WaitWork {
-            self.tasks[cluster].waiter.record_stall(spec.stall);
+            self.tasks[cluster].waiter.record_stall(STALL_CYCLES);
         }
-        self.injected.stall += spec.stall;
+        self.injected.stall += STALL_CYCLES;
     }
 }

@@ -172,8 +172,8 @@ impl Machine {
         // degraded-network fault statically stretches its latencies;
         // everything downstream (min_round_trip, queueing stats) stays
         // consistent.
-        let net = match cfg.faults.degraded_network {
-            Some(d) => NetConfig::cedar().slowed(d.switch_pct, d.module_pct),
+        let net = match cfg.faults.network_slowdown() {
+            Some((switch_pct, module_pct)) => NetConfig::cedar().slowed(switch_pct, module_pct),
             None => NetConfig::cedar(),
         };
         let fault_driver = (!cfg.faults.is_empty())
@@ -547,8 +547,8 @@ impl Machine {
             c.add("faults.count.pgflt_seq", inj_seq);
             c.add("faults.count.pgflt_conc", inj_conc);
             if let Some(driver) = &self.fault_driver {
-                for kind in cedar_faults::FaultKind::ALL {
-                    c.add(kind.counter_name(), driver.occurrences(kind));
+                for (name, count) in driver.occurrences() {
+                    c.add(name, count);
                 }
             }
             let waiter_stalled: u64 = self.tasks.iter().map(|t| t.waiter.stalled().0).sum();

@@ -63,7 +63,9 @@ impl Machine {
     /// spin for the lock is charged to `KernelSpin`. Returns
     /// `(spin, held)`: the caller charges its own critical-section bucket.
     fn critical_section(&mut self, cluster: usize, sect: CrSect, hold: Cycles) -> (Cycles, Cycles) {
-        let pct = self.lock_inflate_pct();
+        // 0 unless lock inflation is armed: `acquire_scaled` is then
+        // exactly `acquire`.
+        let pct = self.cfg.faults.lock_hold_pct();
         let (lock, injected) = match sect {
             CrSect::Cluster => (
                 &mut self.cluster_locks[cluster],

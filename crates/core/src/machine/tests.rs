@@ -363,13 +363,10 @@ fn seed_changes_jitter_but_not_coverage() {
 
 #[test]
 fn fault_events_count_under_their_own_class() {
-    use cedar_faults::{FaultPlan, InterruptStorm};
+    use cedar_faults::{FaultKind, FaultPlan};
 
     let app = || synthetic::uniform_sdoall(2, 2, 8, 16, 400, 0);
-    let plan = FaultPlan::default().with_interrupt_storm(InterruptStorm {
-        mean_interval: Cycles(20_000),
-        burst: 2,
-    });
+    let plan = FaultPlan::canonical_at(2).only(FaultKind::InterruptStorm);
     let base = run(app(), Configuration::P4);
     let faulted = Machine::new(
         &app(),
@@ -431,16 +428,10 @@ fn empty_plan_is_byte_identical_to_no_plan() {
 
 #[test]
 fn injected_page_faults_stay_out_of_organic_vm_counts() {
-    use cedar_faults::{FaultPlan, PageFaultWave};
+    use cedar_faults::{FaultKind, FaultPlan};
 
     let app = || synthetic::uniform_sdoall(1, 2, 8, 16, 400, 4);
-    let plan = FaultPlan::default().with_page_fault_wave(PageFaultWave {
-        mean_interval: Cycles(15_000),
-        faults_per_wave: 4,
-        concurrent_pct: 50,
-        seq_cost: Cycles(700),
-        conc_cost: Cycles(1_100),
-    });
+    let plan = FaultPlan::canonical_at(3).only(FaultKind::PageFaultWave);
     let base = run(app(), Configuration::P4);
     let faulted = Machine::new(
         &app(),

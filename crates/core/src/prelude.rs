@@ -2,17 +2,17 @@
 //!
 //! Pulls in the experiment entry points ([`Experiment`], [`SuiteResult`]),
 //! the typed configuration surface ([`SimConfig`], [`RunOptions`],
-//! [`FaultPlan`], [`CacheMode`]), the typed error enum ([`CedarError`]),
-//! the workload registry ([`AppSpec`], [`perfect_suite`],
-//! [`app_by_name`]), the machine-size enum ([`Configuration`]), and the
-//! result types — everything a tool or test needs to set up and run a
-//! measurement campaign:
+//! [`FaultPlan`] and its [`FaultKind`], [`CacheMode`]), the typed error
+//! enum ([`CedarError`]), the workload registry ([`AppSpec`],
+//! [`perfect_suite`], [`app_by_name`]), the machine-size enum
+//! ([`Configuration`]), and the result types — everything a tool or test
+//! needs to set up and run a measurement campaign:
 //!
 //! ```
 //! use cedar_core::prelude::*;
 //!
 //! let opts = RunOptions::default().with_workers(2);
-//! let cfg = SimConfig::cedar(Configuration::P4).with_faults(FaultPlan::canonical());
+//! let cfg = SimConfig::cedar(Configuration::P4).with_faults(FaultPlan::canonical_at(1));
 //! assert!(!cfg.faults.is_empty());
 //! let app = cedar_apps::synthetic::uniform_xdoall(1, 1, 8, 150, 4);
 //! let suite = SuiteResult::measure(&[app], &[cfg], &opts);
@@ -25,9 +25,7 @@
 
 pub use cedar_apps::{app_by_name, perfect_suite, AppSpec};
 pub use cedar_cache::CacheStats;
-pub use cedar_faults::{
-    AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
-};
+pub use cedar_faults::{FaultKind, FaultPlan};
 pub use cedar_hw::Configuration;
 pub use cedar_obs::{CacheMode, CedarError, Counters, RunOptions, RunStats};
 

@@ -2,12 +2,16 @@
 
 use cedar_sim::{Cycles, SimTime, SplitMix64};
 
-use crate::plan::FaultPlan;
+use crate::plan::{FaultPlan, WAVE_CONCURRENT_PCT, WAVE_FAULTS};
 
-/// The timed fault classes — the ones that ride the machine's event
-/// queue as `Fault` events. The two static classes ([`crate::plan::LockInflation`],
-/// [`crate::plan::DegradedNetwork`]) perturb the cost model directly and
-/// need no occurrences.
+/// Seed of the driver's per-`(class, cluster)` occurrence streams;
+/// independent of the machine's master seed.
+const STREAM_SEED: u64 = 0xFA17_57ED;
+
+/// The six fault classes, each targeting one attribution surface. The
+/// first four are timed: they ride the machine's event queue as `Fault`
+/// events, and their order is the driver's stream order. The two static
+/// classes perturb the cost model directly and need no occurrences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A burst of cross-processor interrupts.
@@ -18,37 +22,32 @@ pub enum FaultKind {
     PageFaultWave,
     /// A helper-task scheduling stall.
     HelperStall,
+    /// Kernel-lock hold inflation (static).
+    LockInflation,
+    /// Degraded switch and module latencies (static).
+    DegradedNetwork,
 }
 
 impl FaultKind {
-    /// All timed classes, in stream order.
-    pub const ALL: [FaultKind; 4] = [
+    /// All six classes, the timed ones first.
+    pub const ALL: [FaultKind; 6] = [
         FaultKind::InterruptStorm,
         FaultKind::AstBurst,
         FaultKind::PageFaultWave,
         FaultKind::HelperStall,
+        FaultKind::LockInflation,
+        FaultKind::DegradedNetwork,
     ];
-
-    /// Dense index (the driver's stream row).
-    pub fn index(self) -> usize {
-        match self {
-            FaultKind::InterruptStorm => 0,
-            FaultKind::AstBurst => 1,
-            FaultKind::PageFaultWave => 2,
-            FaultKind::HelperStall => 3,
-        }
-    }
-
-    /// Occurrence-counter name in the run's telemetry rollup.
-    pub fn counter_name(self) -> &'static str {
-        match self {
-            FaultKind::InterruptStorm => "faults.occ.storm",
-            FaultKind::AstBurst => "faults.occ.ast_burst",
-            FaultKind::PageFaultWave => "faults.occ.pgflt_wave",
-            FaultKind::HelperStall => "faults.occ.helper_stall",
-        }
-    }
 }
+
+/// The timed classes' occurrence counters in the run's telemetry
+/// rollup, in stream order.
+const OCCURRENCE_COUNTERS: [&str; 4] = [
+    "faults.occ.storm",
+    "faults.occ.ast_burst",
+    "faults.occ.pgflt_wave",
+    "faults.occ.helper_stall",
+];
 
 /// The composition of one injected page-fault wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,11 +60,11 @@ pub struct WaveShape {
 
 /// Turns a [`FaultPlan`] into deterministic occurrence streams.
 ///
-/// One `SplitMix64` per `(class, cluster)` pair, all derived from
-/// [`FaultPlan::seed`]: a class's stream on one cluster never observes
-/// how often other classes or clusters fire, so the streams are
-/// independent of event interleaving — the property the fault
-/// determinism suite leans on.
+/// One `SplitMix64` per `(timed class, cluster)` pair, all derived from
+/// one fixed seed: a class's stream on one cluster never observes how
+/// often other classes or clusters fire, so the streams are independent
+/// of event interleaving — the property the fault determinism suite
+/// leans on.
 ///
 /// # Example
 ///
@@ -73,8 +72,8 @@ pub struct WaveShape {
 /// use cedar_faults::{FaultDriver, FaultKind, FaultPlan};
 /// use cedar_sim::Cycles;
 ///
-/// let mut a = FaultDriver::new(&FaultPlan::canonical(), 2);
-/// let mut b = FaultDriver::new(&FaultPlan::canonical(), 2);
+/// let mut a = FaultDriver::new(&FaultPlan::canonical_at(1), 2);
+/// let mut b = FaultDriver::new(&FaultPlan::canonical_at(1), 2);
 /// assert_eq!(a.first_events(), b.first_events());
 /// assert_eq!(
 ///     a.next_after(FaultKind::InterruptStorm, 0, Cycles(500)),
@@ -86,46 +85,36 @@ pub struct FaultDriver {
     plan: FaultPlan,
     n_clusters: usize,
     streams: Vec<SplitMix64>,
-    occurrences: [u64; FaultKind::ALL.len()],
+    occurrences: [u64; OCCURRENCE_COUNTERS.len()],
 }
 
 impl FaultDriver {
     /// Builds the driver for `n_clusters` clusters.
     pub fn new(plan: &FaultPlan, n_clusters: usize) -> Self {
-        let mut root = SplitMix64::new(plan.seed);
-        let streams = (0..FaultKind::ALL.len() * n_clusters)
+        let mut root = SplitMix64::new(STREAM_SEED);
+        let streams = (0..OCCURRENCE_COUNTERS.len() * n_clusters)
             .map(|_| root.split())
             .collect();
         FaultDriver {
             plan: *plan,
             n_clusters,
             streams,
-            occurrences: [0; FaultKind::ALL.len()],
+            occurrences: [0; OCCURRENCE_COUNTERS.len()],
         }
     }
 
-    /// The plan this driver executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
+    /// A timed class's stream on `cluster`; the class is its row.
     fn stream(&mut self, kind: FaultKind, cluster: usize) -> &mut SplitMix64 {
-        &mut self.streams[kind.index() * self.n_clusters + cluster]
+        &mut self.streams[kind as usize * self.n_clusters + cluster]
     }
 
-    /// Mean interval of a timed class, if armed. Helper stalls only
-    /// apply to helper clusters (1..), never the main cluster.
+    /// Mean interval of a timed class on `cluster`, if armed (never for
+    /// a static class). Helper stalls only apply to helper clusters
+    /// (1..), never the main cluster.
     fn interval(&self, kind: FaultKind, cluster: usize) -> Option<Cycles> {
-        match kind {
-            FaultKind::InterruptStorm => self.plan.interrupt_storm.map(|s| s.mean_interval),
-            FaultKind::AstBurst => self.plan.ast_burst.map(|s| s.mean_interval),
-            FaultKind::PageFaultWave => self.plan.page_fault_wave.map(|s| s.mean_interval),
-            FaultKind::HelperStall => self
-                .plan
-                .helper_stall
-                .filter(|_| cluster >= 1)
-                .map(|s| s.mean_interval),
-        }
+        self.plan
+            .interval(kind)
+            .filter(|_| kind != FaultKind::HelperStall || cluster >= 1)
     }
 
     /// First occurrence of every armed timed class on every applicable
@@ -134,8 +123,8 @@ impl FaultDriver {
         let mut out = Vec::new();
         for kind in FaultKind::ALL {
             for cluster in 0..self.n_clusters {
-                if self.interval(kind, cluster).is_some() {
-                    let t = self.draw_next(kind, cluster, Cycles::ZERO);
+                if let Some(mean) = self.interval(kind, cluster) {
+                    let t = self.stream(kind, cluster).jittered(Cycles::ZERO, mean);
                     out.push((t, kind, cluster));
                 }
             }
@@ -144,66 +133,46 @@ impl FaultDriver {
     }
 
     /// Time of the next occurrence of `kind` on `cluster` after `now`,
-    /// counting the occurrence that just fired.
+    /// counting the occurrence that just fired. Draws the interval
+    /// jittered ±25%, like the OS daemon schedules, from the pair's own
+    /// stream.
     ///
     /// # Panics
     ///
     /// Panics if `kind` is not armed for `cluster` — the machine only
     /// dispatches occurrences the driver itself scheduled.
     pub fn next_after(&mut self, kind: FaultKind, cluster: usize, now: SimTime) -> SimTime {
-        self.occurrences[kind.index()] += 1;
-        self.draw_next(kind, cluster, now)
-    }
-
-    /// Draws the jittered (±25%, like the OS daemon schedules) next
-    /// occurrence time from the pair's own stream.
-    fn draw_next(&mut self, kind: FaultKind, cluster: usize, now: SimTime) -> SimTime {
-        let base = self
+        let mean = self
             .interval(kind, cluster)
-            .expect("occurrence drawn for an unarmed fault class")
-            .0;
-        let jitter_span = base / 2;
-        let jitter = self.stream(kind, cluster).next_below(jitter_span.max(1));
-        let interval = base - jitter_span / 2 + jitter;
-        now + Cycles(interval.max(1))
+            .expect("occurrence drawn for an unarmed fault class");
+        self.occurrences[kind as usize] += 1;
+        self.stream(kind, cluster).jittered(now, mean)
     }
 
     /// Draws one wave's sequential/concurrent split from the cluster's
     /// page-fault stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no page-fault wave is armed.
     pub fn wave_shape(&mut self, cluster: usize) -> WaveShape {
-        let spec = self
-            .plan
-            .page_fault_wave
-            .expect("wave drawn with no page-fault wave armed");
-        let mut concurrent = 0;
-        for _ in 0..spec.faults_per_wave {
-            let roll = self
-                .stream(FaultKind::PageFaultWave, cluster)
-                .next_below(100);
-            if roll < spec.concurrent_pct as u64 {
-                concurrent += 1;
-            }
-        }
+        let stream = self.stream(FaultKind::PageFaultWave, cluster);
+        let concurrent = (0..WAVE_FAULTS)
+            .filter(|_| stream.next_below(100) < WAVE_CONCURRENT_PCT)
+            .count() as u32;
         WaveShape {
-            sequential: spec.faults_per_wave - concurrent,
+            sequential: WAVE_FAULTS - concurrent,
             concurrent,
         }
     }
 
-    /// Occurrences fired so far for `kind`, across all clusters.
-    pub fn occurrences(&self, kind: FaultKind) -> u64 {
-        self.occurrences[kind.index()]
+    /// Each timed class's occurrence counter name and the occurrences
+    /// fired so far across all clusters.
+    pub fn occurrences(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        OCCURRENCE_COUNTERS.into_iter().zip(self.occurrences)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{HelperStall, InterruptStorm};
+    use crate::plan::STORM_INTERVAL;
 
     #[test]
     fn empty_plan_schedules_nothing() {
@@ -213,7 +182,7 @@ mod tests {
 
     #[test]
     fn canonical_plan_arms_every_cluster() {
-        let mut d = FaultDriver::new(&FaultPlan::canonical(), 4);
+        let mut d = FaultDriver::new(&FaultPlan::canonical_at(1), 4);
         let first = d.first_events();
         // storms/asts/waves on all 4 clusters, stalls only on helpers.
         assert_eq!(first.len(), 4 + 4 + 4 + 3);
@@ -222,10 +191,7 @@ mod tests {
 
     #[test]
     fn helper_stalls_skip_the_main_cluster() {
-        let plan = FaultPlan::default().with_helper_stall(HelperStall {
-            mean_interval: Cycles(10_000),
-            stall: Cycles(500),
-        });
+        let plan = FaultPlan::canonical_at(3).only(FaultKind::HelperStall);
         let mut d = FaultDriver::new(&plan, 4);
         let first = d.first_events();
         assert_eq!(first.len(), 3);
@@ -234,7 +200,7 @@ mod tests {
 
     #[test]
     fn streams_are_deterministic_and_independent_of_draw_order() {
-        let plan = FaultPlan::canonical();
+        let plan = FaultPlan::canonical_at(1);
         let mut a = FaultDriver::new(&plan, 2);
         let mut b = FaultDriver::new(&plan, 2);
         // Interleave draws differently; per-(class,cluster) sequences
@@ -249,50 +215,42 @@ mod tests {
 
     #[test]
     fn intervals_jitter_within_25_percent_of_mean() {
-        let plan = FaultPlan::default().with_interrupt_storm(InterruptStorm {
-            mean_interval: Cycles(10_000),
-            burst: 1,
-        });
+        let plan = FaultPlan::canonical_at(4).only(FaultKind::InterruptStorm);
+        let mean = STORM_INTERVAL.0 / 4;
         let mut d = FaultDriver::new(&plan, 1);
         let mut now = Cycles::ZERO;
         let mut sum = 0u64;
         for _ in 0..200 {
             let next = d.next_after(FaultKind::InterruptStorm, 0, now);
             let dt = (next - now).0;
-            assert!((7_400..=12_600).contains(&dt), "interval {dt} out of band");
+            assert!(
+                (mean * 3 / 4..=mean * 5 / 4).contains(&dt),
+                "interval {dt} out of band"
+            );
             sum += dt;
             now = next;
         }
-        let mean = sum as f64 / 200.0;
-        assert!((mean - 10_000.0).abs() < 1_000.0, "mean drifted: {mean}");
-        assert_eq!(d.occurrences(FaultKind::InterruptStorm), 200);
+        let observed = sum as f64 / 200.0;
+        assert!(
+            (observed - mean as f64).abs() < mean as f64 / 10.0,
+            "mean drifted: {observed}"
+        );
+        let counted: Vec<_> = d.occurrences().collect();
+        assert_eq!(counted[0], ("faults.occ.storm", 200));
+        assert!(counted[1..].iter().all(|&(_, n)| n == 0));
     }
 
     #[test]
     fn wave_shape_respects_the_mix_bounds() {
-        let mut d = FaultDriver::new(&FaultPlan::canonical(), 1);
-        let spec = FaultPlan::canonical().page_fault_wave.unwrap();
+        let mut d = FaultDriver::new(&FaultPlan::canonical_at(1), 1);
         let mut conc_total = 0u32;
         for _ in 0..100 {
             let shape = d.wave_shape(0);
-            assert_eq!(shape.sequential + shape.concurrent, spec.faults_per_wave);
+            assert_eq!(shape.sequential + shape.concurrent, WAVE_FAULTS);
             conc_total += shape.concurrent;
         }
         // 50% mix over 600 draws: comfortably within [35%, 65%].
-        let frac = conc_total as f64 / (100 * spec.faults_per_wave) as f64;
+        let frac = conc_total as f64 / (100 * WAVE_FAULTS) as f64;
         assert!((0.35..=0.65).contains(&frac), "mix drifted: {frac}");
-    }
-
-    #[test]
-    fn different_seeds_give_different_streams() {
-        let mut a = FaultDriver::new(&FaultPlan::canonical(), 1);
-        let mut b = FaultDriver::new(&FaultPlan::canonical().with_seed(7), 1);
-        let same = (0..10)
-            .filter(|_| {
-                a.next_after(FaultKind::AstBurst, 0, Cycles::ZERO)
-                    == b.next_after(FaultKind::AstBurst, 0, Cycles::ZERO)
-            })
-            .count();
-        assert!(same < 10, "seed must change the occurrence stream");
     }
 }

@@ -7,35 +7,40 @@
 //! surfaces in the right bucket and nowhere else. This crate provides
 //! the injection side of that experiment: a typed [`FaultPlan`]
 //! describing which paper-meaningful disturbances to inject, and a
-//! [`FaultDriver`] that turns the plan into fully deterministic,
-//! seed-reproducible occurrence streams.
+//! [`FaultDriver`] that turns the plan into fully deterministic
+//! occurrence streams.
 //!
-//! Six fault classes, each targeting one attribution surface:
+//! A plan is two values: an intensity level (0 injects nothing) and
+//! which classes are armed, all six or exactly one. Each class's
+//! level-1 intensity is a documented constant; level `n` divides every
+//! timed interval by `n` (never below one cycle) and multiplies the
+//! lock and network percentages by `n`:
 //!
-//! | class | knob | lands in (Table 2 / Fig. 3) |
+//! | class ([`FaultKind`]) | level-1 intensity, per cluster | lands in (Table 2 / Fig. 3) |
 //! |-------|------|------------------------------|
-//! | [`InterruptStorm`] | extra cross-processor interrupts | `Cpi` / Interrupt |
-//! | [`AstBurst`] | extra asynchronous-system-trap deliveries | `Ast` / System |
-//! | [`PageFaultWave`] | synthetic faults, concurrent/sequential mix | `PgFlt*` / System |
-//! | [`LockInflation`] | kernel-lock hold-time multiplier | `CrSect*` (+ emergent `KernelSpin`) |
-//! | [`DegradedNetwork`] | switch/module latency multipliers | gmem queueing, no OS bucket |
-//! | [`HelperStall`] | helper-task scheduling stalls | CT only, no OS bucket |
+//! | `InterruptStorm` | [`STORM_BURST`] = 3 CPIs every 40,000 cycles | `Cpi` / Interrupt |
+//! | `AstBurst` | [`AST_BURST_SIZE`] = 4 ASTs of [`AST_BURST_COST`] = 150 cycles every 60,000 cycles | `Ast` / System |
+//! | `PageFaultWave` | 6 faults, each concurrent with probability 50%, costing [`WAVE_SEQ_COST`] = 700 or [`WAVE_CONC_COST`] = 1,100 cycles, every 50,000 cycles | `PgFlt*` / System |
+//! | `HelperStall` | a [`STALL_CYCLES`] = 800-cycle freeze of a helper's lead CE every 45,000 cycles | CT only, no OS bucket |
+//! | `LockInflation` | every kernel-lock hold 150% longer | `CrSect*` (+ emergent `KernelSpin`) |
+//! | `DegradedNetwork` | switch and module latencies 50% longer | gmem queueing, no OS bucket |
 //!
 //! Determinism discipline: the driver draws every interval and every
 //! per-occurrence decision from its own per-`(class, cluster)`
-//! `SplitMix64` streams derived from [`FaultPlan::seed`] — never from
-//! the machine's master RNG — so an **empty plan is a no-op** (the
+//! `SplitMix64` streams derived from one fixed seed — never from the
+//! machine's master RNG — so an **empty plan is a no-op** (the
 //! machine's event stream is byte-identical with and without the faults
 //! subsystem wired in), and a non-empty plan reproduces exactly under
 //! any suite worker count.
 //!
 //! Zero dependencies beyond `cedar-sim`, and no `std::env` reads: the
-//! plan travels on `SimConfig`/`RunOptions` as a typed value.
+//! plan travels on `SimConfig` as a typed value.
 
 pub mod driver;
 pub mod plan;
 
 pub use driver::{FaultDriver, FaultKind, WaveShape};
 pub use plan::{
-    AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
+    FaultPlan, AST_BURST_COST, AST_BURST_SIZE, STALL_CYCLES, STORM_BURST, WAVE_CONC_COST,
+    WAVE_SEQ_COST,
 };

@@ -1,349 +1,150 @@
-//! The typed fault plan: which disturbances to inject, how hard.
+//! The typed fault plan: an intensity level, and whether all six fault
+//! classes or exactly one are armed.
+//!
+//! Each class's level-1 intensity is a constant below. A plan at level
+//! `n` divides every timed class's mean interval by `n` (never below one
+//! cycle) and multiplies the lock and network percentages by `n`; burst
+//! sizes and per-occurrence costs do not scale.
 
 use cedar_sim::Cycles;
 
-/// Extra cross-processor interrupt storms: every occurrence raises
-/// `burst` back-to-back CPIs on the target cluster, each costing the
-/// machine's configured per-CE CPI service time (§5.1's "Interrupt" row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InterruptStorm {
-    /// Mean cycles between storms on each cluster (±25% jitter).
-    pub mean_interval: Cycles,
-    /// CPIs raised per storm.
-    pub burst: u32,
-}
+use crate::driver::FaultKind;
 
-/// Extra asynchronous-system-trap deliveries: every occurrence delivers
-/// `burst` ASTs to the target cluster's lead CE, each charged `cost`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AstBurst {
-    /// Mean cycles between bursts on each cluster (±25% jitter).
-    pub mean_interval: Cycles,
-    /// AST deliveries per burst.
-    pub burst: u32,
-    /// OS service time charged per delivery.
-    pub cost: Cycles,
-}
+/// Interrupt storm: mean cycles between storms on each cluster at
+/// level 1 (±25% jitter).
+pub(crate) const STORM_INTERVAL: Cycles = Cycles(40_000);
+/// Interrupt storm: cross-processor interrupts raised per storm, each at
+/// the machine's per-CE CPI service time (§5.1's "Interrupt" row).
+pub const STORM_BURST: u32 = 3;
 
-/// Synthetic page-fault waves: every occurrence injects
-/// `faults_per_wave` faults on the target cluster, each drawn
-/// concurrent with probability `concurrent_pct`%. Injected faults
-/// charge the corresponding `PgFlt*` bucket and stall the lead CE, but
-/// deliberately do **not** raise CPIs or touch real pages — the wave
-/// isolates the page-fault buckets so attribution tests can bound the
-/// cross-talk (organic concurrent faults do raise CPIs; see §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageFaultWave {
-    /// Mean cycles between waves on each cluster (±25% jitter).
-    pub mean_interval: Cycles,
-    /// Faults injected per wave.
-    pub faults_per_wave: u32,
-    /// Probability (0–100) that an injected fault is concurrent.
-    pub concurrent_pct: u8,
-    /// Service cost charged per sequential fault.
-    pub seq_cost: Cycles,
-    /// Service cost charged per concurrent fault.
-    pub conc_cost: Cycles,
-}
+/// AST burst: mean cycles between bursts on each cluster at level 1.
+pub(crate) const AST_BURST_INTERVAL: Cycles = Cycles(60_000);
+/// AST burst: deliveries per burst, each to the cluster's lead CE.
+pub const AST_BURST_SIZE: u32 = 4;
+/// AST burst: OS service time charged per delivery.
+pub const AST_BURST_COST: Cycles = Cycles(150);
 
-/// Kernel-lock hold-time inflation: every critical-section entry holds
-/// its lock `hold_pct`% longer than the cost model says. The extra hold
-/// is charged to the `CrSect*` buckets; any extra spin emerges from the
-/// FCFS lock occupancy exactly as in the unperturbed model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockInflation {
-    /// Extra hold time as a percentage of the nominal hold (100 = 2x).
-    pub hold_pct: u32,
-}
+/// Page-fault wave: mean cycles between waves on each cluster at
+/// level 1.
+pub(crate) const WAVE_INTERVAL: Cycles = Cycles(50_000);
+/// Page-fault wave: faults injected per wave.
+pub(crate) const WAVE_FAULTS: u32 = 6;
+/// Page-fault wave: probability (0–100) that an injected fault is
+/// concurrent rather than sequential.
+pub(crate) const WAVE_CONCURRENT_PCT: u64 = 50;
+/// Page-fault wave: service cost charged per sequential fault.
+pub const WAVE_SEQ_COST: Cycles = Cycles(700);
+/// Page-fault wave: service cost charged per concurrent fault.
+pub const WAVE_CONC_COST: Cycles = Cycles(1_100);
 
-/// Statically degraded interconnect hardware: switch traversal and
-/// memory-module service latencies are stretched by the given
-/// percentages for the whole run. No OS bucket moves — the injected
-/// cost surfaces as global-memory queueing and latency, the paper's
-/// contention overhead (Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradedNetwork {
-    /// Extra switch-stage latency, percent (100 = 2x).
-    pub switch_pct: u32,
-    /// Extra module service/access latency, percent (100 = 2x).
-    pub module_pct: u32,
-}
+/// Lock inflation: extra kernel-lock hold at level 1, as a percentage
+/// of the nominal hold (100 = 2×).
+pub(crate) const LOCK_HOLD_PCT: u32 = 150;
 
-/// Helper-task stall injection: every occurrence freezes a helper
-/// cluster's lead CE for `stall` cycles, modelling the OS descheduling
-/// the helper. No OS bucket is charged — completion time stretches and
-/// the loss shows up only as lost user-side progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HelperStall {
-    /// Mean cycles between stalls on each helper cluster (±25% jitter).
-    pub mean_interval: Cycles,
-    /// Stall length per occurrence.
-    pub stall: Cycles,
-}
+/// Degraded network: extra switch-stage latency at level 1, percent.
+pub(crate) const NET_SWITCH_PCT: u32 = 50;
+/// Degraded network: extra module service and access latency at
+/// level 1, percent.
+pub(crate) const NET_MODULE_PCT: u32 = 50;
 
-/// A complete fault campaign for one run. The default plan is empty —
-/// running with it is byte-identical to running without the faults
-/// subsystem at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Helper stall: mean cycles between stalls on each helper cluster at
+/// level 1.
+pub(crate) const STALL_INTERVAL: Cycles = Cycles(45_000);
+/// Helper stall: cycles each stall freezes the helper's lead CE.
+pub const STALL_CYCLES: Cycles = Cycles(800);
+
+/// A fault campaign for one run: an intensity level and the armed
+/// classes. The default plan, level 0, is empty — running with it is
+/// byte-identical to running without the faults subsystem at all.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Seed of the driver's per-`(class, cluster)` occurrence streams;
-    /// independent of the machine's master seed.
-    pub seed: u64,
-    /// Cross-processor interrupt storms.
-    pub interrupt_storm: Option<InterruptStorm>,
-    /// AST delivery bursts.
-    pub ast_burst: Option<AstBurst>,
-    /// Synthetic page-fault waves.
-    pub page_fault_wave: Option<PageFaultWave>,
-    /// Kernel-lock hold inflation.
-    pub lock_inflation: Option<LockInflation>,
-    /// Static network/memory degradation.
-    pub degraded_network: Option<DegradedNetwork>,
-    /// Helper-task stalls.
-    pub helper_stall: Option<HelperStall>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0xFA17_57ED,
-            interrupt_storm: None,
-            ast_burst: None,
-            page_fault_wave: None,
-            lock_inflation: None,
-            degraded_network: None,
-            helper_stall: None,
-        }
-    }
+    /// Intensity; 0 injects nothing.
+    level: u32,
+    /// The one armed class, or `None` for all six.
+    only: Option<FaultKind>,
 }
 
 impl FaultPlan {
-    /// `true` when no fault class is armed — the run must then be
+    /// The highest intensity a plan takes: the top of `faultsweep`'s
+    /// ladder. The cap keeps every product of a level and an intensity
+    /// far from overflow, and the timed classes from firing so often
+    /// that a run no longer ends in reasonable time.
+    pub const MAX_LEVEL: u32 = 4;
+
+    /// Every class armed at intensity `level`: 0 is the empty plan, 1 the
+    /// canonical campaign the golden snapshot, the determinism suite and
+    /// `faultsweep` share (sized for the shrink-16 workloads), and each
+    /// higher level fires every timed class `level`× as often and
+    /// stretches the lock and network percentages `level`×.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` exceeds [`FaultPlan::MAX_LEVEL`].
+    pub fn canonical_at(level: u32) -> Self {
+        assert!(
+            level <= Self::MAX_LEVEL,
+            "fault level {level} exceeds FaultPlan::MAX_LEVEL ({})",
+            Self::MAX_LEVEL
+        );
+        FaultPlan { level, only: None }
+    }
+
+    /// The same intensity with only `kind` armed: the single-class
+    /// probes of the attribution checks.
+    ///
+    /// ```
+    /// use cedar_faults::{FaultKind, FaultPlan};
+    ///
+    /// let storm = FaultPlan::canonical_at(2).only(FaultKind::InterruptStorm);
+    /// assert!(!storm.is_empty());
+    /// assert_eq!(storm.lock_hold_pct(), 0);
+    /// ```
+    pub fn only(self, kind: FaultKind) -> Self {
+        FaultPlan {
+            only: Some(kind),
+            ..self
+        }
+    }
+
+    /// `true` when nothing is armed — the run must then be
     /// byte-identical to one with no plan at all.
     pub fn is_empty(&self) -> bool {
-        self.interrupt_storm.is_none()
-            && self.ast_burst.is_none()
-            && self.page_fault_wave.is_none()
-            && self.lock_inflation.is_none()
-            && self.degraded_network.is_none()
-            && self.helper_stall.is_none()
+        self.level == 0
     }
 
-    /// Overrides the driver seed (builder style).
-    ///
-    /// ```
-    /// use cedar_faults::FaultPlan;
-    ///
-    /// assert_eq!(FaultPlan::default().with_seed(7).seed, 7);
-    /// ```
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    /// Whether the plan arms `kind`.
+    pub(crate) fn arms(&self, kind: FaultKind) -> bool {
+        self.level > 0 && self.only.is_none_or(|k| k == kind)
     }
 
-    /// Arms interrupt storms (builder style).
-    ///
-    /// ```
-    /// use cedar_faults::{FaultPlan, InterruptStorm};
-    /// use cedar_sim::Cycles;
-    ///
-    /// let plan = FaultPlan::default().with_interrupt_storm(InterruptStorm {
-    ///     mean_interval: Cycles(40_000),
-    ///     burst: 2,
-    /// });
-    /// assert!(!plan.is_empty());
-    /// ```
-    pub fn with_interrupt_storm(mut self, spec: InterruptStorm) -> Self {
-        self.interrupt_storm = Some(spec);
-        self
+    /// Mean interval of a timed class at this level, if armed.
+    pub(crate) fn interval(&self, kind: FaultKind) -> Option<Cycles> {
+        let base = match kind {
+            FaultKind::InterruptStorm => STORM_INTERVAL,
+            FaultKind::AstBurst => AST_BURST_INTERVAL,
+            FaultKind::PageFaultWave => WAVE_INTERVAL,
+            FaultKind::HelperStall => STALL_INTERVAL,
+            FaultKind::LockInflation | FaultKind::DegradedNetwork => return None,
+        };
+        self.arms(kind)
+            .then(|| Cycles((base.0 / u64::from(self.level)).max(1)))
     }
 
-    /// Arms AST bursts (builder style).
-    ///
-    /// ```
-    /// use cedar_faults::{AstBurst, FaultPlan};
-    /// use cedar_sim::Cycles;
-    ///
-    /// let plan = FaultPlan::default().with_ast_burst(AstBurst {
-    ///     mean_interval: Cycles(60_000),
-    ///     burst: 3,
-    ///     cost: Cycles(400),
-    /// });
-    /// assert_eq!(plan.ast_burst.unwrap().burst, 3);
-    /// ```
-    pub fn with_ast_burst(mut self, spec: AstBurst) -> Self {
-        self.ast_burst = Some(spec);
-        self
-    }
-
-    /// Arms page-fault waves (builder style).
-    ///
-    /// ```
-    /// use cedar_faults::{FaultPlan, PageFaultWave};
-    /// use cedar_sim::Cycles;
-    ///
-    /// let plan = FaultPlan::default().with_page_fault_wave(PageFaultWave {
-    ///     mean_interval: Cycles(80_000),
-    ///     faults_per_wave: 4,
-    ///     concurrent_pct: 50,
-    ///     seq_cost: Cycles(1_000),
-    ///     conc_cost: Cycles(1_500),
-    /// });
-    /// assert_eq!(plan.page_fault_wave.unwrap().concurrent_pct, 50);
-    /// ```
-    pub fn with_page_fault_wave(mut self, spec: PageFaultWave) -> Self {
-        self.page_fault_wave = Some(spec);
-        self
-    }
-
-    /// Arms kernel-lock hold inflation (builder style).
-    ///
-    /// ```
-    /// use cedar_faults::{FaultPlan, LockInflation};
-    ///
-    /// let plan = FaultPlan::default().with_lock_inflation(LockInflation { hold_pct: 100 });
-    /// assert_eq!(plan.lock_inflation.unwrap().hold_pct, 100);
-    /// ```
-    pub fn with_lock_inflation(mut self, spec: LockInflation) -> Self {
-        self.lock_inflation = Some(spec);
-        self
-    }
-
-    /// Arms static network degradation (builder style).
-    ///
-    /// ```
-    /// use cedar_faults::{DegradedNetwork, FaultPlan};
-    ///
-    /// let plan = FaultPlan::default().with_degraded_network(DegradedNetwork {
-    ///     switch_pct: 50,
-    ///     module_pct: 25,
-    /// });
-    /// assert_eq!(plan.degraded_network.unwrap().switch_pct, 50);
-    /// ```
-    pub fn with_degraded_network(mut self, spec: DegradedNetwork) -> Self {
-        self.degraded_network = Some(spec);
-        self
-    }
-
-    /// Arms helper-task stalls (builder style).
-    ///
-    /// ```
-    /// use cedar_faults::{FaultPlan, HelperStall};
-    /// use cedar_sim::Cycles;
-    ///
-    /// let plan = FaultPlan::default().with_helper_stall(HelperStall {
-    ///     mean_interval: Cycles(100_000),
-    ///     stall: Cycles(5_000),
-    /// });
-    /// assert_eq!(plan.helper_stall.unwrap().stall, Cycles(5_000));
-    /// ```
-    pub fn with_helper_stall(mut self, spec: HelperStall) -> Self {
-        self.helper_stall = Some(spec);
-        self
-    }
-
-    /// The canonical campaign plan the golden snapshot, the determinism
-    /// suite and `faultsweep` share: every class armed at a moderate
-    /// intensity, sized for the reduced-scale (shrink-16) workloads.
-    pub fn canonical() -> Self {
-        FaultPlan::default()
-            .with_interrupt_storm(InterruptStorm {
-                mean_interval: Cycles(40_000),
-                burst: 3,
-            })
-            .with_ast_burst(AstBurst {
-                mean_interval: Cycles(60_000),
-                burst: 4,
-                cost: Cycles(150),
-            })
-            .with_page_fault_wave(PageFaultWave {
-                mean_interval: Cycles(50_000),
-                faults_per_wave: 6,
-                concurrent_pct: 50,
-                seq_cost: Cycles(700),
-                conc_cost: Cycles(1_100),
-            })
-            .with_lock_inflation(LockInflation { hold_pct: 150 })
-            .with_degraded_network(DegradedNetwork {
-                switch_pct: 50,
-                module_pct: 50,
-            })
-            .with_helper_stall(HelperStall {
-                mean_interval: Cycles(45_000),
-                stall: Cycles(800),
-            })
-    }
-
-    /// The canonical plan scaled to an integer intensity `level`: 0 is
-    /// the empty plan, 1 is [`FaultPlan::canonical`], higher levels fire
-    /// every timed class `level`× as often and stretch the static
-    /// multipliers `level`×. `faultsweep` sweeps this axis.
-    pub fn canonical_at(level: u32) -> Self {
-        if level == 0 {
-            return FaultPlan::default();
-        }
-        let base = FaultPlan::canonical();
-        let div = |c: Cycles| Cycles((c.0 / level as u64).max(1));
-        FaultPlan {
-            seed: base.seed,
-            interrupt_storm: base.interrupt_storm.map(|s| InterruptStorm {
-                mean_interval: div(s.mean_interval),
-                ..s
-            }),
-            ast_burst: base.ast_burst.map(|s| AstBurst {
-                mean_interval: div(s.mean_interval),
-                ..s
-            }),
-            page_fault_wave: base.page_fault_wave.map(|s| PageFaultWave {
-                mean_interval: div(s.mean_interval),
-                ..s
-            }),
-            lock_inflation: base.lock_inflation.map(|s| LockInflation {
-                hold_pct: s.hold_pct * level,
-            }),
-            degraded_network: base.degraded_network.map(|s| DegradedNetwork {
-                switch_pct: s.switch_pct * level,
-                module_pct: s.module_pct * level,
-            }),
-            helper_stall: base.helper_stall.map(|s| HelperStall {
-                mean_interval: div(s.mean_interval),
-                ..s
-            }),
+    /// Extra kernel-lock hold, percent of the nominal hold: 0 unless
+    /// lock inflation is armed.
+    pub fn lock_hold_pct(&self) -> u32 {
+        if self.arms(FaultKind::LockInflation) {
+            LOCK_HOLD_PCT * self.level
+        } else {
+            0
         }
     }
 
-    /// A stable, compact textual form of the plan for run fingerprints
-    /// and manifests. The empty plan renders as `none`.
-    pub fn fingerprint(&self) -> String {
-        if self.is_empty() {
-            return "none".to_string();
-        }
-        let mut parts = vec![format!("seed={:#x}", self.seed)];
-        if let Some(s) = self.interrupt_storm {
-            parts.push(format!("storm(i={},b={})", s.mean_interval.0, s.burst));
-        }
-        if let Some(s) = self.ast_burst {
-            parts.push(format!(
-                "ast(i={},b={},c={})",
-                s.mean_interval.0, s.burst, s.cost.0
-            ));
-        }
-        if let Some(s) = self.page_fault_wave {
-            parts.push(format!(
-                "pgflt(i={},n={},cc={},s={},c={})",
-                s.mean_interval.0, s.faults_per_wave, s.concurrent_pct, s.seq_cost.0, s.conc_cost.0
-            ));
-        }
-        if let Some(s) = self.lock_inflation {
-            parts.push(format!("lock(+{}%)", s.hold_pct));
-        }
-        if let Some(s) = self.degraded_network {
-            parts.push(format!("net(sw+{}%,mod+{}%)", s.switch_pct, s.module_pct));
-        }
-        if let Some(s) = self.helper_stall {
-            parts.push(format!("stall(i={},d={})", s.mean_interval.0, s.stall.0));
-        }
-        parts.join(";")
+    /// Extra `(switch, module)` latency, percent, if the degraded
+    /// network is armed.
+    pub fn network_slowdown(&self) -> Option<(u32, u32)> {
+        self.arms(FaultKind::DegradedNetwork)
+            .then(|| (NET_SWITCH_PCT * self.level, NET_MODULE_PCT * self.level))
     }
 }
 
@@ -352,55 +153,51 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_plan_is_empty_and_fingerprints_as_none() {
+    fn default_plan_is_empty() {
         let p = FaultPlan::default();
         assert!(p.is_empty());
-        assert_eq!(p.fingerprint(), "none");
+        assert_eq!(p, FaultPlan::canonical_at(0));
+        assert!(FaultKind::ALL.iter().all(|&k| !p.arms(k)));
     }
 
     #[test]
     fn builders_arm_each_class() {
-        let p = FaultPlan::canonical();
+        let p = FaultPlan::canonical_at(1);
         assert!(!p.is_empty());
-        assert!(p.interrupt_storm.is_some());
-        assert!(p.ast_burst.is_some());
-        assert!(p.page_fault_wave.is_some());
-        assert!(p.lock_inflation.is_some());
-        assert!(p.degraded_network.is_some());
-        assert!(p.helper_stall.is_some());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_plans() {
-        let a = FaultPlan::canonical();
-        let b = FaultPlan::canonical().with_seed(1);
-        let c = FaultPlan::default().with_lock_inflation(LockInflation { hold_pct: 50 });
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        assert_ne!(b.fingerprint(), c.fingerprint());
+        assert!(FaultKind::ALL.iter().all(|&k| p.arms(k)));
     }
 
     #[test]
     fn intensity_zero_is_empty_and_levels_scale_intervals() {
         assert!(FaultPlan::canonical_at(0).is_empty());
         let one = FaultPlan::canonical_at(1);
-        assert_eq!(one, FaultPlan::canonical());
         let four = FaultPlan::canonical_at(4);
-        assert_eq!(
-            four.interrupt_storm.unwrap().mean_interval.0,
-            one.interrupt_storm.unwrap().mean_interval.0 / 4
-        );
-        assert_eq!(
-            four.lock_inflation.unwrap().hold_pct,
-            one.lock_inflation.unwrap().hold_pct * 4
-        );
-        assert_eq!(four.degraded_network.unwrap().switch_pct, 200);
+        let storm = |p: FaultPlan| p.interval(FaultKind::InterruptStorm).unwrap();
+        assert_eq!(storm(one), STORM_INTERVAL);
+        assert_eq!(storm(four), Cycles(STORM_INTERVAL.0 / 4));
+        assert_eq!(four.lock_hold_pct(), one.lock_hold_pct() * 4);
+        assert_eq!(four.network_slowdown(), Some((200, 200)));
+        assert_eq!(one.interval(FaultKind::LockInflation), None);
     }
 
     #[test]
-    fn seed_override_keeps_plan_contents() {
-        let p = FaultPlan::canonical().with_seed(99);
-        assert_eq!(p.seed, 99);
-        assert_eq!(p.interrupt_storm, FaultPlan::canonical().interrupt_storm);
+    fn a_single_class_plan_arms_only_that_class() {
+        let plan = FaultPlan::canonical_at(3).only(FaultKind::HelperStall);
+        for kind in FaultKind::ALL {
+            assert_eq!(plan.arms(kind), kind == FaultKind::HelperStall, "{kind:?}");
+        }
+        assert_eq!(
+            plan.interval(FaultKind::HelperStall),
+            Some(Cycles(STALL_INTERVAL.0 / 3))
+        );
+        assert_eq!(plan.lock_hold_pct(), 0);
+        assert_eq!(plan.network_slowdown(), None);
+        assert!(FaultPlan::default().only(FaultKind::AstBurst).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds FaultPlan::MAX_LEVEL")]
+    fn a_level_above_the_maximum_panics() {
+        FaultPlan::canonical_at(FaultPlan::MAX_LEVEL + 1);
     }
 }

@@ -343,7 +343,7 @@ mod tests {
         let app = synthetic::uniform_sdoall(1, 2, 8, 8, 300, 4);
         let cfg = SimConfig::cedar(Configuration::P4);
         let base = Experiment::new(app.clone(), cfg.clone()).run();
-        let faulted = Experiment::new(app, cfg.with_faults(FaultPlan::canonical())).run();
+        let faulted = Experiment::new(app, cfg.with_faults(FaultPlan::canonical_at(1))).run();
         let r = fault_report(&base, &faulted);
         assert!(r.contains("Fault Attribution"));
         for activity in OsActivity::ALL {

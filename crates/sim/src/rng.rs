@@ -5,6 +5,8 @@
 //! fixed-seed SplitMix64 generator — fast, tiny state, well-distributed,
 //! and trivially portable.
 
+use crate::time::{Cycles, SimTime};
+
 /// A SplitMix64 pseudo-random generator.
 ///
 /// # Example
@@ -61,6 +63,23 @@ impl SplitMix64 {
     pub fn split(&mut self) -> SplitMix64 {
         SplitMix64::new(self.next_u64())
     }
+
+    /// `now` plus an interval jittered ±25% around `mean`, at least one
+    /// cycle: the draw every periodic schedule uses (OS daemons, ASTs,
+    /// background quanta, injected faults), so clusters do not
+    /// phase-lock. Takes one value from the stream.
+    ///
+    /// ```
+    /// use cedar_sim::{Cycles, SplitMix64};
+    ///
+    /// let next = SplitMix64::new(1).jittered(Cycles(100), Cycles(1_000));
+    /// assert!((Cycles(850)..=Cycles(1_350)).contains(&next));
+    /// ```
+    pub fn jittered(&mut self, now: SimTime, mean: Cycles) -> SimTime {
+        let span = mean.0 / 2;
+        let jitter = self.next_below(span.max(1));
+        now + Cycles((mean.0 - span / 2 + jitter).max(1))
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +132,13 @@ mod tests {
         // The child stream should not equal the continuation of the root.
         let diverged = (0..10).any(|_| root.next_u64() != child.next_u64());
         assert!(diverged);
+    }
+
+    #[test]
+    fn jittered_has_nothing_to_jitter_below_two_cycles() {
+        let mut r = SplitMix64::new(3);
+        assert_eq!(r.jittered(Cycles(5), Cycles(1)), Cycles(6));
+        assert_eq!(r.jittered(Cycles(5), Cycles(0)), Cycles(6));
     }
 
     #[test]

@@ -10,13 +10,14 @@
 
 use cedar_sim::{Cycles, SimTime, SplitMix64};
 
-/// A competing job's demand on one cluster.
+/// A competing job's demand on one cluster: one of two presets,
+/// [`light`](Self::light) and [`heavy`](Self::heavy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackgroundLoad {
     /// Mean interval between quanta stolen from each cluster.
-    pub period: Cycles,
+    period: Cycles,
     /// Length of each stolen quantum.
-    pub quantum: Cycles,
+    quantum: Cycles,
 }
 
 impl BackgroundLoad {
@@ -47,7 +48,6 @@ impl BackgroundLoad {
 pub struct BackgroundSchedule {
     load: BackgroundLoad,
     rng: SplitMix64,
-    stolen: Cycles,
 }
 
 impl BackgroundSchedule {
@@ -56,24 +56,13 @@ impl BackgroundSchedule {
         BackgroundSchedule {
             load,
             rng: SplitMix64::new(seed),
-            stolen: Cycles::ZERO,
         }
     }
 
     /// Time of the next stolen quantum after `now`, and its length.
     /// Intervals jitter ±25% so clusters do not phase-lock.
     pub fn next_after(&mut self, now: SimTime) -> (SimTime, Cycles) {
-        let base = self.load.period.0;
-        let span = (base / 2).max(1);
-        let jitter = self.rng.next_below(span);
-        let interval = base - span / 2 + jitter;
-        self.stolen += self.load.quantum;
-        (now + Cycles(interval.max(1)), self.load.quantum)
-    }
-
-    /// Total cluster time this schedule has stolen.
-    pub fn stolen(&self) -> Cycles {
-        self.stolen
+        (self.rng.jittered(now, self.load.period), self.load.quantum)
     }
 }
 
@@ -88,7 +77,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_tracks_stolen_time() {
+    fn schedule_steals_one_quantum_per_occurrence() {
         let mut s = BackgroundSchedule::new(BackgroundLoad::light(), 1);
         let mut now = Cycles(0);
         for _ in 0..5 {
@@ -97,7 +86,6 @@ mod tests {
             assert_eq!(q, Cycles(10_000));
             now = next;
         }
-        assert_eq!(s.stolen(), Cycles(50_000));
     }
 
     #[test]

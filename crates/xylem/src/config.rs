@@ -43,7 +43,7 @@ pub const CR_SECT_GLOBAL: Cycles = Cycles(220);
 /// Mean interval between asynchronous system traps per cluster.
 pub(crate) const AST_INTERVAL: Cycles = Cycles(600_000);
 /// Cost of servicing one AST.
-pub(crate) const AST_COST: Cycles = Cycles(120);
+pub const AST_COST: Cycles = Cycles(120);
 
 const _: () = assert!(PAGE_BYTES > 0, "page size must be positive");
 const _: () = assert!(

@@ -50,15 +50,6 @@ impl DaemonWork {
     }
 }
 
-/// `now` plus an interval jittered ±25% around `mean`.
-fn jittered(rng: &mut SplitMix64, now: SimTime, mean: Cycles) -> SimTime {
-    let base = mean.0;
-    let jitter_span = base / 2; // +/- 25%
-    let jitter = rng.next_below(jitter_span.max(1));
-    let interval = base - jitter_span / 2 + jitter;
-    now + Cycles(interval.max(1))
-}
-
 /// Generates the bookkeeping context-switch schedule for one cluster.
 ///
 /// Intervals are jittered ±25% around `CTX_INTERVAL` so that clusters
@@ -67,7 +58,6 @@ fn jittered(rng: &mut SplitMix64, now: SimTime, mean: Cycles) -> SimTime {
 #[derive(Debug, Clone)]
 pub struct DaemonSchedule {
     rng: SplitMix64,
-    occurrences: u64,
 }
 
 impl DaemonSchedule {
@@ -75,22 +65,12 @@ impl DaemonSchedule {
     pub fn new(seed: u64) -> Self {
         DaemonSchedule {
             rng: SplitMix64::new(seed),
-            occurrences: 0,
         }
     }
 
     /// Time of the next daemon occurrence after `now`, and its work.
     pub fn next_after(&mut self, now: SimTime) -> (SimTime, DaemonWork) {
-        self.occurrences += 1;
-        (
-            jittered(&mut self.rng, now, CTX_INTERVAL),
-            DaemonWork::cedar(),
-        )
-    }
-
-    /// Occurrences generated so far.
-    pub fn occurrences(&self) -> u64 {
-        self.occurrences
+        (self.rng.jittered(now, CTX_INTERVAL), DaemonWork::cedar())
     }
 }
 
@@ -111,7 +91,7 @@ impl AstSchedule {
 
     /// Time of the next AST after `now` and its service cost.
     pub fn next_after(&mut self, now: SimTime) -> (SimTime, Cycles) {
-        (jittered(&mut self.rng, now, AST_INTERVAL), AST_COST)
+        (self.rng.jittered(now, AST_INTERVAL), AST_COST)
     }
 }
 
@@ -175,14 +155,5 @@ mod tests {
         let (t, cost) = a.next_after(Cycles(1000));
         assert!(t > Cycles(1000));
         assert_eq!(cost, AST_COST);
-    }
-
-    #[test]
-    fn occurrences_counted() {
-        let mut d = DaemonSchedule::new(5);
-        for _ in 0..3 {
-            d.next_after(Cycles(0));
-        }
-        assert_eq!(d.occurrences(), 3);
     }
 }

@@ -196,13 +196,39 @@ if [ "$slow" = 1 ]; then
     exit 1
 fi
 
+# The sweep's CSV must have its header, one row per configuration and
+# level (8 and 32 processors x levels 0-4), and no injected cycles at
+# level 0, where the plan is empty.
 echo "==> fault-sensitivity sweep smoke (CEDAR_SHRINK=16)"
 CEDAR_SHRINK=16 cargo run --release --offline -p cedar-bench --bin faultsweep > /dev/null
-test -s results/FAULTS_sensitivity.csv || {
-    echo "error: faultsweep did not write results/FAULTS_sensitivity.csv" >&2
+sweep_header="config,level,ct_cycles,os_fraction,cpi,ctx,pgflt_conc,pgflt_seq,\
+crsect_cluster,crsect_global,syscall_cluster,syscall_global,ast,kernel_spin,\
+injected_cpi,injected_ast,injected_pgflt,injected_lock,injected_stall,\
+gmem_queued_per_packet"
+if ! awk -F, -v header="$sweep_header" '
+    NR == 1 {
+        if ($0 != header) { print "header: " $0; bad = 1 }
+        for (i = 1; i <= NF; i++) if ($i ~ /^injected_/) injected[i] = 1
+        next
+    }
+    { rows++; seen[$1 "/" $2]++ }
+    $2 == 0 {
+        for (i in injected)
+            if ($i != 0) { print "level-0 row injects " $i " cycles: " $0; bad = 1 }
+    }
+    END {
+        if (NR == 0) { print "empty file"; exit 1 }
+        if (rows != 10) { print rows + 0 " rows, expected 10"; bad = 1 }
+        split("8 proc,32 proc", configs, ",")
+        for (c = 1; c <= 2; c++)
+            for (l = 0; l <= 4; l++)
+                if (seen[configs[c] "/" l] != 1) { print "no single row for " configs[c] ", level " l; bad = 1 }
+        exit bad
+    }' results/FAULTS_sensitivity.csv >&2; then
+    echo "error: results/FAULTS_sensitivity.csv is not the 10-row sweep with clean level-0 rows" >&2
     exit 1
-}
-echo "    wrote results/FAULTS_sensitivity.csv"
+fi
+echo "    wrote results/FAULTS_sensitivity.csv (10 rows, level 0 injects nothing)"
 
 # Invariant-oracle checker smoke: the four-case corpus under permuted
 # tie-breaking. Exit 0 is the gate (any violation is a real bug or a

@@ -85,7 +85,7 @@ fn perfect(name: &str) -> AppSpec {
 
 /// The canonical fault plan on FLO52 at 8 processors.
 fn faulted() -> SimConfig {
-    SimConfig::cedar(Configuration::P8).with_faults(FaultPlan::canonical())
+    SimConfig::cedar(Configuration::P8).with_faults(FaultPlan::canonical_at(1))
 }
 
 #[test]

@@ -19,12 +19,10 @@
 use cedar::apps::{AccessPattern, AppBuilder, AppSpec, BodySpec};
 use cedar::check::{conservation, same_campaign, same_run};
 use cedar::core::{Experiment, SimConfig};
-use cedar::faults::{
-    AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
-};
+use cedar::faults::{FaultKind, FaultPlan};
 use cedar::hw::Configuration;
 use cedar::obs::RunOptions;
-use cedar::sim::{Cycles, SplitMix64};
+use cedar::sim::SplitMix64;
 
 /// Number of fuzz cases in the full sweep.
 const CASES: u64 = 200;
@@ -96,50 +94,14 @@ fn arb_config(rng: &mut SplitMix64) -> Configuration {
     choices[rng.next_below(choices.len() as u64) as usize]
 }
 
-/// A random fault mix, each class armed with probability ~1/3 so most
-/// plans stay small and runs stay short.
+/// A random fault plan: a level from 1 to the maximum, with all six
+/// classes armed or one of them alone.
 fn arb_plan(rng: &mut SplitMix64) -> FaultPlan {
-    let mut p = FaultPlan::default().with_seed(rng.next_u64());
-    if rng.next_below(3) == 0 {
-        p = p.with_interrupt_storm(InterruptStorm {
-            mean_interval: Cycles(rng.next_range(10_000, 60_000)),
-            burst: rng.next_range(1, 4) as u32,
-        });
+    let plan = FaultPlan::canonical_at(rng.next_range(1, FaultPlan::MAX_LEVEL.into()) as u32);
+    match rng.next_below(FaultKind::ALL.len() as u64 + 1) as usize {
+        0 => plan,
+        k => plan.only(FaultKind::ALL[k - 1]),
     }
-    if rng.next_below(3) == 0 {
-        p = p.with_ast_burst(AstBurst {
-            mean_interval: Cycles(rng.next_range(10_000, 60_000)),
-            burst: rng.next_range(1, 5) as u32,
-            cost: Cycles(rng.next_range(50, 300)),
-        });
-    }
-    if rng.next_below(3) == 0 {
-        p = p.with_page_fault_wave(PageFaultWave {
-            mean_interval: Cycles(rng.next_range(10_000, 60_000)),
-            faults_per_wave: rng.next_range(1, 6) as u32,
-            concurrent_pct: rng.next_below(101) as u8,
-            seq_cost: Cycles(rng.next_range(300, 900)),
-            conc_cost: Cycles(rng.next_range(500, 1_500)),
-        });
-    }
-    if rng.next_below(3) == 0 {
-        p = p.with_lock_inflation(LockInflation {
-            hold_pct: rng.next_range(10, 250) as u32,
-        });
-    }
-    if rng.next_below(3) == 0 {
-        p = p.with_degraded_network(DegradedNetwork {
-            switch_pct: rng.next_range(0, 120) as u32,
-            module_pct: rng.next_range(0, 120) as u32,
-        });
-    }
-    if rng.next_below(3) == 0 {
-        p = p.with_helper_stall(HelperStall {
-            mean_interval: Cycles(rng.next_range(10_000, 60_000)),
-            stall: Cycles(rng.next_range(200, 1_000)),
-        });
-    }
-    p
 }
 
 /// One fuzz case, fully derived from its seed.

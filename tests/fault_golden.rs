@@ -1,9 +1,9 @@
 //! Golden snapshots of the fault-injection subsystem.
 //!
 //! `fault_report` renders [`tables::fault_report`] for FLO52 at 8
-//! processors under the canonical fault campaign
-//! ([`FaultPlan::canonical`]) against its unperturbed twin, and compares
-//! byte-for-byte with the committed snapshot. Together with
+//! processors under the canonical fault campaign (level 1 of
+//! [`FaultPlan::canonical_at`]) against its unperturbed twin, and
+//! compares byte-for-byte with the committed snapshot. Together with
 //! `tests/golden.rs` (whose snapshots are recorded with *no* plan and
 //! must stay untouched by this subsystem) this pins both sides of the
 //! empty-plan contract: an empty plan changes nothing, the canonical
@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use cedar::apps::app_by_name;
 use cedar::check::fingerprint;
 use cedar::core::{Experiment, SimConfig};
-use cedar::faults::FaultPlan;
+use cedar::faults::{FaultKind, FaultPlan};
 use cedar::hw::Configuration;
 use cedar::report::{golden, tables};
 use cedar::xylem::BackgroundLoad;
@@ -44,7 +44,7 @@ fn fault_report_matches_golden() {
         .shrunk(GOLDEN_SHRINK);
     let cfg = SimConfig::cedar(Configuration::P8);
     let base = Experiment::new(app.clone(), cfg.clone()).run();
-    let faulted = Experiment::new(app, cfg.with_faults(FaultPlan::canonical())).run();
+    let faulted = Experiment::new(app, cfg.with_faults(FaultPlan::canonical_at(1))).run();
     golden::assert_matches(
         &golden_path("fault_report"),
         &tables::fault_report(&base, &faulted),
@@ -58,20 +58,20 @@ fn fault_report_matches_golden() {
 /// processors under each background preset.
 #[test]
 fn fault_plan_runs_match_golden() {
-    let level2 = FaultPlan::canonical_at(2);
-    let only = FaultPlan::default().with_seed(level2.seed);
     let classes = [
-        ("storm", only.with_interrupt_storm(level2.interrupt_storm.unwrap())),
-        ("ast", only.with_ast_burst(level2.ast_burst.unwrap())),
-        ("wave", only.with_page_fault_wave(level2.page_fault_wave.unwrap())),
-        ("lock", only.with_lock_inflation(level2.lock_inflation.unwrap())),
-        ("network", only.with_degraded_network(level2.degraded_network.unwrap())),
-        ("stall", only.with_helper_stall(level2.helper_stall.unwrap())),
+        ("storm", FaultKind::InterruptStorm),
+        ("ast", FaultKind::AstBurst),
+        ("wave", FaultKind::PageFaultWave),
+        ("lock", FaultKind::LockInflation),
+        ("network", FaultKind::DegradedNetwork),
+        ("stall", FaultKind::HelperStall),
     ];
     let mut plans: Vec<(String, FaultPlan)> = (1..=4)
         .map(|level| (format!("level {level}"), FaultPlan::canonical_at(level)))
         .collect();
-    plans.extend(classes.map(|(class, plan)| (format!("{class} 2"), plan)));
+    plans.extend(
+        classes.map(|(class, kind)| (format!("{class} 2"), FaultPlan::canonical_at(2).only(kind))),
+    );
 
     let mut cells: Vec<(String, &str, SimConfig)> = Vec::new();
     for (plan_name, plan) in &plans {
@@ -82,7 +82,10 @@ fn fault_plan_runs_match_golden() {
             }
         }
     }
-    for (load_name, load) in [("light", BackgroundLoad::light()), ("heavy", BackgroundLoad::heavy())] {
+    for (load_name, load) in [
+        ("light", BackgroundLoad::light()),
+        ("heavy", BackgroundLoad::heavy()),
+    ] {
         let cfg = SimConfig::cedar(Configuration::P32).with_background(load);
         cells.push((format!("background {load_name}"), "MDG", cfg));
     }

@@ -206,56 +206,18 @@ fn interleaving_covers_all_modules_uniformly() {
 // the simulator bends under any fault mix.
 
 use cedar::core::RunResult;
-use cedar::faults::{
-    AstBurst, DegradedNetwork, FaultPlan, HelperStall, InterruptStorm, LockInflation, PageFaultWave,
-};
+use cedar::faults::{FaultKind, FaultPlan};
 use cedar::hw::NetConfig;
-use cedar::sim::Cycles;
 use cedar::xylem::OsActivity;
 
-/// A random fault mix, each class armed with probability ~1/2.
+/// A random fault plan: a level from 1 to the maximum, with all six
+/// classes armed or one of them alone.
 fn arb_plan(rng: &mut SplitMix64) -> FaultPlan {
-    let mut p = FaultPlan::default().with_seed(rng.next_u64());
-    if rng.next_below(2) == 0 {
-        p = p.with_interrupt_storm(InterruptStorm {
-            mean_interval: Cycles(rng.next_range(10_000, 60_000)),
-            burst: rng.next_range(1, 4) as u32,
-        });
+    let plan = FaultPlan::canonical_at(rng.next_range(1, FaultPlan::MAX_LEVEL.into()) as u32);
+    match rng.next_below(FaultKind::ALL.len() as u64 + 1) as usize {
+        0 => plan,
+        k => plan.only(FaultKind::ALL[k - 1]),
     }
-    if rng.next_below(2) == 0 {
-        p = p.with_ast_burst(AstBurst {
-            mean_interval: Cycles(rng.next_range(10_000, 60_000)),
-            burst: rng.next_range(1, 5) as u32,
-            cost: Cycles(rng.next_range(50, 300)),
-        });
-    }
-    if rng.next_below(2) == 0 {
-        p = p.with_page_fault_wave(PageFaultWave {
-            mean_interval: Cycles(rng.next_range(10_000, 60_000)),
-            faults_per_wave: rng.next_range(1, 8) as u32,
-            concurrent_pct: rng.next_below(101) as u8,
-            seq_cost: Cycles(rng.next_range(300, 900)),
-            conc_cost: Cycles(rng.next_range(500, 1_500)),
-        });
-    }
-    if rng.next_below(2) == 0 {
-        p = p.with_lock_inflation(LockInflation {
-            hold_pct: rng.next_range(10, 300) as u32,
-        });
-    }
-    if rng.next_below(2) == 0 {
-        p = p.with_degraded_network(DegradedNetwork {
-            switch_pct: rng.next_range(0, 150) as u32,
-            module_pct: rng.next_range(0, 150) as u32,
-        });
-    }
-    if rng.next_below(2) == 0 {
-        p = p.with_helper_stall(HelperStall {
-            mean_interval: Cycles(rng.next_range(10_000, 60_000)),
-            stall: Cycles(rng.next_range(200, 1_200)),
-        });
-    }
-    p
 }
 
 #[test]
@@ -343,10 +305,7 @@ fn assert_attribution(
 
 #[test]
 fn interrupt_storms_raise_only_the_cpi_bucket() {
-    let plan = FaultPlan::default().with_interrupt_storm(InterruptStorm {
-        mean_interval: Cycles(20_000),
-        burst: 3,
-    });
+    let plan = FaultPlan::canonical_at(2).only(FaultKind::InterruptStorm);
     let (base, faulted) = attribution_pair(plan);
     let injected = faulted.stats.counters.get("faults.injected.cpi");
     assert_attribution(&base, &faulted, &[(OsActivity::Cpi, injected)], "storm");
@@ -354,11 +313,7 @@ fn interrupt_storms_raise_only_the_cpi_bucket() {
 
 #[test]
 fn ast_bursts_raise_only_the_ast_bucket() {
-    let plan = FaultPlan::default().with_ast_burst(AstBurst {
-        mean_interval: Cycles(20_000),
-        burst: 4,
-        cost: Cycles(150),
-    });
+    let plan = FaultPlan::canonical_at(3).only(FaultKind::AstBurst);
     let (base, faulted) = attribution_pair(plan);
     let injected = faulted.stats.counters.get("faults.injected.ast");
     assert_attribution(&base, &faulted, &[(OsActivity::Ast, injected)], "ast");
@@ -366,13 +321,7 @@ fn ast_bursts_raise_only_the_ast_bucket() {
 
 #[test]
 fn page_fault_waves_raise_only_the_pgflt_buckets() {
-    let plan = FaultPlan::default().with_page_fault_wave(PageFaultWave {
-        mean_interval: Cycles(20_000),
-        faults_per_wave: 5,
-        concurrent_pct: 50,
-        seq_cost: Cycles(700),
-        conc_cost: Cycles(1_100),
-    });
+    let plan = FaultPlan::canonical_at(2).only(FaultKind::PageFaultWave);
     let (base, faulted) = attribution_pair(plan);
     let seq = faulted.stats.counters.get("faults.injected.pgflt_seq");
     let conc = faulted.stats.counters.get("faults.injected.pgflt_conc");
@@ -389,7 +338,7 @@ fn page_fault_waves_raise_only_the_pgflt_buckets() {
 
 #[test]
 fn lock_inflation_raises_only_the_critical_section_buckets() {
-    let plan = FaultPlan::default().with_lock_inflation(LockInflation { hold_pct: 200 });
+    let plan = FaultPlan::canonical_at(1).only(FaultKind::LockInflation);
     let (base, faulted) = attribution_pair(plan);
     let cluster = faulted.stats.counters.get("faults.injected.lock_cluster");
     let global = faulted.stats.counters.get("faults.injected.lock_global");
@@ -406,10 +355,7 @@ fn lock_inflation_raises_only_the_critical_section_buckets() {
 
 #[test]
 fn helper_stalls_charge_no_os_bucket() {
-    let plan = FaultPlan::default().with_helper_stall(HelperStall {
-        mean_interval: Cycles(15_000),
-        stall: Cycles(800),
-    });
+    let plan = FaultPlan::canonical_at(3).only(FaultKind::HelperStall);
     let (base, faulted) = attribution_pair(plan);
     assert!(
         faulted.stats.counters.get("faults.injected.stall") > 0,
@@ -424,10 +370,7 @@ fn helper_stalls_charge_no_os_bucket() {
 
 #[test]
 fn degraded_network_moves_contention_not_os_buckets() {
-    let plan = FaultPlan::default().with_degraded_network(DegradedNetwork {
-        switch_pct: 100,
-        module_pct: 100,
-    });
+    let plan = FaultPlan::canonical_at(2).only(FaultKind::DegradedNetwork);
     let (base, faulted) = attribution_pair(plan);
     // The machine builds Cedar's one network, slowed only by the plan.
     assert_eq!(
