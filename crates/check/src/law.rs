@@ -10,7 +10,10 @@
 use cedar_core::suite::SuiteResult;
 use cedar_core::RunResult;
 use cedar_hw::ClusterId;
-use cedar_xylem::config::{AST_COST, CPI_COST_PER_CE};
+use cedar_sim::Cycles;
+use cedar_xylem::config::{
+    AST_COST, CPI_COST_PER_CE, CTX_COST_PER_CE, DAEMON_OTHER, DAEMON_SYSCALL, SYSCALL_GLOBAL,
+};
 use cedar_xylem::OsActivity;
 
 /// Completion-time conservation on one run. The clauses:
@@ -21,8 +24,9 @@ use cedar_xylem::OsActivity;
 /// - **Figure 3 partition**: on every cluster whose OS time does not
 ///   saturate the run, user plus OS time equals the completion time;
 /// - **concurrency**: `0 < total_concurrency ≤ total_ces`;
-/// - **OS costs**: on every cluster, the `Cpi` and `Ast` ledgers total
-///   their sample counts times their constant costs (see `os_costs`).
+/// - **OS costs**: on every cluster, the `Cpi`, `SyscallGlobal`,
+///   `SyscallCluster`, `Ast` and `Ctx` ledgers total their sample counts
+///   times their constant costs (see `os_costs`).
 ///
 /// Returns one line per broken clause; an empty list means the run
 /// conserves.
@@ -61,17 +65,32 @@ pub fn conservation(run: &RunResult, expected_bodies: u64) -> Vec<String> {
     broken
 }
 
-/// The OS model's closed-form law, for the two Table 2 activities that
-/// cost one constant of `cedar_xylem::config` per charge: a cluster's
-/// `Cpi` ledger totals its sample count × `CPI_COST_PER_CE` (every CPI,
-/// organic or from an interrupt storm, is one per-CE CPI), and its `Ast`
-/// ledger its sample count × `AST_COST` unless the run injected AST
-/// bursts, which cost their own constant. The other ledgers mix costs
-/// from several sources.
+/// The OS model's closed-form law, for the five Table 2 activities
+/// whose every charge costs one constant of `cedar_xylem::config`: on
+/// every cluster the ledger totals its sample count × that constant.
+///
+/// - `Cpi`: `CPI_COST_PER_CE`, organic and interrupt-storm CPIs alike;
+/// - `SyscallGlobal`: `SYSCALL_GLOBAL`, the runtime's task calls;
+/// - `SyscallCluster`: `DAEMON_SYSCALL`, the daemon's share;
+/// - `Ast`: `AST_COST`, unless the run injected AST bursts, which cost
+///   their own constant;
+/// - `Ctx`: `CTX_COST_PER_CE + DAEMON_OTHER`, the daemon's switch,
+///   unless a background load stole a quantum, whose two switches cost
+///   `2 × CTX_COST_PER_CE`.
+///
+/// The page-fault and critical-section ledgers mix costs from several
+/// sources.
 fn os_costs(run: &RunResult) -> Vec<String> {
-    let mut laws = vec![(OsActivity::Cpi, CPI_COST_PER_CE)];
+    let mut laws = vec![
+        (OsActivity::Cpi, CPI_COST_PER_CE),
+        (OsActivity::SyscallGlobal, SYSCALL_GLOBAL),
+        (OsActivity::SyscallCluster, DAEMON_SYSCALL),
+    ];
     if run.stats.counters.get("faults.injected.ast") == 0 {
         laws.push((OsActivity::Ast, AST_COST));
+    }
+    if run.background_stolen == Cycles::ZERO {
+        laws.push((OsActivity::Ctx, CTX_COST_PER_CE + DAEMON_OTHER));
     }
     let mut broken = Vec::new();
     for k in 0..run.os.n_clusters() {
@@ -171,7 +190,6 @@ mod tests {
     use cedar_core::{Experiment, SimConfig};
     use cedar_hw::Configuration;
     use cedar_sim::stats::DurationAccum;
-    use cedar_sim::Cycles;
 
     fn tiny(c: Configuration) -> RunResult {
         let app = cedar_apps::synthetic::uniform_xdoall(1, 2, 16, 300, 8);
@@ -212,37 +230,51 @@ mod tests {
 
     #[test]
     fn a_tampered_os_ledger_is_reported() {
-        let app = cedar_apps::synthetic::uniform_sdoall(2, 2, 8, 16, 400, 4);
+        // Long enough for a daemon switch on cluster 0.
+        let app = cedar_apps::synthetic::uniform_sdoall(8, 2, 8, 16, 400, 4);
         let expected = app.total_bodies();
         let mut run = Experiment::new(app, SimConfig::cedar(Configuration::P16)).run();
-        assert!(
-            run.os.total(OsActivity::Cpi) > Cycles::ZERO,
-            "CPIs are charged"
-        );
         assert_eq!(conservation(&run, expected), Vec::<String>::new());
 
-        // One CPI sample that costs a cycle too much, and an AST ledger
+        // One cycle too many in four charged ledgers, and an AST ledger
         // with a sample but no cycles.
-        let cpi = run.os.cluster(ClusterId(0)).get(OsActivity::Cpi).clone();
-        let tampered = DurationAccum::from_parts(cpi.total() + Cycles(1), cpi.samples(), cpi.max());
-        run.os.restore(ClusterId(0), OsActivity::Cpi, tampered);
+        let mut tamper = |k: u8, activity: OsActivity| {
+            let ledger = run.os.cluster(ClusterId(k)).get(activity).clone();
+            assert!(
+                ledger.samples() > 0,
+                "{activity:?} is charged on cluster {k}"
+            );
+            let total = ledger.total() + Cycles(1);
+            let tampered = DurationAccum::from_parts(total, ledger.samples(), ledger.max());
+            run.os.restore(ClusterId(k), activity, tampered);
+            (total, ledger.samples())
+        };
+        let cpi = tamper(0, OsActivity::Cpi);
+        let global = tamper(0, OsActivity::SyscallGlobal);
+        let cluster = tamper(0, OsActivity::SyscallCluster);
+        let ctx = tamper(0, OsActivity::Ctx);
         let ast = DurationAccum::from_parts(Cycles::ZERO, 1, Cycles::ZERO);
         run.os.restore(ClusterId(1), OsActivity::Ast, ast);
+        let line = |k: u8, activity: OsActivity, (total, samples): (Cycles, u64), cost: Cycles| {
+            format!("cluster {k}: {activity:?} ledger {total} is not {samples} samples × {cost}")
+        };
         assert_eq!(
             conservation(&run, expected),
             [
-                format!(
-                    "cluster 0: Cpi ledger {} is not {} samples × {CPI_COST_PER_CE}",
-                    cpi.total() + Cycles(1),
-                    cpi.samples()
-                ),
+                line(0, OsActivity::Cpi, cpi, CPI_COST_PER_CE),
+                line(0, OsActivity::SyscallGlobal, global, SYSCALL_GLOBAL),
+                line(0, OsActivity::SyscallCluster, cluster, DAEMON_SYSCALL),
+                line(0, OsActivity::Ctx, ctx, CTX_COST_PER_CE + DAEMON_OTHER),
                 format!("cluster 1: Ast ledger 0cy is not 1 samples × {AST_COST}"),
             ]
         );
 
-        // A run that injected AST bursts keeps only the CPI law.
+        // A run that injected AST bursts drops the AST law, and one that
+        // lost a quantum to a background load the Ctx law.
         run.stats.counters.add("faults.injected.ast", 600);
-        assert_eq!(conservation(&run, expected).len(), 1);
+        assert_eq!(conservation(&run, expected).len(), 4);
+        run.background_stolen = Cycles(10_000);
+        assert_eq!(conservation(&run, expected).len(), 3);
     }
 
     #[test]

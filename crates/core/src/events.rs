@@ -2,6 +2,8 @@
 
 use cedar_hw::GmemEvent;
 
+use crate::machine::timers::Timer;
+
 /// Every event the machine's queue can carry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
@@ -27,29 +29,14 @@ pub(crate) enum Ev {
         /// Barrier episode, to drop stale releases.
         episode: u64,
     },
-    /// The OS bookkeeping daemon fires on a cluster.
-    Daemon {
-        /// Cluster position.
-        cluster: usize,
-    },
-    /// An asynchronous system trap fires on a cluster.
-    Ast {
-        /// Cluster position.
-        cluster: usize,
-    },
-    /// A competing job's gang quantum steals a cluster (multiprogrammed
-    /// extension; never fires in the paper's dedicated setting).
-    Background {
-        /// Cluster position.
-        cluster: usize,
-    },
-    /// A timed fault-injection occurrence fires on a cluster (never
-    /// scheduled when the run's `FaultPlan` is empty). A distinct class
-    /// so injected events are never silently folded into the organic
-    /// event counts.
-    Fault {
-        /// Which timed fault class fired.
-        kind: cedar_faults::FaultKind,
+    /// A periodic activity fires on a cluster: the OS daemon, an AST, a
+    /// background quantum or a timed fault class. Counted under
+    /// `events.daemon`, `events.ast`, `events.background` and, for all
+    /// four fault timers, `events.fault`, so injected occurrences are
+    /// never folded into the organic counts.
+    Timer {
+        /// Which timer fired.
+        timer: Timer,
         /// Cluster position.
         cluster: usize,
     },
@@ -86,10 +73,12 @@ impl Ev {
             Ev::CeDone { .. } => 1,
             Ev::CeResume { .. } => 2,
             Ev::CbusRelease { .. } => 3,
-            Ev::Daemon { .. } => 4,
-            Ev::Ast { .. } => 5,
-            Ev::Background { .. } => 6,
-            Ev::Fault { .. } => 7,
+            Ev::Timer { timer, .. } => match timer {
+                Timer::Daemon => 4,
+                Timer::Ast => 5,
+                Timer::Background => 6,
+                _ => 7,
+            },
         }
     }
 }

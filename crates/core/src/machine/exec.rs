@@ -15,7 +15,7 @@ use cedar_rtl::{
 use cedar_sim::Cycles;
 use cedar_trace::TraceEventId;
 use cedar_xylem::config::PAGE_BYTES;
-use cedar_xylem::{PageTouch, SyscallKind};
+use cedar_xylem::PageTouch;
 
 use super::state::{CeMode, LoopCtx, Role};
 use super::Machine;
@@ -36,41 +36,23 @@ pub(crate) struct PostedLoop {
 impl Machine {
     // ---- program start / end ----------------------------------------
 
-    /// Charges task-creation syscalls, arms the OS schedules, starts the
-    /// helpers spinning and enters the first phase.
+    /// Charges task-creation syscalls, starts the helpers spinning, arms
+    /// the timers and enters the first phase.
     pub(crate) fn startup(&mut self) {
         self.post(TraceEventId::ProgramStart, 0, 0);
         // The runtime creates and starts one helper task per non-master
         // cluster through global system calls (§2).
         for cluster in 1..self.tasks.len() {
-            for kind in [SyscallKind::TaskCreate, SyscallKind::TaskStart] {
-                self.charge_syscall(0, kind);
-            }
+            // Task create and task start.
+            self.charge_syscall(0);
+            self.charge_syscall(0);
             let lead = self.lead_of(cluster);
             self.set_mode(lead, CeMode::WaitWork);
             self.post(TraceEventId::WaitForWorkEnter, lead, 0);
             let step = self.tasks[cluster].waiter.begin();
             self.apply_wait_step(lead, step);
         }
-        for cluster in 0..self.tasks.len() {
-            let (t, _) = self.daemons[cluster].next_after(self.now);
-            self.queue
-                .schedule(t, crate::events::Ev::Daemon { cluster });
-            let (t, _) = self.asts[cluster].next_after(self.now);
-            self.queue.schedule(t, crate::events::Ev::Ast { cluster });
-            if !self.background.is_empty() {
-                let (t, _) = self.background[cluster].next_after(self.now);
-                self.queue
-                    .schedule(t, crate::events::Ev::Background { cluster });
-            }
-        }
-        // Arm the fault campaign's timed occurrence streams.
-        if let Some(driver) = self.fault_driver.as_mut() {
-            for (t, kind, cluster) in driver.first_events() {
-                self.queue
-                    .schedule(t, crate::events::Ev::Fault { kind, cluster });
-            }
-        }
+        self.arm_timers();
         self.next_phase();
     }
 
@@ -474,7 +456,7 @@ impl Machine {
             WaitStep::Terminate => {
                 // Helper stops through a task-stop system call.
                 let cluster = self.cluster_of(pos);
-                self.charge_syscall(cluster, SyscallKind::TaskStop);
+                self.charge_syscall(cluster); // task stop
                 self.post(TraceEventId::WaitForWorkExit, pos, TERMINATE_CODE);
                 self.set_mode(pos, CeMode::Stopped);
             }

@@ -3,12 +3,14 @@
 //! The machine owns every component (global-memory system, CE engines,
 //! task state machines, OS models, monitors) and routes the master event
 //! stream between them. Loop-protocol logic lives in `exec`; OS
-//! activity handling lives in [`os`].
+//! activity handling lives in [`os`]; every periodic activity fires
+//! from one timer table (`timers`).
 
 pub(crate) mod exec;
 pub mod faults;
 pub mod os;
 pub mod state;
+pub(crate) mod timers;
 
 #[cfg(test)]
 mod tests;
@@ -25,7 +27,7 @@ use cedar_sim::{Cycles, EventQueue, SimTime, SplitMix64};
 use cedar_trace::qmon::ClusterUtilization;
 use cedar_trace::{HpmMonitor, Statfx, TraceEventId, UserBucket};
 use cedar_xylem::config::PAGE_BYTES;
-use cedar_xylem::{AddressSpace, AstSchedule, DaemonSchedule, KernelLock, OsAccounting};
+use cedar_xylem::{AddressSpace, KernelLock, OsAccounting};
 
 use crate::config::SimConfig;
 use crate::events::{Ev, EV_CLASS_NAMES};
@@ -33,6 +35,7 @@ use crate::layout::MemoryLayout;
 use crate::program::CompiledProgram;
 use crate::result::RunResult;
 use state::{Ce, CeMode, Role, Task};
+use timers::Timers;
 
 /// Safety valve: [`Machine::run`] aborts once a run dispatches more
 /// events than this.
@@ -74,14 +77,10 @@ pub struct Machine {
     pub(crate) hpm: HpmMonitor,
     pub(crate) cluster_locks: Vec<KernelLock>,
     pub(crate) global_lock: KernelLock,
-    pub(crate) daemons: Vec<DaemonSchedule>,
-    pub(crate) asts: Vec<AstSchedule>,
-    pub(crate) background: Vec<cedar_xylem::BackgroundSchedule>,
+    /// Every periodic activity: the OS daemon, ASTs, background quanta
+    /// and the timed fault classes.
+    pub(crate) timers: Timers,
     pub(crate) background_stolen: Cycles,
-    /// Occurrence engine of the fault-injection campaign; `None` when
-    /// the plan is empty, so the unperturbed machine carries no fault
-    /// state at all.
-    pub(crate) fault_driver: Option<cedar_faults::FaultDriver>,
     /// Cycles injected so far, per attribution surface.
     pub(crate) injected: faults::InjectedCost,
     pub(crate) rng: SplitMix64,
@@ -153,20 +152,7 @@ impl Machine {
             })
             .collect();
 
-        let daemons = (0..n_clusters)
-            .map(|_| DaemonSchedule::new(rng.next_u64()))
-            .collect();
-        let asts = (0..n_clusters)
-            .map(|_| AstSchedule::new(rng.next_u64()))
-            .collect();
-        let background = cfg
-            .background
-            .map(|load| {
-                (0..n_clusters)
-                    .map(|_| cedar_xylem::BackgroundSchedule::new(load, rng.next_u64()))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let timers = Timers::new(&cfg, n_clusters, &mut rng);
 
         // Every configuration shares Cedar's one network (§3.2). A
         // degraded-network fault statically stretches its latencies;
@@ -176,8 +162,6 @@ impl Machine {
             Some((switch_pct, module_pct)) => NetConfig::cedar().slowed(switch_pct, module_pct),
             None => NetConfig::cedar(),
         };
-        let fault_driver = (!cfg.faults.is_empty())
-            .then(|| cedar_faults::FaultDriver::new(&cfg.faults, n_clusters));
 
         Machine {
             app_name: app.name,
@@ -193,11 +177,8 @@ impl Machine {
             hpm,
             cluster_locks: (0..n_clusters).map(|_| KernelLock::new()).collect(),
             global_lock: KernelLock::new(),
-            daemons,
-            asts,
-            background,
+            timers,
             background_stolen: Cycles::ZERO,
-            fault_driver,
             injected: faults::InjectedCost::default(),
             rng,
             joined_truth: 0,
@@ -459,10 +440,7 @@ impl Machine {
                     self.on_cbus_release(cluster);
                 }
             }
-            Ev::Daemon { cluster } => self.on_daemon(cluster),
-            Ev::Ast { cluster } => self.on_ast(cluster),
-            Ev::Background { cluster } => self.on_background(cluster),
-            Ev::Fault { kind, cluster } => self.on_fault(kind, cluster),
+            Ev::Timer { timer, cluster } => self.on_timer(timer, cluster),
         }
     }
 
@@ -546,10 +524,8 @@ impl Machine {
             let (inj_seq, inj_conc) = self.vm.injected_faults();
             c.add("faults.count.pgflt_seq", inj_seq);
             c.add("faults.count.pgflt_conc", inj_conc);
-            if let Some(driver) = &self.fault_driver {
-                for (name, count) in driver.occurrences() {
-                    c.add(name, count);
-                }
+            for (name, count) in self.timers.fault_occurrences() {
+                c.add(name, count);
             }
             let waiter_stalled: u64 = self.tasks.iter().map(|t| t.waiter.stalled().0).sum();
             c.add("faults.waiter_stalled", waiter_stalled);

@@ -1,4 +1,5 @@
-//! Operating-system activity: daemons, ASTs, page-fault charging,
+//! Operating-system activity: the daemon, ASTs and background quanta
+//! (each fired by the timer table), page-fault charging,
 //! cross-processor interrupts and system calls.
 //!
 //! All OS time is charged once, per activity, into
@@ -12,12 +13,14 @@
 use cedar_hw::ClusterId;
 use cedar_sim::Cycles;
 use cedar_trace::TraceEventId;
-use cedar_xylem::config::{CPI_COST_PER_CE, CR_SECT_CLUSTER, CR_SECT_GLOBAL, CTX_COST_PER_CE};
+use cedar_xylem::config::{
+    AST_COST, CPI_COST_PER_CE, CR_SECT_GLOBAL, CTX_COST_PER_CE, DAEMON_CR_SECT, DAEMON_DURATION,
+    DAEMON_OTHER, DAEMON_SYSCALL, SYSCALL_GLOBAL,
+};
 use cedar_xylem::syscall::CrSect;
-use cedar_xylem::{FaultClass, OsActivity, SyscallKind};
+use cedar_xylem::{FaultClass, OsActivity};
 
 use super::Machine;
-use crate::events::Ev;
 
 impl Machine {
     /// Charges `wall` cycles of OS time on `cluster` to `activity`.
@@ -81,29 +84,13 @@ impl Machine {
         (spin, held)
     }
 
-    /// Charges one system call issued on `cluster`, including the
-    /// critical section its handler enters.
-    pub(crate) fn charge_syscall(&mut self, cluster: usize, kind: SyscallKind) {
-        let cost = kind.cost();
-        let activity = if kind.is_global() {
-            OsActivity::SyscallGlobal
-        } else {
-            OsActivity::SyscallCluster
-        };
-        self.charge_os(cluster, activity, cost);
-        let penalty = match kind.critical_section() {
-            Some(sect) => {
-                let (hold, bucket) = match sect {
-                    CrSect::Cluster => (CR_SECT_CLUSTER, OsActivity::CrSectCluster),
-                    CrSect::Global => (CR_SECT_GLOBAL, OsActivity::CrSectGlobal),
-                };
-                let (spin, held) = self.critical_section(cluster, sect, hold);
-                self.charge_os(cluster, bucket, held);
-                cost + held + spin
-            }
-            None => cost,
-        };
-        self.lead_penalty(cluster, penalty);
+    /// Charges one system call issued on `cluster`: a global call,
+    /// including the global critical section its handler enters.
+    pub(crate) fn charge_syscall(&mut self, cluster: usize) {
+        self.charge_os(cluster, OsActivity::SyscallGlobal, SYSCALL_GLOBAL);
+        let (spin, held) = self.critical_section(cluster, CrSect::Global, CR_SECT_GLOBAL);
+        self.charge_os(cluster, OsActivity::CrSectGlobal, held);
+        self.lead_penalty(cluster, SYSCALL_GLOBAL + held + spin);
     }
 
     /// Charges one page fault taken by CE `pos` and stalls it for
@@ -139,46 +126,35 @@ impl Machine {
         }
     }
 
-    /// The periodic bookkeeping daemon fires on `cluster` (§5.1): the
+    /// The periodic bookkeeping daemon runs on `cluster` (§5.1): the
     /// application task is context-switched out, the system task runs,
     /// and a CPI gathers the single-CE execution thread.
-    pub(crate) fn on_daemon(&mut self, cluster: usize) {
-        if self.finished_at.is_some() {
-            return; // program over: stop rescheduling
-        }
-        let work = {
-            let (next_at, work) = self.daemons[cluster].next_after(self.now);
-            self.queue.schedule(next_at, Ev::Daemon { cluster });
-            work
-        };
+    pub(crate) fn run_daemon(&mut self, cluster: usize) {
         let lead = self.lead_of(cluster);
         self.post(TraceEventId::ContextSwitch, lead, 0);
         // Save/restore plus the non-categorized bookkeeping time.
-        self.charge_os(cluster, OsActivity::Ctx, work.ctx_per_ce + work.other);
+        self.charge_os(cluster, OsActivity::Ctx, CTX_COST_PER_CE + DAEMON_OTHER);
         // Cluster critical sections the system task enters.
-        let (spin, held) = self.critical_section(cluster, CrSect::Cluster, work.cr_sect);
+        let (spin, held) = self.critical_section(cluster, CrSect::Cluster, DAEMON_CR_SECT);
         self.charge_os(cluster, OsActivity::CrSectCluster, held);
-        let extra = held - work.cr_sect;
+        let extra = held - DAEMON_CR_SECT;
         // Cluster system calls the system task makes.
-        self.charge_os(cluster, OsActivity::SyscallCluster, work.syscall);
+        self.charge_os(cluster, OsActivity::SyscallCluster, DAEMON_SYSCALL);
         // The context-switch request interrupts every CE.
         self.raise_cpi(cluster);
         // The cluster is held for the whole daemon duration.
-        self.gang_penalty(cluster, work.ctx_per_ce + work.duration() + spin + extra);
+        self.gang_penalty(cluster, CTX_COST_PER_CE + DAEMON_DURATION + spin + extra);
     }
 
     /// A competing job's gang quantum steals `cluster` (multiprogrammed
     /// extension): the application pays two context switches, and the
     /// whole cluster loses the quantum.
-    pub(crate) fn on_background(&mut self, cluster: usize) {
-        if self.finished_at.is_some() {
-            return;
-        }
-        let quantum = {
-            let (next_at, quantum) = self.background[cluster].next_after(self.now);
-            self.queue.schedule(next_at, Ev::Background { cluster });
-            quantum
-        };
+    pub(crate) fn steal_quantum(&mut self, cluster: usize) {
+        // The background timer is armed only under a load.
+        let quantum = self
+            .cfg
+            .background
+            .map_or(Cycles::ZERO, |load| load.quantum());
         // Switch out + switch in.
         let ctx = CTX_COST_PER_CE * 2;
         self.charge_os(cluster, OsActivity::Ctx, ctx);
@@ -187,18 +163,10 @@ impl Machine {
         self.gang_penalty(cluster, ctx + quantum);
     }
 
-    /// An asynchronous system trap fires on `cluster`.
-    pub(crate) fn on_ast(&mut self, cluster: usize) {
-        if self.finished_at.is_some() {
-            return;
-        }
-        let cost = {
-            let (next_at, cost) = self.asts[cluster].next_after(self.now);
-            self.queue.schedule(next_at, Ev::Ast { cluster });
-            cost
-        };
-        self.charge_os(cluster, OsActivity::Ast, cost);
-        self.lead_penalty(cluster, cost);
+    /// An asynchronous system trap is delivered to `cluster`'s lead CE.
+    pub(crate) fn deliver_ast(&mut self, cluster: usize) {
+        self.charge_os(cluster, OsActivity::Ast, AST_COST);
+        self.lead_penalty(cluster, AST_COST);
     }
 
     /// Total OS wall time charged on a cluster so far (test aid).

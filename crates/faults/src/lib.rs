@@ -6,9 +6,10 @@
 //! *inject* a known quantity of each overhead class and assert that it
 //! surfaces in the right bucket and nowhere else. This crate provides
 //! the injection side of that experiment: a typed [`FaultPlan`]
-//! describing which paper-meaningful disturbances to inject, and a
-//! [`FaultDriver`] that turns the plan into fully deterministic
-//! occurrence streams.
+//! describing which paper-meaningful disturbances to inject, as
+//! [`FaultKind`]s and their constants. `cedar-core`'s machine fires the
+//! timed classes from its timer table, which documents how their
+//! occurrence streams stay deterministic.
 //!
 //! A plan is two values: an intensity level (0 injects nothing) and
 //! which classes are armed, all six or exactly one. Each class's
@@ -20,27 +21,17 @@
 //! |-------|------|------------------------------|
 //! | `InterruptStorm` | [`STORM_BURST`] = 3 CPIs every 40,000 cycles | `Cpi` / Interrupt |
 //! | `AstBurst` | [`AST_BURST_SIZE`] = 4 ASTs of [`AST_BURST_COST`] = 150 cycles every 60,000 cycles | `Ast` / System |
-//! | `PageFaultWave` | 6 faults, each concurrent with probability 50%, costing [`WAVE_SEQ_COST`] = 700 or [`WAVE_CONC_COST`] = 1,100 cycles, every 50,000 cycles | `PgFlt*` / System |
+//! | `PageFaultWave` | [`WAVE_FAULTS`] = 6 faults, each concurrent with probability [`WAVE_CONCURRENT_PCT`] = 50%, costing [`WAVE_SEQ_COST`] = 700 or [`WAVE_CONC_COST`] = 1,100 cycles, every 50,000 cycles | `PgFlt*` / System |
 //! | `HelperStall` | a [`STALL_CYCLES`] = 800-cycle freeze of a helper's lead CE every 45,000 cycles | CT only, no OS bucket |
 //! | `LockInflation` | every kernel-lock hold 150% longer | `CrSect*` (+ emergent `KernelSpin`) |
 //! | `DegradedNetwork` | switch and module latencies 50% longer | gmem queueing, no OS bucket |
 //!
-//! Determinism discipline: the driver draws every interval and every
-//! per-occurrence decision from its own per-`(class, cluster)`
-//! `SplitMix64` streams derived from one fixed seed — never from the
-//! machine's master RNG — so an **empty plan is a no-op** (the
-//! machine's event stream is byte-identical with and without the faults
-//! subsystem wired in), and a non-empty plan reproduces exactly under
-//! any suite worker count.
-//!
 //! Zero dependencies beyond `cedar-sim`, and no `std::env` reads: the
 //! plan travels on `SimConfig` as a typed value.
 
-pub mod driver;
 pub mod plan;
 
-pub use driver::{FaultDriver, FaultKind, WaveShape};
 pub use plan::{
-    FaultPlan, AST_BURST_COST, AST_BURST_SIZE, STALL_CYCLES, STORM_BURST, WAVE_CONC_COST,
-    WAVE_SEQ_COST,
+    FaultKind, FaultPlan, AST_BURST_COST, AST_BURST_SIZE, STALL_CYCLES, STORM_BURST,
+    WAVE_CONCURRENT_PCT, WAVE_CONC_COST, WAVE_FAULTS, WAVE_SEQ_COST,
 };

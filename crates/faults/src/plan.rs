@@ -1,5 +1,5 @@
-//! The typed fault plan: an intensity level, and whether all six fault
-//! classes or exactly one are armed.
+//! The six fault classes and the typed fault plan: an intensity level,
+//! and whether all six classes or exactly one are armed.
 //!
 //! Each class's level-1 intensity is a constant below. A plan at level
 //! `n` divides every timed class's mean interval by `n` (never below one
@@ -8,7 +8,37 @@
 
 use cedar_sim::Cycles;
 
-use crate::driver::FaultKind;
+/// The six fault classes, each targeting one attribution surface. The
+/// first four are timed: each fires as its own timer of the machine's
+/// timer table. The two static classes perturb the cost model directly
+/// and need no occurrences.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// A burst of cross-processor interrupts.
+    InterruptStorm,
+    /// A burst of AST deliveries.
+    AstBurst,
+    /// A wave of synthetic page faults.
+    PageFaultWave,
+    /// A helper-task scheduling stall.
+    HelperStall,
+    /// Kernel-lock hold inflation (static).
+    LockInflation,
+    /// Degraded switch and module latencies (static).
+    DegradedNetwork,
+}
+
+impl FaultKind {
+    /// All six classes, the timed ones first.
+    pub const ALL: [FaultKind; 6] = [
+        FaultKind::InterruptStorm,
+        FaultKind::AstBurst,
+        FaultKind::PageFaultWave,
+        FaultKind::HelperStall,
+        FaultKind::LockInflation,
+        FaultKind::DegradedNetwork,
+    ];
+}
 
 /// Interrupt storm: mean cycles between storms on each cluster at
 /// level 1 (±25% jitter).
@@ -28,10 +58,10 @@ pub const AST_BURST_COST: Cycles = Cycles(150);
 /// level 1.
 pub(crate) const WAVE_INTERVAL: Cycles = Cycles(50_000);
 /// Page-fault wave: faults injected per wave.
-pub(crate) const WAVE_FAULTS: u32 = 6;
+pub const WAVE_FAULTS: u32 = 6;
 /// Page-fault wave: probability (0–100) that an injected fault is
 /// concurrent rather than sequential.
-pub(crate) const WAVE_CONCURRENT_PCT: u64 = 50;
+pub const WAVE_CONCURRENT_PCT: u64 = 50;
 /// Page-fault wave: service cost charged per sequential fault.
 pub const WAVE_SEQ_COST: Cycles = Cycles(700);
 /// Page-fault wave: service cost charged per concurrent fault.
@@ -67,8 +97,17 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// The highest intensity a plan takes: the top of `faultsweep`'s
     /// ladder. The cap keeps every product of a level and an intensity
-    /// far from overflow, and the timed classes from firing so often
-    /// that a run no longer ends in reasonable time.
+    /// far from overflow, and, in a dedicated run, the timed classes
+    /// from firing so often that the run no longer ends in reasonable
+    /// time.
+    ///
+    /// It does not bound a run under a background load as well. At
+    /// levels 3 and 4 the injected gang penalties and the stolen quanta
+    /// can together outpace a cluster's progress: FLO52 on one
+    /// processor at 1/16 scale, level 4 under `BackgroundLoad::heavy()`,
+    /// ran about six minutes until it hit `Machine::run`'s bound of
+    /// 4 × 10⁹ events, at simulated time 1.37 × 10¹³ cycles. No caller
+    /// combines the two.
     pub const MAX_LEVEL: u32 = 4;
 
     /// Every class armed at intensity `level`: 0 is the empty plan, 1 the
@@ -117,8 +156,9 @@ impl FaultPlan {
         self.level > 0 && self.only.is_none_or(|k| k == kind)
     }
 
-    /// Mean interval of a timed class at this level, if armed.
-    pub(crate) fn interval(&self, kind: FaultKind) -> Option<Cycles> {
+    /// Mean interval of a timed class at this level, if armed (never
+    /// for a static class).
+    pub fn interval(&self, kind: FaultKind) -> Option<Cycles> {
         let base = match kind {
             FaultKind::InterruptStorm => STORM_INTERVAL,
             FaultKind::AstBurst => AST_BURST_INTERVAL,

@@ -10,7 +10,6 @@
 
 use std::fmt;
 
-use cedar_rtl::LoopKind;
 use cedar_sim::Cycles;
 
 /// One bucket of a task's user time (Figure 4).
@@ -171,94 +170,6 @@ impl TaskBreakdown {
             self.buckets[i] += *v;
         }
     }
-}
-
-/// Reconstructs a task's user-time breakdown from its lead CE's trace —
-/// the paper's own trace-driven analysis path (§4: the event traces are
-/// off-loaded and analysed off-line).
-///
-/// The lead CE's timeline partitions into modes delimited by the
-/// instrumentation events; this walks the events in order and charges
-/// each span to its Figure 4 bucket. OS time embedded in a span stays in
-/// that span (the off-line analysis cannot see OS stalls either), so the
-/// result can be slightly *larger* than the machine's directly-charged
-/// breakdown, never smaller.
-pub fn from_lead_trace(events: &[crate::event::TraceEvent], lead: cedar_hw::CeId) -> TaskBreakdown {
-    use crate::event::TraceEventId as Id;
-    let mut b = TaskBreakdown::new();
-    let mut mode: Option<(UserBucket, u64)> = None; // (bucket, start ticks)
-    for e in events.iter().filter(|e| e.ce == lead) {
-        let t = e.at.0;
-        let close = |b: &mut TaskBreakdown, mode: &mut Option<(UserBucket, u64)>, t: u64| {
-            if let Some((bucket, start)) = mode.take() {
-                b.charge(bucket, Cycles((t - start) / cedar_sim::HPM_TICKS_PER_CYCLE));
-            }
-        };
-        let open = |mode: &mut Option<(UserBucket, u64)>, bucket: UserBucket, t: u64| {
-            *mode = Some((bucket, t));
-        };
-        match e.id {
-            Id::SerialStart => {
-                close(&mut b, &mut mode, t);
-                open(&mut mode, UserBucket::Serial, t);
-            }
-            Id::SerialEnd => close(&mut b, &mut mode, t),
-            Id::LoopSetupEnter => {
-                close(&mut b, &mut mode, t);
-                open(&mut mode, UserBucket::LoopSetup, t);
-            }
-            Id::LoopSetupExit => close(&mut b, &mut mode, t),
-            Id::ClusterLoopStart => {
-                close(&mut b, &mut mode, t);
-                open(&mut mode, UserBucket::ClusterLoop, t);
-            }
-            Id::ClusterLoopEnd => close(&mut b, &mut mode, t),
-            Id::PickIterEnter => {
-                close(&mut b, &mut mode, t);
-                let bucket = if e.arg == LoopKind::Xdoall.code() {
-                    UserBucket::PickupXdoall
-                } else {
-                    UserBucket::PickupSdoall
-                };
-                open(&mut mode, bucket, t);
-            }
-            Id::PickIterExit => close(&mut b, &mut mode, t),
-            Id::IterStart => {
-                close(&mut b, &mut mode, t);
-                let bucket =
-                    if e.arg == LoopKind::Cluster.code() || e.arg == LoopKind::Doacross.code() {
-                        UserBucket::ClusterLoop
-                    } else {
-                        UserBucket::IterExec
-                    };
-                open(&mut mode, bucket, t);
-            }
-            Id::IterEnd => {
-                close(&mut b, &mut mode, t);
-                // Between a body and the next pick/barrier the lead is in
-                // intra-cluster territory; attribute to ClusterSync until
-                // the next explicit event.
-                open(&mut mode, UserBucket::ClusterSync, t);
-            }
-            Id::FinishBarrierEnter => {
-                close(&mut b, &mut mode, t);
-                open(&mut mode, UserBucket::BarrierWait, t);
-            }
-            Id::FinishBarrierExit => close(&mut b, &mut mode, t),
-            Id::WaitForWorkEnter => {
-                close(&mut b, &mut mode, t);
-                open(&mut mode, UserBucket::HelperWait, t);
-            }
-            Id::WaitForWorkExit => close(&mut b, &mut mode, t),
-            Id::HelperJoinLoop | Id::TaskDetach => {
-                close(&mut b, &mut mode, t);
-                open(&mut mode, UserBucket::HelperWait, t);
-            }
-            Id::ProgramEnd => close(&mut b, &mut mode, t),
-            _ => {}
-        }
-    }
-    b
 }
 
 #[cfg(test)]

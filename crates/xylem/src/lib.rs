@@ -16,7 +16,7 @@
 //!   synchronizing ([`config::CPI_COST_PER_CE`]);
 //! * **context switching** (`ctx`) between the application task and
 //!   system tasks when the OS "must perform some bookkeeping"
-//!   ([`daemon`]);
+//!   ([`config::CTX_INTERVAL`], [`config::DAEMON_DURATION`]);
 //! * **concurrent and sequential page faults** — two or more CEs
 //!   simultaneously touching a previously untouched page make the fault
 //!   *concurrent* and more expensive ([`vm`]);
@@ -24,7 +24,11 @@
 //!   memory locks, whose (negligible) spin time the paper reports
 //!   separately ([`KernelLock`]);
 //! * **cluster and global system calls** and **asynchronous system
-//!   traps** ([`syscall`], [`daemon::AstSchedule`]).
+//!   traps** ([`syscall`], [`config::AST_INTERVAL`]).
+//!
+//! The daemon, the ASTs and a [`BackgroundLoad`]'s stolen quanta fire
+//! periodically on every cluster; `cedar-core`'s machine schedules them,
+//! with the timed fault classes, from one timer table.
 //!
 //! Accounted durations flow into [`accounting::OsAccounting`], from which
 //! `cedar-core` produces Figure 3's user/system/interrupt/spin breakdown
@@ -50,14 +54,11 @@
 pub mod accounting;
 pub mod background;
 pub mod config;
-pub mod daemon;
 pub(crate) mod locks;
 pub mod syscall;
 pub mod vm;
 
 pub use accounting::{OsAccounting, OsActivity};
-pub use background::{BackgroundLoad, BackgroundSchedule};
-pub use daemon::{AstSchedule, DaemonSchedule, DaemonWork};
+pub use background::BackgroundLoad;
 pub use locks::KernelLock;
-pub use syscall::SyscallKind;
 pub use vm::{AddressSpace, FaultClass, PageTouch};

@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 
 use cedar::apps::app_by_name;
-use cedar::check::fingerprint;
+use cedar::check::{conservation, fingerprint};
 use cedar::core::{Experiment, SimConfig};
 use cedar::faults::{FaultKind, FaultPlan};
 use cedar::hw::Configuration;
@@ -55,7 +55,8 @@ fn fault_report_matches_golden() {
 /// what it decides: the measurement fingerprint, the event count and
 /// the fault-event count of ADM and MDG at 8 and 32 processors under
 /// each canonical level and each class alone at level 2, and MDG at 32
-/// processors under each background preset.
+/// processors under each background preset. Every run also conserves
+/// (`cedar_check::conservation`).
 #[test]
 fn fault_plan_runs_match_golden() {
     let classes = [
@@ -94,8 +95,12 @@ fn fault_plan_runs_match_golden() {
         String::from("# cedar_check::fingerprint, events and events.fault, 1/16 scale\n");
     for (plan_name, name, cfg) in cells {
         let app = app_by_name(name).expect("a Perfect application");
+        let app = app.shrunk(GOLDEN_SHRINK);
         let procs = format!("{}p", cfg.configuration().total_ces());
-        let run = Experiment::new(app.shrunk(GOLDEN_SHRINK), cfg).run();
+        let bodies = app.total_bodies();
+        let run = Experiment::new(app, cfg).run();
+        let broken = conservation(&run, bodies);
+        assert!(broken.is_empty(), "{plan_name} {name} {procs}: {broken:?}");
         text += &format!(
             "{plan_name:<18} {name:<4} {procs:<4} fingerprint {:016x} events {} events.fault {}\n",
             fingerprint(&run),

@@ -143,29 +143,38 @@ fn faults_fall_on_first_touch_only() {
 #[test]
 fn trace_reconstruction_approximates_charged_breakdown() {
     // The paper derives Figures 5-9 from the off-loaded trace; the
-    // simulator charges the same buckets directly. The two views must
-    // agree on the big buckets within a tolerance (the trace view folds
-    // OS stalls into whatever span they landed in).
+    // simulator charges the same buckets directly. The lead CE's paired
+    // enter/exit intervals must agree with the charged buckets on the big
+    // buckets within a tolerance (an interval also holds the OS stalls
+    // that landed in it).
     use cedar::hw::CeId;
+    use TraceEventId as Id;
     let app = synthetic::uniform_sdoall(2, 2, 8, 16, 500, 8);
     let run = Experiment::new(app, SimConfig::cedar(Configuration::P8).with_trace()).run();
     let trace = run.trace.as_ref().unwrap();
-    let reconstructed = cedar::trace::breakdown::from_lead_trace(trace, CeId(0));
+    let lead_time = |enter, exit| {
+        let intervals = pair_intervals(trace, enter, exit);
+        let lead = intervals.iter().filter(|i| i.ce == CeId(0));
+        lead.map(|i| i.duration().0).sum::<u64>() as f64
+    };
     let charged = run.main_breakdown();
-    for bucket in [
-        UserBucket::Serial,
-        UserBucket::BarrierWait,
-        UserBucket::LoopSetup,
+    for (bucket, enter, exit) in [
+        (UserBucket::Serial, Id::SerialStart, Id::SerialEnd),
+        (
+            UserBucket::BarrierWait,
+            Id::FinishBarrierEnter,
+            Id::FinishBarrierExit,
+        ),
+        (UserBucket::LoopSetup, Id::LoopSetupEnter, Id::LoopSetupExit),
     ] {
-        let a = reconstructed.get(bucket).0 as f64;
+        let a = lead_time(enter, exit);
         let b = charged.get(bucket).0 as f64;
         let tol = (b * 0.3).max(2_000.0);
         assert!((a - b).abs() <= tol, "{bucket:?}: trace {a} vs charged {b}");
     }
-    // Loop-execution time: the trace view merges iter/pickup/sync
-    // micro-transitions differently, so compare the aggregate.
-    let a = reconstructed.parallel_execution().0 as f64
-        + reconstructed.get(UserBucket::PickupSdoall).0 as f64;
+    // Loop-execution time: the charged view splits a body's tail into
+    // intra-cluster sync, so compare the aggregate of bodies and pickups.
+    let a = lead_time(Id::IterStart, Id::IterEnd) + lead_time(Id::PickIterEnter, Id::PickIterExit);
     let b = charged.parallel_execution().0 as f64 + charged.get(UserBucket::PickupSdoall).0 as f64;
     assert!(
         (a - b).abs() <= b * 0.25 + 2_000.0,
