@@ -12,7 +12,8 @@ use cedar_core::RunResult;
 use cedar_hw::ClusterId;
 use cedar_sim::Cycles;
 use cedar_xylem::config::{
-    AST_COST, CPI_COST_PER_CE, CTX_COST_PER_CE, DAEMON_OTHER, DAEMON_SYSCALL, SYSCALL_GLOBAL,
+    AST_COST, CPI_COST_PER_CE, CR_SECT_GLOBAL, CTX_COST_PER_CE, DAEMON_OTHER, DAEMON_SYSCALL,
+    SYSCALL_GLOBAL,
 };
 use cedar_xylem::OsActivity;
 
@@ -21,12 +22,22 @@ use cedar_xylem::OsActivity;
 /// - **coverage**: exactly `expected_bodies` loop bodies ran;
 /// - **breakdown ≤ CT**: no task's user-time breakdown exceeds the
 ///   completion time;
-/// - **Figure 3 partition**: on every cluster whose OS time does not
-///   saturate the run, user plus OS time equals the completion time;
 /// - **concurrency**: `0 < total_concurrency ≤ total_ces`;
 /// - **OS costs**: on every cluster, the `Cpi`, `SyscallGlobal`,
-///   `SyscallCluster`, `Ast` and `Ctx` ledgers total their sample counts
-///   times their constant costs (see `os_costs`).
+///   `SyscallCluster`, `CrSectGlobal`, `Ast` and `Ctx` ledgers total
+///   their sample counts times their constant costs (see `os_costs`).
+///
+/// Figure 3's user + OS = CT is no clause: a cluster's user time is CT
+/// minus its OS time, saturating at 0, so the sum holds by definition
+/// wherever OS ≤ CT. OS > CT is not ruled out either. In 850 runs at
+/// 1/16 scale (five apps × five configurations × fault levels 0–4 and
+/// each class alone at level 2 × FIFO, LIFO and `Shuffle(7)`, plus each
+/// cell under `BackgroundLoad::light()`), 48 clusters were charged more
+/// OS time than their CT, all under injected faults (FLO52 at 8p levels
+/// 3–4, at 16p and 32p levels 2–4 and lock inflation alone, OCEAN at
+/// 32p level 4 under LIFO), the worst 149% of CT; no clean or
+/// background-only run exceeded CT. The check corpus runs FLO52 32p at
+/// level 2, so such a clause would fail on it.
 ///
 /// Returns one line per broken clause; an empty list means the run
 /// conserves.
@@ -47,15 +58,6 @@ pub fn conservation(run: &RunResult, expected_bodies: u64) -> Vec<String> {
             ));
         }
     }
-    for (k, u) in run.utilization.iter().enumerate() {
-        if u.os_total() <= ct && u.user(ct) + u.os_total() != ct {
-            broken.push(format!(
-                "cluster {k}: user {} + OS {} does not partition CT {ct}",
-                u.user(ct),
-                u.os_total()
-            ));
-        }
-    }
     let total = run.total_concurrency();
     let ces = run.configuration.total_ces();
     if !(total > 0.0 && total <= ces as f64 + 1e-9) {
@@ -65,13 +67,15 @@ pub fn conservation(run: &RunResult, expected_bodies: u64) -> Vec<String> {
     broken
 }
 
-/// The OS model's closed-form law, for the five Table 2 activities
+/// The OS model's closed-form law, for the six Table 2 activities
 /// whose every charge costs one constant of `cedar_xylem::config`: on
 /// every cluster the ledger totals its sample count × that constant.
 ///
 /// - `Cpi`: `CPI_COST_PER_CE`, organic and interrupt-storm CPIs alike;
 /// - `SyscallGlobal`: `SYSCALL_GLOBAL`, the runtime's task calls;
 /// - `SyscallCluster`: `DAEMON_SYSCALL`, the daemon's share;
+/// - `CrSectGlobal`: `CR_SECT_GLOBAL`, the hold of each global call's
+///   critical section, unless lock inflation stretched a hold;
 /// - `Ast`: `AST_COST`, unless the run injected AST bursts, which cost
 ///   their own constant;
 /// - `Ctx`: `CTX_COST_PER_CE + DAEMON_OTHER`, the daemon's switch,
@@ -86,6 +90,9 @@ fn os_costs(run: &RunResult) -> Vec<String> {
         (OsActivity::SyscallGlobal, SYSCALL_GLOBAL),
         (OsActivity::SyscallCluster, DAEMON_SYSCALL),
     ];
+    if run.stats.counters.get("faults.injected.lock_global") == 0 {
+        laws.push((OsActivity::CrSectGlobal, CR_SECT_GLOBAL));
+    }
     if run.stats.counters.get("faults.injected.ast") == 0 {
         laws.push((OsActivity::Ast, AST_COST));
     }
@@ -236,7 +243,7 @@ mod tests {
         let mut run = Experiment::new(app, SimConfig::cedar(Configuration::P16)).run();
         assert_eq!(conservation(&run, expected), Vec::<String>::new());
 
-        // One cycle too many in four charged ledgers, and an AST ledger
+        // One cycle too many in five charged ledgers, and an AST ledger
         // with a sample but no cycles.
         let mut tamper = |k: u8, activity: OsActivity| {
             let ledger = run.os.cluster(ClusterId(k)).get(activity).clone();
@@ -252,6 +259,7 @@ mod tests {
         let cpi = tamper(0, OsActivity::Cpi);
         let global = tamper(0, OsActivity::SyscallGlobal);
         let cluster = tamper(0, OsActivity::SyscallCluster);
+        let crsect = tamper(0, OsActivity::CrSectGlobal);
         let ctx = tamper(0, OsActivity::Ctx);
         let ast = DurationAccum::from_parts(Cycles::ZERO, 1, Cycles::ZERO);
         run.os.restore(ClusterId(1), OsActivity::Ast, ast);
@@ -264,16 +272,20 @@ mod tests {
                 line(0, OsActivity::Cpi, cpi, CPI_COST_PER_CE),
                 line(0, OsActivity::SyscallGlobal, global, SYSCALL_GLOBAL),
                 line(0, OsActivity::SyscallCluster, cluster, DAEMON_SYSCALL),
+                line(0, OsActivity::CrSectGlobal, crsect, CR_SECT_GLOBAL),
                 line(0, OsActivity::Ctx, ctx, CTX_COST_PER_CE + DAEMON_OTHER),
                 format!("cluster 1: Ast ledger 0cy is not 1 samples × {AST_COST}"),
             ]
         );
 
-        // A run that injected AST bursts drops the AST law, and one that
-        // lost a quantum to a background load the Ctx law.
+        // A run that injected AST bursts drops the AST law, one that
+        // lost a quantum to a background load the Ctx law, and one that
+        // inflated a global lock hold the CrSectGlobal law.
         run.stats.counters.add("faults.injected.ast", 600);
-        assert_eq!(conservation(&run, expected).len(), 4);
+        assert_eq!(conservation(&run, expected).len(), 5);
         run.background_stolen = Cycles(10_000);
+        assert_eq!(conservation(&run, expected).len(), 4);
+        run.stats.counters.add("faults.injected.lock_global", 330);
         assert_eq!(conservation(&run, expected).len(), 3);
     }
 

@@ -15,9 +15,12 @@ use crate::case::CheckCase;
 pub enum OracleKind {
     /// Completion-time conservation ([`conservation`](crate::conservation)):
     /// every iteration executes exactly once, task breakdowns never
-    /// exceed the wall clock, on every unsaturated cluster the Figure-3
-    /// categories (user + OS) partition completion time exactly, and
-    /// total concurrency lies in `(0, total CEs]`.
+    /// exceed the wall clock, total concurrency lies in
+    /// `(0, total CEs]`, and six OS ledgers total their sample counts
+    /// times their constant costs. The Figure-3 categories (user + OS)
+    /// sum to completion time by definition, since user time is the
+    /// remainder, so no clause checks them; under injected faults a
+    /// cluster's OS time can exceed completion time.
     Conservation,
     /// Re-running the identical case reproduces the run
     /// ([`same_run`](crate::same_run)).

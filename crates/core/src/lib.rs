@@ -50,7 +50,6 @@ pub mod methodology;
 pub mod metrics;
 pub mod pool;
 pub mod prelude;
-pub(crate) mod program;
 mod record;
 pub mod result;
 pub mod run;

@@ -1,36 +1,69 @@
 //! Loop-protocol execution: phase sequencing, SDOALL/CDOALL and XDOALL
 //! orchestration, body execution and the finish barrier.
 
-use std::sync::Arc;
-
-use cedar_apps::{AccessPattern, BodySpec};
+use cedar_apps::{AccessPattern, BodySpec, Phase};
 use cedar_hw::addr::pages_touched;
 use cedar_hw::config::CBUS_DISPATCH;
 use cedar_hw::{MemOp, VectorAccess};
 use cedar_rtl::config::{BARRIER_SPIN_PERIOD, INNER_CLAIM, JOIN_LOCAL, LOCK_BACKOFF, SETUP_LOCAL};
 use cedar_rtl::loops::{pack_activity, TERMINATE_CODE};
-use cedar_rtl::{
-    BarrierStep, ClaimStep, IterClaimer, LoopDescriptor, LoopKind, WaitStep, WordIssue,
-};
+use cedar_rtl::{BarrierStep, ClaimStep, IterClaimer, LoopKind, WaitStep, WordIssue};
 use cedar_sim::Cycles;
 use cedar_trace::TraceEventId;
 use cedar_xylem::config::PAGE_BYTES;
 use cedar_xylem::PageTouch;
 
-use super::state::{CeMode, LoopCtx, Role};
+use super::state::{CeMode, LoopCtx};
 use super::Machine;
-use crate::program::CompiledPhase;
 
-/// The loop currently posted by the main task (ground truth shared with
-/// joining helpers; the real runtime reads this from the descriptor
-/// words, which the simulated helpers also do for timing).
-#[derive(Debug, Clone)]
+/// The loop the main task posted last (ground truth shared with joining
+/// helpers; the real runtime reads this from the descriptor words, which
+/// the simulated helpers also do for timing).
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PostedLoop {
-    pub(crate) kind: LoopKind,
+    /// The loop's sequence number, as the activity word carries it.
     pub(crate) seq: u32,
+    /// Index of the loop's phase.
+    pub(crate) phase: usize,
+}
+
+/// A loop phase as the runtime runs it: `outer` iterations, each of
+/// `inner` bodies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoopShape<'a> {
+    pub(crate) kind: LoopKind,
     pub(crate) outer: u32,
     pub(crate) inner: u32,
-    pub(crate) body: Arc<BodySpec>,
+    pub(crate) body: &'a BodySpec,
+    /// DOACROSS: serialized-region work per iteration (zero otherwise).
+    pub(crate) serial_region: Cycles,
+}
+
+/// How a Cedar Fortran construct maps onto the runtime's outer/inner
+/// split: a cluster loop runs 1 × iters, an SDOALL outer × inner, an
+/// XDOALL iters × 1 and a DOACROSS 1 × iters with its serialized region.
+/// `None` for serial code.
+pub(crate) fn loop_shape(phase: &Phase) -> Option<LoopShape<'_>> {
+    let zero = Cycles::ZERO;
+    let (kind, outer, inner, body, serial_region) = match phase {
+        Phase::Serial { .. } => return None,
+        Phase::ClusterLoop { iters, body } => (LoopKind::Cluster, 1, *iters, body, zero),
+        Phase::Sdoall { outer, inner, body } => (LoopKind::Sdoall, *outer, *inner, body, zero),
+        Phase::Xdoall { iters, body } => (LoopKind::Xdoall, *iters, 1, body, zero),
+        Phase::Doacross {
+            iters,
+            body,
+            serial_region,
+        } => (LoopKind::Doacross, 1, *iters, body, *serial_region),
+        Phase::Repeat { .. } => unreachable!("the machine runs flattened phases"),
+    };
+    Some(LoopShape {
+        kind,
+        outer,
+        inner,
+        body,
+        serial_region,
+    })
 }
 
 impl Machine {
@@ -59,23 +92,16 @@ impl Machine {
     /// Advances the main task to its next phase (or termination).
     pub(crate) fn next_phase(&mut self) {
         let lead = 0;
-        let idx = self.phase_idx;
+        let phase = self.phase_idx;
         self.phase_idx += 1;
-        // Copy the phase's scalars (and the shared body handle) out so
-        // the program borrow ends before the protocol mutates `self`.
-        enum Next {
-            Serial(Cycles),
-            Loop(LoopKind, u32, u32, Arc<BodySpec>, Cycles),
-        }
-        let next = match self.program.phase(idx) {
-            Some(CompiledPhase::Serial { work, .. }) => Next::Serial(*work),
-            Some(CompiledPhase::Loop {
-                kind,
-                outer,
-                inner,
-                body,
-                serial_region,
-            }) => Next::Loop(*kind, *outer, *inner, body.clone(), *serial_region),
+        let kind = match self.phases.get(phase) {
+            Some(&Phase::Serial { work, .. }) => {
+                self.post(TraceEventId::SerialStart, lead, 0);
+                self.set_mode(lead, CeMode::SerialCompute);
+                self.start_compute(lead, work);
+                return;
+            }
+            Some(_) => self.shape_of(phase).kind,
             None => {
                 // Program over: signal the helpers and stop.
                 self.loop_seq += 1;
@@ -86,50 +112,28 @@ impl Machine {
                 return;
             }
         };
-        match next {
-            Next::Serial(work) => {
-                self.post(TraceEventId::SerialStart, lead, 0);
-                self.set_mode(lead, CeMode::SerialCompute);
-                self.start_compute(lead, work);
-            }
-            Next::Loop(kind, outer, inner, body, serial_region) => {
-                self.loop_seq += 1;
-                let posted = PostedLoop {
-                    kind,
-                    seq: self.loop_seq,
-                    outer,
-                    inner,
-                    body,
-                };
-                if kind.is_cross_cluster() {
-                    // SDOALL / XDOALL: post to global memory so helpers
-                    // can join.
-                    self.post(TraceEventId::MainEncounterLoop, lead, kind.code());
-                    self.post(TraceEventId::LoopSetupEnter, lead, kind.code());
-                    self.posted = Some(posted);
-                    self.set_mode(lead, CeMode::SetupWrite { step: 0 });
-                    self.start_compute(lead, SETUP_LOCAL);
-                } else {
-                    // Main-cluster-only loop: no posting, no helpers.
-                    self.post(TraceEventId::ClusterLoopStart, lead, kind.code());
-                    self.tasks[0].cur = Some(LoopCtx {
-                        kind,
-                        outer_total: posted.outer,
-                        inner_total: posted.inner,
-                        body: posted.body,
-                        serial_region,
-                        inner_next: 0,
-                        outer_current: 0,
-                    });
-                    if kind == LoopKind::Doacross {
-                        // Reset the serialization ticket, then dispatch.
-                        let ticket = self.layout.words().ticket;
-                        self.set_mode(lead, CeMode::DoacrossSetup);
-                        self.start_word(lead, ticket, MemOp::Write(0));
-                    } else {
-                        self.dispatch_cluster(0);
-                    }
-                }
+        self.loop_seq += 1;
+        if kind.is_cross_cluster() {
+            // SDOALL / XDOALL: post to global memory so helpers can join.
+            self.post(TraceEventId::MainEncounterLoop, lead, kind.code());
+            self.post(TraceEventId::LoopSetupEnter, lead, kind.code());
+            self.posted = Some(PostedLoop {
+                seq: self.loop_seq,
+                phase,
+            });
+            self.set_mode(lead, CeMode::SetupWrite { step: 0 });
+            self.start_compute(lead, SETUP_LOCAL);
+        } else {
+            // Main-cluster-only loop: no posting, no helpers.
+            self.post(TraceEventId::ClusterLoopStart, lead, kind.code());
+            self.tasks[0].cur = Some(LoopCtx::new(phase));
+            if kind == LoopKind::Doacross {
+                // Reset the serialization ticket, then dispatch.
+                let ticket = self.layout.words().ticket;
+                self.set_mode(lead, CeMode::DoacrossSetup);
+                self.start_word(lead, ticket, MemOp::Write(0));
+            } else {
+                self.dispatch_cluster(0);
             }
         }
     }
@@ -204,7 +208,7 @@ impl Machine {
                 self.post(TraceEventId::HelperJoinLoop, pos, 0);
                 // Suppress a duplicate join if this helper raced the
                 // activity word (it re-validates against the descriptor).
-                let seq = self.posted.as_ref().expect("loop posted").seq;
+                let seq = self.posted.expect("loop posted").seq;
                 self.tasks[cluster].waiter.mark_seen(seq);
                 self.ces[pos].pending_penalty += JOIN_LOCAL;
                 self.enter_posted_loop(cluster, value as u32);
@@ -226,12 +230,7 @@ impl Machine {
             CeMode::DoacrossTicket { iter } => {
                 if value == iter {
                     // Our turn: run the serialized region.
-                    let cluster = self.cluster_of(pos);
-                    let region = self.tasks[cluster]
-                        .cur
-                        .as_ref()
-                        .expect("in doacross loop")
-                        .serial_region;
+                    let region = self.running_loop(self.cluster_of(pos)).serial_region;
                     self.set_mode(pos, CeMode::DoacrossRegion { iter });
                     self.start_compute(pos, region);
                 } else {
@@ -243,13 +242,10 @@ impl Machine {
             CeMode::DoacrossRegion { iter } => {
                 // Region done: pass the ticket to the next iteration.
                 let ticket = self.layout.words().ticket;
-                self.set_mode(pos, CeMode::DoacrossExit { iter });
+                self.set_mode(pos, CeMode::DoacrossExit);
                 self.start_word(pos, ticket, MemOp::Write(iter + 1));
             }
-            CeMode::DoacrossExit { iter } => {
-                let _ = iter;
-                self.claim_inner_or_barrier(pos, Cycles::ZERO);
-            }
+            CeMode::DoacrossExit => self.claim_inner_or_barrier(pos, Cycles::ZERO),
             CeMode::TerminateWrite => {
                 self.finished_at = Some(self.now);
                 self.post(TraceEventId::ProgramEnd, pos, 0);
@@ -261,7 +257,8 @@ impl Machine {
 
     fn advance_setup(&mut self, pos: usize, step: u8) {
         let words = self.layout.words();
-        let posted = self.posted.clone().expect("posted loop during setup");
+        let (posted, shape) = self.posted_loop();
+        let (kind, outer) = (shape.kind, shape.outer);
         match step {
             0 => {
                 self.set_mode(pos, CeMode::SetupWrite { step: 1 });
@@ -269,21 +266,17 @@ impl Machine {
             }
             1 => {
                 self.set_mode(pos, CeMode::SetupWrite { step: 2 });
-                self.start_word(pos, words.descriptor, MemOp::Write(posted.outer as u64));
+                self.start_word(pos, words.descriptor, MemOp::Write(outer as u64));
             }
             2 => {
                 self.set_mode(pos, CeMode::SetupWrite { step: 3 });
-                let desc = LoopDescriptor {
-                    kind: posted.kind,
-                    seq: posted.seq,
-                    total_iters: posted.outer,
-                };
-                self.start_word(pos, words.activity, MemOp::Write(desc.activity_word()));
+                let word = pack_activity(posted.seq, kind.code());
+                self.start_word(pos, words.activity, MemOp::Write(word));
             }
             3 => {
-                self.post(TraceEventId::LoopSetupExit, pos, posted.kind.code());
+                self.post(TraceEventId::LoopSetupExit, pos, kind.code());
                 let cluster = self.cluster_of(pos);
-                self.enter_posted_loop(cluster, posted.outer);
+                self.enter_posted_loop(cluster, outer);
             }
             _ => unreachable!("setup has four steps"),
         }
@@ -294,19 +287,12 @@ impl Machine {
     /// A cluster (main after setup, helper after join) enters the posted
     /// loop.
     pub(crate) fn enter_posted_loop(&mut self, cluster: usize, observed_total: u32) {
-        let posted = self.posted.clone().expect("a loop is posted");
-        debug_assert_eq!(observed_total, posted.outer, "descriptor round trip");
-        self.tasks[cluster].cur = Some(LoopCtx {
-            kind: posted.kind,
-            outer_total: posted.outer,
-            inner_total: posted.inner,
-            body: posted.body.clone(),
-            serial_region: Cycles::ZERO,
-            inner_next: 0,
-            outer_current: 0,
-        });
+        let (posted, shape) = self.posted_loop();
+        let kind = shape.kind;
+        debug_assert_eq!(observed_total, shape.outer, "descriptor round trip");
+        self.tasks[cluster].cur = Some(LoopCtx::new(posted.phase));
         let lead = self.lead_of(cluster);
-        match posted.kind {
+        match kind {
             LoopKind::Sdoall => {
                 // Only the lead touches the global iteration lock; the
                 // cluster's CEs wait for the inner dispatch.
@@ -335,8 +321,8 @@ impl Machine {
 
     fn begin_outer_claim(&mut self, lead: usize) {
         let cluster = self.cluster_of(lead);
-        let ctx = self.tasks[cluster].cur.as_ref().expect("in loop");
-        let (kind, outer_total) = (ctx.kind, ctx.outer_total);
+        let running = self.running_loop(cluster);
+        let (kind, outer_total) = (running.kind, running.outer);
         let words = self.layout.words();
         self.post(TraceEventId::PickIterEnter, lead, kind.code());
         self.set_mode(lead, CeMode::ClaimOuter);
@@ -347,9 +333,7 @@ impl Machine {
     }
 
     fn begin_flat_claim(&mut self, pos: usize, extra_delay: Cycles) {
-        let cluster = self.cluster_of(pos);
-        let ctx = self.tasks[cluster].cur.as_ref().expect("in loop");
-        let total = ctx.outer_total;
+        let total = self.running_loop(self.cluster_of(pos)).outer;
         let words = self.layout.words();
         self.post(TraceEventId::PickIterEnter, pos, LoopKind::Xdoall.code());
         self.set_mode(pos, CeMode::ClaimFlat);
@@ -370,11 +354,9 @@ impl Machine {
             ClaimStep::Issue(wi) => self.issue(pos, wi),
             ClaimStep::Claimed(o) => {
                 self.post(TraceEventId::PickIterExit, pos, LoopKind::Sdoall.code());
-                {
-                    let ctx = self.tasks[cluster].cur.as_mut().expect("in loop");
-                    ctx.outer_current = o;
-                    ctx.inner_next = 0;
-                }
+                let ctx = self.tasks[cluster].cur.as_mut().expect("in loop");
+                ctx.outer_current = o;
+                ctx.inner_next = 0;
                 self.dispatch_cluster(cluster);
             }
             ClaimStep::Exhausted => {
@@ -404,22 +386,20 @@ impl Machine {
     /// and, for flat loops, the cluster barrier passed).
     fn leave_loop(&mut self, pos: usize) {
         let cluster = self.cluster_of(pos);
-        match self.tasks[cluster].role {
-            Role::Main => {
-                self.tasks[cluster].cur = None;
-                self.post(TraceEventId::FinishBarrierEnter, pos, 0);
-                self.set_mode(pos, CeMode::FinishSpin);
-                let step = self.tasks[0].finish.begin();
-                self.apply_finish_step(pos, step);
-            }
-            Role::Helper => {
-                // Decision-time ground truth: the detach is committed now;
-                // the fetch-add packet is the traffic it costs.
-                self.joined_truth -= 1;
-                self.set_mode(pos, CeMode::DetachAdd);
-                let joined = self.layout.words().joined;
-                self.start_word(pos, joined, MemOp::FetchAdd(-1));
-            }
+        if cluster == 0 {
+            // The main task.
+            self.tasks[cluster].cur = None;
+            self.post(TraceEventId::FinishBarrierEnter, pos, 0);
+            self.set_mode(pos, CeMode::FinishSpin);
+            let step = self.tasks[0].finish.begin();
+            self.apply_finish_step(pos, step);
+        } else {
+            // A helper. Decision-time ground truth: the detach is
+            // committed now; the fetch-add packet is the traffic it costs.
+            self.joined_truth -= 1;
+            self.set_mode(pos, CeMode::DetachAdd);
+            let joined = self.layout.words().joined;
+            self.start_word(pos, joined, MemOp::FetchAdd(-1));
         }
     }
 
@@ -444,8 +424,7 @@ impl Machine {
     fn apply_wait_step(&mut self, pos: usize, step: WaitStep) {
         match step {
             WaitStep::Issue(wi) => self.issue(pos, wi),
-            WaitStep::NewWork { seq, kind } => {
-                let _ = (seq, kind);
+            WaitStep::NewWork { kind, .. } => {
                 self.post(TraceEventId::WaitForWorkExit, pos, kind.code());
                 // Commit the join at decision time (see leave_loop).
                 self.joined_truth += 1;
@@ -469,84 +448,66 @@ impl Machine {
     /// it to the cluster barrier when the chunk is exhausted.
     pub(crate) fn claim_inner_or_barrier(&mut self, pos: usize, extra_delay: Cycles) {
         let cluster = self.cluster_of(pos);
-        let claimed = {
-            let ctx = self.tasks[cluster].cur.as_mut().expect("in loop");
-            if ctx.inner_next < ctx.inner_total {
-                let i = ctx.inner_next;
-                ctx.inner_next += 1;
-                Some((i, ctx.outer_current, ctx.inner_total))
-            } else {
-                None
-            }
-        };
-        match claimed {
-            Some((i, outer, inner_total)) => {
-                let iter = outer as u64 * inner_total as u64 + i as u64;
-                self.begin_body(pos, iter, extra_delay + INNER_CLAIM);
-            }
-            None => self.cbus_arrive(pos),
+        let inner = self.running_loop(cluster).inner;
+        let ctx = self.tasks[cluster].cur.as_mut().expect("in loop");
+        if ctx.inner_next < inner {
+            let iter = ctx.outer_current as u64 * inner as u64 + ctx.inner_next as u64;
+            ctx.inner_next += 1;
+            self.begin_body(pos, iter, extra_delay + INNER_CLAIM);
+        } else {
+            self.cbus_arrive(pos);
         }
     }
 
     /// Starts executing one loop body: the jittered compute span, then
     /// the body's accesses.
     pub(crate) fn begin_body(&mut self, pos: usize, iter: u64, extra: Cycles) {
-        let cluster = self.cluster_of(pos);
-        let kind = self.tasks[cluster].cur.as_ref().expect("in loop").kind;
+        let running = self.running_loop(self.cluster_of(pos));
+        let (kind, body) = (running.kind, running.body);
+        let (compute, jitter_pct) = (body.compute, body.jitter_pct);
         self.post(TraceEventId::IterStart, pos, kind.code());
         self.set_mode(pos, CeMode::Body { iter, stage: 0 });
-        let compute = {
-            let ctx = self.tasks[cluster].cur.as_ref().unwrap();
-            self.jittered(ctx.body.compute, ctx.body.jitter_pct)
-        };
+        let compute = self.jittered(compute, jitter_pct);
         self.start_compute(pos, extra + compute);
     }
 
+    /// Body stage `stage` ended: starts the access at index `stage`, or
+    /// completes the body.
     fn advance_body(&mut self, pos: usize, iter: u64, stage: u8) {
-        let cluster = self.cluster_of(pos);
-        let n_accesses = {
-            let ctx = self.tasks[cluster].cur.as_ref().expect("in loop");
-            ctx.body.accesses.len()
-        };
-        if (stage as usize) < n_accesses {
-            let next = stage + 1;
-            self.set_mode(pos, CeMode::Body { iter, stage: next });
-            self.start_body_stage(pos, iter, next);
-        } else {
-            // Body complete.
-            let kind = self.tasks[cluster].cur.as_ref().unwrap().kind;
-            self.post(TraceEventId::IterEnd, pos, kind.code());
-            self.bodies += 1;
-            match kind {
-                LoopKind::Doacross => {
-                    // Enter the serialized region in iteration order.
-                    let ticket = self.layout.words().ticket;
-                    self.set_mode(pos, CeMode::DoacrossTicket { iter });
-                    self.start_word(pos, ticket, MemOp::Read);
-                }
-                LoopKind::Xdoall => {
-                    self.post(TraceEventId::PickIterEnter, pos, LoopKind::Xdoall.code());
-                    self.set_mode(pos, CeMode::ClaimFlat);
-                    let step = self.ces[pos]
-                        .claimer
-                        .as_mut()
-                        .expect("flat claimer persists across bodies")
-                        .begin();
-                    self.apply_flat_claim(pos, step);
-                }
-                _ => self.claim_inner_or_barrier(pos, Cycles::ZERO),
-            }
+        let running = self.running_loop(self.cluster_of(pos));
+        let kind = running.kind;
+        if let Some(&a) = running.body.accesses.get(stage as usize) {
+            self.set_mode(
+                pos,
+                CeMode::Body {
+                    iter,
+                    stage: stage + 1,
+                },
+            );
+            self.start_access(pos, &a, iter);
+            return;
         }
-    }
-
-    /// Starts body stage `stage` (≥ 1): the access at index `stage − 1`.
-    pub(crate) fn start_body_stage(&mut self, pos: usize, iter: u64, stage: u8) {
-        let cluster = self.cluster_of(pos);
-        let a = {
-            let ctx = self.tasks[cluster].cur.as_ref().expect("in loop");
-            ctx.body.accesses[(stage - 1) as usize]
-        };
-        self.start_access(pos, &a, iter);
+        self.post(TraceEventId::IterEnd, pos, kind.code());
+        self.bodies += 1;
+        match kind {
+            LoopKind::Doacross => {
+                // Enter the serialized region in iteration order.
+                let ticket = self.layout.words().ticket;
+                self.set_mode(pos, CeMode::DoacrossTicket { iter });
+                self.start_word(pos, ticket, MemOp::Read);
+            }
+            LoopKind::Xdoall => {
+                self.post(TraceEventId::PickIterEnter, pos, LoopKind::Xdoall.code());
+                self.set_mode(pos, CeMode::ClaimFlat);
+                let step = self.ces[pos]
+                    .claimer
+                    .as_mut()
+                    .expect("flat claimer persists across bodies")
+                    .begin();
+                self.apply_flat_claim(pos, step);
+            }
+            _ => self.claim_inner_or_barrier(pos, Cycles::ZERO),
+        }
     }
 
     /// Resolves and launches one vector access, handling demand paging.
@@ -584,7 +545,7 @@ impl Machine {
 
     /// All of a cluster's CEs reached the concurrency-bus barrier.
     pub(crate) fn on_cbus_release(&mut self, cluster: usize) {
-        let kind = self.tasks[cluster].cur.as_ref().expect("in loop").kind;
+        let kind = self.running_loop(cluster).kind;
         let lead = self.lead_of(cluster);
         // Non-lead CEs go back to gang-waiting.
         for pos in self.cluster_ces(cluster) {
@@ -612,10 +573,26 @@ impl Machine {
     /// The current serial phase's `idx`-th access, if any (by-value: the
     /// pattern is `Copy`, so the serial walk never clones the vector).
     fn serial_access(&self, idx: usize) -> Option<AccessPattern> {
-        match self.program.phase(self.phase_idx - 1) {
-            Some(CompiledPhase::Serial { accesses, .. }) => accesses.get(idx).copied(),
+        match self.phases.get(self.phase_idx - 1) {
+            Some(Phase::Serial { accesses, .. }) => accesses.get(idx).copied(),
             _ => None,
         }
+    }
+
+    /// The shape of loop phase `phase`.
+    fn shape_of(&self, phase: usize) -> LoopShape<'_> {
+        loop_shape(&self.phases[phase]).expect("a loop phase")
+    }
+
+    /// The loop cluster `cluster`'s task is running.
+    pub(crate) fn running_loop(&self, cluster: usize) -> LoopShape<'_> {
+        self.shape_of(self.tasks[cluster].cur.as_ref().expect("in loop").phase)
+    }
+
+    /// The loop the main task posted last, and its shape.
+    fn posted_loop(&self) -> (PostedLoop, LoopShape<'_>) {
+        let posted = self.posted.expect("a loop is posted");
+        (posted, self.shape_of(posted.phase))
     }
 
     /// Applies per-execution jitter to a body's compute cost.
@@ -629,5 +606,59 @@ impl Machine {
         }
         let lo = compute.0 - span / 2;
         Cycles(lo + self.rng.next_below(span + 1))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cedar_apps::synthetic;
+
+    #[test]
+    fn constructs_map_to_loop_kinds() {
+        let phases = synthetic::uniform_xdoall(1, 1, 16, 100, 4).flattened();
+        let kinds: Vec<_> = phases
+            .iter()
+            .filter_map(loop_shape)
+            .map(|s| s.kind)
+            .collect();
+        assert_eq!(kinds, vec![LoopKind::Xdoall]);
+    }
+
+    #[test]
+    fn sdoall_keeps_outer_inner_split() {
+        let phases = synthetic::uniform_sdoall(1, 1, 4, 8, 100, 4).flattened();
+        let found = phases.iter().filter_map(loop_shape).any(|s| {
+            matches!(
+                s,
+                LoopShape {
+                    kind: LoopKind::Sdoall,
+                    outer: 4,
+                    inner: 8,
+                    ..
+                }
+            )
+        });
+        assert!(found);
+    }
+
+    #[test]
+    fn xdoall_has_inner_one() {
+        let phases = synthetic::uniform_xdoall(1, 1, 16, 100, 4).flattened();
+        for shape in phases.iter().filter_map(loop_shape) {
+            assert_eq!(shape.inner, 1);
+        }
+    }
+
+    #[test]
+    fn total_bodies_matches_spec() {
+        let app = synthetic::uniform_sdoall(3, 2, 4, 8, 100, 4);
+        let bodies: u64 = app
+            .flattened()
+            .iter()
+            .filter_map(loop_shape)
+            .map(|s| s.outer as u64 * s.inner as u64)
+            .sum();
+        assert_eq!(bodies, app.total_bodies());
     }
 }

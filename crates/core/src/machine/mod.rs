@@ -15,7 +15,7 @@ pub(crate) mod timers;
 #[cfg(test)]
 mod tests;
 
-use cedar_apps::AppSpec;
+use cedar_apps::{AppSpec, Phase};
 use cedar_hw::cbus::CbusBarrier;
 use cedar_hw::ce::{Activity, CeEngine};
 use cedar_hw::config::CBUS_BARRIER;
@@ -32,9 +32,8 @@ use cedar_xylem::{AddressSpace, KernelLock, OsAccounting};
 use crate::config::SimConfig;
 use crate::events::{Ev, EV_CLASS_NAMES};
 use crate::layout::MemoryLayout;
-use crate::program::CompiledProgram;
 use crate::result::RunResult;
-use state::{Ce, CeMode, Role, Task};
+use state::{Ce, CeMode, Task};
 use timers::Timers;
 
 /// Safety valve: [`Machine::run`] aborts once a run dispatches more
@@ -66,7 +65,8 @@ pub struct Machine {
     pub(crate) cfg: SimConfig,
     pub(crate) app_name: &'static str,
     pub(crate) layout: MemoryLayout,
-    pub(crate) program: CompiledProgram,
+    /// The application's validated, flattened phases, in run order.
+    pub(crate) phases: Vec<Phase>,
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) gmem: GlobalMemorySystem,
     pub(crate) ces: Vec<Ce>,
@@ -109,7 +109,8 @@ impl Machine {
         let n_clusters = configuration.clusters() as usize;
         let per = configuration.ces_per_cluster();
         let layout = MemoryLayout::new(app);
-        let program = CompiledProgram::compile(app);
+        app.validate();
+        let phases = app.flattened();
         let mut rng = SplitMix64::new(cfg.seed);
 
         let mut vm = AddressSpace::default();
@@ -138,8 +139,7 @@ impl Machine {
         hpm.set_enabled(cfg.keep_trace);
 
         let tasks = (0..n_clusters)
-            .map(|c| Task {
-                role: if c == 0 { Role::Main } else { Role::Helper },
+            .map(|_| Task {
                 waiter: WorkWaiter::new(words),
                 finish: FinishBarrier::new(words),
                 outer_claimer: None,
@@ -166,14 +166,14 @@ impl Machine {
         Machine {
             app_name: app.name,
             layout,
-            program,
+            phases,
             queue: EventQueue::new().with_tiebreak(cfg.tiebreak),
             gmem: GlobalMemorySystem::new(net),
             ces,
             tasks,
             vm,
             os_acct: OsAccounting::new(n_clusters as u8),
-            statfx: Statfx::new(n_clusters as u8, per),
+            statfx: Statfx::new(n_clusters as u8),
             hpm,
             cluster_locks: (0..n_clusters).map(|_| KernelLock::new()).collect(),
             global_lock: KernelLock::new(),
@@ -254,7 +254,6 @@ impl Machine {
 
     /// Maps a lead CE's mode to its Figure 4 bucket.
     fn bucket_for(&self, cluster: usize, mode: CeMode) -> Option<UserBucket> {
-        let kind = self.tasks[cluster].cur.as_ref().map(|l| l.kind);
         match mode {
             CeMode::Idle | CeMode::Stopped => None,
             CeMode::SerialCompute | CeMode::SerialAccess { .. } | CeMode::TerminateWrite => {
@@ -267,8 +266,8 @@ impl Machine {
             }
             CeMode::ClaimOuter => Some(UserBucket::PickupSdoall),
             CeMode::ClaimFlat => Some(UserBucket::PickupXdoall),
-            CeMode::Body { .. } => match kind {
-                Some(cedar_rtl::LoopKind::Cluster) | Some(cedar_rtl::LoopKind::Doacross) => {
+            CeMode::Body { .. } => match self.running_loop(cluster).kind {
+                cedar_rtl::LoopKind::Cluster | cedar_rtl::LoopKind::Doacross => {
                     Some(UserBucket::ClusterLoop)
                 }
                 _ => Some(UserBucket::IterExec),
@@ -277,7 +276,7 @@ impl Machine {
             CeMode::DoacrossSetup
             | CeMode::DoacrossTicket { .. }
             | CeMode::DoacrossRegion { .. }
-            | CeMode::DoacrossExit { .. } => Some(UserBucket::ClusterLoop),
+            | CeMode::DoacrossExit => Some(UserBucket::ClusterLoop),
         }
     }
 

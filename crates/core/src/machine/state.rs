@@ -1,12 +1,9 @@
 //! Per-CE and per-task runtime state.
 
-use std::sync::Arc;
-
-use cedar_apps::BodySpec;
 use cedar_hw::cbus::CbusBarrier;
 use cedar_hw::ce::CeEngine;
 use cedar_hw::{GlobalAddr, MemOp};
-use cedar_rtl::{FinishBarrier, IterClaimer, LoopKind, WorkWaiter};
+use cedar_rtl::{FinishBarrier, IterClaimer, WorkWaiter};
 use cedar_sim::{Cycles, SimTime};
 use cedar_trace::UserBucket;
 
@@ -69,10 +66,7 @@ pub(crate) enum CeMode {
         iter: u64,
     },
     /// Any CE: writing the next ticket on region exit.
-    DoacrossExit {
-        /// Iteration that just finished its region.
-        iter: u64,
-    },
+    DoacrossExit,
 }
 
 impl CeMode {
@@ -117,40 +111,33 @@ impl Ce {
     }
 }
 
-/// Task role on its cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Role {
-    /// The application's main task (cluster 0).
-    Main,
-    /// A helper task created by the runtime.
-    Helper,
-}
-
-/// The loop a cluster task is currently executing.
-#[derive(Debug, Clone)]
+/// The loop a cluster task is currently executing: its phase, read
+/// through `exec::loop_shape`, and the task's two claim cursors.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct LoopCtx {
-    /// Construct.
-    pub kind: LoopKind,
-    /// Outer iterations (flat count for `xdoall`).
-    pub(crate) outer_total: u32,
-    /// Inner iterations per outer (1 for flat/cluster handled as inner
-    /// loop of the single outer? No — cluster loops use `outer_total=1`).
-    pub(crate) inner_total: u32,
-    /// Per-iteration work (shared handle; never deep-copied on entry).
-    pub body: Arc<BodySpec>,
-    /// DOACROSS: serialized-region work per iteration (zero otherwise).
-    pub serial_region: Cycles,
+    /// Index of the loop's phase.
+    pub(crate) phase: usize,
     /// Next inner iteration to hand out (intra-cluster self-scheduling).
     pub(crate) inner_next: u32,
     /// Outer iteration this cluster currently owns (sdoall).
     pub(crate) outer_current: u32,
 }
 
-/// One cluster task's runtime state.
+impl LoopCtx {
+    /// A task entering loop phase `phase`.
+    pub(crate) fn new(phase: usize) -> Self {
+        LoopCtx {
+            phase,
+            inner_next: 0,
+            outer_current: 0,
+        }
+    }
+}
+
+/// One cluster task's runtime state. Cluster 0 runs the application's
+/// main task, every other cluster a helper task the runtime created.
 #[derive(Debug)]
 pub struct Task {
-    /// Role.
-    pub(crate) role: Role,
     /// Helper: the wait-for-work spin machine.
     pub waiter: WorkWaiter,
     /// Main: the finish-barrier spin machine.

@@ -8,8 +8,7 @@
 //! manifest uses to keep its layout stable across runs (and therefore
 //! diffable). The matching reader ([`parse`]) is a strict
 //! recursive-descent parser over the same subset of JSON the writer
-//! emits — the bench regression gate uses it to read bench JSON, and
-//! tests use it to check what the writer rendered.
+//! emits; tests use it to check what the writer rendered.
 
 use std::fmt::Write as _;
 

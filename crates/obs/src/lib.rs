@@ -14,8 +14,8 @@
 //!   to the rollup once at end of run, so per-event tallies never pay a
 //!   map probe.
 //! * [`RunOptions`] — the single typed record of how the host runs a
-//!   campaign (worker count, shrink factor, smoke mode, bench
-//!   iterations, output directory, cache mode). Built programmatically
+//!   campaign (worker count, shrink factor, smoke mode, output
+//!   directory, cache mode). Built programmatically
 //!   with builder methods, or once at process startup from the
 //!   environment via [`RunOptions::from_env`]. It is one of the workspace's three
 //!   sanctioned environment readers; the others are
@@ -23,8 +23,9 @@
 //!   the golden-update hook (`UPDATE_GOLDEN`).
 //! * [`json`] — a tiny ordered-JSON writer and reader plus the stable
 //!   [`fingerprint`](json::fnv1a) hash and [`git_describe`](json::git_describe)
-//!   helper used by the run manifest (`results/RUN_manifest.json`) and
-//!   the bench regression gate.
+//!   helper used by the run manifest (`results/RUN_manifest.json`); the
+//!   reader's only users are tests, in cedar-check and the benchmark
+//!   package.
 //! * [`CedarError`] — the workspace's typed error enum, defined here so
 //!   every layer (cache, core, report) shares one fallible surface;
 //!   `cedar_core::CedarError` re-exports it as the canonical import

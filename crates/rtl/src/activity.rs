@@ -36,7 +36,6 @@ pub enum WaitStep {
 pub struct WorkWaiter {
     words: RtlWords,
     last_seq: u32,
-    checks: u64,
     stalled: Cycles,
     active: bool,
 }
@@ -48,7 +47,6 @@ impl WorkWaiter {
         WorkWaiter {
             words,
             last_seq: 0,
-            checks: 0,
             stalled: Cycles::ZERO,
             active: false,
         }
@@ -62,7 +60,6 @@ impl WorkWaiter {
     pub fn begin(&mut self) -> WaitStep {
         assert!(!self.active, "wait-for-work already active");
         self.active = true;
-        self.checks += 1;
         WaitStep::Issue(WordIssue::now(self.words.activity, MemOp::Read))
     }
 
@@ -87,7 +84,6 @@ impl WorkWaiter {
                 }
             }
         }
-        self.checks += 1;
         WaitStep::Issue(WordIssue::after(
             self.words.activity,
             MemOp::Read,
@@ -99,11 +95,6 @@ impl WorkWaiter {
     /// learns the seq from the descriptor re-validation instead).
     pub fn mark_seen(&mut self, seq: u32) {
         self.last_seq = self.last_seq.max(seq);
-    }
-
-    /// Activity-word reads issued so far.
-    pub fn checks(&self) -> u64 {
-        self.checks
     }
 
     /// Records `d` cycles the spinning helper lost to an external stall
@@ -140,7 +131,6 @@ mod tests {
             }
             other => panic!("expected re-read, got {other:?}"),
         }
-        assert_eq!(w.checks(), 2);
     }
 
     #[test]
@@ -195,7 +185,6 @@ mod tests {
         assert_eq!(w.stalled(), Cycles(1_000));
         // The spin state machine is unaffected.
         assert!(w.active);
-        assert_eq!(w.checks(), 1);
         assert!(matches!(w.on_value(0), WaitStep::Issue(_)));
     }
 

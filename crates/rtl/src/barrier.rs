@@ -27,7 +27,6 @@ pub enum BarrierStep {
 #[derive(Debug, Clone)]
 pub struct FinishBarrier {
     words: RtlWords,
-    checks: u64,
     active: bool,
 }
 
@@ -37,7 +36,6 @@ impl FinishBarrier {
     pub fn new(words: RtlWords) -> Self {
         FinishBarrier {
             words,
-            checks: 0,
             active: false,
         }
     }
@@ -50,7 +48,6 @@ impl FinishBarrier {
     pub fn begin(&mut self) -> BarrierStep {
         assert!(!self.active, "finish barrier already active");
         self.active = true;
-        self.checks += 1;
         BarrierStep::Issue(WordIssue::now(self.words.joined, MemOp::Read))
     }
 
@@ -65,18 +62,12 @@ impl FinishBarrier {
             self.active = false;
             BarrierStep::Released
         } else {
-            self.checks += 1;
             BarrierStep::Issue(WordIssue::after(
                 self.words.joined,
                 MemOp::Read,
                 BARRIER_SPIN_PERIOD,
             ))
         }
-    }
-
-    /// Reads issued so far (across all barrier episodes).
-    pub fn checks(&self) -> u64 {
-        self.checks
     }
 }
 
@@ -96,7 +87,6 @@ mod tests {
         assert!(matches!(b.on_value(1), BarrierStep::Issue(_)));
         assert_eq!(b.on_value(0), BarrierStep::Released);
         assert!(!b.active);
-        assert_eq!(b.checks(), 3);
     }
 
     #[test]
@@ -117,7 +107,6 @@ mod tests {
         let mut b = barrier();
         b.begin();
         assert_eq!(b.on_value(0), BarrierStep::Released);
-        assert_eq!(b.checks(), 1);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod words;
 pub use activity::{WaitStep, WorkWaiter};
 pub use barrier::{BarrierStep, FinishBarrier};
 pub use combining::{CombiningTree, Propagation};
-pub use loops::{LoopDescriptor, LoopKind};
+pub use loops::LoopKind;
 pub use sched::{ClaimStep, IterClaimer};
 pub use words::RtlWords;
 

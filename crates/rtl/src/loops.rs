@@ -1,4 +1,4 @@
-//! Parallel-loop constructs and descriptors.
+//! Parallel-loop constructs and the activity word that posts them.
 
 use std::fmt;
 
@@ -61,26 +61,8 @@ impl fmt::Display for LoopKind {
 /// Code used in the activity word to tell helpers the program has ended.
 pub const TERMINATE_CODE: u32 = 7;
 
-/// A posted parallel loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoopDescriptor {
-    /// Construct.
-    pub kind: LoopKind,
-    /// Monotonically increasing loop sequence number (starts at 1).
-    pub seq: u32,
-    /// Iterations to distribute: outer (`sdoall`) or flat (`xdoall`)
-    /// count.
-    pub total_iters: u32,
-}
-
-impl LoopDescriptor {
-    /// Packs `(seq, kind)` into the activity word helpers spin on.
-    pub fn activity_word(&self) -> u64 {
-        pack_activity(self.seq, self.kind.code())
-    }
-}
-
-/// Packs an activity word from a loop sequence number and construct code.
+/// Packs the activity word helpers spin on from a loop sequence number
+/// (monotonically increasing, starting at 1) and a construct code.
 pub fn pack_activity(seq: u32, kind_code: u32) -> u64 {
     (seq as u64) << 3 | kind_code as u64
 }
@@ -109,13 +91,8 @@ mod tests {
     }
 
     #[test]
-    fn activity_word_round_trips() {
-        let d = LoopDescriptor {
-            kind: LoopKind::Xdoall,
-            seq: 12345,
-            total_iters: 99,
-        };
-        let (seq, code) = unpack_activity(d.activity_word());
+    fn packed_activity_round_trips() {
+        let (seq, code) = unpack_activity(pack_activity(12345, LoopKind::Xdoall.code()));
         assert_eq!(seq, 12345);
         assert_eq!(code, LoopKind::Xdoall.code());
     }

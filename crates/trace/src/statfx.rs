@@ -12,51 +12,37 @@ use cedar_sim::stats::TimeWeighted;
 use cedar_sim::SimTime;
 
 /// Tracks the number of busy CEs per cluster as a time-weighted signal.
+/// The caller reports each CE's idle→busy and busy→idle transitions,
+/// once each.
 #[derive(Debug, Clone)]
 pub struct Statfx {
     per_cluster: Vec<TimeWeighted>,
     busy_count: Vec<u16>,
-    ce_busy: Vec<bool>,
 }
 
 impl Statfx {
-    /// Creates a monitor for `clusters` clusters of up to
-    /// `ces_per_cluster` CEs, all initially idle.
-    pub fn new(clusters: u8, ces_per_cluster: u16) -> Self {
+    /// Creates a monitor for `clusters` clusters, every CE idle.
+    pub fn new(clusters: u8) -> Self {
         Statfx {
             per_cluster: (0..clusters)
                 .map(|_| TimeWeighted::new(SimTime::ZERO, 0.0))
                 .collect(),
             busy_count: vec![0; clusters as usize],
-            ce_busy: vec![false; clusters as usize * ces_per_cluster as usize],
         }
     }
 
-    fn ce_index(&self, ce: CeId) -> usize {
-        let per = self.ce_busy.len() / self.per_cluster.len();
-        ce.cluster().0 as usize * per + ce.index_in_cluster() as usize
-    }
-
-    /// Marks `ce` busy at `now` (idempotent).
+    /// Records idle `ce` turning busy at `now`.
     pub fn mark_busy(&mut self, ce: CeId, now: SimTime) {
-        let idx = self.ce_index(ce);
-        if !self.ce_busy[idx] {
-            self.ce_busy[idx] = true;
-            let cl = ce.cluster().0 as usize;
-            self.busy_count[cl] += 1;
-            self.per_cluster[cl].update(now, self.busy_count[cl] as f64);
-        }
+        let cl = ce.cluster().0 as usize;
+        self.busy_count[cl] += 1;
+        self.per_cluster[cl].update(now, self.busy_count[cl] as f64);
     }
 
-    /// Marks `ce` idle at `now` (idempotent).
+    /// Records busy `ce` turning idle at `now`.
     pub fn mark_idle(&mut self, ce: CeId, now: SimTime) {
-        let idx = self.ce_index(ce);
-        if self.ce_busy[idx] {
-            self.ce_busy[idx] = false;
-            let cl = ce.cluster().0 as usize;
-            self.busy_count[cl] -= 1;
-            self.per_cluster[cl].update(now, self.busy_count[cl] as f64);
-        }
+        let cl = ce.cluster().0 as usize;
+        self.busy_count[cl] -= 1;
+        self.per_cluster[cl].update(now, self.busy_count[cl] as f64);
     }
 
     /// Average concurrency on one cluster over `[0, end)`.
@@ -72,7 +58,7 @@ mod tests {
 
     #[test]
     fn single_ce_half_busy_averages_half() {
-        let mut s = Statfx::new(1, 8);
+        let mut s = Statfx::new(1);
         s.mark_busy(CeId(0), Cycles(0));
         s.mark_idle(CeId(0), Cycles(50));
         assert!((s.cluster_average(ClusterId(0), Cycles(100)) - 0.5).abs() < 1e-12);
@@ -80,7 +66,7 @@ mod tests {
 
     #[test]
     fn eight_ces_fully_busy_average_eight() {
-        let mut s = Statfx::new(1, 8);
+        let mut s = Statfx::new(1);
         for i in 0..8 {
             s.mark_busy(CeId(i), Cycles(0));
         }
@@ -90,7 +76,7 @@ mod tests {
 
     #[test]
     fn clusters_average_independently() {
-        let mut s = Statfx::new(2, 8);
+        let mut s = Statfx::new(2);
         s.mark_busy(CeId(0), Cycles(0)); // cluster 0
         s.mark_busy(CeId(8), Cycles(0)); // cluster 1
         s.mark_busy(CeId(9), Cycles(0)); // cluster 1
@@ -99,19 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn marking_is_idempotent() {
-        let mut s = Statfx::new(1, 8);
-        s.mark_busy(CeId(3), Cycles(0));
-        s.mark_busy(CeId(3), Cycles(10));
-        assert_eq!(s.busy_count[0], 1);
-        s.mark_idle(CeId(3), Cycles(20));
-        s.mark_idle(CeId(3), Cycles(30));
-        assert_eq!(s.busy_count[0], 0);
-    }
-
-    #[test]
     fn staggered_busy_periods_integrate_correctly() {
-        let mut s = Statfx::new(1, 8);
+        let mut s = Statfx::new(1);
         // CE0 busy [0,100); CE1 busy [50,100): integral = 100 + 50 = 150.
         s.mark_busy(CeId(0), Cycles(0));
         s.mark_busy(CeId(1), Cycles(50));

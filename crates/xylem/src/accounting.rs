@@ -109,9 +109,11 @@ impl Category {
 
 /// Per-cluster accumulation of OS activity durations.
 ///
-/// Durations are *CE-time*: an activity that stalls 8 CEs for 100 cycles
-/// accounts 800 cycles, matching how the paper's per-cluster `Q` facility
-/// attributes utilization.
+/// Durations are *wall time*, one charge per activity per cluster: an
+/// activity that stalls 8 CEs for 100 cycles accounts 100 cycles and one
+/// sample (a cross-processor interrupt charges `CPI_COST_PER_CE` once,
+/// however many CEs it interrupts), matching how the paper's per-cluster
+/// `Q` facility attributes utilization.
 #[derive(Debug, Clone)]
 pub struct OsAccounting {
     clusters: Vec<ClusterAccounting>,
@@ -130,7 +132,7 @@ impl ClusterAccounting {
         }
     }
 
-    /// Accumulated CE-time for `activity`.
+    /// Accumulated wall time for `activity`.
     pub fn get(&self, activity: OsActivity) -> &DurationAccum {
         &self.buckets[Self::index(activity)]
     }
@@ -151,7 +153,7 @@ impl OsAccounting {
         }
     }
 
-    /// Charges `duration` of CE-time on `cluster` to `activity`.
+    /// Charges `duration` of wall time on `cluster` to `activity`.
     pub fn charge(&mut self, cluster: ClusterId, activity: OsActivity, duration: Cycles) {
         self.clusters[cluster.0 as usize].buckets[ClusterAccounting::index(activity)].add(duration);
     }
@@ -170,12 +172,12 @@ impl OsAccounting {
         &self.clusters[cluster.0 as usize]
     }
 
-    /// Total CE-time charged to `activity` across all clusters.
+    /// Total wall time charged to `activity` across all clusters.
     pub fn total(&self, activity: OsActivity) -> Cycles {
         self.clusters.iter().map(|c| c.get(activity).total()).sum()
     }
 
-    /// Total CE-time charged to a Figure 3 category across all clusters.
+    /// Total wall time charged to a Figure 3 category across all clusters.
     pub fn category_total(&self, category: Category) -> Cycles {
         OsActivity::ALL
             .iter()

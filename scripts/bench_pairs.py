@@ -15,8 +15,10 @@ from pair to pair; the confirmation seeds continue the alternation.
 Then three alternating `--trace 1 --seed 0` pairs give the exact work
 counts, which must not differ between a side's runs, and each side's
 per-layer self times: the median with the min-max of its runs. A
-layer's delta reads `unresolved` when the change's median falls inside
-the parent's range.
+layer's delta reads resolved only when the two sides' ranges are
+disjoint, every change run beyond the parent's range on the same side;
+otherwise it reads `unresolved`, since host drift during the traced
+runs can move a median alone.
 
 Each entry holds the median, q1 and q3 of every metric (linear
 interpolation over the pairs in `seeds`), `pairs_won` (pairs in which
@@ -33,7 +35,7 @@ gain`.
 from its runs, and each pair of entries' pairs_won counts. Older entries
 store runs rounded to 6 decimals, so a statistic agrees within 1e-6, and
 a pair whose rounded runs tie may have been won by either side. It also
-checks the per-layer line's `unresolved` label on two made-up layers.
+checks the per-layer line's `unresolved` label on three made-up layers.
 """
 import argparse
 import json
@@ -205,10 +207,10 @@ def traced(sides, workload, seconds, pairs=3):
 def layer_row(name, p, c):
     """One layer's self-time line from the parent's runs `p` and the
     change's runs `c`: each side's median and min-max, and the change's
-    delta, `unresolved` when its median lies inside the parent's range."""
+    delta, `unresolved` unless the ranges are disjoint."""
     pm, cm = quantile(p, 0.5), quantile(c, 0.5)
     delta = f"{(cm - pm) / pm:+8.2%}" if pm else ""
-    if pm and min(p) <= cm <= max(p):
+    if pm and not (min(c) > max(p) or max(c) < min(p)):
         delta += " unresolved"
     return (f"  {name:<24} {pm:>10.3f} [{min(p):.3f}-{max(p):.3f}] "
             f"{cm:>10.3f} [{min(c):.3f}-{max(c):.3f}] {delta}")
@@ -303,6 +305,7 @@ def selftest():
                     else:
                         exact += 1
     for p, c, unresolved in (([10.0, 12.0, 11.0], [11.5, 10.5, 11.0], True),
+                             ([10.0, 12.0, 11.0], [12.5, 13.0, 11.5], True),
                              ([10.0, 12.0, 11.0], [8.0, 9.0, 8.5], False)):
         row = layer_row("self.selftest_ms", p, c)
         if ("unresolved" in row) != unresolved or "[10.000-12.000]" not in row:

@@ -6,9 +6,10 @@
 //! and (half the time) a fault mix from one `SplitMix64` stream, runs
 //! the experiment, and asserts *conservation* (`cedar_check::conservation`):
 //! every iteration executes exactly once, user breakdowns never exceed
-//! the wall clock, Figure-3 categories partition completion time, and
-//! concurrency stays within the machine's CE count. Replays and worker
-//! counts are held to run equality (`cedar_check::same_run`).
+//! the wall clock, concurrency stays within the machine's CE count, and
+//! the constant-cost OS ledgers total their sample counts times their
+//! costs. Replays and worker counts are held to run equality
+//! (`cedar_check::same_run`).
 //!
 //! Every failure message carries the case seed. To replay one case:
 //!

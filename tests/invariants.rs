@@ -3,9 +3,12 @@
 //! Every generated loop-parallel program, on every configuration, must
 //! respect the conservation laws of the simulator
 //! (`cedar_check::conservation`: each iteration executes exactly once,
-//! accounting never exceeds the wall clock, the Figure-3 categories
-//! partition it, concurrency stays within the machine) and give the
-//! same run on identical inputs (`cedar_check::same_run`).
+//! user-time breakdowns never exceed the wall clock, concurrency stays
+//! within the machine, the constant-cost OS ledgers total their sample
+//! counts times their costs) and give the same run on identical inputs
+//! (`cedar_check::same_run`). The Figure-3 categories sum to the wall
+//! clock by definition (user time is its remainder), so no law checks
+//! them.
 //!
 //! Randomness comes from the in-repo `SplitMix64` generator with fixed
 //! seeds — no external crates, and the same seed always produces the
